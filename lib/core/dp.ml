@@ -178,10 +178,13 @@ let charge ~cells ~visited ~pruned =
 (* Which inner-loop kernel the fill drivers run.  All entries are
    bit-identical on values and argmax (the registry exists so the
    baselines stay cross-checkable in production): [Pruned] is the
-   monotone-bound scan, [Monotone_dc] additionally exploits argmax
-   monotonicity with a divide-and-conquer over decision ranges, and
-   [Reference] is the exhaustive scan (the [Ref] module's loop, block
-   compatible).  [Auto] currently resolves to [Monotone_dc]. *)
+   monotone-bound scan, [Monotone_dc] bisects for the equalization
+   crossing of the kill branch (non-increasing in t) and the survive
+   branch (nondecreasing in t), where the unimodal candidate peaks —
+   the argmax itself is not monotone in l ([test_argmax_not_monotone]),
+   see [fill_block_mono] — and [Reference] is the exhaustive scan (the
+   [Ref] module's loop, block compatible).  [Auto] currently resolves
+   to [Monotone_dc]. *)
 type kernel = Auto | Pruned | Monotone_dc | Reference
 
 let kernel_names =

@@ -1,13 +1,26 @@
-(* Batch evaluation in phases: parse the raw lines in the parallel
-   phase (the accept thread never JSON-decodes), group the parsed
-   requests by the cache identity their evaluation locks
-   (Protocol.cache_group), then fan the groups across domains.  A
+(* Batch evaluation in phases: parse the raw lines on the calling
+   domain (about 2 µs a line, far below the cost of waking another
+   domain), group the parsed requests by the cache identity their
+   evaluation locks (Protocol.cache_group), then answer the groups.  A
    group touching one dp table fetches it once and answers every query
    from it; a group sharing one resident solver holds it once and
    answers every budget through it — so a dup-heavy batch takes each
-   cache lock once instead of once per request.  All shared state
-   touched from worker domains is the cache (internally locked);
-   everything else is pure.
+   cache lock once instead of once per request.
+
+   Where the groups run is the paper's first lesson applied to our own
+   dispatch: a period of length t yields t - c, so work shorter than
+   the setup cost c should not be shipped at all.  A batch whose every
+   group is resident — a dp table already covering the group's bounds
+   (Cache.mem), a resident solver already answering at the group's
+   largest budget (Cache.solver_mem), pure compute, a stats op or a
+   parse error — takes microseconds a group, less than one domain
+   wake-up, so the calling domain answers the groups in order and nothing goes
+   to the pool.  A batch with any fill, grow or solver build fans its
+   groups across domains, so large grows still run in parallel.  The
+   probes are advisory: a table evicted between probe and answer is
+   just filled inline, and the bytes never depend on which way a batch
+   ran.  All shared state touched from worker domains is the cache
+   (internally locked); everything else is pure.
 
    Outcomes scatter back by original index, so per-connection response
    order — and therefore the bytes a client reads — never depends on
@@ -65,21 +78,71 @@ let group_indices envelopes =
   Array.of_list
     (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
 
+(* The group-max bounds of a dp group: one table at these bounds
+   answers every query of the group. *)
+let dp_bounds envelopes idxs =
+  Array.fold_left
+    (fun (c, mp, ml) i ->
+       match envelopes.(i).Protocol.request with
+       | Ok (Protocol.Dp_query { c_ticks; l; p }) -> (c_ticks, max mp p, max ml l)
+       | _ -> (c, mp, ml))
+    (0, 0, 0) idxs
+
+(* What an evaluate group holds: its resident solver, asked for at the
+   group's largest budget — as a dp group fetches at its group-max
+   bounds — so one hold covers every member.  Raises on invalid
+   parameters or an unknown policy. *)
+let solver_hold ~c ~u ~policy envelopes idxs =
+  let interrupts =
+    Array.fold_left
+      (fun mp i ->
+         match envelopes.(i).Protocol.request with
+         | Ok (Protocol.Evaluate { p; _ }) -> max mp p
+         | _ -> mp)
+      0 idxs
+  in
+  ( Cyclesteal.Model.params ~c,
+    Cyclesteal.Model.opportunity ~lifespan:u ~interrupts,
+    Engine.Registry.find policy )
+
+(* Can the group be answered without fill, grow or solver-build work?
+   Requests that fail validation answer with an error, which is cheap,
+   so a probe that raises counts as resident. *)
+let resident ~cache envelopes idxs =
+  match envelopes.(idxs.(0)).Protocol.request with
+  | Error _
+  | Ok
+      ( Protocol.Advise _ | Protocol.Schedule _ | Protocol.Strategies
+      | Protocol.Stats _ ) ->
+    true
+  | Ok (Protocol.Dp_query _) -> (
+    let c, p, l = dp_bounds envelopes idxs in
+    match Cache.canonical ~c ~p ~l with
+    | key -> Cache.mem cache key
+    | exception _ -> true)
+  | Ok (Protocol.Evaluate { periods = Some _; _ }) -> false
+  | Ok (Protocol.Evaluate { c; u; policy; _ }) -> (
+    match solver_hold ~c ~u ~policy envelopes idxs with
+    | params, opp, planner -> Cache.solver_mem cache params opp planner
+    | exception _ -> true)
+
 (* The one evaluation pipeline: group the batch by cache identity,
-   fan the groups across domains, scatter outcomes back by index.
+   answer the groups in order when all are resident, else fan them
+   across domains, and scatter outcomes back by index.
    [stats_payload] is the forced snapshot a [stats] op answers with
    (the daemon's counters; without one, [Protocol.handle] supplies the
    no-daemon error). *)
 let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
+  let now = Csutil.Clock.now in
   let evaluate (e : Protocol.envelope) =
     match e.Protocol.request with
     | Error err -> { envelope = e; result = Error err; latency = 0. }
     | Ok (Protocol.Stats _) when stats_payload <> None ->
       { envelope = e; result = Ok (Option.get stats_payload); latency = 0. }
     | Ok req ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       let result = Protocol.handle ~cache req in
-      { envelope = e; result; latency = Unix.gettimeofday () -. t0 }
+      { envelope = e; result; latency = now () -. t0 }
   in
   let fallback idxs = Array.map (fun i -> (i, evaluate envelopes.(i))) idxs in
   (* One table fetch covers the whole group: grown/solved once at the
@@ -88,16 +151,8 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
      independent of the bounds).  The fetch time is charged to the
      group's first request. *)
   let evaluate_dp_group idxs =
-    let c, max_p, max_l =
-      Array.fold_left
-        (fun (c, mp, ml) i ->
-           match envelopes.(i).Protocol.request with
-           | Ok (Protocol.Dp_query { c_ticks; l; p }) ->
-             (c_ticks, max mp p, max ml l)
-           | _ -> (c, mp, ml))
-        (0, 0, 0) idxs
-    in
-    let t0 = Unix.gettimeofday () in
+    let c, max_p, max_l = dp_bounds envelopes idxs in
+    let t0 = now () in
     match Cache.find_or_solve cache ~c ~p:max_p ~l:max_l with
     | exception _ -> fallback idxs
     | dp ->
@@ -105,17 +160,12 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
         (fun k i ->
            match envelopes.(i).Protocol.request with
            | Ok (Protocol.Dp_query { c_ticks; l; p }) ->
-             let t1 = if k = 0 then t0 else Unix.gettimeofday () in
+             let t1 = if k = 0 then t0 else now () in
              let result =
                Protocol.guard (fun () ->
                    Protocol.handle_dp_with dp ~c_ticks ~l ~p)
              in
-             ( i,
-               {
-                 envelope = envelopes.(i);
-                 result;
-                 latency = Unix.gettimeofday () -. t1;
-               } )
+             (i, { envelope = envelopes.(i); result; latency = now () -. t1 })
            | _ -> (i, evaluate envelopes.(i)))
         idxs
   in
@@ -123,25 +173,22 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
      (Protocol.cache_group) embeds exactly the solver-cache identity,
      so every member resolves to the same resident solver the
      per-request path would have taken — held once instead of once per
-     request.  Each member still queries its own state. *)
+     request.  Each member still queries its own state, so values are
+     independent of the budget the hold asked for. *)
   let evaluate_solver_group idxs =
     match envelopes.(idxs.(0)).Protocol.request with
-    | Ok (Protocol.Evaluate { c; u; p; policy; _ }) ->
-      (match
-         let params = Cyclesteal.Model.params ~c in
-         let opp = Cyclesteal.Model.opportunity ~lifespan:u ~interrupts:p in
-         (params, opp, Engine.Registry.find policy)
-       with
+    | Ok (Protocol.Evaluate { c; u; policy; _ }) ->
+      (match solver_hold ~c ~u ~policy envelopes idxs with
        | exception _ -> fallback idxs
        | params, opp, planner ->
-         let t0 = Unix.gettimeofday () in
+         let t0 = now () in
          (match
             Cache.with_solver cache params opp planner (fun solver ->
                 Array.mapi
                   (fun k i ->
                      match envelopes.(i).Protocol.request with
                      | Ok (Protocol.Evaluate { c; u; p; _ }) ->
-                       let t1 = if k = 0 then t0 else Unix.gettimeofday () in
+                       let t1 = if k = 0 then t0 else now () in
                        let result =
                          Protocol.guard (fun () ->
                              Protocol.evaluate_with_solver ~c ~u ~p solver)
@@ -150,7 +197,7 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
                          {
                            envelope = envelopes.(i);
                            result;
-                           latency = Unix.gettimeofday () -. t1;
+                           latency = now () -. t1;
                          } )
                      | _ -> (i, evaluate envelopes.(i)))
                   idxs)
@@ -170,7 +217,11 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
       | _ -> fallback idxs
   in
   let grouped = group_indices envelopes in
-  let results = Csutil.Par.map ?pool ?domains evaluate_group grouped in
+  let results =
+    if Array.for_all (resident ~cache envelopes) grouped then
+      Array.map evaluate_group grouped
+    else Csutil.Par.map ?pool ?domains evaluate_group grouped
+  in
   let out = Array.make (Array.length envelopes) None in
   Array.iter (Array.iter (fun (i, o) -> out.(i) <- Some o)) results;
   Array.map Option.get out
@@ -179,7 +230,7 @@ let run_parsed ?pool ?domains ?stats_payload ~cache envelopes =
   evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes
 
 let run ?pool ?domains ?stats_payload ~cache lines =
-  let envelopes = Csutil.Par.map ?pool ?domains Protocol.parse_line lines in
+  let envelopes = Array.map Protocol.parse_line lines in
   (* The stats snapshot is only worth its Cache.stats fold when the
      batch actually carries a stats op — which almost none do. *)
   let payload =

@@ -1,17 +1,32 @@
 (** Batched request evaluation.
 
     A batch is processed in phases.  {!run} first parses the raw
-    request lines fanned across domains with {!Csutil.Par.map} — the
-    accept/read loop never JSON-decodes.  The parsed requests are then
-    grouped by the cache identity their evaluation locks
-    ({!Protocol.cache_group}) and the {e groups} fan across domains: a
-    group of [dp] queries against one table fetches it once (grown to
-    the group-max bounds) and answers every query from it, and a group
-    of evaluations sharing one resident solver holds it once and
-    answers every budget through it — so a batch of a hundred requests
-    over one identity takes that cache lock once, not a hundred times.
-    Requests with no cache identity evaluate as singleton groups
-    through {!Protocol.handle}, exactly as before.
+    request lines on the calling domain — a line parses in about 2 µs,
+    far less than waking another domain costs.  The parsed requests are
+    then grouped by the cache identity their evaluation locks
+    ({!Protocol.cache_group}): a group of [dp] queries against one
+    table fetches it once (grown to the group-max bounds) and answers
+    every query from it, and a group of evaluations sharing one
+    resident solver holds it once and answers every budget through it —
+    so a batch of a hundred requests over one identity takes that
+    cache lock once, not a hundred times.  Requests with no cache
+    identity evaluate as singleton groups through {!Protocol.handle},
+    exactly as before.
+
+    {b Where the groups run.}  When every group is {e resident} — a dp
+    group whose group-max bounds a resident table covers ({!Cache.mem}),
+    an evaluate group whose resident solver already answered at the
+    group's largest budget ({!Cache.solver_mem}), pure compute
+    ([advise], [schedule], [strategies]), a [stats] op or a parse
+    error — the calling domain answers the groups in order and nothing
+    is submitted to the pool: such a group takes microseconds, less
+    than one cross-domain hand-off.  A batch with any fill, grow or
+    solver build (including an [evaluate] with explicit periods, which
+    builds a fresh solver) fans its groups across domains with
+    {!Csutil.Par.map}, so large grows still run in parallel.  The rule
+    reads only cache state, and the probes are advisory: when one is
+    stale the fill simply runs inline, and replies are byte-identical
+    either way.
 
     Outcomes scatter back by original index, so response order always
     matches request order regardless of grouping or domain count, and
@@ -29,8 +44,9 @@ type outcome = {
   envelope : Protocol.envelope;
   result : (Json.t, Cyclesteal.Error.t) result;
   latency : float;
-      (** seconds spent evaluating; a group's shared fetch is charged
-          to its first request *)
+      (** seconds spent evaluating, on the monotonic clock
+          ({!Csutil.Clock}); a group's shared fetch is charged to its
+          first request *)
 }
 
 val has_stats_op : Protocol.envelope array -> bool
@@ -51,9 +67,11 @@ val run :
     when the batch actually contains a [stats] op, so ordinary batches
     never pay for the counter snapshot; without [stats_payload] they
     answer with {!Protocol.handle}'s error.  The result array is
-    index-aligned with the input.  [pool] carries the fan-out (default:
-    the shared pool); cold solves inside it fall back to inline fills
-    when they find the pool busy. *)
+    index-aligned with the input.  [pool] and [domains] shape the
+    group fan-out of a batch with fill work (default: the shared pool,
+    {!Csutil.Par.map}'s domain rule); cold solves inside it fall back
+    to inline fills when they find the pool busy.  Parsing and
+    all-resident batches never touch the pool. *)
 
 val run_parsed :
   ?pool:Csutil.Par.Pool.t ->
@@ -62,6 +80,6 @@ val run_parsed :
   cache:Cache.t ->
   Protocol.envelope array ->
   outcome array
-(** The evaluation phases alone (grouping + fan-out), for callers that
-    already hold parsed envelopes.  [stats_payload] here is the forced
+(** The evaluation phases alone (grouping, then in-order answers or
+    the fan-out), for callers that already hold parsed envelopes.  [stats_payload] here is the forced
     snapshot value. *)

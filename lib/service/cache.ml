@@ -109,6 +109,10 @@ type solver_entry = {
   solver : Game.Solver.t;
   slock : Mutex.t;
   mutable sused : int;
+  mutable covered_p : int;
+      (* the largest interrupt budget answered through this entry (a
+         bank-loaded memo starts at its snapshot's budget): a request
+         within it expands no new budget level — the residency probe *)
   mutable saved_states : int;
       (* expanded-state count last persisted to (or loaded from) the
          bank; the write-behind threshold compares against it so a
@@ -413,6 +417,18 @@ let serve_resident_solver s e ~p =
   let cap_p, _ = Game.Solver.capacity e.solver in
   if p > cap_p then s.sgrowths <- s.sgrowths + 1
 
+(* The resident-solver identity of an evaluation; state-only policies
+   collapse the budget to -1. *)
+let solver_key params opp (planner : Engine.Planner.t) =
+  {
+    sc = Model.c params;
+    su = opp.Model.lifespan;
+    sp =
+      (if planner.Engine.Planner.state_only then -1
+       else opp.Model.interrupts);
+    spolicy = planner.Engine.Planner.name;
+  }
+
 (* The resident (or bank-loaded, or fresh) entry for the key, plus the
    key itself (the write-behind needs the identity the entry is filed
    under).  Misses are single-flight, mirroring [obtain]: the leader
@@ -425,14 +441,7 @@ let serve_resident_solver s e ~p =
 let obtain_solver t params opp (planner : Engine.Planner.t) =
   let u = opp.Model.lifespan in
   let p = opp.Model.interrupts in
-  let key =
-    {
-      sc = Model.c params;
-      su = u;
-      sp = (if planner.Engine.Planner.state_only then -1 else p);
-      spolicy = planner.Engine.Planner.name;
-    }
-  in
+  let key = solver_key params opp planner in
   let s = t.solvers in
   let locked f =
     Mutex.lock s.sollock;
@@ -521,6 +530,10 @@ let obtain_solver t params opp (planner : Engine.Planner.t) =
                 solver;
                 slock = Mutex.create ();
                 sused = s.sclock;
+                covered_p =
+                  (if Option.is_some banked then
+                     fst (Game.Solver.capacity solver)
+                   else -1);
                 (* A bank-loaded memo is already on disk at exactly its
                    rebuilt state count. *)
                 saved_states =
@@ -530,6 +543,24 @@ let obtain_solver t params opp (planner : Engine.Planner.t) =
             in
             Hashtbl.add s.entries key e;
             (e, key)))
+
+(* The evaluate-side twin of [mem]: a resident solver for this
+   evaluation that has already answered at this budget or a larger
+   one, so answering expands no new budget level.  Same rules as
+   [mem] — no LRU stamp, no counters.  [covered_p] is read outside the
+   entry lock: an evaluation racing the probe only makes it stale,
+   and the probe is advisory anyway. *)
+let solver_mem t params opp planner =
+  let key = solver_key params opp planner in
+  let s = t.solvers in
+  Mutex.lock s.sollock;
+  let covered =
+    match Hashtbl.find_opt s.entries key with
+    | Some e -> e.covered_p >= opp.Model.interrupts
+    | None -> false
+  in
+  Mutex.unlock s.sollock;
+  covered
 
 (* Persist when the memo was never banked by this entry (the seed save
    precompute and warm restarts rely on), or when it grew by at least
@@ -548,6 +579,7 @@ let with_solver t params opp planner f =
     ~finally:(fun () -> Mutex.unlock e.slock)
     (fun () ->
       let result = f e.solver in
+      e.covered_p <- max e.covered_p opp.Model.interrupts;
       (* Write-behind, under the entry lock (so the memo is quiescent)
          but only when enough growth accrued; the bank additionally
          dedups by expanded-state count. *)

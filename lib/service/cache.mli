@@ -111,6 +111,19 @@ val mem : t -> key -> bool
     check).  Advisory by nature: the table can be evicted between the
     probe and a subsequent {!find_or_solve}, which then just solves. *)
 
+val solver_mem :
+  t ->
+  Cyclesteal.Model.params ->
+  Cyclesteal.Model.opportunity ->
+  Engine.Planner.t ->
+  bool
+(** The {!with_solver} twin of {!mem}: is a resident solver for this
+    evaluation held right now that has already answered at the
+    opportunity's interrupt budget or a larger one (a bank-loaded memo
+    counts from its snapshot's budget), so answering expands no new
+    budget level?  Same contract as {!mem}: no LRU stamp, no counters,
+    advisory only. *)
+
 val preload : t -> keys:key list -> ?domains:int -> unit -> unit
 (** Solve all missing tables (requested bounds merged per [c]) in
     parallel via {!Csutil.Par.map} outside the lock and insert them;

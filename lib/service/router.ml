@@ -3,13 +3,17 @@
    Topology.  One router owns K shards.  Each shard pins an
    independent serving runtime — cache, solve pool, stats family — to
    one dedicated worker domain, fed through a private job channel.  A
-   connection's batch is split by placement into per-shard sub-batches
-   (jobs); the connection worker enqueues them, evaluates the
-   placement-free ops itself while the shards work, then blocks on
-   each job's condition and reassembles outcomes by original index —
-   so per-connection ordering, and with it byte-identity to a serial
-   server, is preserved no matter how sub-batches interleave across
-   shards.
+   connection's batch is parsed on the connection worker and split by
+   placement into per-shard sub-batches (jobs); the connection worker
+   enqueues them, evaluates the placement-free ops itself while the
+   shards work, then blocks on each job's condition and reassembles
+   outcomes by original index — so per-connection ordering, and with
+   it byte-identity to a serial server, is preserved no matter how
+   sub-batches interleave across shards.  A shard worker answers a
+   sub-batch whose every group is resident in order on its own domain;
+   only a sub-batch with fill, grow or solver-build work fans out over
+   the shard's solve pool (the rule lives in Batch, so stolen jobs
+   follow it too).
 
    Stealing (opt-in).  With [~steal:true] the per-shard queues are
    work-stealing on the read-only fraction of the load: a worker whose
@@ -37,11 +41,12 @@
    fresh bank-warm cache and pool, spawn a replacement domain.  A
    worker that wedges is caught by the watchdog domain (no timed
    condition wait in the stdlib, so the watchdog polls in-flight start
-   times) and the shard is restarted out from under it; when the
-   zombie eventually wakes it finds its job already failed (delivery
-   is first-writer-wins under the job lock) and its channel closed,
-   and retires without a trace.  Stats families survive restarts —
-   only the failed runtime is replaced — and each restart is counted.
+   times, taken on the monotonic clock) and the shard is restarted out
+   from under it; when the zombie eventually wakes it finds its job
+   already failed (delivery is first-writer-wins under the job lock)
+   and its channel closed, and retires without a trace.  Stats
+   families survive restarts — only the failed runtime is replaced —
+   and each restart is counted.
 
    The shard channel below is the only inter-shard communication
    primitive in the tree; tools/check-format.sh gates both Shard_chan
@@ -298,7 +303,9 @@ type shard = {
   mutable chan : job Shard_chan.t;
   mutable generation : int;
   mutable restarts : int;
-  mutable current : (job * float) option;  (* in-flight job + start time *)
+  mutable current : (job * float) option;
+      (* in-flight job + start time on the monotonic clock, so a
+         wall-clock step cannot make a healthy job look overdue *)
   mutable worker : unit Domain.t option;
   chaos : chaos Atomic.t;  (* one-shot fault injection for tests *)
   steals_in : int Atomic.t;  (* jobs this worker stole and ran *)
@@ -307,7 +314,6 @@ type shard = {
 
 type t = {
   shards : shard array;
-  domains : int;
   per_shard_domains : int;
   shard_capacity : int;
   bank : Store.Bank.t option;
@@ -417,7 +423,7 @@ let fresh_runtime ~shards ~per_shard_domains ~shard_capacity ~bank ~on_grow
 
 let note_start sh ~gen job =
   Mutex.lock sh.slock;
-  if sh.generation = gen then sh.current <- Some (job, Unix.gettimeofday ());
+  if sh.generation = gen then sh.current <- Some (job, Csutil.Clock.now ());
   Mutex.unlock sh.slock
 
 let note_finish sh ~gen job =
@@ -608,7 +614,7 @@ let watchdog_loop t =
   let rec loop () =
     if not (Atomic.get t.stopped) then begin
       Unix.sleepf interval;
-      let now = Unix.gettimeofday () in
+      let now = Csutil.Clock.now () in
       Array.iter
         (fun sh ->
            let overdue =
@@ -676,7 +682,6 @@ let create ?(shards = 1) ?domains ?bank ?on_grow ?(hang_timeout = 30.)
               steals_in = Atomic.make 0;
               stolen_from = Atomic.make 0;
             });
-      domains;
       per_shard_domains;
       shard_capacity;
       bank;
@@ -823,10 +828,9 @@ let run_parsed t ?stats_payload envelopes =
   end
 
 let run t ?stats_payload lines =
-  let envelopes =
-    Csutil.Par.map ~pool:t.shards.(0).pool ~domains:t.domains
-      Protocol.parse_line lines
-  in
+  (* Parse on the submitting connection: a line parses in about 2 µs,
+     less than a wake-up of another domain would cost. *)
+  let envelopes = Array.map Protocol.parse_line lines in
   (* The stats snapshot is only worth its fold across shards when the
      batch actually carries a stats op — which almost none do. *)
   let payload =

@@ -12,6 +12,11 @@
     K shards solve unrelated keys with zero lock contention between
     them.
 
+    A shard worker answers a sub-batch whose every group is resident
+    (covering dp table, resident solver, pure compute) in order on its
+    own domain; only a sub-batch with fill, grow or solver-build work
+    fans out over the shard's solve pool ({!Batch}).
+
     Serial, concurrent and sharded serving are this one code path: a
     single-shard router is the serial daemon's evaluation engine, and
     {!Server} always talks to a router, whatever K is.
@@ -79,8 +84,8 @@ val create :
     a resident dp table grows, which is how the server's serialized-
     response cache invalidates stored dp replies.  [hang_timeout]
     (default 30 s) is how long one
-    sub-batch may run before the watchdog declares the worker wedged
-    and restarts it.  [steal] (default [false]) enables idle-shard
+    sub-batch may run, on the monotonic clock, before the watchdog
+    declares the worker wedged and restarts it.  [steal] (default [false]) enables idle-shard
     work stealing of read-only jobs; [queue_bound] (default 64) caps
     each shard's job queue — a submit against a full queue blocks
     until the worker (or a thief) drains it.
@@ -98,9 +103,11 @@ val place : shards:int -> string -> int
 
 val run :
   t -> ?stats_payload:(unit -> Json.t) -> string array -> Batch.outcome array
-(** Parse and evaluate one connection's batch: lines parse in the
-    parallel phase, each well-formed request is routed to its shard's
-    worker (sub-batches run concurrently across shards), parse errors
+(** Parse and evaluate one connection's batch: lines parse on the
+    calling domain, each well-formed request is routed to its shard's
+    worker (sub-batches run concurrently across shards; a shard answers
+    an all-resident sub-batch on its own domain and fans one with fill
+    work over its solve pool, see {!Batch}), parse errors
     and placement-free ops answer on the submitting thread, and the
     outcomes come back index-aligned with the input — so per-connection
     response order, and therefore the bytes a client reads, are

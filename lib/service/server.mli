@@ -34,8 +34,8 @@ type wire =
           batch and a [Bytes] copy before every write.  Kept so the
           serving bench can measure the lean loop against it. *)
   | Lean
-      (** the default: requests parse in the batch's parallel phase,
-          responses serialize into one reused per-connection buffer,
+      (** the default: requests parse on the connection's own
+          domain, with no per-line fan-out, responses serialize into one reused per-connection buffer,
           the stats snapshot is computed only for batches carrying a
           [stats] op, and writes skip the [Bytes] copy.  Byte-for-byte
           the same output as [Copying]. *)

@@ -125,6 +125,7 @@ module Pool = struct
     pending : int Atomic.t; (* tasks pushed but not yet taken *)
     sleepers : int Atomic.t; (* domains parked on [work_ready] *)
     steal_count : int Atomic.t;
+    dispatch_count : int Atomic.t; (* tasks submitted through [run_tasks] *)
     lock : Mutex.t;
     work_ready : Condition.t;
     mutable stopping : bool;
@@ -133,6 +134,7 @@ module Pool = struct
 
   let size t = t.slots
   let steals t = Atomic.get t.steal_count
+  let dispatched t = Atomic.get t.dispatch_count
   let next_id = Atomic.make 0
 
   (* Which pools is this domain currently a member of (a pool worker,
@@ -247,6 +249,7 @@ module Pool = struct
         pending = Atomic.make 0;
         sleepers = Atomic.make 0;
         steal_count = Atomic.make 0;
+        dispatch_count = Atomic.make 0;
         lock = Mutex.create ();
         work_ready = Condition.create ();
         stopping = false;
@@ -312,6 +315,7 @@ module Pool = struct
      submitter joins the drain when task 0 returns. *)
   let run_tasks t n body =
     if n > 0 then begin
+      ignore (Atomic.fetch_and_add t.dispatch_count n);
       if t.slots = 1 then
         for i = 0 to n - 1 do
           body i
@@ -392,7 +396,9 @@ let shared_pool () = Lazy.force shared
 (* Below this many elements per domain, dispatch overhead dwarfs the
    mapped work; [map]/[init] stay sequential rather than fan out.  Only
    applies when the caller leaves [?domains] unset — an explicit count
-   is a statement that the per-element work is worth it. *)
+   fans out even a handful of elements, so pass one only when each
+   element is worth a domain wake-up (tens of µs), e.g. a batch group
+   that may fill a table, never a 2 µs line parse. *)
 let min_chunk = 32
 
 let effective_domains who ?domains n =

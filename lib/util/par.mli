@@ -47,6 +47,12 @@ module Pool : sig
   (** Tasks executed by a domain other than the one that enqueued them,
       since {!create} — monotonic, racy-read scheduling telemetry. *)
 
+  val dispatched : t -> int
+  (** Tasks submitted to this pool (by {!run}, or as the chunks of a
+      {!map}/{!init} fanned out over it) since {!create}, however they
+      were executed — monotonic, so a caller can check that some work
+      never touched the pool. *)
+
   val shutdown : t -> unit
   (** Stop and join the worker domains.  The pool must be idle; using
       it afterwards runs everything inline. *)
@@ -64,7 +70,8 @@ val min_chunk : int
 (** Minimum elements per domain (32) below which {!map} and {!init}
     stay sequential when [?domains] is not given: dispatch overhead
     dwarfs sub-chunk work.  An explicit [~domains] bypasses the
-    threshold. *)
+    threshold and fans out even two elements, so pass one only for
+    elements each worth a domain wake-up. *)
 
 val map : ?pool:Pool.t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], computed on up to [domains] domains (default: the

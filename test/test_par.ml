@@ -34,14 +34,28 @@ let test_map_validation () =
 
 let test_map_actually_spans_domains () =
   (* Each element records the executing domain id; with 4 domains over
-     4000 elements at least 2 distinct ids must appear (scheduler
-     permitting; recommended_domain_count >= 2 on the test machines --
-     skip silently on single-core). *)
+     4000 elements at least 2 distinct ids must appear (skipped on a
+     single-core host).  On a small host the caller can drain every
+     chunk before a parked worker wakes, so every element but the first
+     checks in its domain and waits — bounded by one shared deadline —
+     until a second domain has checked in.  The first element is the
+     seed [map] computes on the caller before it dispatches any chunk,
+     so it must not wait. *)
   if Csutil.Par.available_domains () >= 2 then begin
+    let first = Atomic.make (-1) and second = Atomic.make false in
+    let deadline = Csutil.Clock.now () +. 10. in
+    let check_in () =
+      let me = (Domain.self () :> int) in
+      if not (Atomic.compare_and_set first (-1) me) then begin
+        if Atomic.get first <> me then Atomic.set second true;
+        while (not (Atomic.get second)) && Csutil.Clock.now () < deadline do
+          Domain.cpu_relax ()
+        done
+      end;
+      me
+    in
     let ids =
-      Csutil.Par.map ~domains:4
-        (fun _ -> (Domain.self () :> int))
-        (Array.make 4000 ())
+      Csutil.Par.map ~domains:4 (fun _ -> check_in ()) (Array.make 4000 ())
     in
     let distinct = List.sort_uniq compare (Array.to_list ids) in
     Alcotest.(check bool) "multiple domains used" true (List.length distinct >= 2)

@@ -597,6 +597,167 @@ let test_batch_stats_payload () =
   | Ok p -> Alcotest.(check bool) "snapshot served" true (Json.equal p payload)
   | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
 
+(* --- Resident batches run on the calling domain ----------------------------- *)
+
+(* The cache state every residency test starts from: dp tables for
+   c = 3 and c = 5 covering l <= 512, p <= 4, and adaptive (state-only)
+   and nonadaptive solvers at c = 1, u = 60 that have answered up to
+   p = 2. *)
+let resident_cache ?pool () =
+  let cache = Cache.create ?pool ~capacity:16 () in
+  List.iter (fun c -> ignore (Cache.find_or_solve cache ~c ~p:4 ~l:512)) [ 3; 5 ];
+  List.iter
+    (fun policy ->
+       ignore
+         (Protocol.handle ~cache
+            (Protocol.Evaluate { c = 1.; u = 60.; p = 2; policy; periods = None })))
+    [ "adaptive"; "nonadaptive" ];
+  cache
+
+(* Request lines of each kind the residency rule tells apart, as
+   generators: those resident on [resident_cache], and those needing a
+   fill, a grow or a solver build. *)
+let dp_line c l p = Printf.sprintf {|{"op":"dp","c_ticks":%d,"l":%d,"p":%d}|} c l p
+
+let evaluate_line ~u ~p policy =
+  Printf.sprintf {|{"op":"evaluate","c":1,"u":%d,"p":%d,"policy":"%s"}|} u p policy
+
+let resident_line_gens =
+  let open QCheck.Gen in
+  [
+    (* a preloaded table covers it *)
+    map3 dp_line (oneofl [ 3; 5 ]) (int_range 0 512) (int_range 0 4);
+    (* a resident solver has answered at this budget or a larger one *)
+    map (fun p -> evaluate_line ~u:60 ~p "adaptive") (int_range 0 2);
+    return (evaluate_line ~u:60 ~p:2 "nonadaptive");
+    (* pure compute *)
+    map3
+      (Printf.sprintf {|{"op":"advise","c":%d,"u":%d,"p":%d}|})
+      (int_range 1 9) (int_range 50 5000) (int_range 0 4);
+    map2
+      (Printf.sprintf {|{"op":"schedule","c":1,"u":%d,"p":1,"regime":"%s"}|})
+      (int_range 20 400)
+      (oneofl [ "adaptive"; "nonadaptive"; "calibrated" ]);
+    return {|{"op":"strategies"}|};
+    (* stats ops, parse errors and requests that fail validation *)
+    return {|{"op":"stats"}|};
+    oneofl
+      [
+        "not json";
+        {|{"op":"advise","c":-3}|};
+        {|{"op":"nope"}|};
+        dp_line 0 5 1;
+        evaluate_line ~u:60 ~p:1 "no-such";
+      ];
+  ]
+
+let cold_line_gens =
+  let open QCheck.Gen in
+  [
+    (* an absent table, or a preloaded one that must grow *)
+    map3 dp_line (oneofl [ 4; 7 ]) (int_range 0 700) (int_range 0 4);
+    map2 (dp_line 3) (int_range 513 900) (int_range 0 6);
+    (* an absent solver: another lifespan, or a budget not yet answered *)
+    map2 (fun u p -> evaluate_line ~u ~p "adaptive") (int_range 20 50)
+      (int_range 0 2);
+    map (fun p -> evaluate_line ~u:60 ~p "adaptive") (int_range 3 4);
+    (* explicit periods build a fresh solver *)
+    return {|{"op":"evaluate","c":1,"u":20,"p":1,"periods":[8,7,5]}|};
+  ]
+
+(* Half the batches draw from resident kinds only, so the all-resident
+   path is exercised as often as the fan-out; the flag says which. *)
+let residency_batch_gen =
+  let open QCheck.Gen in
+  let batch gens = list_size (int_range 1 16) (oneof gens) in
+  oneof
+    [
+      map (fun lines -> (true, lines)) (batch resident_line_gens);
+      map
+        (fun lines -> (false, lines))
+        (batch (resident_line_gens @ cold_line_gens));
+    ]
+
+let stats_reply = Json.Obj [ ("requests", Json.Int 7) ]
+
+let outcome_strings outcomes =
+  Array.to_list outcomes
+  |> List.map (fun (o : Batch.outcome) ->
+      Protocol.response_to_string ~id:o.Batch.envelope.Protocol.id
+        o.Batch.result)
+
+(* The resident fast path is invisible in the bytes: random batches
+   mixing resident and cold dp groups, resident and absent solvers,
+   pure ops, stats ops and parse errors answer identically through a
+   2-domain pool, through [~domains:1] and directly through
+   [Protocol.handle] — and an all-resident batch submits nothing to
+   the pool. *)
+let prop_resident_batches_match_direct =
+  (* One pool for every case, never shut down: its parked worker goes
+     away with the test process. *)
+  let pool = lazy (Csutil.Par.Pool.create ~domains:2) in
+  QCheck.Test.make ~name:"resident fast path = fan-out = direct handle"
+    ~count:60
+    (QCheck.make residency_batch_gen ~print:(fun (_, lines) ->
+         String.concat "\n" lines))
+    (fun (all_resident, lines) ->
+       let pool = Lazy.force pool in
+       let lines = Array.of_list lines in
+       let envelopes = Array.map Protocol.parse_line lines in
+       let direct =
+         Array.to_list
+           (Array.map
+              (fun (e : Protocol.envelope) ->
+                 let result =
+                   match e.Protocol.request with
+                   | Ok (Protocol.Stats _) -> Ok stats_reply
+                   | r -> Result.bind r (fun req -> Protocol.handle req)
+                 in
+                 Protocol.response_to_string ~id:e.Protocol.id result)
+              envelopes)
+       in
+       let before = Csutil.Par.Pool.dispatched pool in
+       let pooled =
+         Batch.run_parsed ~pool ~domains:2 ~stats_payload:stats_reply
+           ~cache:(resident_cache ~pool ()) envelopes
+       in
+       let dispatched = Csutil.Par.Pool.dispatched pool - before in
+       let inline =
+         Batch.run_parsed ~domains:1 ~stats_payload:stats_reply
+           ~cache:(resident_cache ()) envelopes
+       in
+       outcome_strings pooled = direct
+       && outcome_strings inline = direct
+       && ((not all_resident) || dispatched = 0))
+
+(* The dispatch counter itself: the same groups fan out once one of
+   them needs a fill, and stay on the caller while all are resident. *)
+let test_resident_batch_skips_pool () =
+  Csutil.Par.Pool.with_pool ~domains:2 (fun pool ->
+      let cache = resident_cache ~pool () in
+      let run lines =
+        let before = Csutil.Par.Pool.dispatched pool in
+        ignore
+          (Batch.run ~pool ~domains:2 ~cache (Array.of_list lines));
+        Csutil.Par.Pool.dispatched pool - before
+      in
+      let resident =
+        [
+          {|{"op":"dp","c_ticks":3,"l":500,"p":4}|};
+          {|{"op":"dp","c_ticks":5,"l":100,"p":1}|};
+          {|{"op":"evaluate","c":1,"u":60,"p":1,"policy":"adaptive"}|};
+          {|{"op":"evaluate","c":1,"u":60,"p":2,"policy":"nonadaptive"}|};
+          {|{"op":"advise","c":1,"u":100,"p":1}|};
+          {|{"op":"stats"}|};
+          "not json";
+        ]
+      in
+      Alcotest.(check int) "all resident: nothing dispatched" 0 (run resident);
+      Alcotest.(check bool) "a cold group fans the batch out" true
+        (run ({|{"op":"dp","c_ticks":9,"l":300,"p":2}|} :: resident) > 0);
+      Alcotest.(check int) "the filled table is resident next time" 0
+        (run ({|{"op":"dp","c_ticks":9,"l":300,"p":2}|} :: resident)))
+
 (* --- Server end to end ------------------------------------------------------ *)
 
 let with_temp_file content f =
@@ -1259,12 +1420,6 @@ let test_sharded_stats_sections () =
 
 (* --- Router: stealing -------------------------------------------------- *)
 
-let outcome_strings outcomes =
-  Array.to_list outcomes
-  |> List.map (fun (o : Batch.outcome) ->
-      Protocol.response_to_string ~id:o.Batch.envelope.Protocol.id
-        o.Batch.result)
-
 (* Stealing must be invisible in the bytes: interleaved clients running
    the whole mixed corpus against a steal-enabled sharded router get
    responses identical to direct library calls (and therefore to a
@@ -1490,7 +1645,10 @@ let () =
           Alcotest.test_case "mixed batch matches direct calls" `Slow
             test_batch_matches_direct;
           Alcotest.test_case "stats snapshot" `Quick test_batch_stats_payload;
-        ] );
+          Alcotest.test_case "resident batch skips the pool" `Quick
+            test_resident_batch_skips_pool;
+        ]
+        @ qc [ prop_resident_batches_match_direct ] );
       ( "router",
         qc [ prop_placement_range ]
         @ [

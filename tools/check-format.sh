@@ -49,6 +49,25 @@ for f in $(find lib bin bench examples -type f \
   fi
 done
 
+# Dispatch gate: in the serving layer a fan-out costs a domain
+# wake-up (tens of µs), more than a line parse or a resident group
+# takes.  So lib/service fans out at exactly two sites: the group
+# fan-out of a batch with fill work (lib/service/batch.ml) and the
+# cold-table precompute (lib/service/cache.ml).  Anything else —
+# per-line parsing in particular — runs on the calling domain.
+for f in $(find lib/service -type f -name '*.ml' | sort); do
+  case "$f" in
+    lib/service/batch.ml | lib/service/cache.ml) allowed=1 ;;
+    *) allowed=0 ;;
+  esac
+  n=$(grep -cE 'Par\.(map|init|map_reduce)([^A-Za-z0-9_]|$)' "$f" || true)
+  if [ "$n" -gt "$allowed" ]; then
+    echo "dispatch: $n Csutil.Par fan-out site(s) in $f, $allowed allowed:" >&2
+    grep -nE 'Par\.(map|init|map_reduce)([^A-Za-z0-9_]|$)' "$f" | head -3 >&2
+    fail=1
+  fi
+done
+
 # Lock-free-queue gate: Atomic.compare_and_set is how lock-free
 # structures settle ownership of an element, and the only audited one
 # in the tree is the Chase-Lev deque in lib/util/par.ml.  A CAS loop
