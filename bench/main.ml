@@ -307,7 +307,7 @@ let series_e6 () =
      exact optimum at every p ('optimal to within low-order additive\n\
      terms'); the printed S_a construction achieves that only at p = 1.\n\n"
 
-(* --- E7: NOW-simulator validation ------------------------------------------ *)
+(* --- E7: NOW-simulator validation ----------------------------------------- *)
 
 let series_e7 () =
   heading "E7 -- NOW simulator vs game engine, and stochastic owners";
@@ -474,7 +474,7 @@ let series_e8 () =
      This is the paper's case for treating the guaranteed facet\n\
      separately.\n\n"
 
-(* --- E9: the value of cheap checkpoints (extension) ------------------------ *)
+(* --- E9: the value of cheap checkpoints (extension) ----------------------- *)
 
 (* The paper's interrupts kill work "since the last checkpoint"; the base
    model prices every checkpoint at a full round trip c.  E9 sweeps the
@@ -524,7 +524,7 @@ let series_e9 () =
      a few ticks.  At h = c the checkpointed game sits within (p+1)c of\n\
      the base model, as it must.\n\n"
 
-(* --- E10: farm scaling under a shared interface (extension) ---------------- *)
+(* --- E10: farm scaling under a shared interface (extension) --------------- *)
 
 (* The model prices each period's communications at c but lets A talk to
    any number of stations at once.  E10 makes A's interface exclusive
@@ -594,7 +594,7 @@ let series_e10 () =
      faithful for small farms and optimistic past the saturation knee.\n\n"
     (int_of_float (u /. float_of_int m /. Model.c params))
 
-(* --- Ablations: design choices measured ------------------------------------- *)
+(* --- Ablations: design choices measured ----------------------------------- *)
 
 (* A1: slack handling in the printed S_a construction.  The abstract's
    period lengths only sum to U up to rounding; our construction spreads
@@ -725,7 +725,7 @@ let ablations () =
   ablation_candidates ();
   ablation_early_return ()
 
-(* --- Bechamel micro-benchmarks --------------------------------------------- *)
+(* --- Bechamel micro-benchmarks -------------------------------------------- *)
 
 let bechamel () =
   heading "Micro-benchmarks (Bechamel, monotonic clock)";
@@ -836,7 +836,7 @@ let bechamel () =
     rows;
   emit table
 
-(* --- Service: cold vs warm table-cache throughput ---------------------------- *)
+(* --- Service: cold vs warm table-cache throughput ------------------------- *)
 
 (* The cschedd cache exists to amortize DP solves across queries; this
    measures what that buys.  The cold pass answers every dp query with a
@@ -896,7 +896,7 @@ let service_bench () =
      %d cache hits)\n\n"
     (cold /. warm) s.Service.Cache.resident n s.Service.Cache.hits
 
-(* --- DP store: in-place growth vs fresh solve --------------------------------- *)
+(* --- DP store: in-place growth vs fresh solve ----------------------------- *)
 
 (* The flat DP store can extend its (p, L) bounds in place, computing
    only the new cells; the DP reads only smaller indices, so the solved
@@ -970,15 +970,15 @@ let growth_bench () =
      doubling L touches the L^2 tail (~1.3x); the daemon's cache turns\n\
      near-miss queries into these grow steps instead of full re-solves.\n\n"
 
-(* --- DP kernel: scalar vs pruned vs parallel --------------------------------- *)
+(* --- DP kernel: scalar vs monotone-dc vs parallel ------------------------- *)
 
-(* The kernel perf trajectory (DESIGN.md S17).  Three kernels solve the
-   same instances: [Dp.Ref.solve] (the exhaustive scalar reference),
-   [Dp.solve] (monotone-pruned inner loop), and [Dp.solve_with ~pool]
-   (pruned + wavefront over a worker pool).  Results are asserted
-   cell-identical, timed, and written as machine-readable BENCH_dp.json
-   so later changes can regress-check the kernel against this PR's
-   numbers. *)
+(* The kernel perf trajectory (DESIGN.md S17, S24).  Three fills solve
+   the same instances: [Dp.Ref.solve] (the exhaustive scalar
+   reference), [Dp.solve] (the equalization-crossing monotone-dc fill),
+   and [Dp.solve_with ~pool] (monotone-dc + wavefront over a worker
+   pool).  Results are asserted cell-identical, timed, and written as
+   machine-readable BENCH_dp.json so later changes can regress-check
+   the kernel against recorded numbers. *)
 
 let assert_tables_equal ~what a b =
   let max_p = Dp.max_p a and max_l = Dp.max_l a in
@@ -1008,11 +1008,10 @@ let time_min ~runs f =
   done;
   (!best, Option.get !out)
 
-(* One instance through the whole kernel registry: the exhaustive
-   scalar reference, the branch-and-bound pruned scan, the
-   equalization-crossing monotone-dc fill, and monotone-dc under the
-   wavefront pool.  Every kernel must match the reference cell-for-cell
-   — the registry contract — and the candidate counters say where the
+(* One instance through the fill kernel: the exhaustive scalar
+   reference, the equalization-crossing monotone-dc fill, and
+   monotone-dc under the wavefront pool.  Both fills must match the
+   reference cell-for-cell, and the candidate counters say where the
    work went. *)
 let dp_kernel_instance ~pool ~scalar_runs (c, max_p, max_l) =
   let cells = (max_p + 1) * (max_l + 1) in
@@ -1021,35 +1020,24 @@ let dp_kernel_instance ~pool ~scalar_runs (c, max_p, max_l) =
     time_min ~runs:scalar_runs (fun () -> Dp.Ref.solve ~c ~max_p ~max_l)
   in
   let runs = 3 in
-  let timed_kernel k =
-    Dp.set_kernel k;
-    Dp.reset_counters ();
-    let s, t = time_min ~runs (fun () -> Dp.solve ~c ~max_p ~max_l) in
-    (s, t, Dp.counters ())
-  in
-  let pruned_s, pruned, kpr = timed_kernel Dp.Pruned in
-  let mono_s, mono, kmono = timed_kernel Dp.Monotone_dc in
-  Dp.set_kernel Dp.Auto;
+  Dp.reset_counters ();
+  let mono_s, mono = time_min ~runs (fun () -> Dp.solve ~c ~max_p ~max_l) in
+  let kmono = Dp.counters () in
   Dp.reset_counters ();
   let par_s, par =
     time_min ~runs (fun () -> Dp.solve_with ~pool:(Some pool) ~c ~max_p ~max_l)
   in
   let kp = Dp.counters () in
   Dp.reset_counters ();
-  assert_tables_equal ~what:"pruned vs reference" pruned reference;
   assert_tables_equal ~what:"monotone-dc vs reference" mono reference;
-  assert_tables_equal ~what:"parallel vs monotone-dc" par mono;
-  let pruned_visits = kpr.Dp.candidates_visited / runs in
-  let exhaustive =
-    (kpr.Dp.candidates_visited + kpr.Dp.candidates_pruned) / runs
-  in
+  assert_tables_equal ~what:"parallel vs reference" par reference;
   let mono_visits = kmono.Dp.candidates_visited / runs in
-  let dc_splits = kmono.Dp.dc_splits / runs in
-  let prune_ratio =
-    float_of_int (exhaustive - pruned_visits) /. float_of_int (max 1 exhaustive)
+  let exhaustive =
+    (kmono.Dp.candidates_visited + kmono.Dp.candidates_pruned) / runs
   in
+  let dc_splits = kmono.Dp.dc_splits / runs in
   let reduction =
-    float_of_int pruned_visits /. float_of_int (max 1 mono_visits)
+    float_of_int exhaustive /. float_of_int (max 1 mono_visits)
   in
   (* Snapshot economics for this table: dense (v1) vs
      breakpoint-compressed (v2) bytes. *)
@@ -1090,18 +1078,11 @@ let dp_kernel_instance ~pool ~scalar_runs (c, max_p, max_l) =
               [
                 series "scalar" scalar_s 1
                   [ ("candidates_visited", Service.Json.Int exhaustive) ];
-                series "pruned" pruned_s 1
-                  [
-                    ("prune_ratio", Service.Json.Float prune_ratio);
-                    ("candidates_visited", Service.Json.Int pruned_visits);
-                    ( "candidates_pruned",
-                      Service.Json.Int (exhaustive - pruned_visits) );
-                  ];
                 series "monotone-dc" mono_s 1
                   [
                     ("candidates_visited", Service.Json.Int mono_visits);
                     ("dc_splits", Service.Json.Int dc_splits);
-                    ( "reduction_vs_pruned",
+                    ( "reduction_vs_scalar",
                       Service.Json.Float reduction );
                   ];
                 series "monotone-dc+parallel" par_s
@@ -1130,7 +1111,6 @@ let dp_kernel_instance ~pool ~scalar_runs (c, max_p, max_l) =
          ])
     [
       ("scalar (Dp.Ref)", scalar_s, exhaustive);
-      ("pruned", pruned_s, pruned_visits);
       ("monotone-dc", mono_s, mono_visits);
       ( Printf.sprintf "monotone-dc+parallel (%d domains)"
           (Csutil.Par.Pool.size pool),
@@ -1138,65 +1118,56 @@ let dp_kernel_instance ~pool ~scalar_runs (c, max_p, max_l) =
     ];
   emit t;
   Printf.printf
-    "prune ratio: %.4f; monotone-dc: %.1fx fewer candidates than pruned (%d \
+    "monotone-dc: %.1fx fewer candidates than the exhaustive scan (%d \
      splits); snapshot: %d B packed vs %d B dense (%.1fx)\n\n"
-    prune_ratio reduction dc_splits packed_bytes dense_bytes
+    reduction dc_splits packed_bytes dense_bytes
     (float_of_int dense_bytes /. float_of_int (max 1 packed_bytes));
   instance
 
-(* Quick mode: the runtest perf smoke.  Asserts kernel == reference on a
-   fixed mid-size instance and finishes under a generous bound; no JSON
-   is written. *)
+(* Quick mode: the runtest perf smoke.  Asserts the sequential and
+   wavefront fills == reference on a fixed mid-size instance and
+   finishes under a generous bound; no JSON is written. *)
 let dp_kernel_quick () =
   let t0 = Unix.gettimeofday () in
   let c = 10 and max_p = 8 and max_l = 10000 in
   let reference = Dp.Ref.solve ~c ~max_p ~max_l in
-  Dp.set_kernel Dp.Pruned;
-  let pruned = Dp.solve ~c ~max_p ~max_l in
-  assert_tables_equal ~what:"pruned vs reference" pruned reference;
-  Dp.set_kernel Dp.Monotone_dc;
   let mono = Dp.solve ~c ~max_p ~max_l in
   assert_tables_equal ~what:"monotone-dc vs reference" mono reference;
-  Dp.set_kernel Dp.Auto;
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
       Dp.reset_counters ();
       let par = Dp.solve_with ~pool:(Some pool) ~c ~max_p ~max_l in
       (* The instance is sized above the wavefront threshold, so this
          must have exercised the parallel fill, not just fallen back. *)
       assert ((Dp.counters ()).Dp.parallel_fills = 1);
-      assert_tables_equal ~what:"parallel vs pruned" par pruned);
+      assert_tables_equal ~what:"parallel vs reference" par reference);
   let dt = Unix.gettimeofday () -. t0 in
-  (* Generous: the four solves take well under a second; only a badly
+  (* Generous: the three solves take well under a second; only a badly
      broken kernel (or machine) blows this. *)
   if dt > 120. then begin
     Printf.eprintf "bench dp --quick exceeded its 120 s bound: %.1f s\n" dt;
     exit 1
   end;
   Printf.printf
-    "dp --quick: pruned, monotone-dc and parallel kernels match the \
+    "dp --quick: sequential and wavefront monotone-dc fills match the \
      reference on\n\
      (c=%d, p<=%d, L<=%d); %.2f s\n"
     c max_p max_l dt
 
-(* --- DP adversarial: the small-c / large-p regime ------------------------------ *)
+(* --- DP adversarial: the small-c / large-p regime ------------------------- *)
 
-(* Where the pruned scan degrades: a small tick cost leaves almost no
-   zero region to skip, and a deep interrupt budget multiplies the
-   rows, so the branch-and-bound bound rarely fires and the scan decays
-   toward the exhaustive count.  The equalization-crossing kernel's
-   candidate bill is logarithmic per cell regardless, so this sweep is
-   where the gap is widest — and where the bench insists, not just
-   reports, that monotone-dc wins strictly on candidates and seconds.
-   Lifespans here are tens of thousands of ticks — the paper's own
-   proportions, c a few ticks against L in the tens of thousands —
-   because that is where the crossing kernel's candidate advantage
-   clears the ~3x per-candidate cost of bisection over the pruned
-   scan's tight loop.  At that size the exhaustive scalar fill is
-   minutes per instance, so the sweep reports the scalar candidate
-   count by the visited + pruned identity instead of running it, and
-   validates monotone-dc cell-for-cell against pruned (whose identity
-   with Dp.Ref the main instances, the qcheck corpus and the runtest
-   smokes already pin). *)
+(* Where a scan-based kernel degrades: a small tick cost leaves almost
+   no zero region to skip, and a deep interrupt budget multiplies the
+   rows.  The equalization-crossing kernel's candidate bill is
+   logarithmic per cell regardless, so the bench insists, not just
+   reports, that it visits strictly fewer candidates than the
+   exhaustive scan.  Lifespans here are tens of thousands of ticks —
+   the paper's own proportions, c a few ticks against L in the tens of
+   thousands.  At that size the exhaustive scalar fill is minutes per
+   instance, so the sweep reports the scalar candidate count by the
+   visited + pruned identity instead of running it, and validates the
+   wavefront fill cell-for-cell against the sequential one (whose
+   identity with Dp.Ref the main instances, the qcheck corpus and the
+   runtest smokes already pin). *)
 let dp_adversarial_instances =
   [ (1, 96, 50000); (2, 128, 30000); (3, 192, 20000) ]
 
@@ -1204,43 +1175,28 @@ let dp_adversarial_instance ~pool (c, max_p, max_l) =
   let cells = (max_p + 1) * (max_l + 1) in
   let fcells = float_of_int cells in
   let runs = 3 in
-  let timed_kernel k =
-    Dp.set_kernel k;
-    Dp.reset_counters ();
-    let s, t = time_min ~runs (fun () -> Dp.solve ~c ~max_p ~max_l) in
-    (s, t, Dp.counters ())
-  in
-  let pruned_s, pruned, kpr = timed_kernel Dp.Pruned in
-  let mono_s, mono, kmono = timed_kernel Dp.Monotone_dc in
-  Dp.set_kernel Dp.Auto;
+  Dp.reset_counters ();
+  let mono_s, mono = time_min ~runs (fun () -> Dp.solve ~c ~max_p ~max_l) in
+  let kmono = Dp.counters () in
   Dp.reset_counters ();
   let par_s, par =
     time_min ~runs (fun () -> Dp.solve_with ~pool:(Some pool) ~c ~max_p ~max_l)
   in
   Dp.reset_counters ();
-  assert_tables_equal ~what:"monotone-dc vs pruned" mono pruned;
   assert_tables_equal ~what:"parallel vs monotone-dc" par mono;
-  let pruned_visits = kpr.Dp.candidates_visited / runs in
-  let exhaustive =
-    (kpr.Dp.candidates_visited + kpr.Dp.candidates_pruned) / runs
-  in
   let mono_visits = kmono.Dp.candidates_visited / runs in
+  let exhaustive =
+    (kmono.Dp.candidates_visited + kmono.Dp.candidates_pruned) / runs
+  in
   let dc_splits = kmono.Dp.dc_splits / runs in
   let reduction =
-    float_of_int pruned_visits /. float_of_int (max 1 mono_visits)
+    float_of_int exhaustive /. float_of_int (max 1 mono_visits)
   in
-  if mono_visits >= pruned_visits then begin
+  if mono_visits >= exhaustive then begin
     Printf.eprintf
-      "bench dp --adversarial: monotone-dc visited %d candidates, pruned %d \
-       (c=%d p<=%d L<=%d)\n"
-      mono_visits pruned_visits c max_p max_l;
-    exit 1
-  end;
-  if mono_s >= pruned_s then begin
-    Printf.eprintf
-      "bench dp --adversarial: monotone-dc %.4f s is not faster than pruned \
-       %.4f s (c=%d p<=%d L<=%d)\n"
-      mono_s pruned_s c max_p max_l;
+      "bench dp --adversarial: monotone-dc visited %d candidates, the \
+       exhaustive scan %d (c=%d p<=%d L<=%d)\n"
+      mono_visits exhaustive c max_p max_l;
     exit 1
   end;
   let series kernel seconds extra =
@@ -1249,7 +1205,6 @@ let dp_adversarial_instance ~pool (c, max_p, max_l) =
          ("kernel", Service.Json.String kernel);
          ("seconds", Service.Json.Float seconds);
          ("cells_per_sec", Service.Json.Float (fcells /. seconds));
-         ("speedup_vs_pruned", Service.Json.Float (pruned_s /. seconds));
        ]
        @ extra)
   in
@@ -1270,16 +1225,18 @@ let dp_adversarial_instance ~pool (c, max_p, max_l) =
                   ("candidates_visited", Service.Json.Int exhaustive);
                   ("timed", Service.Json.Bool false);
                 ];
-              series "pruned" pruned_s
-                [ ("candidates_visited", Service.Json.Int pruned_visits) ];
               series "monotone-dc" mono_s
                 [
                   ("candidates_visited", Service.Json.Int mono_visits);
                   ("dc_splits", Service.Json.Int dc_splits);
-                  ("reduction_vs_pruned", Service.Json.Float reduction);
+                  ("reduction_vs_scalar", Service.Json.Float reduction);
                 ];
               series "monotone-dc+parallel" par_s
-                [ ("domains", Service.Json.Int (Csutil.Par.Pool.size pool)) ];
+                [
+                  ("domains", Service.Json.Int (Csutil.Par.Pool.size pool));
+                  ( "speedup_vs_sequential",
+                    Service.Json.Float (mono_s /. par_s) );
+                ];
             ] );
       ]
   in
@@ -1288,8 +1245,8 @@ let dp_adversarial_instance ~pool (c, max_p, max_l) =
       ~title:
         (Printf.sprintf "c = %d, p <= %d, L <= %d (%d cells)" c max_p max_l
            cells)
-      ~aligns:Csutil.Table.[ Left; Right; Right; Right ]
-      [ "kernel"; "seconds"; "candidates"; "vs pruned" ]
+      ~aligns:Csutil.Table.[ Left; Right; Right ]
+      [ "kernel"; "seconds"; "candidates" ]
   in
   List.iter
     (fun (kernel, secs, cands) ->
@@ -1300,13 +1257,9 @@ let dp_adversarial_instance ~pool (c, max_p, max_l) =
             | Some s -> Csutil.Table.cell_float ~prec:4 s
             | None -> "-");
            string_of_int cands;
-           (match secs with
-            | Some s -> Printf.sprintf "%.1fx" (pruned_s /. s)
-            | None -> "-");
          ])
     [
       ("scalar (not timed)", None, exhaustive);
-      ("pruned", Some pruned_s, pruned_visits);
       ("monotone-dc", Some mono_s, mono_visits);
       ( Printf.sprintf "monotone-dc+parallel (%d domains)"
           (Csutil.Par.Pool.size pool),
@@ -1314,46 +1267,42 @@ let dp_adversarial_instance ~pool (c, max_p, max_l) =
     ];
   emit t;
   Printf.printf
-    "monotone-dc: %.1fx fewer candidates than pruned (%d splits), %.1fx \
-     faster\n\n"
-    reduction dc_splits (pruned_s /. mono_s);
+    "monotone-dc: %.1fx fewer candidates than the exhaustive scan (%d \
+     splits)\n\n"
+    reduction dc_splits;
   instance
 
 let dp_adversarial_run ~pool =
   List.map (dp_adversarial_instance ~pool) dp_adversarial_instances
 
 let dp_adversarial_bench () =
-  heading "DP adversarial sweep -- small c, large p (monotone-dc must win)";
+  heading
+    "DP adversarial sweep -- small c, large p (monotone-dc must visit fewer \
+     candidates than the exhaustive scan)";
   let domains = max 4 (Csutil.Par.available_domains ()) in
   Csutil.Par.Pool.with_pool ~domains (fun pool ->
       ignore (dp_adversarial_run ~pool))
 
 (* Adversarial smoke for runtest: on a small instance of the same
-   regime, monotone-dc must match the reference cell-for-cell and
-   visit strictly fewer candidates than pruned, inside a generous
-   bound.  (No wall-clock assertion here: a loaded CI host makes
-   sub-second timing comparisons flaky; the candidate counts are
-   deterministic.) *)
+   regime, monotone-dc must match the reference cell-for-cell, record
+   divide-and-conquer splits and visit strictly fewer candidates than
+   the exhaustive scan, inside a generous bound.  (No wall-clock
+   assertion here: a loaded CI host makes sub-second timing
+   comparisons flaky; the candidate counts are deterministic.) *)
 let dp_adversarial_quick () =
   let t0 = Unix.gettimeofday () in
   let c = 1 and max_p = 32 and max_l = 4000 in
   let reference = Dp.Ref.solve ~c ~max_p ~max_l in
-  Dp.set_kernel Dp.Pruned;
-  Dp.reset_counters ();
-  let pruned = Dp.solve ~c ~max_p ~max_l in
-  let pruned_visits = (Dp.counters ()).Dp.candidates_visited in
-  Dp.set_kernel Dp.Monotone_dc;
   Dp.reset_counters ();
   let mono = Dp.solve ~c ~max_p ~max_l in
   let k = Dp.counters () in
-  Dp.set_kernel Dp.Auto;
-  assert_tables_equal ~what:"pruned vs reference" pruned reference;
+  let exhaustive = k.Dp.candidates_visited + k.Dp.candidates_pruned in
   assert_tables_equal ~what:"monotone-dc vs reference" mono reference;
-  if k.Dp.candidates_visited >= pruned_visits then begin
+  if k.Dp.candidates_visited >= exhaustive then begin
     Printf.eprintf
-      "dp --adversarial --quick: monotone-dc visited %d candidates, pruned \
-       %d\n"
-      k.Dp.candidates_visited pruned_visits;
+      "dp --adversarial --quick: monotone-dc visited %d candidates, the \
+       exhaustive scan %d\n"
+      k.Dp.candidates_visited exhaustive;
     exit 1
   end;
   if k.Dp.dc_splits = 0 then begin
@@ -1369,9 +1318,9 @@ let dp_adversarial_quick () =
   Printf.printf
     "dp --adversarial --quick: monotone-dc matches the reference on (c=%d, \
      p<=%d, L<=%d)\n\
-     with %d candidates vs pruned's %d (%.1fx fewer); %.2f s\n"
-    c max_p max_l k.Dp.candidates_visited pruned_visits
-    (float_of_int pruned_visits /. float_of_int (max 1 k.Dp.candidates_visited))
+     with %d candidates vs the exhaustive scan's %d (%.1fx fewer); %.2f s\n"
+    c max_p max_l k.Dp.candidates_visited exhaustive
+    (float_of_int exhaustive /. float_of_int (max 1 k.Dp.candidates_visited))
     dt
 
 (* Every parallel-schedule series records how many domains the host
@@ -1386,7 +1335,7 @@ let domain_fields () =
   (if avail = 1 then [ ("single_domain_host", Service.Json.Bool true) ]
    else [])
 
-(* --- DP skew: one giant solve among many tiny ones ---------------------------- *)
+(* --- DP skew: one giant solve among many tiny ones ------------------------ *)
 
 (* The work-stealing payoff case (DESIGN.md S22): a batch of solves
    dominated by one giant table.  The pre-deque engine carved a batch
@@ -1514,7 +1463,7 @@ let dp_skew_quick () =
     dt
 
 let dp_kernel_bench ?(out = "BENCH_dp.json") () =
-  heading "DP kernel -- scalar vs pruned vs parallel (BENCH_dp.json)";
+  heading "DP kernel -- scalar vs monotone-dc vs parallel (BENCH_dp.json)";
   let domains = max 4 (Csutil.Par.available_domains ()) in
   Csutil.Par.Pool.with_pool ~domains (fun pool ->
       (* The flagship scalar solve takes minutes; time it once.  The
@@ -1549,13 +1498,13 @@ let dp_kernel_bench ?(out = "BENCH_dp.json") () =
       close_out oc;
       Printf.printf "wrote %s\n\n" out)
 
-(* --- Game solver: seed vs shared vs flat vs parallel ------------------------- *)
+(* --- Game solver: seed vs flat vs parallel -------------------------------- *)
 
 (* The evaluate-path perf trajectory (DESIGN.md S18).  Before the shared
    solver, every evaluate ran the minimax recursion twice -- once for
    [guaranteed], once for [optimal_adversary] -- each over its own
    raw-float-keyed Hashtbl.  This times the full evaluate workload
-   (value + adversary + replay through [Game.run]) under four solver
+   (value + adversary + replay through [Game.run]) under three solver
    configurations, asserts each banks the seed value and replays the
    seed episode structure bit-identically, measures the cschedd
    resident-solver cache cold vs warm, and writes BENCH_game.json. *)
@@ -1590,18 +1539,16 @@ let game_instance ~pool ~runs (c, u, p, grid) =
     let adv = Game.Ref.optimal_adversary ~grid params opp pol in
     (g, Game.run params opp pol adv)
   in
-  let shared_eval ?pool ?force_hashtbl () =
-    let solver = Game.Solver.create ~grid ?pool ?force_hashtbl params opp pol in
+  let shared_eval ?pool () =
+    let solver = Game.Solver.create ~grid ?pool params opp pol in
     let g = Game.Solver.guaranteed solver in
     (g, Game.run params opp pol (Game.Solver.adversary solver))
   in
   let seed_s, seed = time_min ~runs seed_eval in
-  let tbl_s, tbl = time_min ~runs (shared_eval ~force_hashtbl:true) in
-  let flat_s, flat = time_min ~runs (shared_eval ?force_hashtbl:None) in
+  let flat_s, flat = time_min ~runs (shared_eval ?pool:None) in
   Game.reset_counters ();
   let par_s, par = time_min ~runs (shared_eval ~pool) in
   let fills = (Game.counters ()).Game.parallel_fills in
-  assert_evaluations_equal ~what:"shared_hashtbl vs seed" tbl seed;
   assert_evaluations_equal ~what:"shared_flat vs seed" flat seed;
   assert_evaluations_equal ~what:"shared_flat+parallel vs seed" par seed;
   if fills < runs then begin
@@ -1632,7 +1579,6 @@ let game_instance ~pool ~runs (c, u, p, grid) =
           Service.Json.List
             [
               series "seed" seed_s 1 [];
-              series "shared_hashtbl" tbl_s 1 [];
               series "shared_flat" flat_s 1 [];
               series "shared_flat+parallel" par_s (Csutil.Par.Pool.size pool)
                 [ ("parallel_fills", Service.Json.Int fills) ];
@@ -1657,7 +1603,6 @@ let game_instance ~pool ~runs (c, u, p, grid) =
          ])
     [
       ("seed (two recursions)", seed_s);
-      ("shared hashtbl", tbl_s);
       ("shared flat", flat_s);
       (Printf.sprintf "shared flat+parallel (%d domains)"
          (Csutil.Par.Pool.size pool), par_s);
@@ -1708,10 +1653,10 @@ let game_service_series ~pool =
       ("solver_misses", Service.Json.Int s.Service.Cache.solver_misses);
     ]
 
-(* Quick mode: the runtest perf smoke.  Asserts all solver variants
-   reproduce the seed evaluation on a small instance (including at least
-   one parallel fan-out) and finishes under a generous bound; no JSON is
-   written. *)
+(* Quick mode: the runtest perf smoke.  Asserts the flat solver,
+   sequential and parallel, reproduces the seed evaluation on a small
+   instance (including at least one parallel fan-out) and finishes
+   under a generous bound; no JSON is written. *)
 let game_solver_quick () =
   let t0 = Unix.gettimeofday () in
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
@@ -1722,11 +1667,11 @@ let game_solver_quick () =
     exit 1
   end;
   Printf.printf
-    "game --quick: shared, flat and parallel solvers replay the seed\n\
+    "game --quick: flat and parallel solvers replay the seed\n\
      evaluation bit-identically; %.2f s\n" dt
 
 let game_solver_bench ?(out = "BENCH_game.json") () =
-  heading "Game solver -- seed vs shared vs flat vs parallel (BENCH_game.json)";
+  heading "Game solver -- seed vs flat vs parallel (BENCH_game.json)";
   let domains = max 4 (Csutil.Par.available_domains ()) in
   Csutil.Par.Pool.with_pool ~domains (fun pool ->
       let instances = [ (1., 2_000., 4, 0.05); (1., 4_000., 5, 0.1) ] in
@@ -1748,16 +1693,18 @@ let game_solver_bench ?(out = "BENCH_game.json") () =
       close_out oc;
       Printf.printf "wrote %s\n\n" out)
 
-(* --- Serving throughput: serial vs concurrent, copying vs lean wire --------- *)
+(* --- Serving throughput: serial vs concurrent vs sharded ------------------ *)
 
 (* A load generator for the cschedd socket front end (DESIGN.md S19).
    K clients run P passes of a deterministic request script against an
    in-process server over a Unix-domain socket, pipelining with a
-   bounded outstanding window.  Four series cross the two server axes —
-   serial (max_conns = 1) vs concurrent, and the seed's copying wire
-   loop vs the lean one — and every series must deliver each client
-   byte-identical responses, so the speedups are apples to apples.
-   Pass 0 is the cold-cache run; later passes measure the warm path. *)
+   bounded outstanding window.  The series vary connection concurrency,
+   shard count, stealing and the response cache; the first series of
+   every instance is the serial server (max_conns = 1, one shard),
+   checked line by line against direct [Protocol.handle], and every
+   other series must deliver each client the serial server's bytes, so
+   the speedups are apples to apples.  Pass 0 is the cold-cache run;
+   later passes measure the warm path. *)
 
 (* One client pass: connect, send the script as window-sized pipelined
    groups (one write syscall per group, so client-side overhead does
@@ -1835,8 +1782,8 @@ type serve_result = {
    passes and times them, slot 1 runs the server, the rest are clients.
    Everything joins through the pool, so a failing client can never
    leave the server running. *)
-let serve_run ~steal ~wire ~max_conns ~shards ?(resp_cache = 0) ~scripts
-    ~passes ~window () =
+let serve_run ~steal ~max_conns ~shards ?(resp_cache = 0) ~scripts ~passes
+    ~window () =
   let clients = Array.length scripts in
   let grouped = Array.map (serve_groups ~window) scripts in
   let dir = Filename.temp_file "cschedd_bench" "" in
@@ -1849,7 +1796,7 @@ let serve_run ~steal ~wire ~max_conns ~shards ?(resp_cache = 0) ~scripts
   in
   let on_grow = Option.map (fun r c -> Service.Resp_cache.invalidate r ~c) rc in
   let router = Service.Router.create ~shards ~steal ?on_grow ~capacity:32 () in
-  let server = Service.Server.create ~wire ~max_conns ?resp_cache:rc ~router () in
+  let server = Service.Server.create ~max_conns ?resp_cache:rc ~router () in
   let pass_seconds = Array.make passes 0. in
   let outputs = Array.make_matrix passes clients "" in
   let go = Atomic.make 0 in
@@ -1952,6 +1899,51 @@ let serve_run ~steal ~wire ~max_conns ~shards ?(resp_cache = 0) ~scripts
     resp = Option.map Service.Resp_cache.stats rc;
   }
 
+(* The serving oracle: every script line parsed and answered by direct
+   [Protocol.handle] (no cache, no batching, no daemon), compared line
+   by line with what the serial server sent each client. *)
+let check_direct ~what ~scripts (r : serve_result) =
+  Array.iteri
+    (fun i script ->
+       let got = Array.of_list (String.split_on_char '\n' r.outputs.(i)) in
+       Array.iteri
+         (fun j line ->
+            let e = Service.Protocol.parse_line line in
+            let result =
+              Result.bind e.Service.Protocol.request (fun req ->
+                  Service.Protocol.handle req)
+            in
+            let want =
+              Service.Protocol.response_to_string ~id:e.Service.Protocol.id
+                result
+            in
+            if j >= Array.length got || not (String.equal got.(j) want)
+            then begin
+              Printf.eprintf
+                "%s: client %d line %d differs between the serial server and \
+                 direct Protocol.handle\n"
+                what i j;
+              exit 1
+            end)
+         script)
+    scripts
+
+(* Byte identity across series: every client reads the baseline's
+   bytes, whatever the concurrency, shard count, steal policy or
+   response cache. *)
+let check_same_bytes ~what ~base_name (base : serve_result) results =
+  List.iter
+    (fun (name, (r : serve_result)) ->
+       Array.iteri
+         (fun i out ->
+            if not (String.equal out base.outputs.(i)) then begin
+              Printf.eprintf "%s: client %d bytes differ between %s and %s\n"
+                what i name base_name;
+              exit 1
+            end)
+         r.outputs)
+    results
+
 (* Skewed traffic: every request's placement key hashes onto ONE shard
    of [shards], so a pinned router serializes the whole instance through
    that shard while its siblings idle; with stealing the idle shards
@@ -2029,10 +2021,6 @@ let mixed_scripts ~clients ~reqs =
               (60 + (19 * (k mod 4)))
               ((k mod 2) + 1)))
 
-let wire_name = function
-  | Service.Server.Copying -> "copying"
-  | Service.Server.Lean -> "lean"
-
 (* The warm figure is the best pass after the cold one — the steady
    state a long-lived daemon serves from. *)
 let warm_seconds r =
@@ -2042,19 +2030,17 @@ let warm_seconds r =
   done;
   if !w = infinity then r.pass_seconds.(0) else !w
 
-(* The default series ladder: wire modes, connection concurrency, then
-   shard scaling.  On a multi-core host warm req/s should grow to K=4;
-   a single-core host records the routing overhead honestly. *)
+(* The default series ladder: connection concurrency, then shard
+   scaling.  On a multi-core host warm req/s should grow to K=4; a
+   single-core host records the routing overhead honestly. *)
 let serve_default_specs conc =
   [
-    ("serial_copying", Service.Server.Copying, 1, 1, false);
-    ("serial_lean", Service.Server.Lean, 1, 1, false);
-    ("concurrent_copying", Service.Server.Copying, conc, 1, false);
-    ("concurrent_lean", Service.Server.Lean, conc, 1, false);
-    ("sharded_k1", Service.Server.Lean, conc, 1, false);
-    ("sharded_k2", Service.Server.Lean, conc, 2, false);
-    ("sharded_k4", Service.Server.Lean, conc, 4, false);
-    ("sharded_k8", Service.Server.Lean, conc, 8, false);
+    ("serial_lean", 1, 1, false);
+    ("concurrent_lean", conc, 1, false);
+    ("sharded_k1", conc, 1, false);
+    ("sharded_k2", conc, 2, false);
+    ("sharded_k4", conc, 4, false);
+    ("sharded_k8", conc, 8, false);
   ]
 
 (* The skewed ladder: with every request hashing to one shard of four,
@@ -2062,13 +2048,13 @@ let serve_default_specs conc =
    shards answer read-only requests off the hot shard's queue. *)
 let serve_skew_specs conc =
   [
-    ("serial_copying", Service.Server.Copying, 1, 1, false);
-    ("hot_pinned_k4", Service.Server.Lean, conc, 4, false);
-    ("hot_steal_k4", Service.Server.Lean, conc, 4, true);
+    ("serial_lean", 1, 1, false);
+    ("hot_pinned_k4", conc, 4, false);
+    ("hot_steal_k4", conc, 4, true);
   ]
 
-(* [specs] rows are (series name, wire, max_conns, shards, steal); the
-   first row is the byte-identity baseline, [headline_name] picks the
+(* [specs] rows are (series name, max_conns, shards, steal); the first
+   row is the serial byte-identity baseline, [headline_name] picks the
    series quoted in the headline line. *)
 let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
   let clients = Array.length scripts in
@@ -2077,42 +2063,28 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
   in
   let results =
     List.map
-      (fun (name, wire, mc, k, steal) ->
+      (fun (name, mc, k, steal) ->
          ( name,
-           wire,
            mc,
            k,
            steal,
-           serve_run ~steal ~wire ~max_conns:mc ~shards:k ~scripts ~passes
-             ~window () ))
+           serve_run ~steal ~max_conns:mc ~shards:k ~scripts ~passes ~window
+             () ))
       specs
   in
-  (* Byte identity across series: whatever the concurrency, wire mode,
-     shard count or steal policy, every client reads the baseline's
-     bytes. *)
-  let base_name, _, _, _, _, baseline = List.hd results in
-  List.iter
-    (fun (name, _, _, _, _, r) ->
-       Array.iteri
-         (fun i out ->
-            if not (String.equal out baseline.outputs.(i)) then begin
-              Printf.eprintf
-                "bench serve: client %d bytes differ between %s and %s\n" i
-                name base_name;
-              exit 1
-            end)
-         r.outputs)
-    (List.tl results);
+  let base_name, _, _, _, baseline = List.hd results in
+  check_direct ~what:"bench serve" ~scripts baseline;
+  check_same_bytes ~what:"bench serve" ~base_name baseline
+    (List.map (fun (name, _, _, _, r) -> (name, r)) (List.tl results));
   let base_warm = warm_seconds baseline in
   let frps = float_of_int reqs_per_pass in
   let series =
     List.map
-      (fun (name, wire, mc, k, steal, r) ->
+      (fun (name, mc, k, steal, r) ->
          let warm = warm_seconds r in
          Service.Json.Obj
            ([
              ("series", Service.Json.String name);
-             ("wire", Service.Json.String (wire_name wire));
              ("max_conns", Service.Json.Int mc);
              ("shards", Service.Json.Int k);
              ("steal", Service.Json.Bool steal);
@@ -2133,9 +2105,8 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
       results
   in
   let headline =
-    let _, _, _, _, _, hr =
-      List.find (fun (n, _, _, _, _, _) -> String.equal n headline_name)
-        results
+    let _, _, _, _, hr =
+      List.find (fun (n, _, _, _, _) -> String.equal n headline_name) results
     in
     base_warm /. warm_seconds hr
   in
@@ -2153,7 +2124,7 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
       ]
   in
   List.iter
-    (fun (name, _, _, _, _, r) ->
+    (fun (name, _, _, _, r) ->
        let warm = warm_seconds r in
        Csutil.Table.add_row t
          [
@@ -2182,48 +2153,33 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
     ]
 
 (* Quick mode: the runtest smoke.  Two interleaved clients of mixed
-   traffic against the concurrent lean server — and against a
-   two-shard router — must read bytes identical to the serial copying
-   baseline, inside a generous bound; no JSON. *)
+   traffic against the serial server (checked against direct
+   [Protocol.handle]), the concurrent server and a two-shard router,
+   which must read the serial server's bytes, inside a generous bound;
+   no JSON. *)
 let serve_quick () =
   let t0 = Unix.gettimeofday () in
   let scripts = mixed_scripts ~clients:2 ~reqs:50 in
-  let base =
-    serve_run ~steal:false ~wire:Service.Server.Copying ~max_conns:1 ~shards:1 ~scripts
-      ~passes:2 ~window:16 ()
+  let run ~max_conns ~shards =
+    serve_run ~steal:false ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
   in
-  let lean =
-    serve_run ~steal:false ~wire:Service.Server.Lean ~max_conns:2 ~shards:1 ~scripts
-      ~passes:2 ~window:16 ()
-  in
-  let sharded =
-    serve_run ~steal:false ~wire:Service.Server.Lean ~max_conns:2 ~shards:2 ~scripts
-      ~passes:2 ~window:16 ()
-  in
-  List.iter
-    (fun (name, r) ->
-       Array.iteri
-         (fun i out ->
-            if not (String.equal out base.outputs.(i)) then begin
-              Printf.eprintf
-                "serve --quick: client %d bytes differ between %s and serial \
-                 copying\n"
-                i name;
-              exit 1
-            end)
-         r.outputs)
-    [ ("concurrent lean", lean); ("sharded k=2", sharded) ];
+  let base = run ~max_conns:1 ~shards:1 in
+  let conc = run ~max_conns:2 ~shards:1 in
+  let sharded = run ~max_conns:2 ~shards:2 in
+  check_direct ~what:"serve --quick" ~scripts base;
+  check_same_bytes ~what:"serve --quick" ~base_name:"serial" base
+    [ ("concurrent", conc); ("sharded k=2", sharded) ];
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 120. then begin
     Printf.eprintf "bench serve --quick exceeded its 120 s bound: %.1f s\n" dt;
     exit 1
   end;
   Printf.printf
-    "serve --quick: concurrent lean and two-shard servers byte-identical to\n\
-     the serial copying baseline across %d interleaved clients (%d requests); \
-     %.2f s\n"
+    "serve --quick: concurrent and two-shard servers byte-identical to the\n\
+     serial server, itself equal to direct Protocol.handle, across %d \
+     interleaved clients (%d requests); %.2f s\n"
     (Array.length scripts)
-    (base.served + lean.served + sharded.served)
+    (base.served + conc.served + sharded.served)
     dt
 
 (* The skewed instance alone, without rewriting BENCH_service.json. *)
@@ -2237,35 +2193,19 @@ let serve_skew_bench () =
        ~passes:2 ~window:64)
 
 (* CI smoke for the skew path: pinned and stealing 4-shard routers on
-   hot-shard-only traffic must read bytes identical to the serial
-   copying baseline, inside a generous bound; no JSON. *)
+   hot-shard-only traffic must read the serial server's bytes (checked
+   against direct [Protocol.handle]), inside a generous bound; no JSON. *)
 let serve_skew_quick () =
   let t0 = Unix.gettimeofday () in
   let scripts = hot_shard_scripts ~shards:4 ~clients:2 ~reqs:60 in
-  let base =
-    serve_run ~steal:false ~wire:Service.Server.Copying ~max_conns:1 ~shards:1 ~scripts
-      ~passes:2 ~window:16 ()
+  let run ~steal ~max_conns ~shards =
+    serve_run ~steal ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
   in
-  let pinned =
-    serve_run ~steal:false ~wire:Service.Server.Lean ~max_conns:2 ~shards:4 ~scripts
-      ~passes:2 ~window:16 ()
-  in
-  let steal =
-    serve_run ~steal:true ~wire:Service.Server.Lean ~max_conns:2 ~shards:4
-      ~scripts ~passes:2 ~window:16 ()
-  in
-  List.iter
-    (fun (name, r) ->
-       Array.iteri
-         (fun i out ->
-            if not (String.equal out base.outputs.(i)) then begin
-              Printf.eprintf
-                "serve --skew --quick: client %d bytes differ between %s and \
-                 serial copying\n"
-                i name;
-              exit 1
-            end)
-         r.outputs)
+  let base = run ~steal:false ~max_conns:1 ~shards:1 in
+  let pinned = run ~steal:false ~max_conns:2 ~shards:4 in
+  let steal = run ~steal:true ~max_conns:2 ~shards:4 in
+  check_direct ~what:"serve --skew --quick" ~scripts base;
+  check_same_bytes ~what:"serve --skew --quick" ~base_name:"serial" base
     [ ("hot pinned k=4", pinned); ("hot steal k=4", steal) ];
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 120. then begin
@@ -2276,12 +2216,11 @@ let serve_skew_quick () =
   Printf.printf
     "serve --skew --quick: pinned and stealing 4-shard routers \
      byte-identical to\n\
-     the serial copying baseline on hot-shard traffic (%d requests, %d \
-     steals); %.2f s\n"
+     the serial server on hot-shard traffic (%d requests, %d steals); %.2f s\n"
     (base.served + pinned.served + steal.served)
     steal.steals dt
 
-(* --- Thundering herd: duplicate requests against cold state ------------------ *)
+(* --- Thundering herd: duplicate requests against cold state --------------- *)
 
 (* Herd traffic (DESIGN.md S23): every client sends the same script — a
    handful of distinct cold identities, each repeated — with ids fixed
@@ -2364,13 +2303,13 @@ let dup_direct_herd ~domains:m =
   let duplicated_s = Unix.gettimeofday () -. t1 in
   (coalesced_s, duplicated_s, s.Service.Cache.coalesced)
 
-(* (series name, wire, max_conns, shards, resp-cache capacity). *)
+(* (series name, max_conns, shards, resp-cache capacity). *)
 let serve_dup_specs conc =
   [
-    ("serial_copying", Service.Server.Copying, 1, 1, 0);
-    ("herd_lean_k1", Service.Server.Lean, conc, 1, 0);
-    ("herd_lean_k2", Service.Server.Lean, conc, 2, 0);
-    ("herd_resp_cache", Service.Server.Lean, conc, 2, 256);
+    ("serial_lean", 1, 1, 0);
+    ("herd_lean_k1", conc, 1, 0);
+    ("herd_lean_k2", conc, 2, 0);
+    ("herd_resp_cache", conc, 2, 256);
   ]
 
 let serve_dup_instance ~clients ~repeats ~passes ~window =
@@ -2380,34 +2319,22 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
   in
   let results =
     List.map
-      (fun (name, wire, mc, k, resp_cache) ->
+      (fun (name, mc, k, resp_cache) ->
          ( name,
-           wire,
            mc,
            k,
            resp_cache,
-           serve_run ~steal:false ~wire ~max_conns:mc ~shards:k ~resp_cache
-             ~scripts ~passes ~window () ))
+           serve_run ~steal:false ~max_conns:mc ~shards:k ~resp_cache ~scripts
+             ~passes ~window () ))
       (serve_dup_specs clients)
   in
-  let base_name, _, _, _, _, baseline = List.hd results in
-  List.iter
-    (fun (name, _, _, _, _, r) ->
-       Array.iteri
-         (fun i out ->
-            if not (String.equal out baseline.outputs.(i)) then begin
-              Printf.eprintf
-                "bench serve --dup: client %d bytes differ between %s and %s\n"
-                i name base_name;
-              exit 1
-            end)
-         r.outputs)
-    (List.tl results);
-  List.iter (fun (name, _, _, _, _, r) -> dup_check_collapse ~name r) results;
-  (match
-     List.find_opt (fun (_, _, _, _, rcap, _) -> rcap > 0) results
-   with
-   | Some (name, _, _, _, _, r) ->
+  let base_name, _, _, _, baseline = List.hd results in
+  check_direct ~what:"bench serve --dup" ~scripts baseline;
+  check_same_bytes ~what:"bench serve --dup" ~base_name baseline
+    (List.map (fun (name, _, _, _, r) -> (name, r)) (List.tl results));
+  List.iter (fun (name, _, _, _, r) -> dup_check_collapse ~name r) results;
+  (match List.find_opt (fun (_, _, _, rcap, _) -> rcap > 0) results with
+   | Some (name, _, _, _, r) ->
      let rs = Option.get r.resp in
      if rs.Service.Resp_cache.hits = 0 then begin
        Printf.eprintf
@@ -2435,7 +2362,7 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
   in
   let series =
     List.map
-      (fun (name, wire, mc, k, rcap, r) ->
+      (fun (name, mc, k, rcap, r) ->
          let warm = warm_seconds r in
          Csutil.Table.add_row t
            [
@@ -2453,7 +2380,6 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
          Service.Json.Obj
            [
              ("series", Service.Json.String name);
-             ("wire", Service.Json.String (wire_name wire));
              ("max_conns", Service.Json.Int mc);
              ("shards", Service.Json.Int k);
              ("resp_cache", Service.Json.Int rcap);
@@ -2486,9 +2412,9 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
      solve, %d parked), duplicated %0.4f s (%d solves)\n"
     herd_domains coal_s coalesced dup_s herd_domains;
   let headline =
-    let _, _, _, _, _, hr =
+    let _, _, _, _, hr =
       List.find
-        (fun (n, _, _, _, _, _) -> String.equal n "herd_resp_cache")
+        (fun (n, _, _, _, _) -> String.equal n "herd_resp_cache")
         results
     in
     base_warm /. warm_seconds hr
@@ -2525,49 +2451,32 @@ let serve_dup_bench () =
   ignore (serve_dup_instance ~clients:8 ~repeats:8 ~passes:2 ~window:32)
 
 (* CI smoke for the dup path: a small herd must collapse to one solve
-   per identity, answer byte-identically to the serial copying
-   baseline, and record response-cache hits on duplicate lines. *)
+   per identity, answer byte-identically to the serial server (itself
+   checked against direct [Protocol.handle]), and record response-cache
+   hits on duplicate lines. *)
 let serve_dup_quick () =
   let t0 = Unix.gettimeofday () in
   let scripts = dup_herd_scripts ~clients:2 ~repeats:2 in
-  let base =
-    serve_run ~steal:false ~wire:Service.Server.Copying ~max_conns:1 ~shards:1
-      ~scripts ~passes:2 ~window:8 ()
+  let run ?resp_cache ~max_conns ~shards () =
+    serve_run ~steal:false ~max_conns ~shards ?resp_cache ~scripts ~passes:2
+      ~window:8 ()
   in
-  let herd =
-    serve_run ~steal:false ~wire:Service.Server.Lean ~max_conns:2 ~shards:2
-      ~scripts ~passes:2 ~window:8 ()
-  in
-  let resp =
-    serve_run ~steal:false ~wire:Service.Server.Lean ~max_conns:2 ~shards:2
-      ~resp_cache:64 ~scripts ~passes:2 ~window:8 ()
-  in
-  List.iter
-    (fun (name, r) ->
-       Array.iteri
-         (fun i out ->
-            if not (String.equal out base.outputs.(i)) then begin
-              Printf.eprintf
-                "serve --dup --quick: client %d bytes differ between %s and \
-                 serial copying\n"
-                i name;
-              exit 1
-            end)
-         r.outputs)
+  let base = run ~max_conns:1 ~shards:1 () in
+  let herd = run ~max_conns:2 ~shards:2 () in
+  let resp = run ~resp_cache:64 ~max_conns:2 ~shards:2 () in
+  check_direct ~what:"serve --dup --quick" ~scripts base;
+  check_same_bytes ~what:"serve --dup --quick" ~base_name:"serial" base
     [ ("herd lean k=2", herd); ("herd resp-cache", resp) ];
   List.iter
     (fun (name, r) -> dup_check_collapse ~name r)
-    [ ("serial copying", base); ("herd lean k=2", herd);
-      ("herd resp-cache", resp) ];
+    [ ("serial", base); ("herd lean k=2", herd); ("herd resp-cache", resp) ];
   let rs = Option.get resp.resp in
   if rs.Service.Resp_cache.hits = 0 then begin
     Printf.eprintf
       "serve --dup --quick: no response-cache hits on duplicate lines\n";
     exit 1
   end;
-  let coal_s, dup_s, _ = dup_direct_herd ~domains:4 in
-  ignore coal_s;
-  ignore dup_s;
+  ignore (dup_direct_herd ~domains:4);
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 120. then begin
     Printf.eprintf "bench serve --dup --quick exceeded its 120 s bound: %.1f s\n"
@@ -2577,13 +2486,13 @@ let serve_dup_quick () =
   Printf.printf
     "serve --dup --quick: duplicate-heavy herds collapsed to %d dp solves + \
      %d solver builds\n\
-     per run (byte-identical to serial copying), %d response-cache hits; \
+     per run (byte-identical to the serial server), %d response-cache hits; \
      %.2f s\n"
     dup_distinct_dp dup_distinct_solvers rs.Service.Resp_cache.hits dt
 
 let serve_bench ?(out = "BENCH_service.json") () =
   heading
-    "Serving throughput -- serial vs concurrent, copying vs lean \
+    "Serving throughput -- serial vs concurrent vs sharded \
      (BENCH_service.json)";
   let conc = 8 in
   let advise =
@@ -2620,7 +2529,7 @@ let serve_bench ?(out = "BENCH_service.json") () =
   close_out oc;
   Printf.printf "wrote %s\n\n" out
 
-(* --- Persistent memo tier: cold vs bank-mapped startup ----------------------- *)
+(* --- Persistent memo tier: cold vs bank-mapped startup -------------------- *)
 
 (* What the snapshot bank buys (DESIGN.md S20): the time from an empty
    process to the first warm answer.  The cold path is a fresh cache
@@ -2849,7 +2758,7 @@ let store_bench ?(out = "BENCH_store.json") () =
   close_out oc;
   Printf.printf "wrote %s\n\n" out
 
-(* --- Driver ------------------------------------------------------------------ *)
+(* --- Driver --------------------------------------------------------------- *)
 
 let tables () =
   table1 ();

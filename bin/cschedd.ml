@@ -23,8 +23,7 @@
 open Cmdliner
 
 let serve socket_path batch_size domains max_conns cache_tables shards steal
-    queue_bound resp_cache bank_dir kernel quiet =
-  Cyclesteal.Dp.set_kernel kernel;
+    queue_bound resp_cache bank_dir quiet =
   if batch_size < 1 then `Error (false, "batch must be >= 1")
   else if domains < 1 then `Error (false, "domains must be >= 1")
   else if max_conns < 1 then `Error (false, "max-conns must be >= 1")
@@ -90,13 +89,19 @@ let socket_arg =
 
 let batch_arg =
   let doc =
-    "Maximum requests drained into one batch; a batch shares DP-table \
-     solves and fans out across domains."
+    "Maximum requests drained into one batch.  A batch shares DP-table \
+     solves; only a batch with fill, grow or solver-build work fans out \
+     across its shard's solve pool, a fully resident one is answered in \
+     order on the shard worker."
   in
   Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
 
 let domains_arg =
-  let doc = "Maximum domains used to evaluate a batch in parallel." in
+  let doc =
+    "Total compute-domain budget of the router, split evenly across the \
+     shards' solve pools ($(docv) / $(b,--shards) each, at least one slot \
+     per shard)."
+  in
   Arg.(
     value
     & opt int (Csutil.Par.available_domains ())
@@ -171,34 +176,6 @@ let bank_arg =
   in
   Arg.(value & opt (some string) None & info [ "bank" ] ~docv:"DIR" ~doc)
 
-let kernel_arg =
-  let doc =
-    "DP fill kernel: $(b,auto) (default; picks the structure-exploiting \
-     kernel), $(b,monotone-dc) (equalization-crossing fill, fewest \
-     candidates), $(b,pruned) (branch-and-bound scan) or $(b,ref) \
-     (exhaustive reference).  All kernels produce bit-identical tables \
-     and responses; the choice only moves the fill cost."
-  in
-  let kernel_conv =
-    let parse s =
-      match Cyclesteal.Dp.kernel_of_string s with
-      | Some k -> Ok k
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown kernel %S (expected auto, monotone-dc, pruned or ref)"
-                s))
-    and print fmt k =
-      Format.pp_print_string fmt (Cyclesteal.Dp.kernel_to_string k)
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt kernel_conv Cyclesteal.Dp.Auto
-    & info [ "kernel" ] ~docv:"NAME" ~doc)
-
 let quiet_arg =
   let doc = "Suppress the session summary printed to stderr on shutdown." in
   Arg.(value & flag & info [ "quiet" ] ~doc)
@@ -214,6 +191,6 @@ let () =
       ret
         (const serve $ socket_arg $ batch_arg $ domains_arg $ max_conns_arg
          $ cache_tables_arg $ shards_arg $ steal_arg $ queue_bound_arg
-         $ resp_cache_arg $ bank_arg $ kernel_arg $ quiet_arg))
+         $ resp_cache_arg $ bank_arg $ quiet_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -27,18 +27,19 @@
    the superseded arrays after a re-allocation), so a single grower —
    e.g. the service cache under its shard lock — never races them.
 
-   The kernel (see also DESIGN.md S17):
+   The kernel (see also DESIGN.md S17, S24):
 
-   - Pruned inner loop.  W(p-1) is non-decreasing in l (Prop 4.1(a)),
-     so the adversary's branch killed(t) = W(p-1)[l - t] is
-     non-increasing in the period length t, and every candidate is
-     min(killed t, survive t) <= killed t.  Once killed t <= best, no
-     longer period can beat the incumbent and the scan stops.  Because
-     best grows to within low-order terms of l while killed t falls
-     roughly linearly, the scan visits O(sqrt(c l)) of the l candidates
-     instead of all of them.  The prune only skips candidates the
-     exhaustive scan would have rejected, so values AND recorded argmax
-     periods are bit-identical to the reference kernel ([Ref]).
+   - Crossing bisection.  W(p-1) is non-decreasing in l (Prop 4.1(a))
+     and W(p) is 1-Lipschitz in l (qcheck-verified), so the
+     adversary's branch killed(t) = W(p-1)[l - t] is non-increasing in
+     the period length t and the survive branch (t - c) + W(p)[l - t]
+     is nondecreasing for t >= c.  Their minimum is unimodal, and the
+     cell's optimum sits at the equalization crossing of Thm 4.3:
+     [fill_block] bisects for it, galloping from the previous cell's
+     crossing, and resolves the exact value and lowest-t argmax from
+     the few candidates around it.  Values AND recorded argmax periods
+     are bit-identical to the exhaustive reference kernel ([Ref]),
+     which the tests and bench check cell by cell.
 
    - Domain-parallel fill.  A row has a left-to-right dependency on
      itself (the survive branch), so one row cannot be split across
@@ -51,9 +52,10 @@
      reads only ever touch published (final) cells, so the parallel
      fill is bit-identical to the sequential one.
 
-   Complexity: O(max_p * max_l^2) time for a fresh exhaustive solve;
-   pruning cuts the inner factor to O(sqrt(c * max_l)) in practice; a
-   grow pays only for the new cells.  Space: O(cap_p * cap_l). *)
+   Complexity: O(max_p * max_l^2) time for the exhaustive [Ref]; the
+   crossing bisection cuts the inner factor to O(log drift) probes per
+   cell, O(log max_l) worst case; a grow pays only for the new cells.
+   Space: O(cap_p * cap_l). *)
 
 type mat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -173,36 +175,6 @@ let charge ~cells ~visited ~pruned =
   ignore (Atomic.fetch_and_add visited_ctr visited);
   ignore (Atomic.fetch_and_add pruned_ctr pruned)
 
-(* --- kernel registry ------------------------------------------------------ *)
-
-(* Which inner-loop kernel the fill drivers run.  All entries are
-   bit-identical on values and argmax (the registry exists so the
-   baselines stay cross-checkable in production): [Pruned] is the
-   monotone-bound scan, [Monotone_dc] bisects for the equalization
-   crossing of the kill branch (non-increasing in t) and the survive
-   branch (nondecreasing in t), where the unimodal candidate peaks —
-   the argmax itself is not monotone in l ([test_argmax_not_monotone]),
-   see [fill_block_mono] — and [Reference] is the exhaustive scan (the
-   [Ref] module's loop, block compatible).  [Auto] currently resolves
-   to [Monotone_dc]. *)
-type kernel = Auto | Pruned | Monotone_dc | Reference
-
-let kernel_names =
-  [
-    ("auto", Auto);
-    ("pruned", Pruned);
-    ("monotone-dc", Monotone_dc);
-    ("ref", Reference);
-  ]
-
-let kernel_state = Atomic.make Auto
-let kernel () = Atomic.get kernel_state
-let set_kernel k = Atomic.set kernel_state k
-let kernel_of_string s = List.assoc_opt s kernel_names
-
-let kernel_to_string k =
-  fst (List.find (fun (_, k') -> k' = k) kernel_names)
-
 (* --- row primitives ------------------------------------------------------ *)
 
 (* Row 0 is the closed form W(0)[l] = l (-) c. *)
@@ -216,82 +188,13 @@ let fill_row0 body ~c ~l_from =
   if body.max_l >= l_from then
     charge ~cells:(body.max_l - l_from + 1) ~visited:0 ~pruned:0
 
-(* Fill cells (p, l) for l in [l_lo, l_hi] with the pruned scan.
-   Requires row p - 1 solved through column l_hi - 1 and row p solved
-   through column l_lo - 1.  A leading l_lo = 0 cell is the base case
-   W(p)[0] = 0.  Returns the number of candidates visited; the
-   exhaustive scan would visit l per cell. *)
-let fill_block_pruned body ~c ~p ~l_lo ~l_hi =
-  let open Bigarray in
-  let stride = body.cap_l + 1 in
-  let v = body.value and f = body.first in
-  let row = p * stride in
-  let prev = row - stride in
-  if l_lo = 0 then begin
-    Array1.unsafe_set v row 0;
-    Array1.unsafe_set f row 0
-  end;
-  let visited = ref 0 in
-  for l = max 1 l_lo to l_hi do
-    (* t = l is always available and yields min(vp1.(0), ...) = 0, so
-       the maximum is at least 0; seed with it.  The scan stops at the
-       first t whose killed branch cannot beat the incumbent (see the
-       kernel note above). *)
-    let best = ref 0 and best_t = ref l in
-    let t = ref 1 and scanning = ref true in
-    while !scanning do
-      let tt = !t in
-      incr visited;
-      let killed = Array1.unsafe_get v (prev + l - tt) in
-      if killed <= !best then scanning := false
-      else begin
-        let survive = max 0 (tt - c) + Array1.unsafe_get v (row + l - tt) in
-        let cand = if killed < survive then killed else survive in
-        if cand > !best then begin
-          best := cand;
-          best_t := tt
-        end;
-        if tt >= l then scanning := false else t := tt + 1
-      end
-    done;
-    Array1.unsafe_set v (row + l) !best;
-    Array1.unsafe_set f (row + l) !best_t
-  done;
-  !visited
+(* Fill cells (p, l) for l in [l_lo, l_hi].  Requires row p - 1 solved
+   through column l_hi - 1 and row p solved through column l_lo - 1.  A
+   leading l_lo = 0 cell is the base case W(p)[0] = 0.  Returns the
+   number of candidates visited; the exhaustive scan would visit l per
+   cell.
 
-(* The exhaustive scan as a block fill: same contract as the pruned
-   block, every candidate visited.  This is [Ref]'s inner loop made
-   grow- and wavefront-compatible, selectable as the [Reference]
-   registry entry. *)
-let fill_block_ref body ~c ~p ~l_lo ~l_hi =
-  let open Bigarray in
-  let stride = body.cap_l + 1 in
-  let v = body.value and f = body.first in
-  let row = p * stride in
-  let prev = row - stride in
-  if l_lo = 0 then begin
-    Array1.unsafe_set v row 0;
-    Array1.unsafe_set f row 0
-  end;
-  let visited = ref 0 in
-  for l = max 1 l_lo to l_hi do
-    let best = ref 0 and best_t = ref l in
-    for t = 1 to l do
-      incr visited;
-      let survive = max 0 (t - c) + Array1.unsafe_get v (row + l - t) in
-      let killed = Array1.unsafe_get v (prev + l - t) in
-      let cand = if killed < survive then killed else survive in
-      if cand > !best then begin
-        best := cand;
-        best_t := t
-      end
-    done;
-    Array1.unsafe_set v (row + l) !best;
-    Array1.unsafe_set f (row + l) !best_t
-  done;
-  !visited
-
-(* The monotone-decision fill (DESIGN.md S24).  The recorded argmax
+   The monotone-decision fill (DESIGN.md S24).  The recorded argmax
    itself is NOT monotone in l — at c = 1, p = 1 the lowest maximizer
    goes first(4) = 2, first(5) = 1 — but the two branches of the
    recurrence are:
@@ -316,9 +219,9 @@ let fill_block_ref body ~c ~p ~l_lo ~l_hi =
    The crossing also drifts slowly: t_c(l) <= t_c(l-1) + 1 (shifting
    t by one cancels the l shift in both branches, and S gains +1), so
    each cell gallops down from the previous crossing and pays
-   O(log drift) probes, O(log l) worst case against the pruned scan's
-   O(argmax advance).  Values and argmax stay bit-identical to [Ref]. *)
-let fill_block_mono body ~c ~p ~l_lo ~l_hi =
+   O(log drift) probes, O(log l) worst case.  Values and argmax stay
+   bit-identical to [Ref]. *)
+let fill_block body ~c ~p ~l_lo ~l_hi =
   let open Bigarray in
   let stride = body.cap_l + 1 in
   let v = body.value and f = body.first in
@@ -453,14 +356,6 @@ let fill_block_mono body ~c ~p ~l_lo ~l_hi =
   done;
   if !splits > 0 then ignore (Atomic.fetch_and_add dc_ctr !splits);
   !visited
-
-(* Block dispatch through the registry; all entries share the pruned
-   block's contract and return the candidates visited. *)
-let fill_block body ~c ~p ~l_lo ~l_hi =
-  match Atomic.get kernel_state with
-  | Auto | Monotone_dc -> fill_block_mono body ~c ~p ~l_lo ~l_hi
-  | Pruned -> fill_block_pruned body ~c ~p ~l_lo ~l_hi
-  | Reference -> fill_block_ref body ~c ~p ~l_lo ~l_hi
 
 (* Exhaustive candidate count of a block: sum of l over its cells. *)
 let exhaustive_count ~l_lo ~l_hi =
@@ -935,7 +830,7 @@ let of_snapshot s =
 
 (* --- reference kernel ----------------------------------------------------- *)
 
-(* The naive exhaustive scan the pruned kernel must agree with, cell by
+(* The naive exhaustive scan the fill kernel must agree with, cell by
    cell — values and argmax periods both.  Kept byte-for-byte simple as
    the correctness reference and the scalar baseline of the bench `dp`
    series; it bypasses the counters. *)

@@ -20,43 +20,21 @@ type mat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The backing store: a flat row-major array of OCaml integers (8
     bytes per cell on 64-bit platforms). *)
 
-type kernel = Auto | Pruned | Monotone_dc | Reference
-(** The fill kernels in the registry.  All three produce bit-identical
-    tables (values and argmax, including tie-breaking: lowest [t]
-    wins); they differ only in how many candidates they examine.
-    [Reference] scans every [t] exhaustively; [Pruned] stops the scan
-    at the first candidate the non-increasing killed branch can no
-    longer improve; [Monotone_dc] exploits that the killed branch
-    [K(t) = W(p-1)[l-t]] is non-increasing and the survive branch
-    [S(t) = (t - c) + W(p)[l-t]] is nondecreasing for [t >= c], so
-    [min (K, S)] is unimodal: it bisects for the equalization
-    crossing (seeded by the previous cell's, since the crossing
-    drifts slowly in [l]) and resolves the exact value and lowest-[t]
-    argmax from the few candidates around it.  The argmax itself is
-    {e not} monotone in [l] — [c = 1] gives [first(1,4) = 2] but
-    [first(1,5) = 1] — which is why the kernel tracks the branch
-    crossing rather than an argmax range.  [Auto] resolves to
-    [Monotone_dc]. *)
-
-val kernel : unit -> kernel
-(** The process-wide kernel selection (an [Atomic]; default [Auto]). *)
-
-val set_kernel : kernel -> unit
-
-val kernel_of_string : string -> kernel option
-(** Parse a registry token: ["auto"], ["pruned"], ["monotone-dc"],
-    ["ref"]. *)
-
-val kernel_to_string : kernel -> string
-
 val solve : c:int -> max_p:int -> max_l:int -> t
 (** [solve ~c ~max_p ~max_l] fills the table by the recurrence
     [W(p)[L] = max_t min (W(p-1)[L-t], (t (-) c) + W(p)[L-t])] with base
     cases [W(0)[L] = L (-) c] and [W(p)[0] = 0].
 
-    The inner maximisation runs the selected {!kernel}; every kernel is
-    bit-identical (values and recorded argmax periods) to the
-    exhaustive reference {!Ref.solve}.
+    The inner maximisation bisects for the equalization crossing of the
+    killed branch [K(t) = W(p-1)[L-t]] (non-increasing in [t]) and the
+    survive branch [S(t) = (t - c) + W(p)[L-t]] (nondecreasing for
+    [t >= c]), where the unimodal [min (K, S)] peaks (Thm 4.3).  Each
+    cell's search is seeded by the previous cell's crossing, which
+    drifts slowly in [L], and the exact value and lowest-[t] argmax are
+    resolved from the few candidates around it.  The argmax itself is
+    {e not} monotone in [L] — [c = 1] gives [first(1,4) = 2] but
+    [first(1,5) = 1].  Values and recorded argmax periods are
+    bit-identical to the exhaustive reference {!Ref.solve}.
 
     @raise Error.Error when [c < 1] or bounds are negative. *)
 
@@ -108,12 +86,12 @@ module Ref : sig
   val solve : c:int -> max_p:int -> max_l:int -> t
   (** The naive exhaustive kernel ([O(max_p * max_l^2)] candidate
       visits, single-threaded): the correctness reference and scalar
-      baseline the pruned/parallel kernels are validated against, cell
-      by cell.  Does not touch the kernel {!counters}. *)
+      baseline the crossing-bisection and parallel fills are validated
+      against, cell by cell.  Does not touch the kernel {!counters}. *)
 end
 
 type counters = {
-  cells_filled : int;  (** cells written by the counting kernels *)
+  cells_filled : int;  (** cells written by the fill kernel *)
   candidates_visited : int;  (** inner-loop candidates examined *)
   candidates_pruned : int;
       (** candidates the exhaustive scan would have examined but the

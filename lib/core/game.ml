@@ -259,8 +259,7 @@ module Solver = struct
         let bits = Int64.logand (Int64.bits_of_float residual) mantissa_mask in
         (Int64.to_int bits, Int64.float_of_bits bits)
 
-  let create ?grid ?(max_states = 4_000_000) ?pool ?(force_hashtbl = false)
-      params opportunity policy =
+  let create ?grid ?(max_states = 4_000_000) ?pool params opportunity policy =
     let eps = progress_eps opportunity in
     (match grid with
      | Some g when g <= 0. ->
@@ -268,12 +267,12 @@ module Solver = struct
      | _ -> ());
     let backend =
       match grid with
-      | Some g when not force_hashtbl ->
+      | Some g ->
         let cap_l =
           int_of_float (Float.floor (opportunity.Model.lifespan /. g))
         in
         Flat { body = alloc_body ~cap_p:opportunity.Model.interrupts ~cap_l }
-      | _ -> Tbl (Hashtbl.create 4096)
+      | None -> Tbl (Hashtbl.create 4096)
     in
     {
       params;

@@ -55,7 +55,6 @@ module Solver : sig
     ?grid:float ->
     ?max_states:int ->
     ?pool:Csutil.Par.Pool.t ->
-    ?force_hashtbl:bool ->
     Model.params ->
     Model.opportunity ->
     Policy.t ->
@@ -66,8 +65,7 @@ module Solver : sig
       flat-memo solver fan the episode's continuation subtrees out
       across the pool's domains (a busy pool runs them inline, so
       nested use under the service's batch fan-out stays safe).
-      [force_hashtbl] keeps the Hashtbl backend even when [~grid] is
-      given — the bench uses it to isolate the flat-memo speedup.
+      The memo backend follows [grid]: flat with it, Hashtbl without.
       @raise Error.Error when [grid <= 0]. *)
 
   val value : t -> p:int -> residual:float -> float
@@ -128,8 +126,8 @@ module Solver : sig
 
   val to_snapshot : t -> snapshot option
   (** The whole memo of a gridded solver; [None] for Hashtbl-backed
-      (ungridded or [force_hashtbl]) solvers, whose masked-float keys
-      have no dense layout to dump. *)
+      (ungridded) solvers, whose masked-float keys have no dense layout
+      to dump. *)
 
   val of_snapshot :
     ?max_states:int ->

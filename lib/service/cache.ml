@@ -57,8 +57,6 @@ let canonical ~c ~p ~l =
   let max_p = max min_p (if p mod 2 = 0 then p else p + 1) in
   { c; max_p; max_l }
 
-let table_bytes = Dp.footprint_bytes
-
 type entry = { dp : Dp.t; mutable used : int }
 
 (* A single-flight marker: present in the flight map while one caller
@@ -345,45 +343,6 @@ let mem t key =
       match Hashtbl.find_opt tb.table key.c with
       | Some e -> covers e.dp key
       | None -> false)
-
-(* Requested bounds merged per c, so one table covers every query of the
-   batch that shares a tick cost. *)
-let merge_keys keys =
-  let by_c : (int, key) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun k ->
-       match Hashtbl.find_opt by_c k.c with
-       | None -> Hashtbl.replace by_c k.c k
-       | Some prev ->
-         Hashtbl.replace by_c k.c
-           {
-             c = k.c;
-             max_p = max prev.max_p k.max_p;
-             max_l = max prev.max_l k.max_l;
-           })
-    keys;
-  Hashtbl.fold (fun _ k acc -> k :: acc) by_c []
-
-let preload t ~keys ?domains () =
-  let missing =
-    merge_keys keys |> List.filter (fun key -> not (mem t key)) |> Array.of_list
-  in
-  if Array.length missing > 0 then begin
-    (* Each missing key goes through [obtain] on its own domain:
-       distinct tables still solve in parallel (this is the parallel
-       phase), while a key another preload or a lone query is already
-       solving joins that flight instead of paying a second full
-       solve — the redundancy this path used to leak. *)
-    let solve key =
-      (key.c, obtain ~pool:t.pool ~bank:t.bank t.tables key ~count:true)
-    in
-    let solved = Csutil.Par.map ?pool:t.pool ?domains solve missing in
-    Array.iter
-      (fun (c, (dp, changed, grew)) ->
-        if grew then notify_grow t c;
-        if changed then persist_dp t dp)
-      solved
-  end
 
 (* A gridded memo loaded from the bank, rebuilt into a solver around
    the mapped (copy-on-write) pages; [None] on miss, on any load
@@ -705,7 +664,7 @@ let stats t =
   let tb = t.tables in
   with_lock tb (fun () ->
       let bytes =
-        Hashtbl.fold (fun _ e b -> b + table_bytes e.dp) tb.table 0
+        Hashtbl.fold (fun _ e b -> b + Dp.footprint_bytes e.dp) tb.table 0
       in
       (* Split residency by representation: tables still in breakpoint
          form (bank v2 loads that no query has yet grown) versus dense
@@ -715,7 +674,7 @@ let stats t =
         Hashtbl.fold
           (fun _ e (cb, de) ->
             if Dp.is_packed e.dp then
-              (cb + table_bytes e.dp, de + Dp.dense_footprint_bytes e.dp)
+              (cb + Dp.footprint_bytes e.dp, de + Dp.dense_footprint_bytes e.dp)
             else (cb, de))
           tb.table (0, 0)
       in

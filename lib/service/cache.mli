@@ -124,14 +124,6 @@ val solver_mem :
     budget level?  Same contract as {!mem}: no LRU stamp, no counters,
     advisory only. *)
 
-val preload : t -> keys:key list -> ?domains:int -> unit -> unit
-(** Solve all missing tables (requested bounds merged per [c]) in
-    parallel via {!Csutil.Par.map} outside the lock and insert them;
-    used by the batch engine so a mixed batch pays each distinct solve
-    once, concurrently.  Each key goes through the same single-flight
-    path as {!find_or_solve}, so two concurrent preloads (or a preload
-    racing a lone query) of one identity coalesce on a single solve. *)
-
 val with_solver :
   t ->
   Cyclesteal.Model.params ->
@@ -153,8 +145,7 @@ val with_solver :
 type stats = {
   hits : int;  (** lookups fully served from a resident table *)
   misses : int;
-      (** solve work paid, whether a fresh solve, a grow, or a
-          {!preload} *)
+      (** solve work paid, whether a fresh solve or a grow *)
   coalesced : int;
       (** lookups that joined an in-flight solve instead of paying (or
           waiting for the lock behind) their own; each also counts as
@@ -214,6 +205,3 @@ val reset_counters : t -> unit
     counters when a bank is plugged in — every counter family the
     daemon reports resets together — keeping the resident tables and
     solvers; backs the daemon's [stats reset] sub-op. *)
-
-val table_bytes : Cyclesteal.Dp.t -> int
-(** Approximate heap footprint of one solved table. *)

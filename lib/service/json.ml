@@ -28,8 +28,7 @@ type t =
    warm serving traffic re-prints the same handful of bounds over and
    over.  Every path is byte-identical to the plain
    sprintf-per-attempt chain, retained as {!Ref.float_repr} (the
-   property-test reference and the serving benchmark's copying
-   baseline). *)
+   property-test reference). *)
 
 external format_float : string -> float -> string = "caml_format_float"
 
@@ -152,8 +151,7 @@ let to_string v =
   Buffer.contents buf
 
 (* The pre-optimization printer, kept verbatim so the fast path above
-   has an in-tree reference to be property-tested against, and so
-   `bench serve` can price the sprintf chain as its copying baseline. *)
+   has an in-tree reference to be property-tested against. *)
 module Ref = struct
   let float_repr = float_repr_ref
 

@@ -21,14 +21,14 @@ val to_string : t -> string
     (JSON has no NaN/infinity). *)
 
 val add_to_buffer : Buffer.t -> t -> unit
-(** Emit {!to_string}'s bytes straight into [buf] — the daemon's lean
-    wire path serializes a whole batch into one reused per-connection
+(** Emit {!to_string}'s bytes straight into [buf] — the daemon's
+    wire loop serializes a whole batch into one reused per-connection
     buffer instead of allocating a string per response. *)
 
 (** The pre-optimization printer ([Printf]-chained float rendering, no
     per-domain memo), byte-identical to the fast path by construction
-    and by property test.  [bench serve] uses it as the copying
-    baseline; nothing else should. *)
+    and by property test: the test-only oracle for the fast path;
+    nothing in the serving path uses it. *)
 module Ref : sig
   val float_repr : float -> string
   val to_string : t -> string

@@ -458,11 +458,3 @@ let response_to_json ~id result =
 let add_response buf ~id result = Json.add_to_buffer buf (response_to_json ~id result)
 
 let response_to_string ~id result = Json.to_string (response_to_json ~id result)
-
-(* The pre-optimization serializer (sprintf float chain, a fresh string
-   per response): byte-identical to {!response_to_string}; the serving
-   benchmark's copying baseline. *)
-let response_to_string_ref ~id result =
-  Json.Ref.to_string (response_to_json ~id result)
-
-let error_response ~id e = response_to_string ~id (Error e)

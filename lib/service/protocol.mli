@@ -140,13 +140,5 @@ val response_to_string :
 val add_response :
   Buffer.t -> id:Json.t -> (Json.t, Cyclesteal.Error.t) result -> unit
 (** Append {!response_to_string}'s bytes (no trailing newline) to a
-    buffer — the lean wire path serializes a whole batch into one
+    buffer — the wire loop serializes a whole batch into one
     reused per-connection buffer. *)
-
-val response_to_string_ref :
-  id:Json.t -> (Json.t, Cyclesteal.Error.t) result -> string
-(** The pre-optimization serializer ({!Json.Ref}), byte-identical to
-    {!response_to_string}; only the copying wire mode uses it. *)
-
-val error_response : id:Json.t -> Cyclesteal.Error.t -> string
-(** [response_to_string ~id (Error e)]. *)

@@ -1,5 +1,5 @@
 (* Serialized-response hot cache: a bounded LRU from the exact raw
-   request line to the exact reply bytes the lean wire produced for it.
+   request line to the exact reply bytes the wire loop produced for it.
 
    A hit skips the whole parse -> plan -> serialize pipeline — the one
    fixed per-request cost every op pays even when the answer is warm in

@@ -1,5 +1,5 @@
 (** Serialized-response hot cache: a bounded LRU from the exact raw
-    request line to the exact reply bytes the lean wire produced.
+    request line to the exact reply bytes the wire loop produced.
 
     A hit skips parse -> plan -> serialize entirely.  Keying by the
     verbatim line (id included) makes a stored reply byte-identical to

@@ -2,14 +2,15 @@
 
    Topology.  One router owns K shards.  Each shard pins an
    independent serving runtime — cache, solve pool, stats family — to
-   one dedicated worker domain, fed through a private job channel.  A
-   connection's batch is parsed on the connection worker and split by
-   placement into per-shard sub-batches (jobs); the connection worker
-   enqueues them, evaluates the placement-free ops itself while the
-   shards work, then blocks on each job's condition and reassembles
-   outcomes by original index — so per-connection ordering, and with
-   it byte-identity to a serial server, is preserved no matter how
-   sub-batches interleave across shards.  A shard worker answers a
+   one dedicated worker domain, fed through a private job channel.
+   [run] is the router's one entry point: a connection's batch is
+   parsed on the connection worker and split by placement into
+   per-shard sub-batches (jobs); the connection worker enqueues them,
+   evaluates the placement-free ops itself while the shards work, then
+   blocks on each job's condition and reassembles outcomes by original
+   index — so per-connection ordering, and with it byte-identity to a
+   serial server, is preserved no matter how sub-batches interleave
+   across shards.  A shard worker answers a
    sub-batch whose every group is resident in order on its own domain;
    only a sub-batch with fill, grow or solver-build work fans out over
    the shard's solve pool (the rule lives in Batch, so stolen jobs
@@ -753,6 +754,8 @@ let kick_all t =
          Shard_chan.kick chan)
       t.shards
 
+(* [run]'s routing and evaluation phases, over parsed envelopes and an
+   already-forced stats snapshot. *)
 let run_parsed t ?stats_payload envelopes =
   let n = Array.length envelopes in
   if n = 0 then [||]

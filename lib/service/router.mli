@@ -19,7 +19,7 @@
 
     Serial, concurrent and sharded serving are this one code path: a
     single-shard router is the serial daemon's evaluation engine, and
-    {!Server} always talks to a router, whatever K is.
+    {!Server} always talks to a router through {!run}, whatever K is.
 
     {b Placement} uses rendezvous (highest-random-weight) hashing:
     every (key, shard) pair gets a deterministic 64-bit score and the
@@ -83,10 +83,10 @@ val create :
     every restart replacement): it fires with the table's [c] whenever
     a resident dp table grows, which is how the server's serialized-
     response cache invalidates stored dp replies.  [hang_timeout]
-    (default 30 s) is how long one
-    sub-batch may run, on the monotonic clock, before the watchdog
-    declares the worker wedged and restarts it.  [steal] (default [false]) enables idle-shard
-    work stealing of read-only jobs; [queue_bound] (default 64) caps
+    (default 30 s) is how long one sub-batch may run, on the monotonic
+    clock, before the watchdog declares the worker wedged and restarts
+    it.  [steal] (default [false]) enables idle-shard work stealing of
+    read-only jobs; [queue_bound] (default 64) caps
     each shard's job queue — a submit against a full queue blocks
     until the worker (or a thief) drains it.
     @raise Error.Error when [shards < 1], [capacity < 1],
@@ -107,18 +107,12 @@ val run :
     calling domain, each well-formed request is routed to its shard's
     worker (sub-batches run concurrently across shards; a shard answers
     an all-resident sub-batch on its own domain and fans one with fill
-    work over its solve pool, see {!Batch}), parse errors
-    and placement-free ops answer on the submitting thread, and the
+    work over its solve pool, see {!Batch}), parse errors and
+    placement-free ops answer on the submitting thread, and the
     outcomes come back index-aligned with the input — so per-connection
     response order, and therefore the bytes a client reads, are
     identical to a serial server's.  [stats_payload] is forced at most
     once, only when the batch carries a [stats] op. *)
-
-val run_parsed :
-  t -> ?stats_payload:Json.t -> Protocol.envelope array -> Batch.outcome array
-(** The routing and evaluation phases alone, for callers holding
-    parsed envelopes ({!Server}'s copying wire mode); [stats_payload]
-    is the already-forced snapshot. *)
 
 val warm_from_bank : t -> int
 (** Warm every shard cache from the shared bank, each mapping only the

@@ -160,38 +160,20 @@ let write_all fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* The pre-optimization write path, copying the string into fresh
-   [Bytes] first.  Kept as the [Copying] wire mode's writer so the
-   serving bench can measure exactly what the lean loop retired. *)
-let write_all_copying fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let written = ref 0 in
-  while !written < n do
-    match Unix.write fd b !written (n - !written) with
-    | k -> written := !written + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
 (* --- server ------------------------------------------------------------- *)
-
-type wire = Copying | Lean
 
 type t = {
   batch_size : int;
   max_conns : int;
-  wire : wire;
   router : Router.t;
   resp_cache : Resp_cache.t option;
       (* the serialized-response hot tier, shared by every connection;
-         [None] (the default) keeps the lean loop byte-for-byte on its
-         pre-cache path *)
+         [None] (the default) sends every line to the router *)
   stats : Stats.t;  (* the connection-facing family: bytes, I/O errors *)
   stop : bool Atomic.t;
 }
 
-let create ?(batch_size = 64) ?(max_conns = 1) ?(wire = Lean) ?resp_cache
-    ~router () =
+let create ?(batch_size = 64) ?(max_conns = 1) ?resp_cache ~router () =
   if batch_size < 1 then
     Cyclesteal.Error.invalid "Server.create: batch_size must be >= 1";
   if max_conns < 1 then
@@ -199,7 +181,6 @@ let create ?(batch_size = 64) ?(max_conns = 1) ?(wire = Lean) ?resp_cache
   {
     batch_size;
     max_conns;
-    wire;
     router;
     resp_cache;
     stats = Stats.create ();
@@ -293,8 +274,8 @@ let storable (o : Batch.outcome) =
   | Ok _, Ok (Protocol.Dp_query { c_ticks; _ }) -> Some (Some c_ticks)
   | _ -> None
 
-(* The lean wire loop: requests parse inside the batch's parallel
-   phase, responses serialize straight into one per-connection buffer
+(* The wire loop: the router parses the batch's lines on the calling
+   domain, responses serialize straight into one per-connection buffer
    reused across batches, the stats snapshot is computed only for
    batches that carry a [stats] op, and the write syscall reads the
    string without an intermediate [Bytes] copy.
@@ -307,7 +288,7 @@ let storable (o : Batch.outcome) =
    order, so each connection's response order is untouched.  Stats
    ops are never cached, so a reset-carrying batch always reaches
    [finish_batch] with its outcome visible. *)
-let serve_lean t in_fd out_fd =
+let serve_fd t in_fd out_fd =
   let r = reader in_fd in
   let out = Buffer.create 8192 in
   let stats_snapshot () = stats_json t in
@@ -406,75 +387,6 @@ let serve_lean t in_fd out_fd =
     end
   in
   loop ()
-
-(* The pre-optimization wire loop, kept as the serving bench's
-   baseline: serial parse on the connection thread, an eager per-batch
-   stats snapshot, one response string per line through the reference
-   serializer, a fresh buffer per batch, and a [Bytes] copy before
-   every write.  Byte-for-byte the same output as [serve_lean]. *)
-let serve_copying t in_fd out_fd =
-  let r = reader in_fd in
-  let rec loop () =
-    if stopped t then ()
-    else begin
-      let lines, overlong = read_batch t r in
-      if lines = [] && not overlong then ()
-      else begin
-        let outcomes =
-          match lines with
-          | [] -> [||]
-          | lines ->
-            let envelopes =
-              Array.of_list (List.map Protocol.parse_line lines)
-            in
-            Stats.add_batch t.stats ~size:(Array.length envelopes);
-            let stats_payload = stats_json t in
-            Router.run_parsed t.router ~stats_payload envelopes
-        in
-        let buf = Buffer.create 4096 in
-        Array.iter
-          (fun (o : Batch.outcome) ->
-             let line =
-               Protocol.response_to_string_ref
-                 ~id:o.Batch.envelope.Protocol.id o.Batch.result
-             in
-             Buffer.add_string buf line;
-             Buffer.add_char buf '\n';
-             Stats.add t.stats
-               {
-                 Stats.op = op_of o;
-                 ok = Result.is_ok o.Batch.result;
-                 latency = o.Batch.latency;
-                 bytes = String.length line + 1;
-               })
-          outcomes;
-        if overlong then begin
-          let line =
-            Protocol.response_to_string_ref ~id:Json.Null
-              (Error overlong_error)
-          in
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n';
-          Stats.add t.stats
-            {
-              Stats.op = "invalid";
-              ok = false;
-              latency = 0.;
-              bytes = String.length line + 1;
-            }
-        end;
-        write_all_copying out_fd (Buffer.contents buf);
-        finish_batch t outcomes;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
-let serve_fd t in_fd out_fd =
-  match t.wire with
-  | Lean -> serve_lean t in_fd out_fd
-  | Copying -> serve_copying t in_fd out_fd
 
 (* Without this, a client that disconnects between our read and our
    write turns the write into a process-killing SIGPIPE instead of an

@@ -8,6 +8,12 @@
     answer per line without waiting for a full batch.  Responses are
     written in request order and flushed once per batch.
 
+    Each batch's lines parse on the connection's own domain, with no
+    per-line fan-out; responses serialize into one reused
+    per-connection buffer, the stats snapshot is computed only for
+    batches carrying a [stats] op, and writes go out without an
+    intermediate [Bytes] copy.
+
     The socket front end serves up to [max_conns] clients concurrently:
     an acceptor feeds a bounded worker pool, every worker submitting
     its batches to the one {!Router.t}.  Batches never cross
@@ -26,24 +32,9 @@
 
 type t
 
-type wire =
-  | Copying
-      (** the pre-optimization wire loop: serial request parsing, an
-          eager stats snapshot per batch, one heap-allocated response
-          string per line ({!Json.Ref}), a fresh output buffer per
-          batch and a [Bytes] copy before every write.  Kept so the
-          serving bench can measure the lean loop against it. *)
-  | Lean
-      (** the default: requests parse on the connection's own
-          domain, with no per-line fan-out, responses serialize into one reused per-connection buffer,
-          the stats snapshot is computed only for batches carrying a
-          [stats] op, and writes skip the [Bytes] copy.  Byte-for-byte
-          the same output as [Copying]. *)
-
 val create :
   ?batch_size:int ->
   ?max_conns:int ->
-  ?wire:wire ->
   ?resp_cache:Resp_cache.t ->
   router:Router.t ->
   unit ->
@@ -52,19 +43,17 @@ val create :
     [max_conns] (default 1) is the number of clients {!serve_socket}
     serves concurrently; connection workers live on a dedicated pool
     separate from the router's shard pools, so serving slots never
-    compete with compute slots.  [wire] (default [Lean]) picks the wire
-    loop.  [router] is the evaluation engine every connection submits
-    to; the caller owns it (and its {!Router.shutdown}) — one router
-    can outlive many serve calls.
+    compete with compute slots.  [router] is the evaluation engine
+    every connection submits to; the caller owns it (and its
+    {!Router.shutdown}) — one router can outlive many serve calls.
 
-    [resp_cache] plugs in the serialized-response hot tier (lean wire
-    only): each request line probes it before parsing, hits replay
-    their stored reply bytes, and fresh cacheable replies are stored
-    on the way out.  The caller should wire the same cache into the
+    [resp_cache] plugs in the serialized-response hot tier: each
+    request line probes it before parsing, hits replay their stored
+    reply bytes, and fresh cacheable replies are stored on the way
+    out.  The caller should wire the same cache into the
     router's [on_grow] hook so dp replies are invalidated when their
     backing table grows.  Responses are byte-identical with and
-    without it; the [Copying] wire ignores it, staying the untouched
-    baseline.
+    without it.
 
     @raise Error.Error when [batch_size < 1] or [max_conns < 1]. *)
 

@@ -196,44 +196,46 @@ let test_float_episode_subtick_hedge () =
   Alcotest.(check int) "hopeless residual singleton" 1
     (Schedule.length (Dp.float_episode dp params ~p:2 ~residual:25.))
 
-(* --- pruned kernel vs reference vs brute force ----------------------------- *)
+(* --- monotone-dc kernel vs reference vs brute force ----------------------- *)
 
-(* The pruned kernel must agree with the exhaustive reference kernel on
-   values AND argmax periods (the prune only skips candidates the
-   reference rejects), and both with the brute-force oracle over
-   committed schedules. *)
+(* The monotone-dc kernel must agree with the exhaustive reference
+   kernel on values AND argmax periods, and both with the brute-force
+   oracle over committed schedules. *)
 let small_gen =
   QCheck.Gen.(triple (int_range 1 4) (int_range 0 3) (int_range 0 12))
 
 let small_print (c, p, l) = Printf.sprintf "c=%d max_p=%d max_l=%d" c p l
 
-let prop_pruned_matches_reference_and_oracle =
+let prop_kernel_matches_reference_and_oracle =
   QCheck.Test.make
-    ~name:"pruned kernel = reference kernel = brute force (small instances)"
+    ~name:"monotone-dc = Ref = brute force (small)"
     ~count:40
     (QCheck.make small_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
-       let pruned = Dp.solve ~c ~max_p ~max_l in
+       let mono = Dp.solve ~c ~max_p ~max_l in
        let reference = Dp.Ref.solve ~c ~max_p ~max_l in
        let ok = ref true in
        for p = 0 to max_p do
          for l = 0 to max_l do
            if
-             Dp.value pruned ~p ~l <> Dp.value reference ~p ~l
-             || Dp.optimal_first_period pruned ~p ~l
+             Dp.value mono ~p ~l <> Dp.value reference ~p ~l
+             || Dp.optimal_first_period mono ~p ~l
                 <> Dp.optimal_first_period reference ~p ~l
-             || Dp.value pruned ~p ~l <> Dp.brute_force_committed ~c ~p ~l
+             || Dp.value mono ~p ~l <> Dp.brute_force_committed ~c ~p ~l
            then ok := false
          done
        done;
        !ok)
 
-(* --- kernel registry: every kernel is bit-identical to the reference ------- *)
+(* --- the fill kernel, sequential and pooled, is bit-identical to Ref ------ *)
 
-let with_kernel k f =
-  let prev = Dp.kernel () in
-  Dp.set_kernel k;
-  Fun.protect ~finally:(fun () -> Dp.set_kernel prev) f
+(* One pool for every pooled case (the runtime caps simultaneous
+   domains), shut down at exit. *)
+let pool = lazy (Csutil.Par.Pool.create ~domains:2)
+
+let () =
+  at_exit (fun () ->
+      if Lazy.is_val pool then Csutil.Par.Pool.shutdown (Lazy.force pool))
 
 let tables_identical a b =
   let ok = ref true in
@@ -250,23 +252,24 @@ let tables_identical a b =
 let kernel_gen =
   QCheck.Gen.(triple (int_range 1 6) (int_range 0 6) (int_range 0 60))
 
-(* Every registered kernel must reproduce the reference table exactly —
-   values AND argmax periods, tie-break included (lowest t wins). *)
-let prop_registry_kernels_identical =
+(* The fill must reproduce the reference table exactly — values AND
+   argmax periods, tie-break included (lowest t wins) — whether it runs
+   sequentially or through a pool. *)
+let prop_kernel_identical =
   QCheck.Test.make
-    ~name:"pruned and monotone-dc kernels bit-identical to reference" ~count:60
+    ~name:"monotone-dc = Ref, sequential and pooled"
+    ~count:60
     (QCheck.make kernel_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
        let reference = Dp.Ref.solve ~c ~max_p ~max_l in
-       List.for_all
-         (fun k ->
-            with_kernel k (fun () ->
-                tables_identical (Dp.solve ~c ~max_p ~max_l) reference))
-         [ Dp.Pruned; Dp.Monotone_dc ])
+       tables_identical (Dp.solve ~c ~max_p ~max_l) reference
+       && tables_identical
+            (Dp.solve_with ~pool:(Some (Lazy.force pool)) ~c ~max_p ~max_l)
+            reference)
 
-(* ...and growing a table keeps the identity, whatever kernel fills the
-   extension (the grown region is filled by the selected kernel against
-   cells the old kernel produced). *)
+(* ...and growing a table keeps the identity, sequential or pooled
+   (the grown region is filled against cells the first fill
+   produced). *)
 let prop_kernels_identical_after_grow =
   QCheck.Test.make ~name:"kernels bit-identical to reference after grow"
     ~count:30
@@ -276,25 +279,33 @@ let prop_kernels_identical_after_grow =
          Dp.Ref.solve ~c ~max_p:(max_p + 2) ~max_l:((2 * max_l) + 5)
        in
        List.for_all
-         (fun k ->
-            with_kernel k (fun () ->
-                let t = Dp.solve ~c ~max_p ~max_l in
-                Dp.grow t ~max_p:(max_p + 2) ~max_l:((2 * max_l) + 5);
-                tables_identical t reference))
-         [ Dp.Pruned; Dp.Monotone_dc ])
+         (fun pool_opt ->
+            let t = Dp.solve_with ~pool:pool_opt ~c ~max_p ~max_l in
+            Dp.grow ?pool:pool_opt t ~max_p:(max_p + 2)
+              ~max_l:((2 * max_l) + 5);
+            tables_identical t reference)
+         [ None; Some (Lazy.force pool) ])
 
-let test_kernel_names () =
-  List.iter
-    (fun k ->
-       Alcotest.(check bool)
-         (Dp.kernel_to_string k)
-         true
-         (Dp.kernel_of_string (Dp.kernel_to_string k) = Some k))
-    [ Dp.Auto; Dp.Pruned; Dp.Monotone_dc; Dp.Reference ];
-  Alcotest.(check bool) "unknown rejected" true
-    (Dp.kernel_of_string "bogus" = None)
+(* The qcheck instances are too small for the wavefront (below
+   [par_threshold] new cells the pooled fill runs sequentially), so one
+   wide, shallow instance — many rows, short lifespan, cheap for
+   [Ref] — pins the wavefront solve and the wavefront grow to the
+   reference. *)
+let test_wavefront_matches_reference () =
+  let pool = Lazy.force pool in
+  Dp.reset_counters ();
+  let t = Dp.solve_with ~pool:(Some pool) ~c:3 ~max_p:64 ~max_l:1100 in
+  Alcotest.(check int) "solve ran the wavefront" 1
+    (Dp.counters ()).Dp.parallel_fills;
+  Alcotest.(check bool) "wavefront solve = reference" true
+    (tables_identical t (Dp.Ref.solve ~c:3 ~max_p:64 ~max_l:1100));
+  Dp.grow ~pool t ~max_p:66 ~max_l:2200;
+  Alcotest.(check int) "grow ran the wavefront" 2
+    (Dp.counters ()).Dp.parallel_fills;
+  Alcotest.(check bool) "wavefront grow = reference" true
+    (tables_identical t (Dp.Ref.solve ~c:3 ~max_p:66 ~max_l:2200))
 
-(* --- the monotone structure the equalization kernel stands on --------------- *)
+(* --- the monotone structure the equalization kernel stands on ------------- *)
 
 (* The monotone-dc kernel does NOT assume the argmax is monotone in l —
    it is not.  It assumes the value structure below, and derives each
@@ -363,7 +374,7 @@ let test_argmax_not_monotone () =
   Alcotest.(check int) "first(1,4)" 2 (Dp.optimal_first_period dp ~p:1 ~l:4);
   Alcotest.(check int) "first(1,5)" 1 (Dp.optimal_first_period dp ~p:1 ~l:5)
 
-(* --- breakpoint-compressed rows -------------------------------------------- *)
+(* --- breakpoint-compressed rows ------------------------------------------- *)
 
 (* A packed table must answer exactly like the dense table it came
    from, and decompressing (via grow) must reproduce the dense cells
@@ -439,7 +450,7 @@ let test_of_packed_validation () =
   with Error.Error _ -> ()
 
 (* Counter bookkeeping: visited + pruned must equal the exhaustive
-   candidate count, and the prune must actually skip work. *)
+   candidate count, and the kernel must actually skip work. *)
 let test_kernel_counters () =
   Dp.reset_counters ();
   let max_p = 2 and max_l = 400 in
@@ -498,14 +509,15 @@ let () =
     [
       ( "kernel",
         [
-          QCheck_alcotest.to_alcotest prop_pruned_matches_reference_and_oracle;
-          QCheck_alcotest.to_alcotest prop_registry_kernels_identical;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference_and_oracle;
+          QCheck_alcotest.to_alcotest prop_kernel_identical;
           QCheck_alcotest.to_alcotest prop_kernels_identical_after_grow;
+          Alcotest.test_case "wavefront fill = reference" `Quick
+            test_wavefront_matches_reference;
           QCheck_alcotest.to_alcotest prop_value_structure;
           QCheck_alcotest.to_alcotest prop_branch_monotonicity;
           Alcotest.test_case "argmax not monotone in l" `Quick
             test_argmax_not_monotone;
-          Alcotest.test_case "kernel names round-trip" `Quick test_kernel_names;
           Alcotest.test_case "work counters" `Quick test_kernel_counters;
         ] );
       ( "packed",

@@ -508,10 +508,10 @@ let prop_solver_replay_banks_guaranteed =
         let slack = gr *. float_of_int (p + 2) in
         work >= g -. slack -. 1e-6 && work <= g +. slack +. 1e-6)
 
-(* On a grid, the flat-Bigarray memo, the (forced) Hashtbl memo and the
-   seed recursion are the same function, bit for bit. *)
+(* On a grid, the flat-Bigarray memo and the seed recursion are the
+   same function, bit for bit. *)
 let prop_solver_variants_agree_on_grid =
-  QCheck.Test.make ~name:"flat = hashtbl = seed solver on a grid" ~count:60
+  QCheck.Test.make ~name:"flat = seed solver on a grid" ~count:60
     arb_cfg (fun (u, p, seed) ->
       let opp = Model.opportunity ~lifespan:u ~interrupts:p in
       let pol =
@@ -521,9 +521,7 @@ let prop_solver_variants_agree_on_grid =
       let grid = if seed mod 3 = 0 then 1.0 else 0.25 in
       let v_seed = Game.Ref.guaranteed ~grid params opp pol in
       let flat = Game.Solver.create ~grid params opp pol in
-      let tbl = Game.Solver.create ~grid ~force_hashtbl:true params opp pol in
-      Game.Solver.guaranteed flat = v_seed
-      && Game.Solver.guaranteed tbl = v_seed)
+      Game.Solver.guaranteed flat = v_seed)
 
 (* Ungridded, the solver's mantissa-masked keys may merge states the
    seed's raw-float keys keep apart; values agree to within the

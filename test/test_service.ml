@@ -3,7 +3,7 @@
    placement and failure recovery, and the serving loop end to end.
    The load-bearing property throughout: a daemon response is
    byte-identical to a direct library call serialized through the same
-   protocol — whatever the wire mode, concurrency or shard count. *)
+   protocol — whatever the concurrency, shard count or cache tier. *)
 
 open Service
 
@@ -306,24 +306,6 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "evicted table re-solves" (s.Cache.misses + 1)
     s'.Cache.misses
 
-let test_cache_preload_groups_solves () =
-  let cache = Cache.create ~capacity:8 () in
-  let keys =
-    [
-      Cache.canonical ~c:10 ~p:2 ~l:300;
-      Cache.canonical ~c:10 ~p:1 ~l:290;  (* same canonical key *)
-      Cache.canonical ~c:5 ~p:1 ~l:300;
-    ]
-  in
-  Cache.preload cache ~keys ~domains:2 ();
-  let s = Cache.stats cache in
-  Alcotest.(check int) "two distinct solves" 2 s.Cache.misses;
-  Alcotest.(check int) "two resident" 2 s.Cache.resident;
-  (* A later preload of present keys solves nothing. *)
-  Cache.preload cache ~keys ~domains:2 ();
-  let s' = Cache.stats cache in
-  Alcotest.(check int) "no further solves" s.Cache.misses s'.Cache.misses
-
 (* --- Single-flight coalescing ---------------------------------------------- *)
 
 (* N domains racing one cold key: the flight registry admits exactly
@@ -357,26 +339,6 @@ let test_cache_single_flight_dup_cold () =
   Alcotest.(check int) "coalesced table answers correctly"
     (Cyclesteal.Dp.value direct ~p:3 ~l:900)
     (Cyclesteal.Dp.value t0 ~p:3 ~l:900)
-
-(* Two concurrent preloads of one identity coalesce on a single solve
-   (preload routes through the same single-flight path as queries). *)
-let test_cache_preload_coalesces () =
-  let cache = Cache.create ~capacity:4 () in
-  let keys = [ Cache.canonical ~c:17 ~p:2 ~l:500 ] in
-  let barrier = Atomic.make 0 in
-  let worker () =
-    Atomic.incr barrier;
-    while Atomic.get barrier < 2 do
-      Domain.cpu_relax ()
-    done;
-    Cache.preload cache ~keys ~domains:1 ()
-  in
-  let d = Domain.spawn worker in
-  worker ();
-  Domain.join d;
-  let s = Cache.stats cache in
-  Alcotest.(check int) "one solve across both preloads" 1 s.Cache.misses;
-  Alcotest.(check int) "one resident table" 1 s.Cache.resident
 
 (* N domains racing one cold evaluate: one solver build, every other
    domain adopts the resident solver, byte-identical responses. *)
@@ -625,7 +587,7 @@ let evaluate_line ~u ~p policy =
 let resident_line_gens =
   let open QCheck.Gen in
   [
-    (* a preloaded table covers it *)
+    (* a table the fixture warmed covers it *)
     map3 dp_line (oneofl [ 3; 5 ]) (int_range 0 512) (int_range 0 4);
     (* a resident solver has answered at this budget or a larger one *)
     map (fun p -> evaluate_line ~u:60 ~p "adaptive") (int_range 0 2);
@@ -654,7 +616,7 @@ let resident_line_gens =
 let cold_line_gens =
   let open QCheck.Gen in
   [
-    (* an absent table, or a preloaded one that must grow *)
+    (* an absent table, or a warmed one that must grow *)
     map3 dp_line (oneofl [ 4; 7 ]) (int_range 0 700) (int_range 0 4);
     map2 (dp_line 3) (int_range 513 900) (int_range 0 6);
     (* an absent solver: another lifespan, or a budget not yet answered *)
@@ -789,7 +751,7 @@ let read_lines path =
    plugs the serialized-response tier into the server and wires its
    dp invalidation into the (owned) router's [on_grow] hook, as
    cschedd does. *)
-let serve_lines ?batch_size ?wire ?(shards = 1) ?router ?resp_cache lines =
+let serve_lines ?batch_size ?(shards = 1) ?router ?resp_cache lines =
   let input = String.concat "\n" lines ^ "\n" in
   with_temp_file input (fun in_path ->
       let out_path = Filename.temp_file "cschedd_test" ".out" in
@@ -809,7 +771,7 @@ let serve_lines ?batch_size ?wire ?(shards = 1) ?router ?resp_cache lines =
              ~finally:(fun () -> if owned then Router.shutdown router)
              (fun () ->
                 let server =
-                  Server.create ?batch_size ?wire ?resp_cache ~router ()
+                  Server.create ?batch_size ?resp_cache ~router ()
                 in
                 let in_fd = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
                 let out_fd =
@@ -965,21 +927,6 @@ let test_server_socket () =
   Router.shutdown router;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
   Unix.rmdir dir
-
-(* The copying wire mode is the serving bench's baseline; its output
-   must match the lean default byte for byte. *)
-let test_server_copying_wire () =
-  let lines = mixed_request_lines () in
-  let expected = List.map direct_response lines in
-  let got, _, _ = serve_lines ~batch_size:32 ~wire:Server.Copying lines in
-  Alcotest.(check int) "one response per request" (List.length lines)
-    (List.length got);
-  List.iteri
-    (fun i (e, g) ->
-       Alcotest.(check string)
-         (Printf.sprintf "copying line %d byte-identical" i)
-         e g)
-    (List.combine expected got)
 
 (* A request line longer than the 64 KiB read buffer must yield exactly
    one error response — never a response per 64 KiB fragment, and never
@@ -1627,12 +1574,8 @@ let () =
             test_cache_sharing_and_correctness;
           Alcotest.test_case "in-place growth" `Quick test_cache_growth;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "preload groups solves" `Quick
-            test_cache_preload_groups_solves;
           Alcotest.test_case "single-flight: duplicate cold key" `Quick
             test_cache_single_flight_dup_cold;
-          Alcotest.test_case "single-flight: concurrent preloads" `Quick
-            test_cache_preload_coalesces;
           Alcotest.test_case "single-flight: solver herd" `Quick
             test_cache_solver_single_flight;
           Alcotest.test_case "kernel counters surfaced and reset" `Quick
@@ -1685,8 +1628,6 @@ let () =
           Alcotest.test_case "unterminated final line" `Quick
             test_server_unterminated_final_line;
           Alcotest.test_case "unix socket" `Quick test_server_socket;
-          Alcotest.test_case "copying wire byte-identical" `Slow
-            test_server_copying_wire;
           Alcotest.test_case "overlong line" `Quick test_server_overlong_line;
           Alcotest.test_case "concurrent clients" `Slow
             test_server_concurrent_clients;

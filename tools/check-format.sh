@@ -51,13 +51,13 @@ done
 
 # Dispatch gate: in the serving layer a fan-out costs a domain
 # wake-up (tens of µs), more than a line parse or a resident group
-# takes.  So lib/service fans out at exactly two sites: the group
-# fan-out of a batch with fill work (lib/service/batch.ml) and the
-# cold-table precompute (lib/service/cache.ml).  Anything else —
-# per-line parsing in particular — runs on the calling domain.
+# takes.  So lib/service fans out at exactly one site: the group
+# fan-out of a batch with fill, grow or solver-build work
+# (lib/service/batch.ml).  Anything else — per-line parsing in
+# particular — runs on the calling domain.
 for f in $(find lib/service -type f -name '*.ml' | sort); do
   case "$f" in
-    lib/service/batch.ml | lib/service/cache.ml) allowed=1 ;;
+    lib/service/batch.ml) allowed=1 ;;
     *) allowed=0 ;;
   esac
   n=$(grep -cE 'Par\.(map|init|map_reduce)([^A-Za-z0-9_]|$)' "$f" || true)
