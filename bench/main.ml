@@ -1699,7 +1699,7 @@ let game_solver_bench ?(out = "BENCH_game.json") () =
    K clients run P passes of a deterministic request script against an
    in-process server over a Unix-domain socket, pipelining with a
    bounded outstanding window.  The series vary connection concurrency,
-   shard count, stealing and the response cache; the first series of
+   shard count, placement skew and the response cache; the first series of
    every instance is the serial server (max_conns = 1, one shard),
    checked line by line against direct [Protocol.handle], and every
    other series must deliver each client the serial server's bytes, so
@@ -1772,7 +1772,6 @@ type serve_result = {
   p99 : float;
   served : int;
   io_errors : int;
-  steals : int;  (* jobs answered by a non-owning shard (0 without --steal) *)
   cache : Service.Cache.stats;  (* merged across shards, end of run *)
   resp : Service.Resp_cache.stats option;  (* with ~resp_cache only *)
 }
@@ -1782,8 +1781,8 @@ type serve_result = {
    passes and times them, slot 1 runs the server, the rest are clients.
    Everything joins through the pool, so a failing client can never
    leave the server running. *)
-let serve_run ~steal ~max_conns ~shards ?(resp_cache = 0) ~scripts ~passes
-    ~window () =
+let serve_run ~max_conns ~shards ?(resp_cache = 0) ~scripts ~passes ~window
+    () =
   let clients = Array.length scripts in
   let grouped = Array.map (serve_groups ~window) scripts in
   let dir = Filename.temp_file "cschedd_bench" "" in
@@ -1795,7 +1794,7 @@ let serve_run ~steal ~max_conns ~shards ?(resp_cache = 0) ~scripts ~passes
     else Some (Service.Resp_cache.create ~capacity:resp_cache)
   in
   let on_grow = Option.map (fun r c -> Service.Resp_cache.invalidate r ~c) rc in
-  let router = Service.Router.create ~shards ~steal ?on_grow ~capacity:32 () in
+  let router = Service.Router.create ~shards ?on_grow ~capacity:32 () in
   let server = Service.Server.create ~max_conns ?resp_cache:rc ~router () in
   let pass_seconds = Array.make passes 0. in
   let outputs = Array.make_matrix passes clients "" in
@@ -1894,7 +1893,6 @@ let serve_run ~steal ~max_conns ~shards ?(resp_cache = 0) ~scripts ~passes
     p99;
     served;
     io_errors = Service.Stats.io_errors stats;
-    steals = Service.Router.steals router;
     cache = Service.Router.cache_stats router;
     resp = Option.map Service.Resp_cache.stats rc;
   }
@@ -1929,8 +1927,7 @@ let check_direct ~what ~scripts (r : serve_result) =
     scripts
 
 (* Byte identity across series: every client reads the baseline's
-   bytes, whatever the concurrency, shard count, steal policy or
-   response cache. *)
+   bytes, whatever the concurrency, shard count or response cache. *)
 let check_same_bytes ~what ~base_name (base : serve_result) results =
   List.iter
     (fun (name, (r : serve_result)) ->
@@ -1945,9 +1942,10 @@ let check_same_bytes ~what ~base_name (base : serve_result) results =
     results
 
 (* Skewed traffic: every request's placement key hashes onto ONE shard
-   of [shards], so a pinned router serializes the whole instance through
-   that shard while its siblings idle; with stealing the idle shards
-   answer read-only requests off the hot queue.  Ids never enter the
+   of [shards].  Warm, every sub-batch is resident and answered by the
+   connection workers against the hot shard's cache, so the idle
+   siblings cost nothing; cold, the hot shard's worker serializes the
+   fills.  Ids never enter the
    placement key, so probing each candidate tuple once with id 0 stands
    for every request built from it. *)
 let hot_shard_scripts ~shards ~clients ~reqs =
@@ -2035,27 +2033,22 @@ let warm_seconds r =
    single-core host records the routing overhead honestly. *)
 let serve_default_specs conc =
   [
-    ("serial_lean", 1, 1, false);
-    ("concurrent_lean", conc, 1, false);
-    ("sharded_k1", conc, 1, false);
-    ("sharded_k2", conc, 2, false);
-    ("sharded_k4", conc, 4, false);
-    ("sharded_k8", conc, 8, false);
+    ("serial_lean", 1, 1);
+    ("concurrent_lean", conc, 1);
+    ("sharded_k1", conc, 1);
+    ("sharded_k2", conc, 2);
+    ("sharded_k4", conc, 4);
+    ("sharded_k8", conc, 8);
   ]
 
-(* The skewed ladder: with every request hashing to one shard of four,
-   the pinned router serializes through it; [steal] lets the three idle
-   shards answer read-only requests off the hot shard's queue. *)
+(* The skewed ladder: every request hashes to one shard of four, so
+   only that shard's cache and worker see traffic. *)
 let serve_skew_specs conc =
-  [
-    ("serial_lean", 1, 1, false);
-    ("hot_pinned_k4", conc, 4, false);
-    ("hot_steal_k4", conc, 4, true);
-  ]
+  [ ("serial_lean", 1, 1); ("hot_pinned_k4", conc, 4) ]
 
-(* [specs] rows are (series name, max_conns, shards, steal); the first
-   row is the serial byte-identity baseline, [headline_name] picks the
-   series quoted in the headline line. *)
+(* [specs] rows are (series name, max_conns, shards); the first row is
+   the serial byte-identity baseline, [headline_name] picks the series
+   quoted in the headline line. *)
 let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
   let clients = Array.length scripts in
   let reqs_per_pass =
@@ -2063,31 +2056,25 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
   in
   let results =
     List.map
-      (fun (name, mc, k, steal) ->
-         ( name,
-           mc,
-           k,
-           steal,
-           serve_run ~steal ~max_conns:mc ~shards:k ~scripts ~passes ~window
-             () ))
+      (fun (name, mc, k) ->
+         (name, mc, k, serve_run ~max_conns:mc ~shards:k ~scripts ~passes ~window ()))
       specs
   in
-  let base_name, _, _, _, baseline = List.hd results in
+  let base_name, _, _, baseline = List.hd results in
   check_direct ~what:"bench serve" ~scripts baseline;
   check_same_bytes ~what:"bench serve" ~base_name baseline
-    (List.map (fun (name, _, _, _, r) -> (name, r)) (List.tl results));
+    (List.map (fun (name, _, _, r) -> (name, r)) (List.tl results));
   let base_warm = warm_seconds baseline in
   let frps = float_of_int reqs_per_pass in
   let series =
     List.map
-      (fun (name, mc, k, steal, r) ->
+      (fun (name, mc, k, r) ->
          let warm = warm_seconds r in
          Service.Json.Obj
            ([
              ("series", Service.Json.String name);
              ("max_conns", Service.Json.Int mc);
              ("shards", Service.Json.Int k);
-             ("steal", Service.Json.Bool steal);
              ("cold_seconds", Service.Json.Float r.pass_seconds.(0));
              ("warm_seconds", Service.Json.Float warm);
              ("cold_rps", Service.Json.Float (frps /. r.pass_seconds.(0)));
@@ -2099,14 +2086,13 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
              ("p99_s", Service.Json.Float r.p99);
              ("requests", Service.Json.Int r.served);
              ("io_errors", Service.Json.Int r.io_errors);
-             ("steals", Service.Json.Int r.steals);
            ]
            @ domain_fields ()))
       results
   in
   let headline =
-    let _, _, _, _, hr =
-      List.find (fun (n, _, _, _, _) -> String.equal n headline_name) results
+    let _, _, _, hr =
+      List.find (fun (n, _, _, _) -> String.equal n headline_name) results
     in
     base_warm /. warm_seconds hr
   in
@@ -2116,15 +2102,14 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
         (Printf.sprintf
            "%s -- %d clients x %d requests, window %d (%d passes)" label
            clients (reqs_per_pass / clients) window passes)
-      ~aligns:
-        Csutil.Table.[ Left; Right; Right; Right; Right; Right; Right; Right ]
+      ~aligns:Csutil.Table.[ Left; Right; Right; Right; Right; Right; Right ]
       [
         "series"; "cold s"; "warm s"; "warm req/s"; "speedup"; "p50 us";
-        "p99 us"; "steals";
+        "p99 us";
       ]
   in
   List.iter
-    (fun (name, _, _, _, r) ->
+    (fun (name, _, _, r) ->
        let warm = warm_seconds r in
        Csutil.Table.add_row t
          [
@@ -2135,7 +2120,6 @@ let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
            Printf.sprintf "%.1fx" (base_warm /. warm);
            Printf.sprintf "%.1f" (1e6 *. r.p50);
            Printf.sprintf "%.1f" (1e6 *. r.p99);
-           string_of_int r.steals;
          ])
     results;
   emit t;
@@ -2161,7 +2145,7 @@ let serve_quick () =
   let t0 = Unix.gettimeofday () in
   let scripts = mixed_scripts ~clients:2 ~reqs:50 in
   let run ~max_conns ~shards =
-    serve_run ~steal:false ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
+    serve_run ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
   in
   let base = run ~max_conns:1 ~shards:1 in
   let conc = run ~max_conns:2 ~shards:1 in
@@ -2188,25 +2172,24 @@ let serve_skew_bench () =
   let conc = 8 in
   ignore
     (serve_instance ~label:"hot_shard" ~specs:(serve_skew_specs conc)
-       ~headline_name:"hot_steal_k4"
+       ~headline_name:"hot_pinned_k4"
        ~scripts:(hot_shard_scripts ~shards:4 ~clients:conc ~reqs:400)
        ~passes:2 ~window:64)
 
-(* CI smoke for the skew path: pinned and stealing 4-shard routers on
-   hot-shard-only traffic must read the serial server's bytes (checked
-   against direct [Protocol.handle]), inside a generous bound; no JSON. *)
+(* CI smoke for the skew path: a 4-shard router on hot-shard-only
+   traffic must read the serial server's bytes (checked against direct
+   [Protocol.handle]), inside a generous bound; no JSON. *)
 let serve_skew_quick () =
   let t0 = Unix.gettimeofday () in
   let scripts = hot_shard_scripts ~shards:4 ~clients:2 ~reqs:60 in
-  let run ~steal ~max_conns ~shards =
-    serve_run ~steal ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
+  let run ~max_conns ~shards =
+    serve_run ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
   in
-  let base = run ~steal:false ~max_conns:1 ~shards:1 in
-  let pinned = run ~steal:false ~max_conns:2 ~shards:4 in
-  let steal = run ~steal:true ~max_conns:2 ~shards:4 in
+  let base = run ~max_conns:1 ~shards:1 in
+  let pinned = run ~max_conns:2 ~shards:4 in
   check_direct ~what:"serve --skew --quick" ~scripts base;
   check_same_bytes ~what:"serve --skew --quick" ~base_name:"serial" base
-    [ ("hot pinned k=4", pinned); ("hot steal k=4", steal) ];
+    [ ("hot pinned k=4", pinned) ];
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 120. then begin
     Printf.eprintf
@@ -2214,11 +2197,10 @@ let serve_skew_quick () =
     exit 1
   end;
   Printf.printf
-    "serve --skew --quick: pinned and stealing 4-shard routers \
-     byte-identical to\n\
-     the serial server on hot-shard traffic (%d requests, %d steals); %.2f s\n"
-    (base.served + pinned.served + steal.served)
-    steal.steals dt
+    "serve --skew --quick: a 4-shard router byte-identical to the serial\n\
+     server on hot-shard traffic (%d requests); %.2f s\n"
+    (base.served + pinned.served)
+    dt
 
 (* --- Thundering herd: duplicate requests against cold state --------------- *)
 
@@ -2324,7 +2306,7 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
            mc,
            k,
            resp_cache,
-           serve_run ~steal:false ~max_conns:mc ~shards:k ~resp_cache ~scripts
+           serve_run ~max_conns:mc ~shards:k ~resp_cache ~scripts
              ~passes ~window () ))
       (serve_dup_specs clients)
   in
@@ -2458,7 +2440,7 @@ let serve_dup_quick () =
   let t0 = Unix.gettimeofday () in
   let scripts = dup_herd_scripts ~clients:2 ~repeats:2 in
   let run ?resp_cache ~max_conns ~shards () =
-    serve_run ~steal:false ~max_conns ~shards ?resp_cache ~scripts ~passes:2
+    serve_run ~max_conns ~shards ?resp_cache ~scripts ~passes:2
       ~window:8 ()
   in
   let base = run ~max_conns:1 ~shards:1 () in
@@ -2509,7 +2491,7 @@ let serve_bench ?(out = "BENCH_service.json") () =
   in
   let skew =
     serve_instance ~label:"hot_shard" ~specs:(serve_skew_specs conc)
-      ~headline_name:"hot_steal_k4"
+      ~headline_name:"hot_pinned_k4"
       ~scripts:(hot_shard_scripts ~shards:4 ~clients:conc ~reqs:400)
       ~passes:2 ~window:64
   in

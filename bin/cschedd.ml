@@ -22,7 +22,7 @@
 
 open Cmdliner
 
-let serve socket_path batch_size domains max_conns cache_tables shards steal
+let serve socket_path batch_size domains max_conns cache_tables shards
     queue_bound resp_cache bank_dir quiet =
   if batch_size < 1 then `Error (false, "batch must be >= 1")
   else if domains < 1 then `Error (false, "domains must be >= 1")
@@ -58,8 +58,8 @@ let serve socket_path batch_size domains max_conns cache_tables shards steal
         Option.map (fun rc c -> Service.Resp_cache.invalidate rc ~c) resp
       in
       let router =
-        Service.Router.create ~shards ~domains ?bank ?on_grow ~steal
-          ~queue_bound ~capacity:cache_tables ()
+        Service.Router.create ~shards ~domains ?bank ?on_grow ~queue_bound
+          ~capacity:cache_tables ()
       in
       let warmed = Service.Router.warm_from_bank router in
       if (not quiet) && Option.is_some bank then
@@ -90,9 +90,9 @@ let socket_arg =
 let batch_arg =
   let doc =
     "Maximum requests drained into one batch.  A batch shares DP-table \
-     solves; only a batch with fill, grow or solver-build work fans out \
-     across its shard's solve pool, a fully resident one is answered in \
-     order on the shard worker."
+     solves; only a shard's sub-batch with fill, grow or solver-build work \
+     goes to its shard worker and fans out across the shard's solve pool, \
+     a fully resident one is answered in order by the connection worker."
   in
   Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
 
@@ -131,28 +131,20 @@ let shards_arg =
      consistent hash of its canonical key to one shard, which pins its own \
      cache, solver pool and bank slice to a dedicated domain; composes with \
      $(b,--max-conns) (connections fan in, shards fan out) and $(b,--bank) \
-     (shards partition the bank).  A dead or wedged shard worker restarts \
-     bank-warm without taking the daemon down."
+     (shards partition the bank).  A shard's resident requests are answered \
+     by the connection worker against that shard's cache; only fill, grow \
+     and solver-build work is handed to the shard worker.  A dead or wedged \
+     shard worker restarts bank-warm without taking the daemon down."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
-
-let steal_arg =
-  let doc =
-    "Let an idle shard worker steal read-only requests (pure compute, or dp \
-     queries the owning shard already holds a covering table for) from a hot \
-     sibling's queue.  Writes and cold solves stay pinned to their placement \
-     shard, so cache ownership and bank write-behind are unchanged and \
-     responses are byte-identical to a no-steal run; per-shard $(b,stats) \
-     sections gain a $(i,steals) object.  Only meaningful with \
-     $(b,--shards) > 1."
-  in
-  Arg.(value & flag & info [ "steal" ] ~doc)
 
 let queue_bound_arg =
   let doc =
     "Maximum jobs queued per shard; a submit against a full queue blocks \
-     until the shard worker (or, with $(b,--steal), a thief) drains it, so a \
-     hot shard back-pressures its connections instead of growing a backlog."
+     until the shard worker drains it, so a hot shard back-pressures its \
+     connections instead of growing a backlog.  Only sub-batches with fill, \
+     grow or solver-build work queue; resident ones are answered by the \
+     connection worker."
   in
   Arg.(value & opt int 64 & info [ "queue-bound" ] ~docv:"N" ~doc)
 
@@ -190,7 +182,7 @@ let () =
     Term.(
       ret
         (const serve $ socket_arg $ batch_arg $ domains_arg $ max_conns_arg
-         $ cache_tables_arg $ shards_arg $ steal_arg $ queue_bound_arg
+         $ cache_tables_arg $ shards_arg $ queue_bound_arg
          $ resp_cache_arg $ bank_arg $ quiet_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

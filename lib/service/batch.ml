@@ -28,13 +28,15 @@
    per-request evaluation, which reproduces the exact per-request
    errors.
 
-   Both public entry points — [run] on raw lines and [run_parsed] on
-   envelopes — funnel through the one [evaluate_parsed] pipeline, so
-   the evaluation semantics (grouping, stats-payload substitution,
-   per-request timing, outcome alignment) cannot drift between them;
-   they differ only in whether a parse phase runs first and in how the
-   stats payload arrives (a thunk forced at most once for [run], the
-   already-forced value for [run_parsed]). *)
+   Every public entry point — [run] on raw lines, [run_parsed] on
+   envelopes and [resident_answer], the router's inline check — funnels
+   through the one [evaluate_parsed] pipeline, so the evaluation
+   semantics (grouping, stats-payload substitution, per-request timing,
+   outcome alignment) cannot drift between them; they differ only in
+   whether a parse phase runs first, in how the stats payload arrives
+   (a thunk forced at most once for [run], the already-forced value
+   otherwise), and in whether a batch that needs fill work is answered
+   or handed back. *)
 
 type outcome = {
   envelope : Protocol.envelope;
@@ -126,12 +128,13 @@ let resident ~cache envelopes idxs =
     | params, opp, planner -> Cache.solver_mem cache params opp planner
     | exception _ -> true)
 
-(* The one evaluation pipeline: group the batch by cache identity,
-   answer the groups in order when all are resident, else fan them
-   across domains, and scatter outcomes back by index.
-   [stats_payload] is the forced snapshot a [stats] op answers with
-   (the daemon's counters; without one, [Protocol.handle] supplies the
-   no-daemon error). *)
+(* The one evaluation pipeline: group the batch by cache identity and
+   probe every group once.  [`Resident answer] answers the groups in
+   order on the calling domain, [`Fill answer] fans them across
+   domains; either scatters outcomes back by index.  [stats_payload]
+   is the forced snapshot a [stats] op answers with (the daemon's
+   counters; without one, [Protocol.handle] supplies the no-daemon
+   error). *)
 let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
   let now = Csutil.Clock.now in
   let evaluate (e : Protocol.envelope) =
@@ -216,18 +219,26 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
       | Ok (Protocol.Evaluate _) -> evaluate_solver_group idxs
       | _ -> fallback idxs
   in
-  let grouped = group_indices envelopes in
-  let results =
-    if Array.for_all (resident ~cache envelopes) grouped then
-      Array.map evaluate_group grouped
-    else Csutil.Par.map ?pool ?domains evaluate_group grouped
+  let scatter results =
+    let out = Array.make (Array.length envelopes) None in
+    Array.iter (Array.iter (fun (i, o) -> out.(i) <- Some o)) results;
+    Array.map Option.get out
   in
-  let out = Array.make (Array.length envelopes) None in
-  Array.iter (Array.iter (fun (i, o) -> out.(i) <- Some o)) results;
-  Array.map Option.get out
+  let grouped = group_indices envelopes in
+  if Array.for_all (resident ~cache envelopes) grouped then
+    `Resident (fun () -> scatter (Array.map evaluate_group grouped))
+  else
+    `Fill
+      (fun () -> scatter (Csutil.Par.map ?pool ?domains evaluate_group grouped))
 
 let run_parsed ?pool ?domains ?stats_payload ~cache envelopes =
-  evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes
+  match evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes with
+  | `Resident answer | `Fill answer -> answer ()
+
+let resident_answer ~cache envelopes =
+  match evaluate_parsed ~stats_payload:None ~cache envelopes with
+  | `Resident answer -> Some answer
+  | `Fill _ -> None
 
 let run ?pool ?domains ?stats_payload ~cache lines =
   let envelopes = Array.map Protocol.parse_line lines in
@@ -238,4 +249,4 @@ let run ?pool ?domains ?stats_payload ~cache lines =
     | Some snapshot when has_stats_op envelopes -> Some (snapshot ())
     | _ -> None
   in
-  evaluate_parsed ?pool ?domains ~stats_payload:payload ~cache envelopes
+  run_parsed ?pool ?domains ?stats_payload:payload ~cache envelopes

@@ -36,9 +36,11 @@
     falls back to per-request evaluation, reproducing the exact
     per-request errors.
 
-    {!run} and {!run_parsed} share one internal evaluation pipeline —
-    they differ only in whether the parse phase runs first — so the
-    two entry points cannot drift apart semantically. *)
+    {!run}, {!run_parsed} and {!resident_answer} share one internal
+    evaluation pipeline — they differ only in whether the parse phase
+    runs first and in whether a batch with fill work is answered or
+    handed back — so the entry points cannot drift apart
+    semantically. *)
 
 type outcome = {
   envelope : Protocol.envelope;
@@ -81,5 +83,20 @@ val run_parsed :
   Protocol.envelope array ->
   outcome array
 (** The evaluation phases alone (grouping, then in-order answers or
-    the fan-out), for callers that already hold parsed envelopes.  [stats_payload] here is the forced
-    snapshot value. *)
+    the fan-out), for callers that already hold parsed envelopes.
+    [stats_payload] here is the forced snapshot value. *)
+
+val resident_answer :
+  cache:Cache.t ->
+  Protocol.envelope array ->
+  (unit -> outcome array) option
+(** The router's inline check.  Groups the envelopes and probes every
+    group once.  [Some answer] when all groups are resident: [answer ()]
+    answers them in order on the calling domain, exactly as
+    {!run_parsed} without a stats payload would, and fans nothing
+    out.  [None] when any group
+    needs fill, grow or solver-build work; the caller then hands the
+    batch to a domain that owns that work.  The probes are advisory: a
+    table evicted between the probe and [answer ()] is filled by the
+    calling domain under the cache's own locks and single-flight, and
+    the bytes are the same. *)

@@ -107,9 +107,10 @@ val find_or_solve : t -> c:int -> p:int -> l:int -> Cyclesteal.Dp.t
 val mem : t -> key -> bool
 (** Presence probe: is a resident table covering [key] held right now?
     Neither stamps the LRU clock nor counts as a hit or miss — safe to
-    poll from outside the owning shard (the router's steal eligibility
-    check).  Advisory by nature: the table can be evicted between the
-    probe and a subsequent {!find_or_solve}, which then just solves. *)
+    poll from outside the owning shard (the router's inline decision,
+    made on a connection worker through {!Batch.resident_answer}).
+    Advisory by nature: the table can be evicted between the probe and
+    a subsequent {!find_or_solve}, which then just solves. *)
 
 val solver_mem :
   t ->

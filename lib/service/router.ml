@@ -5,28 +5,31 @@
    one dedicated worker domain, fed through a private job channel.
    [run] is the router's one entry point: a connection's batch is
    parsed on the connection worker and split by placement into
-   per-shard sub-batches (jobs); the connection worker enqueues them,
-   evaluates the placement-free ops itself while the shards work, then
-   blocks on each job's condition and reassembles outcomes by original
+   per-shard sub-batches, and the outcomes are reassembled by original
    index — so per-connection ordering, and with it byte-identity to a
-   serial server, is preserved no matter how sub-batches interleave
-   across shards.  A shard worker answers a
-   sub-batch whose every group is resident in order on its own domain;
-   only a sub-batch with fill, grow or solver-build work fans out over
-   the shard's solve pool (the rule lives in Batch, so stolen jobs
-   follow it too).
+   serial server, is preserved however sub-batches interleave across
+   shards.
 
-   Stealing (opt-in).  With [~steal:true] the per-shard queues are
-   work-stealing on the read-only fraction of the load: a worker whose
-   own queue is empty scans its siblings' queues for a job whose every
-   request is pure compute or a dp query the owner's cache already
-   covers, lifts the oldest such job, and runs it on its own pool
-   against the owner's cache.  Ownership of mutable state never moves
-   — cold solves, solver-growing evaluates and the bank write-behind
-   stay pinned to the placement owner — so responses stay
-   byte-identical to the no-steal router; stealing changes only which
-   domain answers, which is exactly the paper's cycle-stealing move
-   applied to our own serving fleet.
+   Where a sub-batch runs is the paper's first lesson applied to our
+   own dispatch: a period of length t yields only t - c, so work
+   shorter than the setup cost c should not be shipped.  A sub-batch
+   whose every group is resident — a covering dp table, a resident
+   solver at the group's budget, pure compute, an error — answers in
+   microseconds, less than the two cross-domain wake-ups of a hand-off
+   to the shard worker and back.  So the connection worker answers it
+   itself, in order, against the owner shard's cache
+   (Batch.resident_answer groups and probes once), and it never enters
+   a channel.  Only a sub-batch with fill, grow or solver-build work
+   becomes a job on the owner's channel; the shard worker fans it over
+   the shard's solve pool, so cold solves, solver growth and the bank
+   write-behind stay with the owner.  The connection worker submits
+   the jobs first, answers the inline sub-batches and the
+   placement-free ops while the shards work, then blocks on each job.
+   Inline outcomes are recorded in the owner's stats family, so
+   per-shard counts reflect placement wherever a sub-batch ran.  The
+   probe is advisory: a table evicted between probe and answer is
+   filled by the connection worker under the cache's locks and
+   single-flight — rare, slower, and byte-identical.
 
    Placement.  Rendezvous (highest-random-weight) hashing over the
    canonical placement key (Protocol.shard_key): score every (key,
@@ -45,9 +48,13 @@
    times, taken on the monotonic clock) and the shard is restarted out
    from under it; when the zombie eventually wakes it finds its job
    already failed (delivery is first-writer-wins under the job lock)
-   and its channel closed, and retires without a trace.  Stats
-   families survive restarts — only the failed runtime is replaced —
-   and each restart is counted.
+   and its channel closed, and retires without a trace.  The watchdog
+   times shard-worker jobs only: inline answers are resident-only work,
+   and the rare inline refill after a stale probe is not timed.  A shard
+   with a fault armed (inject_failure) gets its next sub-batch as a
+   job even when it is resident, so the injected death or wedge fires
+   on the worker.  Stats families survive restarts — only the failed
+   runtime is replaced — and each restart is counted.
 
    The shard channel below is the only inter-shard communication
    primitive in the tree; tools/check-format.sh gates both Shard_chan
@@ -109,10 +116,11 @@ let owns ~shards index c = place ~shards (Protocol.dp_shard_key ~c_ticks:c) = in
 type job_state =
   | Pending
   | Done of Batch.outcome array
-  | Failed of Cyclesteal.Error.t
+  | Failed of Cyclesteal.Error.t * float  (* seconds from submit to failure *)
 
 type job = {
   envelopes : Protocol.envelope array;  (* this shard's sub-batch *)
+  submitted : float;  (* monotonic clock *)
   jlock : Mutex.t;
   finished : Condition.t;
   mutable state : job_state;  (* written once, under [jlock] *)
@@ -124,14 +132,8 @@ type job = {
    limit) and returns [false] once the channel is closed; [pop] keeps
    draining after [close] so jobs enqueued just before a shutdown are
    still evaluated; [migrate] closes the old channel and carries its
-   queue (and depth high-water) to the replacement atomically, so a
-   restart loses only the in-flight job, never the queued ones.
-
-   Stealing hooks: [steal_matching] removes the oldest queued job a
-   predicate accepts (preserving the order of the rest), and [kick]
-   wakes a worker parked in [pop_kick] without giving it a job — the
-   router kicks every worker once per submitted batch so idle shards
-   can come steal from the ones that just got work. *)
+   queue to the replacement atomically, so a restart loses only the
+   in-flight job, never the queued ones. *)
 module Shard_chan = struct
   type 'a t = {
     lock : Mutex.t;
@@ -139,8 +141,6 @@ module Shard_chan = struct
     notfull : Condition.t;
     items : 'a Queue.t;
     bound : int;
-    mutable kick_count : int;
-    mutable max_depth : int;
     mutable closed : bool;
   }
 
@@ -151,8 +151,6 @@ module Shard_chan = struct
       notfull = Condition.create ();
       items = Queue.create ();
       bound;
-      kick_count = 0;
-      max_depth = 0;
       closed = false;
     }
 
@@ -164,8 +162,6 @@ module Shard_chan = struct
     let accepted = not q.closed in
     if accepted then begin
       Queue.push x q.items;
-      if Queue.length q.items > q.max_depth then
-        q.max_depth <- Queue.length q.items;
       Condition.signal q.nonempty
     end;
     Mutex.unlock q.lock;
@@ -178,15 +174,14 @@ module Shard_chan = struct
     Condition.broadcast q.notfull;
     Mutex.unlock q.lock
 
-  let take q =
-    let x = Queue.pop q.items in
-    Condition.signal q.notfull;
-    x
-
   let pop q =
     Mutex.lock q.lock;
     let rec wait () =
-      if not (Queue.is_empty q.items) then Some (take q)
+      if not (Queue.is_empty q.items) then begin
+        let x = Queue.pop q.items in
+        Condition.signal q.notfull;
+        Some x
+      end
       else if q.closed then None
       else begin
         Condition.wait q.nonempty q.lock;
@@ -197,96 +192,16 @@ module Shard_chan = struct
     Mutex.unlock q.lock;
     x
 
-  let pop_nowait q =
-    Mutex.lock q.lock;
-    let r =
-      if not (Queue.is_empty q.items) then `Item (take q)
-      else if q.closed then `Closed
-      else `Empty
-    in
-    Mutex.unlock q.lock;
-    r
-
-  (* Like [pop], but also returns on a kick that arrived after the
-     [kicks] count the caller last saw — the worker then goes looking
-     for a sibling to steal from instead of a job of its own. *)
-  let pop_kick q ~kicks =
-    Mutex.lock q.lock;
-    let rec wait () =
-      if not (Queue.is_empty q.items) then `Item (take q)
-      else if q.closed then `Closed
-      else if q.kick_count <> kicks then `Kick q.kick_count
-      else begin
-        Condition.wait q.nonempty q.lock;
-        wait ()
-      end
-    in
-    let r = wait () in
-    Mutex.unlock q.lock;
-    r
-
-  let kicks q =
-    Mutex.lock q.lock;
-    let k = q.kick_count in
-    Mutex.unlock q.lock;
-    k
-
-  let kick q =
-    Mutex.lock q.lock;
-    q.kick_count <- q.kick_count + 1;
-    Condition.broadcast q.nonempty;
-    Mutex.unlock q.lock
-
-  (* Remove and return the oldest queued item [accept] takes; the
-     relative order of everything else is preserved.  The predicate
-     runs under the channel lock, so keep it cheap. *)
-  let steal_matching q accept =
-    Mutex.lock q.lock;
-    let keep = Queue.create () in
-    let found = ref None in
-    Queue.iter
-      (fun x ->
-         if Option.is_none !found && accept x then found := Some x
-         else Queue.push x keep)
-      q.items;
-    (match !found with
-     | Some _ ->
-       Queue.clear q.items;
-       Queue.transfer keep q.items;
-       Condition.signal q.notfull
-     | None -> ());
-    Mutex.unlock q.lock;
-    !found
-
-  let length q =
-    Mutex.lock q.lock;
-    let n = Queue.length q.items in
-    Mutex.unlock q.lock;
-    n
-
-  let max_depth q =
-    Mutex.lock q.lock;
-    let n = q.max_depth in
-    Mutex.unlock q.lock;
-    n
-
-  let reset_max q =
-    Mutex.lock q.lock;
-    q.max_depth <- Queue.length q.items;
-    Mutex.unlock q.lock
-
   let migrate ~from ~into =
     Mutex.lock from.lock;
     from.closed <- true;
     let moved = Queue.create () in
     Queue.transfer from.items moved;
-    let high = from.max_depth in
     Condition.broadcast from.nonempty;
     Condition.broadcast from.notfull;
     Mutex.unlock from.lock;
     Mutex.lock into.lock;
     Queue.transfer moved into.items;
-    if into.max_depth < high then into.max_depth <- high;
     if not (Queue.is_empty into.items) then Condition.broadcast into.nonempty;
     Mutex.unlock into.lock
 end
@@ -309,8 +224,6 @@ type shard = {
          wall-clock step cannot make a healthy job look overdue *)
   mutable worker : unit Domain.t option;
   chaos : chaos Atomic.t;  (* one-shot fault injection for tests *)
-  steals_in : int Atomic.t;  (* jobs this worker stole and ran *)
-  stolen_from : int Atomic.t;  (* jobs siblings took off this queue *)
 }
 
 type t = {
@@ -323,7 +236,6 @@ type t = {
          replacement), so the server's response cache hears about
          table growth wherever it happens *)
   hang_timeout : float;
-  steal : bool;
   queue_bound : int;
   stopped : bool Atomic.t;
   mutable watchdog : unit Domain.t option;
@@ -334,16 +246,18 @@ let shard_count t = Array.length t.shards
 (* --- job lifecycle ------------------------------------------------------- *)
 
 (* First writer wins: a zombie worker waking after its shard was
-   restarted finds the job already [Failed] and drops its result. *)
-let deliver job result =
+   restarted finds the job already [Failed] and drops its result.  The
+   winner's [record] runs under the job lock, before the waiter wakes,
+   so a batch's accounting is visible by the time [run] returns it. *)
+let deliver job result ~record =
   Mutex.lock job.jlock;
-  let accepted = match job.state with Pending -> true | _ -> false in
-  if accepted then begin
-    job.state <- result;
-    Condition.broadcast job.finished
-  end;
-  Mutex.unlock job.jlock;
-  accepted
+  (match job.state with
+   | Pending ->
+     job.state <- result;
+     record ();
+     Condition.broadcast job.finished
+   | Done _ | Failed _ -> ());
+  Mutex.unlock job.jlock
 
 let await job =
   Mutex.lock job.jlock;
@@ -358,37 +272,30 @@ let await job =
   Mutex.unlock job.jlock;
   st
 
-let op_of (o : Batch.outcome) =
-  match o.Batch.envelope.Protocol.request with
-  | Ok req -> Protocol.op_name req
-  | Error _ -> "invalid"
+let record sh (e : Protocol.envelope) ~ok ~latency =
+  let op =
+    match e.Protocol.request with
+    | Ok req -> Protocol.op_name req
+    | Error _ -> "invalid"
+  in
+  (* bytes belong to the connection that serializes, not here *)
+  Stats.add sh.stats { Stats.op = op; ok; latency; bytes = 0 }
 
 let record_outcomes sh outcomes =
   Array.iter
     (fun (o : Batch.outcome) ->
-       Stats.add sh.stats
-         {
-           Stats.op = op_of o;
-           ok = Result.is_ok o.Batch.result;
-           latency = o.Batch.latency;
-           (* bytes belong to the connection that serializes, not here *)
-           bytes = 0;
-         })
+       record sh o.Batch.envelope ~ok:(Result.is_ok o.Batch.result)
+         ~latency:o.Batch.latency)
     outcomes
 
 (* Answer every request of a failed sub-batch with the structured
-   error, and account them to the shard that lost them. *)
+   error, and account them to the shard that lost them.  Each carries
+   the time from submit to failure — a killed shard's errors are slow
+   answers, not the fastest ones. *)
 let fail_job sh job err =
-  if deliver job (Failed err) then
-    Array.iter
-      (fun (e : Protocol.envelope) ->
-         let op =
-           match e.Protocol.request with
-           | Ok req -> Protocol.op_name req
-           | Error _ -> "invalid"
-         in
-         Stats.add sh.stats { Stats.op = op; ok = false; latency = 0.; bytes = 0 })
-      job.envelopes
+  let latency = Csutil.Clock.now () -. job.submitted in
+  deliver job (Failed (err, latency)) ~record:(fun () ->
+      Array.iter (fun e -> record sh e ~ok:false ~latency) job.envelopes)
 
 let died_error index =
   Cyclesteal.Error.Unavailable
@@ -447,61 +354,15 @@ let evaluate_job sh ~cache ~pool job =
   Batch.run_parsed ~pool ~domains:(Csutil.Par.Pool.size pool) ~cache
     job.envelopes
 
-(* --- stealing ------------------------------------------------------------- *)
-
-(* Which requests may an idle sibling run on the owner's behalf?
-   Read-only ones: advise and schedule are pure closed-form compute,
-   evaluate with explicit periods solves fresh against nothing
-   resident, and a dp query is read-only exactly when the owner
-   already holds a covering table (a presence probe that stamps no LRU
-   clock and counts nothing).  Evaluate via a named policy is pinned:
-   answering it grows the owner's resident solver memo and schedules
-   bank write-behind, which must stay single-owner.  The probe is
-   advisory — if the table is evicted between the check and the run,
-   the thief's evaluation degrades to a solve under the owner cache's
-   own lock, which is slower but still correct. *)
-let read_only_request cache (req : Protocol.request) =
-  match req with
-  | Protocol.Advise _ | Protocol.Schedule _ -> true
-  | Protocol.Evaluate { periods = Some _; _ } -> true
-  | Protocol.Evaluate _ -> false
-  | Protocol.Dp_query { c_ticks; l; p } -> (
-    match Cache.canonical ~c:c_ticks ~p ~l with
-    | key -> Cache.mem cache key
-    | exception _ -> false)
-  | _ -> false
-
-let job_stealable cache job =
-  Array.for_all
-    (fun (e : Protocol.envelope) ->
-       match e.Protocol.request with
-       | Ok req -> read_only_request cache req
-       | Error _ -> false)
-    job.envelopes
-
-(* A stolen sub-batch runs on the thief's pool against the *owner's*
-   cache (domain-safe for lookups), and its outcomes are recorded in
-   the owner's stats family — per-shard request counts reflect
-   placement whether or not stealing is on; only the steal counters
-   differ.  No chaos hook: fault injection arms a shard's own worker. *)
-let evaluate_stolen victim ~cache ~pool job =
-  Stats.add_batch victim.stats ~size:(Array.length job.envelopes);
-  Batch.run_parsed ~pool ~domains:(Csutil.Par.Pool.size pool) ~cache
-    job.envelopes
-
 (* The worker, its restart path and the spawner are mutually recursive:
    a dying worker restarts its own shard (which spawns a replacement)
    before retiring. *)
 let rec worker_loop t sh ~gen ~chan ~cache ~pool =
-  if t.steal then
-    steal_worker t sh ~gen ~chan ~cache ~pool ~kicks:(Shard_chan.kicks chan)
-  else begin
-    match Shard_chan.pop chan with
-    | None -> ()  (* closed and drained: this generation retires *)
-    | Some job ->
-      if execute_own t sh ~gen ~cache ~pool job then
-        worker_loop t sh ~gen ~chan ~cache ~pool
-  end
+  match Shard_chan.pop chan with
+  | None -> ()  (* closed and drained: this generation retires *)
+  | Some job ->
+    if execute_own t sh ~gen ~cache ~pool job then
+      worker_loop t sh ~gen ~chan ~cache ~pool
 
 (* Run one job of our own queue.  [false] means this worker is
    compromised and has already handed its shard to a fresh generation:
@@ -512,69 +373,13 @@ and execute_own t sh ~gen ~cache ~pool job =
   match evaluate_job sh ~cache ~pool job with
   | outcomes ->
     note_finish sh ~gen job;
-    if deliver job (Done outcomes) then record_outcomes sh outcomes;
+    deliver job (Done outcomes) ~record:(fun () -> record_outcomes sh outcomes);
     true
   | exception _ ->
     note_finish sh ~gen job;
     ignore (restart_shard t sh ~gen);
     fail_job sh job (died_error sh.index);
     false
-
-(* Steal-enabled worker: drain the own queue first, then try to lift a
-   read-only job off a sibling, and only then park.  A parked worker
-   wakes on its own jobs as before, and on a [kick] — the router kicks
-   one round per submitted batch — after which it re-runs the steal
-   scan. *)
-and steal_worker t sh ~gen ~chan ~cache ~pool ~kicks =
-  match Shard_chan.pop_nowait chan with
-  | `Item job ->
-    if execute_own t sh ~gen ~cache ~pool job then
-      steal_worker t sh ~gen ~chan ~cache ~pool ~kicks
-  | `Closed -> ()
-  | `Empty ->
-    if steal_once t sh ~gen ~pool then
-      steal_worker t sh ~gen ~chan ~cache ~pool ~kicks
-    else begin
-      match Shard_chan.pop_kick chan ~kicks with
-      | `Item job ->
-        if execute_own t sh ~gen ~cache ~pool job then
-          steal_worker t sh ~gen ~chan ~cache ~pool ~kicks
-      | `Closed -> ()
-      | `Kick k -> steal_worker t sh ~gen ~chan ~cache ~pool ~kicks:k
-    end
-
-(* One steal attempt across the siblings in index order from our right
-   neighbour.  The victim's channel and cache are snapshotted under its
-   shard lock (it may be mid-restart; the stale channel then turns up
-   empty, which is just a failed attempt).  A thief that fails while
-   running a stolen job fails that job but does not restart anything:
-   its own runtime was never implicated. *)
-and steal_once t sh ~gen ~pool =
-  let k = Array.length t.shards in
-  let rec scan i =
-    if i >= k then false
-    else begin
-      let v = t.shards.((sh.index + i) mod k) in
-      Mutex.lock v.slock;
-      let vchan = v.chan and vcache = v.cache in
-      Mutex.unlock v.slock;
-      match Shard_chan.steal_matching vchan (job_stealable vcache) with
-      | Some job ->
-        Atomic.incr v.stolen_from;
-        Atomic.incr sh.steals_in;
-        note_start sh ~gen job;
-        (match evaluate_stolen v ~cache:vcache ~pool job with
-         | outcomes ->
-           note_finish sh ~gen job;
-           if deliver job (Done outcomes) then record_outcomes v outcomes
-         | exception _ ->
-           note_finish sh ~gen job;
-           fail_job v job (died_error sh.index));
-        true
-      | None -> scan (i + 1)
-    end
-  in
-  k > 1 && scan 1
 
 and restart_shard t sh ~gen =
   Mutex.lock sh.slock;
@@ -643,7 +448,7 @@ let watchdog_loop t =
 (* --- construction -------------------------------------------------------- *)
 
 let create ?(shards = 1) ?domains ?bank ?on_grow ?(hang_timeout = 30.)
-    ?(steal = false) ?(queue_bound = 64) ~capacity () =
+    ?(queue_bound = 64) ~capacity () =
   if shards < 1 then Cyclesteal.Error.invalid "Router.create: shards must be >= 1";
   if capacity < 1 then
     Cyclesteal.Error.invalid "Router.create: capacity must be >= 1";
@@ -680,15 +485,12 @@ let create ?(shards = 1) ?domains ?bank ?on_grow ?(hang_timeout = 30.)
               current = None;
               worker = None;
               chaos = Atomic.make Chaos_none;
-              steals_in = Atomic.make 0;
-              stolen_from = Atomic.make 0;
             });
       per_shard_domains;
       shard_capacity;
       bank;
       on_grow;
       hang_timeout;
-      steal;
       queue_bound;
       stopped = Atomic.make false;
       watchdog = None;
@@ -723,14 +525,13 @@ let shutdown t =
    the (possibly blocking) push — a restart needs that lock to swap the
    channel out.  A push refused because the channel closed under us is
    retried against the replacement channel; once the router itself is
-   stopping, the job fails structurally instead.  Kicking idle thieves
-   is the caller's job ([kick_all], once per batch): a batch places at
-   most one job per shard, so per-submit kicks would cost
-   jobs x (K - 1) wakeups for the same information one round carries. *)
+   stopping, the job fails structurally instead. *)
 let submit t sh job =
   let rec attempt () =
     if Atomic.get t.stopped then
-      ignore (deliver job (Failed (stopped_error sh.index)))
+      deliver job
+        (Failed (stopped_error sh.index, Csutil.Clock.now () -. job.submitted))
+        ~record:ignore
     else begin
       Mutex.lock sh.slock;
       let chan = sh.chan in
@@ -740,19 +541,17 @@ let submit t sh job =
   in
   attempt ()
 
-(* One steal-mode kick round: wake every parked worker once so idle
-   shards go looking at their hot siblings' queues.  A worker with its
-   own fresh job wakes on the push itself and finds its queue first
-   ([pop_nowait]), so kicking it too is harmless. *)
-let kick_all t =
-  if t.steal then
-    Array.iter
-      (fun sh ->
-         Mutex.lock sh.slock;
-         let chan = sh.chan in
-         Mutex.unlock sh.slock;
-         Shard_chan.kick chan)
-      t.shards
+(* The inline rule: [Some answer] when the connection worker may answer
+   this shard's sub-batch itself (every group resident on the owner's
+   cache, and no fault armed for the owner's worker), [None] when it
+   must go to the worker as a job. *)
+let inline_answer sh envelopes =
+  Mutex.lock sh.slock;
+  let cache = sh.cache in
+  Mutex.unlock sh.slock;
+  match Atomic.get sh.chaos with
+  | Chaos_none -> Batch.resident_answer ~cache envelopes
+  | Chaos_die | Chaos_wedge _ -> None
 
 (* [run]'s routing and evaluation phases, over parsed envelopes and an
    already-forced stats snapshot. *)
@@ -762,7 +561,7 @@ let run_parsed t ?stats_payload envelopes =
   else begin
     let shards = Array.length t.shards in
     let routed = Array.make shards [] in
-    let inline_rev = ref [] in
+    let placement_free = ref [] in
     Array.iteri
       (fun i (e : Protocol.envelope) ->
          match e.Protocol.request with
@@ -771,62 +570,71 @@ let run_parsed t ?stats_payload envelopes =
            | Some key ->
              let k = place ~shards key in
              routed.(k) <- (i, e) :: routed.(k)
-           | None -> inline_rev := (i, e) :: !inline_rev)
-         | Error _ -> inline_rev := (i, e) :: !inline_rev)
+           | None -> placement_free := (i, e) :: !placement_free)
+         | Error _ -> placement_free := (i, e) :: !placement_free)
       envelopes;
-    let jobs =
-      Array.mapi
-        (fun k items ->
-           match items with
-           | [] -> None
-           | items ->
-             let items = Array.of_list (List.rev items) in
+    (* Probe every sub-batch and submit the ones with fill work first,
+       so the shard workers start on them before anything is answered
+       here. *)
+    let now = Csutil.Clock.now () in
+    let inline_rev = ref [] in
+    let jobs_rev = ref [] in
+    Array.iteri
+      (fun k items ->
+         if items <> [] then begin
+           let items = Array.of_list (List.rev items) in
+           let idxs = Array.map fst items and sub = Array.map snd items in
+           let sh = t.shards.(k) in
+           match inline_answer sh sub with
+           | Some answer -> inline_rev := (sh, idxs, answer) :: !inline_rev
+           | None ->
              let job =
                {
-                 envelopes = Array.map snd items;
+                 envelopes = sub;
+                 submitted = now;
                  jlock = Mutex.create ();
                  finished = Condition.create ();
                  state = Pending;
                }
              in
-             submit t t.shards.(k) job;
-             Some (Array.map fst items, job))
-        routed
-    in
-    (* All sub-batches are queued; one kick round lets idle shards come
-       stealing — batching the wakeups instead of kicking K - 1
-       siblings on every submit. *)
-    kick_all t;
+             submit t sh job;
+             jobs_rev := (idxs, job) :: !jobs_rev
+         end)
+      routed;
     let out = Array.make n None in
-    (* Placement-free ops (strategies, stats, parse errors) evaluate
-       right here on the submitting connection — through the same
-       Batch pipeline, so semantics cannot drift — while the shard
-       workers chew on their sub-batches. *)
-    (match List.rev !inline_rev with
+    let scatter idxs outcomes =
+      Array.iteri (fun j o -> out.(idxs.(j)) <- Some o) outcomes
+    in
+    (* While the shards work: the resident sub-batches, accounted to
+       their owner shard as if its worker had answered them ... *)
+    List.iter
+      (fun (sh, idxs, answer) ->
+         Stats.add_batch sh.stats ~size:(Array.length idxs);
+         let outcomes = answer () in
+         record_outcomes sh outcomes;
+         scatter idxs outcomes)
+      (List.rev !inline_rev);
+    (* ... and the placement-free ops (strategies, stats, parse
+       errors), through the same Batch pipeline so semantics cannot
+       drift. *)
+    (match List.rev !placement_free with
      | [] -> ()
-     | inline ->
-       let inline = Array.of_list inline in
-       let outcomes =
-         Batch.run_parsed ~domains:1 ?stats_payload
-           ~cache:t.shards.(0).cache (Array.map snd inline)
-       in
-       Array.iteri (fun j o -> out.(fst inline.(j)) <- Some o) outcomes);
-    Array.iter
-      (function
-        | None -> ()
-        | Some (idxs, job) -> (
-          match await job with
-          | Pending -> assert false
-          | Done outcomes ->
-            Array.iteri (fun j o -> out.(idxs.(j)) <- Some o) outcomes
-          | Failed err ->
-            Array.iteri
-              (fun j env ->
-                 out.(idxs.(j)) <-
-                   Some
-                     { Batch.envelope = env; result = Error err; latency = 0. })
-              job.envelopes))
-      jobs;
+     | items ->
+       let items = Array.of_list items in
+       scatter (Array.map fst items)
+         (Batch.run_parsed ~domains:1 ?stats_payload
+            ~cache:t.shards.(0).cache (Array.map snd items)));
+    List.iter
+      (fun (idxs, job) ->
+         match await job with
+         | Pending -> assert false
+         | Done outcomes -> scatter idxs outcomes
+         | Failed (err, latency) ->
+           scatter idxs
+             (Array.map
+                (fun env -> { Batch.envelope = env; result = Error err; latency })
+                job.envelopes))
+      (List.rev !jobs_rev);
     Array.map (function Some o -> o | None -> assert false) out
   end
 
@@ -860,28 +668,12 @@ let shards_json t =
   Array.to_list
     (Array.map
        (fun sh ->
-          let steals =
-            if not t.steal then None
-            else begin
-              Mutex.lock sh.slock;
-              let chan = sh.chan in
-              Mutex.unlock sh.slock;
-              Some
-                ( Atomic.get sh.steals_in,
-                  Atomic.get sh.stolen_from,
-                  Shard_chan.length chan,
-                  Shard_chan.max_depth chan )
-            end
-          in
-          Stats.shard_json ?steals sh.stats ~shard:sh.index
-            ~restarts:sh.restarts ~cache:(Cache.stats sh.cache))
+          Stats.shard_json sh.stats ~shard:sh.index ~restarts:sh.restarts
+            ~cache:(Cache.stats sh.cache))
        t.shards)
 
 let restarts t =
   Array.fold_left (fun acc sh -> acc + sh.restarts) 0 t.shards
-
-let steals t =
-  Array.fold_left (fun acc sh -> acc + Atomic.get sh.steals_in) 0 t.shards
 
 let reset_counters t =
   Array.iter
@@ -890,9 +682,6 @@ let reset_counters t =
        Cache.reset_counters sh.cache;
        Mutex.lock sh.slock;
        sh.restarts <- 0;
-       Atomic.set sh.steals_in 0;
-       Atomic.set sh.stolen_from 0;
-       Shard_chan.reset_max sh.chan;
        Mutex.unlock sh.slock)
     t.shards
 

@@ -12,10 +12,17 @@
     K shards solve unrelated keys with zero lock contention between
     them.
 
-    A shard worker answers a sub-batch whose every group is resident
-    (covering dp table, resident solver, pure compute) in order on its
-    own domain; only a sub-batch with fill, grow or solver-build work
-    fans out over the shard's solve pool ({!Batch}).
+    {b Inline rule.}  A sub-batch whose every group is resident
+    (covering dp table, resident solver, pure compute, an error) is
+    answered by the calling connection worker itself, in order, against
+    the owner shard's cache ({!Batch.resident_answer}); it never enters
+    the shard's job channel, because it takes less time than the two
+    cross-domain wake-ups a hand-off costs.  Only a sub-batch with fill,
+    grow or solver-build work is submitted to the owner's worker, which
+    fans it out over the shard's solve pool ({!Batch}) — so cold solves,
+    solver growth and bank write-behind stay with the owner.  Inline
+    outcomes count in the owner's stats family, so per-shard counts
+    reflect placement wherever a sub-batch ran.
 
     Serial, concurrent and sharded serving are this one code path: a
     single-shard router is the serial daemon's evaluation engine, and
@@ -41,23 +48,10 @@
     detected by a watchdog domain and restarted the same way; the
     stale worker's late results are discarded by generation check, so
     it can never answer a request the replacement already failed.
-    [stats] reports restarts per shard and in total.
-
-    {b Stealing} ([~steal:true]) lets an idle shard worker lift
-    {e read-only} jobs off a hot sibling's queue: sub-batches whose
-    every request is pure compute (advise, schedule, evaluate with
-    explicit periods) or a dp query the owner already holds a covering
-    resident table for.  The thief runs the job on its own pool
-    against the {e owner's} cache — a concurrent lookup the cache is
-    built for — so cache ownership never moves: writes (cold dp
-    solves, policy-evaluate solver growth) and the bank write-behind
-    they schedule stay pinned to the owning shard.  Responses are
-    byte-identical to a no-steal router; only where (and how soon)
-    they are computed changes.  Each shard's [stats] section gains a
-    [steals] object — jobs taken, jobs given, queue depth and
-    high-water — and queues are bounded ([queue_bound]) so a hot
-    shard's backlog applies back-pressure instead of growing without
-    limit. *)
+    The watchdog times shard-worker jobs only; inline answers are
+    resident-only work.  [stats] reports restarts per shard and in
+    total.  Job queues are bounded ([queue_bound]) so a hot shard's
+    backlog applies back-pressure instead of growing without limit. *)
 
 type t
 
@@ -67,7 +61,6 @@ val create :
   ?bank:Store.Bank.t ->
   ?on_grow:(int -> unit) ->
   ?hang_timeout:float ->
-  ?steal:bool ->
   ?queue_bound:int ->
   capacity:int ->
   unit ->
@@ -85,10 +78,8 @@ val create :
     response cache invalidates stored dp replies.  [hang_timeout]
     (default 30 s) is how long one sub-batch may run, on the monotonic
     clock, before the watchdog declares the worker wedged and restarts
-    it.  [steal] (default [false]) enables idle-shard work stealing of
-    read-only jobs; [queue_bound] (default 64) caps
-    each shard's job queue — a submit against a full queue blocks
-    until the worker (or a thief) drains it.
+    it.  [queue_bound] (default 64) caps each shard's job queue — a
+    submit against a full queue blocks until the worker drains it.
     @raise Error.Error when [shards < 1], [capacity < 1],
     [domains < 1], [hang_timeout <= 0] or [queue_bound < 1]. *)
 
@@ -104,11 +95,12 @@ val place : shards:int -> string -> int
 val run :
   t -> ?stats_payload:(unit -> Json.t) -> string array -> Batch.outcome array
 (** Parse and evaluate one connection's batch: lines parse on the
-    calling domain, each well-formed request is routed to its shard's
-    worker (sub-batches run concurrently across shards; a shard answers
-    an all-resident sub-batch on its own domain and fans one with fill
-    work over its solve pool, see {!Batch}), parse errors and
-    placement-free ops answer on the submitting thread, and the
+    calling domain and each well-formed request is routed to its
+    shard.  An all-resident sub-batch is answered on the calling domain
+    against its shard's cache; one with fill work is submitted to the
+    shard's worker, which fans it over its solve pool (see {!Batch}),
+    and such jobs run concurrently across shards.  Parse errors and
+    placement-free ops also answer on the calling domain, and the
     outcomes come back index-aligned with the input — so per-connection
     response order, and therefore the bytes a client reads, are
     identical to a serial server's.  [stats_payload] is forced at most
@@ -126,23 +118,17 @@ val cache_stats : t -> Cache.stats
     appear once. *)
 
 val shards_json : t -> Json.t list
-(** Per-shard [stats] sections ({!Stats.shard_json}): what each
-    shard's worker evaluated, its cache families, its restart count —
-    and, when stealing is on, its [steals] object (jobs taken from
-    siblings, jobs siblings took, queue depth and high-water). *)
+(** Per-shard [stats] sections ({!Stats.shard_json}): what was
+    evaluated for each shard (by its worker or inline), its cache
+    families and its restart count. *)
 
 val restarts : t -> int
 (** Total shard-worker restarts (death or wedge) since start or the
     last {!reset_counters}. *)
 
-val steals : t -> int
-(** Total jobs answered by a shard other than their placement owner
-    since start or the last {!reset_counters}; always 0 with stealing
-    off. *)
-
 val reset_counters : t -> unit
-(** Zero every shard's stats family, cache counters, restart count and
-    steal/queue-high-water counters; backs the daemon's [stats reset]
+(** Zero every shard's stats family, cache counters and restart count;
+    backs the daemon's [stats reset]
     together with the server-level {!Stats.reset_counters}. *)
 
 type failure =
@@ -151,12 +137,17 @@ type failure =
 
 val inject_failure : t -> shard:int -> failure -> unit
 (** Fault injection for tests: arm the shard's worker to fail exactly
-    once, on the next sub-batch it picks up.  The armed batch's
-    requests are answered with [Error.Unavailable] and the shard
-    restarts bank-warm, as with a real failure. *)
+    once, on the next sub-batch it picks up.  While armed, the shard's
+    sub-batches go to its worker even when resident, so the failure
+    fires there.  The armed batch's requests are answered with
+    [Error.Unavailable], carrying the time from submit to failure as
+    their latency, and the shard restarts bank-warm, as with a real
+    failure. *)
 
 val shutdown : t -> unit
 (** Stop and join every shard worker (queued sub-batches are still
     evaluated and delivered first) and the watchdog, and release the
     shard pools.  Idempotent.  Sub-batches submitted afterwards fail
-    with [Error.Unavailable]. *)
+    with [Error.Unavailable]; all-resident sub-batches and
+    placement-free ops never reach a worker, so they still answer on
+    the calling domain. *)

@@ -495,10 +495,12 @@ let serve_socket t ~path =
        else begin
          (* Concurrent serving: slot 0 of a dedicated pool accepts and
             feeds the fd queue; each other slot serves one connection
-            at a time.  This pool only ever carries connections —
-            evaluation happens on the router's shard workers and their
-            solve pools, so serving slots never compete with compute
-            slots and the two layers cannot deadlock each other. *)
+            at a time.  This pool only ever carries connections: a
+            slot answers its resident sub-batches itself (microseconds,
+            no fan-out), and fill work happens on the router's shard
+            workers and their solve pools, so serving slots never
+            compete with compute slots and the two layers cannot
+            deadlock each other. *)
          let queue = Conn_queue.create () in
          Csutil.Par.Pool.with_pool ~domains:(t.max_conns + 1)
            (fun conn_pool ->

@@ -153,31 +153,17 @@ let latency_fields t =
     @ quantiles
   end
 
-(* One shard's section of the stats payload: what this shard's worker
-   evaluated (requests/errors/by-op/latency recorded at evaluation
-   time; bytes belong to the connection that serialized, not here) and
+(* One shard's section of the stats payload: what was evaluated for
+   this shard, by its worker or inline on a connection worker
+   (requests/errors/by-op/latency recorded at evaluation time; bytes
+   belong to the connection that serialized, not here) and
    its own cache families, plus how often its worker was restarted.
    The process-wide kernel/game counters stay out — they appear once,
    in the merged view. *)
-let shard_json ?steals t ~shard ~restarts ~cache:(c : Cache.stats) =
-  let steal_fields =
-    match steals with
-    | None -> []
-    | Some (steals_in, stolen_from, queue_depth, queue_max) ->
-      [
-        ( "steals",
-          Json.Obj
-            [
-              ("taken", Json.Int steals_in);
-              ("given", Json.Int stolen_from);
-              ("queue_depth", Json.Int queue_depth);
-              ("queue_max", Json.Int queue_max);
-            ] );
-      ]
-  in
+let shard_json t ~shard ~restarts ~cache:(c : Cache.stats) =
   locked t (fun () ->
       Json.Obj
-        ([
+        [
           ("shard", Json.Int shard);
           ("restarts", Json.Int restarts);
           ("requests", Json.Int t.requests);
@@ -208,8 +194,7 @@ let shard_json ?steals t ~shard ~restarts ~cache:(c : Cache.stats) =
                 ("solvers_resident", Json.Int c.Cache.solvers_resident);
                 ("resident_bytes", Json.Int c.Cache.solver_bytes);
               ] );
-        ]
-        @ steal_fields))
+        ])
 
 let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
   locked t (fun () ->

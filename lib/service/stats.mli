@@ -50,18 +50,15 @@ val percentiles : t -> (float * float * float) option
     a factor of sqrt 2).  [None] before any request was recorded. *)
 
 val shard_json :
-  ?steals:int * int * int * int ->
   t ->
   shard:int ->
   restarts:int ->
   cache:Cache.stats ->
   Json.t
-(** One shard's section of the stats payload: what this shard's worker
-    evaluated (requests, errors, by-op counts, latency) plus its own
-    cache and solver-cache families and its restart count.  [steals]
-    — [(taken, given, queue_depth, queue_max)] — appends a [steals]
-    object; routers with stealing off omit it, so the payload shape is
-    unchanged for them.  The process-wide kernel/game counters stay
+(** One shard's section of the stats payload: what was evaluated for
+    the shard, by its worker or inline (requests, errors, by-op counts,
+    latency), plus its own cache and solver-cache families and its
+    restart count.  The process-wide kernel/game counters stay
     out of shard sections — they appear exactly once, in the merged
     view. *)
 

@@ -1365,105 +1365,192 @@ let test_sharded_stats_sections () =
   Alcotest.(check bool) "payload has shard sections" true
     (contains ~sub:{|"shards":[|} last && contains ~sub:{|"shard":1|} last)
 
-(* --- Router: stealing -------------------------------------------------- *)
+(* --- Router: inline resident sub-batches ------------------------------- *)
 
-(* Stealing must be invisible in the bytes: interleaved clients running
-   the whole mixed corpus against a steal-enabled sharded router get
-   responses identical to direct library calls (and therefore to a
-   no-steal router, which the sharded byte-identity test above pins to
-   the same reference). *)
-let test_steal_byte_identity_interleaved () =
-  let router = Router.create ~shards:3 ~domains:2 ~steal:true ~capacity:16 () in
-  Fun.protect
-    ~finally:(fun () -> Router.shutdown router)
-    (fun () ->
-       let lines = Array.of_list (mixed_request_lines ()) in
-       let clients =
-         List.init 3 (fun _ ->
-             Domain.spawn (fun () -> outcome_strings (Router.run router lines)))
-       in
-       let expected = List.map direct_response (Array.to_list lines) in
-       List.iteri
-         (fun c got ->
-            List.iteri
-              (fun i (e, g) ->
-                 Alcotest.(check string)
-                   (Printf.sprintf "client %d line %d byte-identical" c i)
-                   e g)
-              (List.combine expected got))
-         (List.map Domain.join clients))
+let shard_of_line ~shards line =
+  match (Protocol.parse_line line).Protocol.request with
+  | Ok req -> (
+      match Protocol.shard_key req with
+      | Some key -> Router.place ~shards key
+      | None -> -1)
+  | Error _ -> -1
 
-(* Idle-shard stealing actually fires: pin the hot shard down with one
-   long cold dp solve, then feed it stealable pure-compute requests —
-   the idle sibling is kicked on each submit and answers them while the
-   owner is stuck, so the steal counter must move and the responses
-   must still match the direct reference. *)
-let test_steal_takes_from_hot_shard () =
+(* The state [resident_cache] holds, built through a router so each
+   table and solver lands on its placement owner. *)
+let warm_router router =
+  ignore
+    (Router.run router
+       [|
+         dp_line 3 512 4;
+         dp_line 5 512 4;
+         evaluate_line ~u:60 ~p:2 "adaptive";
+         evaluate_line ~u:60 ~p:2 "nonadaptive";
+       |])
+
+let shard_requests router =
+  List.map
+    (function
+      | Json.Obj fields -> (
+          match List.assoc_opt "requests" fields with
+          | Some (Json.Int n) -> n
+          | _ -> Alcotest.fail "shard section without requests")
+      | _ -> Alcotest.fail "shard section is not an object")
+    (Router.shards_json router)
+
+(* A shard pinned by one long cold dp solve still answers its resident
+   lines: the connection worker answers them against the shard's cache
+   instead of queueing them behind the solve. *)
+let test_inline_hot_shard_responsive () =
   let shards = 2 in
-  let shard_of line =
-    match (Protocol.parse_line line).Protocol.request with
-    | Ok req -> (
-        match Protocol.shard_key req with
-        | Some key -> Router.place ~shards key
-        | None -> -1)
-    | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
-  in
-  let blocker = {|{"id":0,"op":"dp","c_ticks":5,"l":24000,"p":12}|} in
-  let hot = shard_of blocker in
-  (* Pure-compute advise requests placed on the same (hot) shard. *)
-  let stealable =
+  let blocker = {|{"id":0,"op":"dp","c_ticks":5,"l":200000,"p":12}|} in
+  let hot = shard_of_line ~shards blocker in
+  let on_hot ls = List.filter (fun l -> shard_of_line ~shards l = hot) ls in
+  let advise =
     List.init 400 (fun i ->
         Printf.sprintf {|{"id":%d,"op":"advise","c":%d,"u":%d,"p":1}|} (i + 1)
           ((i mod 6) + 1)
           (150 + (17 * i)))
-    |> List.filter (fun l -> shard_of l = hot)
-    |> fun ls -> List.filteri (fun i _ -> i < 8) ls
+    |> on_hot
+    |> List.filteri (fun i _ -> i < 8)
   in
-  Alcotest.(check bool) "found stealable lines on the hot shard" true
-    (List.length stealable = 8);
-  let router =
-    Router.create ~shards ~domains:2 ~steal:true ~capacity:16 ()
+  (* A table of another cost on the hot shard, warmed before the
+     blocker arrives. *)
+  let warm_dp =
+    match on_hot (List.init 40 (fun c -> dp_line (c + 6) 300 2)) with
+    | l :: _ -> l
+    | [] -> Alcotest.fail "no dp cost placed on the hot shard"
   in
+  Alcotest.(check int) "found resident lines on the hot shard" 8
+    (List.length advise);
+  let resident = warm_dp :: advise in
+  let router = Router.create ~shards ~domains:2 ~capacity:16 () in
   Fun.protect
     ~finally:(fun () -> Router.shutdown router)
     (fun () ->
-       let solver = Domain.spawn (fun () -> Router.run router [| blocker |]) in
-       (* Let the hot worker pick the blocker up before queueing work
-          behind it. *)
+       ignore (Router.run router [| warm_dp |]);
+       let blocker_done = Atomic.make false in
+       let solver =
+         Domain.spawn (fun () ->
+             let r = Router.run router [| blocker |] in
+             Atomic.set blocker_done true;
+             r)
+       in
+       (* Let the hot worker pick the blocker up first. *)
        Unix.sleepf 0.02;
        List.iter
          (fun line ->
             match outcome_strings (Router.run router [| line |]) with
             | [ got ] ->
-              Alcotest.(check string) "stolen response byte-identical"
+              Alcotest.(check string) "resident response byte-identical"
                 (direct_response line) got
             | _ -> Alcotest.fail "expected one response")
-         stealable;
-       (match outcome_strings (Domain.join solver) with
-        | [ got ] ->
-          Alcotest.(check string) "blocker response byte-identical"
-            (direct_response blocker) got
-        | _ -> Alcotest.fail "expected one blocker response");
-       Alcotest.(check bool) "sibling stole from the hot shard" true
-         (Router.steals router >= 1))
+         resident;
+       Alcotest.(check bool) "answered while the hot shard was still solving"
+         false (Atomic.get blocker_done);
+       match outcome_strings (Domain.join solver) with
+       | [ got ] ->
+         Alcotest.(check string) "blocker response byte-identical"
+           (direct_response blocker) got
+       | _ -> Alcotest.fail "expected one blocker response")
+
+(* Random mixed batches, about half drawn from resident kinds only, go
+   through 2- and 3-shard routers from two domains at once: every reply
+   is byte-identical to direct [Protocol.handle], and each shard counts
+   exactly the requests placed on it, wherever they ran.  Then, with
+   the router shut down — so any sub-batch handed to a shard channel
+   fails as unavailable — the same batch runs again: by now every
+   sub-batch is resident except one holding an explicit-periods
+   evaluate (which always builds a fresh solver), so only the latter
+   may fail.  An all-resident sub-batch never enters a channel. *)
+let prop_inline_matches_direct =
+  QCheck.Test.make ~name:"inline sub-batches = direct handle" ~count:20
+    (QCheck.make
+       QCheck.Gen.(pair (int_range 2 3) residency_batch_gen)
+       ~print:(fun (shards, (_, lines)) ->
+           Printf.sprintf "K=%d\n%s" shards (String.concat "\n" lines)))
+    (fun (shards, (_, lines)) ->
+       let lines = Array.of_list lines in
+       let direct = Array.to_list (Array.map direct_response lines) in
+       let router = Router.create ~shards ~domains:2 ~capacity:64 () in
+       let concurrent_ok, counts_ok =
+         Fun.protect
+           ~finally:(fun () -> Router.shutdown router)
+           (fun () ->
+              warm_router router;
+              Router.reset_counters router;
+              let clients =
+                List.init 2 (fun _ ->
+                    Domain.spawn (fun () ->
+                        outcome_strings (Router.run router lines)))
+              in
+              let got = List.map Domain.join clients in
+              let placed = Array.make shards 0 in
+              Array.iter
+                (fun l ->
+                   let k = shard_of_line ~shards l in
+                   if k >= 0 then placed.(k) <- placed.(k) + 2)
+                lines;
+              ( List.for_all (fun g -> g = direct) got,
+                shard_requests router = Array.to_list placed ))
+       in
+       let has_periods = Array.make shards false in
+       Array.iter
+         (fun l ->
+            let k = shard_of_line ~shards l in
+            if k >= 0 && contains ~sub:{|"periods"|} l then has_periods.(k) <- true)
+         lines;
+       let after = outcome_strings (Router.run router lines) in
+       let after_ok =
+         List.for_all2
+           (fun (line, want) got ->
+              let k = shard_of_line ~shards line in
+              if k >= 0 && has_periods.(k) then
+                contains ~sub:{|"unavailable"|} got
+                && contains ~sub:"shutting down" got
+              else got = want)
+           (List.combine (Array.to_list lines) direct)
+           after
+       in
+       concurrent_ok && counts_ok && after_ok)
+
+(* A stale probe: the table is evicted between the probe and the
+   answer, so the inline answer fills it again on the calling domain —
+   under the cache's locks, with the same bytes. *)
+let test_inline_stale_probe () =
+  let cache = Cache.create ~capacity:1 () in
+  ignore (Cache.find_or_solve cache ~c:3 ~p:2 ~l:300);
+  let lines =
+    [| dp_line 3 300 2; dp_line 3 120 1; {|{"op":"advise","c":1,"u":100,"p":1}|} |]
+  in
+  match Batch.resident_answer ~cache (Array.map Protocol.parse_line lines) with
+  | None -> Alcotest.fail "a covered table probes resident"
+  | Some answer ->
+    ignore (Cache.find_or_solve cache ~c:5 ~p:2 ~l:300);
+    Alcotest.(check bool) "the probed table is gone" false
+      (Cache.mem cache (Cache.canonical ~c:3 ~p:2 ~l:300));
+    let misses = (Cache.stats cache).Cache.misses in
+    Alcotest.(check (list string)) "stale probe: bytes unchanged"
+      (List.map direct_response (Array.to_list lines))
+      (outcome_strings (answer ()));
+    Alcotest.(check int) "the answer refilled the table" (misses + 1)
+      (Cache.stats cache).Cache.misses
 
 (* --- Router: shard failure -------------------------------------------------- *)
 
 (* Kill a shard worker mid-batch: the in-flight requests answer with a
    structured unavailable error (the daemon survives), the same request
-   succeeds on the restarted shard, and stats reports the restart. *)
+   succeeds on the restarted shard, and stats reports the restart.  The
+   line is warmed first, so it would be answered inline: an armed fault
+   must still send it to the worker. *)
 let test_shard_worker_killed () =
-  let line = {|{"id":1,"op":"advise","c":2,"u":300,"p":1}|} in
+  let line = {|{"id":1,"op":"dp","c_ticks":7,"l":300,"p":2}|} in
   let shards = 2 in
-  let shard =
-    match (Protocol.parse_line line).Protocol.request with
-    | Ok req -> Router.place ~shards (Option.get (Protocol.shard_key req))
-    | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
-  in
+  let shard = shard_of_line ~shards line in
   let router = Router.create ~shards ~domains:1 ~capacity:8 () in
   Fun.protect
     ~finally:(fun () -> Router.shutdown router)
     (fun () ->
+       ignore (Router.run router [| line |]);
        Router.inject_failure router ~shard Router.Die;
        let got, _, _ =
          serve_lines ~batch_size:1 ~router
@@ -1486,17 +1573,47 @@ let test_shard_worker_killed () =
          Alcotest.fail
            (Printf.sprintf "expected 3 responses, got %d" (List.length other)))
 
+(* A failed sub-batch's answers carry the time from submit to failure,
+   both in the outcomes and in the shard's latency record — not zero,
+   which would file a killed shard's errors as the fastest answers. *)
+let test_failed_latency () =
+  let line = {|{"id":1,"op":"advise","c":2,"u":300,"p":1}|} in
+  let router = Router.create ~shards:1 ~domains:1 ~capacity:8 () in
+  Fun.protect
+    ~finally:(fun () -> Router.shutdown router)
+    (fun () ->
+       Router.inject_failure router ~shard:0 Router.Die;
+       let outcomes = Router.run router [| line; line |] in
+       Array.iter
+         (fun (o : Batch.outcome) ->
+            Alcotest.(check bool) "failed" true (Result.is_error o.Batch.result);
+            Alcotest.(check bool)
+              (Printf.sprintf "latency %g > 0" o.Batch.latency)
+              true (o.Batch.latency > 0.))
+         outcomes;
+       match Router.shards_json router with
+       | [ Json.Obj fields ] -> (
+           match List.assoc_opt "latency" fields with
+           | Some (Json.Obj lat) -> (
+               match List.assoc_opt "min_s" lat with
+               | Some (Json.Float m) ->
+                 Alcotest.(check bool) "shard records latency > 0" true (m > 0.)
+               | _ -> Alcotest.fail "no min_s in the shard latency")
+           | _ -> Alcotest.fail "no latency in the shard section")
+       | _ -> Alcotest.fail "expected one shard section")
+
 (* A wedged worker is caught by the watchdog: the stuck batch answers
    unavailable after ~hang_timeout, and the replacement worker serves
-   the next request. *)
+   the next request.  As above, the wedged line is resident. *)
 let test_shard_worker_wedged () =
-  let line = {|{"id":1,"op":"advise","c":1,"u":250,"p":1}|} in
+  let line = {|{"id":1,"op":"dp","c_ticks":7,"l":250,"p":1}|} in
   let router =
     Router.create ~shards:1 ~domains:1 ~hang_timeout:0.2 ~capacity:8 ()
   in
   Fun.protect
     ~finally:(fun () -> Router.shutdown router)
     (fun () ->
+       ignore (Router.run router [| line |]);
        Router.inject_failure router ~shard:0 (Router.Wedge 1.5);
        let t0 = Unix.gettimeofday () in
        let got, _, _ = serve_lines ~batch_size:1 ~router [ line; line ] in
@@ -1603,15 +1720,18 @@ let () =
               test_sharded_byte_identity;
             Alcotest.test_case "per-shard stats sections" `Quick
               test_sharded_stats_sections;
-            Alcotest.test_case "steal: interleaved byte-identity" `Slow
-              test_steal_byte_identity_interleaved;
-            Alcotest.test_case "steal: idle shard takes from hot" `Quick
-              test_steal_takes_from_hot_shard;
+            Alcotest.test_case "inline: hot shard stays responsive" `Quick
+              test_inline_hot_shard_responsive;
+            Alcotest.test_case "inline: stale probe byte-identical" `Quick
+              test_inline_stale_probe;
             Alcotest.test_case "killed shard worker" `Quick
               test_shard_worker_killed;
+            Alcotest.test_case "failed answers carry latency" `Quick
+              test_failed_latency;
             Alcotest.test_case "wedged shard worker" `Slow
               test_shard_worker_wedged;
-          ] );
+          ]
+        @ qc [ prop_inline_matches_direct ] );
       ( "stats",
         [
           Alcotest.test_case "reset zeroes the latency histogram" `Quick

@@ -110,11 +110,12 @@ for f in $(find lib bin test bench examples -type f \
   fi
 done
 
-# Routing gate: the inter-shard job channel (Router's Shard_chan) is
-# the router's private seam — jobs enter a shard through Router.run /
-# run_parsed, which own placement, generation checks and failure
-# delivery.  Reaching for the channel anywhere else would bypass all
-# three.
+# Routing gate: the shard job channel (Router's Shard_chan) is the
+# router's private seam.  A sub-batch enters it only through
+# Router.run, which owns placement, the inline rule (a resident
+# sub-batch is answered by the connection worker and never queues),
+# generation checks and failure delivery.  Reaching for the channel
+# anywhere else would bypass all four.
 for f in $(find lib bin test bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' \) \
              -not -path 'lib/service/router.ml' | sort); do
