@@ -2208,10 +2208,11 @@ let serve_skew_quick () =
    handful of distinct cold identities, each repeated — with ids fixed
    across clients, so the series exercise all three collapse layers at
    once: batch grouping folds repeats inside a batch into one cache
-   acquisition, single-flight folds concurrent cold solves across
-   connections into one leader, and the response cache folds identical
-   lines into stored bytes.  4 distinct dp tables + 2 distinct solver
-   identities, however many clients, repeats and passes. *)
+   acquisition, the router's shard worker owns each cache so concurrent
+   connections' cold work for one identity runs once, in order, and the
+   response cache folds identical lines into stored bytes.  4 distinct
+   dp tables + 2 distinct solver identities, however many clients,
+   repeats and passes. *)
 let dup_distinct_dp = 4
 let dup_distinct_solvers = 2
 
@@ -2237,8 +2238,8 @@ let dup_herd_scripts ~clients ~repeats =
 
 (* Every run of the herd — whatever the concurrency — must have solved
    each distinct identity exactly once: N duplicate cold requests, one
-   solve.  This is the deterministic guarantee single-flight adds; the
-   wall-clock numbers only say what it is worth. *)
+   solve.  This is the deterministic guarantee batch grouping and shard
+   ownership give; the wall-clock numbers only say what it is worth. *)
 let dup_check_collapse ~name (r : serve_result) =
   if r.cache.Service.Cache.misses <> dup_distinct_dp then begin
     Printf.eprintf
@@ -2252,38 +2253,6 @@ let dup_check_collapse ~name (r : serve_result) =
       name r.cache.Service.Cache.solver_misses dup_distinct_solvers;
     exit 1
   end
-
-(* The cache-level herd, without sockets: M domains race one cold key
-   through a shared cache (single-flight: one solve, M - 1 adopters)
-   against M caches each paying its own solve (the pre-coalescing
-   cost).  The counters are exact; the timing ratio approaches the
-   solve cost times M as M grows. *)
-let dup_direct_herd ~domains:m =
-  let solve_key cache = Service.Cache.find_or_solve cache ~c:41 ~p:2 ~l:600 in
-  let shared = Service.Cache.create ~capacity:4 () in
-  let barrier = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  Csutil.Par.Pool.with_pool ~domains:m (fun pool ->
-      Csutil.Par.Pool.run pool (fun _slot ->
-          Atomic.incr barrier;
-          while Atomic.get barrier < m do
-            Domain.cpu_relax ()
-          done;
-          ignore (solve_key shared)));
-  let coalesced_s = Unix.gettimeofday () -. t0 in
-  let s = Service.Cache.stats shared in
-  if s.Service.Cache.misses <> 1 || s.Service.Cache.hits <> m - 1 then begin
-    Printf.eprintf
-      "bench serve --dup: herd of %d left %d misses / %d hits (want 1 / %d)\n"
-      m s.Service.Cache.misses s.Service.Cache.hits (m - 1);
-    exit 1
-  end;
-  let t1 = Unix.gettimeofday () in
-  Csutil.Par.Pool.with_pool ~domains:m (fun pool ->
-      Csutil.Par.Pool.run pool (fun _slot ->
-          ignore (solve_key (Service.Cache.create ~capacity:4 ()))));
-  let duplicated_s = Unix.gettimeofday () -. t1 in
-  (coalesced_s, duplicated_s, s.Service.Cache.coalesced)
 
 (* (series name, max_conns, shards, resp-cache capacity). *)
 let serve_dup_specs conc =
@@ -2336,10 +2305,10 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
             (%d passes)"
            clients (reqs_per_pass / clients) window passes)
       ~aligns:
-        Csutil.Table.[ Left; Right; Right; Right; Right; Right; Right; Right ]
+        Csutil.Table.[ Left; Right; Right; Right; Right; Right; Right ]
       [
         "series"; "cold s"; "warm s"; "warm req/s"; "speedup"; "solves";
-        "coalesced"; "resp hits";
+        "resp hits";
       ]
   in
   let series =
@@ -2354,7 +2323,6 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
              Printf.sprintf "%.3g" (frps /. warm);
              Printf.sprintf "%.1fx" (base_warm /. warm);
              string_of_int r.cache.Service.Cache.misses;
-             string_of_int r.cache.Service.Cache.coalesced;
              (match r.resp with
               | Some rs -> string_of_int rs.Service.Resp_cache.hits
               | None -> "-");
@@ -2376,9 +2344,6 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
              ("dp_solves", Service.Json.Int r.cache.Service.Cache.misses);
              ( "solver_builds",
                Service.Json.Int r.cache.Service.Cache.solver_misses );
-             ("coalesced", Service.Json.Int r.cache.Service.Cache.coalesced);
-             ( "solver_coalesced",
-               Service.Json.Int r.cache.Service.Cache.solver_coalesced );
              ( "resp_hits",
                match r.resp with
                | Some rs -> Service.Json.Int rs.Service.Resp_cache.hits
@@ -2387,12 +2352,6 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
       results
   in
   emit t;
-  let herd_domains = max 2 (min 8 (Csutil.Par.available_domains ())) in
-  let coal_s, dup_s, coalesced = dup_direct_herd ~domains:herd_domains in
-  Printf.printf
-    "direct herd: %d domains, one cold key -- single-flight %0.4f s (1 \
-     solve, %d parked), duplicated %0.4f s (%d solves)\n"
-    herd_domains coal_s coalesced dup_s herd_domains;
   let headline =
     let _, _, _, _, hr =
       List.find
@@ -2415,21 +2374,13 @@ let serve_dup_instance ~clients ~repeats ~passes ~window =
         Service.Json.Int dup_distinct_solvers );
       ("series", Service.Json.List series);
       ("headline_speedup", Service.Json.Float headline);
-      ( "direct_herd",
-        Service.Json.Obj
-          [
-            ("domains", Service.Json.Int herd_domains);
-            ("coalesced_seconds", Service.Json.Float coal_s);
-            ("duplicated_seconds", Service.Json.Float dup_s);
-            ("parked_joiners", Service.Json.Int coalesced);
-          ] );
     ]
 
 (* The thundering-herd instance alone, without rewriting
    BENCH_service.json. *)
 let serve_dup_bench () =
   heading
-    "Thundering herd -- duplicate requests, single-flight + response cache";
+    "Thundering herd -- duplicate requests, batch grouping + response cache";
   ignore (serve_dup_instance ~clients:8 ~repeats:8 ~passes:2 ~window:32)
 
 (* CI smoke for the dup path: a small herd must collapse to one solve
@@ -2458,7 +2409,6 @@ let serve_dup_quick () =
       "serve --dup --quick: no response-cache hits on duplicate lines\n";
     exit 1
   end;
-  ignore (dup_direct_herd ~domains:4);
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 120. then begin
     Printf.eprintf "bench serve --dup --quick exceeded its 120 s bound: %.1f s\n"

@@ -838,14 +838,23 @@ let precompute_cmd =
                costs)
         in
         let jobs = Array.of_list (dp_jobs @ List.rev game_jobs) in
-        let results =
-          Csutil.Par.map ~pool
-            (fun req -> Service.Protocol.handle ~cache req)
-            jobs
+        (* Through Batch, as the daemon does: each cache identity is
+           fetched or held once (every budget of a state-only policy
+           shares one solver), and distinct identities fan out over
+           the pool. *)
+        let outcomes =
+          Service.Batch.run_parsed ~pool ~cache
+            (Array.mapi
+               (fun i req ->
+                 { Service.Protocol.id = Service.Json.Int i; request = Ok req })
+               jobs)
         in
         let failed =
-          Array.to_list results
-          |> List.filter_map (function Ok _ -> None | Error e -> Some e)
+          Array.to_list outcomes
+          |> List.filter_map (fun (o : Service.Batch.outcome) ->
+                 match o.Service.Batch.result with
+                 | Ok _ -> None
+                 | Error e -> Some e)
         in
         let counters = Store.Bank.counters bank in
         let trouble =

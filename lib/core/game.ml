@@ -313,6 +313,18 @@ module Solver = struct
     s_mat : mat;
   }
 
+  (* The snapshot's state count is the memo's filled-cell count, not
+     [t.states]: a cell raced by two fan-out slots is expanded (and
+     counted) twice, so the live counter depends on scheduling, while
+     the set of filled cells — every state reachable from the queries
+     answered — does not.  Equal memos thus write equal files. *)
+  let filled_cells mat =
+    let n = ref 0 in
+    for i = 0 to Bigarray.Array1.dim mat - 1 do
+      if not (Float.is_nan (Bigarray.Array1.get mat i)) then incr n
+    done;
+    !n
+
   let to_snapshot t =
     match (t.backend, t.grid) with
     | Flat f, Some g ->
@@ -322,7 +334,7 @@ module Solver = struct
           s_grid = g;
           s_cap_p = b.cap_p;
           s_cap_l = b.cap_l;
-          s_states = Atomic.get t.states;
+          s_states = filled_cells b.mat;
           s_mat = b.mat;
         }
     | _ -> None

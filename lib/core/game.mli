@@ -118,7 +118,10 @@ module Solver : sig
     s_grid : float;
     s_cap_p : int;
     s_cap_l : int;
-    s_states : int;  (** expansions charged against [max_states] *)
+    s_states : int;
+        (** filled memo cells — the distinct states expanded, so equal
+            memos carry equal counts however a parallel fill raced;
+            {!of_snapshot} charges them against [max_states] *)
     s_mat : mat;  (** (cap_p + 1) * (cap_l + 1) cells, NaN included *)
   }
   (** The disk-tier exchange format for gridded (flat-memo) solvers

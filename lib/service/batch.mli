@@ -98,5 +98,7 @@ val resident_answer :
     needs fill, grow or solver-build work; the caller then hands the
     batch to a domain that owns that work.  The probes are advisory: a
     table evicted between the probe and [answer ()] is filled by the
-    calling domain under the cache's own locks and single-flight, and
-    the bytes are the same. *)
+    calling domain under the cache's own locks, and the bytes are the
+    same.  If the owner is filling the same identity meanwhile, both
+    solve and the first published table wins: one redundant solve at
+    most, never different bytes. *)

@@ -23,14 +23,15 @@
 
    Growth happens under the lock — Dp.grow requires a single writer —
    and readers that obtained the table earlier stay safe: a grow
-   publishes a fresh snapshot and never mutates published cells.  Cold
-   solves are single-flight: the first caller for a missing c registers
-   an in-flight marker under the lock, solves OUTSIDE it, and publishes
-   the table; every concurrent duplicate parks on the flight's condvar
-   (releasing the lock, so other keys keep answering) and adopts the
-   leader's table instead of paying the solve again — a join counts as
-   a hit plus a [coalesced] tick.  The same protocol guards resident
-   game-solver builds.
+   publishes a fresh snapshot and never mutates published cells.  A
+   cold solve runs OUTSIDE the lock and publishes under it; the first
+   published entry for an identity wins.  The cache does not stop two
+   concurrent callers from solving the same cold identity — that is
+   the callers' structure: Batch fetches each identity once per batch,
+   and in the daemon one shard worker owns each cache, so a race needs
+   a stale residency probe plus a concurrent cold job for the same c,
+   and costs at most one redundant solve, never different bytes.
+   Resident game-solver builds follow the same rule.
 
    The same locking discipline is what lets the concurrent server hand
    one cache to every connection worker: the mutex serializes the
@@ -59,23 +60,13 @@ let canonical ~c ~p ~l =
 
 type entry = { dp : Dp.t; mutable used : int }
 
-(* A single-flight marker: present in the flight map while one caller
-   (the leader) is off solving the identity, absent otherwise.  Joiners
-   wait on the condvar; the leader removes the marker and broadcasts
-   under the same lock that published (or failed to publish) the
-   result, so a woken joiner re-checks the map and either adopts the
-   table or — if the leader died — claims the flight itself. *)
-type flight = { fcond : Condition.t }
-
 type tables = {
   lock : Mutex.t;
   table : (int, entry) Hashtbl.t; (* keyed by the table's c *)
-  flights : (int, flight) Hashtbl.t; (* in-flight cold solves, by c *)
   capacity : int;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
-  mutable coalesced : int;
   mutable evictions : int;
   mutable growths : int;
 }
@@ -121,12 +112,10 @@ type solver_entry = {
 type solvers = {
   sollock : Mutex.t;
   entries : (solver_key, solver_entry) Hashtbl.t;
-  sflights : (solver_key, flight) Hashtbl.t; (* in-flight solver builds *)
   scapacity : int;
   mutable sclock : int;
   mutable shits : int;
   mutable smisses : int;
-  mutable scoalesced : int;
   mutable sevictions : int;
   mutable sgrowths : int;
 }
@@ -155,12 +144,10 @@ let create ?pool ?bank ?on_grow ~capacity () =
       {
         lock = Mutex.create ();
         table = Hashtbl.create 16;
-        flights = Hashtbl.create 4;
         capacity;
         clock = 0;
         hits = 0;
         misses = 0;
-        coalesced = 0;
         evictions = 0;
         growths = 0;
       };
@@ -171,12 +158,10 @@ let create ?pool ?bank ?on_grow ~capacity () =
       {
         sollock = Mutex.create ();
         entries = Hashtbl.create 16;
-        sflights = Hashtbl.create 4;
         scapacity = capacity;
         sclock = 0;
         shits = 0;
         smisses = 0;
-        scoalesced = 0;
         sevictions = 0;
         sgrowths = 0;
       };
@@ -224,95 +209,59 @@ let serve_resident ~pool tb e key ~count =
    plus whether solve work changed it (the write-behind cue) and
    whether a resident/banked table grew (the invalidation cue).
 
-   Cold misses are single-flight.  Under the lock, a caller finding
-   neither a resident table nor an in-flight marker for key.c claims
-   the flight and becomes the leader; it then pays the bank load
-   (open + CRC scan of the whole payload, tens of ms for a large
-   table) and the solve OUTSIDE the lock, so other keys keep
-   answering and N concurrent duplicates do not serialize N solves
-   behind the mutex.  A caller that finds a marker is a joiner: it
-   ticks [coalesced] once, parks on the flight's condvar (releasing
-   the lock), and on wake re-checks the map — normally adopting the
-   leader's published table as a plain hit, or claiming the flight
-   itself if the leader's solve raised.  Publication, marker removal
-   and the broadcast happen under one lock section, so a joiner can
-   never observe the flight gone without the table (or the failure)
-   being visible too.
+   A cold miss looks the identity up under the lock, pays the bank
+   load (open + CRC scan of the whole payload, tens of ms for a large
+   table) or the solve OUTSIDE it, so other keys keep answering, and
+   publishes under the lock again.  Nothing here stops two callers
+   racing one cold identity from both solving: one solve per identity
+   is the callers' structure — Batch fetches each identity once per
+   batch, and in the daemon one shard worker owns each cache.  When
+   two callers do race, the first published entry wins: the second is
+   served it as a resident entry (a hit when it covers) and its own
+   table is dropped, never written behind.  Answers cannot differ
+   either way, since published tables are immutable and dp payloads
+   do not depend on table bounds.
 
    Solve and grow take the cache's pool: fills large enough for the
    wavefront use it, and a busy pool (e.g. this solve sits under a
    batch fan-out) just runs the fill inline. *)
 let obtain ~pool ~bank tb key ~count =
-  let counted = ref false in
-  let decision =
+  let resident =
     with_lock tb (fun () ->
-        let rec decide () =
-          tb.clock <- tb.clock + 1;
-          match Hashtbl.find_opt tb.table key.c with
-          | Some e -> `Served (serve_resident ~pool tb e key ~count)
-          | None -> (
-            match Hashtbl.find_opt tb.flights key.c with
-            | Some fl ->
-              if count && not !counted then begin
-                tb.coalesced <- tb.coalesced + 1;
-                counted := true
-              end;
-              Condition.wait fl.fcond tb.lock;
-              decide ()
-            | None ->
-              Hashtbl.add tb.flights key.c { fcond = Condition.create () };
-              `Lead)
-        in
-        decide ())
+        tb.clock <- tb.clock + 1;
+        Option.map
+          (fun e -> serve_resident ~pool tb e key ~count)
+          (Hashtbl.find_opt tb.table key.c))
   in
-  match decision with
-  | `Served r -> r
-  | `Lead -> (
-    let clear_flight () =
-      match Hashtbl.find_opt tb.flights key.c with
-      | Some fl ->
-        Hashtbl.remove tb.flights key.c;
-        Condition.broadcast fl.fcond
-      | None -> ()
-    in
-    match
-      let banked =
-        match bank with
-        | None -> None
-        | Some b -> Store.Bank.load_dp b ~c:key.c
-      in
-      match banked with
+  match resident with
+  | Some r -> r
+  | None ->
+    let dp, changed, grew =
+      match Option.bind bank (fun b -> Store.Bank.load_dp b ~c:key.c) with
       | Some dp when covers dp key -> (dp, false, false)
       | Some dp ->
         Dp.grow ?pool dp ~max_p:key.max_p ~max_l:key.max_l;
         (dp, true, true)
       | None ->
         (Dp.solve_with ~pool ~c:key.c ~max_p:key.max_p ~max_l:key.max_l, true, false)
-    with
-    | exception exn ->
-      (* Wake the joiners with nothing published: the first to run
-         claims the flight and retries the solve as the new leader. *)
-      with_lock tb (fun () -> clear_flight ());
-      raise exn
-    | dp, changed, grew ->
-      with_lock tb (fun () ->
-          clear_flight ();
-          tb.clock <- tb.clock + 1;
-          match Hashtbl.find_opt tb.table key.c with
-          | Some e ->
-            (* Raced in sideways (startup warming inserts without a
-               flight): the resident entry wins, ours is dropped. *)
-            serve_resident ~pool tb e key ~count
-          | None ->
-            if count then
-              if changed then tb.misses <- tb.misses + 1
-              else tb.hits <- tb.hits + 1;
-            if grew then tb.growths <- tb.growths + 1;
-            while Hashtbl.length tb.table >= tb.capacity do
-              evict_lru tb
-            done;
-            Hashtbl.add tb.table key.c { dp; used = tb.clock };
-            (dp, changed, grew)))
+    in
+    with_lock tb (fun () ->
+        tb.clock <- tb.clock + 1;
+        match Hashtbl.find_opt tb.table key.c with
+        | Some e ->
+          (* Lost a race (or startup warming inserted meanwhile): the
+             published entry wins, ours is dropped. *)
+          serve_resident ~pool tb e key ~count
+        | None ->
+          if count then
+            if changed then tb.misses <- tb.misses + 1
+            else tb.hits <- tb.hits + 1;
+          if grew then tb.growths <- tb.growths + 1;
+          while Hashtbl.length tb.table >= tb.capacity do
+            evict_lru tb
+          done;
+          Hashtbl.add tb.table key.c { dp; used = tb.clock };
+          (dp, changed, grew))
 
 (* Write-behind: persist a freshly solved or grown table, outside the
    lock.  Published cells are immutable, so reading the table here
@@ -390,13 +339,11 @@ let solver_key params opp (planner : Engine.Planner.t) =
 
 (* The resident (or bank-loaded, or fresh) entry for the key, plus the
    key itself (the write-behind needs the identity the entry is filed
-   under).  Misses are single-flight, mirroring [obtain]: the leader
-   pays the bank load (CRC scan + solver rebuild) or the fresh ~20 ms
-   solver build OUTSIDE the global solvers lock, so lookups for other
-   solvers never stall behind it, while concurrent duplicates — e.g. a
-   batch fan-out of identical evaluate requests — park on the flight
-   instead of each expanding the same minimax tree and discarding all
-   but one copy. *)
+   under).  A miss follows [obtain]: look up under the global solvers
+   lock, pay the bank load (CRC scan + solver rebuild) or the fresh
+   ~20 ms solver build OUTSIDE it, so lookups for other solvers never
+   stall behind it, then publish under the lock — the first published
+   entry wins a race, and the loser's solver is dropped. *)
 let obtain_solver t params opp (planner : Engine.Planner.t) =
   let u = opp.Model.lifespan in
   let p = opp.Model.interrupts in
@@ -406,102 +353,68 @@ let obtain_solver t params opp (planner : Engine.Planner.t) =
     Mutex.lock s.sollock;
     Fun.protect ~finally:(fun () -> Mutex.unlock s.sollock) f
   in
-  let counted = ref false in
-  let decision =
+  let resident =
     locked (fun () ->
-        let rec decide () =
-          s.sclock <- s.sclock + 1;
-          match Hashtbl.find_opt s.entries key with
-          | Some e ->
-            serve_resident_solver s e ~p;
-            `Served (e, key)
-          | None -> (
-            match Hashtbl.find_opt s.sflights key with
-            | Some fl ->
-              if not !counted then begin
-                s.scoalesced <- s.scoalesced + 1;
-                counted := true
-              end;
-              Condition.wait fl.fcond s.sollock;
-              decide ()
-            | None ->
-              Hashtbl.add s.sflights key { fcond = Condition.create () };
-              `Lead)
-        in
-        decide ())
+        s.sclock <- s.sclock + 1;
+        let found = Hashtbl.find_opt s.entries key in
+        Option.iter (fun e -> serve_resident_solver s e ~p) found;
+        found)
   in
-  match decision with
-  | `Served r -> r
-  | `Lead -> (
-    let clear_flight () =
-      match Hashtbl.find_opt s.sflights key with
-      | Some fl ->
-        Hashtbl.remove s.sflights key;
-        Condition.broadcast fl.fcond
-      | None -> ()
+  match resident with
+  | Some e -> (e, key)
+  | None ->
+    let banked = solver_from_bank t key params opp planner in
+    let solver =
+      match banked with
+      | Some solver -> solver
+      | None ->
+        let grid = Engine.Planner.default_grid ~u in
+        Engine.Planner.solver ?grid ?pool:t.pool planner params opp
     in
-    match
-      let banked = solver_from_bank t key params opp planner in
-      let solver =
-        match banked with
-        | Some solver -> solver
+    locked (fun () ->
+        s.sclock <- s.sclock + 1;
+        match Hashtbl.find_opt s.entries key with
+        | Some e ->
+          serve_resident_solver s e ~p;
+          (e, key)
         | None ->
-          let grid = Engine.Planner.default_grid ~u in
-          Engine.Planner.solver ?grid ?pool:t.pool planner params opp
-      in
-      (banked, solver)
-    with
-    | exception exn ->
-      locked (fun () -> clear_flight ());
-      raise exn
-    | banked, solver ->
-      locked (fun () ->
-          clear_flight ();
-          s.sclock <- s.sclock + 1;
-          match Hashtbl.find_opt s.entries key with
-          | Some e ->
-            (* Defensive: nothing inserts past the flight today, but a
-               raced-in resident entry would still win over ours. *)
-            serve_resident_solver s e ~p;
-            (e, key)
-          | None ->
-            (match banked with
-            | Some _ ->
-              (* No minimax state was expanded: the bank answered. *)
-              s.shits <- s.shits + 1
-            | None -> s.smisses <- s.smisses + 1);
-            while Hashtbl.length s.entries >= s.scapacity do
-              let victim = ref None in
-              Hashtbl.iter
-                (fun k e ->
-                  match !victim with
-                  | Some (_, best) when best.sused <= e.sused -> ()
-                  | _ -> victim := Some (k, e))
-                s.entries;
-              match !victim with
-              | Some (k, _) ->
-                Hashtbl.remove s.entries k;
-                s.sevictions <- s.sevictions + 1
-              | None -> ()
-            done;
-            let e =
-              {
-                solver;
-                slock = Mutex.create ();
-                sused = s.sclock;
-                covered_p =
-                  (if Option.is_some banked then
-                     fst (Game.Solver.capacity solver)
-                   else -1);
-                (* A bank-loaded memo is already on disk at exactly its
-                   rebuilt state count. *)
-                saved_states =
-                  (if Option.is_some banked then Game.Solver.states solver
-                   else 0);
-              }
-            in
-            Hashtbl.add s.entries key e;
-            (e, key)))
+          (match banked with
+          | Some _ ->
+            (* No minimax state was expanded: the bank answered. *)
+            s.shits <- s.shits + 1
+          | None -> s.smisses <- s.smisses + 1);
+          while Hashtbl.length s.entries >= s.scapacity do
+            let victim = ref None in
+            Hashtbl.iter
+              (fun k e ->
+                match !victim with
+                | Some (_, best) when best.sused <= e.sused -> ()
+                | _ -> victim := Some (k, e))
+              s.entries;
+            match !victim with
+            | Some (k, _) ->
+              Hashtbl.remove s.entries k;
+              s.sevictions <- s.sevictions + 1
+            | None -> ()
+          done;
+          let e =
+            {
+              solver;
+              slock = Mutex.create ();
+              sused = s.sclock;
+              covered_p =
+                (if Option.is_some banked then
+                   fst (Game.Solver.capacity solver)
+                 else -1);
+              (* A bank-loaded memo is already on disk at exactly its
+                 rebuilt state count. *)
+              saved_states =
+                (if Option.is_some banked then Game.Solver.states solver
+                 else 0);
+            }
+          in
+          Hashtbl.add s.entries key e;
+          (e, key))
 
 (* The evaluate-side twin of [mem]: a resident solver for this
    evaluation that has already answered at this budget or a larger
@@ -604,7 +517,6 @@ let bank t = t.bank
 type stats = {
   hits : int;
   misses : int;
-  coalesced : int;
   evictions : int;
   growths : int;
   resident : int;
@@ -614,7 +526,6 @@ type stats = {
   kernel : Dp.counters;
   solver_hits : int;
   solver_misses : int;
-  solver_coalesced : int;
   solver_evictions : int;
   solver_growths : int;
   solvers_resident : int;
@@ -634,7 +545,6 @@ let stats t =
         {
           hits = 0;
           misses = 0;
-          coalesced = 0;
           evictions = 0;
           growths = 0;
           resident = 0;
@@ -648,7 +558,6 @@ let stats t =
           kernel = Dp.counters ();
           solver_hits = s.shits;
           solver_misses = s.smisses;
-          solver_coalesced = s.scoalesced;
           solver_evictions = s.sevictions;
           solver_growths = s.sgrowths;
           solvers_resident = Hashtbl.length s.entries;
@@ -682,7 +591,6 @@ let stats t =
         solver_part with
         hits = tb.hits;
         misses = tb.misses;
-        coalesced = tb.coalesced;
         evictions = tb.evictions;
         growths = tb.growths;
         resident = Hashtbl.length tb.table;
@@ -704,7 +612,6 @@ let merge = function
           s with
           hits = acc.hits + s.hits;
           misses = acc.misses + s.misses;
-          coalesced = acc.coalesced + s.coalesced;
           evictions = acc.evictions + s.evictions;
           growths = acc.growths + s.growths;
           resident = acc.resident + s.resident;
@@ -715,7 +622,6 @@ let merge = function
             acc.resident_dense_bytes + s.resident_dense_bytes;
           solver_hits = acc.solver_hits + s.solver_hits;
           solver_misses = acc.solver_misses + s.solver_misses;
-          solver_coalesced = acc.solver_coalesced + s.solver_coalesced;
           solver_evictions = acc.solver_evictions + s.solver_evictions;
           solver_growths = acc.solver_growths + s.solver_growths;
           solvers_resident = acc.solvers_resident + s.solvers_resident;
@@ -728,7 +634,6 @@ let reset_counters t =
    with_lock tb (fun () ->
        tb.hits <- 0;
        tb.misses <- 0;
-       tb.coalesced <- 0;
        tb.evictions <- 0;
        tb.growths <- 0));
   (let s = t.solvers in
@@ -738,7 +643,6 @@ let reset_counters t =
      (fun () ->
        s.shits <- 0;
        s.smisses <- 0;
-       s.scoalesced <- 0;
        s.sevictions <- 0;
        s.sgrowths <- 0));
   Dp.reset_counters ();

@@ -14,15 +14,18 @@
     One mutex guards the table map with a logical-clock LRU.  Growth
     happens under the lock (single writer); previously obtained tables
     stay valid throughout — growth publishes a fresh snapshot and never
-    mutates published cells.  Cold solves are {e single-flight}: the
-    first caller for a missing [c] solves outside the lock while
-    concurrent duplicates park on an in-flight marker and adopt the
-    leader's published table (a hit plus a [coalesced] tick each), so
-    N simultaneous cold requests for one identity pay one solve and
-    never serialize N solves behind the mutex.  Concurrent lookups are
-    safe from any domain; cross-key concurrency at scale comes from
-    running several caches side by side, one per {!Router} shard —
-    placement (which requests share a cache) belongs to the router,
+    mutates published cells.  A cold solve runs outside the lock and
+    publishes under it, so other keys keep answering meanwhile.  The
+    cache does not deduplicate concurrent cold solves of one identity:
+    one solve per identity comes from the callers' structure —
+    {!Batch} fetches each identity once per batch, and in the daemon
+    one {!Router} shard worker owns each cache.  If two callers do race
+    one cold identity, the first published entry wins, the second
+    caller is served that entry, and its own result is dropped
+    unpersisted; answers are the same either way.  Concurrent lookups
+    are safe from any domain; cross-key concurrency at scale comes
+    from running several caches side by side, one per {!Router} shard
+    — placement (which requests share a cache) belongs to the router,
     not here.
 
     The cache also keeps {!Cyclesteal.Game.Solver}s resident for the
@@ -102,7 +105,11 @@ val find_or_solve : t -> c:int -> p:int -> l:int -> Cyclesteal.Dp.t
 (** The resident table for [c], guaranteed to cover the canonical
     bounds of [(c, p, l)]: served as-is on a hit, grown in place when
     the bounds exceed it, solved fresh (evicting the least-recently-
-    used table if full) when absent.  Thread- and domain-safe. *)
+    used table if full) when absent.  Thread- and domain-safe.  Two
+    concurrent calls for the same cold [c] may both solve; the first
+    to publish wins and the other is served the published table (a
+    hit when it covers), so [hits + misses] still counts one per
+    call. *)
 
 val mem : t -> key -> bool
 (** Presence probe: is a resident table covering [key] held right now?
@@ -147,10 +154,6 @@ type stats = {
   hits : int;  (** lookups fully served from a resident table *)
   misses : int;
       (** solve work paid, whether a fresh solve or a grow *)
-  coalesced : int;
-      (** lookups that joined an in-flight solve instead of paying (or
-          waiting for the lock behind) their own; each also counts as
-          a hit once the leader's table is adopted *)
   evictions : int;
   growths : int;
       (** in-place grows: misses that reused a solved prefix instead of
@@ -170,9 +173,6 @@ type stats = {
           copy instead of summing. *)
   solver_hits : int;  (** evaluations served by a resident solver *)
   solver_misses : int;  (** evaluations that created a solver *)
-  solver_coalesced : int;
-      (** evaluations that joined an in-flight solver build instead of
-          expanding their own copy of the minimax tree *)
   solver_evictions : int;
   solver_growths : int;
       (** state-only hits whose larger budget grew the resident memo *)

@@ -424,11 +424,12 @@ let handle ?cache req =
    finer than [shard_key] (which keeps all ops of one (c, u) together
    for residency): dp queries group per table [c], named-policy
    evaluations group per resident-solver identity, which is
-   (c, u, policy) plus p unless the planner is state_only (the solver
-   cache collapses budgets for those — mirror of [Cache]'s solver
-   key).  [None] for everything else — pure compute, custom-periods
-   evaluations (fresh solver per request), unknown policies (they
-   error per-request), placement-free ops — which the batch engine
+   (c, u, planner name) plus p unless the planner is state_only — the
+   mirror of [Cache]'s solver key, so policy aliases ("fixed-chunk",
+   "fixed_chunk") share one group as they share one solver.  [None]
+   for everything else — pure compute, custom-periods evaluations
+   (fresh solver per request), unknown policies (they error
+   per-request), placement-free ops — which the batch engine
    evaluates as singletons. *)
 let cache_group = function
   | Dp_query { c_ticks; _ } -> Some (dp_shard_key ~c_ticks)
@@ -436,7 +437,8 @@ let cache_group = function
     (match Engine.Registry.find policy with
      | planner ->
        let sp = if planner.Engine.Planner.state_only then -1 else p in
-       Some (Printf.sprintf "ev:%h:%h:%s:%d" c u policy sp)
+       Some
+         (Printf.sprintf "ev:%h:%h:%s:%d" c u planner.Engine.Planner.name sp)
      | exception _ -> None)
   | Advise _ | Schedule _ | Evaluate _ | Strategies | Stats _ -> None
 

@@ -70,8 +70,9 @@ val dp_shard_key : c_ticks:int -> string
 val cache_group : request -> string option
 (** The cache-state identity the request's evaluation takes a lock
     for, finer than {!shard_key}: one key per dp table ([c_ticks]) and
-    per resident-solver identity ([(c, u, policy)] plus [p] unless the
-    planner is state-only, mirroring {!Cache}'s solver key).  The
+    per resident-solver identity ([(c, u)], the planner's canonical
+    name — so aliases share a group — plus [p] unless the planner is
+    state-only, mirroring {!Cache}'s solver key).  The
     batch engine groups a batch by this so each group takes the cache
     once — one table fetch, one resident-solver hold — instead of once
     per request.  [None] for requests that take no cache lock (pure

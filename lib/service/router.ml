@@ -28,8 +28,10 @@
    Inline outcomes are recorded in the owner's stats family, so
    per-shard counts reflect placement wherever a sub-batch ran.  The
    probe is advisory: a table evicted between probe and answer is
-   filled by the connection worker under the cache's locks and
-   single-flight — rare, slower, and byte-identical.
+   filled by the connection worker under the cache's locks — rare,
+   slower, and byte-identical; if the owner fills the same c
+   meanwhile, the first published table wins and the race costs one
+   redundant solve at most.
 
    Placement.  Rendezvous (highest-random-weight) hashing over the
    canonical placement key (Protocol.shard_key): score every (key,

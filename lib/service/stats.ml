@@ -177,7 +177,6 @@ let shard_json t ~shard ~restarts ~cache:(c : Cache.stats) =
               [
                 ("hits", Json.Int c.Cache.hits);
                 ("misses", Json.Int c.Cache.misses);
-                ("coalesced", Json.Int c.Cache.coalesced);
                 ("evictions", Json.Int c.Cache.evictions);
                 ("growths", Json.Int c.Cache.growths);
                 ("tables_resident", Json.Int c.Cache.resident);
@@ -188,7 +187,6 @@ let shard_json t ~shard ~restarts ~cache:(c : Cache.stats) =
               [
                 ("hits", Json.Int c.Cache.solver_hits);
                 ("misses", Json.Int c.Cache.solver_misses);
-                ("coalesced", Json.Int c.Cache.solver_coalesced);
                 ("evictions", Json.Int c.Cache.solver_evictions);
                 ("growths", Json.Int c.Cache.solver_growths);
                 ("solvers_resident", Json.Int c.Cache.solvers_resident);
@@ -215,7 +213,6 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
               [
                 ("hits", Json.Int c.Cache.hits);
                 ("misses", Json.Int c.Cache.misses);
-                ("coalesced", Json.Int c.Cache.coalesced);
                 ("evictions", Json.Int c.Cache.evictions);
                 ("growths", Json.Int c.Cache.growths);
                 ("tables_resident", Json.Int c.Cache.resident);
@@ -240,7 +237,6 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
               [
                 ("hits", Json.Int c.Cache.solver_hits);
                 ("misses", Json.Int c.Cache.solver_misses);
-                ("coalesced", Json.Int c.Cache.solver_coalesced);
                 ("evictions", Json.Int c.Cache.solver_evictions);
                 ("growths", Json.Int c.Cache.solver_growths);
                 ("solvers_resident", Json.Int c.Cache.solvers_resident);
@@ -349,7 +345,6 @@ let summary ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
       add "bytes served" (string_of_int t.bytes_served);
       add "cache hits" (string_of_int c.Cache.hits);
       add "cache misses" (string_of_int c.Cache.misses);
-      add "cache coalesced" (string_of_int c.Cache.coalesced);
       add "cache evictions" (string_of_int c.Cache.evictions);
       add "cache growths" (string_of_int c.Cache.growths);
       add "tables resident" (string_of_int c.Cache.resident);
@@ -367,7 +362,6 @@ let summary ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
       add "kernel bp rows" (string_of_int k.Cyclesteal.Dp.bp_rows);
       add "solver hits" (string_of_int c.Cache.solver_hits);
       add "solver misses" (string_of_int c.Cache.solver_misses);
-      add "solver coalesced" (string_of_int c.Cache.solver_coalesced);
       add "solver evictions" (string_of_int c.Cache.solver_evictions);
       add "solver growths" (string_of_int c.Cache.solver_growths);
       add "solvers resident" (string_of_int c.Cache.solvers_resident);

@@ -54,8 +54,11 @@ done
 # takes.  So lib/service fans out at exactly one site: the group
 # fan-out of a batch with fill, grow or solver-build work
 # (lib/service/batch.ml).  Anything else — per-line parsing in
-# particular — runs on the calling domain.
-for f in $(find lib/service -type f -name '*.ml' | sort); do
+# particular — runs on the calling domain.  The binaries fan out at
+# no site at all: a sweep of cache work (csched precompute) goes
+# through Service.Batch, which fetches each cache identity once, so
+# no two of its jobs race one cold identity.
+for f in $(find lib/service bin -type f -name '*.ml' | sort); do
   case "$f" in
     lib/service/batch.ml) allowed=1 ;;
     *) allowed=0 ;;
@@ -88,15 +91,15 @@ done
 # Blocking-coordination gate: Mutex+Condition park/wake protocols are
 # easy to get wrong (missed wakeups, waits outside the predicate
 # loop), so they live only in the audited sites: the pool's worker
-# parking (lib/util/par.ml), the cache's single-flight registries and
-# bank write-behind (lib/service/cache.ml), the router's shard
-# channels and watchdog (lib/service/router.ml), the server's
-# connection-slot accounting (lib/service/server.ml), and the DP
-# kernel's wavefront barrier (lib/core/dp.ml).  Everywhere else,
-# coordinate through those layers — a fresh condvar protocol needs a
-# review and a line here.
-condition_allowlist="lib/util/par.ml lib/service/cache.ml \
-lib/service/router.ml lib/service/server.ml lib/core/dp.ml"
+# parking (lib/util/par.ml), the router's shard channels and watchdog
+# (lib/service/router.ml), the server's connection-slot accounting
+# (lib/service/server.ml), and the DP kernel's wavefront barrier
+# (lib/core/dp.ml).  The cache parks nobody: its mutexes only guard
+# metadata, and one solve per identity comes from Batch grouping and
+# shard ownership.  Everywhere else, coordinate through those layers —
+# a fresh condvar protocol needs a review and a line here.
+condition_allowlist="lib/util/par.ml lib/service/router.ml \
+lib/service/server.ml lib/core/dp.ml"
 
 for f in $(find lib bin test bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' \) | sort); do
@@ -104,7 +107,7 @@ for f in $(find lib bin test bench examples -type f \
     *" $f "*) continue ;;
   esac
   if grep -nE 'Condition\.' "$f" >/dev/null 2>&1; then
-    echo "coordination: Condition.* in $f (coordinate through Pool/Cache/Router/Server):" >&2
+    echo "coordination: Condition.* in $f (coordinate through Pool/Router/Server):" >&2
     grep -nE 'Condition\.' "$f" | head -3 >&2
     fail=1
   fi
