@@ -34,6 +34,36 @@ let heading title =
   let bar = String.make (String.length title) '=' in
   Printf.printf "%s\n%s\n\n" title bar
 
+(* Durations are read on the monotonic clock: the wall clock steps
+   under NTP, and an interval measured across a step is garbage. *)
+let time f =
+  let t0 = Csutil.Clock.now () in
+  let v = f () in
+  (Csutil.Clock.now () -. t0, v)
+
+(* The fastest of [runs] timed calls, with that call's result. *)
+let time_min ~runs f =
+  let best = ref infinity and out = ref None in
+  for _ = 1 to runs do
+    let dt, v = time f in
+    if dt < !best then begin
+      best := dt;
+      out := Some v
+    end
+  done;
+  (!best, Option.get !out)
+
+(* The end of a [--quick] runtest smoke started at [t0]: the seconds it
+   took, or exit 1 past the generous 120 s bound that only a badly
+   broken kernel (or machine) blows. *)
+let quick_elapsed ~what t0 =
+  let dt = Csutil.Clock.now () -. t0 in
+  if dt > 120. then begin
+    Printf.eprintf "bench %s exceeded its 120 s bound: %.1f s\n" what dt;
+    exit 1
+  end;
+  dt
+
 (* --- Table 1 ------------------------------------------------------------ *)
 
 (* The paper's Table 1 is symbolic; we instantiate it for a concrete
@@ -856,21 +886,16 @@ let service_bench () =
           })
   in
   let n = List.length queries in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let answer ?cache () =
     List.iter
       (fun q -> ignore (Service.Protocol.handle ?cache q))
       queries
   in
-  let cold = time (fun () -> answer ()) in
+  let cold, () = time (fun () -> answer ()) in
   let cache = Service.Cache.create ~capacity:16 () in
   (* Warm the cache with one untimed pass, then measure the steady state. *)
   answer ~cache ();
-  let warm = time (fun () -> answer ~cache ()) in
+  let warm, () = time (fun () -> answer ~cache ()) in
   let s = Service.Cache.stats cache in
   let t =
     Csutil.Table.create
@@ -906,16 +931,6 @@ let service_bench () =
 let growth_bench () =
   heading "DP store -- in-place growth vs fresh solve";
   let c = 10 in
-  let time_min f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let t =
     Csutil.Table.create
       ~title:(Printf.sprintf "c = %d ticks; min of 5 runs" c)
@@ -931,8 +946,8 @@ let growth_bench () =
   in
   List.iter
     (fun (label, (p0, l0), (p1, l1)) ->
-       let fresh =
-         time_min (fun () -> ignore (Dp.solve ~c ~max_p:p1 ~max_l:l1))
+       let fresh, _ =
+         time_min ~runs:5 (fun () -> Dp.solve ~c ~max_p:p1 ~max_l:l1)
        in
        (* Each grow needs a fresh base (growth is in place), so the base
           solve happens outside the timed window. *)
@@ -942,9 +957,8 @@ let growth_bench () =
        let grow =
          List.fold_left
            (fun best dp ->
-              let t0 = Unix.gettimeofday () in
-              Dp.grow dp ~max_p:p1 ~max_l:l1;
-              Float.min best (Unix.gettimeofday () -. t0))
+              let dt, () = time (fun () -> Dp.grow dp ~max_p:p1 ~max_l:l1) in
+              Float.min best dt)
            infinity bases
        in
        (* The grown table must agree with a fresh solve everywhere. *)
@@ -994,19 +1008,6 @@ let assert_tables_equal ~what a b =
       end
     done
   done
-
-let time_min ~runs f =
-  let best = ref infinity and out = ref None in
-  for _ = 1 to runs do
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then begin
-      best := dt;
-      out := Some v
-    end
-  done;
-  (!best, Option.get !out)
 
 (* One instance through the fill kernel: the exhaustive scalar
    reference, the equalization-crossing monotone-dc fill, and
@@ -1128,7 +1129,7 @@ let dp_kernel_instance ~pool ~scalar_runs (c, max_p, max_l) =
    wavefront fills == reference on a fixed mid-size instance and
    finishes under a generous bound; no JSON is written. *)
 let dp_kernel_quick () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Csutil.Clock.now () in
   let c = 10 and max_p = 8 and max_l = 10000 in
   let reference = Dp.Ref.solve ~c ~max_p ~max_l in
   let mono = Dp.solve ~c ~max_p ~max_l in
@@ -1140,13 +1141,7 @@ let dp_kernel_quick () =
          must have exercised the parallel fill, not just fallen back. *)
       assert ((Dp.counters ()).Dp.parallel_fills = 1);
       assert_tables_equal ~what:"parallel vs reference" par reference);
-  let dt = Unix.gettimeofday () -. t0 in
-  (* Generous: the three solves take well under a second; only a badly
-     broken kernel (or machine) blows this. *)
-  if dt > 120. then begin
-    Printf.eprintf "bench dp --quick exceeded its 120 s bound: %.1f s\n" dt;
-    exit 1
-  end;
+  let dt = quick_elapsed ~what:"dp --quick" t0 in
   Printf.printf
     "dp --quick: sequential and wavefront monotone-dc fills match the \
      reference on\n\
@@ -1290,7 +1285,7 @@ let dp_adversarial_bench () =
    assertion here: a loaded CI host makes sub-second timing
    comparisons flaky; the candidate counts are deterministic.) *)
 let dp_adversarial_quick () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Csutil.Clock.now () in
   let c = 1 and max_p = 32 and max_l = 4000 in
   let reference = Dp.Ref.solve ~c ~max_p ~max_l in
   Dp.reset_counters ();
@@ -1309,12 +1304,7 @@ let dp_adversarial_quick () =
     Printf.eprintf "dp --adversarial --quick: no dc_splits recorded\n";
     exit 1
   end;
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf
-      "bench dp --adversarial --quick exceeded its 120 s bound: %.1f s\n" dt;
-    exit 1
-  end;
+  let dt = quick_elapsed ~what:"dp --adversarial --quick" t0 in
   Printf.printf
     "dp --adversarial --quick: monotone-dc matches the reference on (c=%d, \
      p<=%d, L<=%d)\n\
@@ -1445,18 +1435,13 @@ let dp_skew_bench () =
 (* Skew smoke for runtest: the two schedules must agree cell-for-cell
    on a small skewed batch, inside a generous bound. *)
 let dp_skew_quick () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Csutil.Clock.now () in
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
       let solves =
         dp_skew_solves ~giant:(1, 16, 6000) ~tiny:12
       in
       ignore (dp_skew_run ~runs:1 ~pool solves));
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf "bench dp --skew --quick exceeded its 120 s bound: %.1f s\n"
-      dt;
-    exit 1
-  end;
+  let dt = quick_elapsed ~what:"dp --skew --quick" t0 in
   Printf.printf
     "dp --skew --quick: stealing and static-stripe schedules cell-identical \
      on a skewed batch; %.2f s\n"
@@ -1658,14 +1643,10 @@ let game_service_series ~pool =
    instance (including at least one parallel fan-out) and finishes
    under a generous bound; no JSON is written. *)
 let game_solver_quick () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Csutil.Clock.now () in
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
       ignore (game_instance ~pool ~runs:1 (1., 600., 2, 0.25)));
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf "bench game --quick exceeded its 120 s bound: %.1f s\n" dt;
-    exit 1
-  end;
+  let dt = quick_elapsed ~what:"game --quick" t0 in
   Printf.printf
     "game --quick: flat and parallel solvers replay the seed\n\
      evaluation bit-identically; %.2f s\n" dt
@@ -1692,774 +1673,6 @@ let game_solver_bench ?(out = "BENCH_game.json") () =
       output_char oc '\n';
       close_out oc;
       Printf.printf "wrote %s\n\n" out)
-
-(* --- Serving throughput: serial vs concurrent vs sharded ------------------ *)
-
-(* A load generator for the cschedd socket front end (DESIGN.md S19).
-   K clients run P passes of a deterministic request script against an
-   in-process server over a Unix-domain socket, pipelining with a
-   bounded outstanding window.  The series vary connection concurrency,
-   shard count, placement skew and the response cache; the first series of
-   every instance is the serial server (max_conns = 1, one shard),
-   checked line by line against direct [Protocol.handle], and every
-   other series must deliver each client the serial server's bytes, so
-   the speedups are apples to apples.  Pass 0 is the cold-cache run;
-   later passes measure the warm path. *)
-
-(* One client pass: connect, send the script as window-sized pipelined
-   groups (one write syscall per group, so client-side overhead does
-   not drown the per-request server cost being measured), read every
-   response, close.  [groups] is an array of (payload, line count). *)
-let serve_client_pass ~path ~groups =
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-       Unix.connect sock (Unix.ADDR_UNIX path);
-       let out = Buffer.create 65536 in
-       let chunk = Bytes.create 65536 in
-       let received = ref 0 in
-       let recv_some () =
-         match Unix.read sock chunk 0 (Bytes.length chunk) with
-         | 0 -> failwith "bench serve: server closed the connection early"
-         | n ->
-           for j = 0 to n - 1 do
-             if Bytes.get chunk j = '\n' then incr received
-           done;
-           Buffer.add_subbytes out chunk 0 n
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       in
-       let send payload =
-         let len = String.length payload in
-         let off = ref 0 in
-         while !off < len do
-           match Unix.write_substring sock payload !off (len - !off) with
-           | n -> off := !off + n
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         done
-       in
-       let target = ref 0 in
-       Array.iter
-         (fun (payload, count) ->
-            send payload;
-            target := !target + count;
-            while !received < !target do
-              recv_some ()
-            done)
-         groups;
-       Buffer.contents out)
-
-(* Chop one client's script into pipelined groups of [window] request
-   lines, each group pre-joined into a single write payload. *)
-let serve_groups ~window script =
-  let n = Array.length script in
-  let ngroups = (n + window - 1) / window in
-  Array.init ngroups (fun g ->
-      let lo = g * window in
-      let hi = min n (lo + window) in
-      let b = Buffer.create 4096 in
-      for i = lo to hi - 1 do
-        Buffer.add_string b script.(i);
-        Buffer.add_char b '\n'
-      done;
-      (Buffer.contents b, hi - lo))
-
-type serve_result = {
-  pass_seconds : float array;
-  outputs : string array;  (* per client; verified identical across passes *)
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  served : int;
-  io_errors : int;
-  cache : Service.Cache.stats;  (* merged across shards, end of run *)
-  resp : Service.Resp_cache.stats option;  (* with ~resp_cache only *)
-}
-
-(* Run one series: a fresh server and cache, [passes] supervised rounds
-   of all clients at once.  Slot 0 of the orchestration pool releases
-   passes and times them, slot 1 runs the server, the rest are clients.
-   Everything joins through the pool, so a failing client can never
-   leave the server running. *)
-let serve_run ~max_conns ~shards ?(resp_cache = 0) ~scripts ~passes ~window
-    () =
-  let clients = Array.length scripts in
-  let grouped = Array.map (serve_groups ~window) scripts in
-  let dir = Filename.temp_file "cschedd_bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let path = Filename.concat dir "s.sock" in
-  let rc =
-    if resp_cache = 0 then None
-    else Some (Service.Resp_cache.create ~capacity:resp_cache)
-  in
-  let on_grow = Option.map (fun r c -> Service.Resp_cache.invalidate r ~c) rc in
-  let router = Service.Router.create ~shards ?on_grow ~capacity:32 () in
-  let server = Service.Server.create ~max_conns ?resp_cache:rc ~router () in
-  let pass_seconds = Array.make passes 0. in
-  let outputs = Array.make_matrix passes clients "" in
-  let go = Atomic.make 0 in
-  let finished = Atomic.make 0 in
-  let failed = Atomic.make false in
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Router.shutdown router;
-      try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ())
-    (fun () ->
-       Csutil.Par.Pool.with_pool ~domains:(clients + 2) (fun pool ->
-           Csutil.Par.Pool.run pool (fun slot ->
-               if slot = 0 then
-                 Fun.protect
-                   ~finally:(fun () ->
-                     Service.Server.request_stop server;
-                     (* Unblock the accept loop. *)
-                     try
-                       let poke = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-                       Unix.connect poke (Unix.ADDR_UNIX path);
-                       Unix.close poke
-                     with Unix.Unix_error _ -> ())
-                   (fun () ->
-                      let rec wait_socket tries =
-                        if tries = 0 then
-                          failwith "bench serve: socket never appeared"
-                        else if Sys.file_exists path then ()
-                        else begin
-                          Unix.sleepf 0.005;
-                          wait_socket (tries - 1)
-                        end
-                      in
-                      wait_socket 2000;
-                      for k = 0 to passes - 1 do
-                        let t0 = Unix.gettimeofday () in
-                        Atomic.set go (k + 1);
-                        while
-                          Atomic.get finished < (k + 1) * clients
-                          && not (Atomic.get failed)
-                        do
-                          Unix.sleepf 0.001
-                        done;
-                        pass_seconds.(k) <- Unix.gettimeofday () -. t0
-                      done)
-               else if slot = 1 then Service.Server.serve_socket server ~path
-               else begin
-                 let i = slot - 2 in
-                 try
-                   for k = 0 to passes - 1 do
-                     while Atomic.get go < k + 1 && not (Atomic.get failed) do
-                       Unix.sleepf 0.0005
-                     done;
-                     if not (Atomic.get failed) then begin
-                       outputs.(k).(i) <-
-                         serve_client_pass ~path ~groups:grouped.(i);
-                       ignore (Atomic.fetch_and_add finished 1)
-                     end
-                   done
-                 with e ->
-                   Atomic.set failed true;
-                   raise e
-               end)));
-  (* Each pass must produce the same bytes per client: responses are
-     deterministic, so cold-vs-warm may only differ in timing. *)
-  for k = 1 to passes - 1 do
-    for i = 0 to clients - 1 do
-      if not (String.equal outputs.(k).(i) outputs.(0).(i)) then begin
-        Printf.eprintf
-          "bench serve: client %d pass %d bytes differ from pass 0\n" i k;
-        exit 1
-      end
-    done
-  done;
-  let stats = Service.Server.stats server in
-  let expected =
-    passes * Array.fold_left (fun a s -> a + Array.length s) 0 scripts
-  in
-  let served = Service.Stats.requests stats in
-  if served <> expected then begin
-    Printf.eprintf "bench serve: served %d of %d requests\n" served expected;
-    exit 1
-  end;
-  let p50, p90, p99 =
-    match Service.Stats.percentiles stats with
-    | Some q -> q
-    | None ->
-      Printf.eprintf "bench serve: no latency histogram recorded\n";
-      exit 1
-  in
-  {
-    pass_seconds;
-    outputs = outputs.(0);
-    p50;
-    p90;
-    p99;
-    served;
-    io_errors = Service.Stats.io_errors stats;
-    cache = Service.Router.cache_stats router;
-    resp = Option.map Service.Resp_cache.stats rc;
-  }
-
-(* The serving oracle: every script line parsed and answered by direct
-   [Protocol.handle] (no cache, no batching, no daemon), compared line
-   by line with what the serial server sent each client. *)
-let check_direct ~what ~scripts (r : serve_result) =
-  Array.iteri
-    (fun i script ->
-       let got = Array.of_list (String.split_on_char '\n' r.outputs.(i)) in
-       Array.iteri
-         (fun j line ->
-            let e = Service.Protocol.parse_line line in
-            let result =
-              Result.bind e.Service.Protocol.request (fun req ->
-                  Service.Protocol.handle req)
-            in
-            let want =
-              Service.Protocol.response_to_string ~id:e.Service.Protocol.id
-                result
-            in
-            if j >= Array.length got || not (String.equal got.(j) want)
-            then begin
-              Printf.eprintf
-                "%s: client %d line %d differs between the serial server and \
-                 direct Protocol.handle\n"
-                what i j;
-              exit 1
-            end)
-         script)
-    scripts
-
-(* Byte identity across series: every client reads the baseline's
-   bytes, whatever the concurrency, shard count or response cache. *)
-let check_same_bytes ~what ~base_name (base : serve_result) results =
-  List.iter
-    (fun (name, (r : serve_result)) ->
-       Array.iteri
-         (fun i out ->
-            if not (String.equal out base.outputs.(i)) then begin
-              Printf.eprintf "%s: client %d bytes differ between %s and %s\n"
-                what i name base_name;
-              exit 1
-            end)
-         r.outputs)
-    results
-
-(* Skewed traffic: every request's placement key hashes onto ONE shard
-   of [shards].  Warm, every sub-batch is resident and answered by the
-   connection workers against the hot shard's cache, so the idle
-   siblings cost nothing; cold, the hot shard's worker serializes the
-   fills.  Ids never enter the
-   placement key, so probing each candidate tuple once with id 0 stands
-   for every request built from it. *)
-let hot_shard_scripts ~shards ~clients ~reqs =
-  let line ~id t =
-    Printf.sprintf {|{"id":%d,"op":"advise","c":%d,"u":%d,"p":%d}|} id
-      ((t mod 4) + 1)
-      (500 + (211 * (t mod 7)))
-      ((t mod 3) + 1)
-  in
-  let shard_of l =
-    match (Service.Protocol.parse_line l).Service.Protocol.request with
-    | Ok req -> (
-        match Service.Protocol.shard_key req with
-        | Some key -> Service.Router.place ~shards key
-        | None -> -1)
-    | Error _ -> -1
-  in
-  let candidates = List.init 84 (fun t -> (t, shard_of (line ~id:0 t))) in
-  let hot =
-    let counts = Array.make shards 0 in
-    List.iter
-      (fun (_, s) -> if s >= 0 then counts.(s) <- counts.(s) + 1)
-      candidates;
-    let best = ref 0 in
-    Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
-    !best
-  in
-  let tuples =
-    List.filter_map (fun (t, s) -> if s = hot then Some t else None) candidates
-    |> Array.of_list
-  in
-  Array.init clients (fun i ->
-      Array.init reqs (fun k ->
-          let t = tuples.(((37 * i) + k) mod Array.length tuples) in
-          line ~id:((1_000_000 * (i + 1)) + k) t))
-
-(* Warm-cache advise traffic: 16 distinct parameter tuples, so pass 0
-   pays the solves and every later pass hits the caches. *)
-let advise_scripts ~clients ~reqs =
-  Array.init clients (fun i ->
-      Array.init reqs (fun k ->
-          let t = ((37 * i) + k) mod 16 in
-          Printf.sprintf {|{"id":%d,"op":"advise","c":%d,"u":%d,"p":%d}|}
-            ((1_000_000 * (i + 1)) + k)
-            ((t mod 4) + 1)
-            (500 + (211 * (t / 4)))
-            ((t mod 3) + 1)))
-
-(* Mixed traffic: advise, dp and evaluate over a handful of tuples. *)
-let mixed_scripts ~clients ~reqs =
-  Array.init clients (fun i ->
-      Array.init reqs (fun k ->
-          let id = (1_000_000 * (i + 1)) + k in
-          match k mod 3 with
-          | 0 ->
-            Printf.sprintf {|{"id":%d,"op":"advise","c":%d,"u":%d,"p":%d}|}
-              id
-              ((k mod 3) + 1)
-              (400 + (157 * (k mod 4)))
-              ((k mod 2) + 1)
-          | 1 ->
-            Printf.sprintf {|{"id":%d,"op":"dp","c_ticks":%d,"l":%d,"p":%d}|}
-              id
-              (4 + (k mod 2))
-              (200 + (73 * (k mod 5)))
-              ((k mod 3) + 1)
-          | _ ->
-            Printf.sprintf
-              {|{"id":%d,"op":"evaluate","c":1,"u":%d,"p":%d,"policy":"nonadaptive"}|}
-              id
-              (60 + (19 * (k mod 4)))
-              ((k mod 2) + 1)))
-
-(* The warm figure is the best pass after the cold one — the steady
-   state a long-lived daemon serves from. *)
-let warm_seconds r =
-  let w = ref infinity in
-  for k = 1 to Array.length r.pass_seconds - 1 do
-    if r.pass_seconds.(k) < !w then w := r.pass_seconds.(k)
-  done;
-  if !w = infinity then r.pass_seconds.(0) else !w
-
-(* The default series ladder: connection concurrency, then shard
-   scaling.  On a multi-core host warm req/s should grow to K=4; a
-   single-core host records the routing overhead honestly. *)
-let serve_default_specs conc =
-  [
-    ("serial_lean", 1, 1);
-    ("concurrent_lean", conc, 1);
-    ("sharded_k1", conc, 1);
-    ("sharded_k2", conc, 2);
-    ("sharded_k4", conc, 4);
-    ("sharded_k8", conc, 8);
-  ]
-
-(* The skewed ladder: every request hashes to one shard of four, so
-   only that shard's cache and worker see traffic. *)
-let serve_skew_specs conc =
-  [ ("serial_lean", 1, 1); ("hot_pinned_k4", conc, 4) ]
-
-(* [specs] rows are (series name, max_conns, shards); the first row is
-   the serial byte-identity baseline, [headline_name] picks the series
-   quoted in the headline line. *)
-let serve_instance ~label ~specs ~headline_name ~scripts ~passes ~window =
-  let clients = Array.length scripts in
-  let reqs_per_pass =
-    Array.fold_left (fun a s -> a + Array.length s) 0 scripts
-  in
-  let results =
-    List.map
-      (fun (name, mc, k) ->
-         (name, mc, k, serve_run ~max_conns:mc ~shards:k ~scripts ~passes ~window ()))
-      specs
-  in
-  let base_name, _, _, baseline = List.hd results in
-  check_direct ~what:"bench serve" ~scripts baseline;
-  check_same_bytes ~what:"bench serve" ~base_name baseline
-    (List.map (fun (name, _, _, r) -> (name, r)) (List.tl results));
-  let base_warm = warm_seconds baseline in
-  let frps = float_of_int reqs_per_pass in
-  let series =
-    List.map
-      (fun (name, mc, k, r) ->
-         let warm = warm_seconds r in
-         Service.Json.Obj
-           ([
-             ("series", Service.Json.String name);
-             ("max_conns", Service.Json.Int mc);
-             ("shards", Service.Json.Int k);
-             ("cold_seconds", Service.Json.Float r.pass_seconds.(0));
-             ("warm_seconds", Service.Json.Float warm);
-             ("cold_rps", Service.Json.Float (frps /. r.pass_seconds.(0)));
-             ("warm_rps", Service.Json.Float (frps /. warm));
-             ( "speedup_vs_baseline",
-               Service.Json.Float (base_warm /. warm) );
-             ("p50_s", Service.Json.Float r.p50);
-             ("p90_s", Service.Json.Float r.p90);
-             ("p99_s", Service.Json.Float r.p99);
-             ("requests", Service.Json.Int r.served);
-             ("io_errors", Service.Json.Int r.io_errors);
-           ]
-           @ domain_fields ()))
-      results
-  in
-  let headline =
-    let _, _, _, hr =
-      List.find (fun (n, _, _, _) -> String.equal n headline_name) results
-    in
-    base_warm /. warm_seconds hr
-  in
-  let t =
-    Csutil.Table.create
-      ~title:
-        (Printf.sprintf
-           "%s -- %d clients x %d requests, window %d (%d passes)" label
-           clients (reqs_per_pass / clients) window passes)
-      ~aligns:Csutil.Table.[ Left; Right; Right; Right; Right; Right; Right ]
-      [
-        "series"; "cold s"; "warm s"; "warm req/s"; "speedup"; "p50 us";
-        "p99 us";
-      ]
-  in
-  List.iter
-    (fun (name, _, _, r) ->
-       let warm = warm_seconds r in
-       Csutil.Table.add_row t
-         [
-           name;
-           Csutil.Table.cell_float ~prec:4 r.pass_seconds.(0);
-           Csutil.Table.cell_float ~prec:4 warm;
-           Printf.sprintf "%.3g" (frps /. warm);
-           Printf.sprintf "%.1fx" (base_warm /. warm);
-           Printf.sprintf "%.1f" (1e6 *. r.p50);
-           Printf.sprintf "%.1f" (1e6 *. r.p99);
-         ])
-    results;
-  emit t;
-  Printf.printf "headline: %s vs %s, warm: %.1fx\n\n" headline_name base_name
-    headline;
-  Service.Json.Obj
-    [
-      ("workload", Service.Json.String label);
-      ("clients", Service.Json.Int clients);
-      ("requests_per_client", Service.Json.Int (reqs_per_pass / clients));
-      ("passes", Service.Json.Int passes);
-      ("window", Service.Json.Int window);
-      ("series", Service.Json.List series);
-      ("headline_speedup", Service.Json.Float headline);
-    ]
-
-(* Quick mode: the runtest smoke.  Two interleaved clients of mixed
-   traffic against the serial server (checked against direct
-   [Protocol.handle]), the concurrent server and a two-shard router,
-   which must read the serial server's bytes, inside a generous bound;
-   no JSON. *)
-let serve_quick () =
-  let t0 = Unix.gettimeofday () in
-  let scripts = mixed_scripts ~clients:2 ~reqs:50 in
-  let run ~max_conns ~shards =
-    serve_run ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
-  in
-  let base = run ~max_conns:1 ~shards:1 in
-  let conc = run ~max_conns:2 ~shards:1 in
-  let sharded = run ~max_conns:2 ~shards:2 in
-  check_direct ~what:"serve --quick" ~scripts base;
-  check_same_bytes ~what:"serve --quick" ~base_name:"serial" base
-    [ ("concurrent", conc); ("sharded k=2", sharded) ];
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf "bench serve --quick exceeded its 120 s bound: %.1f s\n" dt;
-    exit 1
-  end;
-  Printf.printf
-    "serve --quick: concurrent and two-shard servers byte-identical to the\n\
-     serial server, itself equal to direct Protocol.handle, across %d \
-     interleaved clients (%d requests); %.2f s\n"
-    (Array.length scripts)
-    (base.served + conc.served + sharded.served)
-    dt
-
-(* The skewed instance alone, without rewriting BENCH_service.json. *)
-let serve_skew_bench () =
-  heading "Skewed serving -- every request hashes to one shard of four";
-  let conc = 8 in
-  ignore
-    (serve_instance ~label:"hot_shard" ~specs:(serve_skew_specs conc)
-       ~headline_name:"hot_pinned_k4"
-       ~scripts:(hot_shard_scripts ~shards:4 ~clients:conc ~reqs:400)
-       ~passes:2 ~window:64)
-
-(* CI smoke for the skew path: a 4-shard router on hot-shard-only
-   traffic must read the serial server's bytes (checked against direct
-   [Protocol.handle]), inside a generous bound; no JSON. *)
-let serve_skew_quick () =
-  let t0 = Unix.gettimeofday () in
-  let scripts = hot_shard_scripts ~shards:4 ~clients:2 ~reqs:60 in
-  let run ~max_conns ~shards =
-    serve_run ~max_conns ~shards ~scripts ~passes:2 ~window:16 ()
-  in
-  let base = run ~max_conns:1 ~shards:1 in
-  let pinned = run ~max_conns:2 ~shards:4 in
-  check_direct ~what:"serve --skew --quick" ~scripts base;
-  check_same_bytes ~what:"serve --skew --quick" ~base_name:"serial" base
-    [ ("hot pinned k=4", pinned) ];
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf
-      "bench serve --skew --quick exceeded its 120 s bound: %.1f s\n" dt;
-    exit 1
-  end;
-  Printf.printf
-    "serve --skew --quick: a 4-shard router byte-identical to the serial\n\
-     server on hot-shard traffic (%d requests); %.2f s\n"
-    (base.served + pinned.served)
-    dt
-
-(* --- Thundering herd: duplicate requests against cold state --------------- *)
-
-(* Herd traffic (DESIGN.md S23): every client sends the same script — a
-   handful of distinct cold identities, each repeated — with ids fixed
-   across clients, so the series exercise all three collapse layers at
-   once: batch grouping folds repeats inside a batch into one cache
-   acquisition, the router's shard worker owns each cache so concurrent
-   connections' cold work for one identity runs once, in order, and the
-   response cache folds identical lines into stored bytes.  4 distinct
-   dp tables + 2 distinct solver identities, however many clients,
-   repeats and passes. *)
-let dup_distinct_dp = 4
-let dup_distinct_solvers = 2
-
-let dup_herd_scripts ~clients ~repeats =
-  let dp_costs = [| 23; 29; 31; 37 |] in
-  let ndp = Array.length dp_costs in
-  let script =
-    Array.concat
-      [
-        Array.init (ndp * repeats) (fun k ->
-            Printf.sprintf {|{"id":%d,"op":"dp","c_ticks":%d,"l":600,"p":2}|}
-              (k mod ndp)
-              dp_costs.(k mod ndp));
-        Array.init (dup_distinct_solvers * repeats) (fun k ->
-            let v = k mod dup_distinct_solvers in
-            Printf.sprintf
-              {|{"id":%d,"op":"evaluate","c":1,"u":%d,"p":1,"policy":"adaptive"}|}
-              (100 + v)
-              (80 + (40 * v)));
-      ]
-  in
-  Array.init clients (fun _ -> script)
-
-(* Every run of the herd — whatever the concurrency — must have solved
-   each distinct identity exactly once: N duplicate cold requests, one
-   solve.  This is the deterministic guarantee batch grouping and shard
-   ownership give; the wall-clock numbers only say what it is worth. *)
-let dup_check_collapse ~name (r : serve_result) =
-  if r.cache.Service.Cache.misses <> dup_distinct_dp then begin
-    Printf.eprintf
-      "bench serve --dup: %s solved %d dp tables for %d distinct identities\n"
-      name r.cache.Service.Cache.misses dup_distinct_dp;
-    exit 1
-  end;
-  if r.cache.Service.Cache.solver_misses <> dup_distinct_solvers then begin
-    Printf.eprintf
-      "bench serve --dup: %s built %d solvers for %d distinct identities\n"
-      name r.cache.Service.Cache.solver_misses dup_distinct_solvers;
-    exit 1
-  end
-
-(* (series name, max_conns, shards, resp-cache capacity). *)
-let serve_dup_specs conc =
-  [
-    ("serial_lean", 1, 1, 0);
-    ("herd_lean_k1", conc, 1, 0);
-    ("herd_lean_k2", conc, 2, 0);
-    ("herd_resp_cache", conc, 2, 256);
-  ]
-
-let serve_dup_instance ~clients ~repeats ~passes ~window =
-  let scripts = dup_herd_scripts ~clients ~repeats in
-  let reqs_per_pass =
-    Array.fold_left (fun a s -> a + Array.length s) 0 scripts
-  in
-  let results =
-    List.map
-      (fun (name, mc, k, resp_cache) ->
-         ( name,
-           mc,
-           k,
-           resp_cache,
-           serve_run ~max_conns:mc ~shards:k ~resp_cache ~scripts
-             ~passes ~window () ))
-      (serve_dup_specs clients)
-  in
-  let base_name, _, _, _, baseline = List.hd results in
-  check_direct ~what:"bench serve --dup" ~scripts baseline;
-  check_same_bytes ~what:"bench serve --dup" ~base_name baseline
-    (List.map (fun (name, _, _, _, r) -> (name, r)) (List.tl results));
-  List.iter (fun (name, _, _, _, r) -> dup_check_collapse ~name r) results;
-  (match List.find_opt (fun (_, _, _, rcap, _) -> rcap > 0) results with
-   | Some (name, _, _, _, r) ->
-     let rs = Option.get r.resp in
-     if rs.Service.Resp_cache.hits = 0 then begin
-       Printf.eprintf
-         "bench serve --dup: %s recorded no response-cache hits on duplicate \
-          lines\n"
-         name;
-       exit 1
-     end
-   | None -> ());
-  let base_warm = warm_seconds baseline in
-  let frps = float_of_int reqs_per_pass in
-  let t =
-    Csutil.Table.create
-      ~title:
-        (Printf.sprintf
-           "dup_herd -- %d clients x %d duplicate-heavy requests, window %d \
-            (%d passes)"
-           clients (reqs_per_pass / clients) window passes)
-      ~aligns:
-        Csutil.Table.[ Left; Right; Right; Right; Right; Right; Right ]
-      [
-        "series"; "cold s"; "warm s"; "warm req/s"; "speedup"; "solves";
-        "resp hits";
-      ]
-  in
-  let series =
-    List.map
-      (fun (name, mc, k, rcap, r) ->
-         let warm = warm_seconds r in
-         Csutil.Table.add_row t
-           [
-             name;
-             Csutil.Table.cell_float ~prec:4 r.pass_seconds.(0);
-             Csutil.Table.cell_float ~prec:4 warm;
-             Printf.sprintf "%.3g" (frps /. warm);
-             Printf.sprintf "%.1fx" (base_warm /. warm);
-             string_of_int r.cache.Service.Cache.misses;
-             (match r.resp with
-              | Some rs -> string_of_int rs.Service.Resp_cache.hits
-              | None -> "-");
-           ];
-         Service.Json.Obj
-           [
-             ("series", Service.Json.String name);
-             ("max_conns", Service.Json.Int mc);
-             ("shards", Service.Json.Int k);
-             ("resp_cache", Service.Json.Int rcap);
-             ("cold_seconds", Service.Json.Float r.pass_seconds.(0));
-             ("warm_seconds", Service.Json.Float warm);
-             ("cold_rps", Service.Json.Float (frps /. r.pass_seconds.(0)));
-             ("warm_rps", Service.Json.Float (frps /. warm));
-             ("speedup_vs_baseline", Service.Json.Float (base_warm /. warm));
-             ("p50_s", Service.Json.Float r.p50);
-             ("p99_s", Service.Json.Float r.p99);
-             ("requests", Service.Json.Int r.served);
-             ("dp_solves", Service.Json.Int r.cache.Service.Cache.misses);
-             ( "solver_builds",
-               Service.Json.Int r.cache.Service.Cache.solver_misses );
-             ( "resp_hits",
-               match r.resp with
-               | Some rs -> Service.Json.Int rs.Service.Resp_cache.hits
-               | None -> Service.Json.Null );
-           ])
-      results
-  in
-  emit t;
-  let headline =
-    let _, _, _, _, hr =
-      List.find
-        (fun (n, _, _, _, _) -> String.equal n "herd_resp_cache")
-        results
-    in
-    base_warm /. warm_seconds hr
-  in
-  Printf.printf "headline: herd_resp_cache vs %s, warm: %.1fx\n\n" base_name
-    headline;
-  Service.Json.Obj
-    [
-      ("workload", Service.Json.String "dup_herd");
-      ("clients", Service.Json.Int clients);
-      ("requests_per_client", Service.Json.Int (reqs_per_pass / clients));
-      ("passes", Service.Json.Int passes);
-      ("window", Service.Json.Int window);
-      ("distinct_dp_identities", Service.Json.Int dup_distinct_dp);
-      ( "distinct_solver_identities",
-        Service.Json.Int dup_distinct_solvers );
-      ("series", Service.Json.List series);
-      ("headline_speedup", Service.Json.Float headline);
-    ]
-
-(* The thundering-herd instance alone, without rewriting
-   BENCH_service.json. *)
-let serve_dup_bench () =
-  heading
-    "Thundering herd -- duplicate requests, batch grouping + response cache";
-  ignore (serve_dup_instance ~clients:8 ~repeats:8 ~passes:2 ~window:32)
-
-(* CI smoke for the dup path: a small herd must collapse to one solve
-   per identity, answer byte-identically to the serial server (itself
-   checked against direct [Protocol.handle]), and record response-cache
-   hits on duplicate lines. *)
-let serve_dup_quick () =
-  let t0 = Unix.gettimeofday () in
-  let scripts = dup_herd_scripts ~clients:2 ~repeats:2 in
-  let run ?resp_cache ~max_conns ~shards () =
-    serve_run ~max_conns ~shards ?resp_cache ~scripts ~passes:2
-      ~window:8 ()
-  in
-  let base = run ~max_conns:1 ~shards:1 () in
-  let herd = run ~max_conns:2 ~shards:2 () in
-  let resp = run ~resp_cache:64 ~max_conns:2 ~shards:2 () in
-  check_direct ~what:"serve --dup --quick" ~scripts base;
-  check_same_bytes ~what:"serve --dup --quick" ~base_name:"serial" base
-    [ ("herd lean k=2", herd); ("herd resp-cache", resp) ];
-  List.iter
-    (fun (name, r) -> dup_check_collapse ~name r)
-    [ ("serial", base); ("herd lean k=2", herd); ("herd resp-cache", resp) ];
-  let rs = Option.get resp.resp in
-  if rs.Service.Resp_cache.hits = 0 then begin
-    Printf.eprintf
-      "serve --dup --quick: no response-cache hits on duplicate lines\n";
-    exit 1
-  end;
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf "bench serve --dup --quick exceeded its 120 s bound: %.1f s\n"
-      dt;
-    exit 1
-  end;
-  Printf.printf
-    "serve --dup --quick: duplicate-heavy herds collapsed to %d dp solves + \
-     %d solver builds\n\
-     per run (byte-identical to the serial server), %d response-cache hits; \
-     %.2f s\n"
-    dup_distinct_dp dup_distinct_solvers rs.Service.Resp_cache.hits dt
-
-let serve_bench ?(out = "BENCH_service.json") () =
-  heading
-    "Serving throughput -- serial vs concurrent vs sharded \
-     (BENCH_service.json)";
-  let conc = 8 in
-  let advise =
-    serve_instance ~label:"advise_warm" ~specs:(serve_default_specs conc)
-      ~headline_name:"concurrent_lean"
-      ~scripts:(advise_scripts ~clients:conc ~reqs:1000)
-      ~passes:3 ~window:64
-  in
-  let mixed =
-    serve_instance ~label:"mixed" ~specs:(serve_default_specs conc)
-      ~headline_name:"concurrent_lean"
-      ~scripts:(mixed_scripts ~clients:conc ~reqs:400)
-      ~passes:2 ~window:64
-  in
-  let skew =
-    serve_instance ~label:"hot_shard" ~specs:(serve_skew_specs conc)
-      ~headline_name:"hot_pinned_k4"
-      ~scripts:(hot_shard_scripts ~shards:4 ~clients:conc ~reqs:400)
-      ~passes:2 ~window:64
-  in
-  let dup = serve_dup_instance ~clients:conc ~repeats:8 ~passes:2 ~window:32 in
-  let doc =
-    Service.Json.Obj
-      [
-        ("bench", Service.Json.String "serve");
-        ( "domains_available",
-          Service.Json.Int (Csutil.Par.available_domains ()) );
-        ("instances", Service.Json.List [ advise; mixed; skew; dup ]);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Service.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n\n" out
 
 (* --- Persistent memo tier: cold vs bank-mapped startup -------------------- *)
 
@@ -2506,10 +1719,9 @@ let store_series ~label req =
            exit 1
        in
        (* Cold: what a fresh bankless process pays to its first answer. *)
-       let t0 = Unix.gettimeofday () in
-       let cold_cache = Service.Cache.create ~capacity:8 () in
-       let cold_out = answer ~cache:cold_cache () in
-       let cold_s = Unix.gettimeofday () -. t0 in
+       let cold_s, cold_out =
+         time (fun () -> answer ~cache:(Service.Cache.create ~capacity:8 ()) ())
+       in
        (* Precompute the bank (csched precompute's job; untimed). *)
        let pre_cache =
          Service.Cache.create ~bank:(open_bank ~create:true) ~capacity:8 ()
@@ -2525,12 +1737,13 @@ let store_series ~label req =
           open, warm, first answer. *)
        Dp.reset_counters ();
        Game.reset_counters ();
-       let t1 = Unix.gettimeofday () in
-       let bank = open_bank ~create:false in
-       let warm_cache = Service.Cache.create ~bank ~capacity:8 () in
-       let warmed = Service.Cache.warm_from_bank warm_cache in
-       let warm_out = answer ~cache:warm_cache () in
-       let warm_s = Unix.gettimeofday () -. t1 in
+       let warm_s, (bank, warmed, warm_out) =
+         time (fun () ->
+             let bank = open_bank ~create:false in
+             let warm_cache = Service.Cache.create ~bank ~capacity:8 () in
+             let warmed = Service.Cache.warm_from_bank warm_cache in
+             (bank, warmed, answer ~cache:warm_cache ()))
+       in
        if not (String.equal warm_out cold_out) then begin
          Printf.eprintf
            "bench store (%s): bank-mapped answer differs from cold solve\n"
@@ -2645,17 +1858,13 @@ let store_game_req ~c ~u ~p ~policy =
    (byte identity, zero fill, bank hit) are the point, not the
    speedup. *)
 let store_quick () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Csutil.Clock.now () in
   ignore (store_series ~label:"dp_small" (store_dp_req ~c:9 ~p:3 ~l:1800));
   ignore
     (store_series ~label:"game_small"
        (store_game_req ~c:1. ~u:8_000. ~p:2 ~policy:"adaptive"));
   ignore (store_snapshot_series ~label:"snapshot_small" (9, 3, 1800));
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 120. then begin
-    Printf.eprintf "bench store --quick exceeded its 120 s bound: %.1f s\n" dt;
-    exit 1
-  end;
+  let dt = quick_elapsed ~what:"store --quick" t0 in
   Printf.printf
     "store --quick: bank-mapped answers byte-identical to cold solves with\n\
      zero DP cells filled and zero minimax states expanded; %.2f s\n"
@@ -2746,13 +1955,6 @@ let () =
     | [ "game" ] -> game_solver_bench ()
     | [ "game"; "--quick" ] -> game_solver_quick ()
     | [ "game"; "--out"; path ] -> game_solver_bench ~out:path ()
-    | [ "serve" ] -> serve_bench ()
-    | [ "serve"; "--quick" ] -> serve_quick ()
-    | [ "serve"; "--skew" ] -> serve_skew_bench ()
-    | [ "serve"; "--skew"; "--quick" ] -> serve_skew_quick ()
-    | [ "serve"; "--dup" ] -> serve_dup_bench ()
-    | [ "serve"; "--dup"; "--quick" ] -> serve_dup_quick ()
-    | [ "serve"; "--out"; path ] -> serve_bench ~out:path ()
     | [ "store" ] -> store_bench ()
     | [ "store"; "--quick" ] -> store_quick ()
     | [ "store"; "--out"; path ] -> store_bench ~out:path ()
@@ -2763,7 +1965,6 @@ let () =
          dp [--quick | --skew [--quick] | --adversarial [--quick] | --out \
          FILE] | \
          game [--quick | --out FILE] | \
-         serve [--quick | --skew [--quick] | --dup [--quick] | --out FILE] | \
          store [--quick | --out FILE] | bechamel]\n";
       Printf.eprintf "got: %s\n" (String.concat " " other);
       exit 2

@@ -55,7 +55,14 @@ let shard_key = function
   | Schedule { c; u; regime; _ } ->
     Some (Printf.sprintf "cu:%h:%h:%s" c u regime)
   | Evaluate { c; u; policy; _ } ->
-    Some (Printf.sprintf "cu:%h:%h:%s" c u policy)
+    (* The canonical planner name, so aliases ("fixed-chunk",
+       "fixed_chunk") land on the shard of the one solver they share. *)
+    let name =
+      match Engine.Registry.find_opt policy with
+      | Some planner -> planner.Engine.Planner.name
+      | None -> policy
+    in
+    Some (Printf.sprintf "cu:%h:%h:%s" c u name)
   | Dp_query { c_ticks; _ } -> Some (dp_shard_key ~c_ticks)
   | Strategies | Stats _ -> None
 

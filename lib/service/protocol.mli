@@ -56,8 +56,9 @@ val op_name : request -> string
 val shard_key : request -> string option
 (** The canonical placement identity the router consistent-hashes:
     requests with equal keys share cached state (one DP table per
-    [c_ticks]; one resident solver family per [(c, u, policy)] — the
-    interrupt budget [p] stays out so every budget of a state-only
+    [c_ticks]; one resident solver family per [(c, u, policy)], the
+    policy by its planner's canonical name so aliases share a shard —
+    the interrupt budget [p] stays out so every budget of a state-only
     policy lands on the one shard whose solver grows in place).
     [None] for [Strategies] and [Stats]: they have no placement — the
     router answers them itself, aggregating across shards. *)

@@ -1050,6 +1050,16 @@ let test_resp_cache_invalidation_on_grow () =
     s.Resp_cache.invalidations;
   Alcotest.(check int) "entries resident" 3 s.Resp_cache.entries
 
+(* The shard a request line is placed on by a [shards]-shard router;
+   -1 for lines with no placement. *)
+let shard_of_line ~shards line =
+  match (Protocol.parse_line line).Protocol.request with
+  | Ok req -> (
+      match Protocol.shard_key req with
+      | Some key -> Router.place ~shards key
+      | None -> -1)
+  | Error _ -> -1
+
 let run_client path lines =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1087,13 +1097,20 @@ let run_client path lines =
          lines;
        Buffer.contents buf)
 
-let with_socket_server ?(max_conns = 1) ?(capacity = 16) ?(shards = 1) f =
+(* A socket server on a fresh router.  [resp_cache] plugs the
+   serialized-response tier in and wires its dp invalidation into the
+   router's [on_grow] hook, as cschedd does. *)
+let with_socket_server ?(max_conns = 1) ?(capacity = 16) ?(shards = 1)
+    ?resp_cache f =
   let dir = Filename.temp_file "cschedd_sock" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let path = Filename.concat dir "s.sock" in
-  let router = Router.create ~shards ~domains:1 ~capacity () in
-  let server = Server.create ~max_conns ~router () in
+  let on_grow =
+    Option.map (fun rc c -> Resp_cache.invalidate rc ~c) resp_cache
+  in
+  let router = Router.create ~shards ~domains:1 ?on_grow ~capacity () in
+  let server = Server.create ~max_conns ?resp_cache ~router () in
   let serving = Domain.spawn (fun () -> Server.serve_socket server ~path) in
   let rec wait tries =
     if tries = 0 then Alcotest.fail "socket never appeared"
@@ -1140,28 +1157,59 @@ let client_script i =
           (40 + (7 * k))
           (k mod 2))
 
-(* Interleaved clients against one concurrent server: every client must
-   read exactly the bytes a serial run would have sent it. *)
+(* Two rounds of interleaved clients, each client on its own domain
+   running [client path script]: the first against the cold server,
+   the second sending the same scripts again to the warm one.  In both
+   rounds every client must read exactly direct [Protocol.handle]'s
+   bytes, and the server must count every line sent. *)
+let check_cold_then_warm ~client server path scripts =
+  List.iter
+    (fun round ->
+       let clients =
+         List.map (fun script -> Domain.spawn (fun () -> client path script))
+           scripts
+       in
+       List.iteri
+         (fun i (script, out) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s round: client %d byte-identical to direct"
+                 round i)
+              (String.concat ""
+                 (List.map (fun l -> direct_response l ^ "\n") script))
+              out)
+         (List.combine scripts (List.map Domain.join clients)))
+    [ "cold"; "warm" ];
+  Alcotest.(check int) "every line sent is counted"
+    (2 * List.fold_left (fun n script -> n + List.length script) 0 scripts)
+    (Stats.requests (Server.stats server))
+
+(* Interleaved clients against one concurrent server, then hot-shard
+   traffic — every line placed on one shard of four, so the idle
+   siblings see nothing and, warm, the connection workers answer the
+   hot shard's resident sub-batches — each cold and then warm. *)
 let test_server_concurrent_clients () =
   let nclients = 3 in
-  with_socket_server ~max_conns:nclients (fun _server path ->
-      let clients =
-        List.init nclients (fun i ->
-            Domain.spawn (fun () -> run_client path (client_script i)))
-      in
-      let got = List.map Domain.join clients in
-      List.iteri
-        (fun i out ->
-           let expected =
-             String.concat ""
-               (List.map
-                  (fun l -> direct_response l ^ "\n")
-                  (client_script i))
-           in
-           Alcotest.(check string)
-             (Printf.sprintf "client %d byte-identical to serial" i)
-             expected out)
-        got)
+  with_socket_server ~max_conns:nclients (fun server path ->
+      check_cold_then_warm ~client:run_client server path
+        (List.init nclients client_script));
+  let shards = 4 in
+  let candidates = List.concat (List.init 4 client_script) in
+  let hot =
+    shard_of_line ~shards (List.find (contains ~sub:{|"dp"|}) candidates)
+  in
+  let hot_lines =
+    List.filter (fun l -> shard_of_line ~shards l = hot) candidates
+  in
+  Alcotest.(check bool) "hot-shard traffic has every op" true
+    (List.for_all
+       (fun op -> List.exists (contains ~sub:op) hot_lines)
+       [ {|"advise"|}; {|"dp"|}; {|"evaluate"|} ]);
+  with_socket_server ~max_conns:2 ~shards (fun server path ->
+      check_cold_then_warm ~client:run_client server path
+        [
+          List.filteri (fun i _ -> i mod 2 = 0) hot_lines;
+          List.filteri (fun i _ -> i mod 2 = 1) hot_lines;
+        ])
 
 (* Like [run_client], but send the whole script before reading anything:
    the server drains it in large batches, so the batch engine actually
@@ -1216,30 +1264,30 @@ let dup_heavy_script i =
         Printf.sprintf {|{"id":%d,"op":"advise","c":2,"u":%d,"p":1}|} id
           (400 + k))
 
-(* Interleaved dup-heavy clients, whole scripts sent as one burst:
-   grouping reorders evaluation inside a batch, but outcomes must
-   scatter back in request order, so every client reads exactly the
-   bytes a serial ungrouped server would have sent it. *)
+(* Interleaved dup-heavy clients, whole scripts sent as one burst, cold
+   and then warm: grouping reorders evaluation inside a batch, but
+   outcomes must scatter back in request order, so every client reads
+   exactly the bytes a serial ungrouped server would have sent it.
+   Then the same burst through a response cache: the warm round replays
+   every line verbatim, so it must hit stored replies; and however the
+   bursts interleave, the one dp table (c = 6; every bound rounds up to
+   the same canonical table) is solved once and the one state-only
+   solver (adaptive at c = 1, u = 90) is built once. *)
 let test_grouping_preserves_order () =
   let nclients = 3 in
-  with_socket_server ~max_conns:nclients ~shards:2 (fun _server path ->
-      let clients =
-        List.init nclients (fun i ->
-            Domain.spawn (fun () -> run_client_burst path (dup_heavy_script i)))
-      in
-      let got = List.map Domain.join clients in
-      List.iteri
-        (fun i out ->
-           let expected =
-             String.concat ""
-               (List.map
-                  (fun l -> direct_response l ^ "\n")
-                  (dup_heavy_script i))
-           in
-           Alcotest.(check string)
-             (Printf.sprintf "client %d order and bytes preserved" i)
-             expected out)
-        got)
+  with_socket_server ~max_conns:nclients ~shards:2 (fun server path ->
+      check_cold_then_warm ~client:run_client_burst server path
+        (List.init nclients dup_heavy_script));
+  let rc = Resp_cache.create ~capacity:256 in
+  with_socket_server ~max_conns:2 ~shards:2 ~resp_cache:rc (fun server path ->
+      check_cold_then_warm ~client:run_client_burst server path
+        (List.init 2 dup_heavy_script);
+      let s = Router.cache_stats (Server.router server) in
+      Alcotest.(check int) "one solve per distinct dp table" 1 s.Cache.misses;
+      Alcotest.(check int) "one build per solver identity" 1
+        s.Cache.solver_misses);
+  Alcotest.(check bool) "the warm round hits the response cache" true
+    ((Resp_cache.stats rc).Resp_cache.hits > 0)
 
 (* A client that floods requests and vanishes without reading must cost
    an io_errors tick, not the daemon: a later client is still served. *)
@@ -1335,7 +1383,8 @@ let test_placement_remap () =
 
 (* Requests that share cached state share a canonical placement key —
    e.g. evaluate over the same (c, u, policy) at different p reuses one
-   resident solver — so they must land on the same shard. *)
+   resident solver, and so do two spellings of one planner — so they
+   must land on the same shard. *)
 let test_placement_equal_canonical_keys () =
   let key p =
     let line =
@@ -1358,7 +1407,47 @@ let test_placement_equal_canonical_keys () =
     | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
   in
   Alcotest.(check bool) "dp key matches the bank-slicing key" true
-    (dp_key = Some (Protocol.dp_shard_key ~c_ticks:7))
+    (dp_key = Some (Protocol.dp_shard_key ~c_ticks:7));
+  let evaluate_key ~u policy =
+    Protocol.shard_key
+      (Protocol.Evaluate { c = 1.; u; p = 2; policy; periods = None })
+  in
+  List.iter
+    (fun (name, alias) ->
+       Alcotest.(check (option string))
+         (Printf.sprintf "%s and %s share a key" name alias)
+         (evaluate_key ~u:70. name) (evaluate_key ~u:70. alias))
+    [ ("fixed_chunk", "fixed-chunk"); ("dp_exact", "dp-optimal") ];
+  (* A lifespan where keys built from the raw spellings would place the
+     two aliases apart: cold, one router run still builds one solver. *)
+  let shards = 2 in
+  let raw_shard ~u policy =
+    Router.place ~shards
+      (Printf.sprintf "cu:%h:%h:%s" 1. (float_of_int u) policy)
+  in
+  let u =
+    match
+      List.find_opt
+        (fun u -> raw_shard ~u "fixed_chunk" <> raw_shard ~u "fixed-chunk")
+        (List.init 64 (fun k -> 60 + k))
+    with
+    | Some u -> u
+    | None -> Alcotest.fail "no lifespan splits the raw spellings"
+  in
+  let lines =
+    [|
+      evaluate_line ~u ~p:2 "fixed_chunk"; evaluate_line ~u ~p:2 "fixed-chunk";
+    |]
+  in
+  let router = Router.create ~shards ~domains:2 ~capacity:8 () in
+  Fun.protect
+    ~finally:(fun () -> Router.shutdown router)
+    (fun () ->
+       Alcotest.(check (list string)) "aliases: bytes = direct handle"
+         (List.map direct_response (Array.to_list lines))
+         (outcome_strings (Router.run router lines));
+       Alcotest.(check int) "aliases: one solver build" 1
+         (Router.cache_stats router).Cache.solver_misses)
 
 (* --- Router: sharded serving ------------------------------------------------ *)
 
@@ -1395,14 +1484,6 @@ let test_sharded_stats_sections () =
     (contains ~sub:{|"shards":[|} last && contains ~sub:{|"shard":1|} last)
 
 (* --- Router: inline resident sub-batches ------------------------------- *)
-
-let shard_of_line ~shards line =
-  match (Protocol.parse_line line).Protocol.request with
-  | Ok req -> (
-      match Protocol.shard_key req with
-      | Some key -> Router.place ~shards key
-      | None -> -1)
-  | Error _ -> -1
 
 (* The state [resident_cache] holds, built through a router so each
    table and solver lands on its placement owner. *)
@@ -1483,7 +1564,7 @@ let test_inline_hot_shard_responsive () =
        | _ -> Alcotest.fail "expected one blocker response")
 
 (* Random mixed batches, about half drawn from resident kinds only, go
-   through 2- and 3-shard routers from two domains at once: every reply
+   through 2-, 3- and 4-shard routers from two domains at once: every reply
    is byte-identical to direct [Protocol.handle], and each shard counts
    exactly the requests placed on it, wherever they ran.  Then, with
    the router shut down — so any sub-batch handed to a shard channel
@@ -1494,7 +1575,7 @@ let test_inline_hot_shard_responsive () =
 let prop_inline_matches_direct =
   QCheck.Test.make ~name:"inline sub-batches = direct handle" ~count:20
     (QCheck.make
-       QCheck.Gen.(pair (int_range 2 3) residency_batch_gen)
+       QCheck.Gen.(pair (int_range 2 4) residency_batch_gen)
        ~print:(fun (shards, (_, lines)) ->
            Printf.sprintf "K=%d\n%s" shards (String.concat "\n" lines)))
     (fun (shards, (_, lines)) ->

@@ -198,6 +198,20 @@ for f in $(find lib bin test bench examples -type f \
   fi
 done
 
+# Clock gate: durations and deadlines are read on the monotonic clock
+# (Csutil.Clock.now).  The wall clock steps under NTP or an operator
+# reset, so an interval measured across a step comes out negative or
+# hours long — in a latency histogram, a watchdog deadline or a bench
+# series alike.
+for f in $(find lib bin bench -type f \( -name '*.ml' -o -name '*.mli' \) \
+           | sort); do
+  if grep -nE 'Unix\.gettimeofday' "$f" >/dev/null 2>&1; then
+    echo "clock: Unix.gettimeofday in $f (time durations with Csutil.Clock.now):" >&2
+    grep -nE 'Unix\.gettimeofday' "$f" | head -3 >&2
+    fail=1
+  fi
+done
+
 for f in $(find lib bin test bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' -o -name 'dune' \) \
            | sort); do
