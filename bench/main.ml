@@ -1794,24 +1794,21 @@ let store_series ~label req =
            ("bank_hits", Service.Json.Int bc.Store.Bank.hits);
          ])
 
-(* Snapshot format economics: the same solved table written dense (the
-   v1 format, [save_dp_dense]) and breakpoint-compressed (the current
-   v2 [save_dp]), then mapped back through the one [load_dp] entry
-   point.  Both loads must reproduce the table cell-for-cell; the
-   series records what the run-length rows buy in bytes on disk and in
-   mapped-load (CRC + validation) seconds. *)
+(* Snapshot format economics: a solved table written
+   breakpoint-compressed ([save_dp], format v2) and mapped back through
+   [load_dp].  The load must reproduce the table cell for cell; the
+   series records the file's bytes against what the same cells take
+   dense ([Dp.dense_footprint_bytes]) and the mapped-load (CRC +
+   validation) seconds. *)
 let store_snapshot_series ~label (c, max_p, max_l) =
   let dir = store_tmp_dir () in
   Fun.protect
     ~finally:(fun () -> store_cleanup dir)
     (fun () ->
        let dp = Dp.solve ~c ~max_p ~max_l in
-       let v1 = Filename.concat dir "v1.snap"
-       and v2 = Filename.concat dir "v2.snap" in
-       Store.Snapshot.save_dp_dense ~path:v1 dp;
-       Store.Snapshot.save_dp ~path:v2 dp;
-       let bytes path = (Unix.stat path).Unix.st_size in
-       let load path =
+       let path = Filename.concat dir "dp.snap" in
+       Store.Snapshot.save_dp ~path dp;
+       let v2_s, loaded =
          time_min ~runs:3 (fun () ->
              match Store.Snapshot.load_dp ~path ~c with
              | Ok t -> t
@@ -1820,32 +1817,28 @@ let store_snapshot_series ~label (c, max_p, max_l) =
                  (Error.to_string e);
                exit 1)
        in
-       let v1_s, t1 = load v1 in
-       let v2_s, t2 = load v2 in
-       assert_tables_equal ~what:(label ^ ": v2 load vs v1 load") t2 t1;
-       assert_tables_equal ~what:(label ^ ": v1 load vs solve") t1 dp;
-       let v1_bytes = bytes v1 and v2_bytes = bytes v2 in
-       if v2_bytes >= v1_bytes then begin
+       assert_tables_equal ~what:(label ^ ": v2 load vs solve") loaded dp;
+       let v2_bytes = (Unix.stat path).Unix.st_size
+       and dense_bytes = Dp.dense_footprint_bytes dp in
+       if v2_bytes >= dense_bytes then begin
          Printf.eprintf
-           "bench store (%s): v2 snapshot (%d B) not smaller than v1 (%d B)\n"
-           label v2_bytes v1_bytes;
+           "bench store (%s): v2 snapshot (%d B) not smaller than dense (%d B)\n"
+           label v2_bytes dense_bytes;
          exit 1
        end;
-       let ratio = float_of_int v1_bytes /. float_of_int v2_bytes in
+       let ratio = float_of_int dense_bytes /. float_of_int v2_bytes in
        Printf.printf
-         "%-14s v1 %9d B load %8.4f s   v2 %9d B load %8.4f s   %5.1fx \
-          smaller\n%!"
-         label v1_bytes v1_s v2_bytes v2_s ratio;
+         "%-14s dense %9d B   v2 %9d B load %8.4f s   %5.1fx smaller\n%!"
+         label dense_bytes v2_bytes v2_s ratio;
        Service.Json.Obj
          [
            ("series", Service.Json.String label);
            ("c", Service.Json.Int c);
            ("max_p", Service.Json.Int max_p);
            ("max_l", Service.Json.Int max_l);
-           ("v1_bytes", Service.Json.Int v1_bytes);
+           ("dense_bytes", Service.Json.Int dense_bytes);
            ("v2_bytes", Service.Json.Int v2_bytes);
            ("compression", Service.Json.Float ratio);
-           ("v1_load_seconds", Service.Json.Float v1_s);
            ("v2_load_seconds", Service.Json.Float v2_s);
          ])
 

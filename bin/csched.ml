@@ -927,75 +927,6 @@ let precompute_cmd =
         (const run $ bank_arg $ c_ticks_arg $ l_arg $ max_p_arg $ costs_arg
         $ lifespans_arg $ policies_arg $ game_p_arg $ domains_arg $ json_flag))
 
-(* --- bank ------------------------------------------------------------------------ *)
-
-(* Bank maintenance.  `bank migrate` rewrites old-format snapshots in
-   place at the current version (dp tables re-encode
-   breakpoint-compressed, typically 10-100x smaller), each through the
-   usual atomic tmp+rename, so it is safe to run against a bank a
-   daemon will map next — files are either old or new, never torn. *)
-let bank_cmd =
-  let dir_arg =
-    let doc = "Bank directory to operate on (must exist)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
-  in
-  let migrate_run dir json =
-    match Store.Bank.open_dir ~create:false dir with
-    | Error e -> fail ~json e
-    | Ok bank ->
-      let m = Store.Bank.migrate bank in
-      let last_error =
-        if m.Store.Bank.skipped > 0 then Store.Bank.last_error bank else None
-      in
-      if json then
-        print_endline
-          (Service.Json.to_string
-             (Service.Json.Obj
-                ([
-                   ("bank", Service.Json.String (Store.Bank.dir bank));
-                   ("migrated", Service.Json.Int m.Store.Bank.migrated);
-                   ("already_current", Service.Json.Int m.Store.Bank.already);
-                   ("skipped", Service.Json.Int m.Store.Bank.skipped);
-                 ]
-                @
-                match last_error with
-                | None -> []
-                | Some e -> [ ("last_error", Service.Json.String e) ])))
-      else begin
-        let t =
-          Csutil.Table.create
-            ~title:(Printf.sprintf "migrated bank %s" (Store.Bank.dir bank))
-            ~aligns:Csutil.Table.[ Left; Right ]
-            [ "metric"; "value" ]
-        in
-        Csutil.Table.add_row t
-          [ "migrated"; string_of_int m.Store.Bank.migrated ];
-        Csutil.Table.add_row t
-          [ "already current"; string_of_int m.Store.Bank.already ];
-        Csutil.Table.add_row t
-          [ "skipped (left in place)"; string_of_int m.Store.Bank.skipped ];
-        Csutil.Table.print t;
-        Option.iter (Printf.printf "note: last skip: %s\n") last_error
-      end;
-      if m.Store.Bank.skipped > 0 && json then exit 1
-      else if m.Store.Bank.skipped > 0 then
-        `Error (false, "bank migrate: some files were skipped (see above)")
-      else `Ok ()
-  in
-  let migrate_cmd =
-    let doc =
-      "Rewrite every old-format snapshot in $(b,DIR) at the current format \
-       version (DP tables re-encode breakpoint-compressed).  Each rewrite \
-       goes through the atomic tmp+rename protocol; corrupt or unreadable \
-       files are counted, reported and left untouched."
-    in
-    Cmd.v
-      (Cmd.info "migrate" ~doc)
-      Term.(ret (const migrate_run $ dir_arg $ json_flag))
-  in
-  let doc = "Maintain a persistent memo bank ($(b,csched bank migrate))." in
-  Cmd.group (Cmd.info "bank" ~doc) [ migrate_cmd ]
-
 (* --- main ----------------------------------------------------------------------- *)
 
 let () =
@@ -1011,5 +942,5 @@ let () =
           [
             schedule_cmd; evaluate_cmd; dp_cmd; strategies_cmd; table1_cmd;
             table2_cmd; sweep_cmd; simulate_cmd; advise_cmd; checkpoint_cmd;
-            expected_cmd; plan_cmd; precompute_cmd; bank_cmd;
+            expected_cmd; plan_cmd; precompute_cmd;
           ]))

@@ -91,7 +91,7 @@ type body = {
                 first_val[n_first]
 
    A lookup is a binary search for the run holding l.  Tables loaded
-   from a kind-v2 snapshot stay packed until a [grow] needs the dense
+   from a bank snapshot stay packed until a [grow] needs the dense
    arrays, so a bank-warmed daemon holds the compressed rows only. *)
 type packed = { p_max_p : int; p_max_l : int; pack : mat }
 
@@ -563,7 +563,7 @@ let pack_of_body b =
   pack
 
 (* Materialize dense arrays from a (validated) packing.  Capacity is
-   pinned to the solved bounds, like [of_snapshot]. *)
+   pinned to the solved bounds, so a [grow] always re-allocates. *)
 let body_of_packed pk =
   let open Bigarray in
   let mp = pk.p_max_p and ml = pk.p_max_l in
@@ -753,80 +753,6 @@ let grow ?pool t ~max_p ~max_l =
     fill ?pool ~c:t.c body ~old_p:old.max_p ~old_l:old.max_l;
     t.repr <- Dense body
   end
-
-(* --- snapshots ------------------------------------------------------------ *)
-
-(* The disk-tier exchange format (lib/store writes these out verbatim):
-   the solved region as two tight arrays of (max_p + 1) * (max_l + 1)
-   cells with stride max_l + 1.  [of_snapshot] pins capacity to the
-   solved bounds, so a table rebuilt around a read-only file mapping is
-   never written in place: any [grow] exceeds capacity and re-allocates
-   on the heap, blitting the mapped prefix and leaving the shared pages
-   clean. *)
-type snapshot = {
-  s_c : int;
-  s_max_p : int;
-  s_max_l : int;
-  s_value : mat;
-  s_first : mat;
-}
-
-let to_snapshot t =
-  (* A packed table densifies into a local scratch body; [t] itself is
-     never mutated here ([grow] is the only mutator, under the cache
-     lock — snapshot writes run outside it). *)
-  let b = match t.repr with Dense b -> b | Packed p -> body_of_packed p in
-  let tight (m : mat) =
-    if b.cap_p = b.max_p && b.cap_l = b.max_l then m
-    else begin
-      let cols = b.max_l + 1 in
-      let out =
-        Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-          ((b.max_p + 1) * cols)
-      in
-      let stride = b.cap_l + 1 in
-      for p = 0 to b.max_p do
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub m (p * stride) cols)
-          (Bigarray.Array1.sub out (p * cols) cols)
-      done;
-      out
-    end
-  in
-  {
-    s_c = t.c;
-    s_max_p = b.max_p;
-    s_max_l = b.max_l;
-    s_value = tight b.value;
-    s_first = tight b.first;
-  }
-
-let of_snapshot s =
-  if s.s_c < 1 then Error.invalid "Dp.of_snapshot: c must be >= 1 tick";
-  if s.s_max_p < 0 || s.s_max_l < 0 then
-    Error.invalid "Dp.of_snapshot: bounds must be non-negative";
-  let cells = (s.s_max_p + 1) * (s.s_max_l + 1) in
-  if Bigarray.Array1.dim s.s_value <> cells
-     || Bigarray.Array1.dim s.s_first <> cells
-  then
-    Error.invalidf
-      "Dp.of_snapshot: bounds (%d, %d) imply %d cells, payload has %d + %d"
-      s.s_max_p s.s_max_l cells
-      (Bigarray.Array1.dim s.s_value)
-      (Bigarray.Array1.dim s.s_first);
-  {
-    c = s.s_c;
-    repr =
-      Dense
-        {
-          max_p = s.s_max_p;
-          max_l = s.s_max_l;
-          cap_p = s.s_max_p;
-          cap_l = s.s_max_l;
-          value = s.s_value;
-          first = s.s_first;
-        };
-  }
 
 (* --- reference kernel ----------------------------------------------------- *)
 

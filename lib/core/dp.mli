@@ -55,33 +55,6 @@ val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
     amortised.  [pool] parallelises the new-cell fill as in {!solve}.
     @raise Error.Error on negative bounds. *)
 
-type snapshot = {
-  s_c : int;
-  s_max_p : int;
-  s_max_l : int;
-  s_value : mat;  (** (max_p + 1) * (max_l + 1) cells, stride max_l + 1 *)
-  s_first : mat;  (** same layout as [s_value] *)
-}
-(** The disk-tier exchange format ([Store.Snapshot] writes these
-    verbatim): the solved region as two tight arrays — no capacity
-    headroom, stride [s_max_l + 1]. *)
-
-val to_snapshot : t -> snapshot
-(** The table's solved region.  When capacity equals the solved bounds
-    the backing arrays are shared (no copy); otherwise rows are blitted
-    into tight arrays. *)
-
-val of_snapshot : snapshot -> t
-(** A table over the snapshot's arrays, shared without copying.
-    Capacity is pinned to the solved bounds, so a table rebuilt around a
-    read-only file mapping is never written in place: any {!grow}
-    re-allocates on the heap and blits the mapped prefix, leaving the
-    shared pages clean.  Values are whatever the arrays hold —
-    bit-identity with a fresh solve is the store layer's checksum plus
-    the identity property tests, not a load-time recomputation.
-    @raise Error.Error when [s_c < 1], bounds are negative, or the array
-    dimensions do not match the bounds. *)
-
 module Ref : sig
   val solve : c:int -> max_p:int -> max_l:int -> t
   (** The naive exhaustive kernel ([O(max_p * max_l^2)] candidate
@@ -129,7 +102,7 @@ val is_packed : t -> bool
     bounds densifies it). *)
 
 val to_packed : t -> mat
-(** The table's solved region in breakpoint form — the snapshot v2
+(** The table's solved region in breakpoint form — the snapshot file
     payload, one flat int array: a row-offset index
     [pack.(0..max_p)], then per row a header
     [zero_until, first_mode, n_loss, n_first] followed by the run
@@ -145,8 +118,11 @@ val of_packed : c:int -> max_p:int -> max_l:int -> mat -> t
     binary-search the row's runs (counted as [bp_lookups]).  The pack
     is structurally validated (offset index tiles the array exactly,
     run starts strictly increase within bounds, rows are fully
-    covered); cell values are whatever the runs encode, as with
-    {!of_snapshot}.
+    covered); cell values are whatever the runs encode —
+    bit-identity with a fresh solve is the store layer's checksum plus
+    the identity property tests, not a load-time recomputation.  The
+    pack is never written: a {!grow} densifies onto the heap, so a
+    pack over a read-only file mapping leaves the shared pages clean.
     @raise Error.Error when [c < 1], bounds are negative, or the pack
     is structurally invalid. *)
 

@@ -576,7 +576,7 @@ let stats t =
         Hashtbl.fold (fun _ e b -> b + Dp.footprint_bytes e.dp) tb.table 0
       in
       (* Split residency by representation: tables still in breakpoint
-         form (bank v2 loads that no query has yet grown) versus dense
+         form (bank loads that no query has yet grown) versus dense
          ones, with the dense-equivalent size alongside so the saving
          is readable off the stats directly. *)
       let compressed, dense_equiv =

@@ -162,7 +162,7 @@ type stats = {
   resident_bytes : int;  (** approximate heap bytes of cached tables *)
   resident_compressed_bytes : int;
       (** bytes of tables still held in breakpoint-compressed form
-          (bank v2 loads no query has yet grown) *)
+          (bank loads no query has yet grown) *)
   resident_dense_bytes : int;
       (** what those compressed tables would occupy densified — the
           saving is [resident_dense_bytes - resident_compressed_bytes] *)

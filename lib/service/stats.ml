@@ -153,6 +153,30 @@ let latency_fields t =
     @ quantiles
   end
 
+(* The dp-table and solver LRU families, shared by the merged payload
+   and each shard's section. *)
+let cache_json (c : Cache.stats) =
+  Json.Obj
+    [
+      ("hits", Json.Int c.Cache.hits);
+      ("misses", Json.Int c.Cache.misses);
+      ("evictions", Json.Int c.Cache.evictions);
+      ("growths", Json.Int c.Cache.growths);
+      ("tables_resident", Json.Int c.Cache.resident);
+      ("resident_bytes", Json.Int c.Cache.resident_bytes);
+    ]
+
+let solver_cache_json (c : Cache.stats) =
+  Json.Obj
+    [
+      ("hits", Json.Int c.Cache.solver_hits);
+      ("misses", Json.Int c.Cache.solver_misses);
+      ("evictions", Json.Int c.Cache.solver_evictions);
+      ("growths", Json.Int c.Cache.solver_growths);
+      ("solvers_resident", Json.Int c.Cache.solvers_resident);
+      ("resident_bytes", Json.Int c.Cache.solver_bytes);
+    ]
+
 (* One shard's section of the stats payload: what was evaluated for
    this shard, by its worker or inline on a connection worker
    (requests/errors/by-op/latency recorded at evaluation time; bytes
@@ -172,26 +196,8 @@ let shard_json t ~shard ~restarts ~cache:(c : Cache.stats) =
             Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) (op_counts t))
           );
           ("latency", Json.Obj (latency_fields t));
-          ( "cache",
-            Json.Obj
-              [
-                ("hits", Json.Int c.Cache.hits);
-                ("misses", Json.Int c.Cache.misses);
-                ("evictions", Json.Int c.Cache.evictions);
-                ("growths", Json.Int c.Cache.growths);
-                ("tables_resident", Json.Int c.Cache.resident);
-                ("resident_bytes", Json.Int c.Cache.resident_bytes);
-              ] );
-          ( "solver_cache",
-            Json.Obj
-              [
-                ("hits", Json.Int c.Cache.solver_hits);
-                ("misses", Json.Int c.Cache.solver_misses);
-                ("evictions", Json.Int c.Cache.solver_evictions);
-                ("growths", Json.Int c.Cache.solver_growths);
-                ("solvers_resident", Json.Int c.Cache.solvers_resident);
-                ("resident_bytes", Json.Int c.Cache.solver_bytes);
-              ] );
+          ("cache", cache_json c);
+          ("solver_cache", solver_cache_json c);
         ])
 
 let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
@@ -208,16 +214,7 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
           ("bytes_served", Json.Int t.bytes_served);
           ("batches", Json.Int t.batches);
           ("largest_batch", Json.Int t.largest_batch);
-          ( "cache",
-            Json.Obj
-              [
-                ("hits", Json.Int c.Cache.hits);
-                ("misses", Json.Int c.Cache.misses);
-                ("evictions", Json.Int c.Cache.evictions);
-                ("growths", Json.Int c.Cache.growths);
-                ("tables_resident", Json.Int c.Cache.resident);
-                ("resident_bytes", Json.Int c.Cache.resident_bytes);
-              ] );
+          ("cache", cache_json c);
           ( "kernel",
             let k = c.Cache.kernel in
             Json.Obj
@@ -232,16 +229,7 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
                 ("bp_lookups", Json.Int k.Cyclesteal.Dp.bp_lookups);
                 ("bp_rows", Json.Int k.Cyclesteal.Dp.bp_rows);
               ] );
-          ( "solver_cache",
-            Json.Obj
-              [
-                ("hits", Json.Int c.Cache.solver_hits);
-                ("misses", Json.Int c.Cache.solver_misses);
-                ("evictions", Json.Int c.Cache.solver_evictions);
-                ("growths", Json.Int c.Cache.solver_growths);
-                ("solvers_resident", Json.Int c.Cache.solvers_resident);
-                ("resident_bytes", Json.Int c.Cache.solver_bytes);
-              ] );
+          ("solver_cache", solver_cache_json c);
           ( "game",
             let g = c.Cache.game in
             Json.Obj

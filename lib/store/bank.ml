@@ -167,56 +167,6 @@ let save_game t ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
     ~size:s.Game.Solver.s_states
     (fun ~path -> Snapshot.save_game ~path ~c ~u ~policy ~p_key s)
 
-(* --- migration ------------------------------------------------------------ *)
-
-type migration = { migrated : int; already : int; skipped : int }
-
-(* Rewrite every old-format snapshot in the bank at the current
-   version, through the same atomic tmp+rename protocol as any save —
-   a crash mid-migration leaves each file either old or new, never
-   torn.  Corrupt or unreadable files are counted and left in place
-   (they keep falling through to fresh solves, exactly as before). *)
-let migrate t =
-  let migrated = ref 0 and already = ref 0 and skipped = ref 0 in
-  let skip e =
-    incr skipped;
-    note_failure t t.load_failures e
-  in
-  (match Sys.readdir t.dir with
-  | exception Sys_error e -> skip e
-  | names ->
-    Array.sort String.compare names;
-    Array.iter
-      (fun name ->
-        if Filename.check_suffix name ".snap" then begin
-          let path = Filename.concat t.dir name in
-          match Snapshot.peek_full ~path with
-          | Error e -> skip (Error.to_string e)
-          | Ok (v, _) when v >= Snapshot.version -> incr already
-          | Ok (_, Snapshot.Dp_table { c; _ }) -> (
-            match Snapshot.load_dp ~path ~c with
-            | Error e -> skip (Error.to_string e)
-            | Ok dp -> (
-              match Snapshot.save_dp ~path dp with
-              | () -> incr migrated
-              | exception Unix.Unix_error (err, _, arg) ->
-                skip
-                  (Printf.sprintf "%s: %s: %s" path arg
-                     (Unix.error_message err))))
-          | Ok (_, Snapshot.Game_memo { c; u; grid; policy; p_key; _ }) -> (
-            match Snapshot.load_game ~path ~c ~u ~grid ~policy ~p_key with
-            | Error e -> skip (Error.to_string e)
-            | Ok s -> (
-              match Snapshot.save_game ~path ~c ~u ~policy ~p_key s with
-              | () -> incr migrated
-              | exception Unix.Unix_error (err, _, arg) ->
-                skip
-                  (Printf.sprintf "%s: %s: %s" path arg
-                     (Unix.error_message err))))
-        end)
-      names);
-  { migrated = !migrated; already = !already; skipped = !skipped }
-
 (* --- enumeration and accounting ------------------------------------------- *)
 
 let entries t =

@@ -9,7 +9,9 @@
 
     Loads never raise: a missing file is a miss, an unreadable or
     invalid file is a load failure (counted, last error kept) and the
-    caller falls through to a fresh solve.  Saves are write-behind and
+    caller falls through to a fresh solve.  A failed load leaves the
+    identity unbanked, so the next save of it rewrites the file: a
+    file at an old format version heals this way.  Saves are write-behind and
     also never raise — a failed save is counted and the daemon keeps
     answering from memory. *)
 
@@ -62,16 +64,6 @@ val save_game :
 val entries : t -> (string * Snapshot.descr) list
 (** Every valid snapshot in the bank, by file name; invalid files are
     skipped (and counted as load failures). *)
-
-type migration = { migrated : int; already : int; skipped : int }
-
-val migrate : t -> migration
-(** Rewrite every old-format snapshot in place at the current
-    {!Snapshot.version} (dp tables re-encode breakpoint-compressed),
-    each through the usual atomic tmp+rename — a crash leaves files
-    either old or new, never torn.  Files already current are counted
-    as [already]; corrupt or unreadable ones are counted as [skipped]
-    and left untouched (they keep falling through to fresh solves). *)
 
 type counters = {
   hits : int;  (** loads answered from a mapped file *)

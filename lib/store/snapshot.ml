@@ -8,8 +8,8 @@
 
      offset  size  field
      0       8     magic "CSMEMOBK"
-     8       4     format version (u32; 1 and 2 both load, new files
-                   are written as version 2)
+     8       4     format version (u32; only the current version, 2,
+                   loads)
      12      4     kind: 1 = dp table, 2 = game memo (u32)
      16      8     endianness/word tag 0x0102030405060708, native order
      24      8     payload bytes (i64)
@@ -28,14 +28,12 @@
      128     ...   policy name, zero-padded to a multiple of 8
      ...     ...   payload
 
-   Payload: dp version 1 = value then first, (max_p+1)*(max_l+1)
-   native ints each (dense); dp version 2 = the breakpoint-compressed
-   pack of Dp.to_packed verbatim (native ints; its own structural
-   validation runs in Dp.of_packed on load) — 10-100x smaller for the
-   long monotone rows the recurrence produces.  Game memos carry the
-   same payload in both versions: the memo matrix, (cap_p+1)*(cap_l+1)
-   float64 (NaN = unsolved).  All section offsets are multiples of 8,
-   so the typed mappings are element-aligned.
+   Payload: dp = the breakpoint-compressed pack of Dp.to_packed
+   verbatim (native ints; its own structural validation runs in
+   Dp.of_packed on load) — 10-100x smaller than the dense cells for the
+   long monotone rows the recurrence produces.  Game = the memo matrix,
+   (cap_p+1)*(cap_l+1) float64 (NaN = unsolved).  All section offsets
+   are multiples of 8, so the typed mappings are element-aligned.
 
    save: write a temporary sibling, blit the arrays through a shared
    writable mapping, stamp the CRCs, close, rename over the target —
@@ -67,7 +65,6 @@ type descr =
 (* Every field the header carries, decoded; [name] is the policy name
    (empty for dp tables). *)
 type header = {
-  h_version : int;
   h_kind : int;
   h_payload_bytes : int;
   h_i0 : int;
@@ -105,7 +102,7 @@ let encode h =
   let name_len = String.length h.h_name in
   let block = Bytes.make (payload_off ~name_len) '\000' in
   Bytes.blit_string magic 0 block 0 8;
-  set_u32 block 8 h.h_version;
+  set_u32 block 8 version;
   set_u32 block 12 h.h_kind;
   Bytes.set_int64_ne block 16 endian_tag;
   set_i64 block 24 h.h_payload_bytes;
@@ -134,9 +131,8 @@ let decode ~path ~file_bytes block =
     corrupt path "bad magic (not a snapshot file)"
   else begin
     let v = get_u32 block 8 in
-    if v < 1 || v > version then
-      corrupt path "format version %d, this build reads versions 1..%d" v
-        version
+    if v <> version then
+      corrupt path "format version %d, this build reads version %d" v version
     else if Bytes.get_int64_ne block 16 <> endian_tag then
       corrupt path "foreign byte order or word size"
     else begin
@@ -159,7 +155,6 @@ let decode ~path ~file_bytes block =
         else begin
           let h =
             {
-              h_version = v;
               h_kind = kind;
               h_payload_bytes = get_i64 block 24;
               h_i0 = get_i64 block 32;
@@ -255,40 +250,10 @@ let write ~path header blit_payload =
      raise e);
   Unix.rename tmp path
 
-(* Read, validate and hand back the header plus an open fd for the
-   payload mappings. *)
-let read ~path f =
-  match
-    with_fd path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 (fun fd ->
-        let file_bytes = (Unix.fstat fd).Unix.st_size in
-        let want = min file_bytes (header_bytes + pad8 4096) in
-        let block = Bytes.create want in
-        let got = ref 0 in
-        (try
-           let n = ref 1 in
-           while !got < want && !n > 0 do
-             n := Unix.read fd block !got (want - !got);
-             got := !got + !n
-           done
-         with Unix.Unix_error _ -> ());
-        match decode ~path ~file_bytes (Bytes.sub block 0 !got) with
-        | Error _ as e -> e
-        | Ok h ->
-          let off = payload_off ~name_len:(String.length h.h_name) in
-          let view = map_bytes fd ~shared:false ~len:file_bytes in
-          let crc = Crc32.of_view view ~pos:off ~len:h.h_payload_bytes in
-          if crc <> h.h_payload_crc then
-            corrupt path "payload checksum mismatch (%08x, expected %08x)"
-              crc h.h_payload_crc
-          else f fd h ~off)
-  with
-  | result -> result
-  | exception Unix.Unix_error (err, _, _) ->
-    Result.Error
-      (Error.Invalid_params
-         (Printf.sprintf "%s: %s" path (Unix.error_message err)))
-
-let peek_full ~path =
+(* Open [path] read-only, read and validate the header + name block and
+   hand it to [f] with the fd and the file size; an I/O failure is a
+   structured error like any other. *)
+let with_header ~path f =
   match
     with_fd path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 (fun fd ->
         let file_bytes = (Unix.fstat fd).Unix.st_size in
@@ -300,9 +265,9 @@ let peek_full ~path =
           n := Unix.read fd block !got (want - !got);
           got := !got + !n
         done;
-        Result.map
-          (fun h -> (h.h_version, descr_of_header h))
-          (decode ~path ~file_bytes (Bytes.sub block 0 !got)))
+        Result.bind
+          (decode ~path ~file_bytes (Bytes.sub block 0 !got))
+          (f fd ~file_bytes))
   with
   | result -> result
   | exception Unix.Unix_error (err, _, _) ->
@@ -310,21 +275,33 @@ let peek_full ~path =
       (Error.Invalid_params
          (Printf.sprintf "%s: %s" path (Unix.error_message err)))
 
-let peek ~path = Result.map snd (peek_full ~path)
+let peek ~path =
+  with_header ~path (fun _ ~file_bytes:_ h -> Ok (descr_of_header h))
+
+(* Validate the header and the payload checksum, then hand [f] the fd
+   for the payload mappings. *)
+let read ~path f =
+  with_header ~path (fun fd ~file_bytes h ->
+      let off = payload_off ~name_len:(String.length h.h_name) in
+      let view = map_bytes fd ~shared:false ~len:file_bytes in
+      let crc = Crc32.of_view view ~pos:off ~len:h.h_payload_bytes in
+      if crc <> h.h_payload_crc then
+        corrupt path "payload checksum mismatch (%08x, expected %08x)" crc
+          h.h_payload_crc
+      else f fd h ~off)
 
 (* --- dp tables ------------------------------------------------------------ *)
 
 let word = Sys.word_size / 8
 
-(* Version 2: the breakpoint pack verbatim — usually 10-100x smaller
-   than the dense pair, so write-behind and warm start move
-   proportionally fewer bytes. *)
+(* The breakpoint pack verbatim — usually 10-100x smaller than the dense
+   cells, so write-behind and warm start move proportionally fewer
+   bytes. *)
 let save_dp ~path dp =
   let pack = Dp.to_packed dp in
   let words = Bigarray.Array1.dim pack in
   let header =
     {
-      h_version = version;
       h_kind = kind_dp;
       h_payload_bytes = words * word;
       h_i0 = Dp.c dp;
@@ -342,78 +319,24 @@ let save_dp ~path dp =
       Bigarray.Array1.blit pack
         (map_ints fd ~shared:true ~pos:off ~cells:words))
 
-(* The version 1 layout (dense value then first), kept as a writer so
-   tests and the migration matrix can fabricate old-format banks. *)
-let save_dp_dense ~path dp =
-  let s = Dp.to_snapshot dp in
-  let cells = (s.Dp.s_max_p + 1) * (s.Dp.s_max_l + 1) in
-  let header =
-    {
-      h_version = 1;
-      h_kind = kind_dp;
-      h_payload_bytes = 2 * cells * word;
-      h_i0 = s.Dp.s_c;
-      h_i1 = s.Dp.s_max_p;
-      h_i2 = s.Dp.s_max_l;
-      h_i3 = 0;
-      h_f0 = 0.;
-      h_f1 = 0.;
-      h_f2 = 0.;
-      h_name = "";
-      h_payload_crc = 0;
-    }
-  in
-  write ~path header (fun fd ~off ->
-      Bigarray.Array1.blit s.Dp.s_value
-        (map_ints fd ~shared:true ~pos:off ~cells);
-      Bigarray.Array1.blit s.Dp.s_first
-        (map_ints fd ~shared:true ~pos:(off + (cells * word)) ~cells))
-
 let load_dp ~path ~c =
   read ~path (fun fd h ~off ->
       if h.h_kind <> kind_dp then corrupt path "not a dp-table snapshot"
       else if h.h_i0 <> c then
         corrupt path "holds a table for c = %d ticks, expected c = %d" h.h_i0 c
-      else if h.h_version >= 2 then begin
-        if h.h_i1 < 0 || h.h_i2 < 0 || h.h_payload_bytes mod word <> 0 then
-          corrupt path "payload is %d bytes, not a whole pack"
-            h.h_payload_bytes
-        else begin
-          let words = h.h_payload_bytes / word in
-          match
-            Error.guard (fun () ->
-                Dp.of_packed ~c:h.h_i0 ~max_p:h.h_i1 ~max_l:h.h_i2
-                  (map_ints fd ~shared:false ~pos:off ~cells:words))
-          with
-          | Ok _ as ok -> ok
-          | Error e ->
-            corrupt path "rejected by Dp.of_packed: %s" (Error.to_string e)
-        end
-      end
+      else if h.h_i1 < 0 || h.h_i2 < 0 || h.h_payload_bytes mod word <> 0
+      then
+        corrupt path "payload is %d bytes, not a whole pack" h.h_payload_bytes
       else begin
-        let cells = (h.h_i1 + 1) * (h.h_i2 + 1) in
-        if h.h_i1 < 0 || h.h_i2 < 0 || h.h_payload_bytes <> 2 * cells * word
-        then
-          corrupt path "payload is %d bytes, bounds (%d, %d) imply %d"
-            h.h_payload_bytes h.h_i1 h.h_i2 (2 * cells * word)
-        else begin
-          match
-            Error.guard (fun () ->
-                Dp.of_snapshot
-                  {
-                    Dp.s_c = h.h_i0;
-                    s_max_p = h.h_i1;
-                    s_max_l = h.h_i2;
-                    s_value = map_ints fd ~shared:false ~pos:off ~cells;
-                    s_first =
-                      map_ints fd ~shared:false ~pos:(off + (cells * word))
-                        ~cells;
-                  })
-          with
-          | Ok _ as ok -> ok
-          | Error e ->
-            corrupt path "rejected by Dp.of_snapshot: %s" (Error.to_string e)
-        end
+        let words = h.h_payload_bytes / word in
+        match
+          Error.guard (fun () ->
+              Dp.of_packed ~c:h.h_i0 ~max_p:h.h_i1 ~max_l:h.h_i2
+                (map_ints fd ~shared:false ~pos:off ~cells:words))
+        with
+        | Ok _ as ok -> ok
+        | Error e ->
+          corrupt path "rejected by Dp.of_packed: %s" (Error.to_string e)
       end)
 
 (* --- game memos ----------------------------------------------------------- *)
@@ -422,7 +345,6 @@ let save_game ~path ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
   let cells = (s.Game.Solver.s_cap_p + 1) * (s.Game.Solver.s_cap_l + 1) in
   let header =
     {
-      h_version = version;
       h_kind = kind_game;
       h_payload_bytes = 8 * cells;
       h_i0 = s.Game.Solver.s_cap_p;

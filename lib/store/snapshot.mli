@@ -21,11 +21,12 @@
     caller falls through to a fresh solve, never crashes. *)
 
 val version : int
-(** Current format version (bumped on any layout change); new files
-    are written at this version, and every version back to 1 still
-    loads.  Version 2 stores dp tables in breakpoint-compressed form
-    ({!Cyclesteal.Dp.to_packed}) instead of the dense value/first
-    pair — typically 10-100x smaller on disk. *)
+(** The format version (bumped on any layout change).  Files are
+    written at this version and only this version loads: a file at any
+    other version is a structured "format version" error, so a bank
+    caller re-solves and its write-behind rewrites the file.  Dp tables
+    are stored breakpoint-compressed ({!Cyclesteal.Dp.to_packed}) —
+    typically 10-100x smaller on disk than the dense cells. *)
 
 type descr =
   | Dp_table of { c : int; max_p : int; max_l : int }
@@ -44,25 +45,15 @@ val peek : path:string -> (descr, Cyclesteal.Error.t) result
     without mapping or checksumming the payload; used to enumerate a
     bank directory. *)
 
-val peek_full : path:string -> (int * descr, Cyclesteal.Error.t) result
-(** {!peek}, also returning the file's format version — what
-    [bank migrate] keys its convert/skip decision on. *)
-
 val save_dp : path:string -> Cyclesteal.Dp.t -> unit
 (** Snapshot the table's solved region to [path] via the atomic-rename
     protocol, in the current (breakpoint-compressed) format.
     @raise Unix.Unix_error on I/O failure (the temporary file is
     removed). *)
 
-val save_dp_dense : path:string -> Cyclesteal.Dp.t -> unit
-(** {!save_dp} in the version 1 layout (dense value/first arrays) —
-    retained so tests and tooling can fabricate old-format banks. *)
-
 val load_dp : path:string -> c:int -> (Cyclesteal.Dp.t, Cyclesteal.Error.t) result
-(** Map [path] and rebuild the table around the mapped payload (no
-    copy): version 1 rebuilds around the dense arrays
-    ({!Cyclesteal.Dp.of_snapshot}), version 2 around the breakpoint
-    pack ({!Cyclesteal.Dp.of_packed}, cell reads binary-search the
+(** Map [path] and rebuild the table around the mapped breakpoint pack
+    (no copy; {!Cyclesteal.Dp.of_packed}, cell reads binary-search the
     runs until the table is grown).  Fails — structured, no
     exception — when the file is corrupt, truncated, version-skewed,
     or holds a table for a different [c]. *)

@@ -389,7 +389,7 @@ let prop_packed_roundtrip =
        (* No footprint conjunct here: on toy tables the pack's fixed
           per-row bookkeeping can exceed the dense bytes.  Compression
           is an economics claim about real-sized rows — asserted on
-          those in bench store and the v1/v2 snapshot tests. *)
+          those in bench store's snapshot series. *)
        Dp.is_packed packed
        && (not (Dp.is_packed dense))
        && tables_identical packed dense)

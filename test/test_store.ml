@@ -47,13 +47,13 @@ let fmat_equal (a : Game.Solver.mat) (b : Game.Solver.mat) =
   in
   go 0
 
+(* [to_packed] is exact for any cell contents, so equal packs and
+   bounds mean equal tables, values and argmax alike. *)
 let dp_tables_equal a b =
-  let sa = Dp.to_snapshot a and sb = Dp.to_snapshot b in
-  sa.Dp.s_c = sb.Dp.s_c
-  && sa.Dp.s_max_p = sb.Dp.s_max_p
-  && sa.Dp.s_max_l = sb.Dp.s_max_l
-  && mat_equal sa.Dp.s_value sb.Dp.s_value
-  && mat_equal sa.Dp.s_first sb.Dp.s_first
+  Dp.c a = Dp.c b
+  && Dp.max_p a = Dp.max_p b
+  && Dp.max_l a = Dp.max_l b
+  && mat_equal (Dp.to_packed a) (Dp.to_packed b)
 
 (* --- round-trip properties ------------------------------------------------ *)
 
@@ -230,43 +230,6 @@ let test_game_identity_mismatch () =
 
 (* --- format versions ------------------------------------------------------- *)
 
-(* A version-1 (dense) snapshot still loads in this build, answers
-   identically to the v2 (breakpoint-compressed) write of the same
-   table, and grows like any mapped table; the v2 file is strictly
-   smaller.  This is the compatibility contract `bank migrate` relies
-   on: v1 files are valid until rewritten, never a flag day. *)
-let test_v1_v2_skew () =
-  with_dir (fun dir ->
-      let v1 = Filename.concat dir "v1.snap"
-      and v2 = Filename.concat dir "v2.snap" in
-      let t = Dp.solve ~c:5 ~max_p:2 ~max_l:300 in
-      Store.Snapshot.save_dp_dense ~path:v1 t;
-      Store.Snapshot.save_dp ~path:v2 t;
-      (match Store.Snapshot.peek_full ~path:v1 with
-       | Ok (1, Store.Snapshot.Dp_table { c = 5; _ }) -> ()
-       | Ok (v, _) -> Alcotest.failf "v1 file peeked as version %d" v
-       | Error e -> Alcotest.fail (Error.to_string e));
-      (match Store.Snapshot.peek_full ~path:v2 with
-       | Ok (2, Store.Snapshot.Dp_table { c = 5; _ }) -> ()
-       | Ok (v, _) -> Alcotest.failf "v2 file peeked as version %d" v
-       | Error e -> Alcotest.fail (Error.to_string e));
-      Alcotest.(check bool) "v2 strictly smaller" true
-        ((Unix.stat v2).Unix.st_size < (Unix.stat v1).Unix.st_size);
-      let load path =
-        match Store.Snapshot.load_dp ~path ~c:5 with
-        | Ok loaded -> loaded
-        | Error e -> Alcotest.fail (Error.to_string e)
-      in
-      let t1 = load v1 and t2 = load v2 in
-      Alcotest.(check bool) "v1 load identical" true (dp_tables_equal t t1);
-      Alcotest.(check bool) "v2 load identical" true (dp_tables_equal t t2);
-      (* Both vintages grow on the heap and agree with a fresh solve. *)
-      Dp.grow t1 ~max_p:3 ~max_l:350;
-      Dp.grow t2 ~max_p:3 ~max_l:350;
-      let fresh = Dp.solve ~c:5 ~max_p:3 ~max_l:350 in
-      Alcotest.(check bool) "grown v1 table" true (dp_tables_equal fresh t1);
-      Alcotest.(check bool) "grown v2 table" true (dp_tables_equal fresh t2))
-
 (* A v2 file whose breakpoint table is cut short must be rejected as
    truncated (the header still promises the full payload). *)
 let test_v2_truncated_pack () =
@@ -416,57 +379,69 @@ let test_bank_warm_start () =
       Alcotest.(check int) "served as a hit" 1 s.Service.Cache.hits;
       Alcotest.(check int) "no miss" 0 s.Service.Cache.misses)
 
-(* A mixed-vintage bank migrates in one pass: v1 files are rewritten
-   at the current version, files already current are left alone (and
-   counted), corrupt files are counted and left in place — still
-   corrupt, still falling through to fresh solves.  A second pass finds
-   nothing left to do. *)
-let test_bank_migrate () =
+(* Rewrite a dp file's format version in place, re-stamping the header
+   checksum so the version is the only thing wrong with it — what a
+   file left by an older build looks like to this one. *)
+let set_version path v =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+       (* dp files carry no policy name: the header is the first 128
+          bytes, its checksum the u32 at 96. *)
+       let h = Bytes.create 128 in
+       ignore (Unix.read fd h 0 128);
+       Bytes.set_int32_le h 8 (Int32.of_int v);
+       Bytes.set_int32_le h 96 0l;
+       Bytes.set_int32_le h 96
+         (Int32.of_int (Store.Crc32.of_bytes h ~pos:0 ~len:128));
+       ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+       ignore (Unix.write fd h 0 128))
+
+(* A bank heals an old-version file with no migration step: the load
+   fails structured and counted, the cache answers exactly as a
+   bankless one, and the write-behind rewrites the file at the current
+   version. *)
+let test_bank_heals_old_version () =
   with_dir (fun dir ->
-      let t3 = Dp.solve ~c:3 ~max_p:2 ~max_l:300 in
-      let t5 = Dp.solve ~c:5 ~max_p:2 ~max_l:240 in
-      let t7 = Dp.solve ~c:7 ~max_p:1 ~max_l:200 in
-      Store.Snapshot.save_dp_dense
-        ~path:(Filename.concat dir "dp_c3.snap")
-        t3;
-      Store.Snapshot.save_dp ~path:(Filename.concat dir "dp_c5.snap") t5;
-      Store.Snapshot.save_dp_dense
-        ~path:(Filename.concat dir "dp_c7.snap")
-        t7;
-      flip_byte (Filename.concat dir "dp_c7.snap") 200;
-      (* Non-snapshot files are not the bank's business. *)
-      let oc = open_out (Filename.concat dir "README") in
-      output_string oc "not a snapshot\n";
-      close_out oc;
+      let c = 5 and p = 2 and l = 300 in
+      let path = Filename.concat dir (Printf.sprintf "dp_c%d.snap" c) in
+      Store.Snapshot.save_dp ~path (Dp.solve ~c ~max_p:p ~max_l:l);
+      set_version path 1;
+      let req = Service.Protocol.Dp_query { c_ticks = c; l; p } in
+      let answer cache =
+        match Service.Protocol.handle ~cache req with
+        | Ok payload -> Service.Json.to_string payload
+        | Error e -> Alcotest.fail (Error.to_string e)
+      in
       let bank = Result.get_ok (Store.Bank.open_dir ~create:false dir) in
-      let m = Store.Bank.migrate bank in
-      Alcotest.(check int) "migrated" 1 m.Store.Bank.migrated;
-      Alcotest.(check int) "already current" 1 m.Store.Bank.already;
-      Alcotest.(check int) "skipped" 1 m.Store.Bank.skipped;
-      Alcotest.(check bool) "skip surfaced as load failure" true
-        ((Store.Bank.counters bank).Store.Bank.load_failures >= 1
-        && Option.is_some (Store.Bank.last_error bank));
-      (* The migrated file is now current and answers identically... *)
-      (match Store.Snapshot.peek_full ~path:(Filename.concat dir "dp_c3.snap") with
-       | Ok (v, _) ->
-         Alcotest.(check int) "migrated file version" Store.Snapshot.version v
-       | Error e -> Alcotest.fail (Error.to_string e));
-      (match Store.Snapshot.load_dp ~path:(Filename.concat dir "dp_c3.snap") ~c:3 with
-       | Ok loaded ->
-         Alcotest.(check bool) "migrated table identical" true
-           (dp_tables_equal t3 loaded)
-       | Error e -> Alcotest.fail (Error.to_string e));
-      (* ...the corrupt file is still there, still corrupt. *)
-      (match Store.Snapshot.load_dp ~path:(Filename.concat dir "dp_c7.snap") ~c:7 with
-       | Ok _ -> Alcotest.fail "corrupt file loads after migrate"
-       | Error _ -> ());
-      (* A second pass: everything valid is already current. *)
-      let m2 = Store.Bank.migrate bank in
-      Alcotest.(check int) "second pass migrates nothing" 0
-        m2.Store.Bank.migrated;
-      Alcotest.(check int) "second pass already" 2 m2.Store.Bank.already;
-      Alcotest.(check int) "second pass skips the corrupt file" 1
-        m2.Store.Bank.skipped)
+      let cache = Service.Cache.create ~bank ~capacity:4 () in
+      Alcotest.(check int) "nothing warmed" 0
+        (Service.Cache.warm_from_bank cache);
+      Alcotest.(check string) "answer = bankless cache"
+        (answer (Service.Cache.create ~capacity:4 ()))
+        (answer cache);
+      let s = Service.Cache.stats cache in
+      (match s.Service.Cache.bank with
+       | Some b ->
+         Alcotest.(check bool) "load failure counted" true
+           (b.Store.Bank.load_failures >= 1)
+       | None -> Alcotest.fail "bank stats absent");
+      (match s.Service.Cache.bank_last_error with
+       | Some e ->
+         Alcotest.(check bool) ("last error names the version: " ^ e) true
+           (contains ~sub:"format version 1" e)
+       | None -> Alcotest.fail "no last error");
+      (* [peek] accepts only the current version. *)
+      match Store.Snapshot.peek ~path with
+      | Error e -> Alcotest.failf "rewritten file: %s" (Error.to_string e)
+      | Ok (Store.Snapshot.Game_memo _) -> Alcotest.fail "rewritten as a memo"
+      | Ok (Store.Snapshot.Dp_table { max_p; max_l; _ }) -> (
+        match Store.Snapshot.load_dp ~path ~c with
+        | Error e -> Alcotest.fail (Error.to_string e)
+        | Ok loaded ->
+          Alcotest.(check bool) "rewritten table = solve" true
+            (dp_tables_equal (Dp.solve ~c ~max_p ~max_l) loaded)))
 
 (* --- stats reset ---------------------------------------------------------- *)
 
@@ -546,7 +521,6 @@ let () =
           Alcotest.test_case "param mismatch" `Quick test_param_mismatch;
           Alcotest.test_case "game identity mismatch" `Quick
             test_game_identity_mismatch;
-          Alcotest.test_case "v1/v2 skew" `Quick test_v1_v2_skew;
           Alcotest.test_case "truncated breakpoint table" `Quick
             test_v2_truncated_pack;
         ] );
@@ -562,8 +536,8 @@ let () =
             test_concurrent_saves;
           Alcotest.test_case "concurrent bank saves" `Quick
             test_bank_concurrent_saves;
-          Alcotest.test_case "migrate mixed-vintage bank" `Quick
-            test_bank_migrate;
+          Alcotest.test_case "old-version file heals" `Quick
+            test_bank_heals_old_version;
         ] );
       ( "stats reset",
         [
