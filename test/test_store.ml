@@ -138,6 +138,25 @@ let flip_byte path off =
        ignore (Unix.lseek fd off Unix.SEEK_SET);
        ignore (Unix.write fd b 0 1))
 
+(* Rewrite a dp file's format version in place, re-stamping the header
+   checksum so the version is the only thing wrong with it — what a
+   file left by an older build looks like to this one. *)
+let set_version path v =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+       (* dp files carry no policy name: the header is the first 128
+          bytes, its checksum the u32 at 96. *)
+       let h = Bytes.create 128 in
+       ignore (Unix.read fd h 0 128);
+       Bytes.set_int32_le h 8 (Int32.of_int v);
+       Bytes.set_int32_le h 96 0l;
+       Bytes.set_int32_le h 96
+         (Int32.of_int (Store.Crc32.of_bytes h ~pos:0 ~len:128));
+       ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+       ignore (Unix.write fd h 0 128))
+
 let expect_load_error ~what ~sub path =
   match Store.Snapshot.load_dp ~path ~c:5 with
   | Ok _ -> Alcotest.failf "%s: load succeeded" what
@@ -175,6 +194,35 @@ let test_version_skew () =
       let path, _ = write_dp_file dir in
       flip_byte path 8;
       expect_load_error ~what:"bumped version" ~sub:"version" path)
+
+(* A file left by the dense-format build (version 1) is rejected as a
+   structured format-version error by both [load_dp] and [peek], never
+   misread, while the same table written by this build peeks as the
+   current version and loads identically. *)
+let test_v1_v2_skew () =
+  with_dir (fun dir ->
+      let v1 = Filename.concat dir "v1.snap"
+      and v2 = Filename.concat dir "v2.snap" in
+      let t = Dp.solve ~c:5 ~max_p:2 ~max_l:300 in
+      Store.Snapshot.save_dp ~path:v1 t;
+      Store.Snapshot.save_dp ~path:v2 t;
+      set_version v1 1;
+      expect_load_error ~what:"v1 file" ~sub:"format version 1" v1;
+      (match Store.Snapshot.peek ~path:v1 with
+       | Ok _ -> Alcotest.fail "v1 file peeks"
+       | Error e ->
+         Alcotest.(check bool)
+           ("v1 peek names the version: " ^ Error.to_string e)
+           true
+           (contains ~sub:"format version 1" (Error.to_string e)));
+      (match Store.Snapshot.peek ~path:v2 with
+       | Ok (Store.Snapshot.Dp_table { c = 5; _ }) -> ()
+       | Ok _ -> Alcotest.fail "v2 file peeked as another table"
+       | Error e -> Alcotest.fail (Error.to_string e));
+      match Store.Snapshot.load_dp ~path:v2 ~c:5 with
+      | Ok loaded ->
+        Alcotest.(check bool) "v2 load identical" true (dp_tables_equal t loaded)
+      | Error e -> Alcotest.fail (Error.to_string e))
 
 let test_bad_magic () =
   with_dir (fun dir ->
@@ -379,25 +427,6 @@ let test_bank_warm_start () =
       Alcotest.(check int) "served as a hit" 1 s.Service.Cache.hits;
       Alcotest.(check int) "no miss" 0 s.Service.Cache.misses)
 
-(* Rewrite a dp file's format version in place, re-stamping the header
-   checksum so the version is the only thing wrong with it — what a
-   file left by an older build looks like to this one. *)
-let set_version path v =
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-       (* dp files carry no policy name: the header is the first 128
-          bytes, its checksum the u32 at 96. *)
-       let h = Bytes.create 128 in
-       ignore (Unix.read fd h 0 128);
-       Bytes.set_int32_le h 8 (Int32.of_int v);
-       Bytes.set_int32_le h 96 0l;
-       Bytes.set_int32_le h 96
-         (Int32.of_int (Store.Crc32.of_bytes h ~pos:0 ~len:128));
-       ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-       ignore (Unix.write fd h 0 128))
-
 (* A bank heals an old-version file with no migration step: the load
    fails structured and counted, the cache answers exactly as a
    bankless one, and the write-behind rewrites the file at the current
@@ -442,6 +471,73 @@ let test_bank_heals_old_version () =
         | Ok loaded ->
           Alcotest.(check bool) "rewritten table = solve" true
             (dp_tables_equal (Dp.solve ~c ~max_p ~max_l) loaded)))
+
+(* A mixed-vintage bank migrates through serving alone: an old-version
+   file and a corrupt one are counted load failures, every answer
+   matches a bankless cache, and the write-behind rewrites both at the
+   current version while the current file and a non-snapshot file are
+   left alone.  A second cache over the same directory then warms every
+   table with no load failure: nothing is left to migrate. *)
+let test_bank_migrate () =
+  with_dir (fun dir ->
+      let file c = Filename.concat dir (Printf.sprintf "dp_c%d.snap" c) in
+      (* Bounds already canonical (even p, power-of-two l >= 256), so
+         the current file covers its query and is served as is. *)
+      let queries = [ (3, 2, 256); (5, 2, 512); (7, 2, 256) ] in
+      List.iter
+        (fun (c, p, l) ->
+           Store.Snapshot.save_dp ~path:(file c) (Dp.solve ~c ~max_p:p ~max_l:l))
+        queries;
+      set_version (file 3) 1;
+      flip_byte (file 7) 200;
+      let readme = Filename.concat dir "README" in
+      let oc = open_out readme in
+      output_string oc "not a snapshot\n";
+      close_out oc;
+      let current = In_channel.with_open_bin (file 5) In_channel.input_all in
+      let answer cache (c, p, l) =
+        let req = Service.Protocol.Dp_query { c_ticks = c; l; p } in
+        match Service.Protocol.handle ~cache req with
+        | Ok payload -> Service.Json.to_string payload
+        | Error e -> Alcotest.fail (Error.to_string e)
+      in
+      let bankless = Service.Cache.create ~capacity:4 () in
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:false dir) in
+      let cache = Service.Cache.create ~bank ~capacity:4 () in
+      Alcotest.(check int) "only the current file warms" 1
+        (Service.Cache.warm_from_bank cache);
+      List.iter
+        (fun q ->
+           Alcotest.(check string) "answer = bankless cache" (answer bankless q)
+             (answer cache q))
+        queries;
+      (match (Service.Cache.stats cache).Service.Cache.bank with
+       | Some b ->
+         Alcotest.(check bool) "both bad files counted" true
+           (b.Store.Bank.load_failures >= 2)
+       | None -> Alcotest.fail "bank stats absent");
+      Alcotest.(check string) "current file untouched" current
+        (In_channel.with_open_bin (file 5) In_channel.input_all);
+      Alcotest.(check bool) "non-snapshot file left alone" true
+        (Sys.file_exists readme);
+      List.iter
+        (fun (c, _, _) ->
+           match Store.Snapshot.load_dp ~path:(file c) ~c with
+           | Error e -> Alcotest.failf "dp_c%d: %s" c (Error.to_string e)
+           | Ok loaded ->
+             Alcotest.(check bool)
+               (Printf.sprintf "dp_c%d = solve" c)
+               true
+               (dp_tables_equal
+                  (Dp.solve ~c ~max_p:(Dp.max_p loaded) ~max_l:(Dp.max_l loaded))
+                  loaded))
+        queries;
+      let bank2 = Result.get_ok (Store.Bank.open_dir ~create:false dir) in
+      let cache2 = Service.Cache.create ~bank:bank2 ~capacity:4 () in
+      Alcotest.(check int) "second pass warms every table" 3
+        (Service.Cache.warm_from_bank cache2);
+      Alcotest.(check int) "second pass has no load failure" 0
+        (Store.Bank.counters bank2).Store.Bank.load_failures)
 
 (* --- stats reset ---------------------------------------------------------- *)
 
@@ -517,6 +613,7 @@ let () =
           Alcotest.test_case "flipped header byte" `Quick test_corrupt_header;
           Alcotest.test_case "truncated file" `Quick test_truncated;
           Alcotest.test_case "version skew" `Quick test_version_skew;
+          Alcotest.test_case "v1/v2 skew" `Quick test_v1_v2_skew;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "param mismatch" `Quick test_param_mismatch;
           Alcotest.test_case "game identity mismatch" `Quick
@@ -536,6 +633,8 @@ let () =
             test_concurrent_saves;
           Alcotest.test_case "concurrent bank saves" `Quick
             test_bank_concurrent_saves;
+          Alcotest.test_case "migrate mixed-vintage bank" `Quick
+            test_bank_migrate;
           Alcotest.test_case "old-version file heals" `Quick
             test_bank_heals_old_version;
         ] );
