@@ -2,10 +2,12 @@
     only — the toolchain ships no JSON library).
 
     The printer is deterministic: object fields keep their given order,
-    floats render with the shortest representation that round-trips, and
-    output is a single line.  Both the [cschedd] daemon and the
-    [csched --json] CLI print through this module, so equal values yield
-    byte-identical text. *)
+    a float renders as the first of [%.12g], [%.15g] and [%.17g] whose
+    text reads back as the same float (not always the shortest form
+    that does: [9.2445652173913047] keeps 17 digits although a 16-digit
+    form reads back), and output is a single line.  Both the [cschedd]
+    daemon and the [csched --json] CLI print through this module, so
+    equal values yield byte-identical text. *)
 
 type t =
   | Null
@@ -23,12 +25,15 @@ val to_string : t -> string
 val add_to_buffer : Buffer.t -> t -> unit
 (** Emit {!to_string}'s bytes straight into [buf] — the daemon's
     wire loop serializes a whole batch into one reused per-connection
-    buffer instead of allocating a string per response. *)
+    buffer instead of allocating a string per response.  Numbers are
+    written from their bits without allocating; only floats outside
+    [1e-6 <= |x| < 2^53] and ties at the 18th significant digit go
+    through the C formatter. *)
 
-(** The pre-optimization printer ([Printf]-chained float rendering, no
-    per-domain memo), byte-identical to the fast path by construction
-    and by property test: the test-only oracle for the fast path;
-    nothing in the serving path uses it. *)
+(** The seed printer (the float rule as a [Printf] chain, integers
+    through [string_of_int]), byte-identical to the fast path by
+    property test: the test-only oracle for the fast path; nothing in
+    the serving path uses it. *)
 module Ref : sig
   val float_repr : float -> string
   val to_string : t -> string

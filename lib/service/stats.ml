@@ -177,6 +177,18 @@ let solver_cache_json (c : Cache.stats) =
       ("resident_bytes", Json.Int c.Cache.solver_bytes);
     ]
 
+(* Process-wide allocation counters from [Gc.quick_stat], so the
+   allocation per request is visible without a profiler.  They count
+   from start-up: a stats reset does not zero them. *)
+let gc_json () =
+  let g = Gc.quick_stat () in
+  Json.Obj
+    [
+      ("minor_words", Json.Int (int_of_float g.Gc.minor_words));
+      ("minor_collections", Json.Int g.Gc.minor_collections);
+      ("major_collections", Json.Int g.Gc.major_collections);
+    ]
+
 (* One shard's section of the stats payload: what was evaluated for
    this shard, by its worker or inline on a connection worker
    (requests/errors/by-op/latency recorded at evaluation time; bytes
@@ -239,6 +251,7 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
                 ("plans_computed", Json.Int g.Cyclesteal.Game.plans_computed);
                 ("parallel_fills", Json.Int g.Cyclesteal.Game.parallel_fills);
               ] );
+          ("gc", gc_json ());
         ]
         (* The serialized-response family only appears when the daemon
            was started with --resp-cache, so default deployments keep

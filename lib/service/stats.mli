@@ -72,7 +72,9 @@ val to_json :
 (** The [stats] request payload: request/error/batch counts, per-op
     counts, latency quantiles (mean/min/max and histogram
     p50/p90/p99), bytes served, cache counters and resident-table
-    footprint over the merged [cache] view.  [shards] appends the
+    footprint over the merged [cache] view, and the process-wide
+    [Gc.quick_stat] allocation counters (a [gc] object that a reset
+    does not zero).  [shards] appends the
     per-shard sections ({!shard_json}) and [restarts] the total shard
     restart count; both are omitted by single-shard daemons that never
     restarted, so the serial payload shape is unchanged.  [resp]

@@ -131,6 +131,120 @@ let test_json_float_repr_edges () =
       max_float; nan; infinity; neg_infinity; 1.5; -3.25; 6.02214076e23;
     ]
 
+(* The fast printer decides the float rule from the bits in
+   1e-6 <= |x| < 2^53 and falls back to the C formatter outside it and
+   on ties at the 18th digit; every case below is checked, with its
+   negative, against the [Printf] chain of [Json.Ref]. *)
+let check_floats_against_ref what xs =
+  List.iter
+    (fun x ->
+       List.iter
+         (fun x ->
+            let want = Json.Ref.to_string (Json.Float x) in
+            let got = Json.to_string (Json.Float x) in
+            if not (String.equal got want) then
+              Alcotest.failf "%s: %h printed %s, reference %s" what x got want)
+         [ x; -.x ])
+    xs
+
+let with_neighbours xs =
+  List.concat_map (fun x -> [ Float.pred x; x; Float.succ x ]) xs
+
+let test_json_float_powers_of_two () =
+  check_floats_against_ref "2^k and neighbours"
+    (with_neighbours (List.init 2098 (fun i -> Float.ldexp 1. (i - 1074))))
+
+let test_json_float_range_edges () =
+  let steps x n =
+    List.init n (fun i ->
+        let rec walk y k = if k = 0 then y else walk (Float.succ y) (k - 1) in
+        walk (Float.pred (Float.pred x)) i)
+  in
+  check_floats_against_ref "exact-range edges"
+    (steps 1e-6 5 @ steps 0x1p53 5 @ steps 1e-5 5 @ steps 1e15 5
+     @ with_neighbours [ 0x1p52; 1e16; 1e12; 1e-4 ])
+
+(* Dyadic values m / 2^j (m odd) whose decimal expansion ends at
+   significant digit [n] with a 5: the 13th, 16th and 18th digits are
+   the exact ties of the %.12g, %.15g and %.17g roundings. *)
+let tie_values n =
+  List.concat_map
+    (fun j ->
+       let p5 = 5. ** float_of_int j in
+       let lo = Float.max 1. (Float.ceil ((10. ** float_of_int (n - 1)) /. p5))
+       and hi = Float.min 0x1p53 ((10. ** float_of_int n) /. p5) in
+       if lo >= hi then []
+       else
+         List.filter_map
+           (fun i ->
+              let m = int_of_float (lo +. ((hi -. lo) *. i)) lor 1 in
+              let m = Float.of_int m in
+              if m < lo || m >= hi then None else Some (Float.ldexp m (-j)))
+           [ 0.; 0.13; 0.5; 0.77; 0.999 ])
+    (List.init 60 (fun j -> j + 1))
+
+let test_json_float_ties () =
+  List.iter
+    (fun n ->
+       let xs = tie_values n in
+       Alcotest.(check bool) (Printf.sprintf "digit-%d ties exist" n) true
+         (List.length xs > 20);
+       List.iter
+         (fun x ->
+            (* Exactly [n] significant digits, the last one a 5. *)
+            let s = Printf.sprintf "%.*e" (n - 1) x in
+            let mantissa = String.sub s 0 (String.index s 'e') in
+            let tie = String.ends_with ~suffix:"5" mantissa in
+            if not (float_of_string s = x && tie) then
+              Alcotest.failf "%h is not a digit-%d tie (%s)" x n s)
+         xs;
+       check_floats_against_ref (Printf.sprintf "digit-%d ties" n) xs)
+    [ 13; 16; 18 ]
+
+let prop_float_range_matches_ref =
+  QCheck.Test.make ~name:"floats in [1e-6, 1e6] match the reference"
+    ~count:10_000 (QCheck.float_range 1e-6 1e6) (fun x ->
+      String.equal
+        (Json.to_string (Json.Float x))
+        (Json.Ref.to_string (Json.Float x)))
+
+let prop_float_bits_match_ref =
+  QCheck.Test.make ~name:"raw float bit patterns match the reference"
+    ~count:10_000 QCheck.int64 (fun bits ->
+      let x = Int64.float_of_bits bits in
+      String.equal
+        (Json.to_string (Json.Float x))
+        (Json.Ref.to_string (Json.Float x)))
+
+let test_json_int_extremes () =
+  List.iter
+    (fun n ->
+       Alcotest.(check string) (string_of_int n) (string_of_int n)
+         (Json.to_string (Json.Int n)))
+    [ min_int; max_int; 0; -1; 1; 9; 10; -10; min_int + 1; max_int - 1 ]
+
+(* A schedule-sized reply (48 floats, 60 ints) rendered into a buffer
+   already large enough: numbers are written without a string each, so
+   the render allocates fewer minor words than the numbers it writes. *)
+let test_json_render_allocation () =
+  let floats =
+    List.init 48 (fun i -> Json.Float (86400. /. float_of_int (i + 7)))
+  in
+  let ints = List.init 60 (fun i -> Json.Int ((i * 7919) - 200_000)) in
+  let v =
+    Json.Obj [ ("periods", Json.List floats); ("ticks", Json.List ints) ]
+  in
+  let buf = Buffer.create 4096 in
+  Json.add_to_buffer buf v;
+  Buffer.clear buf;
+  let before = Gc.minor_words () in
+  Json.add_to_buffer buf v;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "rendered as the reference" (Json.Ref.to_string v)
+    (Buffer.contents buf);
+  if words >= 108. then
+    Alcotest.failf "render allocated %.0f minor words for 108 numbers" words
+
 (* --- Protocol ------------------------------------------------------------- *)
 
 let roundtrip req =
@@ -868,6 +982,36 @@ let test_server_stats_reset () =
       (contains ~sub:{|"requests":0|} third)
   | other ->
     Alcotest.fail (Printf.sprintf "expected 3 responses, got %d" (List.length other))
+
+(* The gc object carries the process-wide allocation counters; they
+   count from start-up, so a later snapshot never reads less. *)
+let test_server_stats_gc () =
+  let lines = [ {|{"id":1,"op":"stats"}|}; {|{"id":2,"op":"stats"}|} ] in
+  let got, _, _ = serve_lines ~batch_size:1 lines in
+  let gc_counters line =
+    match Json.of_string line with
+    | Error e -> Alcotest.fail e
+    | Ok v ->
+      let gc =
+        Option.bind (Json.member "result" v) (Json.member "gc")
+      in
+      List.map
+        (fun key ->
+           match Option.bind (Option.bind gc (Json.member key)) Json.to_int with
+           | Some n -> n
+           | None -> Alcotest.failf "stats.gc.%s missing in %s" key line)
+        [ "minor_words"; "minor_collections"; "major_collections" ]
+  in
+  match got with
+  | [ first; second ] ->
+    List.iter2
+      (fun a b ->
+         Alcotest.(check bool) "gc counter does not decrease" true (a <= b))
+      (gc_counters first) (gc_counters second);
+    Alcotest.(check bool) "minor words counted" true
+      (List.hd (gc_counters first) > 0)
+  | other ->
+    Alcotest.failf "expected 2 responses, got %d" (List.length other)
 
 let test_server_survives_malformed_flood () =
   let lines =
@@ -1816,10 +1960,24 @@ let () =
           Alcotest.test_case "float round-trip" `Quick test_json_float_round_trip;
           Alcotest.test_case "float repr edge cases" `Quick
             test_json_float_repr_edges;
+          Alcotest.test_case "powers of two" `Quick
+            test_json_float_powers_of_two;
+          Alcotest.test_case "exact-range edges" `Quick
+            test_json_float_range_edges;
+          Alcotest.test_case "decimal ties" `Quick test_json_float_ties;
+          Alcotest.test_case "int extremes" `Quick test_json_int_extremes;
+          Alcotest.test_case "render allocation" `Quick
+            test_json_render_allocation;
         ] );
       ( "json props",
-        qc [ prop_json_round_trip; prop_json_ref_printer; prop_float_repr_matches_ref ]
-      );
+        qc
+          [
+            prop_json_round_trip;
+            prop_json_ref_printer;
+            prop_float_repr_matches_ref;
+            prop_float_range_matches_ref;
+            prop_float_bits_match_ref;
+          ] );
       ( "protocol",
         [
           Alcotest.test_case "request round-trip" `Quick test_protocol_round_trip;
@@ -1890,6 +2048,7 @@ let () =
             test_server_end_to_end;
           Alcotest.test_case "stats request" `Quick test_server_stats_request;
           Alcotest.test_case "stats reset" `Quick test_server_stats_reset;
+          Alcotest.test_case "stats gc counters" `Quick test_server_stats_gc;
           Alcotest.test_case "malformed flood" `Quick
             test_server_survives_malformed_flood;
           Alcotest.test_case "unterminated final line" `Quick

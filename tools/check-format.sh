@@ -212,6 +212,22 @@ for f in $(find lib bin bench -type f \( -name '*.ml' -o -name '*.mli' \) \
   fi
 done
 
+# Float-printing gate: the C float formatter (caml_format_float) is
+# bound in exactly one place, lib/service/json.ml, where it is the
+# printer's fallback outside the exact range.  Numbers on the serving
+# path are written from their bits by Json.add_to_buffer; a second
+# binding elsewhere would bring the per-number string and the
+# read-back chain back onto some reply path.
+for f in $(find lib bin test bench examples -type f \
+             \( -name '*.ml' -o -name '*.mli' \) \
+             -not -path 'lib/service/json.ml' | sort); do
+  if grep -nE 'format_float' "$f" >/dev/null 2>&1; then
+    echo "float-printing: format_float in $f (print numbers through Service.Json):" >&2
+    grep -nE 'format_float' "$f" | head -3 >&2
+    fail=1
+  fi
+done
+
 for f in $(find lib bin test bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' -o -name 'dune' \) \
            | sort); do
