@@ -12,7 +12,8 @@
    an O(p L^2) solve, unrelated keys never contend, and a shard worker
    that dies or wedges is restarted bank-warm while its in-flight
    requests answer with a structured error instead of killing the
-   daemon.
+   daemon.  A repeated request, under any id, is answered from the
+   server's byte-bounded answer cache without reaching the router.
 
      echo '{"op":"advise","c":30,"u":86400,"p":3}' | cschedd
      cschedd --socket /tmp/cschedd.sock --max-conns 8 --shards 4 &
@@ -23,14 +24,13 @@
 open Cmdliner
 
 let serve socket_path batch_size domains max_conns cache_tables shards
-    queue_bound resp_cache bank_dir quiet =
+    queue_bound bank_dir quiet =
   if batch_size < 1 then `Error (false, "batch must be >= 1")
   else if domains < 1 then `Error (false, "domains must be >= 1")
   else if max_conns < 1 then `Error (false, "max-conns must be >= 1")
   else if cache_tables < 1 then `Error (false, "cache-tables must be >= 1")
   else if shards < 1 then `Error (false, "shards must be >= 1")
   else if queue_bound < 1 then `Error (false, "queue-bound must be >= 1")
-  else if resp_cache < 0 then `Error (false, "resp-cache must be >= 0")
   else begin
     (* The persistent memo tier: the directory must already exist (a
        typo'd path should not silently start a daemon with an empty
@@ -47,27 +47,15 @@ let serve socket_path batch_size domains max_conns cache_tables shards
          and slice of the bank.  Connection workers live on a separate
          pool owned by the server, so serving slots never compete with
          compute slots. *)
-      (* The serialized-response hot tier is built before the router so
-         its invalidation hook can ride along: any shard growing a dp
-         table drops that identity's stored replies. *)
-      let resp =
-        if resp_cache = 0 then None
-        else Some (Service.Resp_cache.create ~capacity:resp_cache)
-      in
-      let on_grow =
-        Option.map (fun rc c -> Service.Resp_cache.invalidate rc ~c) resp
-      in
       let router =
-        Service.Router.create ~shards ~domains ?bank ?on_grow ~queue_bound
+        Service.Router.create ~shards ~domains ?bank ~queue_bound
           ~capacity:cache_tables ()
       in
       let warmed = Service.Router.warm_from_bank router in
       if (not quiet) && Option.is_some bank then
         Printf.eprintf "cschedd: bank %s mapped, %d dp tables warm\n%!"
           (Option.get bank_dir) warmed;
-      let server =
-        Service.Server.create ~batch_size ~max_conns ?resp_cache:resp ~router ()
-      in
+      let server = Service.Server.create ~batch_size ~max_conns ~router () in
       let stop _ = Service.Server.request_stop server in
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
@@ -148,17 +136,6 @@ let queue_bound_arg =
   in
   Arg.(value & opt int 64 & info [ "queue-bound" ] ~docv:"N" ~doc)
 
-let resp_cache_arg =
-  let doc =
-    "Keep up to $(docv) serialized replies hot, keyed by the exact request \
-     line: an identical repeat is answered from stored bytes without \
-     parsing, planning or serializing again.  Stats/strategies and error \
-     replies are never stored, and dp replies are invalidated when their \
-     backing table grows, so responses are byte-identical to a run without \
-     the cache.  0 (the default) disables it."
-  in
-  Arg.(value & opt int 0 & info [ "resp-cache" ] ~docv:"N" ~doc)
-
 let bank_arg =
   let doc =
     "Map the persistent memo bank at $(docv) (written by $(b,csched \
@@ -183,6 +160,6 @@ let () =
       ret
         (const serve $ socket_arg $ batch_arg $ domains_arg $ max_conns_arg
          $ cache_tables_arg $ shards_arg $ queue_bound_arg
-         $ resp_cache_arg $ bank_arg $ quiet_arg))
+         $ bank_arg $ quiet_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

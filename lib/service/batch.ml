@@ -36,7 +36,14 @@
    whether a parse phase runs first, in how the stats payload arrives
    (a thunk forced at most once for [run], the already-forced value
    otherwise), and in whether a batch that needs fill work is answered
-   or handed back. *)
+   or handed back.
+
+   In the daemon, repeats never get here: the server parses each batch
+   itself, answers the requests its answer cache holds (Answers), and
+   sends only the misses, through Router.run_parsed.  Parse errors and
+   stats ops answered from the forced payload are not evaluated, so
+   their outcomes carry latency 0; the server counts them as untimed
+   rather than as zero-latency answers. *)
 
 type outcome = {
   envelope : Protocol.envelope;

@@ -48,13 +48,16 @@ type outcome = {
   latency : float;
       (** seconds spent evaluating, on the monotonic clock
           ({!Csutil.Clock}); a group's shared fetch is charged to its
-          first request *)
+          first request.  [0.] for parse errors and for [stats] ops
+          answered from [stats_payload], which are not evaluated: the
+          server counts those replies as untimed
+          ({!Stats.add_untimed}). *)
 }
 
 val has_stats_op : Protocol.envelope array -> bool
 (** Whether the batch carries a well-formed [stats] request — callers
-    ({!Router.run}) use this to force the stats snapshot at most once,
-    and only when some request will actually consume it. *)
+    ({!Router.run}, the server) use this to force the stats snapshot at
+    most once, and only when some request will actually consume it. *)
 
 val run :
   ?pool:Csutil.Par.Pool.t ->

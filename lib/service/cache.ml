@@ -129,15 +129,9 @@ type t = {
          bank's mapped snapshots before paying a solve; tables that were
          solved or grown here are written behind (outside the table
          lock) so the next process starts warm. *)
-  on_grow : (int -> unit) option;
-      (* Invalidation hook: called with the table's c, outside the
-         lock, after a resident table grew.  The server's serialized-
-         response cache hangs off this so stored dp replies for that
-         identity are dropped the moment the table they answered from
-         is superseded. *)
 }
 
-let create ?pool ?bank ?on_grow ~capacity () =
+let create ?pool ?bank ~capacity () =
   if capacity < 1 then Error.invalid "Cache.create: capacity must be >= 1";
   {
     tables =
@@ -153,7 +147,6 @@ let create ?pool ?bank ?on_grow ~capacity () =
       };
     pool;
     bank;
-    on_grow;
     solvers =
       {
         sollock = Mutex.create ();
@@ -190,24 +183,22 @@ let evict_lru tb =
 (* Under the lock: stamp a resident entry and serve it, growing it in
    place when it falls short of [key].  A grow counts as both a miss
    (solve work was paid) and a growth (the prefix was reused).  The
-   third component reports the grow so the caller can fire the
-   [on_grow] invalidation hook once the lock is released. *)
+   second component says whether solve work changed the table. *)
 let serve_resident ~pool tb e key ~count =
   e.used <- tb.clock;
   if covers e.dp key then begin
     if count then tb.hits <- tb.hits + 1;
-    (e.dp, false, false)
+    (e.dp, false)
   end
   else begin
     if count then tb.misses <- tb.misses + 1;
     tb.growths <- tb.growths + 1;
     Dp.grow ?pool e.dp ~max_p:key.max_p ~max_l:key.max_l;
-    (e.dp, true, true)
+    (e.dp, true)
   end
 
 (* The resident table for [key.c], grown or solved so it covers [key],
-   plus whether solve work changed it (the write-behind cue) and
-   whether a resident/banked table grew (the invalidation cue).
+   plus whether solve work changed it (the write-behind cue).
 
    A cold miss looks the identity up under the lock, pays the bank
    load (open + CRC scan of the whole payload, tens of ms for a large
@@ -261,7 +252,7 @@ let obtain ~pool ~bank tb key ~count =
             evict_lru tb
           done;
           Hashtbl.add tb.table key.c { dp; used = tb.clock };
-          (dp, changed, grew))
+          (dp, changed))
 
 (* Write-behind: persist a freshly solved or grown table, outside the
    lock.  Published cells are immutable, so reading the table here
@@ -270,17 +261,11 @@ let obtain ~pool ~bank tb key ~count =
 let persist_dp t dp =
   match t.bank with None -> () | Some b -> Store.Bank.save_dp b dp
 
-(* Fire the invalidation hook outside the table lock: the hook takes
-   the response cache's own mutex, and keeping the two locks disjoint
-   means neither side can deadlock the other. *)
-let notify_grow t c = match t.on_grow with None -> () | Some f -> f c
-
 let find_or_solve t ~c ~p ~l =
   let key = canonical ~c ~p ~l in
-  let dp, changed, grew =
+  let dp, changed =
     obtain ~pool:t.pool ~bank:t.bank t.tables key ~count:true
   in
-  if grew then notify_grow t key.c;
   if changed then persist_dp t dp;
   dp
 

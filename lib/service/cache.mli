@@ -57,7 +57,6 @@ val canonical : c:int -> p:int -> l:int -> key
 val create :
   ?pool:Csutil.Par.Pool.t ->
   ?bank:Store.Bank.t ->
-  ?on_grow:(int -> unit) ->
   capacity:int ->
   unit ->
   t
@@ -80,11 +79,6 @@ val create :
     last save; see {!with_solver}).  Bank load failures (corrupt,
     truncated, mismatched files) silently fall through to a fresh
     solve and are reported in {!stats}[.bank].
-
-    [on_grow] is an invalidation hook, called with the table's [c] —
-    outside the cache locks — every time a table for that identity
-    grows; the server's serialized-response cache uses it to drop
-    stored dp replies whose backing table was superseded.
     @raise Error.Error when [capacity < 1]. *)
 
 val warm_from_bank : ?owns:(int -> bool) -> t -> int

@@ -330,179 +330,209 @@ end
 
 exception Err of int * string
 
+(* The parser threads one state record through top-level functions
+   rather than closing a dozen local functions over the input, peeks
+   without an option, and cuts an escape-free string straight out of
+   the input; a request line is parsed on every answer-cache hit, so
+   these allocations are most of what a hit costs.  Error offsets and
+   messages are those of the closure-based parser it replaced. *)
+type parser = { s : string; n : int; mutable pos : int }
+
+let fail st msg = raise (Err (st.pos, msg))
+let at st c = st.pos < st.n && st.s.[st.pos] = c
+
+let skip_ws st =
+  while
+    st.pos < st.n
+    && (match st.s.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+  do
+    st.pos <- st.pos + 1
+  done
+
+let expect st ch =
+  if at st ch then st.pos <- st.pos + 1
+  else fail st (Printf.sprintf "expected %C" ch)
+
+let literal st word value =
+  let m = String.length word in
+  if st.pos + m <= st.n && String.sub st.s st.pos m = word then begin
+    st.pos <- st.pos + m;
+    value
+  end
+  else fail st (Printf.sprintf "expected %s" word)
+
+(* Encode a Unicode code point as UTF-8 into [buf]. *)
+let add_utf8 buf cp =
+  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+
+let parse_hex4 st =
+  if st.pos + 4 > st.n then fail st "truncated \\u escape";
+  let v = ref 0 in
+  for _ = 1 to 4 do
+    let d =
+      match st.s.[st.pos] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail st "bad hex digit in \\u escape"
+    in
+    v := (!v * 16) + d;
+    st.pos <- st.pos + 1
+  done;
+  !v
+
+(* The general string loop, from just after the opening quote. *)
+let parse_escaped_string st =
+  let buf = Buffer.create 16 in
+  let rec loop () =
+    if st.pos >= st.n then fail st "unterminated string";
+    let c = st.s.[st.pos] in
+    st.pos <- st.pos + 1;
+    match c with
+    | '"' -> Buffer.contents buf
+    | '\\' ->
+      (if st.pos >= st.n then fail st "unterminated escape";
+       let e = st.s.[st.pos] in
+       st.pos <- st.pos + 1;
+       match e with
+       | '"' -> Buffer.add_char buf '"'
+       | '\\' -> Buffer.add_char buf '\\'
+       | '/' -> Buffer.add_char buf '/'
+       | 'n' -> Buffer.add_char buf '\n'
+       | 't' -> Buffer.add_char buf '\t'
+       | 'r' -> Buffer.add_char buf '\r'
+       | 'b' -> Buffer.add_char buf '\b'
+       | 'f' -> Buffer.add_char buf '\012'
+       | 'u' -> add_utf8 buf (parse_hex4 st)
+       | _ -> fail st "unknown escape");
+      loop ()
+    | c ->
+      Buffer.add_char buf c;
+      loop ()
+  in
+  loop ()
+
+(* A string with no escape is the input bytes between its quotes;
+   anything else (an escape, no closing quote) takes the general loop
+   from the same position, so its errors are unchanged. *)
+let parse_string st =
+  expect st '"';
+  let start = st.pos in
+  let i = ref start in
+  while !i < st.n && st.s.[!i] <> '"' && st.s.[!i] <> '\\' do
+    incr i
+  done;
+  if !i < st.n && st.s.[!i] = '"' then begin
+    st.pos <- !i + 1;
+    String.sub st.s start (!i - start)
+  end
+  else parse_escaped_string st
+
+let digits st =
+  let d0 = st.pos in
+  while
+    st.pos < st.n
+    && match st.s.[st.pos] with '0' .. '9' -> true | _ -> false
+  do
+    st.pos <- st.pos + 1
+  done;
+  if st.pos = d0 then fail st "expected digit"
+
+let parse_number st =
+  let start = st.pos in
+  if at st '-' then st.pos <- st.pos + 1;
+  digits st;
+  let is_float = ref false in
+  if at st '.' then begin
+    is_float := true;
+    st.pos <- st.pos + 1;
+    digits st
+  end;
+  if at st 'e' || at st 'E' then begin
+    is_float := true;
+    st.pos <- st.pos + 1;
+    if at st '+' || at st '-' then st.pos <- st.pos + 1;
+    digits st
+  end;
+  let text = String.sub st.s start (st.pos - start) in
+  if !is_float then Float (float_of_string text)
+  else
+    match int_of_string_opt text with
+    | Some i -> Int i
+    | None -> Float (float_of_string text)
+
+let rec parse_value st =
+  skip_ws st;
+  if st.pos >= st.n then fail st "unexpected end of input";
+  match st.s.[st.pos] with
+  | '"' -> String (parse_string st)
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '[' ->
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    if at st ']' then begin
+      st.pos <- st.pos + 1;
+      List []
+    end
+    else parse_items st []
+  | '{' ->
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    if at st '}' then begin
+      st.pos <- st.pos + 1;
+      Obj []
+    end
+    else parse_fields st []
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail st (Printf.sprintf "unexpected character %C" c)
+
+and parse_items st acc =
+  let v = parse_value st in
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    parse_items st (v :: acc)
+  end
+  else if at st ']' then begin
+    st.pos <- st.pos + 1;
+    List (List.rev (v :: acc))
+  end
+  else fail st "expected ',' or ']'"
+
+and parse_fields st acc =
+  skip_ws st;
+  let k = parse_string st in
+  skip_ws st;
+  expect st ':';
+  let v = parse_value st in
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    parse_fields st ((k, v) :: acc)
+  end
+  else if at st '}' then begin
+    st.pos <- st.pos + 1;
+    Obj (List.rev ((k, v) :: acc))
+  end
+  else fail st "expected ',' or '}'"
+
 let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Err (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect ch =
-    match peek () with
-    | Some c when c = ch -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" ch)
-  in
-  let literal word value =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then begin
-      pos := !pos + m;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  (* Encode a Unicode code point as UTF-8 into [buf]. *)
-  let add_utf8 buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let v = ref 0 in
-    for _ = 1 to 4 do
-      let d =
-        match s.[!pos] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | _ -> fail "bad hex digit in \\u escape"
-      in
-      v := (!v * 16) + d;
-      advance ()
-    done;
-    !v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (if !pos >= n then fail "unterminated escape";
-         let e = s.[!pos] in
-         advance ();
-         match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' -> add_utf8 buf (parse_hex4 ())
-         | _ -> fail "unknown escape");
-        loop ()
-      | c -> Buffer.add_char buf c; loop ()
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    let is_float = ref false in
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-     | Some ('e' | 'E') ->
-       is_float := true;
-       advance ();
-       (match peek () with
-        | Some ('+' | '-') -> advance ()
-        | _ -> ());
-       digits ()
-     | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !is_float then Float (float_of_string text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> Float (float_of_string text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); items (v :: acc)
-          | Some ']' -> advance (); List (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        items []
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); fields ((k, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        fields []
-      end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
+  let st = { s; n = String.length s; pos = 0 } in
   match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage after JSON value";
+    let v = parse_value st in
+    skip_ws st;
+    if st.pos <> st.n then fail st "trailing garbage after JSON value";
     v
   with
   | v -> Ok v

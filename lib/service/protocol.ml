@@ -466,4 +466,15 @@ let response_to_json ~id result =
 
 let add_response buf ~id result = Json.add_to_buffer buf (response_to_json ~id result)
 
+(* The success envelope around a payload serialized earlier: the same
+   bytes [add_response] writes for [Ok v] when [payload] is
+   [Json.to_string v], since an object renders as its fields in order
+   with no spaces. *)
+let add_payload_response buf ~id payload =
+  Buffer.add_string buf {|{"id":|};
+  Json.add_to_buffer buf id;
+  Buffer.add_string buf {|,"ok":true,"result":|};
+  Buffer.add_string buf payload;
+  Buffer.add_char buf '}'
+
 let response_to_string ~id result = Json.to_string (response_to_json ~id result)

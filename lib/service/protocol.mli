@@ -144,3 +144,10 @@ val add_response :
 (** Append {!response_to_string}'s bytes (no trailing newline) to a
     buffer — the wire loop serializes a whole batch into one
     reused per-connection buffer. *)
+
+val add_payload_response : Buffer.t -> id:Json.t -> string -> unit
+(** [add_payload_response buf ~id payload] appends
+    [{"id":<id>,"ok":true,"result":<payload>}] for a [result] payload
+    serialized earlier: byte-identical to [add_response buf ~id (Ok v)]
+    when [payload] is [Json.to_string v].  The daemon answers repeated
+    requests this way from its answer cache ({!Answers}). *)

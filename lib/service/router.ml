@@ -233,10 +233,6 @@ type t = {
   per_shard_domains : int;
   shard_capacity : int;
   bank : Store.Bank.t option;
-  on_grow : (int -> unit) option;
-      (* threaded into every shard cache (and every restart
-         replacement), so the server's response cache hears about
-         table growth wherever it happens *)
   hang_timeout : float;
   queue_bound : int;
   stopped : bool Atomic.t;
@@ -323,10 +319,10 @@ let stopped_error index =
    channel identity live on the shard record).  Restarts rebuild this
    bank-warm, so a replacement worker starts where the bank left off
    rather than cold. *)
-let fresh_runtime ~shards ~per_shard_domains ~shard_capacity ~bank ~on_grow
-    ~warm index =
+let fresh_runtime ~shards ~per_shard_domains ~shard_capacity ~bank ~warm
+    index =
   let pool = Csutil.Par.Pool.create ~domains:per_shard_domains in
-  let cache = Cache.create ~pool ?bank ?on_grow ~capacity:shard_capacity () in
+  let cache = Cache.create ~pool ?bank ~capacity:shard_capacity () in
   if warm && Option.is_some bank then
     ignore (Cache.warm_from_bank ~owns:(owns ~shards index) cache);
   (cache, pool)
@@ -399,7 +395,7 @@ and restart_shard t sh ~gen =
     let cache, pool =
       fresh_runtime ~shards:(Array.length t.shards)
         ~per_shard_domains:t.per_shard_domains ~shard_capacity:t.shard_capacity
-        ~bank:t.bank ~on_grow:t.on_grow ~warm:true sh.index
+        ~bank:t.bank ~warm:true sh.index
     in
     sh.cache <- cache;
     sh.pool <- pool;
@@ -449,7 +445,7 @@ let watchdog_loop t =
 
 (* --- construction -------------------------------------------------------- *)
 
-let create ?(shards = 1) ?domains ?bank ?on_grow ?(hang_timeout = 30.)
+let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.)
     ?(queue_bound = 64) ~capacity () =
   if shards < 1 then Cyclesteal.Error.invalid "Router.create: shards must be >= 1";
   if capacity < 1 then
@@ -473,7 +469,7 @@ let create ?(shards = 1) ?domains ?bank ?on_grow ?(hang_timeout = 30.)
         Array.init shards (fun index ->
             let cache, pool =
               fresh_runtime ~shards ~per_shard_domains ~shard_capacity ~bank
-                ~on_grow ~warm:false index
+                ~warm:false index
             in
             {
               index;
@@ -491,7 +487,6 @@ let create ?(shards = 1) ?domains ?bank ?on_grow ?(hang_timeout = 30.)
       per_shard_domains;
       shard_capacity;
       bank;
-      on_grow;
       hang_timeout;
       queue_bound;
       stopped = Atomic.make false;

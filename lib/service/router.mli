@@ -26,7 +26,8 @@
 
     Serial, concurrent and sharded serving are this one code path: a
     single-shard router is the serial daemon's evaluation engine, and
-    {!Server} always talks to a router through {!run}, whatever K is.
+    {!Server} always talks to a router through {!run_parsed}, whatever
+    K is, sending it only the requests its answer cache misses.
 
     {b Placement} uses rendezvous (highest-random-weight) hashing:
     every (key, shard) pair gets a deterministic 64-bit score and the
@@ -59,7 +60,6 @@ val create :
   ?shards:int ->
   ?domains:int ->
   ?bank:Store.Bank.t ->
-  ?on_grow:(int -> unit) ->
   ?hang_timeout:float ->
   ?queue_bound:int ->
   capacity:int ->
@@ -72,10 +72,7 @@ val create :
     budget, split evenly across shard solve pools (each shard gets at
     least one slot).  [bank] is shared: each shard's cache maps and
     writes behind only the tables its placement owns (warm them with
-    {!warm_from_bank}).  [on_grow] is handed to every shard cache (and
-    every restart replacement): it fires with the table's [c] whenever
-    a resident dp table grows, which is how the server's serialized-
-    response cache invalidates stored dp replies.  [hang_timeout]
+    {!warm_from_bank}).  [hang_timeout]
     (default 30 s) is how long one sub-batch may run, on the monotonic
     clock, before the watchdog declares the worker wedged and restarts
     it.  [queue_bound] (default 64) caps each shard's job queue — a
@@ -105,6 +102,13 @@ val run :
     response order, and therefore the bytes a client reads, are
     identical to a serial server's.  [stats_payload] is forced at most
     once, only when the batch carries a [stats] op. *)
+
+val run_parsed :
+  t -> ?stats_payload:Json.t -> Protocol.envelope array -> Batch.outcome array
+(** {!run} without its parse phase, for callers that already hold
+    parsed envelopes — the server parses a batch itself to probe its
+    answer cache, and sends only the misses here.  [stats_payload] is
+    the already-forced snapshot a [stats] op answers with. *)
 
 val warm_from_bank : t -> int
 (** Warm every shard cache from the shared bank, each mapping only the

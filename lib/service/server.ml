@@ -14,8 +14,9 @@
    own request order — batching never crosses connections, and the
    router gathers sub-batches back index-aligned — so the bytes a
    client reads are identical to what a serial server would have sent
-   it.  This file owns accept, framing and ordering only; placement,
-   evaluation and failure recovery live in [Router]. *)
+   it.  This file owns accept, framing, ordering and the answer cache
+   in front of the router; placement, evaluation and failure recovery
+   live in [Router]. *)
 
 type reader = {
   fd : Unix.file_descr;
@@ -151,14 +152,28 @@ let rec next_line ~blocking ~should_stop r =
       else if r.eof || not blocking then No_line
       else next_line ~blocking ~should_stop r
 
-let write_all fd s =
-  let n = String.length s in
+let write_all fd buf n =
   let written = ref 0 in
   while !written < n do
-    match Unix.write_substring fd s !written (n - !written) with
+    match Unix.write fd buf !written (n - !written) with
     | k -> written := !written + k
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+(* Write a batch's replies from one per-connection [Bytes], doubled
+   whenever a batch outgrows it, rather than a fresh string per
+   batch. *)
+let flush fd wire out =
+  let n = Buffer.length out in
+  if Bytes.length !wire < n then begin
+    let size = ref (Bytes.length !wire) in
+    while !size < n do
+      size := 2 * !size
+    done;
+    wire := Bytes.create !size
+  end;
+  Buffer.blit out 0 !wire 0 n;
+  write_all fd !wire n
 
 (* --- server ------------------------------------------------------------- *)
 
@@ -166,14 +181,12 @@ type t = {
   batch_size : int;
   max_conns : int;
   router : Router.t;
-  resp_cache : Resp_cache.t option;
-      (* the serialized-response hot tier, shared by every connection;
-         [None] (the default) sends every line to the router *)
+  answers : Answers.t;  (* shared by every connection *)
   stats : Stats.t;  (* the connection-facing family: bytes, I/O errors *)
   stop : bool Atomic.t;
 }
 
-let create ?(batch_size = 64) ?(max_conns = 1) ?resp_cache ~router () =
+let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
   if batch_size < 1 then
     Cyclesteal.Error.invalid "Server.create: batch_size must be >= 1";
   if max_conns < 1 then
@@ -182,13 +195,14 @@ let create ?(batch_size = 64) ?(max_conns = 1) ?resp_cache ~router () =
     batch_size;
     max_conns;
     router;
-    resp_cache;
+    answers = Answers.create ();
     stats = Stats.create ();
     stop = Atomic.make false;
   }
 
 let stats t = t.stats
 let router t = t.router
+let answers t = t.answers
 let request_stop t = Atomic.set t.stop true
 let stopped t = Atomic.get t.stop
 
@@ -199,18 +213,18 @@ let stopped t = Atomic.get t.stop
    payload shape. *)
 let stats_json t =
   let cache = Router.cache_stats t.router in
-  let resp = Option.map Resp_cache.stats t.resp_cache in
+  let answers = Answers.stats t.answers in
   if Router.shard_count t.router > 1 || Router.restarts t.router > 0 then
     Stats.to_json
       ~shards:(Router.shards_json t.router)
-      ~restarts:(Router.restarts t.router) ?resp t.stats ~cache
-  else Stats.to_json ?resp t.stats ~cache
+      ~restarts:(Router.restarts t.router) ~answers t.stats ~cache
+  else Stats.to_json ~answers t.stats ~cache
 
 let summary t =
   Stats.summary
     ~shards:(Router.shard_count t.router)
     ~restarts:(Router.restarts t.router)
-    ?resp:(Option.map Resp_cache.stats t.resp_cache)
+    ~answers:(Answers.stats t.answers)
     t.stats
     ~cache:(Router.cache_stats t.router)
 
@@ -240,71 +254,104 @@ let read_batch t r =
     in
     drain [ first ] 1
 
-let op_of (o : Batch.outcome) =
-  match o.Batch.envelope.Protocol.request with
-  | Ok req -> Protocol.op_name req
-  | Error _ -> "invalid"
-
 (* A stats reset applies once the batch that carried it is fully
    accounted and written, so the response still reflects the pre-reset
    counters. *)
-let finish_batch t outcomes =
+let finish_batch t envelopes =
   let wants_reset =
     Array.exists
-      (fun (o : Batch.outcome) ->
-         match o.Batch.envelope.Protocol.request with
+      (fun (e : Protocol.envelope) ->
+         match e.Protocol.request with
          | Ok (Protocol.Stats { reset }) -> reset
          | _ -> false)
-      outcomes
+      envelopes
   in
   if wants_reset then begin
     Stats.reset_counters t.stats;
     Router.reset_counters t.router;
-    Option.iter Resp_cache.reset_counters t.resp_cache
+    Answers.reset_counters t.answers
   end
 
-(* Is this outcome's reply storable in the response cache, and under
-   which dp identity?  Only successful results of the pure ops: a
-   stats or strategies reply bakes in server state, an error reply is
-   not worth a slot, and a parse-error envelope has no op at all. *)
-let storable (o : Batch.outcome) =
-  match (o.Batch.result, o.Batch.envelope.Protocol.request) with
-  | Ok _, Ok (Protocol.Advise _ | Protocol.Schedule _ | Protocol.Evaluate _) ->
-    Some None
-  | Ok _, Ok (Protocol.Dp_query { c_ticks; _ }) -> Some (Some c_ticks)
-  | _ -> None
+let op_of (e : Protocol.envelope) =
+  match e.Protocol.request with
+  | Ok req -> Protocol.op_name req
+  | Error _ -> "invalid"
 
-(* The wire loop: the router parses the batch's lines on the calling
-   domain, responses serialize straight into one per-connection buffer
-   reused across batches, the stats snapshot is computed only for
-   batches that carry a [stats] op, and the write syscall reads the
-   string without an intermediate [Bytes] copy.
+(* Parse errors and stats ops are answered without evaluation, so
+   their outcomes carry no latency to record. *)
+let untimed (e : Protocol.envelope) =
+  match e.Protocol.request with
+  | Error _ | Ok (Protocol.Stats _) -> true
+  | Ok _ -> false
 
-   With a response cache, every line probes it first: a hit replays
-   the stored reply bytes without ever reaching the router, only the
-   misses pay parse -> plan -> serialize, and their fresh replies are
-   stored on the way out.  The miss sub-batch comes back from the
-   router index-aligned and is interleaved with the hits in arrival
-   order, so each connection's response order is untouched.  Stats
-   ops are never cached, so a reset-carrying batch always reaches
-   [finish_batch] with its outcome visible. *)
+(* Answer one batch into [out], in request order.  Every cacheable
+   request probes the answer cache first, timed on the monotonic clock;
+   only the misses go to the router, which hands them back
+   index-aligned.  A hit writes its stored payload inside a fresh
+   envelope, a successful cacheable miss is serialized once and stored
+   on the way out, and everything else (errors, stats, strategies,
+   custom-periods evaluations) is serialized as before and never
+   stored. *)
+let answer_batch t out envelopes =
+  let n = Array.length envelopes in
+  Stats.add_batch t.stats ~size:n;
+  let payloads = Array.make n None and latency = Array.make n 0. in
+  let misses = ref [] in
+  for i = n - 1 downto 0 do
+    match envelopes.(i).Protocol.request with
+    | Ok req when Answers.cacheable req -> (
+      let t0 = Csutil.Clock.now () in
+      match Answers.find t.answers req with
+      | Some _ as hit ->
+        payloads.(i) <- hit;
+        latency.(i) <- Csutil.Clock.now () -. t0
+      | None -> misses := envelopes.(i) :: !misses)
+    | _ -> misses := envelopes.(i) :: !misses
+  done;
+  let misses = Array.of_list !misses in
+  let outcomes =
+    if Array.length misses = 0 then [||]
+    else
+      let stats_payload =
+        if Batch.has_stats_op misses then Some (stats_json t) else None
+      in
+      Router.run_parsed t.router ?stats_payload misses
+  in
+  let next = ref 0 in
+  Array.iteri
+    (fun i (e : Protocol.envelope) ->
+       let before = Buffer.length out in
+       let ok, latency, timed =
+         match payloads.(i) with
+         | Some payload ->
+           Protocol.add_payload_response out ~id:e.Protocol.id payload;
+           (true, latency.(i), true)
+         | None ->
+           let o = outcomes.(!next) in
+           incr next;
+           (match (o.Batch.result, e.Protocol.request) with
+            | Ok v, Ok req when Answers.cacheable req ->
+              let payload = Json.to_string v in
+              Protocol.add_payload_response out ~id:e.Protocol.id payload;
+              Answers.store t.answers req payload
+            | result, _ -> Protocol.add_response out ~id:e.Protocol.id result);
+           (Result.is_ok o.Batch.result, o.Batch.latency, not (untimed e))
+       in
+       Buffer.add_char out '\n';
+       let r =
+         { Stats.op = op_of e; ok; latency; bytes = Buffer.length out - before }
+       in
+       if timed then Stats.add t.stats r else Stats.add_untimed t.stats r)
+    envelopes
+
+(* The wire loop: parse the batch on this domain, answer it into one
+   per-connection buffer reused across batches ([answer_batch]), and
+   write the buffer through a per-connection [Bytes].  The stats
+   snapshot is computed only for batches that carry a [stats] op. *)
 let serve_fd t in_fd out_fd =
   let r = reader in_fd in
   let out = Buffer.create 8192 in
-  let stats_snapshot () = stats_json t in
-  let emit (o : Batch.outcome) =
-    let before = Buffer.length out in
-    Protocol.add_response out ~id:o.Batch.envelope.Protocol.id o.Batch.result;
-    Buffer.add_char out '\n';
-    Stats.add t.stats
-      {
-        Stats.op = op_of o;
-        ok = Result.is_ok o.Batch.result;
-        latency = o.Batch.latency;
-        bytes = Buffer.length out - before;
-      };
-    before
-  in
+  let wire = ref (Bytes.create 8192) in
   let rec loop () =
     if stopped t then ()
     else begin
@@ -312,67 +359,13 @@ let serve_fd t in_fd out_fd =
       if lines = [] && not overlong then ()
       else begin
         Buffer.clear out;
-        let outcomes =
-          match (lines, t.resp_cache) with
-          | [], _ -> [||]
-          | lines, None ->
-            let lines = Array.of_list lines in
-            Stats.add_batch t.stats ~size:(Array.length lines);
-            let outcomes =
-              Router.run t.router ~stats_payload:stats_snapshot lines
-            in
-            Array.iter (fun o -> ignore (emit o)) outcomes;
-            outcomes
-          | lines, Some rc ->
-            let lines = Array.of_list lines in
-            Stats.add_batch t.stats ~size:(Array.length lines);
-            let probes = Array.map (Resp_cache.find rc) lines in
-            let misses = ref [] in
-            Array.iteri
-              (fun i probe ->
-                match probe with
-                | None -> misses := lines.(i) :: !misses
-                | Some _ -> ())
-              probes;
-            let miss_lines = Array.of_list (List.rev !misses) in
-            let outcomes =
-              if Array.length miss_lines = 0 then [||]
-              else Router.run t.router ~stats_payload:stats_snapshot miss_lines
-            in
-            let mi = ref 0 in
-            Array.iteri
-              (fun i probe ->
-                match probe with
-                | Some (reply, op) ->
-                  Buffer.add_string out reply;
-                  Buffer.add_char out '\n';
-                  Stats.add t.stats
-                    {
-                      Stats.op = op;
-                      ok = true;
-                      latency = 0.;
-                      bytes = String.length reply + 1;
-                    }
-                | None -> (
-                  let o = outcomes.(!mi) in
-                  incr mi;
-                  let before = emit o in
-                  match storable o with
-                  | None -> ()
-                  | Some dp_c ->
-                    let reply =
-                      Buffer.sub out before (Buffer.length out - before - 1)
-                    in
-                    Resp_cache.store rc ~line:lines.(i) ~op:(op_of o) ?dp_c
-                      ~reply ()))
-              probes;
-            outcomes
-        in
+        let envelopes = Array.of_list (List.map Protocol.parse_line lines) in
+        if Array.length envelopes > 0 then answer_batch t out envelopes;
         if overlong then begin
           let before = Buffer.length out in
           Protocol.add_response out ~id:Json.Null (Error overlong_error);
           Buffer.add_char out '\n';
-          Stats.add t.stats
+          Stats.add_untimed t.stats
             {
               Stats.op = "invalid";
               ok = false;
@@ -380,8 +373,8 @@ let serve_fd t in_fd out_fd =
               bytes = Buffer.length out - before;
             }
         end;
-        write_all out_fd (Buffer.contents out);
-        finish_batch t outcomes;
+        flush out_fd wire out;
+        finish_batch t envelopes;
         loop ()
       end
     end

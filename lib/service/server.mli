@@ -9,10 +9,16 @@
     written in request order and flushed once per batch.
 
     Each batch's lines parse on the connection's own domain, with no
-    per-line fan-out; responses serialize into one reused
-    per-connection buffer, the stats snapshot is computed only for
-    batches carrying a [stats] op, and writes go out without an
-    intermediate [Bytes] copy.
+    per-line fan-out.  Every cacheable request then probes the
+    server's answer cache ({!Answers}), keyed on the decoded request and
+    shared by every connection: a hit is answered from its stored
+    payload bytes, and only the misses go to the router.  Successful
+    cacheable answers are stored on the way out; errors, [stats] and
+    [strategies] replies never are.  Responses serialize into one
+    reused per-connection buffer, which is copied into a
+    per-connection [Bytes] (doubled when a batch outgrows it) for the
+    write; the stats snapshot is computed only for batches carrying a
+    [stats] op.
 
     The socket front end serves up to [max_conns] clients concurrently:
     an acceptor feeds a bounded worker pool, every worker submitting
@@ -22,9 +28,10 @@
     A client that disconnects mid-batch costs one {!Stats.io_errors}
     tick, never the daemon.
 
-    This module owns accept, framing and per-connection ordering only.
-    Request placement, evaluation, caching and shard-failure recovery
-    all live behind the router seam ({!Router}).
+    This module owns accept, framing, per-connection ordering and the
+    answer cache.  Request placement, evaluation, the table and solver
+    caches and shard-failure recovery all live behind the router seam
+    ({!Router}).
 
     Shutdown is graceful: on EOF or {!request_stop} (the SIGINT handler)
     the in-flight batch completes and its responses are flushed before
@@ -35,7 +42,6 @@ type t
 val create :
   ?batch_size:int ->
   ?max_conns:int ->
-  ?resp_cache:Resp_cache.t ->
   router:Router.t ->
   unit ->
   t
@@ -46,19 +52,18 @@ val create :
     compete with compute slots.  [router] is the evaluation engine
     every connection submits to; the caller owns it (and its
     {!Router.shutdown}) — one router can outlive many serve calls.
-
-    [resp_cache] plugs in the serialized-response hot tier: each
-    request line probes it before parsing, hits replay their stored
-    reply bytes, and fresh cacheable replies are stored on the way
-    out.  The caller should wire the same cache into the
-    router's [on_grow] hook so dp replies are invalidated when their
-    backing table grows.  Responses are byte-identical with and
-    without it.
+    The server owns its answer cache, at the default 8 MiB budget;
+    replies are byte-identical to direct {!Protocol.handle} whether
+    they come from it or not.
 
     @raise Error.Error when [batch_size < 1] or [max_conns < 1]. *)
 
 val stats : t -> Stats.t
 val router : t -> Router.t
+
+val answers : t -> Answers.t
+(** The server's answer cache, for inspection ([stats] reports it as
+    [answers]). *)
 
 val request_stop : t -> unit
 (** Ask the serving loops to stop after the current batch.  Safe to call

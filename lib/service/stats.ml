@@ -33,6 +33,7 @@ type t = {
   hist : int Atomic.t array;
   by_op : (string, int ref) Hashtbl.t;
   mutable requests : int;
+  mutable untimed : int;
   mutable errors : int;
   mutable io_errors : int;
   mutable bytes_served : int;
@@ -47,6 +48,7 @@ let create () =
     hist = Array.init hist_buckets (fun _ -> Atomic.make 0);
     by_op = Hashtbl.create 8;
     requests = 0;
+    untimed = 0;
     errors = 0;
     io_errors = 0;
     bytes_served = 0;
@@ -58,16 +60,25 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* Under the lock: everything but the latency. *)
+let count t (r : record) =
+  t.requests <- t.requests + 1;
+  if not r.ok then t.errors <- t.errors + 1;
+  t.bytes_served <- t.bytes_served + r.bytes;
+  match Hashtbl.find_opt t.by_op r.op with
+  | Some n -> incr n
+  | None -> Hashtbl.add t.by_op r.op (ref 1)
+
 let add t (r : record) =
   ignore (Atomic.fetch_and_add t.hist.(bucket_of_latency r.latency) 1);
   locked t (fun () ->
-      t.requests <- t.requests + 1;
-      if not r.ok then t.errors <- t.errors + 1;
-      t.bytes_served <- t.bytes_served + r.bytes;
       Csutil.Stats.Accumulator.add t.latency r.latency;
-      match Hashtbl.find_opt t.by_op r.op with
-      | Some n -> incr n
-      | None -> Hashtbl.add t.by_op r.op (ref 1))
+      count t r)
+
+let add_untimed t r =
+  locked t (fun () ->
+      t.untimed <- t.untimed + 1;
+      count t r)
 
 let add_batch t ~size =
   locked t (fun () ->
@@ -86,6 +97,7 @@ let reset_counters t =
       Array.iter (fun b -> Atomic.set b 0) t.hist;
       Hashtbl.reset t.by_op;
       t.requests <- 0;
+      t.untimed <- 0;
       t.errors <- 0;
       t.io_errors <- 0;
       t.bytes_served <- 0;
@@ -93,6 +105,7 @@ let reset_counters t =
       t.largest_batch <- 0)
 
 let requests t = locked t (fun () -> t.requests)
+let untimed t = locked t (fun () -> t.untimed)
 let bytes_served t = locked t (fun () -> t.bytes_served)
 let io_errors t = locked t (fun () -> t.io_errors)
 
@@ -212,7 +225,7 @@ let shard_json t ~shard ~restarts ~cache:(c : Cache.stats) =
           ("solver_cache", solver_cache_json c);
         ])
 
-let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
+let to_json ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
   locked t (fun () ->
       Json.Obj
         ([
@@ -223,6 +236,7 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
             Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) (op_counts t))
           );
           ("latency", Json.Obj (latency_fields t));
+          ("untimed", Json.Int t.untimed);
           ("bytes_served", Json.Int t.bytes_served);
           ("batches", Json.Int t.batches);
           ("largest_batch", Json.Int t.largest_batch);
@@ -253,23 +267,20 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
               ] );
           ("gc", gc_json ());
         ]
-        (* The serialized-response family only appears when the daemon
-           was started with --resp-cache, so default deployments keep
-           their exact stats shape. *)
-        @ (match resp with
+        @ (match answers with
           | None -> []
-          | Some (r : Resp_cache.stats) ->
+          | Some (a : Answers.stats) ->
             [
-              ( "resp_cache",
+              ( "answers",
                 Json.Obj
                   [
-                    ("hits", Json.Int r.Resp_cache.hits);
-                    ("misses", Json.Int r.Resp_cache.misses);
-                    ("insertions", Json.Int r.Resp_cache.insertions);
-                    ("evictions", Json.Int r.Resp_cache.evictions);
-                    ("invalidations", Json.Int r.Resp_cache.invalidations);
-                    ("entries", Json.Int r.Resp_cache.entries);
-                    ("bytes", Json.Int r.Resp_cache.bytes);
+                    ("hits", Json.Int a.Answers.hits);
+                    ("misses", Json.Int a.Answers.misses);
+                    ("insertions", Json.Int a.Answers.insertions);
+                    ("evictions", Json.Int a.Answers.evictions);
+                    ("entries", Json.Int a.Answers.entries);
+                    ("bytes", Json.Int a.Answers.bytes);
+                    ("budget_bytes", Json.Int a.Answers.budget_bytes);
                   ] );
             ])
         (* The bank group only appears when the daemon was started with
@@ -308,7 +319,7 @@ let to_json ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
         | None -> []
         | Some sections -> [ ("shards", Json.List sections) ]))
 
-let summary ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
+let summary ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
   locked t (fun () ->
       let table =
         Csutil.Table.create ~title:"cschedd session summary"
@@ -323,6 +334,7 @@ let summary ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
        | Some n when n > 0 -> add "shard restarts" (string_of_int n)
        | _ -> ());
       add "requests" (string_of_int t.requests);
+      add "untimed replies" (string_of_int t.untimed);
       add "errors" (string_of_int t.errors);
       add "io errors" (string_of_int t.io_errors);
       List.iter
@@ -373,15 +385,14 @@ let summary ?shards ?restarts ?resp t ~cache:(c : Cache.stats) =
       add "game plans computed" (string_of_int g.Cyclesteal.Game.plans_computed);
       add "game parallel fills"
         (string_of_int g.Cyclesteal.Game.parallel_fills);
-      (match resp with
+      (match answers with
        | None -> ()
-       | Some (r : Resp_cache.stats) ->
-         add "resp hits" (string_of_int r.Resp_cache.hits);
-         add "resp misses" (string_of_int r.Resp_cache.misses);
-         add "resp evictions" (string_of_int r.Resp_cache.evictions);
-         add "resp invalidations" (string_of_int r.Resp_cache.invalidations);
-         add "resp entries" (string_of_int r.Resp_cache.entries);
-         add "resp bytes" (string_of_int r.Resp_cache.bytes));
+       | Some (a : Answers.stats) ->
+         add "answer hits" (string_of_int a.Answers.hits);
+         add "answer misses" (string_of_int a.Answers.misses);
+         add "answer evictions" (string_of_int a.Answers.evictions);
+         add "answer entries" (string_of_int a.Answers.entries);
+         add "answer bytes" (string_of_int a.Answers.bytes));
       (match c.Cache.bank with
        | None -> ()
        | Some b ->

@@ -23,6 +23,12 @@ type record = {
 
 val add : t -> record -> unit
 
+val add_untimed : t -> record -> unit
+(** Count a reply that was never timed — an overlong line, a parse
+    error, a [stats] op — in every family but latency: it goes to the
+    {!untimed} count instead of the histogram, so "fast" and "not
+    timed" stay apart.  [latency] is ignored. *)
+
 val add_batch : t -> size:int -> unit
 (** Record that one batch of [size] requests was dispatched. *)
 
@@ -40,6 +46,10 @@ val reset_counters : t -> unit
     {!Cache.reset_counters}). *)
 
 val requests : t -> int
+
+val untimed : t -> int
+(** Replies counted by {!add_untimed}; {!requests} includes them. *)
+
 val bytes_served : t -> int
 val io_errors : t -> int
 
@@ -65,29 +75,29 @@ val shard_json :
 val to_json :
   ?shards:Json.t list ->
   ?restarts:int ->
-  ?resp:Resp_cache.stats ->
+  ?answers:Answers.stats ->
   t ->
   cache:Cache.stats ->
   Json.t
 (** The [stats] request payload: request/error/batch counts, per-op
     counts, latency quantiles (mean/min/max and histogram
-    p50/p90/p99), bytes served, cache counters and resident-table
+    p50/p90/p99) with the [untimed] count beside them, bytes served, cache counters and resident-table
     footprint over the merged [cache] view, and the process-wide
     [Gc.quick_stat] allocation counters (a [gc] object that a reset
     does not zero).  [shards] appends the
     per-shard sections ({!shard_json}) and [restarts] the total shard
     restart count; both are omitted by single-shard daemons that never
-    restarted, so the serial payload shape is unchanged.  [resp]
-    appends the serialized-response cache family, present only when
-    the daemon enables that cache ([--resp-cache]). *)
+    restarted, so the serial payload shape is unchanged.  [answers]
+    appends the answer cache family ({!Answers.stats}); the daemon
+    always passes it. *)
 
 val summary :
   ?shards:int ->
   ?restarts:int ->
-  ?resp:Resp_cache.stats ->
+  ?answers:Answers.stats ->
   t ->
   cache:Cache.stats ->
   string
 (** Human-readable shutdown summary (an ASCII {!Csutil.Table});
     [shards] and [restarts] add rows when K > 1 or any worker was
-    restarted; [resp] adds the serialized-response cache rows. *)
+    restarted; [answers] adds the answer cache rows. *)

@@ -49,6 +49,49 @@ let test_json_parse_errors () =
            (contains ~sub:"offset" e))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"unterminated"; "{'a':1}" ]
 
+(* Exact offsets and messages, one per error path of the parser. *)
+let test_json_parse_error_messages () =
+  List.iter
+    (fun (bad, want) ->
+       match Json.of_string bad with
+       | Ok _ -> Alcotest.failf "accepted %S" bad
+       | Error e -> Alcotest.(check string) (Printf.sprintf "%S" bad) want e)
+    [
+      ("", "JSON parse error at offset 0: unexpected end of input");
+      ("{", "JSON parse error at offset 1: expected '\"'");
+      ("[1,]", "JSON parse error at offset 3: unexpected character ']'");
+      ("{\"a\":}", "JSON parse error at offset 5: unexpected character '}'");
+      ("nul", "JSON parse error at offset 0: expected null");
+      ("tru", "JSON parse error at offset 0: expected true");
+      ("1 2", "JSON parse error at offset 2: trailing garbage after JSON value");
+      ("\"unterminated", "JSON parse error at offset 13: unterminated string");
+      ("\"a\\", "JSON parse error at offset 3: unterminated escape");
+      ("\"\\u12", "JSON parse error at offset 3: truncated \\u escape");
+      ( "\"\\uzz00\"",
+        "JSON parse error at offset 3: bad hex digit in \\u escape" );
+      ("\"\\q\"", "JSON parse error at offset 3: unknown escape");
+      ("-", "JSON parse error at offset 1: expected digit");
+      ("1.", "JSON parse error at offset 2: expected digit");
+      ("1e+", "JSON parse error at offset 3: expected digit");
+      ("{\"a\" 1}", "JSON parse error at offset 5: expected ':'");
+      ("[1 2]", "JSON parse error at offset 3: expected ',' or ']'");
+      ("{\"a\":1,}", "JSON parse error at offset 7: expected '\"'");
+      ("@", "JSON parse error at offset 0: unexpected character '@'");
+    ]
+
+(* A request line is parsed on every answer-cache hit, so parsing one
+   must stay cheap: this dp line took about 460 minor words through a
+   parser that closed a dozen functions over its input. *)
+let test_json_parse_allocation () =
+  let line = {|{"id":301,"op":"dp","c_ticks":14,"l":2732,"p":4}|} in
+  ignore (Protocol.parse_line line);
+  let before = Gc.minor_words () in
+  let e = Protocol.parse_line line in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "parsed" true (Result.is_ok e.Protocol.request);
+  if words >= 200. then
+    Alcotest.failf "parsing a dp line allocated %.0f minor words" words
+
 let test_json_float_round_trip () =
   List.iter
     (fun x ->
@@ -890,11 +933,8 @@ let read_lines path =
 (* Serve [lines] over plain file descriptors.  A caller-provided
    [router] is used as-is (and stays alive for inspection afterwards —
    the caller shuts it down); otherwise a fresh one with [shards]
-   shards is created and shut down before returning.  [resp_cache]
-   plugs the serialized-response tier into the server and wires its
-   dp invalidation into the (owned) router's [on_grow] hook, as
-   cschedd does. *)
-let serve_lines ?batch_size ?(shards = 1) ?router ?resp_cache lines =
+   shards is created and shut down before returning. *)
+let serve_lines ?batch_size ?(shards = 1) ?router lines =
   let input = String.concat "\n" lines ^ "\n" in
   with_temp_file input (fun in_path ->
       let out_path = Filename.temp_file "cschedd_test" ".out" in
@@ -902,20 +942,15 @@ let serve_lines ?batch_size ?(shards = 1) ?router ?resp_cache lines =
         ~finally:(fun () -> try Sys.remove out_path with Sys_error _ -> ())
         (fun () ->
            let owned = router = None in
-           let on_grow =
-             Option.map (fun rc c -> Resp_cache.invalidate rc ~c) resp_cache
-           in
            let router =
              match router with
              | Some r -> r
-             | None -> Router.create ~shards ~domains:2 ?on_grow ~capacity:16 ()
+             | None -> Router.create ~shards ~domains:2 ~capacity:16 ()
            in
            Fun.protect
              ~finally:(fun () -> if owned then Router.shutdown router)
              (fun () ->
-                let server =
-                  Server.create ?batch_size ?resp_cache ~router ()
-                in
+                let server = Server.create ?batch_size ~router () in
                 let in_fd = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
                 let out_fd =
                   Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
@@ -1121,64 +1156,118 @@ let test_server_overlong_line () =
       (contains ~sub:"666" (first ^ second));
     Alcotest.(check string) "follow-up line parses normally"
       (direct_response follow) second;
-    Alcotest.(check int) "both accounted" 2 (Stats.requests stats)
+    Alcotest.(check int) "both accounted" 2 (Stats.requests stats);
+    Alcotest.(check int) "the overlong reply is untimed" 1
+      (Stats.untimed stats)
   | other ->
     Alcotest.fail
       (Printf.sprintf "expected 2 responses, got %d" (List.length other))
 
-(* A ping-pong socket client: write one request line, read until its
-   response line arrives, repeat; returns everything it read. *)
-(* --- Serialized-response cache ---------------------------------------------- *)
+(* Replies that are never timed (a parse error, a stats op) count as
+   untimed instead of landing in the latency histogram at zero, while
+   an answer-cache hit is timed like any other answer. *)
+let test_server_untimed () =
+  let advise id = Printf.sprintf {|{"id":%d,"op":"advise","c":1,"u":100,"p":1}|} id in
+  let lines = [ advise 1; "not json"; {|{"id":2,"op":"stats"}|}; advise 3 ] in
+  let got, stats, server = serve_lines ~batch_size:1 lines in
+  Alcotest.(check int) "every line answered" 4 (List.length got);
+  Alcotest.(check string) "the hit is byte-identical" (direct_response (advise 3))
+    (List.nth got 3);
+  Alcotest.(check int) "all counted" 4 (Stats.requests stats);
+  Alcotest.(check int) "parse error and stats untimed" 2 (Stats.untimed stats);
+  Alcotest.(check int) "the repeat hit" 1
+    (Answers.stats (Server.answers server)).Answers.hits;
+  let json = Stats.to_json stats ~cache:(Router.cache_stats (Server.router server)) in
+  match Option.bind (Json.member "latency" json) (Json.member "min_s") with
+  | Some (Json.Float m) ->
+    Alcotest.(check bool) (Printf.sprintf "no zero latency recorded (%g)" m) true
+      (m > 0.)
+  | _ -> Alcotest.fail "no latency.min_s in stats"
 
-let test_resp_cache_unit () =
-  let rc = Resp_cache.create ~capacity:2 in
-  Alcotest.(check bool) "miss on empty" true (Resp_cache.find rc "a" = None);
-  Resp_cache.store rc ~line:"a" ~op:"advise" ~reply:"ra" ();
-  Resp_cache.store rc ~line:"b" ~op:"dp" ~dp_c:7 ~reply:"rb" ();
-  (match Resp_cache.find rc "a" with
-   | Some (reply, op) ->
-     Alcotest.(check string) "stored bytes come back verbatim" "ra" reply;
-     Alcotest.(check string) "op name stored" "advise" op
-   | None -> Alcotest.fail "expected a hit on a");
-  (* "a" was just served, so "b" is the LRU victim for the third entry. *)
-  Resp_cache.store rc ~line:"c" ~op:"dp" ~dp_c:9 ~reply:"rc" ();
-  Alcotest.(check bool) "LRU entry evicted" true (Resp_cache.find rc "b" = None);
-  Alcotest.(check bool) "touched entry survived" true
-    (Resp_cache.find rc "a" <> None);
-  (* Duplicate store is a no-op (first writer wins). *)
-  Resp_cache.store rc ~line:"a" ~op:"advise" ~reply:"other" ();
-  (match Resp_cache.find rc "a" with
-   | Some (reply, _) -> Alcotest.(check string) "first writer wins" "ra" reply
-   | None -> Alcotest.fail "expected a hit on a");
-  (* Invalidation drops exactly the dp entries backed by table c. *)
-  Resp_cache.invalidate rc ~c:9;
-  Alcotest.(check bool) "dp reply for c=9 dropped" true
-    (Resp_cache.find rc "c" = None);
-  Alcotest.(check bool) "unrelated entry kept" true
-    (Resp_cache.find rc "a" <> None);
-  let s = Resp_cache.stats rc in
-  Alcotest.(check int) "hits" 4 s.Resp_cache.hits;
-  Alcotest.(check int) "misses" 3 s.Resp_cache.misses;
-  Alcotest.(check int) "insertions" 3 s.Resp_cache.insertions;
-  Alcotest.(check int) "evictions" 1 s.Resp_cache.evictions;
-  Alcotest.(check int) "invalidations" 1 s.Resp_cache.invalidations;
-  Alcotest.(check int) "entries" 1 s.Resp_cache.entries;
-  Alcotest.(check bool) "bytes accounted" true (s.Resp_cache.bytes > 0);
-  Resp_cache.reset_counters rc;
-  let z = Resp_cache.stats rc in
-  Alcotest.(check int) "reset zeroes hits" 0 z.Resp_cache.hits;
-  Alcotest.(check int) "reset keeps entries" 1 z.Resp_cache.entries
+(* --- Answer cache ------------------------------------------------------------ *)
 
-(* End to end through the server: a duplicate line is served from
-   stored bytes, a dp growth invalidates the stale entry, and every
-   reply stays byte-identical to the no-cache direct baseline. *)
-let test_resp_cache_invalidation_on_grow () =
-  let rc = Resp_cache.create ~capacity:8 in
-  let dup = {|{"id":1,"op":"dp","c_ticks":9,"l":300,"p":1}|} in
+let dp_req c_ticks l p = Protocol.Dp_query { c_ticks; l; p }
+
+(* Two generations of half the budget each: a full young generation
+   replaces the old one, a hit in the old generation moves the entry
+   back to the young one, the first writer wins, and a stats reset
+   keeps the entries.  Every entry here has the same size, so a budget
+   of four entries holds two per generation. *)
+let test_answers_generations () =
+  let payload i = Printf.sprintf "payload-%08d" i in
+  let entry_bytes =
+    let probe = Answers.create () in
+    Answers.store probe (dp_req 1 1 1) (payload 0);
+    (Answers.stats probe).Answers.bytes
+  in
+  let a = Answers.create ~budget_bytes:(4 * entry_bytes) () in
+  let req_a = dp_req 3 100 1
+  and req_b = dp_req 3 200 1
+  and req_c = dp_req 3 300 1
+  and req_d = dp_req 3 400 1 in
+  Alcotest.(check (option string)) "miss on empty" None (Answers.find a req_a);
+  Answers.store a req_a (payload 1);
+  Answers.store a req_b (payload 2);
+  Alcotest.(check (option string)) "stored bytes come back verbatim"
+    (Some (payload 1)) (Answers.find a req_a);
+  (* The young generation is full: c starts a new one, a and b age. *)
+  Answers.store a req_c (payload 3);
+  Alcotest.(check (option string)) "aged entry still hits"
+    (Some (payload 1)) (Answers.find a req_a);
+  (* That hit moved a back to the young generation, so the next
+     rotation drops b alone. *)
+  Answers.store a req_d (payload 4);
+  Alcotest.(check (option string)) "untouched old entry evicted" None
+    (Answers.find a req_b);
+  Alcotest.(check (option string)) "touched entry survived"
+    (Some (payload 1)) (Answers.find a req_a);
+  Answers.store a req_a "other";
+  Alcotest.(check (option string)) "first writer wins" (Some (payload 1))
+    (Answers.find a req_a);
+  let s = Answers.stats a in
+  Alcotest.(check int) "hits" 4 s.Answers.hits;
+  Alcotest.(check int) "misses" 2 s.Answers.misses;
+  Alcotest.(check int) "insertions" 4 s.Answers.insertions;
+  Alcotest.(check int) "evictions" 1 s.Answers.evictions;
+  Alcotest.(check int) "entries" 3 s.Answers.entries;
+  Alcotest.(check int) "bytes" (3 * entry_bytes) s.Answers.bytes;
+  Alcotest.(check int) "budget" (4 * entry_bytes) s.Answers.budget_bytes;
+  Answers.reset_counters a;
+  let z = Answers.stats a in
+  Alcotest.(check int) "reset zeroes hits" 0 z.Answers.hits;
+  Alcotest.(check int) "reset keeps entries" 3 z.Answers.entries;
+  (* Keys compare floats by their bits; stats and custom periods are
+     never cacheable. *)
+  let adv c = Protocol.Advise { c; u = 100.; p = 1 } in
+  let b = Answers.create () in
+  Answers.store b (adv 0.) "zero";
+  Alcotest.(check (option string)) "-0.0 is not 0.0" None
+    (Answers.find b (adv (-0.)));
+  Alcotest.(check (option string)) "next double up is distinct" None
+    (Answers.find b (adv (Float.succ 0.)));
+  Alcotest.(check (option string)) "0.0 hits" (Some "zero")
+    (Answers.find b (adv 0.));
+  Answers.store b (Protocol.Stats { reset = false }) "s";
+  Answers.store b
+    (Protocol.Evaluate
+       { c = 1.; u = 20.; p = 1; policy = "adaptive"; periods = Some [ 20. ] })
+    "e";
+  Answers.store b (adv Float.nan) "nan";
+  Alcotest.(check (option string)) "NaN never hits" None
+    (Answers.find b (adv Float.nan));
+  Alcotest.(check int) "uncacheable requests not stored" 1
+    (Answers.stats b).Answers.entries
+
+(* End to end through the server: a dp answer is served from the
+   answer cache before and after its table grows (dp payloads do not
+   depend on table bounds), and every reply stays byte-identical to
+   the direct baseline. *)
+let test_answers_dp_across_grow () =
+  let dup id = Printf.sprintf {|{"id":%d,"op":"dp","c_ticks":9,"l":300,"p":1}|} id in
   let grow = {|{"id":2,"op":"dp","c_ticks":9,"l":4000,"p":5}|} in
   let other = {|{"id":3,"op":"dp","c_ticks":4,"l":300,"p":1}|} in
-  let lines = [ dup; other; dup; grow; dup ] in
-  let got, _stats, _server = serve_lines ~batch_size:1 ~resp_cache:rc lines in
+  let lines = [ dup 1; other; dup 4; grow; dup 5 ] in
+  let got, _stats, server = serve_lines ~batch_size:1 lines in
   let expected = List.map direct_response lines in
   Alcotest.(check int) "every line answered" (List.length expected)
     (List.length got);
@@ -1186,13 +1275,14 @@ let test_resp_cache_invalidation_on_grow () =
     (fun i (e, g) ->
        Alcotest.(check string) (Printf.sprintf "line %d byte-identical" i) e g)
     (List.combine expected got);
-  let s = Resp_cache.stats rc in
-  Alcotest.(check int) "one hit: the pre-grow duplicate" 1 s.Resp_cache.hits;
-  Alcotest.(check int) "post-grow duplicate re-misses" 4 s.Resp_cache.misses;
-  Alcotest.(check int) "re-stored after invalidation" 4 s.Resp_cache.insertions;
-  Alcotest.(check int) "growth dropped the stale dp reply" 1
-    s.Resp_cache.invalidations;
-  Alcotest.(check int) "entries resident" 3 s.Resp_cache.entries
+  let s = Answers.stats (Server.answers server) in
+  Alcotest.(check int) "both repeats hit, before and after the grow" 2
+    s.Answers.hits;
+  Alcotest.(check int) "three distinct requests missed" 3 s.Answers.misses;
+  Alcotest.(check int) "stored once each" 3 s.Answers.insertions;
+  Alcotest.(check int) "entries resident" 3 s.Answers.entries;
+  Alcotest.(check int) "the table grew" 1
+    (Router.cache_stats (Server.router server)).Cache.growths
 
 (* The shard a request line is placed on by a [shards]-shard router;
    -1 for lines with no placement. *)
@@ -1204,6 +1294,8 @@ let shard_of_line ~shards line =
       | None -> -1)
   | Error _ -> -1
 
+(* A ping-pong socket client: write one request line, read until its
+   response line arrives, repeat; returns everything it read. *)
 let run_client path lines =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1241,20 +1333,14 @@ let run_client path lines =
          lines;
        Buffer.contents buf)
 
-(* A socket server on a fresh router.  [resp_cache] plugs the
-   serialized-response tier in and wires its dp invalidation into the
-   router's [on_grow] hook, as cschedd does. *)
-let with_socket_server ?(max_conns = 1) ?(capacity = 16) ?(shards = 1)
-    ?resp_cache f =
+(* A socket server on a fresh router. *)
+let with_socket_server ?(max_conns = 1) ?(capacity = 16) ?(shards = 1) f =
   let dir = Filename.temp_file "cschedd_sock" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let path = Filename.concat dir "s.sock" in
-  let on_grow =
-    Option.map (fun rc c -> Resp_cache.invalidate rc ~c) resp_cache
-  in
-  let router = Router.create ~shards ~domains:1 ?on_grow ~capacity () in
-  let server = Server.create ~max_conns ?resp_cache ~router () in
+  let router = Router.create ~shards ~domains:1 ~capacity () in
+  let server = Server.create ~max_conns ~router () in
   let serving = Domain.spawn (fun () -> Server.serve_socket server ~path) in
   let rec wait tries =
     if tries = 0 then Alcotest.fail "socket never appeared"
@@ -1412,26 +1498,220 @@ let dup_heavy_script i =
    and then warm: grouping reorders evaluation inside a batch, but
    outcomes must scatter back in request order, so every client reads
    exactly the bytes a serial ungrouped server would have sent it.
-   Then the same burst through a response cache: the warm round replays
-   every line verbatim, so it must hit stored replies; and however the
-   bursts interleave, the one dp table (c = 6; every bound rounds up to
-   the same canonical table) is solved once and the one state-only
-   solver (adaptive at c = 1, u = 90) is built once. *)
+   Then two clients over a fresh server: the warm round repeats every
+   request, so each of its lines is answered from the answer cache;
+   and however the bursts interleave, the one dp table (c = 6; every
+   bound rounds up to the same canonical table) is solved once and the
+   one state-only solver (adaptive at c = 1, u = 90) is built once. *)
 let test_grouping_preserves_order () =
   let nclients = 3 in
   with_socket_server ~max_conns:nclients ~shards:2 (fun server path ->
       check_cold_then_warm ~client:run_client_burst server path
         (List.init nclients dup_heavy_script));
-  let rc = Resp_cache.create ~capacity:256 in
-  with_socket_server ~max_conns:2 ~shards:2 ~resp_cache:rc (fun server path ->
-      check_cold_then_warm ~client:run_client_burst server path
-        (List.init 2 dup_heavy_script);
+  with_socket_server ~max_conns:2 ~shards:2 (fun server path ->
+      let scripts = List.init 2 dup_heavy_script in
+      check_cold_then_warm ~client:run_client_burst server path scripts;
       let s = Router.cache_stats (Server.router server) in
       Alcotest.(check int) "one solve per distinct dp table" 1 s.Cache.misses;
       Alcotest.(check int) "one build per solver identity" 1
-        s.Cache.solver_misses);
-  Alcotest.(check bool) "the warm round hits the response cache" true
-    ((Resp_cache.stats rc).Resp_cache.hits > 0)
+        s.Cache.solver_misses;
+      let per_round = List.length (List.concat scripts) in
+      let a = Answers.stats (Server.answers server) in
+      Alcotest.(check int) "every line probed the answer cache"
+        (2 * per_round) (a.Answers.hits + a.Answers.misses);
+      Alcotest.(check bool) "the warm round hits the answer cache" true
+        (a.Answers.hits >= per_round))
+
+(* --- Answer cache: differential streams ------------------------------- *)
+
+(* Request bodies, without an id, that the stream generator repeats
+   under fresh ids.  They cover the edges of the answer key: number
+   spellings and field orders that decode alike, adjacent doubles and
+   signed zeros that must not, policy aliases, custom periods (never
+   cached), an unknown policy and invalid parameters (errors, never
+   stored).  [answer_dp_small] and [answer_dp_grow] share one dp table;
+   every stream asks the small query on either side of the grow. *)
+let answer_bodies =
+  [|
+    {|"op":"advise","c":2,"u":100,"p":1|};
+    {|"u":1e2,"p":1,"c":2.0,"op":"advise"|};
+    {|"op":"advise","c":2.0000000000000004,"u":100,"p":1|};
+    {|"op":"advise","c":1.9999999999999998,"u":100,"p":1|};
+    {|"op":"advise","c":0.0,"u":100,"p":1|};
+    {|"op":"advise","c":-0.0,"u":100,"p":1|};
+    {|"op":"schedule","c":1,"u":150,"p":2,"regime":"adaptive"|};
+    {|"op":"schedule","c":1,"u":150.00000000000003,"p":2,"regime":"adaptive"|};
+    {|"op":"schedule","c":1,"u":150,"p":2,"regime":"nonadaptive"|};
+    {|"op":"evaluate","c":1,"u":60,"p":1,"policy":"fixed_chunk"|};
+    {|"op":"evaluate","c":1,"u":60,"p":1,"policy":"fixed-chunk"|};
+    {|"op":"evaluate","c":1,"u":60,"p":2,"policy":"adaptive"|};
+    {|"op":"evaluate","c":1,"u":60,"p":2,"policy":"nonadaptive"|};
+    {|"op":"evaluate","c":1,"u":60,"p":2,"policy":"no-such-policy"|};
+    {|"op":"evaluate","c":1,"u":20,"p":1,"periods":[8,7,5]|};
+    {|"op":"evaluate","c":1,"u":20,"p":1,"periods":[8,7,5.000000000000001]|};
+    {|"op":"evaluate","c":1,"u":20,"p":1,"periods":[10,5,5]|};
+    {|"op":"dp","c_ticks":5,"l":300,"p":1|};
+    {|"op":"dp","c_ticks":5,"l":3000,"p":4|};
+    {|"op":"dp","c_ticks":5,"l":299,"p":1|};
+    {|"op":"dp","c_ticks":7,"l":200,"p":2|};
+    {|"op":"strategies"|};
+  |]
+
+let answer_dp_small = 17
+let answer_dp_grow = 18
+
+let answer_malformed =
+  [|
+    "garbage that is not json";
+    "[1,2,3]";
+    {|{"id":7,"op":"advise","c":"x"}|};
+    {|{"op":"nope"}|};
+    {|{"id":|};
+  |]
+
+type answer_item = Body of int | Stats_op | Malformed of int
+
+(* Render a stream: each item gets the next id, as a number, a string
+   or no id at all, placed before or after the body's fields. *)
+let render_answer_stream items =
+  List.mapi
+    (fun n (item, id_form, id_last) ->
+       let id =
+         match id_form with
+         | 0 -> Some (string_of_int n)
+         | 1 -> Some (Printf.sprintf {|"r%d"|} n)
+         | _ -> None
+       in
+       let with_id body =
+         match id with
+         | None -> "{" ^ body ^ "}"
+         | Some id when id_last -> Printf.sprintf {|{%s,"id":%s}|} body id
+         | Some id -> Printf.sprintf {|{"id":%s,%s}|} id body
+       in
+       match item with
+       | Body i -> with_id answer_bodies.(i)
+       | Stats_op -> with_id {|"op":"stats"|}
+       | Malformed i -> answer_malformed.(i))
+    items
+
+let answer_stream_gen =
+  let open QCheck.Gen in
+  let item =
+    frequency
+      [
+        (12, map (fun i -> Body i) (int_bound (Array.length answer_bodies - 1)));
+        (1, return Stats_op);
+        ( 1,
+          map (fun i -> Malformed i) (int_bound (Array.length answer_malformed - 1))
+        );
+      ]
+  in
+  let tagged it = triple it (int_bound 2) bool in
+  let* before = list_size (int_range 0 25) (tagged item) in
+  let* grow =
+    flatten_l
+      (List.map
+         (fun i -> tagged (return (Body i)))
+         [ answer_dp_small; answer_dp_grow; answer_dp_small ])
+  in
+  let* after = list_size (int_range 0 25) (tagged item) in
+  let* batch_size = oneofl [ 1; 5; 64 ] in
+  return (batch_size, render_answer_stream (before @ grow @ after))
+
+(* Every reply equals direct [Protocol.handle]'s bytes, except a stats
+   reply, which only the daemon can give: it must succeed under the
+   request's id. *)
+let replies_match_direct lines got =
+  List.length lines = List.length got
+  && List.for_all2
+       (fun line reply ->
+          let e = Protocol.parse_line line in
+          match e.Protocol.request with
+          | Ok (Protocol.Stats _) ->
+            let prefix =
+              Printf.sprintf {|{"id":%s,"ok":true,"result":{|}
+                (Json.to_string e.Protocol.id)
+            in
+            String.starts_with ~prefix reply
+          | _ -> String.equal (direct_response line) reply)
+       lines got
+
+(* The answer cache probed once per cacheable request and never held
+   more than its budget. *)
+let answers_accounted lines server =
+  let cacheable =
+    List.length
+      (List.filter
+         (fun line ->
+            match (Protocol.parse_line line).Protocol.request with
+            | Ok req -> Answers.cacheable req
+            | Error _ -> false)
+         lines)
+  in
+  let a = Answers.stats (Server.answers server) in
+  a.Answers.hits + a.Answers.misses = cacheable
+  && a.Answers.bytes <= a.Answers.budget_bytes
+
+(* Streams that repeat requests under new ids, served through
+   [serve_fd] and through the socket server, read exactly direct
+   [Protocol.handle]'s bytes. *)
+let prop_answers_match_direct =
+  QCheck.Test.make ~name:"answers: streams = direct handle" ~count:25
+    (QCheck.make answer_stream_gen ~print:(fun (b, lines) ->
+         Printf.sprintf "batch %d\n%s" b (String.concat "\n" lines)))
+    (fun (batch_size, lines) ->
+       let got, _, server = serve_lines ~batch_size lines in
+       let piped = replies_match_direct lines got && answers_accounted lines server in
+       let socket =
+         with_socket_server (fun server path ->
+             let out = run_client_burst path lines in
+             let got = String.split_on_char '\n' out in
+             replies_match_direct lines
+               (List.filteri (fun i _ -> i < List.length got - 1) got)
+             && answers_accounted lines server)
+       in
+       piped && socket)
+
+(* Random stores and probes against small budgets: resident bytes never
+   exceed the budget, a probe returns only what was stored for an equal
+   key, and every probe of a cacheable request is a hit or a miss. *)
+let prop_answers_budget =
+  let keys =
+    Array.append
+      (Array.init 12 (fun k -> dp_req (1 + (k mod 4)) (100 * k) (k mod 3)))
+      (Array.map
+         (fun c -> Protocol.Advise { c; u = 100.; p = 1 })
+         [| 1.; Float.succ 1.; 0.; -0.; Float.nan |])
+  in
+  let payload k len = String.make (len + 1) (Char.chr (65 + k)) in
+  QCheck.Test.make ~name:"answers: bytes within budget" ~count:300
+    QCheck.(
+      pair (int_range 64 4096)
+        (list_of_size Gen.(int_range 1 200)
+           (triple bool (int_bound (Array.length keys - 1)) (int_bound 400))))
+    (fun (budget, ops) ->
+       let a = Answers.create ~budget_bytes:budget () in
+       let probes = ref 0 in
+       List.for_all
+         (fun (is_store, k, len) ->
+            let req = keys.(k) in
+            let found_ok =
+              if is_store then begin
+                Answers.store a req (payload k len);
+                true
+              end
+              else begin
+                if Answers.cacheable req then incr probes;
+                match Answers.find a req with
+                | None -> true
+                | Some p -> p.[0] = Char.chr (65 + k)
+              end
+            in
+            let s = Answers.stats a in
+            found_ok
+            && s.Answers.bytes <= budget
+            && s.Answers.hits + s.Answers.misses = !probes)
+         ops)
 
 (* A client that floods requests and vanishes without reading must cost
    an io_errors tick, not the daemon: a later client is still served. *)
@@ -1968,6 +2248,10 @@ let () =
           Alcotest.test_case "int extremes" `Quick test_json_int_extremes;
           Alcotest.test_case "render allocation" `Quick
             test_json_render_allocation;
+          Alcotest.test_case "parse error messages" `Quick
+            test_json_parse_error_messages;
+          Alcotest.test_case "parse allocation" `Quick
+            test_json_parse_allocation;
         ] );
       ( "json props",
         qc
@@ -2055,12 +2339,16 @@ let () =
             test_server_unterminated_final_line;
           Alcotest.test_case "unix socket" `Quick test_server_socket;
           Alcotest.test_case "overlong line" `Quick test_server_overlong_line;
+          Alcotest.test_case "untimed replies" `Quick test_server_untimed;
           Alcotest.test_case "concurrent clients" `Slow
             test_server_concurrent_clients;
-          Alcotest.test_case "resp cache: LRU + invalidate" `Quick
-            test_resp_cache_unit;
-          Alcotest.test_case "resp cache: invalidated on growth" `Quick
-            test_resp_cache_invalidation_on_grow;
+          Alcotest.test_case "answers: two generations" `Quick
+            test_answers_generations;
+          Alcotest.test_case "answers: dp hit across a table grow" `Quick
+            test_answers_dp_across_grow;
+        ]
+        @ qc [ prop_answers_match_direct; prop_answers_budget ]
+        @ [
           Alcotest.test_case "grouping preserves order" `Slow
             test_grouping_preserves_order;
           Alcotest.test_case "client disconnect" `Slow
