@@ -1327,21 +1327,22 @@ let domain_fields () =
 
 (* --- DP skew: one giant solve among many tiny ones ------------------------ *)
 
-(* The work-stealing payoff case (DESIGN.md S22): a batch of solves
-   dominated by one giant table.  The pre-deque engine carved a batch
-   into static contiguous stripes, one per slot — whichever slot drew
-   the giant solve ran it alone, inner wavefront inline, while the
-   others went idle after their tiny stripes.  The deque engine fans
-   the batch out as stealable tasks and feeds the giant solve's nested
-   wavefront into the same pool, so idle slots steal rows of the giant
-   table instead of watching.  Tables must be cell-identical either
+(* The nested fan-out case (DESIGN.md S22, S33): a batch of solves
+   dominated by one giant table.  A static schedule carves the batch
+   into contiguous stripes, one per slot — whichever slot draws the
+   giant solve runs it alone, inner wavefront inline, while the others
+   go idle after their tiny stripes.  The pool instead fans the batch
+   out as fine chunks and publishes the giant solve's nested wavefront
+   on the same pool, so idle slots fill rows of the giant table instead
+   of watching.  The series keeps its [work_stealing] label from the
+   pool that first measured it.  Tables must be cell-identical either
    way; on a single-core host the two schedules tie and the numbers are
    recorded honestly. *)
 let dp_skew_solves ~giant ~tiny =
   giant :: List.init tiny (fun i -> (2 + (i mod 8), 2, 1024))
 
-(* Returns (static stripes seconds, stealing seconds), asserting the
-   two schedules produce cell-identical tables. *)
+(* Returns (static stripes seconds, pool seconds), asserting the two
+   schedules produce cell-identical tables. *)
 let dp_skew_run ~runs ~pool solves =
   let arr = Array.of_list solves in
   let n = Array.length arr in
@@ -1350,8 +1351,7 @@ let dp_skew_run ~runs ~pool solves =
         let out = Array.make n None in
         let k = Csutil.Par.Pool.size pool in
         let per = (n + k - 1) / k in
-        (* One contiguous stripe per slot, inner fills inline: the
-           pre-deque schedule. *)
+        (* One contiguous stripe per slot, inner fills inline. *)
         Csutil.Par.Pool.run pool (fun slot ->
             for i = slot * per to min n ((slot + 1) * per) - 1 do
               let c, max_p, max_l = arr.(i) in

@@ -519,8 +519,8 @@ module Solver = struct
      memo, and a cell raced by two slots is merely computed twice with
      the identical result (aligned 64-bit stores, pure per-state
      values).  The Hashtbl backend is not domain-safe, so only Flat
-     solvers fan out; a busy pool degrades to inline execution inside
-     Pool.run itself (the nested-batch fallback, as in Dp.fill). *)
+     solvers fan out.  Under a batch fan-out on the same pool this is a
+     nested run, which idle domains help with (as in Dp.fill). *)
   let par_fan_out t pool ~p ~l ~residual =
     let s = plan_at t ~p ~l ~residual in
     let m = Schedule.length s in

@@ -63,8 +63,10 @@ module Solver : sig
       bounds the states this solver may expand over its lifetime
       (default 4e6).  With [~pool], top-level {!value} queries on a
       flat-memo solver fan the episode's continuation subtrees out
-      across the pool's domains (a busy pool runs them inline, so
-      nested use under the service's batch fan-out stays safe).
+      across the pool's domains.  Under the service's batch fan-out on
+      the same pool this is a nested fan-out: idle domains help with
+      it, and when none is idle the calling domain runs every subtree
+      itself, so sharing the pool stays safe.
       The memo backend follows [grid]: flat with it, Hashtbl without.
       @raise Error.Error when [grid <= 0]. *)
 

@@ -25,6 +25,10 @@ val create : ?budget_bytes:int -> unit -> t
     smaller ones to exercise eviction.
     @raise Error.Error when [budget_bytes < 2]. *)
 
+module Key : Hashtbl.HashedType with type t = Protocol.request
+(** The cache's key equality and hash: floats compare by their bits,
+    and a custom-periods [evaluate] equals nothing. *)
+
 val cacheable : Protocol.request -> bool
 (** [advise], [schedule], [dp], and [evaluate] without [periods], when
     no float field is NaN. *)

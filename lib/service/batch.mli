@@ -74,9 +74,9 @@ val run :
     answer with {!Protocol.handle}'s error.  The result array is
     index-aligned with the input.  [pool] and [domains] shape the
     group fan-out of a batch with fill work (default: the shared pool,
-    {!Csutil.Par.map}'s domain rule); cold solves inside it fall back
-    to inline fills when they find the pool busy.  Parsing and
-    all-resident batches never touch the pool. *)
+    {!Csutil.Par.map}'s domain rule); cold solves inside it fan their
+    fills out on the same pool, helped by whichever domains are idle.
+    Parsing and all-resident batches never touch the pool. *)
 
 val run_parsed :
   ?pool:Csutil.Par.Pool.t ->

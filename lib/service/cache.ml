@@ -214,8 +214,8 @@ let serve_resident ~pool tb e key ~count =
    do not depend on table bounds.
 
    Solve and grow take the cache's pool: fills large enough for the
-   wavefront use it, and a busy pool (e.g. this solve sits under a
-   batch fan-out) just runs the fill inline. *)
+   wavefront use it, nested under a batch fan-out on the same pool or
+   not. *)
 let obtain ~pool ~bank tb key ~count =
   let resident =
     with_lock tb (fun () ->

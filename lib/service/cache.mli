@@ -64,9 +64,10 @@ val create :
     at most [capacity] resident game solvers), evicting
     least-recently-used entries beyond that.  [pool] is handed to every
     solve and grow so large fills run the domain-parallel wavefront
-    kernel; when the pool is busy (say this solve sits under a
-    {!Batch} fan-out on the same pool) the fill runs inline, so
-    sharing one pool is always safe.
+    kernel.  A solve under a {!Batch} fan-out on the same pool is a
+    nested fan-out: idle domains help fill its rows, and when none is
+    idle the calling domain fills them all, so sharing one pool is
+    always safe.
 
     [bank] plugs in the persistent memo tier: a cold miss (Dp table or
     gridded game solver alike) falls through to the bank's mapped

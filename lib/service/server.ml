@@ -284,40 +284,60 @@ let untimed (e : Protocol.envelope) =
   | Error _ | Ok (Protocol.Stats _) -> true
   | Ok _ -> false
 
+(* Misses of one batch by request, under the answer cache's own key
+   equality (floats by their bits). *)
+module Pending = Hashtbl.Make (Answers.Key)
+
 (* Answer one batch into [out], in request order.  Every cacheable
    request probes the answer cache first, timed on the monotonic clock;
    only the misses go to the router, which hands them back
-   index-aligned.  A hit writes its stored payload inside a fresh
-   envelope, a successful cacheable miss is serialized once and stored
-   on the way out, and everything else (errors, stats, strategies,
+   index-aligned, and a miss that repeats an earlier miss of the same
+   batch goes only once: [slot.(i)] is the router outcome line [i]
+   reads, shared by every copy.  A hit writes its stored payload inside
+   a fresh envelope, a successful cacheable miss is serialized once and
+   stored on the way out (its copies reuse those bytes and its
+   latency), and everything else (errors, stats, strategies,
    custom-periods evaluations) is serialized as before and never
    stored. *)
 let answer_batch t out envelopes =
   let n = Array.length envelopes in
   Stats.add_batch t.stats ~size:n;
   let payloads = Array.make n None and latency = Array.make n 0. in
-  let misses = ref [] in
-  for i = n - 1 downto 0 do
-    match envelopes.(i).Protocol.request with
-    | Ok req when Answers.cacheable req -> (
-      let t0 = Csutil.Clock.now () in
-      match Answers.find t.answers req with
-      | Some _ as hit ->
-        payloads.(i) <- hit;
-        latency.(i) <- Csutil.Clock.now () -. t0
-      | None -> misses := envelopes.(i) :: !misses)
-    | _ -> misses := envelopes.(i) :: !misses
-  done;
-  let misses = Array.of_list !misses in
+  let slot = Array.make n (-1) in
+  let routed = ref [] and nrouted = ref 0 in
+  let pending = Pending.create 8 in
+  let route i e =
+    slot.(i) <- !nrouted;
+    incr nrouted;
+    routed := e :: !routed
+  in
+  Array.iteri
+    (fun i (e : Protocol.envelope) ->
+       match e.Protocol.request with
+       | Ok req when Answers.cacheable req -> (
+         let t0 = Csutil.Clock.now () in
+         match Answers.find t.answers req with
+         | Some _ as hit ->
+           payloads.(i) <- hit;
+           latency.(i) <- Csutil.Clock.now () -. t0
+         | None -> (
+           match Pending.find_opt pending req with
+           | Some k -> slot.(i) <- k
+           | None ->
+             Pending.add pending req !nrouted;
+             route i e))
+       | _ -> route i e)
+    envelopes;
+  let routed = Array.of_list (List.rev !routed) in
   let outcomes =
-    if Array.length misses = 0 then [||]
+    if Array.length routed = 0 then [||]
     else
       let stats_payload =
-        if Batch.has_stats_op misses then Some (stats_json t) else None
+        if Batch.has_stats_op routed then Some (stats_json t) else None
       in
-      Router.run_parsed t.router ?stats_payload misses
+      Router.run_parsed t.router ?stats_payload routed
   in
-  let next = ref 0 in
+  let serialized = Array.make (Array.length routed) None in
   Array.iteri
     (fun i (e : Protocol.envelope) ->
        let before = Buffer.length out in
@@ -327,13 +347,20 @@ let answer_batch t out envelopes =
            Protocol.add_payload_response out ~id:e.Protocol.id payload;
            (true, latency.(i), true)
          | None ->
-           let o = outcomes.(!next) in
-           incr next;
+           let k = slot.(i) in
+           let o = outcomes.(k) in
            (match (o.Batch.result, e.Protocol.request) with
             | Ok v, Ok req when Answers.cacheable req ->
-              let payload = Json.to_string v in
-              Protocol.add_payload_response out ~id:e.Protocol.id payload;
-              Answers.store t.answers req payload
+              let payload =
+                match serialized.(k) with
+                | Some payload -> payload
+                | None ->
+                  let payload = Json.to_string v in
+                  Answers.store t.answers req payload;
+                  serialized.(k) <- Some payload;
+                  payload
+              in
+              Protocol.add_payload_response out ~id:e.Protocol.id payload
             | result, _ -> Protocol.add_response out ~id:e.Protocol.id result);
            (Result.is_ok o.Batch.result, o.Batch.latency, not (untimed e))
        in

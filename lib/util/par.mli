@@ -9,17 +9,13 @@ val available_domains : unit -> int
 (** [Domain.recommended_domain_count], at least 1. *)
 
 module Pool : sig
-  (** A reusable work-stealing pool: [domains - 1] domains spawned once,
-      each owning a Chase-Lev deque it pushes and pops locally and
-      steals from a random victim when dry.  A {!run} — from outside or
-      from inside one of the pool's own tasks — enqueues its calls as
-      tasks onto the submitting domain's deque and joins by draining
-      and stealing, so nested fan-out really spreads across idle
-      workers instead of degrading to a sequential inline loop.  It
-      still cannot deadlock: a joiner with nothing left to take parks
-      until its job's last in-flight task completes, and when every
-      worker is occupied (or the pool is saturated with concurrent
-      callers) the submitter simply executes all its tasks itself. *)
+  (** A reusable fork-join pool: [domains - 1] domains spawned once and
+      parked until a job is published on the pool's one shared list.  A
+      {!run} — from outside or from inside one of the pool's own tasks —
+      publishes its calls as one job whose tasks any idle domain claims,
+      so nested fan-out spreads across idle workers too.  It cannot
+      deadlock: a submitter waits only for tasks already running, and
+      when every worker is busy it claims all of its tasks itself. *)
 
   type t
 
@@ -38,14 +34,10 @@ module Pool : sig
       on the calling domain, where signals interrupt its blocking
       syscalls); with idle workers every other call lands on its own
       domain, so [size t] mutually blocking calls all run concurrently.
-      Under load, calls 1 .. size-1 land wherever a domain goes idle —
-      possibly all in the caller.  Returns when every call has
+      Under load, calls 1 .. size-1 run wherever a domain goes idle —
+      possibly all on the caller.  Returns when every call has
       finished; re-raises the first exception any call raised (every
       call still runs). *)
-
-  val steals : t -> int
-  (** Tasks executed by a domain other than the one that enqueued them,
-      since {!create} — monotonic, racy-read scheduling telemetry. *)
 
   val dispatched : t -> int
   (** Tasks submitted to this pool (by {!run}, or as the chunks of a
@@ -54,8 +46,8 @@ module Pool : sig
       never touched the pool. *)
 
   val shutdown : t -> unit
-  (** Stop and join the worker domains.  The pool must be idle; using
-      it afterwards runs everything inline. *)
+  (** Stop and join the worker domains.  The pool must be idle; a
+      {!run} afterwards executes every call on the caller. *)
 
   val with_pool : domains:int -> (t -> 'a) -> 'a
   (** [create], run the function, [shutdown] (also on exception). *)
@@ -77,7 +69,8 @@ val map : ?pool:Pool.t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], computed on up to [domains] domains (default: the
     recommended count, and only when each domain gets at least
     {!min_chunk} elements).  Chunks are cut finer than one per domain
-    so stealing can rebalance a skewed load; each chunk writes a
+    so that a domain finishing early claims more of a skewed load; each
+    chunk writes a
     disjoint slice, so the result is identical to the sequential map
     for any domain count and any schedule.
     @raise Invalid_argument when [domains < 1]. *)
@@ -94,5 +87,5 @@ val map_reduce :
   init:'b ->
   'a array ->
   'b
-(** Fold the mapped values with an associative [combine] (partials are
-    combined in chunk order). *)
+(** Fold the mapped values left to right in index order, so [combine]
+    need not be commutative. *)

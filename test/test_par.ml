@@ -113,20 +113,20 @@ let test_pool_nested_run_completes () =
       let outer = Atomic.make 0 and inner = Atomic.make 0 in
       Csutil.Par.Pool.run pool (fun _ ->
           ignore (Atomic.fetch_and_add outer 1);
-          (* The pool is busy with this very job: the nested run feeds
-             the caller's own deque and must still execute every call
-             (stolen or not), never deadlock. *)
+          (* The pool is busy with this very job: the nested run is
+             published like any other and must still execute every call
+             (on whichever domain claims it), never deadlock. *)
           Csutil.Par.Pool.run pool (fun _ ->
               ignore (Atomic.fetch_and_add inner 1)));
       Alcotest.(check int) "outer slots" 3 (Atomic.get outer);
       Alcotest.(check int) "inner slots (3 nested runs x 3 slots)" 9
         (Atomic.get inner))
 
-(* The work-stealing regression: a nested run from inside a worker must
-   be able to span multiple workers once the others go idle — the old
-   engine inlined all nested work on the caller.  Each nested task
+(* The nested fan-out regression: a nested run from inside a worker must
+   be able to span multiple workers once the others go idle — an
+   engine that inlines all nested work on the caller cannot.  Each nested task
    rendezvouses until a second task is in flight; only a second worker
-   stealing off the caller's deque can provide it, so a pure-inline
+   claiming a task of the nested job can provide it, so a pure-inline
    engine times out the first task's wait and fails the check. *)
 let test_pool_nested_run_is_stolen () =
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
@@ -148,7 +148,7 @@ let test_pool_nested_run_is_stolen () =
       in
       Csutil.Par.Pool.run pool (fun slot ->
           (* Slots 1 and 2 return at once, freeing their workers to
-             steal; the remaining slot fans out nested tasks. *)
+             help; the remaining slot fans out nested tasks. *)
           if slot = 0 then
             Csutil.Par.Pool.run pool (fun _ -> rendezvous ()));
       Alcotest.(check int) "every nested task ran" 3 (Atomic.get arrived);
@@ -167,6 +167,52 @@ let test_pool_propagates_failure () =
       Csutil.Par.Pool.run pool (fun _ -> ignore (Atomic.fetch_and_add n 1));
       Alcotest.(check int) "pool usable after failure" 2 (Atomic.get n))
 
+(* Several outside domains share one 2-slot pool: every run still calls
+   each slot exactly once, and none of them hangs waiting on another's
+   job. *)
+let test_pool_concurrent_submitters () =
+  Csutil.Par.Pool.with_pool ~domains:2 (fun pool ->
+      let callers = 3 and runs = 300 in
+      let wrong = Atomic.make 0 in
+      let submit () =
+        for _ = 1 to runs do
+          let hits = Array.init 2 (fun _ -> Atomic.make 0) in
+          Csutil.Par.Pool.run pool (fun slot -> Atomic.incr hits.(slot));
+          if Array.exists (fun h -> Atomic.get h <> 1) hits then
+            Atomic.incr wrong
+        done
+      in
+      List.iter Domain.join (List.init callers (fun _ -> Domain.spawn submit));
+      Alcotest.(check int) "every run called each slot once" 0
+        (Atomic.get wrong);
+      Alcotest.(check int) "dispatched" (callers * runs * 2)
+        (Csutil.Par.Pool.dispatched pool))
+
+(* A failure inside a nested run surfaces in the task that ran it; the
+   outer job, which catches it, completes normally. *)
+let test_pool_nested_failure () =
+  Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
+      let outer = Atomic.make 0 and caught = Atomic.make 0 in
+      Csutil.Par.Pool.run pool (fun _ ->
+          (try
+             Csutil.Par.Pool.run pool (fun slot ->
+                 if slot = 1 then failwith "nested boom")
+           with Failure m when String.equal m "nested boom" ->
+             Atomic.incr caught);
+          Atomic.incr outer);
+      Alcotest.(check int) "every nested caller saw the failure" 3
+        (Atomic.get caught);
+      Alcotest.(check int) "outer job completed" 3 (Atomic.get outer))
+
+let test_pool_run_after_shutdown () =
+  let pool = Csutil.Par.Pool.create ~domains:3 in
+  Csutil.Par.Pool.shutdown pool;
+  let me = (Domain.self () :> int) in
+  let ran = Array.make 3 (-1) in
+  Csutil.Par.Pool.run pool (fun slot -> ran.(slot) <- (Domain.self () :> int));
+  Alcotest.(check (array int)) "every slot ran on the caller" [| me; me; me |]
+    ran
+
 let test_map_over_explicit_pool () =
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
       let a = Array.init 500 (fun i -> i) in
@@ -176,11 +222,11 @@ let test_map_over_explicit_pool () =
       Alcotest.(check (array int)) "init via pool" (Array.init 100 f)
         (Csutil.Par.init ~pool ~domains:3 100 f))
 
-(* The deque engine must be invisible in results: map_reduce with an
+(* The pool's scheduling must be invisible in results: map_reduce with an
    associative, NON-commutative combine agrees with the sequential fold
-   and with the pre-deque engine's schedule (one contiguous static block
-   per slot, combined in slot order) on random sizes and domain counts —
-   whatever got stolen from whom. *)
+   and with a static schedule (one contiguous block per slot, combined
+   in slot order) on random sizes and domain counts — whichever domain
+   claimed which chunk. *)
 let prop_map_reduce_schedule_invariant =
   QCheck.Test.make ~name:"map_reduce = sequential = static-stride" ~count:30
     QCheck.(pair (int_range 0 400) (int_range 1 5))
@@ -265,6 +311,12 @@ let () =
             test_pool_propagates_failure;
           Alcotest.test_case "map/init over explicit pool" `Quick
             test_map_over_explicit_pool;
+          Alcotest.test_case "concurrent outside submitters" `Quick
+            test_pool_concurrent_submitters;
+          Alcotest.test_case "failure in a nested run" `Quick
+            test_pool_nested_failure;
+          Alcotest.test_case "run after shutdown runs on the caller" `Quick
+            test_pool_run_after_shutdown;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest

@@ -1931,6 +1931,33 @@ let shard_requests router =
       | _ -> Alcotest.fail "shard section is not an object")
     (Router.shards_json router)
 
+(* One batch holding the same cold schedule request three times under
+   different ids, plus one other request: the router answers each
+   distinct request once, the answer cache stores each once, and every
+   reply still equals the direct bytes. *)
+let test_answers_batch_duplicates () =
+  let sched id =
+    Printf.sprintf {|{"id":%s,"op":"schedule","c":2,"u":700,"p":2}|} id
+  in
+  let lines =
+    [ sched "1"; {|{"id":2,"op":"advise","c":1,"u":100,"p":1}|};
+      sched {|"b"|}; sched "4" ]
+  in
+  let router = Router.create ~shards:1 ~domains:2 ~capacity:16 () in
+  Fun.protect
+    ~finally:(fun () -> Router.shutdown router)
+    (fun () ->
+       let got, _, server = serve_lines ~batch_size:64 ~router lines in
+       Alcotest.(check (list string)) "byte-identical to direct handle"
+         (List.map direct_response lines) got;
+       let s = Answers.stats (Server.answers server) in
+       Alcotest.(check int) "one batch: nothing hit" 0 s.Answers.hits;
+       Alcotest.(check int) "every copy probed" 4 s.Answers.misses;
+       Alcotest.(check int) "stored once per distinct request" 2
+         s.Answers.insertions;
+       Alcotest.(check int) "routed once per distinct request" 2
+         (List.fold_left ( + ) 0 (shard_requests router)))
+
 (* A shard pinned by one long cold dp solve still answers its resident
    lines: the connection worker answers them against the shard's cache
    instead of queueing them behind the solve. *)
@@ -2346,6 +2373,8 @@ let () =
             test_answers_generations;
           Alcotest.test_case "answers: dp hit across a table grow" `Quick
             test_answers_dp_across_grow;
+          Alcotest.test_case "answers: in-batch duplicates routed once" `Quick
+            test_answers_batch_duplicates;
         ]
         @ qc [ prop_answers_match_direct; prop_answers_budget ]
         @ [

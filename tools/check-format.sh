@@ -35,8 +35,9 @@ done
 # lib/service/router.ml (dedicated shard workers and the watchdog,
 # whose restart-on-failure lifecycle a pool cannot express).
 # Everything else takes a Pool (or Par.map) so parallelism stays
-# deadlock-free (nested pool use degrades inline) and capped; ad-hoc
-# Domain.spawn calls escape both guarantees.
+# deadlock-free (a nested run only ever waits on tasks already
+# running) and capped; ad-hoc Domain.spawn calls escape both
+# guarantees.
 for f in $(find lib bin bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' \) \
              -not -path 'lib/util/par.ml' -not -path 'lib/util/par.mli' \
@@ -71,16 +72,16 @@ for f in $(find lib/service bin -type f -name '*.ml' | sort); do
   fi
 done
 
-# Lock-free-queue gate: Atomic.compare_and_set is how lock-free
-# structures settle ownership of an element, and the only audited one
-# in the tree is the Chase-Lev deque in lib/util/par.ml.  A CAS loop
-# anywhere else is an ad-hoc concurrent queue in the making — build on
-# Pool / Router / Shard_chan instead.  (Monotone counters via
-# Atomic.fetch_and_add / incr stay allowed everywhere: they count,
-# they never arbitrate ownership.)
+# Lock-free gate: Atomic.compare_and_set is how lock-free structures
+# settle ownership of an element, and the tree has none: the pool
+# hands out tasks through fetch_and_add cursors and keeps everything
+# else under its lock.  A CAS loop is an ad-hoc concurrent queue in
+# the making — build on Pool / Router / Shard_chan instead.
+# (Monotone counters and cursors via Atomic.fetch_and_add / incr stay
+# allowed everywhere: each caller gets a distinct value, so nothing is
+# arbitrated.)
 for f in $(find lib bin bench examples -type f \
-             \( -name '*.ml' -o -name '*.mli' \) \
-             -not -path 'lib/util/par.ml' | sort); do
+             \( -name '*.ml' -o -name '*.mli' \) | sort); do
   if grep -nE 'Atomic\.compare_and_set' "$f" >/dev/null 2>&1; then
     echo "lock-free: Atomic.compare_and_set in $f (build on Csutil.Par.Pool):" >&2
     grep -nE 'Atomic\.compare_and_set' "$f" | head -3 >&2
@@ -91,7 +92,7 @@ done
 # Blocking-coordination gate: Mutex+Condition park/wake protocols are
 # easy to get wrong (missed wakeups, waits outside the predicate
 # loop), so they live only in the audited sites: the pool's worker
-# parking (lib/util/par.ml), the router's shard channels and watchdog
+# parking and joins (lib/util/par.ml), the router's shard channels and watchdog
 # (lib/service/router.ml), the server's connection-slot accounting
 # (lib/service/server.ml), and the DP kernel's wavefront barrier
 # (lib/core/dp.ml).  The cache parks nobody: its mutexes only guard
