@@ -75,7 +75,10 @@ type counters = {
       (** divide-and-conquer segment splits performed by the
           monotone-dc kernel *)
   bp_lookups : int;  (** binary-search lookups into packed rows *)
-  bp_rows : int;  (** rows rebuilt from breakpoint form by {!of_packed} *)
+  bp_rows : int;
+      (** [max_p + 1] for each {!of_packed} load, cumulative until
+          {!reset_counters}; a {!grow} that densifies a packed table
+          counts nothing *)
 }
 (** Process-wide kernel work accounting (all {!solve}/{!grow} calls in
     any domain since the last {!reset_counters}). *)

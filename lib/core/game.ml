@@ -627,8 +627,8 @@ let optimal_adversary ?grid ?max_states params opportunity policy =
 (* The pre-Solver implementation, kept verbatim (raw-float memo keys,
    one private Hashtbl per call) as the correctness and performance
    baseline for bench/test.  Production call sites go through
-   {!Solver}; tools/check-format.sh rejects [Game.make_solver] outside
-   lib/core. *)
+   {!Solver}; game.mli exports only the three answers from [Ref], so
+   [make_solver] cannot be called outside this file. *)
 module Ref = struct
   let make_solver ?grid ?(max_states = 4_000_000) params opportunity policy =
     let c = Model.c params in

@@ -59,8 +59,9 @@
    runtime is replaced — and each restart is counted.
 
    The shard channel below is the only inter-shard communication
-   primitive in the tree; tools/check-format.sh gates both Shard_chan
-   and Domain.spawn against use outside this file (and Par). *)
+   primitive in the tree.  It is not in router.mli, so nothing outside
+   this file can reach it; tools/check-format.sh gates Domain.spawn
+   against use outside this file (and Par). *)
 
 exception Injected_failure
 

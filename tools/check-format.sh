@@ -76,7 +76,7 @@ done
 # settle ownership of an element, and the tree has none: the pool
 # hands out tasks through fetch_and_add cursors and keeps everything
 # else under its lock.  A CAS loop is an ad-hoc concurrent queue in
-# the making — build on Pool / Router / Shard_chan instead.
+# the making — build on Pool / Router instead.
 # (Monotone counters and cursors via Atomic.fetch_and_add / incr stay
 # allowed everywhere: each caller gets a distinct value, so nothing is
 # arbitrated.)
@@ -110,22 +110,6 @@ for f in $(find lib bin test bench examples -type f \
   if grep -nE 'Condition\.' "$f" >/dev/null 2>&1; then
     echo "coordination: Condition.* in $f (coordinate through Pool/Router/Server):" >&2
     grep -nE 'Condition\.' "$f" | head -3 >&2
-    fail=1
-  fi
-done
-
-# Routing gate: the shard job channel (Router's Shard_chan) is the
-# router's private seam.  A sub-batch enters it only through
-# Router.run, which owns placement, the inline rule (a resident
-# sub-batch is answered by the connection worker and never queues),
-# generation checks and failure delivery.  Reaching for the channel
-# anywhere else would bypass all four.
-for f in $(find lib bin test bench examples -type f \
-             \( -name '*.ml' -o -name '*.mli' \) \
-             -not -path 'lib/service/router.ml' | sort); do
-  if grep -nE 'Shard_chan' "$f" >/dev/null 2>&1; then
-    echo "routing: Shard_chan in $f (submit through Service.Router):" >&2
-    grep -nE 'Shard_chan' "$f" | head -3 >&2
     fail=1
   fi
 done
@@ -180,21 +164,6 @@ for f in $(find lib bin test bench examples -type f \
   if grep -nE 'Unix\.map_file' "$f" >/dev/null 2>&1; then
     echo "store: Unix.map_file in $f (route through Store.Snapshot):" >&2
     grep -nE 'Unix\.map_file' "$f" | head -3 >&2
-    fail=1
-  fi
-done
-
-# Solver gate: the raw minimax recursion (Game.make_solver and its
-# Ref retention) is an implementation detail of lib/core.  Call sites
-# go through Game.Solver so the memo is shared between guaranteed,
-# interior values and the adversary replay, and the service can keep
-# solvers resident.
-for f in $(find lib bin test bench examples -type f \
-             \( -name '*.ml' -o -name '*.mli' \) \
-             -not -path 'lib/core/*' | sort); do
-  if grep -nE 'Game\.make_solver' "$f" >/dev/null 2>&1; then
-    echo "solver: Game.make_solver in $f (build a Game.Solver.t instead):" >&2
-    grep -nE 'Game\.make_solver' "$f" | head -3 >&2
     fail=1
   fi
 done
