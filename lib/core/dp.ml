@@ -17,15 +17,15 @@
    brute-force oracle below checks this on small instances).  The optimal
    episode schedule is recovered by following the argmax chain at fixed p.
 
-   Storage is a pair of flat Bigarrays in row-major order (row = p), so
-   the table can *grow in place*: the cell at (p, l) only reads cells at
-   strictly smaller l (same or previous row), hence extending max_l or
-   max_p never invalidates what is already solved — new cells are filled
-   and the old prefix is reused verbatim.  Growth is published as a fresh
-   [body] snapshot after the new cells are filled: concurrent readers
-   holding the previous snapshot keep reading the untouched prefix (or
-   the superseded arrays after a re-allocation), so a single grower —
-   e.g. the service cache under its shard lock — never races them.
+   A table is resident only as breakpoint runs (the [packed] layout
+   below, which is also the snapshot payload).  Solve and grow fill one
+   dense scratch body: the cell at (p, l) only reads cells at strictly
+   smaller l (same or previous row), so a grow decodes the solved prefix
+   into the scratch, fills only the new cells, and the old cells are
+   reused verbatim.  The filled body is packed and published as a fresh
+   [packed] record: concurrent readers holding the previous pack keep
+   reading it untouched, so a single grower — e.g. the service cache on
+   its shard worker — never races them.
 
    The kernel (see also DESIGN.md S17, S24):
 
@@ -54,26 +54,26 @@
 
    Complexity: O(max_p * max_l^2) time for the exhaustive [Ref]; the
    crossing bisection cuts the inner factor to O(log drift) probes per
-   cell, O(log max_l) worst case; a grow pays only for the new cells.
-   Space: O(cap_p * cap_l). *)
+   cell, O(log max_l) worst case; a grow pays only for the new cells
+   plus a linear decode and re-pack.  Space: the pack, plus one scratch
+   of 2 (max_p + 1) (max_l + 1) ints per fill in flight. *)
 
 type mat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* One published state of the table.  [value]/[first] rows are laid out
-   with stride [cap_l + 1]; cells beyond (max_p, max_l) are unsolved. *)
+(* A dense fill buffer: [value]/[first] rows are laid out with stride
+   [max_l + 1].  Only solve and grow hold one, while they fill; what a
+   table keeps is the [packed] form below. *)
 type body = {
   max_p : int;
   max_l : int;
-  cap_p : int;
-  cap_l : int;
-  value : mat; (* value.{p * (cap_l+1) + l} = W(p)[l] *)
+  value : mat; (* value.{p * (max_l+1) + l} = W(p)[l] *)
   first : mat; (* an optimal first period length at (p, l) *)
 }
 
-(* A breakpoint-compressed table (DESIGN.md S24): every solved row is a
-   monotone step function, so instead of (max_l + 1) dense cells a row
-   is stored as its implicit zero prefix plus two run-length tables —
-   one for the loss l - W(p)[l] (long constant runs through the ramp)
+(* A breakpoint-compressed table (DESIGN.md S24, S35): every solved row
+   is a monotone step function, so instead of (max_l + 1) dense cells a
+   row is stored as its implicit zero prefix plus two run-length tables
+   — one for the loss l - W(p)[l] (long constant runs through the ramp)
    and one for the recorded argmax (constant on decision runs; row 0's
    first(l) = l ramp is stored as the constant l - first instead).  The
    packing is exact for arbitrary tables — runs just get shorter when
@@ -90,41 +90,48 @@ type body = {
                 first_pos[n_first]
                 first_val[n_first]
 
-   A lookup is a binary search for the run holding l.  Tables loaded
-   from a bank snapshot stay packed until a [grow] needs the dense
-   arrays, so a bank-warmed daemon holds the compressed rows only. *)
+   This is the only resident form: a lookup is a binary search for the
+   run holding l, and the same words are the snapshot payload. *)
 type packed = { p_max_p : int; p_max_l : int; pack : mat }
 
-type repr = Dense of body | Packed of packed
-type t = { c : int; mutable repr : repr }
+type t = { c : int; mutable packed : packed }
 
 let c t = t.c
-
-let max_p t =
-  match t.repr with Dense b -> b.max_p | Packed p -> p.p_max_p
-
-let max_l t =
-  match t.repr with Dense b -> b.max_l | Packed p -> p.p_max_l
-
-let footprint_bytes t =
-  match t.repr with
-  | Dense b -> 2 * (b.cap_p + 1) * (b.cap_l + 1) * (Sys.word_size / 8)
-  | Packed p -> Bigarray.Array1.dim p.pack * (Sys.word_size / 8)
+let max_p t = t.packed.p_max_p
+let max_l t = t.packed.p_max_l
+let footprint_bytes t = Bigarray.Array1.dim t.packed.pack * (Sys.word_size / 8)
 
 (* What the solved region would occupy as dense arrays — the baseline
    the compressed-resident accounting is compared against. *)
 let dense_footprint_bytes t =
   2 * (max_p t + 1) * (max_l t + 1) * (Sys.word_size / 8)
 
-let is_packed t = match t.repr with Packed _ -> true | Dense _ -> false
+(* The process-wide spare fill buffer.  A fill takes it whole with
+   [Atomic.exchange] (allocating when it is absent or too small), so
+   concurrent fills never share one; on return the larger of the
+   returned and the resident buffer stays, so at most one idle buffer
+   is held.  Nothing is zeroed: every fill writes each cell it reads
+   (see [unpack_into]). *)
+let spare : mat option Atomic.t = Atomic.make None
 
-let alloc ~cap_p ~cap_l =
-  let a =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-      ((cap_p + 1) * (cap_l + 1))
+let with_scratch ~max_p ~max_l f =
+  let open Bigarray in
+  let cells = (max_p + 1) * (max_l + 1) in
+  let buf =
+    match Atomic.exchange spare None with
+    | Some b when Array1.dim b >= 2 * cells -> b
+    | _ -> Array1.create int c_layout (2 * cells)
   in
-  Bigarray.Array1.fill a 0;
-  a
+  let r =
+    f { max_p; max_l; value = Array1.sub buf 0 cells; first = Array1.sub buf cells cells }
+  in
+  let rec give b =
+    match Atomic.exchange spare (Some b) with
+    | Some other when Array1.dim other > Array1.dim b -> give other
+    | _ -> ()
+  in
+  give buf;
+  r
 
 (* --- kernel counters ----------------------------------------------------- *)
 
@@ -223,7 +230,7 @@ let fill_row0 body ~c ~l_from =
    bit-identical to [Ref]. *)
 let fill_block body ~c ~p ~l_lo ~l_hi =
   let open Bigarray in
-  let stride = body.cap_l + 1 in
+  let stride = body.max_l + 1 in
   let v = body.value and f = body.first in
   let row = p * stride in
   let prev = row - stride in
@@ -448,158 +455,136 @@ let fill ?pool ~c body ~old_p ~old_l =
     par_fill pool body ~c ~old_p ~old_l
   | _ -> seq_fill body ~c ~old_p ~old_l
 
-let solve_with ~pool ~c ~max_p ~max_l =
-  if c < 1 then Error.invalid "Dp.solve: c must be >= 1 tick";
-  if max_p < 0 then Error.invalid "Dp.solve: max_p must be non-negative";
-  if max_l < 0 then Error.invalid "Dp.solve: max_l must be non-negative";
-  let body =
-    {
-      max_p;
-      max_l;
-      cap_p = max_p;
-      cap_l = max_l;
-      value = alloc ~cap_p:max_p ~cap_l:max_l;
-      first = alloc ~cap_p:max_p ~cap_l:max_l;
-    }
-  in
-  fill ?pool ~c body ~old_p:(-1) ~old_l:(-1);
-  { c; repr = Dense body }
-
-let solve ~c ~max_p ~max_l = solve_with ~pool:None ~c ~max_p ~max_l
-
 (* --- breakpoint packing --------------------------------------------------- *)
 
-(* Compress a dense body into the [pack] layout.  The zero prefix is
+(* Compress a filled body into the [pack] layout.  The zero prefix is
    the longest span where W = 0 and first = l (the seed convention);
    beyond it both the loss l - W and the argmax are run-length encoded,
    so the packing is exact for any cell contents — structure only makes
-   it small.  Three cheap passes: measure, then write, per table. *)
+   it small.  One counting pass per row sizes the pack and picks the
+   argmax mode (offset when it has strictly fewer runs), one writing
+   pass per row fills it; both are plain loops over the row. *)
 let pack_of_body b =
   let open Bigarray in
-  let stride = b.cap_l + 1 in
+  let stride = b.max_l + 1 and ml = b.max_l in
   let v = b.value and f = b.first in
-  let zero_until p =
+  let rows = b.max_p + 1 in
+  let zus = Array.make rows 0 and modes = Array.make rows 0 in
+  let n_losses = Array.make rows 0 and n_firsts = Array.make rows 0 in
+  let total = ref rows in
+  for p = 0 to b.max_p do
     let row = p * stride in
     let zu = ref (-1) in
     while
-      !zu < b.max_l
+      !zu < ml
       && Array1.unsafe_get v (row + !zu + 1) = 0
       && Array1.unsafe_get f (row + !zu + 1) = !zu + 1
     do
       incr zu
     done;
-    !zu
-  in
-  (* Walk the runs of [g] over [from, max_l]; [emit i l x] sees run
-     number, start column and value; returns the run count. *)
-  let runs g ~from emit =
-    let n = ref 0 and last = ref 0 in
-    for l = from to b.max_l do
-      let x = g l in
-      if !n = 0 || x <> !last then begin
-        emit !n l x;
-        incr n;
-        last := x
+    (* Zero counts open run 0 at the first cell. *)
+    let n_loss = ref 0 and n_direct = ref 0 and n_offset = ref 0 in
+    let last_loss = ref 0 and last_direct = ref 0 and last_offset = ref 0 in
+    for l = !zu + 1 to ml do
+      let loss = l - Array1.unsafe_get v (row + l) in
+      let direct = Array1.unsafe_get f (row + l) in
+      let offset = l - direct in
+      if !n_loss = 0 || loss <> !last_loss then begin
+        incr n_loss;
+        last_loss := loss
+      end;
+      if !n_direct = 0 || direct <> !last_direct then begin
+        incr n_direct;
+        last_direct := direct
+      end;
+      if !n_offset = 0 || offset <> !last_offset then begin
+        incr n_offset;
+        last_offset := offset
       end
     done;
-    !n
-  in
-  let nop _ _ _ = () in
-  let loss p =
-    let row = p * stride in
-    fun l -> l - Array1.unsafe_get v (row + l)
-  in
-  let first_direct p =
-    let row = p * stride in
-    fun l -> Array1.unsafe_get f (row + l)
-  in
-  let first_offset p =
-    let row = p * stride in
-    fun l -> l - Array1.unsafe_get f (row + l)
-  in
-  let zus = Array.init (b.max_p + 1) zero_until in
-  let modes = Array.make (b.max_p + 1) 0 in
-  let sizes =
-    Array.init (b.max_p + 1) (fun p ->
-        let from = zus.(p) + 1 in
-        let n_loss = runs (loss p) ~from nop in
-        let direct = runs (first_direct p) ~from nop in
-        let offset = runs (first_offset p) ~from nop in
-        let n_first =
-          if offset < direct then begin
-            modes.(p) <- 1;
-            offset
-          end
-          else direct
-        in
-        4 + (2 * n_loss) + (2 * n_first))
-  in
-  let total = Array.fold_left ( + ) (b.max_p + 1) sizes in
-  let pack = Array1.create Bigarray.int Bigarray.c_layout total in
-  let off = ref (b.max_p + 1) in
-  for p = 0 to b.max_p do
-    Array1.set pack p !off;
-    let base = !off in
-    let from = zus.(p) + 1 in
-    let first_fn = if modes.(p) = 1 then first_offset p else first_direct p in
-    let n_loss = runs (loss p) ~from nop in
-    let n_first = runs first_fn ~from nop in
-    Array1.set pack base zus.(p);
-    Array1.set pack (base + 1) modes.(p);
-    Array1.set pack (base + 2) n_loss;
-    Array1.set pack (base + 3) n_first;
-    let lp = base + 4 in
-    ignore
-      (runs (loss p) ~from (fun i l x ->
-           Array1.set pack (lp + i) l;
-           Array1.set pack (lp + n_loss + i) x));
-    let fp = lp + (2 * n_loss) in
-    ignore
-      (runs first_fn ~from (fun i l x ->
-           Array1.set pack (fp + i) l;
-           Array1.set pack (fp + n_first + i) x));
-    off := base + sizes.(p)
+    zus.(p) <- !zu;
+    n_losses.(p) <- !n_loss;
+    if !n_offset < !n_direct then begin
+      modes.(p) <- 1;
+      n_firsts.(p) <- !n_offset
+    end
+    else n_firsts.(p) <- !n_direct;
+    total := !total + 4 + (2 * !n_loss) + (2 * n_firsts.(p))
   done;
-  pack
+  let pack = Array1.create Bigarray.int Bigarray.c_layout !total in
+  let base = ref rows in
+  for p = 0 to b.max_p do
+    let row = p * stride and base_p = !base in
+    let zu = zus.(p) and mode = modes.(p) in
+    let n_loss = n_losses.(p) and n_first = n_firsts.(p) in
+    Array1.unsafe_set pack p base_p;
+    Array1.unsafe_set pack base_p zu;
+    Array1.unsafe_set pack (base_p + 1) mode;
+    Array1.unsafe_set pack (base_p + 2) n_loss;
+    Array1.unsafe_set pack (base_p + 3) n_first;
+    let lp = base_p + 4 in
+    let fp = lp + (2 * n_loss) in
+    let i = ref (-1) and j = ref (-1) in
+    let last_loss = ref 0 and last_first = ref 0 in
+    for l = zu + 1 to ml do
+      let loss = l - Array1.unsafe_get v (row + l) in
+      if !i < 0 || loss <> !last_loss then begin
+        incr i;
+        Array1.unsafe_set pack (lp + !i) l;
+        Array1.unsafe_set pack (lp + n_loss + !i) loss;
+        last_loss := loss
+      end;
+      let fv = Array1.unsafe_get f (row + l) in
+      let x = if mode = 1 then l - fv else fv in
+      if !j < 0 || x <> !last_first then begin
+        incr j;
+        Array1.unsafe_set pack (fp + !j) l;
+        Array1.unsafe_set pack (fp + n_first + !j) x;
+        last_first := x
+      end
+    done;
+    base := fp + (2 * n_first)
+  done;
+  { p_max_p = b.max_p; p_max_l = b.max_l; pack }
 
-(* Materialize dense arrays from a (validated) packing.  Capacity is
-   pinned to the solved bounds, so a [grow] always re-allocates. *)
-let body_of_packed pk =
+(* Decode a (validated) packing into the top-left corner of [body],
+   whose bounds cover it: every cell (p, l) with p <= p_max_p and
+   l <= p_max_l is written, zero prefix included, so a reused scratch
+   never leaks a stale cell into the fill that follows. *)
+let unpack_into pk body =
   let open Bigarray in
-  let mp = pk.p_max_p and ml = pk.p_max_l in
-  let pack = pk.pack in
-  let value = alloc ~cap_p:mp ~cap_l:ml in
-  let first = alloc ~cap_p:mp ~cap_l:ml in
-  let stride = ml + 1 in
-  for p = 0 to mp do
-    let base = Array1.get pack p in
+  let pack = pk.pack and ml = pk.p_max_l in
+  let value = body.value and first = body.first in
+  let stride = body.max_l + 1 in
+  for p = 0 to pk.p_max_p do
+    let base = Array1.unsafe_get pack p in
     let row = p * stride in
-    let zu = Array1.get pack base in
-    let mode = Array1.get pack (base + 1) in
-    let n_loss = Array1.get pack (base + 2) in
-    let n_first = Array1.get pack (base + 3) in
+    let zu = Array1.unsafe_get pack base in
+    let mode = Array1.unsafe_get pack (base + 1) in
+    let n_loss = Array1.unsafe_get pack (base + 2) in
+    let n_first = Array1.unsafe_get pack (base + 3) in
     for l = 0 to zu do
-      (* alloc already zeroed the values *)
+      Array1.unsafe_set value (row + l) 0;
       Array1.unsafe_set first (row + l) l
     done;
     let lp = base + 4 in
     for i = 0 to n_loss - 1 do
-      let start = Array1.get pack (lp + i) in
+      let start = Array1.unsafe_get pack (lp + i) in
       let stop =
-        if i + 1 < n_loss then Array1.get pack (lp + i + 1) - 1 else ml
+        if i + 1 < n_loss then Array1.unsafe_get pack (lp + i + 1) - 1 else ml
       in
-      let x = Array1.get pack (lp + n_loss + i) in
+      let x = Array1.unsafe_get pack (lp + n_loss + i) in
       for l = start to stop do
         Array1.unsafe_set value (row + l) (l - x)
       done
     done;
     let fp = lp + (2 * n_loss) in
     for i = 0 to n_first - 1 do
-      let start = Array1.get pack (fp + i) in
+      let start = Array1.unsafe_get pack (fp + i) in
       let stop =
-        if i + 1 < n_first then Array1.get pack (fp + i + 1) - 1 else ml
+        if i + 1 < n_first then Array1.unsafe_get pack (fp + i + 1) - 1 else ml
       in
-      let x = Array1.get pack (fp + n_first + i) in
+      let x = Array1.unsafe_get pack (fp + n_first + i) in
       if mode = 1 then
         for l = start to stop do
           Array1.unsafe_set first (row + l) (l - x)
@@ -609,11 +594,39 @@ let body_of_packed pk =
           Array1.unsafe_set first (row + l) x
         done
     done
-  done;
-  { max_p = mp; max_l = ml; cap_p = mp; cap_l = ml; value; first }
+  done
 
-let to_packed t =
-  match t.repr with Packed p -> p.pack | Dense b -> pack_of_body b
+(* --- solve and grow ------------------------------------------------------- *)
+
+let solve_with ~pool ~c ~max_p ~max_l =
+  if c < 1 then Error.invalid "Dp.solve: c must be >= 1 tick";
+  if max_p < 0 then Error.invalid "Dp.solve: max_p must be non-negative";
+  if max_l < 0 then Error.invalid "Dp.solve: max_l must be non-negative";
+  let packed =
+    with_scratch ~max_p ~max_l (fun body ->
+        fill ?pool ~c body ~old_p:(-1) ~old_l:(-1);
+        pack_of_body body)
+  in
+  { c; packed }
+
+let solve ~c ~max_p ~max_l = solve_with ~pool:None ~c ~max_p ~max_l
+
+(* Decode the solved prefix into a scratch at the new bounds, fill the
+   new cells against it, and publish the re-packed table; readers of
+   the previous pack keep it untouched. *)
+let grow ?pool t ~max_p ~max_l =
+  if max_p < 0 then Error.invalid "Dp.grow: max_p must be non-negative";
+  if max_l < 0 then Error.invalid "Dp.grow: max_l must be non-negative";
+  let old = t.packed in
+  let new_p = max old.p_max_p max_p and new_l = max old.p_max_l max_l in
+  if new_p > old.p_max_p || new_l > old.p_max_l then
+    t.packed <-
+      with_scratch ~max_p:new_p ~max_l:new_l (fun body ->
+          unpack_into old body;
+          fill ?pool ~c:t.c body ~old_p:old.p_max_p ~old_l:old.p_max_l;
+          pack_of_body body)
+
+let to_packed t = t.packed.pack
 
 (* Structural validation of an untrusted packing (a CRC-valid but
    hand-corrupted snapshot must fail structured, never fault): offsets
@@ -665,13 +678,14 @@ let of_packed ~c ~max_p ~max_l pack =
   done;
   if !expect <> dim then bad "%d trailing words" (dim - !expect);
   ignore (Atomic.fetch_and_add bp_rows_ctr (max_p + 1));
-  { c; repr = Packed { p_max_p = max_p; p_max_l = max_l; pack } }
+  { c; packed = { p_max_p = max_p; p_max_l = max_l; pack } }
 
-(* Greatest run whose start is <= l; callers guarantee l lies past the
-   zero prefix, so run 0 is always a candidate. *)
-let find_run pack ~pos ~n l =
+(* --- lookups -------------------------------------------------------------- *)
+
+(* Greatest run in [lo, hi] whose start is <= l, given run lo's is. *)
+let find_run (pack : mat) ~pos ~lo ~hi l =
   let open Bigarray in
-  let lo = ref 0 and hi = ref (n - 1) in
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
     if Array1.unsafe_get pack (pos + mid) <= l then lo := mid
@@ -679,91 +693,60 @@ let find_run pack ~pos ~n l =
   done;
   !lo
 
-let packed_value pk ~p ~l =
-  ignore (Atomic.fetch_and_add bp_lookups_ctr 1);
+(* The same search below a cursor run [from]: starts above l are
+   skipped in doubling steps down, so a chain that falls a few runs per
+   step pays O(log step) probes.  Run 0 starts at the zero boundary,
+   which callers guarantee l lies past, so the gallop always lands. *)
+let gallop_run (pack : mat) ~pos ~from l =
+  let open Bigarray in
+  let lo = ref from and hi = ref from and d = ref 1 in
+  while Array1.unsafe_get pack (pos + !lo) > l do
+    hi := !lo - 1;
+    lo := max 0 (from - !d);
+    d := 2 * !d
+  done;
+  find_run pack ~pos ~lo:!lo ~hi:!hi l
+
+(* Uncounted cell reads; the public readers charge [bp_lookups] once
+   per call. *)
+let value_at pk ~p ~l =
   let open Bigarray in
   let pack = pk.pack in
-  let base = Array1.get pack p in
-  let zu = Array1.get pack base in
-  if l <= zu then 0
+  let base = Array1.unsafe_get pack p in
+  if l <= Array1.unsafe_get pack base then 0
   else begin
-    let n = Array1.get pack (base + 2) in
-    let i = find_run pack ~pos:(base + 4) ~n l in
-    l - Array1.get pack (base + 4 + n + i)
+    let n = Array1.unsafe_get pack (base + 2) in
+    let i = find_run pack ~pos:(base + 4) ~lo:0 ~hi:(n - 1) l in
+    l - Array1.unsafe_get pack (base + 4 + n + i)
   end
 
-let packed_first pk ~p ~l =
-  ignore (Atomic.fetch_and_add bp_lookups_ctr 1);
+let first_at pk ~p ~l =
   let open Bigarray in
   let pack = pk.pack in
-  let base = Array1.get pack p in
-  let zu = Array1.get pack base in
-  if l <= zu then l
+  let base = Array1.unsafe_get pack p in
+  if l <= Array1.unsafe_get pack base then l
   else begin
-    let mode = Array1.get pack (base + 1) in
-    let n_loss = Array1.get pack (base + 2) in
-    let n = Array1.get pack (base + 3) in
+    let n_loss = Array1.unsafe_get pack (base + 2) in
+    let n = Array1.unsafe_get pack (base + 3) in
     let pos = base + 4 + (2 * n_loss) in
-    let i = find_run pack ~pos ~n l in
-    let x = Array1.get pack (pos + n + i) in
-    if mode = 1 then l - x else x
+    let i = find_run pack ~pos ~lo:0 ~hi:(n - 1) l in
+    let x = Array1.unsafe_get pack (pos + n + i) in
+    if Array1.unsafe_get pack (base + 1) = 1 then l - x else x
   end
 
-(* --- grow ----------------------------------------------------------------- *)
-
-let grow ?pool t ~max_p ~max_l =
-  if max_p < 0 then Error.invalid "Dp.grow: max_p must be non-negative";
-  if max_l < 0 then Error.invalid "Dp.grow: max_l must be non-negative";
-  let cur_p = (match t.repr with Dense b -> b.max_p | Packed p -> p.p_max_p)
-  and cur_l = match t.repr with Dense b -> b.max_l | Packed p -> p.p_max_l in
-  if max_p > cur_p || max_l > cur_l then begin
-    (* A packed table densifies first (its capacity is pinned to the
-       solved bounds, so the re-allocation path below always runs);
-       within its bounds it stays compressed. *)
-    let old =
-      match t.repr with Dense b -> b | Packed p -> body_of_packed p
-    in
-    let new_p = max old.max_p max_p and new_l = max old.max_l max_l in
-    let body =
-      if new_p <= old.cap_p && new_l <= old.cap_l then
-        (* Headroom suffices: share the arrays, only new cells will be
-           written (readers of the published body never look there). *)
-        { old with max_p = new_p; max_l = new_l }
-      else begin
-        (* Re-allocate with at least doubled exceeded capacities so a
-           sequence of small grows stays amortised, and blit the solved
-           prefix row by row (strides differ). *)
-        let cap_p = if new_p > old.cap_p then max new_p (2 * old.cap_p) else old.cap_p in
-        let cap_l = if new_l > old.cap_l then max new_l (2 * old.cap_l) else old.cap_l in
-        let value = alloc ~cap_p ~cap_l in
-        let first = alloc ~cap_p ~cap_l in
-        let old_stride = old.cap_l + 1 and stride = cap_l + 1 in
-        for p = 0 to old.max_p do
-          let cells = old.max_l + 1 in
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub old.value (p * old_stride) cells)
-            (Bigarray.Array1.sub value (p * stride) cells);
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub old.first (p * old_stride) cells)
-            (Bigarray.Array1.sub first (p * stride) cells)
-        done;
-        { max_p = new_p; max_l = new_l; cap_p; cap_l; value; first }
-      end
-    in
-    fill ?pool ~c:t.c body ~old_p:old.max_p ~old_l:old.max_l;
-    t.repr <- Dense body
-  end
+let lookup () = ignore (Atomic.fetch_and_add bp_lookups_ctr 1)
 
 (* --- reference kernel ----------------------------------------------------- *)
 
 (* The naive exhaustive scan the fill kernel must agree with, cell by
    cell — values and argmax periods both.  Kept byte-for-byte simple as
    the correctness reference and the scalar baseline of the bench `dp`
-   series; it bypasses the counters. *)
+   series; it fills its own fresh arrays (never the shared scratch) and
+   bypasses the counters. *)
 module Ref = struct
   let fill ~c body =
     let open Bigarray in
-    let stride = body.cap_l + 1 in
+    let stride = body.max_l + 1 in
     let v = body.value and f = body.first in
     for l = 0 to body.max_l do
       Array1.unsafe_set v l (max 0 (l - c));
@@ -794,57 +777,59 @@ module Ref = struct
     if c < 1 then Error.invalid "Dp.Ref.solve: c must be >= 1 tick";
     if max_p < 0 then Error.invalid "Dp.Ref.solve: max_p must be non-negative";
     if max_l < 0 then Error.invalid "Dp.Ref.solve: max_l must be non-negative";
-    let body =
-      {
-        max_p;
-        max_l;
-        cap_p = max_p;
-        cap_l = max_l;
-        value = alloc ~cap_p:max_p ~cap_l:max_l;
-        first = alloc ~cap_p:max_p ~cap_l:max_l;
-      }
-    in
+    let cells = (max_p + 1) * (max_l + 1) in
+    let mat () = Bigarray.(Array1.create int c_layout cells) in
+    let body = { max_p; max_l; value = mat (); first = mat () } in
     fill ~c body;
-    { c; repr = Dense body }
+    { c; packed = pack_of_body body }
 end
 
-let check t ~p ~l =
-  let mp = max_p t and ml = max_l t in
-  if p < 0 || p > mp then Error.rangef "Dp: p = %d outside 0..%d" p mp;
-  if l < 0 || l > ml then Error.rangef "Dp: l = %d outside 0..%d" l ml
+let check_in pk ~p ~l =
+  if p < 0 || p > pk.p_max_p then Error.rangef "Dp: p = %d outside 0..%d" p pk.p_max_p;
+  if l < 0 || l > pk.p_max_l then Error.rangef "Dp: l = %d outside 0..%d" l pk.p_max_l
+
+let check t ~p ~l = check_in t.packed ~p ~l
 
 let value t ~p ~l =
-  check t ~p ~l;
-  match t.repr with
-  | Dense b -> Bigarray.Array1.get b.value ((p * (b.cap_l + 1)) + l)
-  | Packed pk -> packed_value pk ~p ~l
+  let pk = t.packed in
+  check_in pk ~p ~l;
+  lookup ();
+  value_at pk ~p ~l
 
 let optimal_first_period t ~p ~l =
-  check t ~p ~l;
-  match t.repr with
-  | Dense b -> Bigarray.Array1.get b.first ((p * (b.cap_l + 1)) + l)
-  | Packed pk -> packed_first pk ~p ~l
+  let pk = t.packed in
+  check_in pk ~p ~l;
+  lookup ();
+  first_at pk ~p ~l
 
 (* The episode schedule optimal play follows while no interrupt occurs:
-   the argmax chain at fixed p.  Covers l exactly. *)
+   the argmax chain at fixed p.  Covers l exactly.  The chain only
+   falls, so one cursor walks the row's argmax runs downward, galloping
+   from the run that held the previous cell. *)
 let optimal_episode t ~p ~l =
-  check t ~p ~l;
-  let first_at =
-    match t.repr with
-    | Dense b ->
-        let row = p * (b.cap_l + 1) in
-        fun l -> Bigarray.Array1.get b.first (row + l)
-    | Packed pk -> fun l -> packed_first pk ~p ~l
-  in
-  let rec go l acc =
+  let pk = t.packed in
+  check_in pk ~p ~l;
+  lookup ();
+  let open Bigarray in
+  let pack = pk.pack in
+  let base = Array1.unsafe_get pack p in
+  let zu = Array1.unsafe_get pack base in
+  let offset = Array1.unsafe_get pack (base + 1) = 1 in
+  let n_loss = Array1.unsafe_get pack (base + 2) in
+  let n = Array1.unsafe_get pack (base + 3) in
+  let pos = base + 4 + (2 * n_loss) in
+  let rec go l run acc =
     if l = 0 then List.rev acc
+    else if l <= zu then List.rev (l :: acc) (* first = l in the zero prefix *)
     else begin
-      let tk = first_at l in
+      let run = gallop_run pack ~pos ~from:run l in
+      let x = Array1.unsafe_get pack (pos + n + run) in
+      let tk = if offset then l - x else x in
       assert (tk >= 1 && tk <= l);
-      go (l - tk) (tk :: acc)
+      go (l - tk) run (tk :: acc)
     end
   in
-  go l []
+  go l (n - 1) []
 
 (* Brute-force oracle over *committed* episode schedules, used by tests
    to validate both the recurrence and the claim that per-period play has
@@ -884,15 +869,12 @@ let rec brute_force_committed ~c ~p ~l =
 let tick_of_params t params = Model.c params /. float_of_int t.c
 
 let float_value t params ~p ~residual =
+  let pk = t.packed in
   let tick = tick_of_params t params in
-  let l = min (max_l t) (int_of_float (residual /. tick)) in
-  let p = min p (max_p t) in
-  let w =
-    match t.repr with
-    | Dense b -> Bigarray.Array1.get b.value ((p * (b.cap_l + 1)) + l)
-    | Packed pk -> packed_value pk ~p ~l
-  in
-  float_of_int w *. tick
+  let l = min pk.p_max_l (int_of_float (residual /. tick)) in
+  let p = min p pk.p_max_p in
+  lookup ();
+  float_of_int (value_at pk ~p ~l) *. tick
 
 (* The grid may not cover the residual exactly; absorb the remainder
    into the final period so the schedule spans the residual. *)

@@ -6,19 +6,23 @@
     schedule can guarantee with residual lifespan [L] and up to [p]
     interrupts — for all [p <= max_p], [L <= max_l].
 
-    The table is backed by flat [Bigarray]s and can {!grow} in place:
-    the recurrence at [(p, l)] only reads cells at strictly smaller
-    indices, so extending the bounds fills new cells and reuses the
-    solved prefix verbatim.  Growth must be driven by a single writer at
-    a time (e.g. the service cache under its shard lock); concurrent
-    readers of the previously published bounds are safe throughout. *)
+    A table is held only in breakpoint form ({!to_packed}): each row is
+    a monotone staircase (Prop 4.1), stored as runs, and every cell read
+    is a binary search over them.  {!solve} and {!grow} fill one dense
+    scratch buffer, shared process-wide and reused across fills, then
+    publish a fresh pack.  The recurrence at [(p, l)] only reads cells
+    at strictly smaller indices, so {!grow} decodes the solved prefix
+    into the scratch, fills only the new cells and reuses the old ones
+    verbatim.  Growth must be driven by a single writer at a time (e.g.
+    the service cache on its shard worker); concurrent readers of the
+    previously published pack are safe throughout. *)
 
 type t
 (** A solved table. *)
 
 type mat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The backing store: a flat row-major array of OCaml integers (8
-    bytes per cell on 64-bit platforms). *)
+(** A flat array of OCaml integers (8 bytes each on 64-bit platforms):
+    the breakpoint pack of {!to_packed} and {!of_packed}. *)
 
 val solve : c:int -> max_p:int -> max_l:int -> t
 (** [solve ~c ~max_p ~max_l] fills the table by the recurrence
@@ -34,7 +38,9 @@ val solve : c:int -> max_p:int -> max_l:int -> t
     resolved from the few candidates around it.  The argmax itself is
     {e not} monotone in [L] — [c = 1] gives [first(1,4) = 2] but
     [first(1,5) = 1].  Values and recorded argmax periods are
-    bit-identical to the exhaustive reference {!Ref.solve}.
+    bit-identical to the exhaustive reference {!Ref.solve}.  The cells
+    are filled in the shared scratch and the table keeps only their
+    pack.
 
     @raise Error.Error when [c < 1] or bounds are negative. *)
 
@@ -47,12 +53,14 @@ val solve_with :
     bit-identical to the sequential fill. *)
 
 val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
-(** [grow t ~max_p ~max_l] extends the table in place to bounds
+(** [grow t ~max_p ~max_l] extends the table to bounds
     [max t.max_p max_p] and [max t.max_l max_l], solving only the new
-    cells; the existing prefix is reused, never recomputed.  A no-op
-    when the table already covers the requested bounds.  Capacity is at
-    least doubled on re-allocation so repeated small grows stay
-    amortised.  [pool] parallelises the new-cell fill as in {!solve}.
+    cells: the existing pack is decoded into the scratch at the new
+    bounds (reused, never recomputed), the new cells are filled against
+    it, and the re-packed table is published in place of the old pack,
+    which is never written.  A no-op when the table already covers the
+    requested bounds.  [pool] parallelises the new-cell fill as in
+    {!solve}.
     @raise Error.Error on negative bounds. *)
 
 module Ref : sig
@@ -74,11 +82,13 @@ type counters = {
   dc_splits : int;
       (** divide-and-conquer segment splits performed by the
           monotone-dc kernel *)
-  bp_lookups : int;  (** binary-search lookups into packed rows *)
+  bp_lookups : int;
+      (** cell reads: one per {!value}, {!optimal_first_period},
+          {!optimal_episode} or {!float_value} call, however many runs
+          the call searches *)
   bp_rows : int;
       (** [max_p + 1] for each {!of_packed} load, cumulative until
-          {!reset_counters}; a {!grow} that densifies a packed table
-          counts nothing *)
+          {!reset_counters}; solves and grows count nothing *)
 }
 (** Process-wide kernel work accounting (all {!solve}/{!grow} calls in
     any domain since the last {!reset_counters}). *)
@@ -91,18 +101,12 @@ val max_p : t -> int
 val max_l : t -> int
 
 val footprint_bytes : t -> int
-(** Allocated size of the backing store in bytes: capacity for a dense
-    table, the pack length for a breakpoint-compressed one. *)
+(** Resident size of the table in bytes: the length of its pack. *)
 
 val dense_footprint_bytes : t -> int
 (** What the solved bounds would occupy densified (two int cells per
     [(p, l)] state) — the baseline {!footprint_bytes} is compared
     against for compression accounting. *)
-
-val is_packed : t -> bool
-(** Whether the table currently holds the breakpoint-compressed
-    representation (as built by {!of_packed}; {!grow} beyond the solved
-    bounds densifies it). *)
 
 val to_packed : t -> mat
 (** The table's solved region in breakpoint form — the snapshot file
@@ -112,9 +116,8 @@ val to_packed : t -> mat
     starts and per-run values of the loss [l - W(p)[l]] and of the
     argmax ([first_mode = 1] stores [l - first] so arithmetic argmax
     progressions compress to a single run).  Exact for any cell
-    contents; row structure only makes it small.  Never mutates [t]
-    (a packed table shares its pack; a dense one is compressed on the
-    fly). *)
+    contents; row structure only makes it small.  This is the table's
+    own resident pack, shared, not a copy: callers must not write it. *)
 
 val of_packed : c:int -> max_p:int -> max_l:int -> mat -> t
 (** A table reading straight from breakpoint form: cell lookups
@@ -124,8 +127,9 @@ val of_packed : c:int -> max_p:int -> max_l:int -> mat -> t
     covered); cell values are whatever the runs encode —
     bit-identity with a fresh solve is the store layer's checksum plus
     the identity property tests, not a load-time recomputation.  The
-    pack is never written: a {!grow} densifies onto the heap, so a
-    pack over a read-only file mapping leaves the shared pages clean.
+    pack is never written: a {!grow} decodes it into the scratch and
+    publishes a new pack, so a pack over a read-only file mapping
+    leaves the shared pages clean.
     @raise Error.Error when [c < 1], bounds are negative, or the pack
     is structurally invalid. *)
 
@@ -137,7 +141,8 @@ val optimal_first_period : t -> p:int -> l:int -> int
 
 val optimal_episode : t -> p:int -> l:int -> int list
 (** The episode schedule optimal play follows while no interrupt occurs
-    (the argmax chain at fixed [p]); covers [l] exactly. *)
+    (the argmax chain at fixed [p]); covers [l] exactly.  One cursor
+    walks the row's argmax runs downward, galloping from run to run. *)
 
 val check : t -> p:int -> l:int -> unit
 (** Validate that [(p, l)] lies inside the solved bounds.

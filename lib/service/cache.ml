@@ -1,7 +1,7 @@
 (* LRU cache of solved Dp tables, keyed by the tick cost c.
 
    One table per c: a query whose bounds exceed the resident table's
-   GROWS the table in place (Dp.grow) instead of solving a fresh one —
+   GROWS the table (Dp.grow) instead of solving a fresh one —
    the recurrence only reads smaller indices, so the solved prefix is
    reused verbatim and only the new cells are paid for.  Bounds are
    still canonicalized (l to a power of two, p to an even bound) so a
@@ -23,7 +23,7 @@
 
    Growth happens under the lock — Dp.grow requires a single writer —
    and readers that obtained the table earlier stay safe: a grow
-   publishes a fresh snapshot and never mutates published cells.  A
+   publishes a fresh pack and never mutates a published one.  A
    cold solve runs OUTSIDE the lock and publishes under it; the first
    published entry for an identity wins.  The cache does not stop two
    concurrent callers from solving the same cold identity — that is
@@ -128,7 +128,7 @@ type t = {
       (* The persistent memo tier.  Cold misses fall through to the
          bank's mapped snapshots before paying a solve; tables that were
          solved or grown here are written behind (outside the table
-         lock) so the next process starts warm. *)
+         lock, before the reply) so the next process starts warm. *)
 }
 
 let create ?pool ?bank ~capacity () =
@@ -255,9 +255,11 @@ let obtain ~pool ~bank tb key ~count =
           (dp, changed))
 
 (* Write-behind: persist a freshly solved or grown table, outside the
-   lock.  Published cells are immutable, so reading the table here
-   races nothing; the bank dedups by solved size and swallows I/O
-   failures (they surface in its counters). *)
+   lock but on the caller — in the daemon the shard worker, before the
+   reply is written.  The save writes the pack the fill published (no
+   re-pack); published packs are immutable, so reading one here races
+   nothing.  The bank dedups by solved size and swallows I/O failures
+   (they surface in its counters). *)
 let persist_dp t dp =
   match t.bank with None -> () | Some b -> Store.Bank.save_dp b dp
 
@@ -557,19 +559,13 @@ let stats t =
   in
   let tb = t.tables in
   with_lock tb (fun () ->
-      let bytes =
-        Hashtbl.fold (fun _ e b -> b + Dp.footprint_bytes e.dp) tb.table 0
-      in
-      (* Split residency by representation: tables still in breakpoint
-         form (bank loads that no query has yet grown) versus dense
-         ones, with the dense-equivalent size alongside so the saving
-         is readable off the stats directly. *)
-      let compressed, dense_equiv =
+      (* Every resident table is a breakpoint pack, so the compressed
+         bytes are all of them; the dense-equivalent size sits alongside
+         so the saving reads off the stats directly. *)
+      let bytes, dense_equiv =
         Hashtbl.fold
-          (fun _ e (cb, de) ->
-            if Dp.is_packed e.dp then
-              (cb + Dp.footprint_bytes e.dp, de + Dp.dense_footprint_bytes e.dp)
-            else (cb, de))
+          (fun _ e (b, de) ->
+            (b + Dp.footprint_bytes e.dp, de + Dp.dense_footprint_bytes e.dp))
           tb.table (0, 0)
       in
       {
@@ -580,7 +576,7 @@ let stats t =
         growths = tb.growths;
         resident = Hashtbl.length tb.table;
         resident_bytes = bytes;
-        resident_compressed_bytes = compressed;
+        resident_compressed_bytes = bytes;
         resident_dense_bytes = dense_equiv;
       })
 

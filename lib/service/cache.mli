@@ -2,10 +2,11 @@
     [c].
 
     Solving a table costs [O(max_p * max_l^2)]; answering a query from a
-    solved table costs an array read.  The cache keeps at most one table
+    solved table costs a binary search over its breakpoint runs.  The cache keeps at most one table
     per [c]: a query whose bounds exceed the resident table's {e grows}
-    the table in place ({!Cyclesteal.Dp.grow}) — the solved prefix is
-    reused verbatim and only the new cells are computed.  Query bounds
+    the table ({!Cyclesteal.Dp.grow}) — the solved prefix is reused
+    verbatim, only the new cells are computed, and a fresh breakpoint
+    pack replaces the old one.  Query bounds
     are canonicalized first ([max_l] rounds up to the next power of two,
     at least {!min_l}; [max_p] to the next even bound, at least
     {!min_p}) so a ramp of slightly-growing queries does not pay a grow
@@ -75,8 +76,8 @@ val create :
     cache hit, since no cell is computed, and the load's CRC scan runs
     outside the table and solver locks so concurrent lookups for other
     keys never stall behind it — and tables solved or grown here are
-    written behind, outside the locks, so the next process starts
-    warm (game memos re-persist only after enough growth since the
+    written behind, outside the locks but on the calling domain before
+    {!find_or_solve} returns, so the next process starts warm (game memos re-persist only after enough growth since the
     last save; see {!with_solver}).  Bank load failures (corrupt,
     truncated, mismatched files) silently fall through to a fresh
     solve and are reported in {!stats}[.bank].
@@ -98,8 +99,8 @@ val bank : t -> Store.Bank.t option
 
 val find_or_solve : t -> c:int -> p:int -> l:int -> Cyclesteal.Dp.t
 (** The resident table for [c], guaranteed to cover the canonical
-    bounds of [(c, p, l)]: served as-is on a hit, grown in place when
-    the bounds exceed it, solved fresh (evicting the least-recently-
+    bounds of [(c, p, l)]: served as-is on a hit, grown (a fresh pack
+    published on the same [Dp.t]) when the bounds exceed it, solved fresh (evicting the least-recently-
     used table if full) when absent.  Thread- and domain-safe.  Two
     concurrent calls for the same cold [c] may both solve; the first
     to publish wins and the other is served the published table (a
@@ -151,16 +152,17 @@ type stats = {
       (** solve work paid, whether a fresh solve or a grow *)
   evictions : int;
   growths : int;
-      (** in-place grows: misses that reused a solved prefix instead of
+      (** grows: misses that reused a solved prefix instead of
           re-solving it *)
   resident : int;  (** tables currently cached *)
-  resident_bytes : int;  (** approximate heap bytes of cached tables *)
+  resident_bytes : int;  (** bytes of the cached tables' packs *)
   resident_compressed_bytes : int;
-      (** bytes of tables still held in breakpoint-compressed form
-          (bank loads no query has yet grown) *)
+      (** bytes of tables held in breakpoint-compressed form: every
+          resident table is, so this equals [resident_bytes] (the key
+          stays for readers of the split) *)
   resident_dense_bytes : int;
-      (** what those compressed tables would occupy densified — the
-          saving is [resident_dense_bytes - resident_compressed_bytes] *)
+      (** what the resident tables would occupy densified — the saving
+          is [resident_dense_bytes - resident_compressed_bytes] *)
   kernel : Cyclesteal.Dp.counters;
       (** DP kernel work counters (cells filled, candidates visited /
           pruned, parallel fills).  Process-wide — in the daemon every

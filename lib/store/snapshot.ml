@@ -294,9 +294,10 @@ let read ~path f =
 
 let word = Sys.word_size / 8
 
-(* The breakpoint pack verbatim — usually 10-100x smaller than the dense
-   cells, so write-behind and warm start move proportionally fewer
-   bytes. *)
+(* The table's resident breakpoint pack verbatim (the pack its last
+   solve or grow published; nothing is re-packed here) — usually
+   10-100x smaller than the dense cells, so write-behind and warm start
+   move proportionally fewer bytes. *)
 let save_dp ~path dp =
   let pack = Dp.to_packed dp in
   let words = Bigarray.Array1.dim pack in

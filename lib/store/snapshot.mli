@@ -47,14 +47,16 @@ val peek : path:string -> (descr, Cyclesteal.Error.t) result
 
 val save_dp : path:string -> Cyclesteal.Dp.t -> unit
 (** Snapshot the table's solved region to [path] via the atomic-rename
-    protocol, in the current (breakpoint-compressed) format.
+    protocol, in the current (breakpoint-compressed) format: the
+    table's resident pack is written verbatim, never re-packed.
     @raise Unix.Unix_error on I/O failure (the temporary file is
     removed). *)
 
 val load_dp : path:string -> c:int -> (Cyclesteal.Dp.t, Cyclesteal.Error.t) result
 (** Map [path] and rebuild the table around the mapped breakpoint pack
     (no copy; {!Cyclesteal.Dp.of_packed}, cell reads binary-search the
-    runs until the table is grown).  Fails — structured, no
+    runs; a grow publishes a fresh pack on the heap and never writes
+    the mapping).  Fails — structured, no
     exception — when the file is corrupt, truncated, version-skewed,
     or holds a table for a different [c]. *)
 

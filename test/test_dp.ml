@@ -374,39 +374,93 @@ let test_argmax_not_monotone () =
   Alcotest.(check int) "first(1,4)" 2 (Dp.optimal_first_period dp ~p:1 ~l:4);
   Alcotest.(check int) "first(1,5)" 1 (Dp.optimal_first_period dp ~p:1 ~l:5)
 
-(* --- breakpoint-compressed rows ------------------------------------------- *)
+(* --- resident packs against the reference --------------------------------- *)
 
-(* A packed table must answer exactly like the dense table it came
-   from, and decompressing (via grow) must reproduce the dense cells
-   bit-for-bit. *)
-let prop_packed_roundtrip =
-  QCheck.Test.make ~name:"packed rows = dense rows (values and argmax)"
-    ~count:60
-    (QCheck.make kernel_gen ~print:small_print)
-    (fun (c, max_p, max_l) ->
-       let dense = Dp.solve ~c ~max_p ~max_l in
-       let packed = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed dense) in
-       (* No footprint conjunct here: on toy tables the pack's fixed
-          per-row bookkeeping can exceed the dense bytes.  Compression
-          is an economics claim about real-sized rows — asserted on
-          those in bench store's snapshot series. *)
-       Dp.is_packed packed
-       && (not (Dp.is_packed dense))
-       && tables_identical packed dense)
+(* Every table is resident only as a breakpoint pack, filled through one
+   reused dense scratch.  Each fill path must land on the reference
+   table cell by cell — values, argmax and the episode chain the
+   galloping cursor walks — and the table must show Prop 4.1: W
+   nondecreasing in L, nonincreasing in p, and W^(p)[L] = 0 for
+   L <= (p+1)c. *)
+let prop41 t =
+  let c = Dp.c t and ok = ref true in
+  for p = 0 to Dp.max_p t do
+    for l = 0 to Dp.max_l t do
+      let w = Dp.value t ~p ~l in
+      if l > 0 && w < Dp.value t ~p ~l:(l - 1) then ok := false;
+      if p > 0 && w > Dp.value t ~p:(p - 1) ~l then ok := false;
+      if l <= (p + 1) * c && w <> 0 then ok := false
+    done
+  done;
+  !ok
 
-(* Growing a packed table densifies it and keeps every answer: the
-   bank-warm daemon path (map compressed, grow on the first bigger
-   query). *)
-let prop_packed_grow =
-  QCheck.Test.make ~name:"grow after packed load = reference" ~count:30
-    (QCheck.make kernel_gen ~print:small_print)
-    (fun (c, max_p, max_l) ->
-       let dense = Dp.solve ~c ~max_p ~max_l in
-       let packed = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed dense) in
-       Dp.grow packed ~max_p:(max_p + 1) ~max_l:(max_l + 7);
-       (not (Dp.is_packed packed))
-       && tables_identical packed
-            (Dp.Ref.solve ~c ~max_p:(max_p + 1) ~max_l:(max_l + 7)))
+let episodes_identical a b =
+  let ok = ref true in
+  for p = 0 to Dp.max_p a do
+    for l = 0 to Dp.max_l a do
+      if Dp.optimal_episode a ~p ~l <> Dp.optimal_episode b ~p ~l then
+        ok := false
+    done
+  done;
+  !ok
+
+let matches_ref t =
+  let reference =
+    Dp.Ref.solve ~c:(Dp.c t) ~max_p:(Dp.max_p t) ~max_l:(Dp.max_l t)
+  in
+  tables_identical t reference && episodes_identical t reference && prop41 t
+
+let grow_gen =
+  QCheck.Gen.(pair kernel_gen (pair (int_range 0 3) (int_range 0 40)))
+
+let grow_print ((c, p, l), (dp, dl)) =
+  Printf.sprintf "%s grow by p+%d l+%d" (small_print (c, p, l)) dp dl
+
+(* The sequential fill paths: a solve; a grow of a solve (a reader
+   holding the pack from before the grow still reads the old cells); a
+   grow of a pack loaded through of_packed; two grows in a row; and a
+   grow right after a larger fill at another c left the spare scratch
+   full of foreign cells. *)
+let prop_fill_paths_match_ref =
+  QCheck.Test.make
+    ~name:"every fill path = Ref cell by cell, Prop 4.1" ~count:40
+    (QCheck.make grow_gen ~print:grow_print)
+    (fun ((c, max_p, max_l), (dp, dl)) ->
+       let p1 = max_p + dp and l1 = max_l + dl in
+       let solved = Dp.solve ~c ~max_p ~max_l in
+       let grown = Dp.solve ~c ~max_p ~max_l in
+       let held = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed grown) in
+       Dp.grow grown ~max_p:p1 ~max_l:l1;
+       let loaded =
+         Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed (Dp.solve ~c ~max_p ~max_l))
+       in
+       Dp.grow loaded ~max_p:p1 ~max_l:l1;
+       let twice = Dp.solve ~c ~max_p ~max_l in
+       Dp.grow twice ~max_p:(max_p + 1) ~max_l:(max_l + (dl / 2));
+       Dp.grow twice ~max_p:p1 ~max_l:l1;
+       let dirty = Dp.solve ~c ~max_p ~max_l in
+       ignore (Dp.solve ~c:(c + 1) ~max_p:(p1 + 2) ~max_l:(l1 + 50));
+       Dp.grow dirty ~max_p:p1 ~max_l:l1;
+       List.for_all matches_ref [ solved; grown; held; loaded; twice; dirty ])
+
+(* Two domains filling different tables at once each take their own
+   scratch (one wins the spare, the other allocates), so neither sees
+   the other's cells. *)
+let test_concurrent_fills_match_ref () =
+  let work ~c ~p0 ~l0 () =
+    List.init 6 (fun i ->
+        let t = Dp.solve ~c ~max_p:p0 ~max_l:(l0 + (37 * i)) in
+        Dp.grow t ~max_p:(p0 + 2) ~max_l:((2 * l0) + (53 * i));
+        t)
+  in
+  let a = Domain.spawn (work ~c:2 ~p0:3 ~l0:150)
+  and b = Domain.spawn (work ~c:5 ~p0:4 ~l0:220) in
+  List.iter
+    (fun t ->
+       Alcotest.(check bool)
+         (Printf.sprintf "c=%d p=%d l=%d" (Dp.c t) (Dp.max_p t) (Dp.max_l t))
+         true (matches_ref t))
+    (Domain.join a @ Domain.join b)
 
 (* of_packed is a validating boundary: structurally broken pack words
    must come back as structured errors, never Fatal or a crash. *)
@@ -522,8 +576,9 @@ let () =
         ] );
       ( "packed",
         [
-          QCheck_alcotest.to_alcotest prop_packed_roundtrip;
-          QCheck_alcotest.to_alcotest prop_packed_grow;
+          QCheck_alcotest.to_alcotest prop_fill_paths_match_ref;
+          Alcotest.test_case "two domains fill at once = Ref" `Quick
+            test_concurrent_fills_match_ref;
           Alcotest.test_case "of_packed validation" `Quick
             test_of_packed_validation;
         ] );
