@@ -443,6 +443,31 @@ let prop_fill_paths_match_ref =
        Dp.grow dirty ~max_p:p1 ~max_l:l1;
        List.for_all matches_ref [ solved; grown; held; loaded; twice; dirty ])
 
+(* A pack carried through to_packed and of_packed must answer exactly
+   like the reference, whose rows Dp.Ref fills densely cell by cell. *)
+let prop_packed_roundtrip =
+  QCheck.Test.make ~name:"packed rows = dense rows (values and argmax)"
+    ~count:60
+    (QCheck.make kernel_gen ~print:small_print)
+    (fun (c, max_p, max_l) ->
+       let solved = Dp.solve ~c ~max_p ~max_l in
+       let loaded = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed solved) in
+       tables_identical loaded (Dp.Ref.solve ~c ~max_p ~max_l)
+       && tables_identical loaded solved)
+
+(* Growing a pack loaded through of_packed keeps every answer: the
+   bank-warm daemon path (map a snapshot, grow on the first bigger
+   query). *)
+let prop_packed_grow =
+  QCheck.Test.make ~name:"grow after packed load = reference" ~count:30
+    (QCheck.make kernel_gen ~print:small_print)
+    (fun (c, max_p, max_l) ->
+       let solved = Dp.solve ~c ~max_p ~max_l in
+       let loaded = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed solved) in
+       Dp.grow loaded ~max_p:(max_p + 1) ~max_l:(max_l + 7);
+       tables_identical loaded
+         (Dp.Ref.solve ~c ~max_p:(max_p + 1) ~max_l:(max_l + 7)))
+
 (* Two domains filling different tables at once each take their own
    scratch (one wins the spare, the other allocates), so neither sees
    the other's cells. *)
@@ -576,6 +601,8 @@ let () =
         ] );
       ( "packed",
         [
+          QCheck_alcotest.to_alcotest prop_packed_roundtrip;
+          QCheck_alcotest.to_alcotest prop_packed_grow;
           QCheck_alcotest.to_alcotest prop_fill_paths_match_ref;
           Alcotest.test_case "two domains fill at once = Ref" `Quick
             test_concurrent_fills_match_ref;
