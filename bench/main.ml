@@ -958,8 +958,11 @@ let growth_bench () =
    [reps] timed runs. *)
 let reps = 5
 
+(* The host's own domain count, but never one slot: the wavefront and
+   the game fan-out run only on a pool of two or more, and the smokes
+   check that they ran. *)
 let with_pool f =
-  Csutil.Par.Pool.with_pool ~domains:(Csutil.Par.available_domains ()) f
+  Csutil.Par.Pool.with_pool ~domains:(max 2 (Csutil.Par.available_domains ())) f
 
 (* --- DP kernel: scalar vs monotone-dc vs parallel ------------------------- *)
 

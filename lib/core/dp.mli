@@ -8,9 +8,9 @@
 
     A table is held only in breakpoint form ({!to_packed}): each row is
     a monotone staircase (Prop 4.1), stored as runs, and every cell read
-    is a binary search over them.  {!solve} and {!grow} fill one dense
-    scratch buffer, shared process-wide and reused across fills, then
-    publish a fresh pack.  The recurrence at [(p, l)] only reads cells
+    searches them.  {!solve} and {!grow} fill one dense scratch buffer,
+    shared process-wide and reused across fills (see {!trim_scratch}),
+    then publish a fresh pack.  The recurrence at [(p, l)] only reads cells
     at strictly smaller indices, so {!grow} decodes the solved prefix
     into the scratch, fills only the new cells and reuses the old ones
     verbatim.  Growth must be driven by a single writer at a time (e.g.
@@ -62,6 +62,17 @@ val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
     requested bounds.  [pool] parallelises the new-cell fill as in
     {!solve}.
     @raise Error.Error on negative bounds. *)
+
+val scratch_bytes : unit -> int
+(** The size of the idle spare fill scratch, 0 when none is held (a
+    fill in flight holds its buffer outside the spare). *)
+
+val trim_scratch : max_bytes:int -> unit
+(** Drop the idle spare scratch when it is larger than [max_bytes]
+    (a fill needs {!dense_footprint_bytes} at its bounds); the next
+    fill that needs more allocates its own.  The service cache calls
+    this on every eviction with the largest dense footprint it still
+    holds, so an evicted table's scratch does not stay resident. *)
 
 module Ref : sig
   val solve : c:int -> max_p:int -> max_l:int -> t
@@ -141,8 +152,10 @@ val optimal_first_period : t -> p:int -> l:int -> int
 
 val optimal_episode : t -> p:int -> l:int -> int list
 (** The episode schedule optimal play follows while no interrupt occurs
-    (the argmax chain at fixed [p]); covers [l] exactly.  One cursor
-    walks the row's argmax runs downward, galloping from run to run. *)
+    (the argmax chain at fixed [p]); covers [l] exactly.  The first
+    step bisects the row's argmax runs; after it one cursor walks them
+    downward in strides of eight, two and one runs, galloping only past
+    a fall of 64 runs. *)
 
 val check : t -> p:int -> l:int -> unit
 (** Validate that [(p, l)] lies inside the solved bounds.

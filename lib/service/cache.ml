@@ -180,6 +180,21 @@ let evict_lru tb =
     tb.evictions <- tb.evictions + 1
   | None -> ()
 
+(* Under the lock: publish [dp] for [c], evicting least-recently-used
+   tables to make room.  After an eviction the spare fill scratch is
+   trimmed to the largest table now held, [dp] included, so a victim's
+   scratch does not stay resident after it. *)
+let insert tb c dp =
+  let evicting = Hashtbl.length tb.table >= tb.capacity in
+  while Hashtbl.length tb.table >= tb.capacity do
+    evict_lru tb
+  done;
+  Hashtbl.add tb.table c { dp; used = tb.clock };
+  if evicting then
+    Dp.trim_scratch
+      ~max_bytes:
+        (Hashtbl.fold (fun _ e m -> max m (Dp.dense_footprint_bytes e.dp)) tb.table 0)
+
 (* Under the lock: stamp a resident entry and serve it, growing it in
    place when it falls short of [key].  A grow counts as both a miss
    (solve work was paid) and a growth (the prefix was reused).  The
@@ -248,10 +263,7 @@ let obtain ~pool ~bank tb key ~count =
             if changed then tb.misses <- tb.misses + 1
             else tb.hits <- tb.hits + 1;
           if grew then tb.growths <- tb.growths + 1;
-          while Hashtbl.length tb.table >= tb.capacity do
-            evict_lru tb
-          done;
-          Hashtbl.add tb.table key.c { dp; used = tb.clock };
+          insert tb key.c dp;
           (dp, changed))
 
 (* Write-behind: persist a freshly solved or grown table, outside the
@@ -491,10 +503,7 @@ let warm_from_bank ?owns t =
                     if Hashtbl.mem tb.table c then warmed
                     else begin
                       tb.clock <- tb.clock + 1;
-                      while Hashtbl.length tb.table >= tb.capacity do
-                        evict_lru tb
-                      done;
-                      Hashtbl.add tb.table c { dp; used = tb.clock };
+                      insert tb c dp;
                       warmed + 1
                     end)))
       0 (Store.Bank.entries b)

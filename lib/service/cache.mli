@@ -100,8 +100,11 @@ val bank : t -> Store.Bank.t option
 val find_or_solve : t -> c:int -> p:int -> l:int -> Cyclesteal.Dp.t
 (** The resident table for [c], guaranteed to cover the canonical
     bounds of [(c, p, l)]: served as-is on a hit, grown (a fresh pack
-    published on the same [Dp.t]) when the bounds exceed it, solved fresh (evicting the least-recently-
-    used table if full) when absent.  Thread- and domain-safe.  Two
+    published on the same [Dp.t]) when the bounds exceed it, solved
+    fresh (evicting the least-recently-used table if full) when
+    absent.  An eviction also drops the spare fill scratch when no
+    table still held needs one as large ({!Cyclesteal.Dp.trim_scratch}).
+    Thread- and domain-safe.  Two
     concurrent calls for the same cold [c] may both solve; the first
     to publish wins and the other is served the published table (a
     hit when it covers), so [hits + misses] still counts one per

@@ -254,6 +254,7 @@ let to_json ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
                 ("dc_splits", Json.Int k.Cyclesteal.Dp.dc_splits);
                 ("bp_lookups", Json.Int k.Cyclesteal.Dp.bp_lookups);
                 ("bp_rows", Json.Int k.Cyclesteal.Dp.bp_rows);
+                ("scratch_bytes", Json.Int (Cyclesteal.Dp.scratch_bytes ()));
               ] );
           ("solver_cache", solver_cache_json c);
           ( "game",
@@ -373,6 +374,7 @@ let summary ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
       add "kernel dc splits" (string_of_int k.Cyclesteal.Dp.dc_splits);
       add "kernel bp lookups" (string_of_int k.Cyclesteal.Dp.bp_lookups);
       add "kernel bp rows" (string_of_int k.Cyclesteal.Dp.bp_rows);
+      add "kernel scratch bytes" (string_of_int (Cyclesteal.Dp.scratch_bytes ()));
       add "solver hits" (string_of_int c.Cache.solver_hits);
       add "solver misses" (string_of_int c.Cache.solver_misses);
       add "solver evictions" (string_of_int c.Cache.solver_evictions);

@@ -468,6 +468,66 @@ let prop_packed_grow =
        tables_identical loaded
          (Dp.Ref.solve ~c ~max_p:(max_p + 1) ~max_l:(max_l + 7)))
 
+(* The episode walk strides and gallops down the argmax runs; on a
+   solved table each step falls only a dozen runs or so.  A hand-built
+   one-row pack with short runs and arbitrary first periods makes the
+   chain fall anywhere from zero to thousands of runs per step, and
+   the walk must follow the same chain as cell-by-cell
+   optimal_first_period reads (an independent bisection). *)
+let prop_episode_walk_any_fall =
+  QCheck.Test.make ~name:"episode walk = first-period chain, any fall" ~count:60
+    QCheck.(pair (int_range 1 3000) int)
+    (fun (max_l, seed) ->
+       let rng = Random.State.make [| seed |] in
+       let starts = ref [] and s = ref 1 in
+       while !s <= max_l do
+         starts := !s :: !starts;
+         s := !s + 1 + Random.State.int rng 3
+       done;
+       let starts = Array.of_list (List.rev !starts) in
+       let n = Array.length starts in
+       let words = 1 + 4 + 2 + (2 * n) in
+       let pack = Bigarray.(Array1.create int c_layout words) in
+       let set i x = Bigarray.Array1.set pack i x in
+       (* Row 0: zero prefix through l = 0, W(l) = l - 1 past it, and
+          run k's first period anywhere in [1, its start]. *)
+       List.iteri set [ 1; 0; 0; 1; n; 1; 1 ];
+       Array.iteri
+         (fun k st ->
+            set (7 + k) st;
+            set (7 + n + k) (1 + Random.State.int rng st))
+         starts;
+       let t = Dp.of_packed ~c:1 ~max_p:0 ~max_l pack in
+       let rec chain l =
+         if l = 0 then []
+         else
+           let tk = Dp.optimal_first_period t ~p:0 ~l in
+           tk :: chain (l - tk)
+       in
+       let ok = ref true in
+       for l = 0 to max_l do
+         if Dp.optimal_episode t ~p:0 ~l <> chain l then ok := false
+       done;
+       !ok)
+
+(* Dropping the spare scratch (as a cache eviction does) changes
+   nothing but where the next fill's buffer comes from. *)
+let test_trim_scratch () =
+  let big = Dp.solve ~c:3 ~max_p:6 ~max_l:900 in
+  Dp.trim_scratch ~max_bytes:(Dp.dense_footprint_bytes big);
+  let a = Dp.solve ~c:2 ~max_p:2 ~max_l:120 in
+  Dp.trim_scratch ~max_bytes:0;
+  let b = Dp.solve ~c:4 ~max_p:3 ~max_l:200 in
+  Dp.grow a ~max_p:4 ~max_l:300;
+  Dp.trim_scratch ~max_bytes:0;
+  Dp.grow b ~max_p:5 ~max_l:260;
+  List.iter
+    (fun t ->
+       Alcotest.(check bool)
+         (Printf.sprintf "c=%d p=%d l=%d" (Dp.c t) (Dp.max_p t) (Dp.max_l t))
+         true (matches_ref t))
+    [ a; b ]
+
 (* Two domains filling different tables at once each take their own
    scratch (one wins the spare, the other allocates), so neither sees
    the other's cells. *)
@@ -604,6 +664,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_packed_roundtrip;
           QCheck_alcotest.to_alcotest prop_packed_grow;
           QCheck_alcotest.to_alcotest prop_fill_paths_match_ref;
+          QCheck_alcotest.to_alcotest prop_episode_walk_any_fall;
+          Alcotest.test_case "fills after trim_scratch = Ref" `Quick
+            test_trim_scratch;
           Alcotest.test_case "two domains fill at once = Ref" `Quick
             test_concurrent_fills_match_ref;
           Alcotest.test_case "of_packed validation" `Quick

@@ -463,6 +463,20 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "evicted table re-solves" (s.Cache.misses + 1)
     s'.Cache.misses
 
+(* A fill leaves its scratch as the process-wide spare; evicting the
+   table that needed it must not leave it resident.  A small solve
+   reuses the big spare and hands it back, and only the eviction its
+   insert causes can drop it. *)
+let test_cache_eviction_trims_scratch () =
+  let cache = Cache.create ~capacity:1 () in
+  let big = Cache.find_or_solve cache ~c:3 ~p:8 ~l:20_000 in
+  Alcotest.(check bool) "spare covers the big fill" true
+    (Cyclesteal.Dp.scratch_bytes () >= Cyclesteal.Dp.dense_footprint_bytes big);
+  let small = Cache.find_or_solve cache ~c:5 ~p:1 ~l:200 in
+  Alcotest.(check int) "big table evicted" 1 (Cache.stats cache).Cache.evictions;
+  Alcotest.(check bool) "spare no larger than the table held" true
+    (Cyclesteal.Dp.scratch_bytes () <= Cyclesteal.Dp.dense_footprint_bytes small)
+
 (* --- Cold races ------------------------------------------------------------ *)
 
 (* M domains race [find_or_solve] on one cold c.  The cache does not
@@ -2303,6 +2317,8 @@ let () =
             test_cache_sharing_and_correctness;
           Alcotest.test_case "in-place growth" `Quick test_cache_growth;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
+          Alcotest.test_case "eviction trims the fill scratch" `Quick
+            test_cache_eviction_trims_scratch;
           Alcotest.test_case "cold race: first publish wins" `Quick
             test_cache_cold_race;
           Alcotest.test_case "kernel counters surfaced and reset" `Quick
