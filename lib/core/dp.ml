@@ -706,8 +706,9 @@ let find_run (pack : mat) ~pos ~lo ~hi l =
    chain falls about a dozen runs per step, so the cursor walks down
    four runs at a time, then one: sequential reads and predictable
    branches, where a bisection mispredicts every other probe (on a
-   2-vCPU host a step cost 90 ns galloping, 18 ns striding).  A fall
-   past 64 runs bisects what is left.  Run 0 starts at the zero
+   2-vCPU host a 28-step episode cost 1.2 us galloping, 0.36 us
+   striding, 0.16 us read from dense rows).  A fall past 64 runs
+   bisects what is left.  Run 0 starts at the zero
    boundary, which callers guarantee l lies past. *)
 let walk_down (pack : mat) ~pos ~from l =
   let open Bigarray in
