@@ -1259,9 +1259,11 @@ let game_instance ~plan ~pool (c, u, p, grid) =
    evaluate request, first against a fresh cache per run (solver built
    and memo filled), then repeated on the last of those caches (solver
    resident, every value a memo hit; only the adversary replay itself
-   re-runs). *)
-let game_service ~plan ~pool (c, u, p) =
-  let req = Service.Protocol.Evaluate { c; u; p; policy = "adaptive"; periods = None } in
+   re-runs).  With [dp_exact] every state the solver expands plans its
+   episode from a packed dp table, the served path that reads packs
+   hardest. *)
+let game_service ~plan ~pool (policy, c, u, p) =
+  let req = Service.Protocol.Evaluate { c; u; p; policy; periods = None } in
   let answer cache =
     match Service.Protocol.handle ~cache req with
     | Ok _ -> ()
@@ -1280,10 +1282,10 @@ let game_service ~plan ~pool (c, u, p) =
       ("c", J.Float c);
       ("u", J.Float u);
       ("p", J.Int p);
-      ("policy", J.String "adaptive");
+      ("policy", J.String policy);
       ( "series",
         report
-          ~title:(Printf.sprintf "service evaluate (c=%g, U=%g, p=%d, adaptive)" c u p)
+          ~title:(Printf.sprintf "service evaluate (c=%g, U=%g, p=%d, %s)" c u p policy)
           [
             Series.row ~timing:cold_t "cold";
             Series.row ~timing:warm_t
@@ -1301,12 +1303,18 @@ let game_suite ~quick =
   heading "Game solver -- seed vs flat vs parallel";
   let plan = Series.plan ~quick reps in
   let instances, service =
-    if quick then ([ (1., 600., 2, 0.25) ], (1., 2_000., 2))
-    else ([ (1., 2_000., 4, 0.05); (1., 4_000., 5, 0.1) ], (1., 20_000., 2))
+    if quick then ([ (1., 600., 2, 0.25) ], ("adaptive", 1., 2_000., 2))
+    else ([ (1., 2_000., 4, 0.05); (1., 4_000., 5, 0.1) ], ("adaptive", 1., 20_000., 2))
   in
   with_pool (fun pool ->
       let instances = List.map (game_instance ~plan ~pool) instances in
-      [ ("instances", J.List instances); ("service", game_service ~plan ~pool service) ])
+      let service = game_service ~plan ~pool service in
+      let dp_exact = game_service ~plan ~pool ("dp_exact", 5., 3_000., 3) in
+      [
+        ("instances", J.List instances);
+        ("service", service);
+        ("service_dp_exact", dp_exact);
+      ])
 
 (* --- Persistent memo tier: cold vs bank-mapped startup -------------------- *)
 

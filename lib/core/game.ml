@@ -318,10 +318,10 @@ module Solver = struct
      counted) twice, so the live counter depends on scheduling, while
      the set of filled cells — every state reachable from the queries
      answered — does not.  Equal memos thus write equal files. *)
-  let filled_cells mat =
+  let filled_cells (mat : mat) =
     let n = ref 0 in
     for i = 0 to Bigarray.Array1.dim mat - 1 do
-      if not (Float.is_nan (Bigarray.Array1.get mat i)) then incr n
+      if not (Float.is_nan (Bigarray.Array1.unsafe_get mat i)) then incr n
     done;
     !n
 

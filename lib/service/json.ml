@@ -328,17 +328,20 @@ end
 
 (* --- parsing ------------------------------------------------------------ *)
 
-exception Err of int * string
+exception Syntax of int * string
 
 (* The parser threads one state record through top-level functions
    rather than closing a dozen local functions over the input, peeks
    without an option, and cuts an escape-free string straight out of
-   the input; a request line is parsed on every answer-cache hit, so
-   these allocations are most of what a hit costs.  Error offsets and
-   messages are those of the closure-based parser it replaced. *)
+   the input.  Error offsets and messages are those of the
+   closure-based parser it replaced, and they are also the request
+   scanner's ({!Protocol.parse_line}), which reads a request line in
+   one pass and calls back into this grammar for what it does not
+   decode itself: an id other than a number, escaped strings and the
+   values it ignores. *)
 type parser = { s : string; n : int; mutable pos : int }
 
-let fail st msg = raise (Err (st.pos, msg))
+let fail st msg = raise (Syntax (st.pos, msg))
 let at st c = st.pos < st.n && st.s.[st.pos] = c
 
 let skip_ws st =
@@ -421,19 +424,24 @@ let parse_escaped_string st =
   in
   loop ()
 
+(* The offset of the closing quote when the string from [st.pos] has
+   no escape, else -1. *)
+let plain_end st =
+  let i = ref st.pos in
+  while !i < st.n && st.s.[!i] <> '"' && st.s.[!i] <> '\\' do
+    incr i
+  done;
+  if !i < st.n && st.s.[!i] = '"' then !i else -1
+
 (* A string with no escape is the input bytes between its quotes;
    anything else (an escape, no closing quote) takes the general loop
    from the same position, so its errors are unchanged. *)
 let parse_string st =
   expect st '"';
-  let start = st.pos in
-  let i = ref start in
-  while !i < st.n && st.s.[!i] <> '"' && st.s.[!i] <> '\\' do
-    incr i
-  done;
-  if !i < st.n && st.s.[!i] = '"' then begin
-    st.pos <- !i + 1;
-    String.sub st.s start (!i - start)
+  let start = st.pos and e = plain_end st in
+  if e >= 0 then begin
+    st.pos <- e + 1;
+    String.sub st.s start (e - start)
   end
   else parse_escaped_string st
 
@@ -447,8 +455,8 @@ let digits st =
   done;
   if st.pos = d0 then fail st "expected digit"
 
-let parse_number st =
-  let start = st.pos in
+(* Step over a number; whether it has a fraction or an exponent. *)
+let number_span st =
   if at st '-' then st.pos <- st.pos + 1;
   digits st;
   let is_float = ref false in
@@ -463,8 +471,13 @@ let parse_number st =
     if at st '+' || at st '-' then st.pos <- st.pos + 1;
     digits st
   end;
+  !is_float
+
+let parse_number st =
+  let start = st.pos in
+  let is_float = number_span st in
   let text = String.sub st.s start (st.pos - start) in
-  if !is_float then Float (float_of_string text)
+  if is_float then Float (float_of_string text)
   else
     match int_of_string_opt text with
     | Some i -> Int i
@@ -527,6 +540,9 @@ and parse_fields st acc =
   end
   else fail st "expected ',' or '}'"
 
+let syntax_message at msg =
+  Printf.sprintf "JSON parse error at offset %d: %s" at msg
+
 let of_string s =
   let st = { s; n = String.length s; pos = 0 } in
   match
@@ -536,8 +552,77 @@ let of_string s =
     v
   with
   | v -> Ok v
-  | exception Err (at, msg) ->
-    Error (Printf.sprintf "JSON parse error at offset %d: %s" at msg)
+  | exception Syntax (at, msg) -> Error (syntax_message at msg)
+
+(* --- cursor access ------------------------------------------------------ *)
+
+(* The grammar above, checked without building a value: the same
+   steps in the same order, so a document fails at the same offset
+   with the same message. *)
+let skip_string st =
+  expect st '"';
+  let e = plain_end st in
+  if e >= 0 then st.pos <- e + 1 else ignore (parse_escaped_string st)
+
+let rec skip_value st =
+  skip_ws st;
+  if st.pos >= st.n then fail st "unexpected end of input";
+  match st.s.[st.pos] with
+  | '"' -> skip_string st
+  | 't' -> literal st "true" ()
+  | 'f' -> literal st "false" ()
+  | 'n' -> literal st "null" ()
+  | '[' ->
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    if at st ']' then st.pos <- st.pos + 1 else skip_items st
+  | '{' ->
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    if at st '}' then st.pos <- st.pos + 1 else skip_fields st
+  | '-' | '0' .. '9' -> ignore (number_span st)
+  | c -> fail st (Printf.sprintf "unexpected character %C" c)
+
+and skip_items st =
+  skip_value st;
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    skip_items st
+  end
+  else if at st ']' then st.pos <- st.pos + 1
+  else fail st "expected ',' or ']'"
+
+and skip_fields st =
+  skip_ws st;
+  skip_string st;
+  skip_ws st;
+  expect st ':';
+  skip_value st;
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    skip_fields st
+  end
+  else if at st '}' then st.pos <- st.pos + 1
+  else fail st "expected ',' or '}'"
+
+let cursor s pos = { s; n = String.length s; pos }
+
+let skip_at s pos =
+  let st = cursor s pos in
+  skip_value st;
+  st.pos
+
+let value_at s pos =
+  let st = cursor s pos in
+  let v = parse_value st in
+  (v, st.pos)
+
+let string_at s pos =
+  let st = cursor s pos in
+  let v = parse_string st in
+  (v, st.pos)
 
 (* --- equality and accessors --------------------------------------------- *)
 

@@ -42,7 +42,34 @@ end
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage is an error.  Numbers
     without fraction or exponent that fit in an OCaml [int] parse as
-    [Int], all others as [Float].  Errors carry a character offset. *)
+    [Int], all others as [Float].  Errors carry a byte offset, as
+    {!syntax_message} words them.  This is the parser for clients
+    (tests, the load generator) and for the request oracle
+    [Protocol.Ref]; the daemon reads request lines with the one-pass
+    scanner [Protocol.parse_line], which builds no tree. *)
+
+(** {2 Cursor access}
+
+    The pieces of {!of_string}'s grammar a scanner needs to walk a
+    document without building its tree.  Each starts at a byte offset
+    (leading whitespace skipped, except by {!string_at}), fails exactly
+    where {!of_string} would, and returns the offset just past what it
+    read. *)
+
+exception Syntax of int * string
+(** A syntax error: byte offset and reason. *)
+
+val syntax_message : int -> string -> string
+(** {!of_string}'s error text for a {!Syntax} error. *)
+
+val skip_at : string -> int -> int
+(** Check one value's syntax and step over it.  Builds nothing. *)
+
+val value_at : string -> int -> t * int
+(** Parse one value. *)
+
+val string_at : string -> int -> string * int
+(** Parse one string token, from its opening quote, escapes decoded. *)
 
 val equal : t -> t -> bool
 (** Structural equality; [Int n] and [Float f] compare equal when

@@ -68,58 +68,12 @@ let shard_key = function
 
 (* --- decoding ----------------------------------------------------------- *)
 
-let ( let* ) = Result.bind
-
 let invalid msg = Result.Error (Error.Invalid_params msg)
 
-let field_float obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v ->
-    (match Json.to_float v with
-     | Some x -> Ok x
-     | None -> invalid (Printf.sprintf "field %S must be a number" name))
+let op_names = [ "advise"; "schedule"; "evaluate"; "dp"; "strategies"; "stats" ]
 
-let field_int obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v ->
-    (match Json.to_int v with
-     | Some n -> Ok n
-     | None -> invalid (Printf.sprintf "field %S must be an integer" name))
-
-let field_string obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v ->
-    (match Json.to_str v with
-     | Some s -> Ok s
-     | None -> invalid (Printf.sprintf "field %S must be a string" name))
-
-let field_bool obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v ->
-    (match Json.to_bool v with
-     | Some b -> Ok b
-     | None -> invalid (Printf.sprintf "field %S must be a boolean" name))
-
-let field_float_list obj name =
-  match Json.member name obj with
-  | None -> Ok None
-  | Some v ->
-    (match Json.to_list v with
-     | None -> invalid (Printf.sprintf "field %S must be an array" name)
-     | Some items ->
-       let rec go acc = function
-         | [] -> Ok (Some (List.rev acc))
-         | x :: rest ->
-           (match Json.to_float x with
-            | Some f -> go (f :: acc) rest
-            | None ->
-              invalid (Printf.sprintf "field %S must contain only numbers" name))
-       in
-       go [] items)
+let unknown_op name =
+  Result.Error (Error.Unknown_name { kind = "op"; name; known = op_names })
 
 let validate_cup ~c ~u ~p =
   if c <= 0. then invalid "c must be positive"
@@ -127,65 +81,621 @@ let validate_cup ~c ~u ~p =
   else if p < 0 then invalid "p must be non-negative"
   else Ok ()
 
-let decode_request obj =
-  let* op =
-    match Json.member "op" obj with
-    | None -> invalid "missing field \"op\""
+(* The request scanner (DESIGN.md §S36).  A warm request is parsed on
+   every answer-cache hit, so the line is read in one pass over its
+   top-level object, with one cursor record and no closures, into the
+   fields a request can carry; no JSON tree is built except for the
+   id, which is echoed back as it came.  Keys are matched in place.
+   Integers are read in place; a float with at most 15 significant
+   digits and a decimal exponent within ±22 is one exact IEEE multiply
+   or divide (Clinger's fast path), so it reads the same double as
+   [float_of_string]; any other number goes to [int_of_string_opt] /
+   [float_of_string] on its bytes, as [Json.of_string] does.  Op,
+   regime and policy names that spell a known name come back as that
+   constant.  What the scanner does not decode (an id other than a
+   number, escaped strings, unknown fields, values of the wrong kind,
+   a line that is not an object) it hands to [Json]'s own grammar,
+   which parses or checks it, so a line fails at the offset and with
+   the message [Json.of_string] gives.
+
+   The result is [Ref.parse_line]'s, which decodes [Json.of_string]'s
+   tree: a syntax error anywhere wins over a field error; field errors
+   come in [Ref.decode_request]'s order (op, then the op's fields in
+   turn, then the range checks); the first of repeated keys wins. *)
+
+type field =
+  | Id
+  | Op
+  | C
+  | U
+  | P
+  | Regime
+  | Policy
+  | Periods
+  | C_ticks
+  | L
+  | Reset
+  | Other
+
+let field_name = function
+  | Id -> "id"
+  | Op -> "op"
+  | C -> "c"
+  | U -> "u"
+  | P -> "p"
+  | Regime -> "regime"
+  | Policy -> "policy"
+  | Periods -> "periods"
+  | C_ticks -> "c_ticks"
+  | L -> "l"
+  | Reset -> "reset"
+  | Other -> ""
+
+let bit = function
+  | Id -> 0x1
+  | Op -> 0x2
+  | C -> 0x4
+  | U -> 0x8
+  | P -> 0x10
+  | Regime -> 0x20
+  | Policy -> 0x40
+  | Periods -> 0x80
+  | C_ticks -> 0x100
+  | L -> 0x200
+  | Reset -> 0x400
+  | Other -> 0
+
+let op_table = Array.of_list op_names
+
+(* Regime and planner names, aliases included. *)
+let registry_names =
+  Array.of_list
+    (Engine.Registry.regime_names ()
+     @ List.concat_map
+         (fun (pl : Engine.Planner.t) ->
+            pl.Engine.Planner.name :: pl.Engine.Planner.aliases)
+         (Engine.Registry.all ()))
+
+type scan = {
+  s : string;
+  n : int;
+  mutable pos : int;
+  mutable seen : int;  (** fields whose first value has been read *)
+  mutable bad : int;  (** fields whose first value has the wrong kind *)
+  mutable items_bad : bool;  (** [periods] is an array, not all numbers *)
+  mutable id : Json.t;
+  mutable op : string;
+  mutable regime : string;
+  mutable policy : string;
+  mutable p : int;
+  mutable c_ticks : int;
+  mutable l : int;
+  mutable reset : bool;
+  mutable periods : float list option;
+  mutable is_int : bool;  (** the number just read is [int_v], not [num.(2)] *)
+  mutable int_v : int;
+  num : float array;  (** [c], [u], the number just read as a float *)
+}
+
+let fail sc msg = raise (Json.Syntax (sc.pos, msg))
+let at sc ch = sc.pos < sc.n && String.unsafe_get sc.s sc.pos = ch
+
+let rec skip_ws_from sc =
+  if sc.pos < sc.n then
+    match String.unsafe_get sc.s sc.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      sc.pos <- sc.pos + 1;
+      skip_ws_from sc
+    | _ -> ()
+
+(* Inlined: most tokens follow the last one directly. *)
+let skip_ws sc =
+  if sc.pos < sc.n && String.unsafe_get sc.s sc.pos <= ' ' then skip_ws_from sc
+
+(* Check the value at [sc.pos] and step over it. *)
+let skip sc = sc.pos <- Json.skip_at sc.s sc.pos
+
+let number_start sc =
+  sc.pos < sc.n
+  && match String.unsafe_get sc.s sc.pos with '-' | '0' .. '9' -> true | _ -> false
+
+let is_digit s n i =
+  i < n && match String.unsafe_get s i with '0' .. '9' -> true | _ -> false
+
+let digit s i = Char.code (String.unsafe_get s i) - 48
+
+(* 10^0 .. 10^22, every one exact in a double. *)
+let exact_pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* Read the number at [sc.pos] (its first byte is '-' or a digit) into
+   [is_int] / [int_v] / [num.(2)], as [Json.of_string] would: an
+   integer when there is no fraction or exponent and the value fits,
+   else a float.  [m] keeps the first 18 significant digits,
+   [sig_digits] counts them all and [e10] is the decimal exponent of
+   [m]'s last digit, so the value is m * 10^e10 when sig_digits <= 18. *)
+let number sc =
+  let s = sc.s and n = sc.n and start = sc.pos in
+  let neg = String.unsafe_get s start = '-' in
+  let i = ref (if neg then start + 1 else start) in
+  let m = ref 0 and sig_digits = ref 0 and e10 = ref 0 in
+  let d0 = !i in
+  while is_digit s n !i do
+    let d = digit s !i in
+    if !sig_digits > 0 || d > 0 then begin
+      if !sig_digits < 18 then m := (!m * 10) + d;
+      incr sig_digits
+    end;
+    incr i
+  done;
+  if !i = d0 then raise (Json.Syntax (!i, "expected digit"));
+  let is_float = ref false in
+  if !i < n && String.unsafe_get s !i = '.' then begin
+    is_float := true;
+    incr i;
+    let f0 = !i in
+    while is_digit s n !i do
+      let d = digit s !i in
+      if !sig_digits > 0 || d > 0 then begin
+        if !sig_digits < 18 then m := (!m * 10) + d;
+        incr sig_digits
+      end;
+      decr e10;
+      incr i
+    done;
+    if !i = f0 then raise (Json.Syntax (!i, "expected digit"))
+  end;
+  if !i < n && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E')
+  then begin
+    is_float := true;
+    incr i;
+    let eneg = !i < n && String.unsafe_get s !i = '-' in
+    if !i < n && (String.unsafe_get s !i = '-' || String.unsafe_get s !i = '+')
+    then incr i;
+    let x0 = !i and x = ref 0 in
+    while is_digit s n !i do
+      if !x < 100_000 then x := (!x * 10) + digit s !i;
+      incr i
+    done;
+    if !i = x0 then raise (Json.Syntax (!i, "expected digit"));
+    e10 := if eneg then !e10 - !x else !e10 + !x
+  end;
+  sc.pos <- !i;
+  let m = !m and e10 = !e10 in
+  if not !is_float && !sig_digits <= 18 then begin
+    sc.is_int <- true;
+    sc.int_v <- (if neg then -m else m)
+  end
+  else if not !is_float then begin
+    let text = String.sub s start (!i - start) in
+    match int_of_string_opt text with
+    | Some v ->
+      sc.is_int <- true;
+      sc.int_v <- v
+    | None ->
+      sc.is_int <- false;
+      sc.num.(2) <- float_of_string text
+  end
+  else begin
+    sc.is_int <- false;
+    sc.num.(2) <-
+      (if !sig_digits <= 15 && e10 >= -22 && e10 <= 22 then begin
+         let x =
+           if e10 >= 0 then float_of_int m *. exact_pow10.(e10)
+           else float_of_int m /. exact_pow10.(-e10)
+         in
+         if neg then -.x else x
+       end
+       else float_of_string (String.sub s start (!i - start)))
+  end
+
+(* The offset of the closing quote of the escape-free string whose
+   bytes start at [i], else -1. *)
+let rec plain_end s n i =
+  if i >= n then -1
+  else
+    match String.unsafe_get s i with
+    | '"' -> i
+    | '\\' -> -1
+    | _ -> plain_end s n (i + 1)
+
+(* Whether the [len] bytes of [s] at [i] are [name]'s, from the [k]-th. *)
+let rec same s i len name k =
+  k = len
+  || String.unsafe_get s (i + k) = String.unsafe_get name k
+     && same s i len name (k + 1)
+
+(* The field the [len] bytes of [s] at [i] name: [field_name]
+   inverted, dispatching on the length first. *)
+let field_of s i len =
+  match len with
+  | 1 ->
+    (match String.unsafe_get s i with
+     | 'c' -> C
+     | 'u' -> U
+     | 'p' -> P
+     | 'l' -> L
+     | _ -> Other)
+  | 2 -> if same s i 2 "id" 0 then Id else if same s i 2 "op" 0 then Op else Other
+  | 5 -> if same s i 5 "reset" 0 then Reset else Other
+  | 6 ->
+    if same s i 6 "regime" 0 then Regime
+    else if same s i 6 "policy" 0 then Policy
+    else Other
+  | 7 ->
+    if same s i 7 "periods" 0 then Periods
+    else if same s i 7 "c_ticks" 0 then C_ticks
+    else Other
+  | _ -> Other
+
+(* The index in [names] of the [len] bytes of [s] at [i], else -1. *)
+let rec find_name names s i len k =
+  if k = Array.length names then -1
+  else
+    let name = Array.unsafe_get names k in
+    if String.length name = len && same s i len name 0 then k
+    else find_name names s i len (k + 1)
+
+(* The string at [sc.pos]: the constant of [known] it spells, if any. *)
+let string_value sc known =
+  let start = sc.pos + 1 in
+  let e = plain_end sc.s sc.n start in
+  if e >= 0 then begin
+    sc.pos <- e + 1;
+    let k = find_name known sc.s start (e - start) 0 in
+    if k >= 0 then known.(k) else String.sub sc.s start (e - start)
+  end
+  else begin
+    let v, next = Json.string_at sc.s sc.pos in
+    sc.pos <- next;
+    v
+  end
+
+let key sc =
+  if not (at sc '"') then fail sc "expected '\"'";
+  let start = sc.pos + 1 in
+  let e = plain_end sc.s sc.n start in
+  if e >= 0 then begin
+    sc.pos <- e + 1;
+    field_of sc.s start (e - start)
+  end
+  else begin
+    let name, next = Json.string_at sc.s sc.pos in
+    sc.pos <- next;
+    field_of name 0 (String.length name)
+  end
+
+let wrong_kind sc f =
+  sc.bad <- sc.bad lor bit f;
+  skip sc
+
+let literal sc word =
+  let m = String.length word in
+  sc.pos + m <= sc.n
+  && same sc.s sc.pos m word 0
+  &&
+  (sc.pos <- sc.pos + m;
+   true)
+
+(* [Json.to_int] of the number just read, or -1 with [f] marked. *)
+let num_int sc f =
+  if sc.is_int then sc.int_v
+  else begin
+    let x = sc.num.(2) in
+    if Float.is_integer x && Float.abs x < 1e15 then int_of_float x
+    else begin
+      sc.bad <- sc.bad lor bit f;
+      -1
+    end
+  end
+
+let rec items sc acc =
+  skip_ws sc;
+  let acc =
+    if number_start sc then begin
+      number sc;
+      (if sc.is_int then float_of_int sc.int_v else sc.num.(2)) :: acc
+    end
+    else begin
+      sc.items_bad <- true;
+      skip sc;
+      acc
+    end
+  in
+  skip_ws sc;
+  if at sc ',' then begin
+    sc.pos <- sc.pos + 1;
+    items sc acc
+  end
+  else if at sc ']' then begin
+    sc.pos <- sc.pos + 1;
+    List.rev acc
+  end
+  else fail sc "expected ',' or ']'"
+
+(* The first value of field [f], from [sc.pos]. *)
+let read sc f =
+  match f with
+  | Id ->
+    if number_start sc then begin
+      number sc;
+      sc.id <- (if sc.is_int then Json.Int sc.int_v else Json.Float sc.num.(2))
+    end
+    else begin
+      let v, next = Json.value_at sc.s sc.pos in
+      sc.pos <- next;
+      sc.id <- v
+    end
+  | Op | Regime | Policy ->
+    if not (at sc '"') then wrong_kind sc f
+    else if f = Op then sc.op <- string_value sc op_table
+    else if f = Regime then sc.regime <- string_value sc registry_names
+    else sc.policy <- string_value sc registry_names
+  | C | U ->
+    if not (number_start sc) then wrong_kind sc f
+    else begin
+      number sc;
+      sc.num.(if f = C then 0 else 1) <-
+        (if sc.is_int then float_of_int sc.int_v else sc.num.(2))
+    end
+  | P | C_ticks | L ->
+    if not (number_start sc) then wrong_kind sc f
+    else begin
+      number sc;
+      let v = num_int sc f in
+      if f = P then sc.p <- v else if f = C_ticks then sc.c_ticks <- v else sc.l <- v
+    end
+  | Periods ->
+    if not (at sc '[') then wrong_kind sc f
+    else begin
+      sc.pos <- sc.pos + 1;
+      skip_ws sc;
+      let xs =
+        if at sc ']' then begin
+          sc.pos <- sc.pos + 1;
+          []
+        end
+        else items sc []
+      in
+      if sc.items_bad then sc.bad <- sc.bad lor bit Periods
+      else sc.periods <- Some xs
+    end
+  | Reset ->
+    if literal sc "true" then sc.reset <- true
+    else if literal sc "false" then sc.reset <- false
+    else wrong_kind sc f
+  | Other -> skip sc
+
+let rec members sc =
+  skip_ws sc;
+  let f = key sc in
+  skip_ws sc;
+  if not (at sc ':') then fail sc "expected ':'";
+  sc.pos <- sc.pos + 1;
+  skip_ws sc;
+  if sc.seen land bit f <> 0 || f = Other then skip sc
+  else begin
+    sc.seen <- sc.seen lor bit f;
+    read sc f
+  end;
+  skip_ws sc;
+  if at sc ',' then begin
+    sc.pos <- sc.pos + 1;
+    members sc
+  end
+  else if at sc '}' then sc.pos <- sc.pos + 1
+  else fail sc "expected ',' or '}'"
+
+(* Walk the whole line; whether it is an object. *)
+let scan sc =
+  skip_ws sc;
+  let obj = at sc '{' in
+  if obj then begin
+    sc.pos <- sc.pos + 1;
+    skip_ws sc;
+    if at sc '}' then sc.pos <- sc.pos + 1 else members sc
+  end
+  else skip sc;
+  skip_ws sc;
+  if sc.pos <> sc.n then fail sc "trailing garbage after JSON value";
+  obj
+
+let field_error sc f =
+  let what =
+    match f with
+    | C | U -> "be a number"
+    | P | C_ticks | L -> "be an integer"
+    | Reset -> "be a boolean"
+    | Periods -> if sc.items_bad then "contain only numbers" else "be an array"
+    | Id | Op | Regime | Policy | Other -> "be a string"
+  in
+  invalid (Printf.sprintf "field %S must %s" (field_name f) what)
+
+(* [Ok ()] unless one of [fs] had a value of the wrong kind: then the
+   first such field's error. *)
+let rec check sc = function
+  | [] -> Ok ()
+  | f :: fs -> if sc.bad land bit f <> 0 then field_error sc f else check sc fs
+
+(* [check], then the range checks on c, u and p. *)
+let check_cup sc fs =
+  match check sc fs with
+  | Ok () -> validate_cup ~c:sc.num.(0) ~u:sc.num.(1) ~p:sc.p
+  | Error _ as e -> e
+
+let decode sc =
+  let c = sc.num.(0) and u = sc.num.(1) and p = sc.p in
+  if sc.seen land bit Op = 0 then invalid "missing field \"op\""
+  else if sc.bad land bit Op <> 0 then field_error sc Op
+  else
+    match sc.op with
+    | "advise" ->
+      (match check_cup sc [ C; U; P ] with
+       | Ok () -> Ok (Advise { c; u; p })
+       | Error e -> Error e)
+    | "schedule" ->
+      (match check_cup sc [ C; U; P; Regime ] with
+       | Ok () -> Ok (Schedule { c; u; p; regime = sc.regime })
+       | Error e -> Error e)
+    | "evaluate" ->
+      (match check_cup sc [ C; U; P; Policy; Periods ] with
+       | Ok () ->
+         Ok (Evaluate { c; u; p; policy = sc.policy; periods = sc.periods })
+       | Error e -> Error e)
+    | "dp" ->
+      (match check sc [ C_ticks; L; P ] with
+       | Error e -> Error e
+       | Ok () ->
+         let c_ticks = sc.c_ticks and l = sc.l in
+         if c_ticks < 1 then invalid "c_ticks must be >= 1"
+         else if p < 0 then invalid "p must be non-negative"
+         else if l < 0 then invalid "l must be non-negative"
+         else Ok (Dp_query { c_ticks; l; p }))
+    | "strategies" -> Ok Strategies
+    | "stats" ->
+      (match check sc [ Reset ] with
+       | Ok () -> Ok (Stats { reset = sc.reset })
+       | Error e -> Error e)
+    | other -> unknown_op other
+
+let parse_line line =
+  let sc =
+    {
+      s = line;
+      n = String.length line;
+      pos = 0;
+      seen = 0;
+      bad = 0;
+      items_bad = false;
+      id = Json.Null;
+      op = "";
+      regime = "adaptive";
+      policy = "adaptive";
+      p = 1;
+      c_ticks = 10;
+      l = 2000;
+      reset = false;
+      periods = None;
+      is_int = true;
+      int_v = 0;
+      num = [| 1.0; 1000.; 0. |];
+    }
+  in
+  match scan sc with
+  | true -> { id = sc.id; request = decode sc }
+  | false -> { id = Json.Null; request = invalid "request must be a JSON object" }
+  | exception Json.Syntax (at, msg) ->
+    { id = Json.Null; request = invalid (Json.syntax_message at msg) }
+
+(* The tree-based decoder the scanner replaced: [Json.of_string]'s tree,
+   read field by field.  The test-only oracle [parse_line] is checked
+   against; nothing in the serving path uses it. *)
+module Ref = struct
+  let ( let* ) = Result.bind
+
+  let field_float obj name default =
+    match Json.member name obj with
+    | None -> Ok default
+    | Some v ->
+      (match Json.to_float v with
+       | Some x -> Ok x
+       | None -> invalid (Printf.sprintf "field %S must be a number" name))
+
+  let field_int obj name default =
+    match Json.member name obj with
+    | None -> Ok default
+    | Some v ->
+      (match Json.to_int v with
+       | Some n -> Ok n
+       | None -> invalid (Printf.sprintf "field %S must be an integer" name))
+
+  let field_string obj name default =
+    match Json.member name obj with
+    | None -> Ok default
     | Some v ->
       (match Json.to_str v with
        | Some s -> Ok s
-       | None -> invalid "field \"op\" must be a string")
-  in
-  match op with
-  | "advise" ->
-    let* c = field_float obj "c" 1.0 in
-    let* u = field_float obj "u" 1000. in
-    let* p = field_int obj "p" 1 in
-    let* () = validate_cup ~c ~u ~p in
-    Ok (Advise { c; u; p })
-  | "schedule" ->
-    let* c = field_float obj "c" 1.0 in
-    let* u = field_float obj "u" 1000. in
-    let* p = field_int obj "p" 1 in
-    let* regime = field_string obj "regime" "adaptive" in
-    let* () = validate_cup ~c ~u ~p in
-    Ok (Schedule { c; u; p; regime })
-  | "evaluate" ->
-    let* c = field_float obj "c" 1.0 in
-    let* u = field_float obj "u" 1000. in
-    let* p = field_int obj "p" 1 in
-    let* policy = field_string obj "policy" "adaptive" in
-    let* periods = field_float_list obj "periods" in
-    let* () = validate_cup ~c ~u ~p in
-    Ok (Evaluate { c; u; p; policy; periods })
-  | "dp" ->
-    let* c_ticks = field_int obj "c_ticks" 10 in
-    let* l = field_int obj "l" 2000 in
-    let* p = field_int obj "p" 1 in
-    if c_ticks < 1 then invalid "c_ticks must be >= 1"
-    else if p < 0 then invalid "p must be non-negative"
-    else if l < 0 then invalid "l must be non-negative"
-    else Ok (Dp_query { c_ticks; l; p })
-  | "strategies" -> Ok Strategies
-  | "stats" ->
-    let* reset = field_bool obj "reset" false in
-    Ok (Stats { reset })
-  | other ->
-    Result.Error
-      (Error.Unknown_name
-         {
-           kind = "op";
-           name = other;
-           known = [ "advise"; "schedule"; "evaluate"; "dp"; "strategies"; "stats" ];
-         })
+       | None -> invalid (Printf.sprintf "field %S must be a string" name))
 
-let parse_line line =
-  match Json.of_string line with
-  | Error e -> { id = Json.Null; request = invalid e }
-  | Ok (Json.Obj _ as obj) ->
-    let id = Option.value ~default:Json.Null (Json.member "id" obj) in
-    { id; request = decode_request obj }
-  | Ok _ -> { id = Json.Null; request = invalid "request must be a JSON object" }
+  let field_bool obj name default =
+    match Json.member name obj with
+    | None -> Ok default
+    | Some v ->
+      (match Json.to_bool v with
+       | Some b -> Ok b
+       | None -> invalid (Printf.sprintf "field %S must be a boolean" name))
+
+  let field_float_list obj name =
+    match Json.member name obj with
+    | None -> Ok None
+    | Some v ->
+      (match Json.to_list v with
+       | None -> invalid (Printf.sprintf "field %S must be an array" name)
+       | Some items ->
+         let rec go acc = function
+           | [] -> Ok (Some (List.rev acc))
+           | x :: rest ->
+             (match Json.to_float x with
+              | Some f -> go (f :: acc) rest
+              | None ->
+                invalid (Printf.sprintf "field %S must contain only numbers" name))
+         in
+         go [] items)
+
+  let decode_request obj =
+    let* op =
+      match Json.member "op" obj with
+      | None -> invalid "missing field \"op\""
+      | Some v ->
+        (match Json.to_str v with
+         | Some s -> Ok s
+         | None -> invalid "field \"op\" must be a string")
+    in
+    match op with
+    | "advise" ->
+      let* c = field_float obj "c" 1.0 in
+      let* u = field_float obj "u" 1000. in
+      let* p = field_int obj "p" 1 in
+      let* () = validate_cup ~c ~u ~p in
+      Ok (Advise { c; u; p })
+    | "schedule" ->
+      let* c = field_float obj "c" 1.0 in
+      let* u = field_float obj "u" 1000. in
+      let* p = field_int obj "p" 1 in
+      let* regime = field_string obj "regime" "adaptive" in
+      let* () = validate_cup ~c ~u ~p in
+      Ok (Schedule { c; u; p; regime })
+    | "evaluate" ->
+      let* c = field_float obj "c" 1.0 in
+      let* u = field_float obj "u" 1000. in
+      let* p = field_int obj "p" 1 in
+      let* policy = field_string obj "policy" "adaptive" in
+      let* periods = field_float_list obj "periods" in
+      let* () = validate_cup ~c ~u ~p in
+      Ok (Evaluate { c; u; p; policy; periods })
+    | "dp" ->
+      let* c_ticks = field_int obj "c_ticks" 10 in
+      let* l = field_int obj "l" 2000 in
+      let* p = field_int obj "p" 1 in
+      if c_ticks < 1 then invalid "c_ticks must be >= 1"
+      else if p < 0 then invalid "p must be non-negative"
+      else if l < 0 then invalid "l must be non-negative"
+      else Ok (Dp_query { c_ticks; l; p })
+    | "strategies" -> Ok Strategies
+    | "stats" ->
+      let* reset = field_bool obj "reset" false in
+      Ok (Stats { reset })
+    | other -> unknown_op other
+
+  let parse_line line =
+    match Json.of_string line with
+    | Error e -> { id = Json.Null; request = invalid e }
+    | Ok (Json.Obj _ as obj) ->
+      let id = Option.value ~default:Json.Null (Json.member "id" obj) in
+      { id; request = decode_request obj }
+    | Ok _ -> { id = Json.Null; request = invalid "request must be a JSON object" }
+end
 
 (* --- encoding ----------------------------------------------------------- *)
 

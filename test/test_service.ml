@@ -1583,6 +1583,275 @@ let answer_malformed =
     {|{"id":|};
   |]
 
+(* --- Protocol scanner vs its oracle ---------------------------------------- *)
+
+(* The scanner's envelope as bytes: the id, then the request or the
+   error, each through the printer. *)
+let envelope_bytes (e : Protocol.envelope) =
+  Json.to_string e.Protocol.id
+  ^ "\n"
+  ^
+  match e.Protocol.request with
+  | Ok req -> Json.to_string (Protocol.request_to_json req)
+  | Error err ->
+    Cyclesteal.Error.code err ^ ": " ^ Cyclesteal.Error.to_string err
+
+let scanner_matches_oracle line =
+  String.equal
+    (envelope_bytes (Protocol.parse_line line))
+    (envelope_bytes (Protocol.Ref.parse_line line))
+
+(* Number spellings: integers (leading zeros, -0, the int range's
+   edges, past it), floats on and off Clinger's fast path (15 vs more
+   significant digits, exponents near +-22 and far past), and the
+   printer's own renderings of random doubles. *)
+let number_text =
+  let open QCheck.Gen in
+  let digits lo hi =
+    map (fun ds -> String.concat "" (List.map string_of_int ds))
+      (list_size (lo -- hi) (int_bound 9))
+  in
+  let sign = oneofl [ ""; ""; "-" ] in
+  let exponent =
+    oneof
+      [
+        return "";
+        map3 (fun e s n -> e ^ s ^ string_of_int n) (oneofl [ "e"; "E" ])
+          (oneofl [ ""; "+"; "-" ]) (int_bound 30);
+        map (fun n -> "e" ^ string_of_int n) (int_range (-400) 400);
+        map (fun z -> "e-00" ^ z) (digits 1 3);
+      ]
+  in
+  oneof
+    [
+      map string_of_int (int_range (-100) 5000);
+      map2 ( ^ ) sign (digits 1 25);
+      oneofl
+        [
+          "0"; "-0"; "007"; "-0.0"; "0e5"; "-0e-5"; "4611686018427387903";
+          "4611686018427387904"; "-4611686018427387904";
+          "-4611686018427387905"; "999999999999999999"; "1000000000000000000";
+          "123456789012345678901234567890"; "1e22"; "1e23"; "1e-22"; "1e-23";
+          "999999999999999e22"; "9999999999999999e22"; "1.7976931348623157e308";
+          "1e309"; "-1e309"; "4.9e-324"; "1e-400"; "0.1"; "2.5"; "86400.5";
+          "1e15"; "1e14"; "999999999999999.0"; "0.000000000000000000001";
+          "1.00000000000000000000000000001";
+        ];
+      map4 (fun s i f e -> s ^ i ^ "." ^ f ^ e) sign (digits 1 10) (digits 1 12)
+        exponent;
+      map3 (fun s i e -> s ^ i ^ e) sign (digits 1 17) exponent;
+      map (fun x -> Json.to_string (Json.Float x)) (float_range (-1e7) 1e7);
+      map (fun x -> Json.to_string (Json.Float x)) float;
+      map (fun x -> Printf.sprintf "%.17g" x) (float_range 1e-3 1e6);
+    ]
+
+let string_text =
+  let open QCheck.Gen in
+  let names =
+    [
+      "advise"; "schedule"; "evaluate"; "dp"; "strategies"; "stats"; "adaptive";
+      "nonadaptive"; "calibrated"; "opt-p1"; "dp_exact"; "fixed-chunk";
+      "fixed_chunk"; "naive"; "geometric"; "bogus"; "";
+    ]
+  in
+  oneof
+    [
+      map (fun s -> Json.to_string (Json.String s)) (oneofl names);
+      map (fun s -> Json.to_string (Json.String s)) (string_size ~gen:char (0 -- 8));
+      oneofl
+        [
+          {|"advise"|}; {|"adaptive"|}; {|"d\p"|}; {|"x\u12"|};
+          {|"a\/b"|}; {|"tab\there"|}; {|"q\"q"|}; {|"\uD83D"|};
+        ];
+    ]
+
+(* Any JSON value's text, nested arrays and objects included. *)
+let rec value_text depth =
+  let open QCheck.Gen in
+  let scalar =
+    oneof [ number_text; string_text; oneofl [ "true"; "false"; "null" ] ]
+  in
+  if depth = 0 then scalar
+  else
+    frequency
+      [
+        (4, scalar);
+        ( 1,
+          map
+            (fun vs -> "[" ^ String.concat "," vs ^ "]")
+            (list_size (0 -- 4) (value_text (depth - 1))) );
+        ( 1,
+          map
+            (fun kvs ->
+               "{"
+               ^ String.concat ","
+                   (List.map
+                      (fun (k, v) -> Json.to_string (Json.String k) ^ ":" ^ v)
+                      kvs)
+               ^ "}")
+            (list_size (0 -- 3)
+               (pair (oneofl [ "a"; "op"; "c"; "x y" ]) (value_text (depth - 1)))) );
+      ]
+
+(* A request's fields: every op and field, mostly of the right kind,
+   with unknown fields, repeated keys, escaped keys and an id of any
+   kind, in random order with random whitespace between tokens. *)
+let request_text =
+  let open QCheck.Gen in
+  let known_value = function
+    | "c" | "u" | "p" | "c_ticks" | "l" ->
+      frequency
+        [
+          (4, map string_of_int (int_range 1 3000));
+          (2, map (fun x -> Json.to_string (Json.Float x)) (float_range 0.5 5000.));
+          (4, number_text);
+          (1, value_text 1);
+        ]
+    | "regime" | "policy" | "op" -> frequency [ (6, string_text); (1, value_text 1) ]
+    | "periods" ->
+      frequency
+        [
+          ( 5,
+            map (fun vs -> "[" ^ String.concat "," vs ^ "]")
+              (list_size (0 -- 5) number_text) );
+          (1, value_text 2);
+        ]
+    | "reset" -> frequency [ (4, oneofl [ "true"; "false" ]); (1, value_text 1) ]
+    | _ -> value_text 2
+  in
+  let key =
+    frequency
+      [
+        ( 8,
+          oneofl
+            [
+              "op"; "c"; "u"; "p"; "regime"; "policy"; "periods"; "c_ticks";
+              "l"; "reset"; "id";
+            ]
+        );
+        (2, oneofl [ "pad"; "x"; ""; "cc"; "ops"; "P"; "resets" ]);
+        (1, oneofl [ {|\u006fp|}; {|\u0063|}; {|i\u0064|}; {|period\u0073|} ]);
+      ]
+  in
+  let field =
+    let* k = key in
+    let plain = String.index_opt k '\\' = None in
+    let* v = if plain then known_value k else value_text 1 in
+    return ("\"" ^ k ^ "\":" ^ v)
+  in
+  let ws = oneofl [ ""; ""; ""; " "; "\t"; "\n"; "\r"; "  " ] in
+  let* op =
+    frequency
+      [
+        ( 6,
+          oneofl
+            [
+              {|"advise"|}; {|"schedule"|}; {|"evaluate"|}; {|"dp"|};
+              {|"strategies"|}; {|"stats"|};
+            ]
+        );
+        (2, string_text);
+        (1, value_text 1);
+      ]
+  in
+  let* fields = list_size (0 -- 8) field in
+  let* fields = shuffle_l (("\"op\":" ^ op) :: fields) in
+  let* pre = ws and* post = ws and* sep = ws in
+  return (pre ^ "{" ^ sep ^ String.concat ("," ^ sep) fields ^ sep ^ "}" ^ post)
+
+(* Byte-level damage: truncate, delete, insert, flip. *)
+let mutate line =
+  let open QCheck.Gen in
+  let special =
+    oneofl
+      [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; '-'; '.'; 'e'; '0'; '9'; ' '; 'u'; 't' ]
+  in
+  let once s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      let* i = int_bound (n - 1) in
+      let* c = frequency [ (3, special); (1, char) ] in
+      oneofl
+        [
+          String.sub s 0 i;
+          String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1);
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1);
+        ]
+  in
+  let rec go k s = if k = 0 then return s else once s >>= go (k - 1) in
+  let* k = int_range 1 3 in
+  go k line
+
+let protocol_corpus =
+  Array.to_list answer_malformed
+  @ [
+      {|{"id":666,"op":"advise","c":1,"u":100,"p":1,"pad":"|}
+      ^ String.make 70_000 'x' ^ {|"}|};
+      "junk line 0"; ""; " "; "{}"; "[]"; "null"; "1"; "\"op\""; "{\"op\"";
+      {|{"op":"advise"} x|}; {|{"op":"advise",}|}; {|{"op" "advise"}|};
+      {|{"id":1}|}; {|{"op":"frobnicate"}|}; {|{"op":"advise","c":-1}|};
+      {|{"op":"advise","c":"ten"}|}; {|{"op":"dp","c_ticks":0}|};
+      {|{"op":"evaluate","periods":[1,"x"]}|};
+      {|{"op":"evaluate","periods":[1,"x"],"c":"y"}|};
+      {|{"op":"evaluate","periods":{}}|};
+      {|{"op":"stats","reset":tru}|}; {|{"op":"stats","reset":1}|};
+      {|{"op":"dp","p":2.0,"l":1e3,"c_ticks":7.5}|};
+      {|{"op":"dp","p":1e15,"l":-0}|};
+      {|{"op":"advise","c":1,"c":"x","op":5}|};
+      {|{"op":5,"op":"advise"}|};
+      {|{"op":"advise","c":2}|};
+      {|{"id":{"a":[1,{"b":null}]},"op":"strategies"}|};
+      {|{"id":"q\né","op":"strategies"}|};
+    ]
+
+let protocol_line_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, request_text);
+      (4, request_text >>= mutate);
+      (1, oneofl protocol_corpus);
+      (1, oneofl protocol_corpus >>= mutate);
+    ]
+
+let prop_scanner_matches_oracle =
+  QCheck.Test.make ~name:"parse_line = Ref.parse_line" ~count:10000
+    (QCheck.make protocol_line_gen ~print:(fun l ->
+         Printf.sprintf "%S\nscanner: %s\noracle:  %s" l
+           (envelope_bytes (Protocol.parse_line l))
+           (envelope_bytes (Protocol.Ref.parse_line l))))
+    scanner_matches_oracle
+
+let test_scanner_corpus () =
+  List.iter
+    (fun line ->
+       if not (scanner_matches_oracle line) then
+         Alcotest.failf "%S: scanner %s, oracle %s" line
+           (envelope_bytes (Protocol.parse_line line))
+           (envelope_bytes (Protocol.Ref.parse_line line)))
+    protocol_corpus
+
+(* A warm request line allocates the envelope, the request, the id
+   and one cursor: under 60 minor words for a line of each op, where
+   the tree-based decoder took 144-194. *)
+let test_scanner_allocation () =
+  List.iter
+    (fun line ->
+       ignore (Protocol.parse_line line);
+       let before = Gc.minor_words () in
+       let e = Protocol.parse_line line in
+       let words = Gc.minor_words () -. before in
+       Alcotest.(check bool) ("parsed " ^ line) true (Result.is_ok e.Protocol.request);
+       if words >= 60. then Alcotest.failf "%s allocated %.0f minor words" line words)
+    [
+      {|{"id":4021,"op":"advise","c":2.5,"u":86400,"p":3}|};
+      {|{"id":4022,"op":"schedule","c":1,"u":1000,"p":2,"regime":"calibrated"}|};
+      {|{"id":4023,"op":"evaluate","c":3,"u":1250.75,"p":2,"policy":"nonadaptive"}|};
+      {|{"id":4024,"op":"dp","c_ticks":14,"l":2732,"p":4}|};
+    ]
+
 type answer_item = Body of int | Stats_op | Malformed of int
 
 (* Render a stream: each item gets the next id, as a number, a string
@@ -2309,7 +2578,12 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_protocol_errors;
           Alcotest.test_case "handle errors" `Quick test_protocol_handle_errors;
           Alcotest.test_case "strategies listing" `Quick test_protocol_strategies;
-        ] );
+          Alcotest.test_case "scanner = oracle on the corpus" `Quick
+            test_scanner_corpus;
+          Alcotest.test_case "scanner allocation per op" `Quick
+            test_scanner_allocation;
+        ]
+        @ qc [ prop_scanner_matches_oracle ] );
       ( "cache",
         [
           Alcotest.test_case "canonicalization" `Quick test_cache_canonicalization;

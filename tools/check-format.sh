@@ -133,9 +133,11 @@ done
 # earned by kernels whose index arithmetic has been audited — the DP
 # fill and its packed-row binary search (lib/core/dp.ml) and the
 # snapshot / CRC layer (lib/store/).  The banked-matrix probe in
-# lib/core/game.ml predates the gate and keeps its audited pair.  A
-# new unsafe_get / unsafe_set site needs a bounds argument in review
-# and a line here; everywhere else, indexed access stays checked.
+# lib/core/game.ml predates the gate and keeps its audited pair, plus
+# the filled-cell count of a snapshot, which reads indices below the
+# matrix's own dimension.  A new unsafe_get / unsafe_set site needs a
+# bounds argument in review and a line here; everywhere else, indexed
+# access stays checked.
 unsafe_allowlist="lib/core/game.ml"
 
 for f in $(find lib bin test bench examples -type f \
@@ -194,6 +196,34 @@ for f in $(find lib bin test bench examples -type f \
   if grep -nE 'format_float' "$f" >/dev/null 2>&1; then
     echo "float-printing: format_float in $f (print numbers through Service.Json):" >&2
     grep -nE 'format_float' "$f" | head -3 >&2
+    fail=1
+  fi
+done
+
+# Oracle gate: the serving path reads a request line with the one-pass
+# scanner Protocol.parse_line and builds no JSON tree but the id.  The
+# tree-based decoder it replaced lives on as the test-only oracle
+# Protocol.Ref, so nothing in lib/ or bin/ references Protocol.Ref,
+# and no file under lib/service/ but json.ml calls Json.of_string
+# outside a top-level `module Ref = struct ... end` block (the
+# oracles).  A name in a doc link ([Json.of_string], {!Protocol.Ref})
+# is not a use.
+use_of() { grep -nE "$1"'([^]}'"'"'A-Za-z0-9_]|$)' "$2"; }
+for f in $(find lib bin -type f \( -name '*.ml' -o -name '*.mli' \) | sort); do
+  if use_of 'Protocol\.Ref' "$f" >/dev/null 2>&1; then
+    echo "oracle: Protocol.Ref in $f (test-only; serve through Protocol.parse_line):" >&2
+    use_of 'Protocol\.Ref' "$f" | head -3 >&2
+    fail=1
+  fi
+done
+for f in $(find lib/service -type f -name '*.ml' \
+             -not -path 'lib/service/json.ml' | sort); do
+  outside=$(awk '/^module Ref = struct/ { skip = 1 }
+                 !skip { print }
+                 skip && /^end/ { skip = 0 }' "$f")
+  if printf '%s\n' "$outside" | use_of 'Json\.of_string' - >/dev/null 2>&1; then
+    echo "oracle: Json.of_string in $f outside module Ref (scan with Protocol.parse_line):" >&2
+    printf '%s\n' "$outside" | use_of 'Json\.of_string' - | head -3 >&2
     fail=1
   fi
 done
