@@ -974,13 +974,14 @@ let with_pool f =
    candidate counters say where the work went.
 
    How an instance meets the scalar reference: [Timed] repeats it like
-   every other series; [Oracle] runs it once, cold, as the cell-for-cell
-   oracle of an instance too large to repeat (the flagship's scalar fill
-   takes minutes); [Counted] does not run it, reporting its candidate
-   count by the visited + pruned identity and checking the wavefront
-   fill against the sequential one, whose identity with Dp.Ref the
-   other instances, the qcheck corpus and the smokes pin. *)
-type scalar = Timed | Oracle | Counted
+   every other series, on an instance it solves in seconds; [Counted]
+   does not run it, reporting its candidate count by the visited +
+   pruned identity and checking the wavefront fill against the
+   sequential one, whose identity with Dp.Ref the timed instance, the
+   qcheck corpus and the smokes pin.  The flagship is [Counted]: its
+   scalar fill took 20 minutes for one sample, too long to repeat and
+   so no series at all. *)
+type scalar = Timed | Counted
 
 let dp_instance ~plan ~pool (c, max_p, max_l, scalar) =
   let what = Printf.sprintf "c=%d p<=%d L<=%d" c max_p max_l in
@@ -989,7 +990,6 @@ let dp_instance ~plan ~pool (c, max_p, max_l, scalar) =
   let reference =
     match scalar with
     | Timed -> Some (Series.time plan solve_ref)
-    | Oracle -> Some (Series.time Series.once solve_ref)
     | Counted -> None
   in
   let mono_t, mono =
@@ -1087,8 +1087,8 @@ let dp_instances ~heading:title ~key instances ~quick =
 let dp_kernel_suite =
   dp_instances ~heading:"DP kernel -- scalar vs monotone-dc vs parallel" ~key:"kernel"
     (fun ~quick ->
-       if quick then [ (10, 8, 10000, Oracle) ]
-       else [ (10, 8, 10000, Timed); (1, 64, 50000, Oracle) ])
+       if quick then [ (10, 8, 10000, Timed) ]
+       else [ (10, 8, 10000, Timed); (1, 64, 50000, Counted) ])
 
 (* Where a scan-based kernel degrades: a small tick cost leaves almost
    no zero region to skip, and a deep interrupt budget multiplies the
@@ -1102,7 +1102,7 @@ let dp_adversarial_suite =
        candidates than the exhaustive scan)"
     ~key:"adversarial"
     (fun ~quick ->
-       if quick then [ (1, 32, 4000, Oracle) ]
+       if quick then [ (1, 32, 4000, Timed) ]
        else
          [ (1, 96, 50000, Counted); (2, 128, 30000, Counted); (3, 192, 20000, Counted) ])
 
@@ -1357,9 +1357,12 @@ let store_bank_series ~plan (label, req) =
       let cold_t, cold_out =
         Series.time plan (fun () -> answer (Service.Cache.create ~capacity:8 ()))
       in
-      (* Precompute the bank (csched precompute's job; untimed). *)
+      (* Precompute the bank (csched precompute's job; untimed).  A game
+         row reports the memo states it banked beside the bytes. *)
       let bank = open_bank ~create:true in
+      Game.reset_counters ();
       ignore (answer (Service.Cache.create ~bank ~capacity:8 ()));
+      let banked_states = (Game.counters ()).Game.states in
       let bank_bytes =
         Array.fold_left
           (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
@@ -1392,10 +1395,13 @@ let store_bank_series ~plan (label, req) =
         die "bench store (%s): bank not exercised (%d warmed, %d hits, %d failures)" label
           warmed bc.Store.Bank.hits bc.Store.Bank.load_failures;
       J.Obj
-        [
+        ([
           ("instance", J.String label);
           ("request", J.String (J.to_string (Service.Protocol.request_to_json req)));
           ("bank_bytes", J.Int bank_bytes);
+        ]
+        @ (if banked_states > 0 then [ ("states", J.Int banked_states) ] else [])
+        @ [
           ( "series",
             report ~title:(Printf.sprintf "%s -- cold solve vs bank-mapped startup" label)
               [
@@ -1409,7 +1415,7 @@ let store_bank_series ~plan (label, req) =
                      ])
                   "bank_mapped";
               ] );
-        ])
+        ]))
 
 (* Snapshot format economics: a solved table written
    breakpoint-compressed ([save_dp], format v2) and mapped back through

@@ -17,9 +17,6 @@ type plan = { warmups : int; reps : int }
    once and then times [reps] repetitions. *)
 let plan ~quick reps = if quick then { warmups = 0; reps = 1 } else { warmups = 1; reps }
 
-(* For a run too slow to repeat: one cold sample. *)
-let once = { warmups = 0; reps = 1 }
-
 type t = { n : int; median : float; min : float; max : float; q1 : float; q3 : float }
 
 let summarise samples =

@@ -765,8 +765,8 @@ let precompute_cmd =
   let lifespans_arg =
     let doc =
       "Lifespans U (comma-separated) of the game memos to bank.  Only \
-       gridded evaluations (U above the exact/grid threshold) have a \
-       dense memo to snapshot; smaller lifespans are skipped with a note."
+       gridded evaluations (U above the exact/grid threshold) are \
+       banked; smaller lifespans are skipped with a note."
     in
     Arg.(
       value & opt (list float) [ 20_000. ]
@@ -905,7 +905,7 @@ let precompute_cmd =
             (fun (u, policy) ->
               Printf.printf
                 "note: skipped %s at U = %g — exact (ungridded) evaluation \
-                 has no dense memo to bank\n"
+                 is not banked\n"
                 policy u)
             (List.rev skipped)
         end;

@@ -192,21 +192,108 @@ let reset_counters () =
   Atomic.set parfill_ctr 0
 
 module Solver = struct
-  type mat =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  (* Immutable capacity snapshot, republished on [grow] (the Dp.t
-     discipline): readers grab one [body] and index it consistently
-     even while a grow is building the replacement. *)
-  type body = {
-    cap_p : int;  (* rows 0 .. cap_p *)
-    cap_l : int;  (* columns 0 .. cap_l; row stride is cap_l + 1 *)
-    mat : mat;    (* NaN = not yet computed *)
+  (* The memo: an open-addressed, linearly probed table from canonical
+     state (p, l) to its value.  Slot [i] keeps p in [keys.{2i}] ([-1]
+     = empty), l in [keys.{2i+1}] and the value in [vals.{i}]; the slot
+     count is a power of two.  Only the states the queries reach are
+     stored, so a memo is sized by its entries, never by the grid.  A
+     bank-loaded memo starts on the file's privately mapped pages:
+     inserting dirties copy-on-write pages, and a rehash moves the
+     table to fresh anonymous arrays. *)
+  type memo = {
+    mutable keys : ints;
+    mutable vals : floats;
+    mutable shift : int;  (* 63 - log2 slots: [home] keeps the top bits *)
+    mutable count : int;
   }
 
-  type backend =
-    | Flat of { mutable body : body }
-    | Tbl of (int * int, float) Hashtbl.t  (* keyed (p, index) *)
+  let empty = -1
+
+  (* The load bounds, so a probe always meets an empty slot.  A resident
+     table rehashes before an insertion would fill more than three
+     quarters of it, keeping probes short; a saved table is packed up
+     to seven eighths, halving some files for a few more probes per
+     hit, and its first insertion after a load rehashes it. *)
+  let over_load ~count ~slots = 4 * count > 3 * slots
+  let over_packed ~count ~slots = 8 * count > 7 * slots
+
+  (* The smallest saved table (of at least 8 slots) for [count]. *)
+  let rec slots_for ?(s = 8) count =
+    if over_packed ~count ~slots:s then slots_for ~s:(2 * s) count else s
+
+  let rec log2 s = if s <= 1 then 0 else 1 + log2 (s lsr 1)
+
+  let alloc_memo slots =
+    let keys = Bigarray.(Array1.create int c_layout (2 * slots)) in
+    let vals = Bigarray.(Array1.create float64 c_layout slots) in
+    Bigarray.Array1.(fill keys empty; fill vals 0.);
+    { keys; vals; shift = 63 - log2 slots; count = 0 }
+
+  (* A key's home slot, Fibonacci hashing: the top bits of the key
+     times 2^63 / phi.  They depend on every key bit, so residual keys
+     with long runs of trailing zeros spread, and consecutive grid
+     indices land far apart; keeping the product's low bits instead
+     made a cold gridded solve about 15% slower. *)
+  let[@inline] home ~p ~l shift = ((l + (p * 0x9E3779B9)) * -0x30E44323405AC1F5) lsr shift
+
+  (* The slot holding [(p, l)], or the empty slot where it would go.
+     Allocation-free: the recursion runs millions of probes per solve,
+     and minor-GC pressure is what would serialize the fan-out. *)
+  let[@inline] probe (keys : ints) mask shift ~p ~l =
+    let i = ref (home ~p ~l shift) in
+    let kp = ref (Bigarray.Array1.unsafe_get keys (2 * !i)) in
+    while
+      !kp <> empty
+      && not (!kp = p && Bigarray.Array1.unsafe_get keys ((2 * !i) + 1) = l)
+    do
+      i := (!i + 1) land mask;
+      kp := Bigarray.Array1.unsafe_get keys (2 * !i)
+    done;
+    !i
+
+  (* The slot holding [(p, l)], or [-1]. *)
+  let[@inline] find m ~p ~l =
+    let keys = m.keys in
+    let i = probe keys (Bigarray.Array1.dim m.vals - 1) m.shift ~p ~l in
+    if Bigarray.Array1.unsafe_get keys (2 * i) = empty then -1 else i
+
+  let iter m f =
+    for i = 0 to Bigarray.Array1.dim m.vals - 1 do
+      let p = m.keys.{2 * i} in
+      if p <> empty then f ~p ~l:m.keys.{(2 * i) + 1} m.vals.{i}
+    done
+
+  (* Insert or overwrite; [add] first rehashes into a table twice the
+     size when the new entry would pass the resident load bound. *)
+  let insert m ~p ~l v =
+    let keys = m.keys in
+    let i = probe keys (Bigarray.Array1.dim m.vals - 1) m.shift ~p ~l in
+    if Bigarray.Array1.unsafe_get keys (2 * i) = empty then begin
+      Bigarray.Array1.unsafe_set keys (2 * i) p;
+      Bigarray.Array1.unsafe_set keys ((2 * i) + 1) l;
+      m.count <- m.count + 1
+    end;
+    Bigarray.Array1.unsafe_set m.vals i v
+
+  (* Rehash into the smallest doubling that holds [count] entries
+     within the resident bound. *)
+  let reserve m count =
+    let rec fit s = if over_load ~count ~slots:s then fit (2 * s) else s in
+    let slots = fit (Bigarray.Array1.dim m.vals) in
+    if slots > Bigarray.Array1.dim m.vals then begin
+      let bigger = alloc_memo slots in
+      iter m (insert bigger);
+      m.keys <- bigger.keys;
+      m.vals <- bigger.vals;
+      m.shift <- bigger.shift
+    end
+
+  let add m ~p ~l v =
+    reserve m (m.count + 1);
+    insert m ~p ~l v
 
   type t = {
     params : Model.params;
@@ -216,10 +303,10 @@ module Solver = struct
     c : float;
     eps : float;
     max_states : int;
-    backend : backend;
+    memo : memo;
+    mutable answered_p : int;  (* largest budget [value] has returned *)
     plans : (int * int, Schedule.t) Hashtbl.t;
     plans_lock : Mutex.t;
-    grow_lock : Mutex.t;
     states : int Atomic.t;  (* this solver's expansions, budget-checked *)
     pool : Csutil.Par.Pool.t option;
   }
@@ -228,181 +315,123 @@ module Solver = struct
     Mutex.lock m;
     Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-  let alloc_body ~cap_p ~cap_l =
-    let mat =
-      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-        ((cap_p + 1) * (cap_l + 1))
-    in
-    Bigarray.Array1.fill mat Float.nan;
-    { cap_p; cap_l; mat }
-
   (* Ungridded canonicalisation: zero the low 12 mantissa bits, a
      ~2^-40 relative quantum.  Exactly-representable residuals (round
      numbers, grid multiples) are fixed points, so snapping never moves
      a state across a policy's plan-structure boundary; only the
      float-noise low bits are folded.  Non-positive residuals (incl.
-     [-0.0]) all map to the base case.  The masked bits double as the
-     integer memo key: residuals are non-negative, so bit 63 is clear
-     and [Int64.to_int] is lossless. *)
+     [-0.0]) all map to the base case.  The kept bits, shifted down,
+     are the integer memo key: residuals are non-negative, so bit 63 is
+     clear and the key is a non-negative 51-bit int. *)
   let mantissa_mask = 0xFFFF_FFFF_FFFF_F000L
 
-  (* [(key, canonical)] for a residual: the integer memo key and the
-     representative residual every computation at this state uses. *)
-  let snap t residual =
+  (* The integer memo key of a residual, and the canonical residual of
+     a key that every computation at the state uses.  Two functions, not
+     one returning a pair, so the recursion's hot path builds no tuple. *)
+  let[@inline] key t residual =
     match t.grid with
-    | Some g ->
-      let l = int_of_float (Float.floor (residual /. g)) in
-      (l, float_of_int l *. g)
+    | Some g -> int_of_float (Float.floor (residual /. g))
     | None ->
-      if residual <= 0. then (0, 0.)
+      if residual <= 0. then 0
       else
-        let bits = Int64.logand (Int64.bits_of_float residual) mantissa_mask in
-        (Int64.to_int bits, Int64.float_of_bits bits)
+        Int64.(to_int (shift_right_logical (logand (bits_of_float residual) mantissa_mask) 12))
+
+  let[@inline] canon t l =
+    match t.grid with
+    | Some g -> float_of_int l *. g
+    | None -> Int64.(float_of_bits (shift_left (of_int l) 12))
+
+  let make ~grid ~max_states ~pool ~memo ~answered_p ~states params opportunity
+      policy =
+    { params; opportunity; policy; grid; c = Model.c params;
+      eps = progress_eps opportunity; max_states; memo; answered_p;
+      plans = Hashtbl.create 256; plans_lock = Mutex.create ();
+      states = Atomic.make states; pool }
 
   let create ?grid ?(max_states = 4_000_000) ?pool params opportunity policy =
-    let eps = progress_eps opportunity in
     (match grid with
      | Some g when g <= 0. ->
        Error.invalid "Game.Solver: grid must be positive"
      | _ -> ());
-    let backend =
-      match grid with
-      | Some g ->
-        let cap_l =
-          int_of_float (Float.floor (opportunity.Model.lifespan /. g))
-        in
-        Flat { body = alloc_body ~cap_p:opportunity.Model.interrupts ~cap_l }
-      | None -> Tbl (Hashtbl.create 4096)
-    in
-    {
-      params;
-      opportunity;
-      policy;
-      grid;
-      c = Model.c params;
-      eps;
-      max_states;
-      backend;
-      plans = Hashtbl.create 256;
-      plans_lock = Mutex.create ();
-      grow_lock = Mutex.create ();
-      states = Atomic.make 0;
-      pool;
-    }
+    make ~grid ~max_states ~pool ~memo:(alloc_memo 1024) ~answered_p:(-1)
+      ~states:0 params opportunity policy
 
-  let params t = t.params
-  let opportunity t = t.opportunity
   let policy t = t.policy
-  let grid t = t.grid
   let states t = Atomic.get t.states
+  let answered_p t = t.answered_p
+
+  let footprint_bytes t =
+    (24 * Bigarray.Array1.dim t.memo.vals) + (64 * Hashtbl.length t.plans)
 
   (* --- snapshots ---------------------------------------------------------- *)
 
-  (* The disk-tier exchange format for gridded (flat-memo) solvers: the
-     whole memo matrix, NaN cells included.  Hashtbl solvers are not
-     snapshotable ([to_snapshot] = None) — their keys are masked float
-     bits, not a dense grid.  A solver rebuilt by [of_snapshot] around a
-     privately mapped file writes only the cells it newly expands
-     (copy-on-write pages), so the solved prefix stays physically shared
-     across processes mapping the same bank file. *)
+  (* The disk-tier exchange format for gridded solvers: the memo table
+     verbatim.  Ungridded solvers are not snapshotable ([to_snapshot] =
+     None); the bank keys memos by their grid. *)
   type snapshot = {
     s_grid : float;
-    s_cap_p : int;
-    s_cap_l : int;
+    s_answered_p : int;
     s_states : int;
-    s_mat : mat;
+    s_keys : ints;
+    s_vals : floats;
   }
 
-  (* The snapshot's state count is the memo's filled-cell count, not
-     [t.states]: a cell raced by two fan-out slots is expanded (and
-     counted) twice, so the live counter depends on scheduling, while
-     the set of filled cells — every state reachable from the queries
-     answered — does not.  Equal memos thus write equal files. *)
-  let filled_cells (mat : mat) =
-    let n = ref 0 in
-    for i = 0 to Bigarray.Array1.dim mat - 1 do
-      if not (Float.is_nan (Bigarray.Array1.unsafe_get mat i)) then incr n
+  (* Validate a table read from outside (a mapped bank file) before any
+     probe runs over it: a CRC-valid but hand-made table that broke an
+     invariant would otherwise answer wrong values or probe forever. *)
+  let snapshot ~grid ~answered_p ~states ~(keys : ints) ~(vals : floats) =
+    let bad fmt = Error.invalidf ("Game.Solver.snapshot: " ^^ fmt) in
+    let slots = Bigarray.Array1.dim vals in
+    if not (grid > 0.) || answered_p < -1 then bad "bad grid or budget";
+    if slots < 8 || slots land (slots - 1) <> 0 || Bigarray.Array1.dim keys <> 2 * slots
+    then
+      bad "%d slots (%d key words) is not a power-of-two table of 8 or more" slots
+        (Bigarray.Array1.dim keys);
+    if states < 0 || over_packed ~count:states ~slots then
+      bad "%d entries do not fit %d slots" states slots;
+    let occupied = ref 0 in
+    for i = 0 to slots - 1 do
+      let p = keys.{2 * i} and l = keys.{(2 * i) + 1} in
+      if p <> empty then begin
+        if p < 0 || l < 0 then bad "slot %d holds negative key (%d, %d)" i p l;
+        incr occupied;
+        (* A lookup walks from the home slot; it must reach slot [i]
+           before any empty slot or any other copy of the key. *)
+        let j = ref (home ~p ~l (63 - log2 slots)) in
+        while !j <> i do
+          let q = keys.{2 * !j} in
+          if q = empty then bad "key (%d, %d) in slot %d is unreachable" p l i;
+          if q = p && keys.{(2 * !j) + 1} = l then bad "key (%d, %d) is held twice" p l;
+          j := (!j + 1) land (slots - 1)
+        done
+      end
     done;
-    !n
+    if !occupied <> states then
+      bad "header says %d entries, table holds %d" states !occupied;
+    { s_grid = grid; s_answered_p = answered_p; s_states = states; s_keys = keys;
+      s_vals = vals }
 
+  (* A save is canonical: the entries go, in key order, into a fresh
+     table sized by their count alone.  Equal memos thus write equal
+     bytes however the resident table grew or a fan-out raced, and the
+     state count is the entry count, not the racy expansion counter. *)
   let to_snapshot t =
-    match (t.backend, t.grid) with
-    | Flat f, Some g ->
-      let b = f.body in
-      Some
-        {
-          s_grid = g;
-          s_cap_p = b.cap_p;
-          s_cap_l = b.cap_l;
-          s_states = filled_cells b.mat;
-          s_mat = b.mat;
-        }
-    | _ -> None
+    match t.grid with
+    | None -> None
+    | Some g ->
+      let entries = ref [] in
+      iter t.memo (fun ~p ~l v -> entries := (p, l, v) :: !entries);
+      let canon = alloc_memo (slots_for t.memo.count) in
+      List.iter (fun (p, l, v) -> insert canon ~p ~l v) (List.sort compare !entries);
+      Some { s_grid = g; s_answered_p = t.answered_p; s_states = canon.count;
+             s_keys = canon.keys; s_vals = canon.vals }
 
   let of_snapshot ?(max_states = 4_000_000) ?pool params opportunity policy s =
-    if s.s_grid <= 0. then
-      Error.invalid "Game.Solver.of_snapshot: grid must be positive";
-    if s.s_cap_p < 0 || s.s_cap_l < 0 then
-      Error.invalid "Game.Solver.of_snapshot: capacities must be non-negative";
-    if s.s_states < 0 then
-      Error.invalid "Game.Solver.of_snapshot: states must be non-negative";
-    let cells = (s.s_cap_p + 1) * (s.s_cap_l + 1) in
-    if Bigarray.Array1.dim s.s_mat <> cells then
-      Error.invalidf
-        "Game.Solver.of_snapshot: capacities (%d, %d) imply %d cells, \
-         payload has %d"
-        s.s_cap_p s.s_cap_l cells
-        (Bigarray.Array1.dim s.s_mat);
-    {
-      params;
-      opportunity;
-      policy;
-      grid = Some s.s_grid;
-      c = Model.c params;
-      eps = progress_eps opportunity;
-      max_states;
-      backend =
-        Flat { body = { cap_p = s.s_cap_p; cap_l = s.s_cap_l; mat = s.s_mat } };
-      plans = Hashtbl.create 256;
-      plans_lock = Mutex.create ();
-      grow_lock = Mutex.create ();
-      states = Atomic.make s.s_states;
-      pool;
-    }
-
-  let capacity t =
-    match t.backend with
-    | Flat f -> (f.body.cap_p, f.body.cap_l)
-    | Tbl _ -> (max_int, max_int)
-
-  let footprint_bytes t =
-    let plans = 64 * Hashtbl.length t.plans in
-    match t.backend with
-    | Flat f -> (8 * Bigarray.Array1.dim f.body.mat) + plans
-    | Tbl tbl -> (48 * Hashtbl.length tbl) + plans
-
-  (* Ensure the flat memo covers row [p] and column [l].  Solved cells
-     never invalidate (each holds a pure function of its state), so
-     growing is an allocate-and-blit with no refill. *)
-  let grow_to t ~p ~l =
-    match t.backend with
-    | Tbl _ -> ()
-    | Flat f ->
-      with_lock t.grow_lock (fun () ->
-          let b = f.body in
-          if p > b.cap_p || l > b.cap_l then begin
-            let cap_p = if p > b.cap_p then max p (2 * b.cap_p) else b.cap_p in
-            let cap_l = if l > b.cap_l then max l (2 * b.cap_l) else b.cap_l in
-            let nb = alloc_body ~cap_p ~cap_l in
-            for row = 0 to b.cap_p do
-              let src = Bigarray.Array1.sub b.mat (row * (b.cap_l + 1)) (b.cap_l + 1) in
-              let dst = Bigarray.Array1.sub nb.mat (row * (cap_l + 1)) (b.cap_l + 1) in
-              Bigarray.Array1.blit src dst
-            done;
-            f.body <- nb
-          end)
-
-  let grow t ~p ~residual = grow_to t ~p ~l:(max 0 (fst (snap t residual)))
+    make ~grid:(Some s.s_grid) ~max_states ~pool
+      ~memo:
+        { keys = s.s_keys; vals = s.s_vals; count = s.s_states;
+          shift = 63 - log2 (Bigarray.Array1.dim s.s_vals) }
+      ~answered_p:s.s_answered_p ~states:s.s_states params opportunity policy
 
   (* The plan for canonical state (p, l).  Double-checked under the
      plans lock; racing fills may plan the same state twice (policies
@@ -425,61 +454,24 @@ module Solver = struct
           | Some s -> s
           | None -> Hashtbl.replace t.plans key s; s)
 
-  (* Raw memo read, NaN = unsolved.  The recursion performs millions of
-     lookups per solve, so the hot path must not allocate (no option, no
-     tuple): minor-GC pressure is what would serialize the
-     domain-parallel fan-out behind stop-the-world collections. *)
-  let[@inline] lookup_raw t ~p ~l =
-    match t.backend with
-    | Flat f ->
-      let b = f.body in
-      Bigarray.Array1.unsafe_get b.mat ((p * (b.cap_l + 1)) + l)
-    | Tbl tbl -> (
-        match Hashtbl.find_opt tbl (p, l) with
-        | Some v -> v
-        | None -> Float.nan)
-
-  let lookup t ~p ~l =
-    let v = lookup_raw t ~p ~l in
-    if Float.is_nan v then None else Some v
-
-  let store t ~p ~l v =
-    match t.backend with
-    | Flat f ->
-      let b = f.body in
-      Bigarray.Array1.unsafe_set b.mat ((p * (b.cap_l + 1)) + l) v
-    | Tbl tbl -> Hashtbl.replace tbl (p, l) v
-
-  (* The value recursion.  [hits] is a per-entry accumulator flushed to
-     the process counter when the top-level call returns, so the hot
-     memo-hit path costs no atomic traffic. *)
-  let rec value_rec t hits ~p ~residual =
-    match t.grid with
-    | Some g ->
-      (* [snap]'s gridded arm, inlined so the common case allocates no
-         intermediate tuple. *)
-      let l = int_of_float (Float.floor (residual /. g)) in
-      let canon = float_of_int l *. g in
-      if canon <= t.c +. t.eps then 0.
+  (* The value recursion.  [w] is the table expansions write to: the
+     solver's own memo, or a fan-out slot's private overlay, which is
+     read after the shared memo misses.  [hits] is a per-entry
+     accumulator flushed to the process counter when the top-level call
+     returns, so the hot memo-hit path costs no atomic traffic. *)
+  let rec value_rec t w hits ~p ~residual =
+    let l = key t residual in
+    let canon = canon t l in
+    if canon <= t.c +. t.eps then 0.
+    else
+      let i = find t.memo ~p ~l in
+      if i >= 0 then (incr hits; Bigarray.Array1.unsafe_get t.memo.vals i)
       else
-        let v = lookup_raw t ~p ~l in
-        if Float.is_nan v then expand t hits ~p ~l ~residual:canon
-        else begin
-          incr hits;
-          v
-        end
-    | None ->
-      let l, canon = snap t residual in
-      if canon <= t.c +. t.eps then 0.
-      else
-        let v = lookup_raw t ~p ~l in
-        if Float.is_nan v then expand t hits ~p ~l ~residual:canon
-        else begin
-          incr hits;
-          v
-        end
+        let j = if w == t.memo then -1 else find w ~p ~l in
+        if j >= 0 then (incr hits; Bigarray.Array1.unsafe_get w.vals j)
+        else expand t w hits ~p ~l ~residual:canon
 
-  and expand t hits ~p ~l ~residual =
+  and expand t w hits ~p ~l ~residual =
     let n = 1 + Atomic.fetch_and_add t.states 1 in
     ignore (Atomic.fetch_and_add states_ctr 1);
     if n > t.max_states then
@@ -488,7 +480,8 @@ module Solver = struct
     let leftover = residual -. Schedule.total s in
     let completed =
       Schedule.work_if_uninterrupted t.params s
-      +. (if leftover > t.eps then value_rec t hits ~p ~residual:leftover else 0.)
+      +. (if leftover > t.eps then value_rec t w hits ~p ~residual:leftover
+          else 0.)
     in
     let v =
       if p <= 0 then completed
@@ -500,14 +493,14 @@ module Solver = struct
         let m = Schedule.length s in
         for k = 1 to m do
           let rem = residual -. Schedule.end_time s k in
-          let cand = !banked +. value_rec t hits ~p:(p - 1) ~residual:rem in
+          let cand = !banked +. value_rec t w hits ~p:(p - 1) ~residual:rem in
           if cand < !best then best := cand;
           banked := !banked +. Model.positive_sub (Schedule.period s k) t.c
         done;
         !best
       end
     in
-    store t ~p ~l v;
+    add w ~p ~l v;
     v
 
   let flush_hits hits =
@@ -515,12 +508,13 @@ module Solver = struct
 
   (* Fan the top-level episode's continuation states out across the
      pool: the leftover branch plus one (p-1) subtree per period.  Each
-     slot runs the ordinary sequential recursion; slots share the flat
-     memo, and a cell raced by two slots is merely computed twice with
-     the identical result (aligned 64-bit stores, pure per-state
-     values).  The Hashtbl backend is not domain-safe, so only Flat
-     solvers fan out.  Under a batch fan-out on the same pool this is a
-     nested run, which idle domains help with (as in Dp.fill). *)
+     slot runs the ordinary sequential recursion against the shared
+     memo, read-only meanwhile, and writes its expansions to a private
+     overlay; the join merges the overlays into the memo.  Two slots
+     that expand one state compute the identical value (values are pure
+     per state), so the merge keeps the first.  Only gridded solvers
+     fan out.  Under a batch fan-out on the same pool this is a nested
+     run, which idle domains help with (as in Dp.fill). *)
   let par_fan_out t pool ~p ~l ~residual =
     let s = plan_at t ~p ~l ~residual in
     let m = Schedule.length s in
@@ -533,6 +527,7 @@ module Solver = struct
       for k = 1 to m do
         tasks.(k) <- Some (p - 1, residual -. Schedule.end_time s k)
       done;
+      let overlays = Array.init slots (fun _ -> alloc_memo 1024) in
       Csutil.Par.Pool.run pool (fun slot ->
           let hits = ref 0 in
           Fun.protect ~finally:(fun () -> flush_hits hits) (fun () ->
@@ -540,38 +535,47 @@ module Solver = struct
               while !i <= m do
                 (match tasks.(!i) with
                  | Some (p, residual) when p >= 0 ->
-                   ignore (value_rec t hits ~p ~residual)
+                   ignore (value_rec t overlays.(slot) hits ~p ~residual)
                  | _ -> ());
                 i := !i + slots
-              done))
+              done));
+      (* Size the memo for every overlay entry before merging: an
+         overlay iterates in the order of its keys' top hash bits, and
+         into a smaller table those keys would pile into one probe
+         run, making the merge quadratic. *)
+      reserve t.memo (Array.fold_left (fun n ov -> n + ov.count) t.memo.count overlays);
+      Array.iter
+        (fun ov ->
+           iter ov (fun ~p ~l v -> if find t.memo ~p ~l < 0 then insert t.memo ~p ~l v))
+        overlays
     end
 
   let value t ~p ~residual =
     if p < 0 then Error.invalid "Game.Solver.value: p must be >= 0";
-    let l, snapped = snap t residual in
-    grow_to t ~p ~l:(max l 0);
+    let l = key t residual in
+    let snapped = canon t l in
     (if snapped > t.c +. t.eps then
-       match (t.pool, t.backend) with
-       | Some pool, Flat _
-         when p >= 1 && Csutil.Par.Pool.size pool > 1
-              && lookup t ~p ~l = None ->
+       match t.pool with
+       | Some pool
+         when Option.is_some t.grid && p >= 1
+              && Csutil.Par.Pool.size pool > 1
+              && find t.memo ~p ~l < 0 ->
          par_fan_out t pool ~p ~l ~residual:snapped
        | _ -> ());
     (* The sequential pass computes the root exactly as the seed
        recursion would: children are memo hits after a fan-out, and the
        argmin scan order (ties to the lowest period) is unchanged. *)
     let hits = ref 0 in
-    Fun.protect ~finally:(fun () -> flush_hits hits) (fun () ->
-        value_rec t hits ~p ~residual)
+    let v =
+      Fun.protect ~finally:(fun () -> flush_hits hits) (fun () ->
+          value_rec t t.memo hits ~p ~residual)
+    in
+    if p > t.answered_p then t.answered_p <- p;
+    v
 
   let guaranteed t =
     value t ~p:t.opportunity.Model.interrupts
       ~residual:t.opportunity.Model.lifespan
-
-  let plan t ~p ~residual =
-    let l, residual = snap t residual in
-    grow_to t ~p ~l:(max l 0);
-    plan_at t ~p ~l ~residual
 
   (* The minimax adversary over this solver's memo: replays the
      value-recursion's argmin choice for the episode at hand.  After a
@@ -585,11 +589,11 @@ module Solver = struct
         let hits = ref 0 in
         Fun.protect ~finally:(fun () -> flush_hits hits) (fun () ->
             let residual = ctx.Policy.residual in
-            grow_to t ~p ~l:(max 0 (fst (snap t residual)));
             let leftover = residual -. Schedule.total s in
             let completed =
               Schedule.work_if_uninterrupted t.params s
-              +. (if leftover > t.eps then value_rec t hits ~p ~residual:leftover
+              +. (if leftover > t.eps then
+                    value_rec t t.memo hits ~p ~residual:leftover
                   else 0.)
             in
             let best = ref completed and best_k = ref 0 in
@@ -597,7 +601,9 @@ module Solver = struct
             let m = Schedule.length s in
             for k = 1 to m do
               let rem = residual -. Schedule.end_time s k in
-              let cand = !banked +. value_rec t hits ~p:(p - 1) ~residual:rem in
+              let cand =
+                !banked +. value_rec t t.memo hits ~p:(p - 1) ~residual:rem
+              in
               if cand < !best then begin
                 best := cand;
                 best_k := k

@@ -41,9 +41,8 @@ val run :
     tolerance) into one key without ever moving an exactly-representable
     residual.  Every computation at a state uses the canonical residual,
     so values are pure functions of their key, independent of query
-    order.  With [~grid] the memo is a flat p-stratified [Bigarray]
-    (NaN = unsolved) that grows in place on larger [p] or residual;
-    without it, an int-keyed [Hashtbl].
+    order.  The memo is one open-addressed [(p, key) -> value] table,
+    gridded or not, holding only the states the queries reach.
 
     Gridded solvers are bit-identical in value and argmin to the seed
     recursion ({!Ref}); the ungridded path may differ from the seed by
@@ -62,12 +61,12 @@ module Solver : sig
   (** A fresh solver (cheap: the memo fills lazily).  [max_states]
       bounds the states this solver may expand over its lifetime
       (default 4e6).  With [~pool], top-level {!value} queries on a
-      flat-memo solver fan the episode's continuation subtrees out
-      across the pool's domains.  Under the service's batch fan-out on
-      the same pool this is a nested fan-out: idle domains help with
+      gridded solver fan the episode's continuation subtrees out across
+      the pool's domains; each domain writes a private overlay that the
+      join merges.  Under the service's batch fan-out on the same pool
+      this is a nested fan-out: idle domains help with
       it, and when none is idle the calling domain runs every subtree
       itself, so sharing the pool stays safe.
-      The memo backend follows [grid]: flat with it, Hashtbl without.
       @raise Error.Error when [grid <= 0]. *)
 
   val value : t -> p:int -> residual:float -> float
@@ -83,56 +82,56 @@ module Solver : sig
       after {!guaranteed}, its value queries are memo hits, so the
       replay expands (next to) no new states. *)
 
-  val plan : t -> p:int -> residual:float -> Schedule.t
-  (** The policy's episode schedule at the canonical (snapped) state,
-      computed once per state and cached. *)
-
-  val grow : t -> p:int -> residual:float -> unit
-  (** Extend a flat memo to cover [(p, residual)] in place (allocate
-      and blit; solved cells keep their values).  Happens implicitly on
-      out-of-range queries; a no-op on Hashtbl solvers. *)
-
-  val params : t -> Model.params
-  val opportunity : t -> Model.opportunity
   val policy : t -> Policy.t
   (** The policy the solver was built over — hand this to {!run} so a
       replay reuses e.g. an expensive DP-table policy instead of
       rebuilding it. *)
 
-  val grid : t -> float option
-
   val states : t -> int
   (** States this solver has expanded (counted against [max_states]). *)
 
-  val capacity : t -> int * int
-  (** Current [(max_p, max_index)] of a flat memo;
-      [(max_int, max_int)] for Hashtbl solvers. *)
+  val answered_p : t -> int
+  (** The largest interrupt budget a {!value} call has returned for
+      ([-1] before the first; a bank-loaded memo starts at its
+      snapshot's).  A query within it expands no new budget level. *)
 
   val footprint_bytes : t -> int
   (** Approximate resident size of memo plus plan cache. *)
 
-  type mat =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-  (** The flat memo's backing store (row stride [s_cap_l + 1], NaN =
-      unsolved). *)
+  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  type snapshot = {
+  type snapshot = private {
     s_grid : float;
-    s_cap_p : int;
-    s_cap_l : int;
+    s_answered_p : int;  (** {!answered_p} when the snapshot was taken *)
     s_states : int;
-        (** filled memo cells — the distinct states expanded, so equal
-            memos carry equal counts however a parallel fill raced;
+        (** memo entries — the distinct states expanded, so equal memos
+            carry equal counts however a parallel fill raced;
             {!of_snapshot} charges them against [max_states] *)
-    s_mat : mat;  (** (cap_p + 1) * (cap_l + 1) cells, NaN included *)
+    s_keys : ints;  (** per slot: [p] ([-1] = empty), then the residual key *)
+    s_vals : floats;  (** per slot its value; slots are a power of two *)
   }
-  (** The disk-tier exchange format for gridded (flat-memo) solvers
-      ([Store.Snapshot] writes these verbatim). *)
+  (** The disk-tier exchange format for gridded solvers: the memo table
+      verbatim ([Store.Snapshot] writes these as they are). *)
+
+  val snapshot :
+    grid:float ->
+    answered_p:int ->
+    states:int ->
+    keys:ints ->
+    vals:floats ->
+    snapshot
+  (** A snapshot around a table read from outside (a mapped bank file),
+      after checking its structure: a power-of-two slot count within
+      the load bound, [states] occupied slots, non-negative keys, each
+      held once and reachable by a probe from its home slot.
+      @raise Error.Error on the first broken invariant. *)
 
   val to_snapshot : t -> snapshot option
-  (** The whole memo of a gridded solver; [None] for Hashtbl-backed
-      (ungridded) solvers, whose masked-float keys have no dense layout
-      to dump. *)
+  (** The memo of a gridded solver in canonical form: its entries
+      inserted in key order into a fresh table sized by their count, so
+      equal memos give equal snapshots however they were filled.
+      [None] for ungridded solvers, which the bank does not keep. *)
 
   val of_snapshot :
     ?max_states:int ->
@@ -142,15 +141,14 @@ module Solver : sig
     Policy.t ->
     snapshot ->
     t
-  (** A solver over the snapshot's memo, shared without copying: solved
-      cells answer as memo hits, NaN cells expand as usual (writes land
-      on the caller's pages — map bank files privately so expansion
-      dirties copy-on-write pages, never the file).  The caller pins the
+  (** A solver over the snapshot's table, shared without copying:
+      stored states answer as memo hits, others expand as usual
+      (inserts land on the caller's pages — map bank files privately so
+      expansion dirties copy-on-write pages, never the file — until the
+      first rehash moves the table to fresh memory).  The caller pins the
       identity: [params], [policy] and the grid must be the ones the
       memo was filled under, or the values answer a different game — the
-      store layer checks them against the file header.
-      @raise Error.Error on a non-positive grid, negative capacities or
-      states, or array dimensions that do not match the capacities. *)
+      store layer checks them against the file header. *)
 end
 
 type counters = {

@@ -78,7 +78,7 @@ type tables = {
    solver's memo instead of re-expanding the minimax tree.  Policies
    whose Policy.t ignores the opportunity (Planner.state_only) are keyed
    with p = -1: one solver serves every interrupt budget at that
-   lifespan, growing its flat memo in place on a larger p.
+   lifespan, its memo taking the larger budget's states as they come.
 
    Identity must pin everything the solver bakes in: c and the policy
    (they change the game), u (it fixes both the evaluation grid and the
@@ -89,8 +89,8 @@ type tables = {
    One lock guards the whole map (solver traffic is per-request, far
    lighter than per-query Dp lookups); each entry carries its own mutex
    so evaluations on distinct solvers run concurrently while two
-   requests hitting the same resident solver — whose Hashtbl backend is
-   not domain-safe — serialize. *)
+   requests hitting the same resident solver — whose memo takes one
+   writer — serialize. *)
 
 type solver_key = { sc : float; su : float; sp : int; spolicy : string }
 
@@ -98,15 +98,11 @@ type solver_entry = {
   solver : Game.Solver.t;
   slock : Mutex.t;
   mutable sused : int;
-  mutable covered_p : int;
-      (* the largest interrupt budget answered through this entry (a
-         bank-loaded memo starts at its snapshot's budget): a request
-         within it expands no new budget level — the residency probe *)
   mutable saved_states : int;
       (* expanded-state count last persisted to (or loaded from) the
          bank; the write-behind threshold compares against it so a
-         handful of fringe expansions does not rewrite a
-         capacity-sized memo file per request *)
+         handful of fringe expansions does not rewrite the memo file
+         per request *)
 }
 
 type solvers = {
@@ -294,8 +290,8 @@ let mem t key =
 
 (* A gridded memo loaded from the bank, rebuilt into a solver around
    the mapped (copy-on-write) pages; [None] on miss, on any load
-   failure, or for ungridded evaluations (Hashtbl memos are not
-   bankable). *)
+   failure, or for ungridded evaluations (the bank keys memos by their
+   grid). *)
 let solver_from_bank t key params opp (planner : Engine.Planner.t) =
   match (t.bank, Engine.Planner.default_grid ~u:key.su) with
   | Some b, Some grid -> (
@@ -319,10 +315,9 @@ let solver_from_bank t key params opp (planner : Engine.Planner.t) =
 let serve_resident_solver s e ~p =
   e.sused <- s.sclock;
   s.shits <- s.shits + 1;
-  (* A state-only hit at a larger budget will grow the resident flat
-     memo in place when evaluated. *)
-  let cap_p, _ = Game.Solver.capacity e.solver in
-  if p > cap_p then s.sgrowths <- s.sgrowths + 1
+  (* A state-only hit past the largest budget the memo has answered
+     expands a new budget level when evaluated. *)
+  if p > Game.Solver.answered_p e.solver then s.sgrowths <- s.sgrowths + 1
 
 (* The resident-solver identity of an evaluation; state-only policies
    collapse the budget to -1. *)
@@ -339,10 +334,11 @@ let solver_key params opp (planner : Engine.Planner.t) =
 (* The resident (or bank-loaded, or fresh) entry for the key, plus the
    key itself (the write-behind needs the identity the entry is filed
    under).  A miss follows [obtain]: look up under the global solvers
-   lock, pay the bank load (CRC scan + solver rebuild) or the fresh
-   ~20 ms solver build OUTSIDE it, so lookups for other solvers never
-   stall behind it, then publish under the lock — the first published
-   entry wins a race, and the loser's solver is dropped. *)
+   lock, pay the bank load (a CRC and structure check of the sparse
+   table, proportional to the states it holds) or the fresh solver
+   build OUTSIDE it, so lookups for other solvers never stall behind
+   it, then publish under the lock — the first published entry wins a
+   race, and the loser's solver is dropped. *)
 let obtain_solver t params opp (planner : Engine.Planner.t) =
   let u = opp.Model.lifespan in
   let p = opp.Model.interrupts in
@@ -401,10 +397,6 @@ let obtain_solver t params opp (planner : Engine.Planner.t) =
               solver;
               slock = Mutex.create ();
               sused = s.sclock;
-              covered_p =
-                (if Option.is_some banked then
-                   fst (Game.Solver.capacity solver)
-                 else -1);
               (* A bank-loaded memo is already on disk at exactly its
                  rebuilt state count. *)
               saved_states =
@@ -418,16 +410,16 @@ let obtain_solver t params opp (planner : Engine.Planner.t) =
 (* The evaluate-side twin of [mem]: a resident solver for this
    evaluation that has already answered at this budget or a larger
    one, so answering expands no new budget level.  Same rules as
-   [mem] — no LRU stamp, no counters.  [covered_p] is read outside the
-   entry lock: an evaluation racing the probe only makes it stale,
-   and the probe is advisory anyway. *)
+   [mem] — no LRU stamp, no counters.  The solver's answered budget is
+   read outside the entry lock: an evaluation racing the probe only
+   makes it stale, and the probe is advisory anyway. *)
 let solver_mem t params opp planner =
   let key = solver_key params opp planner in
   let s = t.solvers in
   Mutex.lock s.sollock;
   let covered =
     match Hashtbl.find_opt s.entries key with
-    | Some e -> e.covered_p >= opp.Model.interrupts
+    | Some e -> Game.Solver.answered_p e.solver >= opp.Model.interrupts
     | None -> false
   in
   Mutex.unlock s.sollock;
@@ -435,11 +427,12 @@ let solver_mem t params opp planner =
 
 (* Persist when the memo was never banked by this entry (the seed save
    precompute and warm restarts rely on), or when it grew by at least
-   an eighth since the last save: a save rewrites the whole
-   capacity-sized file, so a warm solver expanding a handful of fringe
-   states per request must not pay (and hold the entry lock for) a
-   full rewrite each time.  The states lost to the threshold are just
-   memo cells — re-expanded on demand after a restart. *)
+   an eighth since the last save: a save sorts every entry into a
+   canonical table and rewrites the whole file, so a warm solver
+   expanding a handful of fringe states per request must not pay (and
+   hold the entry lock for) a full rewrite each time.  The states lost
+   to the threshold are just memo entries — re-expanded on demand
+   after a restart. *)
 let game_save_due ~saved ~states =
   saved = 0 || states - saved >= max 1 (saved / 8)
 
@@ -450,7 +443,6 @@ let with_solver t params opp planner f =
     ~finally:(fun () -> Mutex.unlock e.slock)
     (fun () ->
       let result = f e.solver in
-      e.covered_p <- max e.covered_p opp.Model.interrupts;
       (* Write-behind, under the entry lock (so the memo is quiescent)
          but only when enough growth accrued; the bank additionally
          dedups by expanded-state count. *)
@@ -487,7 +479,7 @@ let warm_from_bank ?owns t =
     List.fold_left
       (fun warmed (_, descr) ->
         match descr with
-        | Store.Snapshot.Game_memo _ -> warmed
+        | Store.Snapshot.Game_memo -> warmed
         | Store.Snapshot.Dp_table { c; _ } -> (
           if not (owns c) then warmed
           else

@@ -32,8 +32,8 @@
     The cache also keeps {!Cyclesteal.Game.Solver}s resident for the
     evaluate op ({!with_solver}): one per (c, u, p, policy) — with [p]
     collapsed for {!Engine.Planner.t}[.state_only] policies, whose one
-    solver serves every interrupt budget at that lifespan by growing its
-    memo in place.  Solver values are pure functions of canonical
+    solver serves every interrupt budget at that lifespan.  Solver
+    values are pure functions of canonical
     states, so a warm solver answers bit-identically to a fresh one. *)
 
 type t
@@ -73,7 +73,8 @@ val create :
     [bank] plugs in the persistent memo tier: a cold miss (Dp table or
     gridded game solver alike) falls through to the bank's mapped
     snapshots before paying a solve — a covering snapshot counts as a
-    cache hit, since no cell is computed, and the load's CRC scan runs
+    cache hit, since no cell is computed, and the load's checks (the
+    payload CRC; for game memos, the sparse table's structure) run
     outside the table and solver locks so concurrent lookups for other
     keys never stall behind it — and tables solved or grown here are
     written behind, outside the locks but on the calling domain before
@@ -142,12 +143,11 @@ val with_solver :
     first use, with the shared evaluation grid
     {!Engine.Planner.default_grid} and the cache's pool).  Evaluations
     on distinct solvers run concurrently; two requests hitting the same
-    solver serialize on its mutex, since the ungridded memo backend is
-    not domain-safe.  With a bank, the memo is written behind on its
-    first evaluation and thereafter only once its expanded-state count
-    grew by at least an eighth since the last save — a save rewrites
-    the whole capacity-sized file, so fringe expansions must not pay
-    one per request. *)
+    solver serialize on its mutex, since the memo takes one writer.
+    With a bank, the memo is written behind on its first evaluation and
+    thereafter only once its expanded-state count grew by at least an
+    eighth since the last save — a save sorts and rewrites every entry,
+    so fringe expansions must not pay one per request. *)
 
 type stats = {
   hits : int;  (** lookups fully served from a resident table *)
@@ -175,7 +175,7 @@ type stats = {
   solver_misses : int;  (** evaluations that created a solver *)
   solver_evictions : int;
   solver_growths : int;
-      (** state-only hits whose larger budget grew the resident memo *)
+      (** state-only hits past the largest budget the memo answered *)
   solvers_resident : int;
   solver_bytes : int;  (** approximate heap bytes of resident solvers *)
   game : Cyclesteal.Game.counters;

@@ -184,6 +184,7 @@ type t = {
   answers : Answers.t;  (* shared by every connection *)
   stats : Stats.t;  (* the connection-facing family: bytes, I/O errors *)
   stop : bool Atomic.t;
+  wake : Unix.file_descr option Atomic.t;  (* the acceptor's self-pipe *)
 }
 
 let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
@@ -198,12 +199,18 @@ let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
     answers = Answers.create ();
     stats = Stats.create ();
     stop = Atomic.make false;
+    wake = Atomic.make None;
   }
 
 let stats t = t.stats
 let router t = t.router
 let answers t = t.answers
-let request_stop t = Atomic.set t.stop true
+(* Raise the flag, then wake a socket acceptor blocked in [select]. *)
+let request_stop t =
+  Atomic.set t.stop true;
+  Option.iter
+    (fun fd -> try ignore (Unix.write_substring fd "x" 0 1) with Unix.Unix_error _ -> ())
+    (Atomic.get t.wake)
 let stopped t = Atomic.get t.stop
 
 (* The [stats] payload merges both layers: the server's connection-side
@@ -476,30 +483,39 @@ end
 let serve_socket t ~path =
   Lazy.force ignore_sigpipe;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Atomic.set t.wake (Some wake_w);
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Atomic.set t.wake None;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ sock; wake_r; wake_w ];
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
        (* Replace a stale socket file from a previous run. *)
        (try Unix.unlink path with Unix.Unix_error _ -> ());
        Unix.bind sock (Unix.ADDR_UNIX path);
        Unix.listen sock (Stdlib.max 8 (2 * t.max_conns));
-       (* The next connection, [None] once stopped.  Transient accept
+       (* The next connection, [None] once stopped.  The wait is a
+          [select] beside the self-pipe {!request_stop} writes to: the
+          signal handler may run on another domain, and must still wake
+          the acceptor before the next client.  Transient accept
           failures (the client gave up before the handshake, fd
           exhaustion) are counted and retried — the listener must
           outlive any single client. *)
        let rec accept_next () =
          if stopped t then None
          else
-           match Unix.accept sock with
-           | conn, _ -> Some conn
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-           | exception
-               Unix.Unix_error
-                 ((Unix.ECONNABORTED | Unix.EMFILE | Unix.ENFILE), _, _) ->
-             Stats.add_io_error t.stats;
-             accept_next ()
+           match Unix.select [ sock; wake_r ] [] [] (-1.) with
+           | ready, _, _ when List.mem sock ready && not (stopped t) -> (
+             match Unix.accept sock with
+             | conn, _ -> Some conn
+             | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
+             | exception
+                 Unix.Unix_error
+                   ((Unix.ECONNABORTED | Unix.EMFILE | Unix.ENFILE), _, _) ->
+               Stats.add_io_error t.stats;
+               accept_next ())
+           | _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> accept_next ()
        in
        if t.max_conns = 1 then begin
          (* Serial serving: accept, serve to EOF, accept again. *)

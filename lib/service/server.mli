@@ -66,8 +66,8 @@ val answers : t -> Answers.t
     [answers]). *)
 
 val request_stop : t -> unit
-(** Ask the serving loops to stop after the current batch.  Safe to call
-    from a signal handler. *)
+(** Ask the serving loops to stop after the current batch, waking a
+    blocked socket acceptor.  Safe to call from a signal handler. *)
 
 val stopped : t -> bool
 

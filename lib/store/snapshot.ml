@@ -8,14 +8,14 @@
 
      offset  size  field
      0       8     magic "CSMEMOBK"
-     8       4     format version (u32; only the current version, 2,
+     8       4     format version (u32; only the current version, 3,
                    loads)
      12      4     kind: 1 = dp table, 2 = game memo (u32)
      16      8     endianness/word tag 0x0102030405060708, native order
      24      8     payload bytes (i64)
-     32      8     i0   dp: c        game: cap_p
-     40      8     i1   dp: max_p    game: cap_l
-     48      8     i2   dp: max_l    game: states
+     32      8     i0   dp: c        game: answered_p
+     40      8     i1   dp: max_p    game: slots
+     48      8     i2   dp: max_l    game: states (entries)
      56      8     i3   dp: 0        game: p_key
      64      8     f0   dp: 0        game: c   (f64 bits)
      72      8     f1   dp: 0        game: u   (f64 bits)
@@ -31,9 +31,12 @@
    Payload: dp = the breakpoint-compressed pack of Dp.to_packed
    verbatim (native ints; its own structural validation runs in
    Dp.of_packed on load) — 10-100x smaller than the dense cells for the
-   long monotone rows the recurrence produces.  Game = the memo matrix,
-   (cap_p+1)*(cap_l+1) float64 (NaN = unsolved).  All section offsets
-   are multiples of 8, so the typed mappings are element-aligned.
+   long monotone rows the recurrence produces.  Game = the solver's
+   open-addressed memo table in canonical form (Game.Solver.to_snapshot,
+   structure checked on load by Game.Solver.snapshot): 2 * slots native
+   ints, per slot p (-1 = empty) then the residual key l, then slots
+   float64 values (0 in empty slots).  All section offsets are
+   multiples of 8, so the typed mappings are element-aligned.
 
    save: write a temporary sibling, blit the arrays through a shared
    writable mapping, stamp the CRCs, close, rename over the target —
@@ -44,7 +47,7 @@
 
 open Cyclesteal
 
-let version = 2
+let version = 3
 let magic = "CSMEMOBK"
 let header_bytes = 128
 let endian_tag = 0x0102030405060708L
@@ -53,14 +56,7 @@ let kind_game = 2
 
 type descr =
   | Dp_table of { c : int; max_p : int; max_l : int }
-  | Game_memo of {
-      c : float;
-      u : float;
-      grid : float;
-      policy : string;
-      p_key : int;
-      cap_p : int;
-    }
+  | Game_memo
 
 (* Every field the header carries, decoded; [name] is the policy name
    (empty for dp tables). *)
@@ -180,19 +176,9 @@ let decode ~path ~file_bytes block =
     end
   end
 
-let descr_of_header = function
-  | { h_kind; h_i0; h_i1; h_i2; _ } when h_kind = kind_dp ->
-    Dp_table { c = h_i0; max_p = h_i1; max_l = h_i2 }
-  | h ->
-    Game_memo
-      {
-        c = h.h_f0;
-        u = h.h_f1;
-        grid = h.h_f2;
-        policy = h.h_name;
-        p_key = h.h_i3;
-        cap_p = h.h_i0;
-      }
+let descr_of_header h =
+  if h.h_kind = kind_dp then Dp_table { c = h.h_i0; max_p = h.h_i1; max_l = h.h_i2 }
+  else Game_memo
 
 (* --- file plumbing -------------------------------------------------------- *)
 
@@ -209,7 +195,7 @@ let map_ints fd ~shared ~pos ~cells : Dp.mat =
     (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int Bigarray.c_layout
        shared [| cells |])
 
-let map_floats fd ~shared ~pos ~cells : Game.Solver.mat =
+let map_floats fd ~shared ~pos ~cells : Game.Solver.floats =
   Bigarray.array1_of_genarray
     (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.float64
        Bigarray.c_layout shared [| cells |])
@@ -342,14 +328,16 @@ let load_dp ~path ~c =
 
 (* --- game memos ----------------------------------------------------------- *)
 
+let slot_bytes = (2 * word) + 8  (* two key words, one float64 value *)
+
 let save_game ~path ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
-  let cells = (s.Game.Solver.s_cap_p + 1) * (s.Game.Solver.s_cap_l + 1) in
+  let slots = Bigarray.Array1.dim s.Game.Solver.s_vals in
   let header =
     {
       h_kind = kind_game;
-      h_payload_bytes = 8 * cells;
-      h_i0 = s.Game.Solver.s_cap_p;
-      h_i1 = s.Game.Solver.s_cap_l;
+      h_payload_bytes = slots * slot_bytes;
+      h_i0 = s.Game.Solver.s_answered_p;
+      h_i1 = slots;
       h_i2 = s.Game.Solver.s_states;
       h_i3 = p_key;
       h_f0 = c;
@@ -360,8 +348,10 @@ let save_game ~path ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
     }
   in
   write ~path header (fun fd ~off ->
-      Bigarray.Array1.blit s.Game.Solver.s_mat
-        (map_floats fd ~shared:true ~pos:off ~cells))
+      Bigarray.Array1.blit s.Game.Solver.s_keys
+        (map_ints fd ~shared:true ~pos:off ~cells:(2 * slots));
+      Bigarray.Array1.blit s.Game.Solver.s_vals
+        (map_floats fd ~shared:true ~pos:(off + (2 * word * slots)) ~cells:slots))
 
 let load_game ~path ~c ~u ~grid ~policy ~p_key =
   read ~path (fun fd h ~off ->
@@ -377,20 +367,17 @@ let load_game ~path ~c ~u ~grid ~policy ~p_key =
           "holds memo (c=%g, u=%g, grid=%g, policy=%s, p_key=%d), expected \
            (c=%g, u=%g, grid=%g, policy=%s, p_key=%d)"
           h.h_f0 h.h_f1 h.h_f2 h.h_name h.h_i3 c u grid policy p_key
-      else begin
-        let cells = (h.h_i0 + 1) * (h.h_i1 + 1) in
-        if h.h_i0 < 0 || h.h_i1 < 0 || h.h_i2 < 0
-           || h.h_payload_bytes <> 8 * cells
-        then
-          corrupt path "payload is %d bytes, capacities (%d, %d) imply %d"
-            h.h_payload_bytes h.h_i0 h.h_i1 (8 * cells)
+      else
+        let slots = h.h_i1 in
+        if slots < 1 || h.h_payload_bytes <> slots * slot_bytes then
+          corrupt path "payload is %d bytes, %d slots imply %d"
+            h.h_payload_bytes slots (slots * slot_bytes)
         else
-          Ok
-            {
-              Game.Solver.s_grid = h.h_f2;
-              s_cap_p = h.h_i0;
-              s_cap_l = h.h_i1;
-              s_states = h.h_i2;
-              s_mat = map_floats fd ~shared:false ~pos:off ~cells;
-            }
-      end)
+          let keys = map_ints fd ~shared:false ~pos:off ~cells:(2 * slots)
+          and vals = map_floats fd ~shared:false ~pos:(off + (2 * word * slots)) ~cells:slots in
+          match
+            Error.guard (fun () ->
+                Game.Solver.snapshot ~grid ~answered_p:h.h_i0 ~states:h.h_i2 ~keys ~vals)
+          with
+          | Ok _ as ok -> ok
+          | Error e -> corrupt path "rejected: %s" (Error.to_string e))

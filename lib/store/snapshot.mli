@@ -2,7 +2,7 @@
     memo tier (DESIGN.md S20).
 
     One file holds one table: a {!Cyclesteal.Dp.t} (kind [dp]) or a
-    gridded {!Cyclesteal.Game.Solver} memo (kind [game]).  The layout is
+    gridded {!Cyclesteal.Game.Solver} sparse memo (kind [game]).  The layout is
     a fixed 128-byte header — magic, version, endianness tag, the
     table's identity parameters, a CRC-32 of the payload and one of the
     header itself — followed by the policy name (games only, zero-padded
@@ -13,8 +13,8 @@
     publishes it with [Unix.rename], so readers only ever see complete
     files (the atomic-rename protocol).  [load_*] maps the file privately
     ([Unix.map_file] with [shared = false]): clean pages are shared
-    between every process mapping the same file; the few cells a solver
-    expands later dirty private copy-on-write pages, never the file.
+    between every process mapping the same file; the few states a
+    solver expands later dirty private copy-on-write pages.
 
     Corrupt, truncated, version-skewed or param-mismatched files are
     reported as [Error] with a structured {!Cyclesteal.Error.t} — the
@@ -25,20 +25,13 @@ val version : int
     written at this version and only this version loads: a file at any
     other version is a structured "format version" error, so a bank
     caller re-solves and its write-behind rewrites the file.  Dp tables
-    are stored breakpoint-compressed ({!Cyclesteal.Dp.to_packed}) —
-    typically 10-100x smaller on disk than the dense cells. *)
+    are stored breakpoint-compressed ({!Cyclesteal.Dp.to_packed}), game
+    memos as their sparse table, sized by the states it holds. *)
 
 type descr =
   | Dp_table of { c : int; max_p : int; max_l : int }
-  | Game_memo of {
-      c : float;
-      u : float;
-      grid : float;
-      policy : string;
-      p_key : int;  (** the solver-cache key's p; [-1] = state-only *)
-      cap_p : int;
-    }
-      (** What a snapshot file holds, read from its header alone. *)
+  | Game_memo  (** a game memo, identified by its file name *)
+(** What a snapshot file holds, read from its header alone. *)
 
 val peek : path:string -> (descr, Cyclesteal.Error.t) result
 (** Read and validate the header (magic, version, endianness, sizes)
@@ -82,5 +75,6 @@ val load_game :
   (Cyclesteal.Game.Solver.snapshot, Cyclesteal.Error.t) result
 (** Map [path] and return the memo snapshot, after checking the header's
     identity (including the evaluation grid) bit-for-bit against the
-    expected key.  The caller rebuilds the solver with
+    expected key, and the table's structure
+    ({!Cyclesteal.Game.Solver.snapshot}).  The caller rebuilds the solver with
     {!Cyclesteal.Game.Solver.of_snapshot}. *)

@@ -377,8 +377,8 @@ let test_states_not_double_counted () =
     true
     (total <= base + 5)
 
-(* A flat-memo solver grown past its initial bounds answers exactly like
-   a solver created large, and like the seed recursion. *)
+(* A solver queried past its opportunity's budget and lifespan answers
+   exactly like a solver created large, and like the seed recursion. *)
 let test_solver_grow_matches_fresh () =
   let opp = Model.opportunity ~lifespan:60. ~interrupts:1 in
   let big = Model.opportunity ~lifespan:240. ~interrupts:3 in
@@ -391,8 +391,7 @@ let test_solver_grow_matches_fresh () =
   let v_seed = Game.Ref.guaranteed_at ~grid:0.5 params big pol ~p:3 ~residual:240. in
   Alcotest.(check bool) "grown = fresh" true (v_grown = v_fresh);
   Alcotest.(check bool) "grown = seed" true (v_grown = v_seed);
-  let cap_p, _ = Game.Solver.capacity grown in
-  Alcotest.(check bool) "capacity grew" true (cap_p >= 3)
+  Alcotest.(check int) "answered budget grew" 3 (Game.Solver.answered_p grown)
 
 let test_solver_counters () =
   Game.reset_counters ();
@@ -508,8 +507,8 @@ let prop_solver_replay_banks_guaranteed =
         let slack = gr *. float_of_int (p + 2) in
         work >= g -. slack -. 1e-6 && work <= g +. slack +. 1e-6)
 
-(* On a grid, the flat-Bigarray memo and the seed recursion are the
-   same function, bit for bit. *)
+(* On a grid, the sparse memo and the seed recursion are the same
+   function, bit for bit. *)
 let prop_solver_variants_agree_on_grid =
   QCheck.Test.make ~name:"flat = seed solver on a grid" ~count:60
     arb_cfg (fun (u, p, seed) ->
@@ -537,6 +536,50 @@ let prop_solver_matches_seed_ungridded =
       let v_seed = Game.Ref.guaranteed params opp pol in
       let v = Game.Solver.guaranteed (Game.Solver.create params opp pol) in
       Csutil.Float_ext.approx_eq ~rtol:1e-9 ~atol:(1e-6 *. u) v_seed v)
+
+(* The sparse memo against the seed recursion, on gridded and
+   ungridded identities, answered sequentially and through a 2-slot
+   fan-out (private overlays merged at the join): gridded values equal
+   [Ref]'s bit for bit, ungridded ones to within the progress
+   tolerance.  Each solver answers the root and then interior states
+   over its partly filled memo; lifespans up to 2,000 push gridded
+   memos through several rehashes. *)
+let fan_pool = lazy (Csutil.Par.Pool.create ~domains:2)
+
+let prop_memo_matches_ref =
+  QCheck.Test.make ~name:"sparse memo = Ref, sequential and fanned out"
+    ~count:40
+    QCheck.(
+      make
+        ~print:(fun (u, p, seed) -> Printf.sprintf "u=%g p=%d seed=%d" u p seed)
+        Gen.(
+          triple
+            (map (fun x -> 10. +. (x *. 1990.)) (float_bound_exclusive 1.))
+            (0 -- 3) (0 -- 1000)))
+    (fun (u, p, seed) ->
+      let opp = Model.opportunity ~lifespan:u ~interrupts:p in
+      let pol =
+        if seed mod 2 = 0 then Policy.adaptive_guideline
+        else Policy.adaptive_calibrated
+      in
+      let grid =
+        match seed mod 3 with 0 -> None | 1 -> Some 0.5 | _ -> Some 0.25
+      in
+      let queries = [ (p, u); (p, 0.7 *. u); (max 0 (p - 1), 0.9 *. u) ] in
+      let agree solver =
+        List.for_all
+          (fun (p, residual) ->
+            let v = Game.Solver.value solver ~p ~residual in
+            let v_ref = Game.Ref.guaranteed_at ?grid params opp pol ~p ~residual in
+            match grid with
+            | Some _ -> v = v_ref
+            | None ->
+              Csutil.Float_ext.approx_eq ~rtol:1e-9 ~atol:(1e-6 *. u) v_ref v)
+          queries
+      in
+      agree (Game.Solver.create ?grid params opp pol)
+      && agree
+           (Game.Solver.create ?grid ~pool:(Lazy.force fan_pool) params opp pol))
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -601,5 +644,6 @@ let () =
             prop_solver_replay_banks_guaranteed;
             prop_solver_variants_agree_on_grid;
             prop_solver_matches_seed_ungridded;
+            prop_memo_matches_ref;
           ] );
     ]

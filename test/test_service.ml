@@ -1150,6 +1150,72 @@ let test_server_socket () =
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
   Unix.rmdir dir
 
+(* The daemon binary exits within 3 s of a SIGINT, and of the SIGTERM
+   perfbench sends, that lands right after its only client closed —
+   when the acceptor is blocked waiting for the next client.  One
+   daemon at a time. *)
+let test_daemon_signal_exit () =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "cschedd.exe" ]
+  in
+  List.iter
+    (fun (name, signal) ->
+      let dir = Filename.temp_file "cschedd_sig" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o700;
+      let path = Filename.concat dir "s.sock" in
+      let pid =
+        Unix.create_process exe
+          [| exe; "--quiet"; "--socket"; path |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      let rec appear tries =
+        if tries = 0 then begin
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.failf "%s: socket never appeared" name
+        end
+        else if not (Sys.file_exists path) then begin
+          Unix.sleepf 0.01;
+          appear (tries - 1)
+        end
+      in
+      appear 500;
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect sock (Unix.ADDR_UNIX path);
+      let line = {|{"id":1,"op":"advise","c":1,"u":100,"p":1}|} ^ "\n" in
+      ignore (Unix.write_substring sock line 0 (String.length line));
+      let buf = Bytes.create 4096 in
+      let rec reply acc =
+        let n = Unix.read sock buf 0 4096 in
+        let acc = acc ^ Bytes.sub_string buf 0 n in
+        if n = 0 || String.contains acc '\n' then acc else reply acc
+      in
+      Alcotest.(check bool) (name ^ ": advise answered") true
+        (contains ~sub:{|"ok":true|} (reply ""));
+      Unix.close sock;
+      Unix.kill pid signal;
+      let deadline = Unix.gettimeofday () +. 3. in
+      let rec reap () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < deadline ->
+          Unix.sleepf 0.01;
+          reap ()
+        | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.failf "%s: still running 3 s after the signal" name
+        | _, status -> status
+      in
+      Alcotest.(check bool) (name ^ ": clean exit") true
+        (reap () = Unix.WEXITED 0);
+      Alcotest.(check bool) (name ^ ": socket file removed") false
+        (Sys.file_exists path);
+      Unix.rmdir dir)
+    [ ("SIGINT", Sys.sigint); ("SIGTERM", Sys.sigterm) ]
+
 (* A request line longer than the 64 KiB read buffer must yield exactly
    one error response — never a response per 64 KiB fragment, and never
    the oversized request's id — and the next line must parse cleanly. *)
@@ -2655,6 +2721,8 @@ let () =
           Alcotest.test_case "unterminated final line" `Quick
             test_server_unterminated_final_line;
           Alcotest.test_case "unix socket" `Quick test_server_socket;
+          Alcotest.test_case "daemon exits on SIGINT and SIGTERM" `Quick
+            test_daemon_signal_exit;
           Alcotest.test_case "overlong line" `Quick test_server_overlong_line;
           Alcotest.test_case "untimed replies" `Quick test_server_untimed;
           Alcotest.test_case "concurrent clients" `Slow

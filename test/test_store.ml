@@ -33,19 +33,23 @@ let mat_equal (a : Dp.mat) (b : Dp.mat) =
   let rec go i = i >= dim a || (unsafe_get a i = unsafe_get b i && go (i + 1)) in
   go 0
 
-(* NaN-aware bit equality: unsolved cells are NaN on both sides. *)
-let fmat_equal (a : Game.Solver.mat) (b : Game.Solver.mat) =
+(* Bit equality of two memo tables, keys and values alike. *)
+let memo_equal (a : Game.Solver.snapshot) (b : Game.Solver.snapshot) =
   let open Bigarray.Array1 in
-  dim a = dim b
+  let va = a.Game.Solver.s_vals and vb = b.Game.Solver.s_vals in
+  mat_equal a.Game.Solver.s_keys b.Game.Solver.s_keys
+  && dim va = dim vb
   &&
   let rec go i =
-    i >= dim a
+    i >= dim va
     || (Int64.equal
-          (Int64.bits_of_float (unsafe_get a i))
-          (Int64.bits_of_float (unsafe_get b i))
+          (Int64.bits_of_float (unsafe_get va i))
+          (Int64.bits_of_float (unsafe_get vb i))
         && go (i + 1))
   in
   go 0
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* [to_packed] is exact for any cell contents, so equal packs and
    bounds mean equal tables, values and argmax alike. *)
@@ -79,6 +83,10 @@ let prop_dp_round_trip =
                QCheck.Test.fail_report "grown mapped table differs";
              true))
 
+(* Save, load, save again: the second file is byte-identical to the
+   first, the loaded solver answers the saved value bit for bit without
+   expanding a state, and a snapshot taken from it writes the same
+   bytes once more. *)
 let prop_game_round_trip =
   QCheck.Test.make ~name:"game memo snapshot round-trips bit-identically"
     ~count:8
@@ -86,27 +94,37 @@ let prop_game_round_trip =
     (fun (c, u, p) ->
        with_dir (fun dir ->
            let path = Filename.concat dir "g.snap" in
+           let again = Filename.concat dir "g2.snap" in
            let params = Model.params ~c in
            let opp = Model.opportunity ~lifespan:u ~interrupts:p in
            let grid = u /. 2e5 in
            let policy = Policy.adaptive_guideline in
            let solver = Game.Solver.create ~grid params opp policy in
            let v = Game.Solver.value solver ~p ~residual:u in
+           let load path =
+             Store.Snapshot.load_game ~path ~c ~u ~grid ~policy:"adaptive"
+               ~p_key:p
+           in
+           let save path snap =
+             Store.Snapshot.save_game ~path ~c ~u ~policy:"adaptive" ~p_key:p
+               snap
+           in
            match Game.Solver.to_snapshot solver with
            | None -> QCheck.Test.fail_report "gridded solver had no snapshot"
            | Some snap ->
-             Store.Snapshot.save_game ~path ~c ~u ~policy:"adaptive" ~p_key:p
-               snap;
-             (match
-                Store.Snapshot.load_game ~path ~c ~u ~grid ~policy:"adaptive"
-                  ~p_key:p
-              with
+             save path snap;
+             (match load path with
               | Error e -> QCheck.Test.fail_report (Error.to_string e)
               | Ok snap' ->
-                if not (fmat_equal snap.Game.Solver.s_mat snap'.Game.Solver.s_mat)
-                then QCheck.Test.fail_report "loaded memo differs";
+                if not (memo_equal snap snap') then
+                  QCheck.Test.fail_report "loaded memo differs";
                 if snap'.Game.Solver.s_states <> snap.Game.Solver.s_states then
                   QCheck.Test.fail_report "state count differs";
+                if snap'.Game.Solver.s_answered_p <> p then
+                  QCheck.Test.fail_report "answered budget lost";
+                save again snap';
+                if read_file path <> read_file again then
+                  QCheck.Test.fail_report "second save differs";
                 let solver' =
                   Game.Solver.of_snapshot params opp policy snap'
                 in
@@ -116,6 +134,9 @@ let prop_game_round_trip =
                 then QCheck.Test.fail_report "loaded value differs";
                 if (Game.counters ()).Game.states <> 0 then
                   QCheck.Test.fail_report "loaded solver expanded states";
+                save again (Option.get (Game.Solver.to_snapshot solver'));
+                if read_file path <> read_file again then
+                  QCheck.Test.fail_report "resave of the loaded solver differs";
                 true)))
 
 (* --- corruption ----------------------------------------------------------- *)
@@ -276,6 +297,139 @@ let test_game_identity_mismatch () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "exact identity refused: %s" (Error.to_string e))
 
+(* --- game memo structure ----------------------------------------------------- *)
+
+(* A banked game memo (c = 1, u = 10,000, p = 2, adaptive) and the
+   bank it sits in; [load] goes through the bank, so every rejection
+   below is a counted load failure. *)
+let with_game_bank f =
+  with_dir (fun dir ->
+      let c = 1. and u = 10_000. and p = 2 in
+      let grid = u /. 2e5 in
+      let params = Model.params ~c in
+      let opp = Model.opportunity ~lifespan:u ~interrupts:p in
+      let solver = Game.Solver.create ~grid params opp Policy.adaptive_guideline in
+      ignore (Game.Solver.value solver ~p ~residual:u);
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      Store.Bank.save_game bank ~c ~u ~policy:"adaptive" ~p_key:p
+        (Option.get (Game.Solver.to_snapshot solver));
+      let path =
+        match Sys.readdir dir with
+        | [| name |] -> Filename.concat dir name
+        | _ -> Alcotest.fail "expected one memo file"
+      in
+      let load () =
+        Store.Bank.load_game bank ~c ~u ~grid ~policy:"adaptive" ~p_key:p
+      in
+      f bank path load)
+
+(* Rewrite a game file through [edit] (given the whole file, the
+   payload offset and the slot count), then restamp the payload and
+   header checksums: the table's structure is the only thing wrong
+   with the result. *)
+let edit_game path edit =
+  let b = Bytes.of_string (read_file path) in
+  let name_len = Int32.to_int (Bytes.get_int32_le b 88) in
+  let off = 128 + ((name_len + 7) land lnot 7) in
+  let slots = Int64.to_int (Bytes.get_int64_le b 40) in
+  let b = edit b ~off ~slots in
+  let payload = Int64.to_int (Bytes.get_int64_le b 24) in
+  Bytes.set_int32_le b 92
+    (Int32.of_int (Store.Crc32.of_bytes b ~pos:off ~len:payload));
+  Bytes.set_int32_le b 96 0l;
+  Bytes.set_int32_le b 96 (Int32.of_int (Store.Crc32.of_bytes b ~pos:0 ~len:off));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+let key_word b ~off i = Int64.to_int (Bytes.get_int64_le b (off + (8 * i)))
+let set_key_word b ~off i v = Bytes.set_int64_le b (off + (8 * i)) (Int64.of_int v)
+let occupied b ~off i = key_word b ~off (2 * i) <> -1
+
+(* The bank rejects the file, counts it and names [sub]. *)
+let expect_memo_rejected bank load ~what ~sub =
+  let before = (Store.Bank.counters bank).Store.Bank.load_failures in
+  (match load () with
+   | Some _ -> Alcotest.failf "%s: load succeeded" what
+   | None -> ());
+  Alcotest.(check int) (what ^ ": counted") (before + 1)
+    (Store.Bank.counters bank).Store.Bank.load_failures;
+  let err = Option.value ~default:"" (Store.Bank.last_error bank) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s mentions %S: %s" what sub err)
+    true (contains ~sub err)
+
+(* Two neighbouring occupied slots: copying the first key over the
+   second leaves that key held twice, where a probe stops at the first
+   copy. *)
+let test_game_duplicate_key () =
+  with_game_bank (fun bank path load ->
+      let original = read_file path in
+      edit_game path (fun b ~off ~slots ->
+          let i =
+            let rec go i =
+              if i >= slots then Alcotest.fail "no two neighbouring entries"
+              else if occupied b ~off i && occupied b ~off ((i + 1) mod slots)
+              then i
+              else go (i + 1)
+            in
+            go 0
+          in
+          let j = (i + 1) mod slots in
+          set_key_word b ~off (2 * j) (key_word b ~off (2 * i));
+          set_key_word b ~off ((2 * j) + 1) (key_word b ~off ((2 * i) + 1));
+          b);
+      expect_memo_rejected bank load ~what:"duplicate key" ~sub:"held twice";
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc original);
+      Alcotest.(check bool) "the pristine file loads" true (Option.is_some (load ())))
+
+let test_game_wrong_count () =
+  with_game_bank (fun bank path load ->
+      edit_game path (fun b ~off:_ ~slots:_ ->
+          let states = Int64.to_int (Bytes.get_int64_le b 48) in
+          Bytes.set_int64_le b 48 (Int64.of_int (states - 1));
+          b);
+      expect_memo_rejected bank load ~what:"wrong count" ~sub:"entries")
+
+(* Emptying a slot a later key's probe passes strands that key.  Which
+   slots those are depends on the hash, so slots are tried in turn
+   until one strands a key: each edit must load or fail structured. *)
+let test_game_unreachable_key () =
+  with_game_bank (fun bank path load ->
+      let original = read_file path in
+      let stranded = ref 0 in
+      let slots = Int64.to_int (Bytes.get_int64_le (Bytes.of_string original) 40) in
+      for i = 0 to slots - 1 do
+        if !stranded = 0 then begin
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc original);
+        let emptied = ref false in
+        edit_game path (fun b ~off ~slots:_ ->
+            if occupied b ~off i then begin
+              emptied := true;
+              set_key_word b ~off (2 * i) (-1);
+              set_key_word b ~off ((2 * i) + 1) (-1);
+              let states = Int64.to_int (Bytes.get_int64_le b 48) in
+              Bytes.set_int64_le b 48 (Int64.of_int (states - 1))
+            end;
+            b);
+        if !emptied && Option.is_none (load ()) then begin
+          let err = Option.value ~default:"" (Store.Bank.last_error bank) in
+          Alcotest.(check bool) ("names the stranded key: " ^ err) true
+            (contains ~sub:"unreachable" err);
+          incr stranded
+        end
+        end
+      done;
+      Alcotest.(check bool) "some key stranded" true (!stranded > 0))
+
+(* A payload cut short by one value, with the header's byte count and
+   both checksums made to agree: only the section accounting is off. *)
+let test_game_truncated_section () =
+  with_game_bank (fun bank path load ->
+      edit_game path (fun b ~off:_ ~slots:_ ->
+          let payload = Int64.to_int (Bytes.get_int64_le b 24) in
+          Bytes.set_int64_le b 24 (Int64.of_int (payload - 8));
+          Bytes.sub b 0 (Bytes.length b - 8));
+      expect_memo_rejected bank load ~what:"truncated section" ~sub:"slots imply")
+
 (* --- format versions ------------------------------------------------------- *)
 
 (* A v2 file whose breakpoint table is cut short must be rejected as
@@ -427,6 +581,44 @@ let test_bank_warm_start () =
       Alcotest.(check int) "served as a hit" 1 s.Service.Cache.hits;
       Alcotest.(check int) "no miss" 0 s.Service.Cache.misses)
 
+(* Prop 4.1 on the tables a bank-backed cache serves: W nondecreasing
+   in L and nonincreasing in p, and W^(p)[L] = 0 for L <= (p+1)c, on
+   every row — of a table mapped from the bank, and of the same table
+   after the cache grew it past its banked bounds. *)
+let prop41_rows t =
+  let c = Dp.c t in
+  for p = 0 to Dp.max_p t do
+    for l = 0 to Dp.max_l t do
+      let w = Dp.value t ~p ~l in
+      let where = Printf.sprintf "W^(%d)[%d] = %d" p l w in
+      if l > 0 && w < Dp.value t ~p ~l:(l - 1) then
+        Alcotest.failf "%s falls in L" where;
+      if p > 0 && w > Dp.value t ~p:(p - 1) ~l then
+        Alcotest.failf "%s rises in p" where;
+      if l <= (p + 1) * c && w <> 0 then Alcotest.failf "%s, not 0" where
+    done
+  done
+
+let test_bank_served_prop41 () =
+  with_dir (fun dir ->
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      let cache = Service.Cache.create ~bank ~capacity:4 () in
+      ignore (Service.Cache.find_or_solve cache ~c:6 ~p:2 ~l:400);
+      let bank2 = Result.get_ok (Store.Bank.open_dir ~create:false dir) in
+      let cache2 = Service.Cache.create ~bank:bank2 ~capacity:4 () in
+      Alcotest.(check int) "one table warmed" 1
+        (Service.Cache.warm_from_bank cache2);
+      let loaded = Service.Cache.find_or_solve cache2 ~c:6 ~p:2 ~l:400 in
+      Alcotest.(check int) "served from the bank" 1
+        (Service.Cache.stats cache2).Service.Cache.hits;
+      prop41_rows loaded;
+      let grown = Service.Cache.find_or_solve cache2 ~c:6 ~p:5 ~l:1500 in
+      Alcotest.(check int) "grown in place" 1
+        (Service.Cache.stats cache2).Service.Cache.growths;
+      Alcotest.(check bool) "covers the grown bounds" true
+        (Dp.max_p grown >= 5 && Dp.max_l grown >= 1500);
+      prop41_rows grown)
+
 (* A bank heals an old-version file with no migration step: the load
    fails structured and counted, the cache answers exactly as a
    bankless one, and the write-behind rewrites the file at the current
@@ -464,7 +656,7 @@ let test_bank_heals_old_version () =
       (* [peek] accepts only the current version. *)
       match Store.Snapshot.peek ~path with
       | Error e -> Alcotest.failf "rewritten file: %s" (Error.to_string e)
-      | Ok (Store.Snapshot.Game_memo _) -> Alcotest.fail "rewritten as a memo"
+      | Ok Store.Snapshot.Game_memo -> Alcotest.fail "rewritten as a memo"
       | Ok (Store.Snapshot.Dp_table { max_p; max_l; _ }) -> (
         match Store.Snapshot.load_dp ~path ~c with
         | Error e -> Alcotest.fail (Error.to_string e)
@@ -620,6 +812,14 @@ let () =
             test_game_identity_mismatch;
           Alcotest.test_case "truncated breakpoint table" `Quick
             test_v2_truncated_pack;
+          Alcotest.test_case "game memo: duplicate key" `Quick
+            test_game_duplicate_key;
+          Alcotest.test_case "game memo: wrong count" `Quick
+            test_game_wrong_count;
+          Alcotest.test_case "game memo: unreachable key" `Quick
+            test_game_unreachable_key;
+          Alcotest.test_case "game memo: truncated section" `Quick
+            test_game_truncated_section;
         ] );
       ( "bank",
         [
@@ -637,6 +837,8 @@ let () =
             test_bank_migrate;
           Alcotest.test_case "old-version file heals" `Quick
             test_bank_heals_old_version;
+          Alcotest.test_case "Prop 4.1 on loaded and grown tables" `Quick
+            test_bank_served_prop41;
         ] );
       ( "stats reset",
         [

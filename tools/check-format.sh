@@ -132,10 +132,12 @@ done
 # Unsafe-access gate: bounds-unchecked Bigarray reads and writes are
 # earned by kernels whose index arithmetic has been audited — the DP
 # fill and its packed-row binary search (lib/core/dp.ml) and the
-# snapshot / CRC layer (lib/store/).  The banked-matrix probe in
-# lib/core/game.ml predates the gate and keeps its audited pair, plus
-# the filled-cell count of a snapshot, which reads indices below the
-# matrix's own dimension.  A new unsafe_get / unsafe_set site needs a
+# snapshot / CRC layer (lib/store/).  The game memo's audited table
+# probe in lib/core/game.ml is the other: every slot index it forms is
+# masked below the power-of-two slot count, key words sit at 2i and
+# 2i+1 of a 2 * slots array, and a bank-loaded table passes the
+# load-time structure check before any probe runs over it.  A new
+# unsafe_get / unsafe_set site needs a
 # bounds argument in review and a line here; everywhere else, indexed
 # access stays checked.
 unsafe_allowlist="lib/core/game.ml"
