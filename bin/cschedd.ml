@@ -24,13 +24,12 @@
 open Cmdliner
 
 let serve socket_path batch_size domains max_conns cache_tables shards
-    queue_bound bank_dir quiet =
+    bank_dir quiet =
   if batch_size < 1 then `Error (false, "batch must be >= 1")
   else if domains < 1 then `Error (false, "domains must be >= 1")
   else if max_conns < 1 then `Error (false, "max-conns must be >= 1")
   else if cache_tables < 1 then `Error (false, "cache-tables must be >= 1")
   else if shards < 1 then `Error (false, "shards must be >= 1")
-  else if queue_bound < 1 then `Error (false, "queue-bound must be >= 1")
   else begin
     (* The persistent memo tier: the directory must already exist (a
        typo'd path should not silently start a daemon with an empty
@@ -48,8 +47,7 @@ let serve socket_path batch_size domains max_conns cache_tables shards
          pool owned by the server, so serving slots never compete with
          compute slots. *)
       let router =
-        Service.Router.create ~shards ~domains ?bank ~queue_bound
-          ~capacity:cache_tables ()
+        Service.Router.create ~shards ~domains ?bank ~capacity:cache_tables ()
       in
       let warmed = Service.Router.warm_from_bank router in
       if (not quiet) && Option.is_some bank then
@@ -126,16 +124,6 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
 
-let queue_bound_arg =
-  let doc =
-    "Maximum jobs queued per shard; a submit against a full queue blocks \
-     until the shard worker drains it, so a hot shard back-pressures its \
-     connections instead of growing a backlog.  Only sub-batches with fill, \
-     grow or solver-build work queue; resident ones are answered by the \
-     connection worker."
-  in
-  Arg.(value & opt int 64 & info [ "queue-bound" ] ~docv:"N" ~doc)
-
 let bank_arg =
   let doc =
     "Map the persistent memo bank at $(docv) (written by $(b,csched \
@@ -159,7 +147,6 @@ let () =
     Term.(
       ret
         (const serve $ socket_arg $ batch_arg $ domains_arg $ max_conns_arg
-         $ cache_tables_arg $ shards_arg $ queue_bound_arg
-         $ bank_arg $ quiet_arg))
+         $ cache_tables_arg $ shards_arg $ bank_arg $ quiet_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

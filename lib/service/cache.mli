@@ -159,13 +159,10 @@ type stats = {
           re-solving it *)
   resident : int;  (** tables currently cached *)
   resident_bytes : int;  (** bytes of the cached tables' packs *)
-  resident_compressed_bytes : int;
-      (** bytes of tables held in breakpoint-compressed form: every
-          resident table is, so this equals [resident_bytes] (the key
-          stays for readers of the split) *)
   resident_dense_bytes : int;
-      (** what the resident tables would occupy densified — the saving
-          is [resident_dense_bytes - resident_compressed_bytes] *)
+      (** what the resident tables would occupy densified; every
+          resident table is a breakpoint pack, so the saving is
+          [resident_dense_bytes - resident_bytes] *)
   kernel : Cyclesteal.Dp.counters;
       (** DP kernel work counters (cells filled, candidates visited /
           pruned, parallel fills).  Process-wide — in the daemon every

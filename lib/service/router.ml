@@ -114,7 +114,12 @@ let place ~shards key =
    bank at warm-up so warming agrees with serving placement. *)
 let owns ~shards index c = place ~shards (Protocol.dp_shard_key ~c_ticks:c) = index
 
-(* --- jobs and the shard channel ------------------------------------------ *)
+(* --- jobs ------------------------------------------------------------------
+
+   A shard's jobs queue on a Csutil.Par.Chan: its worker keeps draining
+   after a close, so jobs enqueued just before a shutdown are still
+   evaluated, and a restart migrates the queue to the replacement
+   channel, losing only the in-flight job. *)
 
 type job_state =
   | Pending
@@ -129,86 +134,6 @@ type job = {
   mutable state : job_state;  (* written once, under [jlock] *)
 }
 
-(* A bounded blocking job queue between connection workers and one
-   shard worker.  [push] blocks while the queue is at [bound] (the
-   back-pressure that keeps a hot shard's backlog from growing without
-   limit) and returns [false] once the channel is closed; [pop] keeps
-   draining after [close] so jobs enqueued just before a shutdown are
-   still evaluated; [migrate] closes the old channel and carries its
-   queue to the replacement atomically, so a restart loses only the
-   in-flight job, never the queued ones. *)
-module Shard_chan = struct
-  type 'a t = {
-    lock : Mutex.t;
-    nonempty : Condition.t;
-    notfull : Condition.t;
-    items : 'a Queue.t;
-    bound : int;
-    mutable closed : bool;
-  }
-
-  let create ?(bound = max_int) () =
-    {
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      notfull = Condition.create ();
-      items = Queue.create ();
-      bound;
-      closed = false;
-    }
-
-  let push q x =
-    Mutex.lock q.lock;
-    while Queue.length q.items >= q.bound && not q.closed do
-      Condition.wait q.notfull q.lock
-    done;
-    let accepted = not q.closed in
-    if accepted then begin
-      Queue.push x q.items;
-      Condition.signal q.nonempty
-    end;
-    Mutex.unlock q.lock;
-    accepted
-
-  let close q =
-    Mutex.lock q.lock;
-    q.closed <- true;
-    Condition.broadcast q.nonempty;
-    Condition.broadcast q.notfull;
-    Mutex.unlock q.lock
-
-  let pop q =
-    Mutex.lock q.lock;
-    let rec wait () =
-      if not (Queue.is_empty q.items) then begin
-        let x = Queue.pop q.items in
-        Condition.signal q.notfull;
-        Some x
-      end
-      else if q.closed then None
-      else begin
-        Condition.wait q.nonempty q.lock;
-        wait ()
-      end
-    in
-    let x = wait () in
-    Mutex.unlock q.lock;
-    x
-
-  let migrate ~from ~into =
-    Mutex.lock from.lock;
-    from.closed <- true;
-    let moved = Queue.create () in
-    Queue.transfer from.items moved;
-    Condition.broadcast from.nonempty;
-    Condition.broadcast from.notfull;
-    Mutex.unlock from.lock;
-    Mutex.lock into.lock;
-    Queue.transfer moved into.items;
-    if not (Queue.is_empty into.items) then Condition.broadcast into.nonempty;
-    Mutex.unlock into.lock
-end
-
 type failure = Die | Wedge of float
 
 type chaos = Chaos_none | Chaos_die | Chaos_wedge of float
@@ -219,7 +144,7 @@ type shard = {
   slock : Mutex.t;  (* guards the mutable runtime fields below *)
   mutable cache : Cache.t;
   mutable pool : Csutil.Par.Pool.t;
-  mutable chan : job Shard_chan.t;
+  mutable chan : job Csutil.Par.Chan.t;
   mutable generation : int;
   mutable restarts : int;
   mutable current : (job * float) option;
@@ -235,7 +160,6 @@ type t = {
   shard_capacity : int;
   bank : Store.Bank.t option;
   hang_timeout : float;
-  queue_bound : int;
   stopped : bool Atomic.t;
   mutable watchdog : unit Domain.t option;
 }
@@ -357,7 +281,7 @@ let evaluate_job sh ~cache ~pool job =
    a dying worker restarts its own shard (which spawns a replacement)
    before retiring. *)
 let rec worker_loop t sh ~gen ~chan ~cache ~pool =
-  match Shard_chan.pop chan with
+  match Csutil.Par.Chan.pop chan with
   | None -> ()  (* closed and drained: this generation retires *)
   | Some job ->
     if execute_own t sh ~gen ~cache ~pool job then
@@ -390,8 +314,8 @@ and restart_shard t sh ~gen =
     sh.generation <- sh.generation + 1;
     sh.restarts <- sh.restarts + 1;
     sh.current <- None;
-    let fresh = Shard_chan.create ~bound:t.queue_bound () in
-    Shard_chan.migrate ~from:sh.chan ~into:fresh;
+    let fresh = Csutil.Par.Chan.create () in
+    Csutil.Par.Chan.migrate ~from:sh.chan ~into:fresh;
     sh.chan <- fresh;
     let cache, pool =
       fresh_runtime ~shards:(Array.length t.shards)
@@ -446,15 +370,12 @@ let watchdog_loop t =
 
 (* --- construction -------------------------------------------------------- *)
 
-let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.)
-    ?(queue_bound = 64) ~capacity () =
+let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.) ~capacity () =
   if shards < 1 then Cyclesteal.Error.invalid "Router.create: shards must be >= 1";
   if capacity < 1 then
     Cyclesteal.Error.invalid "Router.create: capacity must be >= 1";
   if not (hang_timeout > 0.) then
     Cyclesteal.Error.invalid "Router.create: hang_timeout must be positive";
-  if queue_bound < 1 then
-    Cyclesteal.Error.invalid "Router.create: queue_bound must be >= 1";
   let domains =
     match domains with
     | Some d when d < 1 ->
@@ -478,7 +399,7 @@ let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.)
               slock = Mutex.create ();
               cache;
               pool;
-              chan = Shard_chan.create ~bound:queue_bound ();
+              chan = Csutil.Par.Chan.create ();
               generation = 0;
               restarts = 0;
               current = None;
@@ -489,7 +410,6 @@ let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.)
       shard_capacity;
       bank;
       hang_timeout;
-      queue_bound;
       stopped = Atomic.make false;
       watchdog = None;
     }
@@ -506,7 +426,7 @@ let shutdown t =
     Array.iter
       (fun sh ->
          Mutex.lock sh.slock;
-         Shard_chan.close sh.chan;
+         Csutil.Par.Chan.close sh.chan;
          let worker = sh.worker in
          sh.worker <- None;
          Mutex.unlock sh.slock;
@@ -519,11 +439,13 @@ let shutdown t =
 
 (* --- submission ---------------------------------------------------------- *)
 
-(* Enqueue with back-pressure, without holding the shard lock across
-   the (possibly blocking) push — a restart needs that lock to swap the
-   channel out.  A push refused because the channel closed under us is
-   retried against the replacement channel; once the router itself is
-   stopping, the job fails structurally instead. *)
+(* Enqueue on the shard's current channel.  The queue needs no bound:
+   [run_parsed] submits at most one job per shard and awaits it, and
+   each connection worker runs one batch at a time, so a shard never
+   holds more jobs than there are connection workers.  A push refused
+   because a restart closed the channel under us is retried against the
+   replacement channel; once the router itself is stopping, the job
+   fails structurally instead. *)
 let submit t sh job =
   let rec attempt () =
     if Atomic.get t.stopped then
@@ -534,7 +456,7 @@ let submit t sh job =
       Mutex.lock sh.slock;
       let chan = sh.chan in
       Mutex.unlock sh.slock;
-      if not (Shard_chan.push chan job) then attempt ()
+      if not (Csutil.Par.Chan.push chan job) then attempt ()
     end
   in
   attempt ()

@@ -51,8 +51,9 @@
     it can never answer a request the replacement already failed.
     The watchdog times shard-worker jobs only; inline answers are
     resident-only work.  [stats] reports restarts per shard and in
-    total.  Job queues are bounded ([queue_bound]) so a hot shard's
-    backlog applies back-pressure instead of growing without limit. *)
+    total.  Job queues need no bound: each connection worker has at
+    most one job per shard outstanding, since {!run} awaits every job it
+    submits. *)
 
 type t
 
@@ -61,7 +62,6 @@ val create :
   ?domains:int ->
   ?bank:Store.Bank.t ->
   ?hang_timeout:float ->
-  ?queue_bound:int ->
   capacity:int ->
   unit ->
   t
@@ -75,10 +75,9 @@ val create :
     {!warm_from_bank}).  [hang_timeout]
     (default 30 s) is how long one sub-batch may run, on the monotonic
     clock, before the watchdog declares the worker wedged and restarts
-    it.  [queue_bound] (default 64) caps each shard's job queue — a
-    submit against a full queue blocks until the worker drains it.
+    it.
     @raise Error.Error when [shards < 1], [capacity < 1],
-    [domains < 1], [hang_timeout <= 0] or [queue_bound < 1]. *)
+    [domains < 1] or [hang_timeout <= 0]. *)
 
 val shard_count : t -> int
 

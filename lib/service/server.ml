@@ -227,13 +227,7 @@ let stats_json t =
       ~restarts:(Router.restarts t.router) ~answers t.stats ~cache
   else Stats.to_json ~answers t.stats ~cache
 
-let summary t =
-  Stats.summary
-    ~shards:(Router.shard_count t.router)
-    ~restarts:(Router.restarts t.router)
-    ~answers:(Answers.stats t.answers)
-    t.stats
-    ~cache:(Router.cache_stats t.router)
+let summary t = Stats.summary (stats_json t)
 
 let overlong_error =
   Cyclesteal.Error.Invalid_params
@@ -434,52 +428,6 @@ let handle_connection t conn =
        try serve_fd t conn conn
        with Unix.Unix_error _ -> Stats.add_io_error t.stats)
 
-(* A small blocking fd queue between the acceptor and the connection
-   workers.  [pop] keeps draining after [close], so connections
-   accepted just before shutdown are still closed by a worker. *)
-module Conn_queue = struct
-  type 'a t = {
-    lock : Mutex.t;
-    nonempty : Condition.t;
-    items : 'a Queue.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      items = Queue.create ();
-      closed = false;
-    }
-
-  let push q x =
-    Mutex.lock q.lock;
-    Queue.push x q.items;
-    Condition.signal q.nonempty;
-    Mutex.unlock q.lock
-
-  let close q =
-    Mutex.lock q.lock;
-    q.closed <- true;
-    Condition.broadcast q.nonempty;
-    Mutex.unlock q.lock
-
-  let pop q =
-    Mutex.lock q.lock;
-    let rec wait () =
-      if not (Queue.is_empty q.items) then Some (Queue.pop q.items)
-      else if q.closed then None
-      else begin
-        Condition.wait q.nonempty q.lock;
-        wait ()
-      end
-    in
-    let x = wait () in
-    Mutex.unlock q.lock;
-    x
-end
-
 let serve_socket t ~path =
   Lazy.force ignore_sigpipe;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -537,23 +485,25 @@ let serve_socket t ~path =
             workers and their solve pools, so serving slots never
             compete with compute slots and the two layers cannot
             deadlock each other. *)
-         let queue = Conn_queue.create () in
+         let queue = Csutil.Par.Chan.create () in
          Csutil.Par.Pool.with_pool ~domains:(t.max_conns + 1)
            (fun conn_pool ->
               Csutil.Par.Pool.run conn_pool (fun slot ->
                   if slot = 0 then begin
                     let rec pump () =
                       match accept_next () with
-                      | None -> Conn_queue.close queue
+                      | None -> Csutil.Par.Chan.close queue
                       | Some conn ->
-                        Conn_queue.push queue conn;
+                        (* Only this loop pushes, and it closes the
+                           channel after its last push: never refused. *)
+                        ignore (Csutil.Par.Chan.push queue conn);
                         pump ()
                     in
                     pump ()
                   end
                   else begin
                     let rec work () =
-                      match Conn_queue.pop queue with
+                      match Csutil.Par.Chan.pop queue with
                       | None -> ()
                       | Some conn ->
                         handle_connection t conn;

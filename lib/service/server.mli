@@ -87,4 +87,4 @@ val serve_socket : t -> path:string -> unit
     countable errors instead of killing the daemon. *)
 
 val summary : t -> string
-(** The shutdown summary ({!Stats.summary} over current counters). *)
+(** The shutdown summary: {!Stats.summary} of the [stats] payload. *)

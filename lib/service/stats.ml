@@ -299,8 +299,6 @@ let to_json ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
                      ("load_failures", Json.Int b.Store.Bank.load_failures);
                      ("saves", Json.Int b.Store.Bank.saves);
                      ("save_failures", Json.Int b.Store.Bank.save_failures);
-                     ( "resident_compressed_bytes",
-                       Json.Int c.Cache.resident_compressed_bytes );
                      ( "resident_dense_bytes",
                        Json.Int c.Cache.resident_dense_bytes );
                    ]
@@ -320,94 +318,23 @@ let to_json ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
         | None -> []
         | Some sections -> [ ("shards", Json.List sections) ]))
 
-let summary ?shards ?restarts ?answers t ~cache:(c : Cache.stats) =
-  locked t (fun () ->
-      let table =
-        Csutil.Table.create ~title:"cschedd session summary"
-          ~aligns:Csutil.Table.[ Left; Right ]
-          [ "metric"; "value" ]
-      in
-      let add k v = Csutil.Table.add_row table [ k; v ] in
-      (match shards with
-       | Some k when k > 1 -> add "shards" (string_of_int k)
-       | _ -> ());
-      (match restarts with
-       | Some n when n > 0 -> add "shard restarts" (string_of_int n)
-       | _ -> ());
-      add "requests" (string_of_int t.requests);
-      add "untimed replies" (string_of_int t.untimed);
-      add "errors" (string_of_int t.errors);
-      add "io errors" (string_of_int t.io_errors);
+(* The summary rows are the stats payload itself, flattened into
+   [path value] pairs, so the two views cannot drift apart. *)
+let summary payload =
+  let table =
+    Csutil.Table.create ~title:"cschedd session summary"
+      ~aligns:Csutil.Table.[ Left; Right ]
+      [ "metric"; "value" ]
+  in
+  let rec rows path = function
+    | Json.Obj fields ->
       List.iter
-        (fun (op, n) -> add ("  op " ^ op) (string_of_int n))
-        (op_counts t);
-      add "batches" (string_of_int t.batches);
-      add "largest batch" (string_of_int t.largest_batch);
-      if Csutil.Stats.Accumulator.count t.latency > 0 then begin
-        add "mean latency"
-          (Printf.sprintf "%.3f ms"
-             (1e3 *. Csutil.Stats.Accumulator.mean t.latency));
-        (match percentiles t with
-         | Some (p50, _, p99) ->
-           add "p50 latency" (Printf.sprintf "%.3f ms" (1e3 *. p50));
-           add "p99 latency" (Printf.sprintf "%.3f ms" (1e3 *. p99))
-         | None -> ());
-        add "max latency"
-          (Printf.sprintf "%.3f ms"
-             (1e3 *. Csutil.Stats.Accumulator.max t.latency))
-      end;
-      add "bytes served" (string_of_int t.bytes_served);
-      add "cache hits" (string_of_int c.Cache.hits);
-      add "cache misses" (string_of_int c.Cache.misses);
-      add "cache evictions" (string_of_int c.Cache.evictions);
-      add "cache growths" (string_of_int c.Cache.growths);
-      add "tables resident" (string_of_int c.Cache.resident);
-      add "resident bytes" (string_of_int c.Cache.resident_bytes);
-      let k = c.Cache.kernel in
-      add "kernel cells filled" (string_of_int k.Cyclesteal.Dp.cells_filled);
-      add "kernel candidates visited"
-        (string_of_int k.Cyclesteal.Dp.candidates_visited);
-      add "kernel candidates pruned"
-        (string_of_int k.Cyclesteal.Dp.candidates_pruned);
-      add "kernel parallel fills"
-        (string_of_int k.Cyclesteal.Dp.parallel_fills);
-      add "kernel dc splits" (string_of_int k.Cyclesteal.Dp.dc_splits);
-      add "kernel bp lookups" (string_of_int k.Cyclesteal.Dp.bp_lookups);
-      add "kernel bp rows" (string_of_int k.Cyclesteal.Dp.bp_rows);
-      add "kernel scratch bytes" (string_of_int (Cyclesteal.Dp.scratch_bytes ()));
-      add "solver hits" (string_of_int c.Cache.solver_hits);
-      add "solver misses" (string_of_int c.Cache.solver_misses);
-      add "solver evictions" (string_of_int c.Cache.solver_evictions);
-      add "solver growths" (string_of_int c.Cache.solver_growths);
-      add "solvers resident" (string_of_int c.Cache.solvers_resident);
-      add "solver bytes" (string_of_int c.Cache.solver_bytes);
-      let g = c.Cache.game in
-      add "game states" (string_of_int g.Cyclesteal.Game.states);
-      add "game memo hits" (string_of_int g.Cyclesteal.Game.memo_hits);
-      add "game plans computed" (string_of_int g.Cyclesteal.Game.plans_computed);
-      add "game parallel fills"
-        (string_of_int g.Cyclesteal.Game.parallel_fills);
-      (match answers with
-       | None -> ()
-       | Some (a : Answers.stats) ->
-         add "answer hits" (string_of_int a.Answers.hits);
-         add "answer misses" (string_of_int a.Answers.misses);
-         add "answer evictions" (string_of_int a.Answers.evictions);
-         add "answer entries" (string_of_int a.Answers.entries);
-         add "answer bytes" (string_of_int a.Answers.bytes));
-      (match c.Cache.bank with
-       | None -> ()
-       | Some b ->
-         add "bank hits" (string_of_int b.Store.Bank.hits);
-         add "bank misses" (string_of_int b.Store.Bank.misses);
-         add "bank load failures" (string_of_int b.Store.Bank.load_failures);
-         add "bank saves" (string_of_int b.Store.Bank.saves);
-         add "bank save failures" (string_of_int b.Store.Bank.save_failures);
-         add "bank resident compressed bytes"
-           (string_of_int c.Cache.resident_compressed_bytes);
-         add "bank resident dense bytes"
-           (string_of_int c.Cache.resident_dense_bytes);
-         match c.Cache.bank_last_error with
-         | None -> ()
-         | Some e -> add "bank last error" e);
-      Csutil.Table.to_string table)
+        (fun (k, v) -> rows (if path = "" then k else path ^ "." ^ k) v)
+        fields
+    | Json.List items ->
+      List.iteri (fun i v -> rows (path ^ "." ^ string_of_int i) v) items
+    | Json.String v -> Csutil.Table.add_row table [ path; v ]
+    | v -> Csutil.Table.add_row table [ path; Json.to_string v ]
+  in
+  rows "" payload;
+  Csutil.Table.to_string table

@@ -91,13 +91,7 @@ val to_json :
     appends the answer cache family ({!Answers.stats}); the daemon
     always passes it. *)
 
-val summary :
-  ?shards:int ->
-  ?restarts:int ->
-  ?answers:Answers.stats ->
-  t ->
-  cache:Cache.stats ->
-  string
-(** Human-readable shutdown summary (an ASCII {!Csutil.Table});
-    [shards] and [restarts] add rows when K > 1 or any worker was
-    restarted; [answers] adds the answer cache rows. *)
+val summary : Json.t -> string
+(** Human-readable shutdown summary (an ASCII {!Csutil.Table}) of a
+    stats payload ({!to_json}): one [path value] row per leaf, the path
+    joining object keys and list indices with dots. *)

@@ -9,6 +9,9 @@
      tasks: the server's connection workers are one [run] of [size]
      blocking calls, one per domain.
 
+   - [Chan]: an unbounded blocking FIFO handing work between domains
+     (the server's accepted connections, the router's shard jobs).
+
    - [map] / [init] / [map_reduce]: chunked data-parallel maps over the
      pool.  Each chunk is one task writing a disjoint slice of the
      result array, so the result never depends on which worker ran
@@ -168,6 +171,65 @@ module Pool = struct
   let with_pool ~domains f =
     let t = create ~domains in
     Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+end
+
+module Chan = struct
+  type 'a t = {
+    lock : Mutex.t;
+    nonempty : Condition.t;
+    items : 'a Queue.t;
+    mutable closed : bool;
+  }
+
+  let create () =
+    {
+      lock = Mutex.create ();
+      nonempty = Condition.create ();
+      items = Queue.create ();
+      closed = false;
+    }
+
+  let push q x =
+    Mutex.lock q.lock;
+    let accepted = not q.closed in
+    if accepted then begin
+      Queue.push x q.items;
+      Condition.signal q.nonempty
+    end;
+    Mutex.unlock q.lock;
+    accepted
+
+  let close q =
+    Mutex.lock q.lock;
+    q.closed <- true;
+    Condition.broadcast q.nonempty;
+    Mutex.unlock q.lock
+
+  let pop q =
+    Mutex.lock q.lock;
+    let rec wait () =
+      if not (Queue.is_empty q.items) then Some (Queue.pop q.items)
+      else if q.closed then None
+      else begin
+        Condition.wait q.nonempty q.lock;
+        wait ()
+      end
+    in
+    let x = wait () in
+    Mutex.unlock q.lock;
+    x
+
+  let migrate ~from ~into =
+    let moved = Queue.create () in
+    Mutex.lock from.lock;
+    from.closed <- true;
+    Queue.transfer from.items moved;
+    Condition.broadcast from.nonempty;
+    Mutex.unlock from.lock;
+    Mutex.lock into.lock;
+    Queue.transfer moved into.items;
+    if not (Queue.is_empty into.items) then Condition.broadcast into.nonempty;
+    Mutex.unlock into.lock
 end
 
 (* The process-wide default pool, created on first parallel use and

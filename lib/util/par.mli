@@ -1,8 +1,9 @@
 (** Minimal data-parallel helpers on OCaml 5 domains (stdlib only).
 
-    A small reusable worker {!Pool} plus chunked parallel maps built on
-    it.  No shared mutable state: each slot computes disjoint slices of
-    the result.  Closures must not share mutable state across chunks
+    A small reusable worker {!Pool}, a blocking channel {!Chan} for
+    handing work between domains, and chunked parallel maps built on
+    the pool.  The maps share no mutable state: each slot computes
+    disjoint slices of the result.  Closures must not share mutable state across chunks
     (give each chunk its own {!Rng.t}). *)
 
 val available_domains : unit -> int
@@ -51,6 +52,30 @@ module Pool : sig
 
   val with_pool : domains:int -> (t -> 'a) -> 'a
   (** [create], run the function, [shutdown] (also on exception). *)
+end
+
+module Chan : sig
+  (** An unbounded blocking FIFO between domains. *)
+
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val push : 'a t -> 'a -> bool
+  (** Enqueue and wake one popper; [false] (nothing enqueued) once the
+      channel is closed. *)
+
+  val pop : 'a t -> 'a option
+  (** The oldest item, blocking while the channel is empty and open.
+      Keeps draining after {!close}, so items pushed just before a
+      shutdown are still handed out; [None] once closed and empty. *)
+
+  val close : 'a t -> unit
+  (** Refuse further pushes and wake every blocked popper. *)
+
+  val migrate : from:'a t -> into:'a t -> unit
+  (** Close [from] and move its queued items to the back of [into], so
+      a replacement consumer loses none of them. *)
 end
 
 val shared_pool : unit -> Pool.t

@@ -213,6 +213,31 @@ let test_pool_run_after_shutdown () =
   Alcotest.(check (array int)) "every slot ran on the caller" [| me; me; me |]
     ran
 
+(* The channel's contract: FIFO order; a close refuses pushes but still
+   drains what was queued; [migrate] appends the old queue to the new
+   one; a blocked [pop] wakes on a push from another domain. *)
+let test_chan_contract () =
+  let open Csutil.Par in
+  let a = Chan.create () and b = Chan.create () in
+  List.iter (fun x -> ignore (Chan.push a x)) [ 1; 2; 3 ];
+  ignore (Chan.push b 0);
+  Alcotest.(check (option int)) "FIFO" (Some 1) (Chan.pop a);
+  Chan.migrate ~from:a ~into:b;
+  Alcotest.(check bool) "migrate closes the old channel" false (Chan.push a 9);
+  Alcotest.(check (option int)) "old channel drained" None (Chan.pop a);
+  Chan.close b;
+  Alcotest.(check bool) "closed refuses a push" false (Chan.push b 9);
+  let drained = List.init 4 (fun _ -> Chan.pop b) in
+  Alcotest.(check (list (option int))) "closed channel still drains"
+    [ Some 0; Some 2; Some 3; None ] drained;
+  let c = Chan.create () in
+  Pool.with_pool ~domains:2 (fun pool ->
+      let got = ref None in
+      Pool.run pool (fun slot ->
+          if slot = 0 then got := Chan.pop c
+          else ignore (Chan.push c 42));
+      Alcotest.(check (option int)) "pop wakes on a push" (Some 42) !got)
+
 let test_map_over_explicit_pool () =
   Csutil.Par.Pool.with_pool ~domains:3 (fun pool ->
       let a = Array.init 500 (fun i -> i) in
@@ -318,6 +343,7 @@ let () =
           Alcotest.test_case "run after shutdown runs on the caller" `Quick
             test_pool_run_after_shutdown;
         ] );
+      ("chan", [ Alcotest.test_case "contract" `Quick test_chan_contract ]);
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_map_reduce_schedule_invariant ] );

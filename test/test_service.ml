@@ -612,6 +612,91 @@ let test_cache_resident_solver () =
   Alcotest.(check int) "reset zeroes game states" 0
     z.Cache.game.Cyclesteal.Game.states
 
+(* Resident solvers for evaluations at c = 1 under [policy]; each
+   lifespan is its own solver identity. *)
+let evaluate_on cache ?(policy = "nonadaptive") ~u ~p () =
+  match
+    Protocol.handle ~cache
+      (Protocol.Evaluate { c = 1.; u; p; policy; periods = None })
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
+
+let solver_held cache ?(policy = "nonadaptive") ~u ~p () =
+  Cache.solver_mem cache
+    (Cyclesteal.Model.params ~c:1.)
+    (Cyclesteal.Model.opportunity ~lifespan:u ~interrupts:p)
+    (Engine.Registry.find policy)
+
+let test_cache_solver_lru_eviction () =
+  let cache = Cache.create ~capacity:2 () in
+  evaluate_on cache ~u:40. ~p:1 ();
+  evaluate_on cache ~u:50. ~p:1 ();
+  (* Touch u = 40 so the u = 50 solver is the LRU victim. *)
+  evaluate_on cache ~u:40. ~p:1 ();
+  evaluate_on cache ~u:60. ~p:1 ();
+  let s = Cache.stats cache in
+  Alcotest.(check int) "one solver eviction" 1 s.Cache.solver_evictions;
+  Alcotest.(check int) "capacity respected" 2 s.Cache.solvers_resident;
+  Alcotest.(check bool) "MRU survived" true (solver_held cache ~u:40. ~p:1 ());
+  Alcotest.(check bool) "LRU evicted" false (solver_held cache ~u:50. ~p:1 ());
+  Alcotest.(check bool) "newest held" true (solver_held cache ~u:60. ~p:1 ())
+
+(* [mem] and [solver_mem] are probes: polling the oldest entry must not
+   save it from eviction. *)
+let test_cache_probes_do_not_stamp () =
+  let cache = Cache.create ~capacity:2 () in
+  List.iter (fun c -> ignore (Cache.find_or_solve cache ~c ~p:1 ~l:200)) [ 3; 5 ];
+  Alcotest.(check bool) "oldest table probes resident" true
+    (Cache.mem cache (Cache.canonical ~c:3 ~p:1 ~l:200));
+  ignore (Cache.find_or_solve cache ~c:7 ~p:1 ~l:200);
+  Alcotest.(check bool) "probed table still evicted" false
+    (Cache.mem cache (Cache.canonical ~c:3 ~p:1 ~l:200));
+  Alcotest.(check bool) "younger table kept" true
+    (Cache.mem cache (Cache.canonical ~c:5 ~p:1 ~l:200));
+  evaluate_on cache ~u:40. ~p:1 ();
+  evaluate_on cache ~u:50. ~p:1 ();
+  Alcotest.(check bool) "oldest solver probes resident" true
+    (solver_held cache ~u:40. ~p:1 ());
+  evaluate_on cache ~u:60. ~p:1 ();
+  Alcotest.(check bool) "probed solver still evicted" false
+    (solver_held cache ~u:40. ~p:1 ());
+  Alcotest.(check bool) "younger solver kept" true
+    (solver_held cache ~u:50. ~p:1 ())
+
+(* Every hit/miss/eviction/growth counter of both families is nonzero
+   before the reset and zero after it; residency is kept. *)
+let test_cache_reset_both_families () =
+  let cache = Cache.create ~capacity:1 () in
+  ignore (Cache.find_or_solve cache ~c:3 ~p:1 ~l:200);
+  ignore (Cache.find_or_solve cache ~c:3 ~p:1 ~l:200);
+  ignore (Cache.find_or_solve cache ~c:3 ~p:4 ~l:900);
+  ignore (Cache.find_or_solve cache ~c:5 ~p:1 ~l:200);
+  evaluate_on cache ~policy:"adaptive" ~u:40. ~p:1 ();
+  evaluate_on cache ~policy:"adaptive" ~u:40. ~p:2 ();
+  evaluate_on cache ~u:50. ~p:1 ();
+  let counters (s : Cache.stats) =
+    [
+      ("hits", s.Cache.hits); ("misses", s.Cache.misses);
+      ("evictions", s.Cache.evictions); ("growths", s.Cache.growths);
+      ("solver_hits", s.Cache.solver_hits);
+      ("solver_misses", s.Cache.solver_misses);
+      ("solver_evictions", s.Cache.solver_evictions);
+      ("solver_growths", s.Cache.solver_growths);
+    ]
+  in
+  List.iter
+    (fun (name, n) ->
+       Alcotest.(check bool) (name ^ " counted before the reset") true (n > 0))
+    (counters (Cache.stats cache));
+  Cache.reset_counters cache;
+  let z = Cache.stats cache in
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) (name ^ " zeroed") 0 n)
+    (counters z);
+  Alcotest.(check int) "table kept" 1 z.Cache.resident;
+  Alcotest.(check int) "solver kept" 1 z.Cache.solvers_resident
+
 (* --- A mixed workload ------------------------------------------------------ *)
 
 (* >= 100 mixed advise/schedule/evaluate/dp requests with varying
@@ -2665,6 +2750,12 @@ let () =
             test_cache_kernel_counters;
           Alcotest.test_case "resident game solver" `Quick
             test_cache_resident_solver;
+          Alcotest.test_case "solver LRU eviction" `Quick
+            test_cache_solver_lru_eviction;
+          Alcotest.test_case "probes do not stamp the LRU" `Quick
+            test_cache_probes_do_not_stamp;
+          Alcotest.test_case "reset zeroes both families" `Quick
+            test_cache_reset_both_families;
         ] );
       ( "batch",
         [

@@ -16,9 +16,14 @@ let tmp_dir () =
   Unix.mkdir dir 0o700;
   dir
 
-let rm_rf dir =
+let rec rm_rf dir =
   Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (fun f ->
+      let path = Filename.concat dir f in
+      match (Unix.lstat path).Unix.st_kind with
+      | Unix.S_DIR -> rm_rf path
+      | _ -> ( try Sys.remove path with Sys_error _ -> ())
+      | exception Unix.Unix_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||]);
   try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ()
 

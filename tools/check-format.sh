@@ -92,15 +92,14 @@ done
 # Blocking-coordination gate: Mutex+Condition park/wake protocols are
 # easy to get wrong (missed wakeups, waits outside the predicate
 # loop), so they live only in the audited sites: the pool's worker
-# parking and joins (lib/util/par.ml), the router's shard channels and watchdog
-# (lib/service/router.ml), the server's connection-slot accounting
-# (lib/service/server.ml), and the DP kernel's wavefront barrier
-# (lib/core/dp.ml).  The cache parks nobody: its mutexes only guard
-# metadata, and one solve per identity comes from Batch grouping and
-# shard ownership.  Everywhere else, coordinate through those layers —
+# parking and joins and the one blocking channel (lib/util/par.ml,
+# which the router's shard jobs and the server's accepted connections
+# both queue on), the router's job completion (lib/service/router.ml),
+# and the DP kernel's wavefront barrier (lib/core/dp.ml).  The cache
+# parks nobody: its mutexes only guard metadata, and one solve per
+# identity comes from Batch grouping and shard ownership.  Everywhere else, coordinate through those layers —
 # a fresh condvar protocol needs a review and a line here.
-condition_allowlist="lib/util/par.ml lib/service/router.ml \
-lib/service/server.ml lib/core/dp.ml"
+condition_allowlist="lib/util/par.ml lib/service/router.ml lib/core/dp.ml"
 
 for f in $(find lib bin test bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' \) | sort); do
