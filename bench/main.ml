@@ -39,17 +39,25 @@ let report = Series.report ~emit:(fun t -> emit t)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let assert_tables_equal ~what a b =
-  let max_p = Dp.max_p a and max_l = Dp.max_l a in
-  assert (Dp.max_p b = max_p && Dp.max_l b = max_l);
+(* Table [a] against [cell], cell by cell: the value and argmax period
+   of another table, or of the reference. *)
+let assert_cells ~what a ~max_p ~max_l cell =
+  assert (Dp.max_p a = max_p && Dp.max_l a = max_l);
   for p = 0 to max_p do
     for l = 0 to max_l do
-      if
-        Dp.value a ~p ~l <> Dp.value b ~p ~l
-        || Dp.optimal_first_period a ~p ~l <> Dp.optimal_first_period b ~p ~l
-      then die "kernel mismatch (%s) at p=%d l=%d" what p l
+      if (Dp.value a ~p ~l, Dp.optimal_first_period a ~p ~l) <> cell ~p ~l then
+        die "kernel mismatch (%s) at p=%d l=%d" what p l
     done
   done
+
+let assert_tables_equal ~what a r =
+  let open Oracle.Dp_ref in
+  assert_cells ~what a ~max_p:(max_p r) ~max_l:(max_l r) (fun ~p ~l ->
+      (value r ~p ~l, first r ~p ~l))
+
+let assert_same_tables ~what a b =
+  assert_cells ~what a ~max_p:(Dp.max_p b) ~max_l:(Dp.max_l b) (fun ~p ~l ->
+      (Dp.value b ~p ~l, Dp.optimal_first_period b ~p ~l))
 
 (* --- Table 1 ------------------------------------------------------------ *)
 
@@ -933,7 +941,7 @@ let growth_bench () =
                 Dp.grow dp ~max_p:p1 ~max_l:l1;
                 dp)
          in
-         assert_tables_equal ~what:("grow " ^ label) grown reference;
+         assert_same_tables ~what:("grow " ^ label) grown reference;
          [
            Series.row ~timing:fresh (label ^ ": fresh solve");
            Series.row ~timing:grow
@@ -967,7 +975,7 @@ let with_pool f =
 (* --- DP kernel: scalar vs monotone-dc vs parallel ------------------------- *)
 
 (* The kernel perf trajectory (DESIGN.md S17, S24).  Three fills solve
-   the same instances: [Dp.Ref.solve] (the exhaustive scalar
+   the same instances: [Oracle.Dp_ref.solve] (the exhaustive scalar
    reference), [Dp.solve] (the equalization-crossing monotone-dc fill),
    and [Dp.solve_with ~pool] (monotone-dc + wavefront over a worker
    pool).  Both fills must match the reference cell-for-cell, and the
@@ -977,7 +985,7 @@ let with_pool f =
    every other series, on an instance it solves in seconds; [Counted]
    does not run it, reporting its candidate count by the visited +
    pruned identity and checking the wavefront fill against the
-   sequential one, whose identity with Dp.Ref the timed instance, the
+   sequential one, whose identity with Dp_ref the timed instance, the
    qcheck corpus and the smokes pin.  The flagship is [Counted]: its
    scalar fill took 20 minutes for one sample, too long to repeat and
    so no series at all. *)
@@ -986,7 +994,7 @@ type scalar = Timed | Counted
 let dp_instance ~plan ~pool (c, max_p, max_l, scalar) =
   let what = Printf.sprintf "c=%d p<=%d L<=%d" c max_p max_l in
   let cells = (max_p + 1) * (max_l + 1) in
-  let solve_ref () = Dp.Ref.solve ~c ~max_p ~max_l in
+  let solve_ref () = Oracle.Dp_ref.solve ~c ~max_p ~max_l in
   let reference =
     match scalar with
     | Timed -> Some (Series.time plan solve_ref)
@@ -1005,7 +1013,7 @@ let dp_instance ~plan ~pool (c, max_p, max_l, scalar) =
    | Some (_, r) ->
      assert_tables_equal ~what:("monotone-dc vs reference, " ^ what) mono r;
      assert_tables_equal ~what:("parallel vs reference, " ^ what) par r
-   | None -> assert_tables_equal ~what:("parallel vs monotone-dc, " ^ what) par mono);
+   | None -> assert_same_tables ~what:("parallel vs monotone-dc, " ^ what) par mono);
   (* The crossing kernel's candidate bill is logarithmic per cell, so it
      must visit strictly fewer candidates than the exhaustive scan and
      record its bisections.  (Counts, not wall clock: a loaded host makes
@@ -1147,7 +1155,7 @@ let dp_skew_suite ~quick =
       in
       Array.iteri
         (fun i t ->
-           assert_tables_equal
+           assert_same_tables
              ~what:(Printf.sprintf "skew solve %d, shared pool vs static" i)
              t static_tables.(i))
         pool_tables;
@@ -1215,8 +1223,8 @@ let game_instance ~plan ~pool (c, u, p, grid) =
   (* The seed evaluate path: one private recursion for the value, a
      second (from scratch) for the adversary replay. *)
   let seed_eval () =
-    let g = Game.Ref.guaranteed ~grid params opp pol in
-    let adv = Game.Ref.optimal_adversary ~grid params opp pol in
+    let g = Oracle.Game_ref.guaranteed ~grid params opp pol in
+    let adv = Oracle.Game_ref.optimal_adversary ~grid params opp pol in
     (g, Game.run params opp pol adv)
   in
   let shared_eval ?pool () =
@@ -1434,7 +1442,7 @@ let store_snapshot_series ~plan (label, (c, max_p, max_l)) =
             | Ok t -> t
             | Error e -> die "bench store (%s): %s" label (Error.to_string e))
       in
-      assert_tables_equal ~what:(label ^ ": v2 load vs solve") loaded dp;
+      assert_same_tables ~what:(label ^ ": v2 load vs solve") loaded dp;
       let v2_bytes = (Unix.stat path).Unix.st_size
       and dense_bytes = Dp.dense_footprint_bytes dp in
       if v2_bytes >= dense_bytes then

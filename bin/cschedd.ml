@@ -18,8 +18,8 @@
      echo '{"op":"advise","c":30,"u":86400,"p":3}' | cschedd
      cschedd --socket /tmp/cschedd.sock --max-conns 8 --shards 4 &
 
-   On EOF or SIGINT the daemon finishes the in-flight batch, flushes
-   its responses, and prints a session summary to stderr. *)
+   On EOF, SIGINT or SIGTERM the daemon finishes the in-flight batch,
+   flushes its responses, and prints a session summary to stderr. *)
 
 open Cmdliner
 

@@ -14,8 +14,9 @@
    The recurrence prices each period as it is chosen; because the game is
    deterministic and perfect-information, committing to a whole episode
    schedule up front has the same value as choosing period-by-period (the
-   brute-force oracle below checks this on small instances).  The optimal
-   episode schedule is recovered by following the argmax chain at fixed p.
+   test oracle [Dp_ref] searches committed schedules by brute force to
+   check this on small instances).  The optimal episode schedule is
+   recovered by following the argmax chain at fixed p.
 
    A table is resident only as breakpoint runs (the [packed] layout
    below, which is also the snapshot payload).  Solve and grow fill one
@@ -38,8 +39,8 @@
      [fill_block] bisects for it, galloping from the previous cell's
      crossing, and resolves the exact value and lowest-t argmax from
      the few candidates around it.  Values AND recorded argmax periods
-     are bit-identical to the exhaustive reference kernel ([Ref]),
-     which the tests and bench check cell by cell.
+     are bit-identical to the exhaustive reference fill ([Dp_ref],
+     test-only), which the tests and bench check cell by cell.
 
    - Domain-parallel fill.  A row has a left-to-right dependency on
      itself (the survive branch), so one row cannot be split across
@@ -52,7 +53,7 @@
      reads only ever touch published (final) cells, so the parallel
      fill is bit-identical to the sequential one.
 
-   Complexity: O(max_p * max_l^2) time for the exhaustive [Ref]; the
+   Complexity: O(max_p * max_l^2) time for the exhaustive [Dp_ref]; the
    crossing bisection cuts the inner factor to O(log drift) probes per
    cell, O(log max_l) worst case; a grow pays only for the new cells
    plus a linear decode and re-pack.  Space: the pack, plus one scratch
@@ -221,7 +222,7 @@ let fill_row0 body ~c ~l_from =
                                        (rows are 1-Lipschitz: one more
                                        tick banks at most one unit),
 
-   both qcheck-verified against [Ref].  So cand(t) = min(K, S) is
+   both qcheck-verified against [Dp_ref].  So cand(t) = min(K, S) is
    unimodal on [c, l] and the cell reduces to the equalization
    crossing of Theorem 4.3 — the least t_c with K(t_c) <= S(t_c),
    found by divide-and-conquer on the decision range (each halving is
@@ -230,13 +231,13 @@ let fill_row0 body ~c ~l_from =
                                   cand = W(p)[l - t], peaked at t = 1),
      s = S(t_c - 1)              (the survive side's peak),
      k = K(t_c)                  (the killed side's peak),
-   and the lowest maximizer — Ref's tie-break — is t = 1 if a wins,
+   and the lowest maximizer — Dp_ref's tie-break — is t = 1 if a wins,
    the least t with S(t) = s (another bisection) if s wins, else t_c.
    The crossing also drifts slowly: t_c(l) <= t_c(l-1) + 1 (shifting
    t by one cancels the l shift in both branches, and S gains +1), so
    each cell gallops down from the previous crossing and pays
    O(log drift) probes, O(log l) worst case.  Values and argmax stay
-   bit-identical to [Ref]. *)
+   bit-identical to [Dp_ref]. *)
 let fill_block body ~c ~p ~l_lo ~l_hi =
   let open Bigarray in
   let stride = body.max_l + 1 in
@@ -754,54 +755,6 @@ let first_at pk ~p ~l =
 
 let lookup () = ignore (Atomic.fetch_and_add bp_lookups_ctr 1)
 
-(* --- reference kernel ----------------------------------------------------- *)
-
-(* The naive exhaustive scan the fill kernel must agree with, cell by
-   cell — values and argmax periods both.  Kept byte-for-byte simple as
-   the correctness reference and the scalar baseline of the bench `dp`
-   series; it fills its own fresh arrays (never the shared scratch) and
-   bypasses the counters. *)
-module Ref = struct
-  let fill ~c body =
-    let open Bigarray in
-    let stride = body.max_l + 1 in
-    let v = body.value and f = body.first in
-    for l = 0 to body.max_l do
-      Array1.unsafe_set v l (max 0 (l - c));
-      Array1.unsafe_set f l l
-    done;
-    for p = 1 to body.max_p do
-      let row = p * stride in
-      let prev = row - stride in
-      Array1.unsafe_set v row 0;
-      Array1.unsafe_set f row 0;
-      for l = 1 to body.max_l do
-        let best = ref 0 and best_t = ref l in
-        for t = 1 to l do
-          let survive = max 0 (t - c) + Array1.unsafe_get v (row + l - t) in
-          let killed = Array1.unsafe_get v (prev + l - t) in
-          let cand = if killed < survive then killed else survive in
-          if cand > !best then begin
-            best := cand;
-            best_t := t
-          end
-        done;
-        Array1.unsafe_set v (row + l) !best;
-        Array1.unsafe_set f (row + l) !best_t
-      done
-    done
-
-  let solve ~c ~max_p ~max_l =
-    if c < 1 then Error.invalid "Dp.Ref.solve: c must be >= 1 tick";
-    if max_p < 0 then Error.invalid "Dp.Ref.solve: max_p must be non-negative";
-    if max_l < 0 then Error.invalid "Dp.Ref.solve: max_l must be non-negative";
-    let cells = (max_p + 1) * (max_l + 1) in
-    let mat () = Bigarray.(Array1.create int c_layout cells) in
-    let body = { max_p; max_l; value = mat (); first = mat () } in
-    fill ~c body;
-    { c; packed = pack_of_body body }
-end
-
 let check_in pk ~p ~l =
   if p < 0 || p > pk.p_max_p then Error.rangef "Dp: p = %d outside 0..%d" p pk.p_max_p;
   if l < 0 || l > pk.p_max_l then Error.rangef "Dp: l = %d outside 0..%d" l pk.p_max_l
@@ -847,39 +800,6 @@ let optimal_episode t ~p ~l =
     end
   in
   go l (-1) []
-
-(* Brute-force oracle over *committed* episode schedules, used by tests
-   to validate both the recurrence and the claim that per-period play has
-   the same value as per-episode commitment.  For each composition
-   t_1..t_m of l, the adversary either lets the episode run or kills some
-   period k at its last instant, after which play continues optimally
-   (recursively brute-forced) with p - 1 interrupts.  Exponential in l:
-   use only for l <~ 16. *)
-let rec brute_force_committed ~c ~p ~l =
-  if l <= 0 then 0
-  else if p = 0 then max 0 (l - c)
-  else begin
-    (* Enumerate compositions incrementally, tracking banked work and
-       the adversary's running minimum over kill options. *)
-    let best = ref 0 in
-    let rec extend ~remaining ~banked ~adversary_min =
-      if remaining = 0 then begin
-        let v = min adversary_min banked in
-        if v > !best then best := v
-      end
-      else
-        for tk = 1 to remaining do
-          let after_kill = brute_force_committed ~c ~p:(p - 1) ~l:(remaining - tk) in
-          let kill_value = banked + after_kill in
-          extend
-            ~remaining:(remaining - tk)
-            ~banked:(banked + max 0 (tk - c))
-            ~adversary_min:(min adversary_min kill_value)
-        done
-    in
-    extend ~remaining:l ~banked:0 ~adversary_min:max_int;
-    !best
-  end
 
 (* Map the integer solution onto the float world: one tick equals
    [tick] time units, so the float setup cost is [tick * c]. *)

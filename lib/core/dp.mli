@@ -38,9 +38,9 @@ val solve : c:int -> max_p:int -> max_l:int -> t
     resolved from the few candidates around it.  The argmax itself is
     {e not} monotone in [L] — [c = 1] gives [first(1,4) = 2] but
     [first(1,5) = 1].  Values and recorded argmax periods are
-    bit-identical to the exhaustive reference {!Ref.solve}.  The cells
-    are filled in the shared scratch and the table keeps only their
-    pack.
+    bit-identical to the exhaustive fill of the test oracle [Dp_ref].
+    The cells are filled in the shared scratch and the table keeps
+    only their pack.
 
     @raise Error.Error when [c < 1] or bounds are negative. *)
 
@@ -73,14 +73,6 @@ val trim_scratch : max_bytes:int -> unit
     fill that needs more allocates its own.  The service cache calls
     this on every eviction with the largest dense footprint it still
     holds, so an evicted table's scratch does not stay resident. *)
-
-module Ref : sig
-  val solve : c:int -> max_p:int -> max_l:int -> t
-  (** The naive exhaustive kernel ([O(max_p * max_l^2)] candidate
-      visits, single-threaded): the correctness reference and scalar
-      baseline the crossing-bisection and parallel fills are validated
-      against, cell by cell.  Does not touch the kernel {!counters}. *)
-end
 
 type counters = {
   cells_filled : int;  (** cells written by the fill kernel *)
@@ -160,11 +152,6 @@ val optimal_episode : t -> p:int -> l:int -> int list
 val check : t -> p:int -> l:int -> unit
 (** Validate that [(p, l)] lies inside the solved bounds.
     @raise Error.Error otherwise. *)
-
-val brute_force_committed : c:int -> p:int -> l:int -> int
-(** Test oracle: exhaustive search over committed episode schedules
-    (all compositions of [l]) with optimal recursive continuation after
-    each interrupt.  Exponential in [l]; use only for [l <~ 16]. *)
 
 val tick_of_params : t -> Model.params -> float
 (** The duration of one tick when the table's integer [c] represents the

@@ -45,7 +45,7 @@ val run :
     gridded or not, holding only the states the queries reach.
 
     Gridded solvers are bit-identical in value and argmin to the seed
-    recursion ({!Ref}); the ungridded path may differ from the seed by
+    recursion (the test oracle [Game_ref]); the ungridded path may differ from the seed by
     at most the progress tolerance where snapping merges states. *)
 module Solver : sig
   type t
@@ -208,38 +208,6 @@ val optimal_adversary :
     policy reproduces the {!guaranteed} value.  Builds its own private
     {!Solver}: prefer {!Solver.adversary} when a solver is already in
     hand. *)
-
-(** The seed minimax recursion, retained verbatim (raw-float memo keys,
-    one private table per call) as the correctness and performance
-    baseline for bench and test.  Production code goes through
-    {!Solver}. *)
-module Ref : sig
-  val guaranteed :
-    ?grid:float ->
-    ?max_states:int ->
-    Model.params ->
-    Model.opportunity ->
-    Policy.t ->
-    float
-
-  val guaranteed_at :
-    ?grid:float ->
-    ?max_states:int ->
-    Model.params ->
-    Model.opportunity ->
-    Policy.t ->
-    p:int ->
-    residual:float ->
-    float
-
-  val optimal_adversary :
-    ?grid:float ->
-    ?max_states:int ->
-    Model.params ->
-    Model.opportunity ->
-    Policy.t ->
-    Adversary.t
-end
 
 val render_timeline :
   ?width:int -> Model.params -> Model.opportunity -> outcome -> string

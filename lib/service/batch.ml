@@ -31,33 +31,25 @@
    Every public entry point — [run] on raw lines, [run_parsed] on
    envelopes and [resident_answer], the router's inline check — funnels
    through the one [evaluate_parsed] pipeline, so the evaluation
-   semantics (grouping, stats-payload substitution, per-request timing,
-   outcome alignment) cannot drift between them; they differ only in
-   whether a parse phase runs first, in how the stats payload arrives
-   (a thunk forced at most once for [run], the already-forced value
-   otherwise), and in whether a batch that needs fill work is answered
-   or handed back.
+   semantics (grouping, per-request timing, outcome alignment) cannot
+   drift between them; they differ only in whether a parse phase runs
+   first and in whether a batch that needs fill work is answered or
+   handed back.
 
-   In the daemon, repeats never get here: the server parses each batch
-   itself, answers the requests its answer cache holds (Answers), and
-   sends only the misses, through Router.run_parsed.  Parse errors and
-   stats ops answered from the forced payload are not evaluated, so
-   their outcomes carry latency 0; the server counts them as untimed
-   rather than as zero-latency answers. *)
+   In the daemon, repeats and stats ops never get here: the server
+   parses each batch itself, answers the requests its answer cache
+   holds (Answers) and the stats ops from its own counters, and sends
+   only the rest, through Router.run_parsed.  A stats op that does get
+   here answers as [Protocol.handle] does, with the no-daemon error.
+   Parse errors are not evaluated, so their outcomes carry latency 0;
+   the server counts them as untimed rather than as zero-latency
+   answers. *)
 
 type outcome = {
   envelope : Protocol.envelope;
   result : (Json.t, Cyclesteal.Error.t) result;
   latency : float;
 }
-
-let has_stats_op envelopes =
-  Array.exists
-    (fun (e : Protocol.envelope) ->
-       match e.Protocol.request with
-       | Ok (Protocol.Stats _) -> true
-       | _ -> false)
-    envelopes
 
 (* Indices grouped by cache identity, groups in first-occurrence order
    and indices ascending within each — deterministic, so the fetch
@@ -138,17 +130,12 @@ let resident ~cache envelopes idxs =
 (* The one evaluation pipeline: group the batch by cache identity and
    probe every group once.  [`Resident answer] answers the groups in
    order on the calling domain, [`Fill answer] fans them across
-   domains; either scatters outcomes back by index.  [stats_payload]
-   is the forced snapshot a [stats] op answers with (the daemon's
-   counters; without one, [Protocol.handle] supplies the no-daemon
-   error). *)
-let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
+   domains; either scatters outcomes back by index. *)
+let evaluate_parsed ?pool ?domains ~cache envelopes =
   let now = Csutil.Clock.now in
   let evaluate (e : Protocol.envelope) =
     match e.Protocol.request with
     | Error err -> { envelope = e; result = Error err; latency = 0. }
-    | Ok (Protocol.Stats _) when stats_payload <> None ->
-      { envelope = e; result = Ok (Option.get stats_payload); latency = 0. }
     | Ok req ->
       let t0 = now () in
       let result = Protocol.handle ~cache req in
@@ -238,22 +225,14 @@ let evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes =
     `Fill
       (fun () -> scatter (Csutil.Par.map ?pool ?domains evaluate_group grouped))
 
-let run_parsed ?pool ?domains ?stats_payload ~cache envelopes =
-  match evaluate_parsed ?pool ?domains ~stats_payload ~cache envelopes with
+let run_parsed ?pool ?domains ~cache envelopes =
+  match evaluate_parsed ?pool ?domains ~cache envelopes with
   | `Resident answer | `Fill answer -> answer ()
 
 let resident_answer ~cache envelopes =
-  match evaluate_parsed ~stats_payload:None ~cache envelopes with
+  match evaluate_parsed ~cache envelopes with
   | `Resident answer -> Some answer
   | `Fill _ -> None
 
-let run ?pool ?domains ?stats_payload ~cache lines =
-  let envelopes = Array.map Protocol.parse_line lines in
-  (* The stats snapshot is only worth its Cache.stats fold when the
-     batch actually carries a stats op — which almost none do. *)
-  let payload =
-    match stats_payload with
-    | Some snapshot when has_stats_op envelopes -> Some (snapshot ())
-    | _ -> None
-  in
-  run_parsed ?pool ?domains ?stats_payload:payload ~cache envelopes
+let run ?pool ?domains ~cache lines =
+  run_parsed ?pool ?domains ~cache (Array.map Protocol.parse_line lines)

@@ -48,31 +48,22 @@ type outcome = {
   latency : float;
       (** seconds spent evaluating, on the monotonic clock
           ({!Csutil.Clock}); a group's shared fetch is charged to its
-          first request.  [0.] for parse errors and for [stats] ops
-          answered from [stats_payload], which are not evaluated: the
-          server counts those replies as untimed
+          first request.  [0.] for parse errors, which are not
+          evaluated: the server counts those replies as untimed
           ({!Stats.add_untimed}). *)
 }
-
-val has_stats_op : Protocol.envelope array -> bool
-(** Whether the batch carries a well-formed [stats] request — callers
-    ({!Router.run}, the server) use this to force the stats snapshot at
-    most once, and only when some request will actually consume it. *)
 
 val run :
   ?pool:Csutil.Par.Pool.t ->
   ?domains:int ->
-  ?stats_payload:(unit -> Json.t) ->
   cache:Cache.t ->
   string array ->
   outcome array
 (** Parse and evaluate a batch of raw request lines.  Parse errors
     become [Error] outcomes with zero latency.  [Stats] requests answer
-    with [stats_payload ()] — forced at most once per batch, and only
-    when the batch actually contains a [stats] op, so ordinary batches
-    never pay for the counter snapshot; without [stats_payload] they
-    answer with {!Protocol.handle}'s error.  The result array is
-    index-aligned with the input.  [pool] and [domains] shape the
+    with {!Protocol.handle}'s no-daemon error: the daemon's counters
+    are the server's to report, and it answers [stats] ops itself.
+    The result array is index-aligned with the input.  [pool] and [domains] shape the
     group fan-out of a batch with fill work (default: the shared pool,
     {!Csutil.Par.map}'s domain rule); cold solves inside it fan their
     fills out on the same pool, helped by whichever domains are idle.
@@ -81,13 +72,11 @@ val run :
 val run_parsed :
   ?pool:Csutil.Par.Pool.t ->
   ?domains:int ->
-  ?stats_payload:Json.t ->
   cache:Cache.t ->
   Protocol.envelope array ->
   outcome array
 (** The evaluation phases alone (grouping, then in-order answers or
-    the fan-out), for callers that already hold parsed envelopes.
-    [stats_payload] here is the forced snapshot value. *)
+    the fan-out), for callers that already hold parsed envelopes. *)
 
 val resident_answer :
   cache:Cache.t ->
@@ -96,8 +85,7 @@ val resident_answer :
 (** The router's inline check.  Groups the envelopes and probes every
     group once.  [Some answer] when all groups are resident: [answer ()]
     answers them in order on the calling domain, exactly as
-    {!run_parsed} without a stats payload would, and fans nothing
-    out.  [None] when any group
+    {!run_parsed} would, and fans nothing out.  [None] when any group
     needs fill, grow or solver-build work; the caller then hands the
     batch to a domain that owns that work.  The probes are advisory: a
     table evicted between the probe and [answer ()] is filled by the

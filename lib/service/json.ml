@@ -20,9 +20,9 @@ type t =
 (* A float prints as the first of [%.12g], [%.15g] and [%.17g] whose
    text reads back as the same float.  That is not the shortest
    round-tripping form: 9.2445652173913047 needs 17 digits under this
-   rule although a 16-digit form reads back too.  {!Ref.float_repr}
-   states the rule as a [Printf] chain; the printer below must match it
-   byte for byte.
+   rule although a 16-digit form reads back too.  The test oracle
+   [Json_ref] states the rule as a [Printf] chain; the printer below
+   must match it byte for byte.
 
    Numbers are written straight into the caller's buffer without
    allocating.  In the exact range 1e-6 <= |x| < 2^53 the rule is
@@ -275,56 +275,6 @@ let to_string v =
   let buf = Buffer.create 256 in
   add_to_buffer buf v;
   Buffer.contents buf
-
-(* The seed printer, kept verbatim as the oracle the fast path above is
-   tested against: the float rule as a [Printf] chain, integers through
-   [string_of_int]. *)
-module Ref = struct
-  let float_repr x =
-    if not (Float.is_finite x) then "null"
-    else begin
-      let exact fmt =
-        let s = Printf.sprintf fmt x in
-        if float_of_string s = x then Some s else None
-      in
-      match exact "%.12g" with
-      | Some s -> s
-      | None ->
-        (match exact "%.15g" with
-         | Some s -> s
-         | None -> Printf.sprintf "%.17g" x)
-    end
-
-  let to_string v =
-    let buf = Buffer.create 256 in
-    let rec emit = function
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-      | Int n -> Buffer.add_string buf (string_of_int n)
-      | Float x -> Buffer.add_string buf (float_repr x)
-      | String s -> escape_string buf s
-      | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-             if i > 0 then Buffer.add_char buf ',';
-             emit item)
-          items;
-        Buffer.add_char buf ']'
-      | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, item) ->
-             if i > 0 then Buffer.add_char buf ',';
-             escape_string buf k;
-             Buffer.add_char buf ':';
-             emit item)
-          fields;
-        Buffer.add_char buf '}'
-    in
-    emit v;
-    Buffer.contents buf
-end
 
 (* --- parsing ------------------------------------------------------------ *)
 

@@ -30,23 +30,14 @@ val add_to_buffer : Buffer.t -> t -> unit
     [1e-6 <= |x| < 2^53] and ties at the 18th significant digit go
     through the C formatter. *)
 
-(** The seed printer (the float rule as a [Printf] chain, integers
-    through [string_of_int]), byte-identical to the fast path by
-    property test: the test-only oracle for the fast path; nothing in
-    the serving path uses it. *)
-module Ref : sig
-  val float_repr : float -> string
-  val to_string : t -> string
-end
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage is an error.  Numbers
     without fraction or exponent that fit in an OCaml [int] parse as
     [Int], all others as [Float].  Errors carry a byte offset, as
     {!syntax_message} words them.  This is the parser for clients
-    (tests, the load generator) and for the request oracle
-    [Protocol.Ref]; the daemon reads request lines with the one-pass
-    scanner [Protocol.parse_line], which builds no tree. *)
+    (tests, the load generator) and for the test-only request oracle;
+    the daemon reads request lines with the one-pass scanner
+    [Protocol.parse_line], which builds no tree. *)
 
 (** {2 Cursor access}
 

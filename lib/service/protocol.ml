@@ -98,10 +98,11 @@ let validate_cup ~c ~u ~p =
    which parses or checks it, so a line fails at the offset and with
    the message [Json.of_string] gives.
 
-   The result is [Ref.parse_line]'s, which decodes [Json.of_string]'s
-   tree: a syntax error anywhere wins over a field error; field errors
-   come in [Ref.decode_request]'s order (op, then the op's fields in
-   turn, then the range checks); the first of repeated keys wins. *)
+   The result is that of the test oracle [Protocol_ref.parse_line],
+   which decodes [Json.of_string]'s tree: a syntax error anywhere wins
+   over a field error; field errors come in the oracle's order (op,
+   then the op's fields in turn, then the range checks); the first of
+   repeated keys wins. *)
 
 type field =
   | Id
@@ -587,115 +588,6 @@ let parse_line line =
   | false -> { id = Json.Null; request = invalid "request must be a JSON object" }
   | exception Json.Syntax (at, msg) ->
     { id = Json.Null; request = invalid (Json.syntax_message at msg) }
-
-(* The tree-based decoder the scanner replaced: [Json.of_string]'s tree,
-   read field by field.  The test-only oracle [parse_line] is checked
-   against; nothing in the serving path uses it. *)
-module Ref = struct
-  let ( let* ) = Result.bind
-
-  let field_float obj name default =
-    match Json.member name obj with
-    | None -> Ok default
-    | Some v ->
-      (match Json.to_float v with
-       | Some x -> Ok x
-       | None -> invalid (Printf.sprintf "field %S must be a number" name))
-
-  let field_int obj name default =
-    match Json.member name obj with
-    | None -> Ok default
-    | Some v ->
-      (match Json.to_int v with
-       | Some n -> Ok n
-       | None -> invalid (Printf.sprintf "field %S must be an integer" name))
-
-  let field_string obj name default =
-    match Json.member name obj with
-    | None -> Ok default
-    | Some v ->
-      (match Json.to_str v with
-       | Some s -> Ok s
-       | None -> invalid (Printf.sprintf "field %S must be a string" name))
-
-  let field_bool obj name default =
-    match Json.member name obj with
-    | None -> Ok default
-    | Some v ->
-      (match Json.to_bool v with
-       | Some b -> Ok b
-       | None -> invalid (Printf.sprintf "field %S must be a boolean" name))
-
-  let field_float_list obj name =
-    match Json.member name obj with
-    | None -> Ok None
-    | Some v ->
-      (match Json.to_list v with
-       | None -> invalid (Printf.sprintf "field %S must be an array" name)
-       | Some items ->
-         let rec go acc = function
-           | [] -> Ok (Some (List.rev acc))
-           | x :: rest ->
-             (match Json.to_float x with
-              | Some f -> go (f :: acc) rest
-              | None ->
-                invalid (Printf.sprintf "field %S must contain only numbers" name))
-         in
-         go [] items)
-
-  let decode_request obj =
-    let* op =
-      match Json.member "op" obj with
-      | None -> invalid "missing field \"op\""
-      | Some v ->
-        (match Json.to_str v with
-         | Some s -> Ok s
-         | None -> invalid "field \"op\" must be a string")
-    in
-    match op with
-    | "advise" ->
-      let* c = field_float obj "c" 1.0 in
-      let* u = field_float obj "u" 1000. in
-      let* p = field_int obj "p" 1 in
-      let* () = validate_cup ~c ~u ~p in
-      Ok (Advise { c; u; p })
-    | "schedule" ->
-      let* c = field_float obj "c" 1.0 in
-      let* u = field_float obj "u" 1000. in
-      let* p = field_int obj "p" 1 in
-      let* regime = field_string obj "regime" "adaptive" in
-      let* () = validate_cup ~c ~u ~p in
-      Ok (Schedule { c; u; p; regime })
-    | "evaluate" ->
-      let* c = field_float obj "c" 1.0 in
-      let* u = field_float obj "u" 1000. in
-      let* p = field_int obj "p" 1 in
-      let* policy = field_string obj "policy" "adaptive" in
-      let* periods = field_float_list obj "periods" in
-      let* () = validate_cup ~c ~u ~p in
-      Ok (Evaluate { c; u; p; policy; periods })
-    | "dp" ->
-      let* c_ticks = field_int obj "c_ticks" 10 in
-      let* l = field_int obj "l" 2000 in
-      let* p = field_int obj "p" 1 in
-      if c_ticks < 1 then invalid "c_ticks must be >= 1"
-      else if p < 0 then invalid "p must be non-negative"
-      else if l < 0 then invalid "l must be non-negative"
-      else Ok (Dp_query { c_ticks; l; p })
-    | "strategies" -> Ok Strategies
-    | "stats" ->
-      let* reset = field_bool obj "reset" false in
-      Ok (Stats { reset })
-    | other -> unknown_op other
-
-  let parse_line line =
-    match Json.of_string line with
-    | Error e -> { id = Json.Null; request = invalid e }
-    | Ok (Json.Obj _ as obj) ->
-      let id = Option.value ~default:Json.Null (Json.member "id" obj) in
-      { id; request = decode_request obj }
-    | Ok _ -> { id = Json.Null; request = invalid "request must be a JSON object" }
-end
 
 (* --- encoding ----------------------------------------------------------- *)
 

@@ -91,21 +91,13 @@ val parse_line : string -> envelope
     exact fast path (other numbers go through [int_of_string_opt] /
     [float_of_string], as in {!Json.of_string}), and op, regime and
     policy names that spell a known name come back as shared
-    constants.  The envelope equals {!Ref.parse_line}'s, errors
-    included: a syntax error anywhere in the line wins (offset and
-    message as {!Json.of_string} gives them), then field errors in
-    {!Ref.decode_request}'s order; the first of repeated keys wins.
+    constants.  The envelope equals that of the tree-based decoder
+    the tests hold as its oracle, errors included: a syntax error
+    anywhere in the line wins (offset and message as
+    {!Json.of_string} gives them), then field errors in order (op, the
+    op's fields in turn, then the range checks); the first of repeated
+    keys wins.
     A warm request line allocates a few dozen words. *)
-
-(** The tree-based decoder {!parse_line} replaced: {!Json.of_string},
-    then a field-by-field read of the tree.  The test-only oracle the
-    scanner is checked against; nothing in [lib/] or [bin/] calls it. *)
-module Ref : sig
-  val decode_request : Json.t -> (request, Cyclesteal.Error.t) result
-  (** Decode a parsed request object. *)
-
-  val parse_line : string -> envelope
-end
 
 val request_to_json : ?id:Json.t -> request -> Json.t
 (** Re-serialize a request (round-trips through {!parse_line}). *)

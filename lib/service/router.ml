@@ -473,9 +473,8 @@ let inline_answer sh envelopes =
   | Chaos_none -> Batch.resident_answer ~cache envelopes
   | Chaos_die | Chaos_wedge _ -> None
 
-(* [run]'s routing and evaluation phases, over parsed envelopes and an
-   already-forced stats snapshot. *)
-let run_parsed t ?stats_payload envelopes =
+(* [run]'s routing and evaluation phases, over parsed envelopes. *)
+let run_parsed t envelopes =
   let n = Array.length envelopes in
   if n = 0 then [||]
   else begin
@@ -542,8 +541,8 @@ let run_parsed t ?stats_payload envelopes =
      | items ->
        let items = Array.of_list items in
        scatter (Array.map fst items)
-         (Batch.run_parsed ~domains:1 ?stats_payload
-            ~cache:t.shards.(0).cache (Array.map snd items)));
+         (Batch.run_parsed ~domains:1 ~cache:t.shards.(0).cache
+            (Array.map snd items)));
     List.iter
       (fun (idxs, job) ->
          match await job with
@@ -558,18 +557,9 @@ let run_parsed t ?stats_payload envelopes =
     Array.map (function Some o -> o | None -> assert false) out
   end
 
-let run t ?stats_payload lines =
-  (* Parse on the submitting connection: a line parses in about 2 µs,
-     less than a wake-up of another domain would cost. *)
-  let envelopes = Array.map Protocol.parse_line lines in
-  (* The stats snapshot is only worth its fold across shards when the
-     batch actually carries a stats op — which almost none do. *)
-  let payload =
-    match stats_payload with
-    | Some snapshot when Batch.has_stats_op envelopes -> Some (snapshot ())
-    | _ -> None
-  in
-  run_parsed t ?stats_payload:payload envelopes
+(* Parse on the submitting connection: a line parses in about 2 µs,
+   less than a wake-up of another domain would cost. *)
+let run t lines = run_parsed t (Array.map Protocol.parse_line lines)
 
 (* --- observation --------------------------------------------------------- *)
 

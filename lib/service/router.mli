@@ -88,8 +88,7 @@ val place : shards:int -> string -> int
     with serving placement.
     @raise Error.Error when [shards < 1]. *)
 
-val run :
-  t -> ?stats_payload:(unit -> Json.t) -> string array -> Batch.outcome array
+val run : t -> string array -> Batch.outcome array
 (** Parse and evaluate one connection's batch: lines parse on the
     calling domain and each well-formed request is routed to its
     shard.  An all-resident sub-batch is answered on the calling domain
@@ -99,15 +98,14 @@ val run :
     placement-free ops also answer on the calling domain, and the
     outcomes come back index-aligned with the input — so per-connection
     response order, and therefore the bytes a client reads, are
-    identical to a serial server's.  [stats_payload] is forced at most
-    once, only when the batch carries a [stats] op. *)
+    identical to a serial server's.  A [stats] op answers with
+    {!Protocol.handle}'s no-daemon error; the server answers its own. *)
 
-val run_parsed :
-  t -> ?stats_payload:Json.t -> Protocol.envelope array -> Batch.outcome array
+val run_parsed : t -> Protocol.envelope array -> Batch.outcome array
 (** {!run} without its parse phase, for callers that already hold
     parsed envelopes — the server parses a batch itself to probe its
-    answer cache, and sends only the misses here.  [stats_payload] is
-    the already-forced snapshot a [stats] op answers with. *)
+    answer cache and answer its [stats] ops, and sends only the rest
+    here. *)
 
 val warm_from_bank : t -> int
 (** Warm every shard cache from the shared bank, each mapping only the

@@ -278,13 +278,6 @@ let op_of (e : Protocol.envelope) =
   | Ok req -> Protocol.op_name req
   | Error _ -> "invalid"
 
-(* Parse errors and stats ops are answered without evaluation, so
-   their outcomes carry no latency to record. *)
-let untimed (e : Protocol.envelope) =
-  match e.Protocol.request with
-  | Error _ | Ok (Protocol.Stats _) -> true
-  | Ok _ -> false
-
 (* Misses of one batch by request, under the answer cache's own key
    equality (floats by their bits). *)
 module Pending = Hashtbl.Make (Answers.Key)
@@ -297,9 +290,11 @@ module Pending = Hashtbl.Make (Answers.Key)
    reads, shared by every copy.  A hit writes its stored payload inside
    a fresh envelope, a successful cacheable miss is serialized once and
    stored on the way out (its copies reuse those bytes and its
-   latency), and everything else (errors, stats, strategies,
-   custom-periods evaluations) is serialized as before and never
-   stored. *)
+   latency), and everything else (errors, strategies, custom-periods
+   evaluations) is serialized as before and never stored.  A [stats]
+   op is answered here, from one snapshot per batch taken before any
+   of the batch's outcomes is recorded; it and parse errors are
+   counted as untimed. *)
 let answer_batch t out envelopes =
   let n = Array.length envelopes in
   Stats.add_batch t.stats ~size:n;
@@ -307,6 +302,7 @@ let answer_batch t out envelopes =
   let slot = Array.make n (-1) in
   let routed = ref [] and nrouted = ref 0 in
   let pending = Pending.create 8 in
+  let stats_ops = ref false in
   let route i e =
     slot.(i) <- !nrouted;
     incr nrouted;
@@ -327,27 +323,28 @@ let answer_batch t out envelopes =
            | None ->
              Pending.add pending req !nrouted;
              route i e))
+       | Ok (Protocol.Stats _) -> stats_ops := true
        | _ -> route i e)
     envelopes;
+  let snapshot = if !stats_ops then Some (stats_json t) else None in
   let routed = Array.of_list (List.rev !routed) in
   let outcomes =
     if Array.length routed = 0 then [||]
-    else
-      let stats_payload =
-        if Batch.has_stats_op routed then Some (stats_json t) else None
-      in
-      Router.run_parsed t.router ?stats_payload routed
+    else Router.run_parsed t.router routed
   in
   let serialized = Array.make (Array.length routed) None in
   Array.iteri
     (fun i (e : Protocol.envelope) ->
        let before = Buffer.length out in
        let ok, latency, timed =
-         match payloads.(i) with
-         | Some payload ->
+         match (payloads.(i), snapshot, e.Protocol.request) with
+         | Some payload, _, _ ->
            Protocol.add_payload_response out ~id:e.Protocol.id payload;
            (true, latency.(i), true)
-         | None ->
+         | None, Some stats, Ok (Protocol.Stats _) ->
+           Protocol.add_response out ~id:e.Protocol.id (Ok stats);
+           (true, 0., false)
+         | None, _, _ ->
            let k = slot.(i) in
            let o = outcomes.(k) in
            (match (o.Batch.result, e.Protocol.request) with
@@ -363,7 +360,9 @@ let answer_batch t out envelopes =
               in
               Protocol.add_payload_response out ~id:e.Protocol.id payload
             | result, _ -> Protocol.add_response out ~id:e.Protocol.id result);
-           (Result.is_ok o.Batch.result, o.Batch.latency, not (untimed e))
+           ( Result.is_ok o.Batch.result,
+             o.Batch.latency,
+             Result.is_ok e.Protocol.request )
        in
        Buffer.add_char out '\n';
        let r =

@@ -17,8 +17,9 @@
     [strategies] replies never are.  Responses serialize into one
     reused per-connection buffer, which is copied into a
     per-connection [Bytes] (doubled when a batch outgrows it) for the
-    write; the stats snapshot is computed only for batches carrying a
-    [stats] op.
+    write.  The server answers [stats] ops itself, from one snapshot
+    per batch taken before the batch's outcomes are recorded, and only
+    for batches carrying one.
 
     The socket front end serves up to [max_conns] clients concurrently:
     an acceptor feeds a bounded worker pool, every worker submitting
@@ -33,9 +34,9 @@
     caches and shard-failure recovery all live behind the router seam
     ({!Router}).
 
-    Shutdown is graceful: on EOF or {!request_stop} (the SIGINT handler)
-    the in-flight batch completes and its responses are flushed before
-    the loop returns. *)
+    Shutdown is graceful: on EOF or {!request_stop} (cschedd's SIGINT
+    and SIGTERM handler) the in-flight batch completes and its
+    responses are flushed before the loop returns. *)
 
 type t
 

@@ -1,0 +1,107 @@
+(* The tree-based request decoder the one-pass scanner
+   [Protocol.parse_line] replaced: [Json.of_string]'s tree, read field
+   by field.  It restates the range checks and the unknown-op error,
+   with the scanner's messages, instead of calling the scanner's own. *)
+
+open Service
+
+let ( let* ) = Result.bind
+let invalid msg = Result.Error (Cyclesteal.Error.Invalid_params msg)
+
+let unknown_op name =
+  Result.Error
+    (Cyclesteal.Error.Unknown_name
+       {
+         kind = "op";
+         name;
+         known = [ "advise"; "schedule"; "evaluate"; "dp"; "strategies"; "stats" ];
+       })
+
+let validate_cup ~c ~u ~p =
+  if c <= 0. then invalid "c must be positive"
+  else if u <= 0. then invalid "U must be positive"
+  else if p < 0 then invalid "p must be non-negative"
+  else Ok ()
+
+let field read what obj name default =
+  match Json.member name obj with
+  | None -> Ok default
+  | Some v ->
+    (match read v with
+     | Some x -> Ok x
+     | None -> invalid (Printf.sprintf "field %S must be %s" name what))
+
+let field_float = field Json.to_float "a number"
+let field_int = field Json.to_int "an integer"
+let field_string = field Json.to_str "a string"
+let field_bool = field Json.to_bool "a boolean"
+
+let field_float_list obj name =
+  match Json.member name obj with
+  | None -> Ok None
+  | Some v ->
+    (match Json.to_list v with
+     | None -> invalid (Printf.sprintf "field %S must be an array" name)
+     | Some items ->
+       let rec go acc = function
+         | [] -> Ok (Some (List.rev acc))
+         | x :: rest ->
+           (match Json.to_float x with
+            | Some f -> go (f :: acc) rest
+            | None ->
+              invalid (Printf.sprintf "field %S must contain only numbers" name))
+       in
+       go [] items)
+
+let decode_request obj =
+  let* op =
+    match Json.member "op" obj with
+    | None -> invalid "missing field \"op\""
+    | Some v ->
+      (match Json.to_str v with
+       | Some s -> Ok s
+       | None -> invalid "field \"op\" must be a string")
+  in
+  match op with
+  | "advise" ->
+    let* c = field_float obj "c" 1.0 in
+    let* u = field_float obj "u" 1000. in
+    let* p = field_int obj "p" 1 in
+    let* () = validate_cup ~c ~u ~p in
+    Ok (Protocol.Advise { c; u; p })
+  | "schedule" ->
+    let* c = field_float obj "c" 1.0 in
+    let* u = field_float obj "u" 1000. in
+    let* p = field_int obj "p" 1 in
+    let* regime = field_string obj "regime" "adaptive" in
+    let* () = validate_cup ~c ~u ~p in
+    Ok (Protocol.Schedule { c; u; p; regime })
+  | "evaluate" ->
+    let* c = field_float obj "c" 1.0 in
+    let* u = field_float obj "u" 1000. in
+    let* p = field_int obj "p" 1 in
+    let* policy = field_string obj "policy" "adaptive" in
+    let* periods = field_float_list obj "periods" in
+    let* () = validate_cup ~c ~u ~p in
+    Ok (Protocol.Evaluate { c; u; p; policy; periods })
+  | "dp" ->
+    let* c_ticks = field_int obj "c_ticks" 10 in
+    let* l = field_int obj "l" 2000 in
+    let* p = field_int obj "p" 1 in
+    if c_ticks < 1 then invalid "c_ticks must be >= 1"
+    else if p < 0 then invalid "p must be non-negative"
+    else if l < 0 then invalid "l must be non-negative"
+    else Ok (Protocol.Dp_query { c_ticks; l; p })
+  | "strategies" -> Ok Protocol.Strategies
+  | "stats" ->
+    let* reset = field_bool obj "reset" false in
+    Ok (Protocol.Stats { reset })
+  | other -> unknown_op other
+
+let parse_line line : Protocol.envelope =
+  match Json.of_string line with
+  | Error e -> { id = Json.Null; request = invalid e }
+  | Ok (Json.Obj _ as obj) ->
+    let id = Option.value ~default:Json.Null (Json.member "id" obj) in
+    { id; request = decode_request obj }
+  | Ok _ -> { id = Json.Null; request = invalid "request must be a JSON object" }

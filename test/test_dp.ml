@@ -3,6 +3,7 @@
    Theorem 4.3 structure of optimal episodes. *)
 
 open Cyclesteal
+module Dp_ref = Oracle.Dp_ref
 
 let test_base_cases () =
   let dp = Dp.solve ~c:2 ~max_p:2 ~max_l:20 in
@@ -39,7 +40,7 @@ let test_matches_brute_force () =
          for l = 0 to 14 do
            Alcotest.(check int)
              (Printf.sprintf "c=%d p=%d l=%d" c p l)
-             (Dp.brute_force_committed ~c ~p ~l)
+             (Dp_ref.brute_force_committed ~c ~p ~l)
              (Dp.value dp ~p ~l)
          done
        done)
@@ -213,21 +214,21 @@ let prop_kernel_matches_reference_and_oracle =
     (QCheck.make small_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
        let mono = Dp.solve ~c ~max_p ~max_l in
-       let reference = Dp.Ref.solve ~c ~max_p ~max_l in
+       let reference = Dp_ref.solve ~c ~max_p ~max_l in
        let ok = ref true in
        for p = 0 to max_p do
          for l = 0 to max_l do
            if
-             Dp.value mono ~p ~l <> Dp.value reference ~p ~l
+             Dp.value mono ~p ~l <> Dp_ref.value reference ~p ~l
              || Dp.optimal_first_period mono ~p ~l
-                <> Dp.optimal_first_period reference ~p ~l
-             || Dp.value mono ~p ~l <> Dp.brute_force_committed ~c ~p ~l
+                <> Dp_ref.first reference ~p ~l
+             || Dp.value mono ~p ~l <> Dp_ref.brute_force_committed ~c ~p ~l
            then ok := false
          done
        done;
        !ok)
 
-(* --- the fill kernel, sequential and pooled, is bit-identical to Ref ------ *)
+(* --- the fill kernel, sequential and pooled, is bit-identical to Dp_ref --- *)
 
 (* One pool for every pooled case (the runtime caps simultaneous
    domains), shut down at exit. *)
@@ -237,13 +238,21 @@ let () =
   at_exit (fun () ->
       if Lazy.is_val pool then Csutil.Par.Pool.shutdown (Lazy.force pool))
 
-let tables_identical a b =
-  let ok = ref true in
-  for p = 0 to Dp.max_p a do
-    for l = 0 to Dp.max_l a do
+(* A table against the reference, cell by cell: bounds, values and
+   argmax periods. *)
+let tables_identical t r =
+  let ok =
+    ref
+      (Dp.c t = Dp_ref.c r
+      && Dp.max_p t = Dp_ref.max_p r
+      && Dp.max_l t = Dp_ref.max_l r)
+  in
+  for p = 0 to Dp.max_p t do
+    for l = 0 to Dp.max_l t do
       if
-        Dp.value a ~p ~l <> Dp.value b ~p ~l
-        || Dp.optimal_first_period a ~p ~l <> Dp.optimal_first_period b ~p ~l
+        !ok
+        && (Dp.value t ~p ~l <> Dp_ref.value r ~p ~l
+           || Dp.optimal_first_period t ~p ~l <> Dp_ref.first r ~p ~l)
       then ok := false
     done
   done;
@@ -261,7 +270,7 @@ let prop_kernel_identical =
     ~count:60
     (QCheck.make kernel_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
-       let reference = Dp.Ref.solve ~c ~max_p ~max_l in
+       let reference = Dp_ref.solve ~c ~max_p ~max_l in
        tables_identical (Dp.solve ~c ~max_p ~max_l) reference
        && tables_identical
             (Dp.solve_with ~pool:(Some (Lazy.force pool)) ~c ~max_p ~max_l)
@@ -276,7 +285,7 @@ let prop_kernels_identical_after_grow =
     (QCheck.make kernel_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
        let reference =
-         Dp.Ref.solve ~c ~max_p:(max_p + 2) ~max_l:((2 * max_l) + 5)
+         Dp_ref.solve ~c ~max_p:(max_p + 2) ~max_l:((2 * max_l) + 5)
        in
        List.for_all
          (fun pool_opt ->
@@ -289,7 +298,7 @@ let prop_kernels_identical_after_grow =
 (* The qcheck instances are too small for the wavefront (below
    [par_threshold] new cells the pooled fill runs sequentially), so one
    wide, shallow instance — many rows, short lifespan, cheap for
-   [Ref] — pins the wavefront solve and the wavefront grow to the
+   [Dp_ref] — pins the wavefront solve and the wavefront grow to the
    reference. *)
 let test_wavefront_matches_reference () =
   let pool = Lazy.force pool in
@@ -298,12 +307,12 @@ let test_wavefront_matches_reference () =
   Alcotest.(check int) "solve ran the wavefront" 1
     (Dp.counters ()).Dp.parallel_fills;
   Alcotest.(check bool) "wavefront solve = reference" true
-    (tables_identical t (Dp.Ref.solve ~c:3 ~max_p:64 ~max_l:1100));
+    (tables_identical t (Dp_ref.solve ~c:3 ~max_p:64 ~max_l:1100));
   Dp.grow ~pool t ~max_p:66 ~max_l:2200;
   Alcotest.(check int) "grow ran the wavefront" 2
     (Dp.counters ()).Dp.parallel_fills;
   Alcotest.(check bool) "wavefront grow = reference" true
-    (tables_identical t (Dp.Ref.solve ~c:3 ~max_p:66 ~max_l:2200))
+    (tables_identical t (Dp_ref.solve ~c:3 ~max_p:66 ~max_l:2200))
 
 (* --- the monotone structure the equalization kernel stands on ------------- *)
 
@@ -318,18 +327,18 @@ let prop_value_structure =
     ~count:60
     (QCheck.make kernel_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
-       let dp = Dp.Ref.solve ~c ~max_p ~max_l in
+       let dp = Dp_ref.solve ~c ~max_p ~max_l in
        let ok = ref true in
        for p = 0 to max_p do
          for l = 0 to max_l do
            (* W(p)[l] nondecreasing in l, and by at most 1 per tick. *)
            if l > 0 then begin
-             let d = Dp.value dp ~p ~l - Dp.value dp ~p ~l:(l - 1) in
+             let d = Dp_ref.value dp ~p ~l - Dp_ref.value dp ~p ~l:(l - 1) in
              if d < 0 || d > 1 then ok := false
            end;
            (* W(p)[l] <= W(p-1)[l]: an extra interrupt never helps the
               thief. *)
-           if p > 0 && Dp.value dp ~p ~l > Dp.value dp ~p:(p - 1) ~l then
+           if p > 0 && Dp_ref.value dp ~p ~l > Dp_ref.value dp ~p:(p - 1) ~l then
              ok := false
          done
        done;
@@ -345,16 +354,16 @@ let prop_branch_monotonicity =
     ~count:40
     (QCheck.make kernel_gen ~print:small_print)
     (fun (c, max_p, max_l) ->
-       let dp = Dp.Ref.solve ~c ~max_p ~max_l in
+       let dp = Dp_ref.solve ~c ~max_p ~max_l in
        let ok = ref true in
        for p = 1 to max_p do
          for l = 0 to max_l do
            for t = c to l - 1 do
-             let k_t = Dp.value dp ~p:(p - 1) ~l:(l - t)
-             and k_t1 = Dp.value dp ~p:(p - 1) ~l:(l - t - 1) in
+             let k_t = Dp_ref.value dp ~p:(p - 1) ~l:(l - t)
+             and k_t1 = Dp_ref.value dp ~p:(p - 1) ~l:(l - t - 1) in
              if k_t1 > k_t then ok := false;
-             let s_t = t - c + Dp.value dp ~p ~l:(l - t)
-             and s_t1 = t + 1 - c + Dp.value dp ~p ~l:(l - t - 1) in
+             let s_t = t - c + Dp_ref.value dp ~p ~l:(l - t)
+             and s_t1 = t + 1 - c + Dp_ref.value dp ~p ~l:(l - t - 1) in
              if s_t1 < s_t then ok := false
            done
          done
@@ -368,11 +377,11 @@ let prop_branch_monotonicity =
    return 2 at l = 5 — wrong under the lowest-t tie-break — which is
    why the kernel tracks the equalization crossing instead. *)
 let test_argmax_not_monotone () =
-  let dp = Dp.Ref.solve ~c:1 ~max_p:1 ~max_l:5 in
+  let dp = Dp_ref.solve ~c:1 ~max_p:1 ~max_l:5 in
   Alcotest.(check bool) "both cells positive" true
-    (Dp.value dp ~p:1 ~l:4 > 0 && Dp.value dp ~p:1 ~l:5 > 0);
-  Alcotest.(check int) "first(1,4)" 2 (Dp.optimal_first_period dp ~p:1 ~l:4);
-  Alcotest.(check int) "first(1,5)" 1 (Dp.optimal_first_period dp ~p:1 ~l:5)
+    (Dp_ref.value dp ~p:1 ~l:4 > 0 && Dp_ref.value dp ~p:1 ~l:5 > 0);
+  Alcotest.(check int) "first(1,4)" 2 (Dp_ref.first dp ~p:1 ~l:4);
+  Alcotest.(check int) "first(1,5)" 1 (Dp_ref.first dp ~p:1 ~l:5)
 
 (* --- resident packs against the reference --------------------------------- *)
 
@@ -394,11 +403,11 @@ let prop41 t =
   done;
   !ok
 
-let episodes_identical a b =
+let episodes_identical t r =
   let ok = ref true in
-  for p = 0 to Dp.max_p a do
-    for l = 0 to Dp.max_l a do
-      if Dp.optimal_episode a ~p ~l <> Dp.optimal_episode b ~p ~l then
+  for p = 0 to Dp.max_p t do
+    for l = 0 to Dp.max_l t do
+      if Dp.optimal_episode t ~p ~l <> Dp_ref.episode r ~p ~l then
         ok := false
     done
   done;
@@ -406,7 +415,7 @@ let episodes_identical a b =
 
 let matches_ref t =
   let reference =
-    Dp.Ref.solve ~c:(Dp.c t) ~max_p:(Dp.max_p t) ~max_l:(Dp.max_l t)
+    Dp_ref.solve ~c:(Dp.c t) ~max_p:(Dp.max_p t) ~max_l:(Dp.max_l t)
   in
   tables_identical t reference && episodes_identical t reference && prop41 t
 
@@ -444,7 +453,8 @@ let prop_fill_paths_match_ref =
        List.for_all matches_ref [ solved; grown; held; loaded; twice; dirty ])
 
 (* A pack carried through to_packed and of_packed must answer exactly
-   like the reference, whose rows Dp.Ref fills densely cell by cell. *)
+   like the reference, whose rows Dp_ref fills densely cell by cell;
+   so must the table it was packed from. *)
 let prop_packed_roundtrip =
   QCheck.Test.make ~name:"packed rows = dense rows (values and argmax)"
     ~count:60
@@ -452,8 +462,8 @@ let prop_packed_roundtrip =
     (fun (c, max_p, max_l) ->
        let solved = Dp.solve ~c ~max_p ~max_l in
        let loaded = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed solved) in
-       tables_identical loaded (Dp.Ref.solve ~c ~max_p ~max_l)
-       && tables_identical loaded solved)
+       let reference = Dp_ref.solve ~c ~max_p ~max_l in
+       tables_identical loaded reference && tables_identical solved reference)
 
 (* Growing a pack loaded through of_packed keeps every answer: the
    bank-warm daemon path (map a snapshot, grow on the first bigger
@@ -466,7 +476,7 @@ let prop_packed_grow =
        let loaded = Dp.of_packed ~c ~max_p ~max_l (Dp.to_packed solved) in
        Dp.grow loaded ~max_p:(max_p + 1) ~max_l:(max_l + 7);
        tables_identical loaded
-         (Dp.Ref.solve ~c ~max_p:(max_p + 1) ~max_l:(max_l + 7)))
+         (Dp_ref.solve ~c ~max_p:(max_p + 1) ~max_l:(max_l + 7)))
 
 (* The episode walk strides and gallops down the argmax runs; on a
    solved table each step falls only a dozen runs or so.  A hand-built

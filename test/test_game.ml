@@ -388,7 +388,7 @@ let test_solver_grow_matches_fresh () =
   let v_grown = Game.Solver.value grown ~p:3 ~residual:240. in
   let fresh = Game.Solver.create ~grid:0.5 params big pol in
   let v_fresh = Game.Solver.value fresh ~p:3 ~residual:240. in
-  let v_seed = Game.Ref.guaranteed_at ~grid:0.5 params big pol ~p:3 ~residual:240. in
+  let v_seed = Oracle.Game_ref.guaranteed_at ~grid:0.5 params big pol ~p:3 ~residual:240. in
   Alcotest.(check bool) "grown = fresh" true (v_grown = v_fresh);
   Alcotest.(check bool) "grown = seed" true (v_grown = v_seed);
   Alcotest.(check int) "answered budget grew" 3 (Game.Solver.answered_p grown)
@@ -518,7 +518,7 @@ let prop_solver_variants_agree_on_grid =
         else Policy.one_long_period
       in
       let grid = if seed mod 3 = 0 then 1.0 else 0.25 in
-      let v_seed = Game.Ref.guaranteed ~grid params opp pol in
+      let v_seed = Oracle.Game_ref.guaranteed ~grid params opp pol in
       let flat = Game.Solver.create ~grid params opp pol in
       Game.Solver.guaranteed flat = v_seed)
 
@@ -533,14 +533,14 @@ let prop_solver_matches_seed_ungridded =
         if seed mod 2 = 0 then Policy.adaptive_guideline
         else Policy.adaptive_calibrated
       in
-      let v_seed = Game.Ref.guaranteed params opp pol in
+      let v_seed = Oracle.Game_ref.guaranteed params opp pol in
       let v = Game.Solver.guaranteed (Game.Solver.create params opp pol) in
       Csutil.Float_ext.approx_eq ~rtol:1e-9 ~atol:(1e-6 *. u) v_seed v)
 
 (* The sparse memo against the seed recursion, on gridded and
    ungridded identities, answered sequentially and through a 2-slot
    fan-out (private overlays merged at the join): gridded values equal
-   [Ref]'s bit for bit, ungridded ones to within the progress
+   [Game_ref]'s bit for bit, ungridded ones to within the progress
    tolerance.  Each solver answers the root and then interior states
    over its partly filled memo; lifespans up to 2,000 push gridded
    memos through several rehashes. *)
@@ -570,7 +570,7 @@ let prop_memo_matches_ref =
         List.for_all
           (fun (p, residual) ->
             let v = Game.Solver.value solver ~p ~residual in
-            let v_ref = Game.Ref.guaranteed_at ?grid params opp pol ~p ~residual in
+            let v_ref = Oracle.Game_ref.guaranteed_at ?grid params opp pol ~p ~residual in
             match grid with
             | Some _ -> v = v_ref
             | None ->

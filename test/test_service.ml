@@ -150,22 +150,22 @@ let prop_json_round_trip =
 let prop_json_ref_printer =
   QCheck.Test.make ~name:"Json.to_string matches the reference printer"
     ~count:300
-    (QCheck.make json_gen ~print:(fun v -> Json.Ref.to_string v))
-    (fun v -> String.equal (Json.to_string v) (Json.Ref.to_string v))
+    (QCheck.make json_gen ~print:(fun v -> Oracle.Json_ref.to_string v))
+    (fun v -> String.equal (Json.to_string v) (Oracle.Json_ref.to_string v))
 
 let prop_float_repr_matches_ref =
   QCheck.Test.make ~name:"fast float rendering matches the reference"
     ~count:2000 QCheck.float (fun x ->
       String.equal
         (Json.to_string (Json.Float x))
-        (Json.Ref.to_string (Json.Float x)))
+        (Oracle.Json_ref.to_string (Json.Float x)))
 
 let test_json_float_repr_edges () =
   List.iter
     (fun x ->
        Alcotest.(check string)
          (Printf.sprintf "repr of %h matches reference" x)
-         (Json.Ref.to_string (Json.Float x))
+         (Oracle.Json_ref.to_string (Json.Float x))
          (Json.to_string (Json.Float x)))
     [
       0.; -0.; 1.; -1.; 0.1; 0.5; 1. /. 3.; 86399.999999999996;
@@ -177,13 +177,13 @@ let test_json_float_repr_edges () =
 (* The fast printer decides the float rule from the bits in
    1e-6 <= |x| < 2^53 and falls back to the C formatter outside it and
    on ties at the 18th digit; every case below is checked, with its
-   negative, against the [Printf] chain of [Json.Ref]. *)
+   negative, against the [Printf] chain of [Oracle.Json_ref]. *)
 let check_floats_against_ref what xs =
   List.iter
     (fun x ->
        List.iter
          (fun x ->
-            let want = Json.Ref.to_string (Json.Float x) in
+            let want = Oracle.Json_ref.to_string (Json.Float x) in
             let got = Json.to_string (Json.Float x) in
             if not (String.equal got want) then
               Alcotest.failf "%s: %h printed %s, reference %s" what x got want)
@@ -249,7 +249,7 @@ let prop_float_range_matches_ref =
     ~count:10_000 (QCheck.float_range 1e-6 1e6) (fun x ->
       String.equal
         (Json.to_string (Json.Float x))
-        (Json.Ref.to_string (Json.Float x)))
+        (Oracle.Json_ref.to_string (Json.Float x)))
 
 let prop_float_bits_match_ref =
   QCheck.Test.make ~name:"raw float bit patterns match the reference"
@@ -257,7 +257,16 @@ let prop_float_bits_match_ref =
       let x = Int64.float_of_bits bits in
       String.equal
         (Json.to_string (Json.Float x))
-        (Json.Ref.to_string (Json.Float x)))
+        (Oracle.Json_ref.to_string (Json.Float x)))
+
+(* Every byte value, in a key and in a string, escapes as the reference
+   printer escapes it: the fast path's clean-run blit and its escape
+   table against the oracle's own. *)
+let test_json_escape_bytes () =
+  let s = String.init 256 Char.chr in
+  let v = Json.Obj [ (s, Json.String s); ("k", Json.String (String.sub s 0 40)) ] in
+  Alcotest.(check string) "every byte as the reference"
+    (Oracle.Json_ref.to_string v) (Json.to_string v)
 
 let test_json_int_extremes () =
   List.iter
@@ -283,7 +292,7 @@ let test_json_render_allocation () =
   let before = Gc.minor_words () in
   Json.add_to_buffer buf v;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check string) "rendered as the reference" (Json.Ref.to_string v)
+  Alcotest.(check string) "rendered as the reference" (Oracle.Json_ref.to_string v)
     (Buffer.contents buf);
   if words >= 108. then
     Alcotest.failf "render allocated %.0f minor words for 108 numbers" words
@@ -767,29 +776,6 @@ let test_batch_matches_direct () =
          (List.combine expected got))
     [ 1; 4 ]
 
-let test_batch_stats_payload () =
-  let cache = Cache.create ~capacity:4 () in
-  let payload = Json.Obj [ ("requests", Json.Int 42) ] in
-  let forced = ref 0 in
-  let snapshot () =
-    incr forced;
-    payload
-  in
-  (* A batch without a stats op never pays for the snapshot. *)
-  let _ =
-    Batch.run ~domains:1 ~stats_payload:snapshot ~cache
-      [| {|{"id":0,"op":"advise","c":1,"u":100,"p":1}|} |]
-  in
-  Alcotest.(check int) "no stats op: snapshot not computed" 0 !forced;
-  let out =
-    Batch.run ~domains:1 ~stats_payload:snapshot ~cache
-      [| {|{"id":1,"op":"stats"}|} |]
-  in
-  Alcotest.(check int) "stats op: snapshot computed once" 1 !forced;
-  match out.(0).Batch.result with
-  | Ok p -> Alcotest.(check bool) "snapshot served" true (Json.equal p payload)
-  | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
-
 (* --- Resident batches run on the calling domain ----------------------------- *)
 
 (* The cache state every residency test starts from: dp tables for
@@ -871,8 +857,6 @@ let residency_batch_gen =
         (batch (resident_line_gens @ cold_line_gens));
     ]
 
-let stats_reply = Json.Obj [ ("requests", Json.Int 7) ]
-
 let outcome_strings outcomes =
   Array.to_list outcomes
   |> List.map (fun (o : Batch.outcome) ->
@@ -883,8 +867,8 @@ let outcome_strings outcomes =
    mixing resident and cold dp groups, resident and absent solvers,
    pure ops, stats ops and parse errors answer identically through a
    2-domain pool, through [~domains:1] and directly through
-   [Protocol.handle] — and an all-resident batch submits nothing to
-   the pool. *)
+   [Protocol.handle] (a stats op with its no-daemon error) — and an
+   all-resident batch submits nothing to the pool. *)
 let prop_resident_batches_match_direct =
   (* One pool for every case, never shut down: its parked worker goes
      away with the test process. *)
@@ -902,22 +886,20 @@ let prop_resident_batches_match_direct =
            (Array.map
               (fun (e : Protocol.envelope) ->
                  let result =
-                   match e.Protocol.request with
-                   | Ok (Protocol.Stats _) -> Ok stats_reply
-                   | r -> Result.bind r (fun req -> Protocol.handle req)
+                   Result.bind e.Protocol.request (fun req ->
+                       Protocol.handle req)
                  in
                  Protocol.response_to_string ~id:e.Protocol.id result)
               envelopes)
        in
        let before = Csutil.Par.Pool.dispatched pool in
        let pooled =
-         Batch.run_parsed ~pool ~domains:2 ~stats_payload:stats_reply
-           ~cache:(resident_cache ~pool ()) envelopes
+         Batch.run_parsed ~pool ~domains:2 ~cache:(resident_cache ~pool ())
+           envelopes
        in
        let dispatched = Csutil.Par.Pool.dispatched pool - before in
        let inline =
-         Batch.run_parsed ~domains:1 ~stats_payload:stats_reply
-           ~cache:(resident_cache ()) envelopes
+         Batch.run_parsed ~domains:1 ~cache:(resident_cache ()) envelopes
        in
        outcome_strings pooled = direct
        && outcome_strings inline = direct
@@ -1116,6 +1098,63 @@ let test_server_stats_reset () =
       (contains ~sub:{|"requests":0|} third)
   | other ->
     Alcotest.fail (Printf.sprintf "expected 3 responses, got %d" (List.length other))
+
+(* Conservation on a served stream with duplicates within and across
+   batches, malformed lines and a stats op: every reply is counted
+   once, under one op, and every cacheable request probes the answer
+   cache exactly once, as a hit or as a miss. *)
+let test_server_stats_conservation () =
+  let once =
+    [
+      {|{"id":1,"op":"advise","c":1,"u":100,"p":1}|};
+      {|{"id":2,"op":"advise","c":1,"u":100,"p":1}|};
+      dp_line 5 200 2;
+      "junk";
+      {|{"id":3,"op":"stats"}|};
+      {|{"id":4,"op":"evaluate","c":1,"u":20,"p":1,"periods":[8,7,5]}|};
+      dp_line 5 200 2;
+      {|{"id":5,"op":"strategies"}|};
+      {|{"id":6,"op":"nope"}|};
+      evaluate_line ~u:60 ~p:1 "adaptive";
+      {|{"id":7,"op":"schedule","c":1,"u":100,"p":2,"regime":"adaptive"}|};
+    ]
+  in
+  let lines = once @ once in
+  let cacheable =
+    List.length
+      (List.filter
+         (fun line ->
+            match (Protocol.parse_line line).Protocol.request with
+            | Ok req -> Answers.cacheable req
+            | Error _ -> false)
+         lines)
+  in
+  let router = Router.create ~domains:1 ~capacity:8 () in
+  Fun.protect
+    ~finally:(fun () -> Router.shutdown router)
+    (fun () ->
+       let got, stats, server = serve_lines ~batch_size:4 ~router lines in
+       Alcotest.(check int) "one reply per line" (List.length lines)
+         (List.length got);
+       Alcotest.(check int) "every reply counted" (List.length lines)
+         (Stats.requests stats);
+       let by_op =
+         match
+           Json.member "by_op"
+             (Stats.to_json stats ~cache:(Router.cache_stats router))
+         with
+         | Some (Json.Obj ops) ->
+           List.fold_left
+             (fun acc (_, n) -> acc + Option.get (Json.to_int n))
+             0 ops
+         | _ -> Alcotest.fail "no by_op object"
+       in
+       Alcotest.(check int) "requests = sum of by_op" (Stats.requests stats)
+         by_op;
+       let a = Answers.stats (Server.answers server) in
+       Alcotest.(check int) "answers.hits + answers.misses = cacheable"
+         cacheable (a.Answers.hits + a.Answers.misses);
+       Alcotest.(check bool) "repeats hit" true (a.Answers.hits > 0))
 
 (* The gc object carries the process-wide allocation counters; they
    count from start-up, so a later snapshot never reads less. *)
@@ -1750,7 +1789,7 @@ let envelope_bytes (e : Protocol.envelope) =
 let scanner_matches_oracle line =
   String.equal
     (envelope_bytes (Protocol.parse_line line))
-    (envelope_bytes (Protocol.Ref.parse_line line))
+    (envelope_bytes (Oracle.Protocol_ref.parse_line line))
 
 (* Number spellings: integers (leading zeros, -0, the int range's
    edges, past it), floats on and off Clinger's fast path (15 vs more
@@ -1972,7 +2011,7 @@ let prop_scanner_matches_oracle =
     (QCheck.make protocol_line_gen ~print:(fun l ->
          Printf.sprintf "%S\nscanner: %s\noracle:  %s" l
            (envelope_bytes (Protocol.parse_line l))
-           (envelope_bytes (Protocol.Ref.parse_line l))))
+           (envelope_bytes (Oracle.Protocol_ref.parse_line l))))
     scanner_matches_oracle
 
 let test_scanner_corpus () =
@@ -1981,7 +2020,7 @@ let test_scanner_corpus () =
        if not (scanner_matches_oracle line) then
          Alcotest.failf "%S: scanner %s, oracle %s" line
            (envelope_bytes (Protocol.parse_line line))
-           (envelope_bytes (Protocol.Ref.parse_line line)))
+           (envelope_bytes (Oracle.Protocol_ref.parse_line line)))
     protocol_corpus
 
 (* A warm request line allocates the envelope, the request, the id
@@ -2706,6 +2745,7 @@ let () =
           Alcotest.test_case "exact-range edges" `Quick
             test_json_float_range_edges;
           Alcotest.test_case "decimal ties" `Quick test_json_float_ties;
+          Alcotest.test_case "escapes every byte" `Quick test_json_escape_bytes;
           Alcotest.test_case "int extremes" `Quick test_json_int_extremes;
           Alcotest.test_case "render allocation" `Quick
             test_json_render_allocation;
@@ -2761,7 +2801,6 @@ let () =
         [
           Alcotest.test_case "mixed batch matches direct calls" `Slow
             test_batch_matches_direct;
-          Alcotest.test_case "stats snapshot" `Quick test_batch_stats_payload;
           Alcotest.test_case "resident batch skips the pool" `Quick
             test_resident_batch_skips_pool;
           Alcotest.test_case "duplicate cold herd: one miss each" `Quick
@@ -2806,6 +2845,8 @@ let () =
             test_server_end_to_end;
           Alcotest.test_case "stats request" `Quick test_server_stats_request;
           Alcotest.test_case "stats reset" `Quick test_server_stats_reset;
+          Alcotest.test_case "stats conservation" `Quick
+            test_server_stats_conservation;
           Alcotest.test_case "stats gc counters" `Quick test_server_stats_gc;
           Alcotest.test_case "malformed flood" `Quick
             test_server_survives_malformed_flood;

@@ -590,19 +590,21 @@ let test_bank_warm_start () =
    in L and nonincreasing in p, and W^(p)[L] = 0 for L <= (p+1)c, on
    every row — of a table mapped from the bank, and of the same table
    after the cache grew it past its banked bounds. *)
-let prop41_rows t =
-  let c = Dp.c t in
-  for p = 0 to Dp.max_p t do
-    for l = 0 to Dp.max_l t do
-      let w = Dp.value t ~p ~l in
+let prop41_cells ~c ~max_p ~max_l value =
+  for p = 0 to max_p do
+    for l = 0 to max_l do
+      let w = value ~p ~l in
       let where = Printf.sprintf "W^(%d)[%d] = %d" p l w in
-      if l > 0 && w < Dp.value t ~p ~l:(l - 1) then
+      if l > 0 && w < value ~p ~l:(l - 1) then
         Alcotest.failf "%s falls in L" where;
-      if p > 0 && w > Dp.value t ~p:(p - 1) ~l then
+      if p > 0 && w > value ~p:(p - 1) ~l then
         Alcotest.failf "%s rises in p" where;
       if l <= (p + 1) * c && w <> 0 then Alcotest.failf "%s, not 0" where
     done
   done
+
+let prop41_rows t =
+  prop41_cells ~c:(Dp.c t) ~max_p:(Dp.max_p t) ~max_l:(Dp.max_l t) (Dp.value t)
 
 let test_bank_served_prop41 () =
   with_dir (fun dir ->
@@ -623,6 +625,82 @@ let test_bank_served_prop41 () =
       Alcotest.(check bool) "covers the grown bounds" true
         (Dp.max_p grown >= 5 && Dp.max_l grown >= 1500);
       prop41_rows grown)
+
+(* The same after a shard restart, through the wire: a bank-backed
+   router's only shard is killed, its replacement comes back bank-warm,
+   and its [dp] answers, first inside the banked bounds (read from the
+   mapped pack) and then past them (the pack grown), agree with the
+   reference cell for cell, value and episode, and satisfy Prop 4.1. *)
+let test_restarted_shard_serves_dp () =
+  with_dir (fun dir ->
+      let c = 4 and banked_p = 2 and banked_l = 120 in
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      ignore
+        (Service.Cache.find_or_solve
+           (Service.Cache.create ~bank ~capacity:4 ())
+           ~c ~p:banked_p ~l:banked_l);
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:false dir) in
+      let router = Service.Router.create ~domains:1 ~bank ~capacity:4 () in
+      Fun.protect
+        ~finally:(fun () -> Service.Router.shutdown router)
+        (fun () ->
+           Alcotest.(check int) "one table warmed" 1
+             (Service.Router.warm_from_bank router);
+           let line ~p ~l =
+             Printf.sprintf {|{"op":"dp","c_ticks":%d,"l":%d,"p":%d}|} c l p
+           in
+           Service.Router.inject_failure router ~shard:0 Service.Router.Die;
+           (match Service.Router.run router [| line ~p:1 ~l:50 |] with
+            | [| { Service.Batch.result = Error (Error.Unavailable _); _ } |] ->
+              ()
+            | _ -> Alcotest.fail "the killed batch did not answer unavailable");
+           Alcotest.(check int) "one restart" 1 (Service.Router.restarts router);
+           let serve ~max_p ~max_l =
+             let reference = Oracle.Dp_ref.solve ~c ~max_p ~max_l in
+             let cells =
+               Array.init
+                 ((max_p + 1) * (max_l + 1))
+                 (fun i -> (i / (max_l + 1), i mod (max_l + 1)))
+             in
+             let outcomes =
+               Service.Router.run router
+                 (Array.map (fun (p, l) -> line ~p ~l) cells)
+             in
+             let served = Array.make (Array.length cells) 0 in
+             Array.iteri
+               (fun i (o : Service.Batch.outcome) ->
+                  let p, l = cells.(i) in
+                  let field name =
+                    match o.Service.Batch.result with
+                    | Ok v -> Service.Json.member name v
+                    | Error e -> Alcotest.failf "p=%d l=%d: %s" p l (Error.to_string e)
+                  in
+                  let int v = Option.get (Service.Json.to_int v) in
+                  let value = int (Option.get (field "value")) in
+                  let episode =
+                    List.map int
+                      (Option.get (Service.Json.to_list (Option.get (field "episode"))))
+                  in
+                  if value <> Oracle.Dp_ref.value reference ~p ~l then
+                    Alcotest.failf "W^(%d)[%d] = %d, reference %d" p l value
+                      (Oracle.Dp_ref.value reference ~p ~l);
+                  if episode <> Oracle.Dp_ref.episode reference ~p ~l then
+                    Alcotest.failf "episode at p=%d l=%d differs from the reference"
+                      p l;
+                  served.(i) <- value)
+               outcomes;
+             prop41_cells ~c ~max_p ~max_l (fun ~p ~l ->
+                 served.((p * (max_l + 1)) + l))
+           in
+           serve ~max_p:banked_p ~max_l:banked_l;
+           let s = Service.Router.cache_stats router in
+           Alcotest.(check (pair int int)) "banked table served, not grown"
+             (1, 0) (s.Service.Cache.hits, s.Service.Cache.growths);
+           serve ~max_p:(banked_p + 2) ~max_l:(2 * banked_l);
+           Alcotest.(check int) "grown past the banked bounds" 1
+             (Service.Router.cache_stats router).Service.Cache.growths;
+           Alcotest.(check int) "no second restart" 1
+             (Service.Router.restarts router)))
 
 (* A bank heals an old-version file with no migration step: the load
    fails structured and counted, the cache answers exactly as a
@@ -844,6 +922,8 @@ let () =
             test_bank_heals_old_version;
           Alcotest.test_case "Prop 4.1 on loaded and grown tables" `Quick
             test_bank_served_prop41;
+          Alcotest.test_case "restarted shard serves dp = Dp_ref, Prop 4.1"
+            `Quick test_restarted_shard_serves_dp;
         ] );
       ( "stats reset",
         [
