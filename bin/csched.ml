@@ -260,6 +260,11 @@ let dp_cmd =
     if c_ticks < 1 then fail (Error.Invalid_params "c-ticks must be >= 1")
     else if p < 0 then fail (Error.Invalid_params "p must be non-negative")
     else if max_l < 0 then fail (Error.Invalid_params "max-l must be non-negative")
+    else if not (Dp.fits ~max_p:p ~max_l) then
+      fail
+        (Error.Invalid_params
+           (Printf.sprintf "p and max-l need a table of more than %d cells"
+              Dp.max_cells))
     else begin
       let dp = Dp.solve ~c:c_ticks ~max_p:p ~max_l in
       let t =

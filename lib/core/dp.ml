@@ -608,10 +608,24 @@ let unpack_into pk body =
 
 (* --- solve and grow ------------------------------------------------------- *)
 
+(* The largest table a fill may make: its dense scratch is 16 bytes a
+   cell on 64-bit platforms, 512 MiB at the limit. *)
+let max_cells = 1 lsl 25
+
+(* Compared one bound at a time first, so the product cannot wrap. *)
+let fits ~max_p ~max_l =
+  max_p < max_cells && max_l < max_cells && (max_p + 1) * (max_l + 1) <= max_cells
+
+let check_fits what ~max_p ~max_l =
+  if not (fits ~max_p ~max_l) then
+    Error.invalidf "%s: p <= %d, L <= %d is over the %d-cell table limit" what
+      max_p max_l max_cells
+
 let solve_with ~pool ~c ~max_p ~max_l =
   if c < 1 then Error.invalid "Dp.solve: c must be >= 1 tick";
   if max_p < 0 then Error.invalid "Dp.solve: max_p must be non-negative";
   if max_l < 0 then Error.invalid "Dp.solve: max_l must be non-negative";
+  check_fits "Dp.solve" ~max_p ~max_l;
   let packed =
     with_scratch ~max_p ~max_l (fun body ->
         fill ?pool ~c body ~old_p:(-1) ~old_l:(-1);
@@ -629,6 +643,7 @@ let grow ?pool t ~max_p ~max_l =
   if max_l < 0 then Error.invalid "Dp.grow: max_l must be non-negative";
   let old = t.packed in
   let new_p = max old.p_max_p max_p and new_l = max old.p_max_l max_l in
+  check_fits "Dp.grow" ~max_p:new_p ~max_l:new_l;
   if new_p > old.p_max_p || new_l > old.p_max_l then
     t.packed <-
       with_scratch ~max_p:new_p ~max_l:new_l (fun body ->

@@ -42,7 +42,18 @@ val solve : c:int -> max_p:int -> max_l:int -> t
     The cells are filled in the shared scratch and the table keeps
     only their pack.
 
-    @raise Error.Error when [c < 1] or bounds are negative. *)
+    @raise Error.Error when [c < 1], bounds are negative or the table
+    would not {!fits}. *)
+
+val max_cells : int
+(** The largest table {!solve} and {!grow} make, in cells
+    [(max_p + 1) * (max_l + 1)]: 2{^25}, whose dense fill scratch is
+    512 MiB on 64-bit platforms. *)
+
+val fits : max_p:int -> max_l:int -> bool
+(** Whether a table with these non-negative bounds has at most
+    {!max_cells} cells.  Each bound is compared alone first, so on a
+    64-bit platform no [int] makes the cell count wrap. *)
 
 val solve_with :
   pool:Csutil.Par.Pool.t option -> c:int -> max_p:int -> max_l:int -> t
@@ -61,7 +72,8 @@ val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
     which is never written.  A no-op when the table already covers the
     requested bounds.  [pool] parallelises the new-cell fill as in
     {!solve}.
-    @raise Error.Error on negative bounds. *)
+    @raise Error.Error on negative bounds, or when the grown table
+    would not {!fits}. *)
 
 val scratch_bytes : unit -> int
 (** The size of the idle spare fill scratch, 0 when none is held (a

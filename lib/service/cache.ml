@@ -55,8 +55,15 @@ let canonical ~c ~p ~l =
   if c < 1 then Error.invalid "Cache.canonical: c must be >= 1";
   if p < 0 then Error.invalid "Cache.canonical: p must be non-negative";
   if l < 0 then Error.invalid "Cache.canonical: l must be non-negative";
+  let too_big () =
+    Error.invalidf "p = %d and l = %d need a dp table of more than %d cells" p
+      l Dp.max_cells
+  in
+  (* The query itself first: [next_pow2] must not run past max_int. *)
+  if not (Dp.fits ~max_p:p ~max_l:l) then too_big ();
   let max_l = max min_l (next_pow2 l) in
   let max_p = max min_p (if p mod 2 = 0 then p else p + 1) in
+  if not (Dp.fits ~max_p ~max_l) then too_big ();
   { c; max_p; max_l }
 
 (* --- the LRU core --------------------------------------------------------

@@ -53,7 +53,9 @@ val canonical : c:int -> p:int -> l:int -> key
 (** The canonical table bounds covering query [(c, p, l)].  [c] is kept
     exact (it changes the game), [l] rounds up to a power of two [>=
     min_l], [p] rounds up to an even number [>= min_p].
-    @raise Error.Error when [c < 1], [p < 0] or [l < 0]. *)
+    @raise Error.Error when [c < 1], [p < 0] or [l < 0], or when the
+    canonical table would be over {!Cyclesteal.Dp.max_cells} cells
+    (message ["p = P and l = L need a dp table of more than N cells"]). *)
 
 val create :
   ?pool:Csutil.Par.Pool.t ->

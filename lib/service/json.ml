@@ -506,63 +506,7 @@ let of_string s =
 
 (* --- cursor access ------------------------------------------------------ *)
 
-(* The grammar above, checked without building a value: the same
-   steps in the same order, so a document fails at the same offset
-   with the same message. *)
-let skip_string st =
-  expect st '"';
-  let e = plain_end st in
-  if e >= 0 then st.pos <- e + 1 else ignore (parse_escaped_string st)
-
-let rec skip_value st =
-  skip_ws st;
-  if st.pos >= st.n then fail st "unexpected end of input";
-  match st.s.[st.pos] with
-  | '"' -> skip_string st
-  | 't' -> literal st "true" ()
-  | 'f' -> literal st "false" ()
-  | 'n' -> literal st "null" ()
-  | '[' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if at st ']' then st.pos <- st.pos + 1 else skip_items st
-  | '{' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if at st '}' then st.pos <- st.pos + 1 else skip_fields st
-  | '-' | '0' .. '9' -> ignore (number_span st)
-  | c -> fail st (Printf.sprintf "unexpected character %C" c)
-
-and skip_items st =
-  skip_value st;
-  skip_ws st;
-  if at st ',' then begin
-    st.pos <- st.pos + 1;
-    skip_items st
-  end
-  else if at st ']' then st.pos <- st.pos + 1
-  else fail st "expected ',' or ']'"
-
-and skip_fields st =
-  skip_ws st;
-  skip_string st;
-  skip_ws st;
-  expect st ':';
-  skip_value st;
-  skip_ws st;
-  if at st ',' then begin
-    st.pos <- st.pos + 1;
-    skip_fields st
-  end
-  else if at st '}' then st.pos <- st.pos + 1
-  else fail st "expected ',' or '}'"
-
 let cursor s pos = { s; n = String.length s; pos }
-
-let skip_at s pos =
-  let st = cursor s pos in
-  skip_value st;
-  st.pos
 
 let value_at s pos =
   let st = cursor s pos in

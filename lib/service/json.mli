@@ -37,12 +37,13 @@ val of_string : string -> (t, string) result
     {!syntax_message} words them.  This is the parser for clients
     (tests, the load generator) and for the test-only request oracle;
     the daemon reads request lines with the one-pass scanner
-    [Protocol.parse_line], which builds no tree. *)
+    [Protocol.parse_line], which builds a tree only for the id and for
+    the values it does not decode. *)
 
 (** {2 Cursor access}
 
-    The pieces of {!of_string}'s grammar a scanner needs to walk a
-    document without building its tree.  Each starts at a byte offset
+    The pieces of {!of_string}'s grammar a scanner hands the values
+    it does not decode itself.  Each starts at a byte offset
     (leading whitespace skipped, except by {!string_at}), fails exactly
     where {!of_string} would, and returns the offset just past what it
     read. *)
@@ -52,9 +53,6 @@ exception Syntax of int * string
 
 val syntax_message : int -> string -> string
 (** {!of_string}'s error text for a {!Syntax} error. *)
-
-val skip_at : string -> int -> int
-(** Check one value's syntax and step over it.  Builds nothing. *)
 
 val value_at : string -> int -> t * int
 (** Parse one value. *)

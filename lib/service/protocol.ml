@@ -34,38 +34,6 @@ let op_name = function
   | Strategies -> "strategies"
   | Stats _ -> "stats"
 
-(* --- shard placement keys ------------------------------------------------
-
-   The canonical identity a request's cached state lives under, as a
-   string the router consistent-hashes.  Two requests share a key
-   exactly when they can share residency: dp queries share a table per
-   c (bounds only say how far it must cover), point ops share solvers
-   per (c, u, policy) — p stays out of the key because state_only
-   policies collapse it, and keeping all budgets of one (c, u, policy)
-   together is what lets the resident solver grow in place instead of
-   duplicating across shards.  Floats print with %h (exact hex), so no
-   two distinct parameters ever collide by formatting.  Strategies and
-   stats have no placement: the router answers them itself (strategies
-   is pure; stats aggregates across shards). *)
-
-let dp_shard_key ~c_ticks = Printf.sprintf "dp:%d" c_ticks
-
-let shard_key = function
-  | Advise { c; u; _ } -> Some (Printf.sprintf "cu:%h:%h:advise" c u)
-  | Schedule { c; u; regime; _ } ->
-    Some (Printf.sprintf "cu:%h:%h:%s" c u regime)
-  | Evaluate { c; u; policy; _ } ->
-    (* The canonical planner name, so aliases ("fixed-chunk",
-       "fixed_chunk") land on the shard of the one solver they share. *)
-    let name =
-      match Engine.Registry.find_opt policy with
-      | Some planner -> planner.Engine.Planner.name
-      | None -> policy
-    in
-    Some (Printf.sprintf "cu:%h:%h:%s" c u name)
-  | Dp_query { c_ticks; _ } -> Some (dp_shard_key ~c_ticks)
-  | Strategies | Stats _ -> None
-
 (* --- decoding ----------------------------------------------------------- *)
 
 let invalid msg = Result.Error (Error.Invalid_params msg)
@@ -84,19 +52,20 @@ let validate_cup ~c ~u ~p =
 (* The request scanner (DESIGN.md §S36).  A warm request is parsed on
    every answer-cache hit, so the line is read in one pass over its
    top-level object, with one cursor record and no closures, into the
-   fields a request can carry; no JSON tree is built except for the
-   id, which is echoed back as it came.  Keys are matched in place.
-   Integers are read in place; a float with at most 15 significant
-   digits and a decimal exponent within ±22 is one exact IEEE multiply
-   or divide (Clinger's fast path), so it reads the same double as
-   [float_of_string]; any other number goes to [int_of_string_opt] /
-   [float_of_string] on its bytes, as [Json.of_string] does.  Op,
+   fields a request can carry; a well-formed request builds no JSON
+   tree except for the id, which is echoed back as it came.  Keys are
+   matched in place.  Integers are read in place; a float with at most
+   15 significant digits and a decimal exponent within ±22 is one exact
+   IEEE multiply or divide (Clinger's fast path), so it reads the same
+   double as [float_of_string]; any other number goes to
+   [int_of_string_opt] / [float_of_string] on its bytes, as
+   [Json.of_string] does.  Op,
    regime and policy names that spell a known name come back as that
    constant.  What the scanner does not decode (an id other than a
    number, escaped strings, unknown fields, values of the wrong kind,
    a line that is not an object) it hands to [Json]'s own grammar,
-   which parses or checks it, so a line fails at the offset and with
-   the message [Json.of_string] gives.
+   which parses it and drops the value, so a line fails at the offset
+   and with the message [Json.of_string] gives.
 
    The result is that of the test oracle [Protocol_ref.parse_line],
    which decodes [Json.of_string]'s tree: a syntax error anywhere wins
@@ -193,8 +162,9 @@ let rec skip_ws_from sc =
 let skip_ws sc =
   if sc.pos < sc.n && String.unsafe_get sc.s sc.pos <= ' ' then skip_ws_from sc
 
-(* Check the value at [sc.pos] and step over it. *)
-let skip sc = sc.pos <- Json.skip_at sc.s sc.pos
+(* Check the value at [sc.pos] and step over it: [Json]'s own grammar
+   parses it, so an error has [Json.of_string]'s offset and message. *)
+let skip sc = sc.pos <- snd (Json.value_at sc.s sc.pos)
 
 let number_start sc =
   sc.pos < sc.n
@@ -552,7 +522,12 @@ let decode sc =
          if c_ticks < 1 then invalid "c_ticks must be >= 1"
          else if p < 0 then invalid "p must be non-negative"
          else if l < 0 then invalid "l must be non-negative"
-         else Ok (Dp_query { c_ticks; l; p }))
+         else
+           (* A table past the cell budget would wedge or exhaust the
+              daemon: refuse it here, with [Cache.canonical]'s error. *)
+           match Cache.canonical ~c:c_ticks ~p ~l with
+           | _ -> Ok (Dp_query { c_ticks; l; p })
+           | exception Error.Error e -> Error e)
     | "strategies" -> Ok Strategies
     | "stats" ->
       (match check sc [ Reset ] with
@@ -829,19 +804,21 @@ let handle ?cache req =
         Result.Error
           (Error.Invalid_params "stats is served by the cschedd daemon"))
 
-(* The cache-state identity a request's evaluation takes a lock for —
-   finer than [shard_key] (which keeps all ops of one (c, u) together
-   for residency): dp queries group per table [c], named-policy
-   evaluations group per resident-solver identity, which is
-   (c, u, planner name) plus p unless the planner is state_only — the
-   mirror of [Cache]'s solver key, so policy aliases ("fixed-chunk",
-   "fixed_chunk") share one group as they share one solver.  [None]
-   for everything else — pure compute, custom-periods evaluations
-   (fresh solver per request), unknown policies (they error
-   per-request), placement-free ops — which the batch engine
-   evaluates as singletons. *)
+(* The cache-state identity a request's evaluation takes a lock for,
+   and the one key that says which requests share state: the batch
+   engine groups by it and the router places by it.  Dp queries share
+   a table per [c]; named-policy evaluations share a resident solver
+   per (c, u, planner name) plus p unless the planner is state_only —
+   the mirror of [Cache]'s solver key, so policy aliases
+   ("fixed-chunk", "fixed_chunk") share one group as they share one
+   solver.  Floats print with %h (exact hex), so no two distinct
+   parameters collide by formatting.  [None] for everything else —
+   pure compute, custom-periods evaluations (fresh solver per
+   request), unknown policies (they error per-request), strategies and
+   stats — which the batch engine evaluates as singletons and the
+   router places on shard 0. *)
 let cache_group = function
-  | Dp_query { c_ticks; _ } -> Some (dp_shard_key ~c_ticks)
+  | Dp_query { c_ticks; _ } -> Some (Printf.sprintf "dp:%d" c_ticks)
   | Evaluate { periods = None; c; u; p; policy } ->
     (match Engine.Registry.find policy with
      | planner ->

@@ -53,39 +53,31 @@ type envelope = {
 val op_name : request -> string
 (** The wire name of the operation ("advise", "schedule", ...). *)
 
-val shard_key : request -> string option
-(** The canonical placement identity the router consistent-hashes:
-    requests with equal keys share cached state (one DP table per
-    [c_ticks]; one resident solver family per [(c, u, policy)], the
-    policy by its planner's canonical name so aliases share a shard —
-    the interrupt budget [p] stays out so every budget of a state-only
-    policy lands on the one shard whose solver grows in place).
-    [None] for [Strategies] and [Stats]: they have no placement — the
-    router answers them itself, aggregating across shards. *)
-
-val dp_shard_key : c_ticks:int -> string
-(** [shard_key]'s key for a [dp] request with this tick cost; the
-    router uses it to slice a bank's tables across shard caches at
-    warm-up, so warming agrees with serving placement. *)
-
 val cache_group : request -> string option
 (** The cache-state identity the request's evaluation takes a lock
-    for, finer than {!shard_key}: one key per dp table ([c_ticks]) and
-    per resident-solver identity ([(c, u)], the planner's canonical
-    name — so aliases share a group — plus [p] unless the planner is
-    state-only, mirroring {!Cache}'s solver key).  The
-    batch engine groups a batch by this so each group takes the cache
-    once — one table fetch, one resident-solver hold — instead of once
-    per request.  [None] for requests that take no cache lock (pure
-    compute, custom-periods evaluations, unknown policies, placement-
-    free ops): those evaluate as singletons. *)
+    for: one key per dp table ([c_ticks]) and per resident-solver
+    identity ([(c, u)], the planner's canonical name — so aliases
+    share a group — plus [p] unless the planner is state-only,
+    mirroring {!Cache}'s solver key).  It is the one key that decides
+    which requests share state: the batch engine groups a batch by it,
+    so each group takes the cache once — one table fetch, one
+    resident-solver hold — instead of once per request, and the
+    {!Router} places each request on the shard its key hashes to and
+    slices the bank by the dp key.  [None] for requests that take no
+    cache lock (pure compute, custom-periods evaluations, unknown
+    policies, [strategies], [stats]): those evaluate as singletons, on
+    shard 0. *)
 
 val parse_line : string -> envelope
 (** Parse one request line.  Total: malformed JSON, a non-object, an
     unknown [op] or bad argument types yield an [Error] envelope, never
-    an exception.
+    an exception.  A [dp] query whose canonical table
+    ({!Cache.canonical}) would be over {!Cyclesteal.Dp.max_cells}
+    cells is refused here with [invalid_params], so no line can start
+    an unbounded fill.
 
-    One pass over the line, building no JSON tree except the [id]:
+    One pass over the line, building no JSON tree except the [id]
+    (and the values of unknown, repeated or wrong-kind fields):
     keys are matched and integers read in place, floats of at most 15
     significant digits and decimal exponent within ±22 take Clinger's
     exact fast path (other numbers go through [int_of_string_opt] /

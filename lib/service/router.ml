@@ -23,8 +23,8 @@
    becomes a job on the owner's channel; the shard worker fans it over
    the shard's solve pool, so cold solves, solver growth and the bank
    write-behind stay with the owner.  The connection worker submits
-   the jobs first, answers the inline sub-batches and the
-   placement-free ops while the shards work, then blocks on each job.
+   the jobs first, answers the inline sub-batches while the shards
+   work, then blocks on each job.
    Inline outcomes are recorded in the owner's stats family, so
    per-shard counts reflect placement wherever a sub-batch ran.  The
    probe is advisory: a table evicted between probe and answer is
@@ -34,9 +34,12 @@
    redundant solve at most.
 
    Placement.  Rendezvous (highest-random-weight) hashing over the
-   canonical placement key (Protocol.shard_key): score every (key,
-   shard) pair with a mixed 64-bit hash, pick the argmax.  Stable by
-   construction — growing K to K+1 remaps exactly the keys whose new
+   request's cache identity (Protocol.cache_group, the key Batch groups
+   by): score every (key, shard) pair with a mixed 64-bit hash, pick
+   the argmax.  A request with no cache identity (pure compute, custom
+   periods, strategies, a parse error) goes to shard 0 and rides its
+   sub-batch.  Stable by construction — growing K to K+1 remaps
+   exactly the keys whose new
    shard's score wins, an expected 1/(K+1) of them, every one moving
    to the new shard — and purely deterministic (FNV-1a + splitmix64
    finalizer, no Random), so any process computes the same placement.
@@ -110,9 +113,18 @@ let place ~shards key =
     !best
   end
 
+(* The shard a request lives on: the one its cache identity hashes
+   to, shard 0 when it has none (pure compute, custom periods, unknown
+   policies, strategies, stats, parse errors). *)
+let shard_of ~shards request =
+  match Result.map Protocol.cache_group request with
+  | Ok (Some key) -> place ~shards key
+  | Ok None | Error _ -> 0
+
 (* Which tick costs a shard's cache owns — used to slice the shared
    bank at warm-up so warming agrees with serving placement. *)
-let owns ~shards index c = place ~shards (Protocol.dp_shard_key ~c_ticks:c) = index
+let owns ~shards index c =
+  shard_of ~shards (Ok (Protocol.Dp_query { c_ticks = c; l = 0; p = 0 })) = index
 
 (* --- jobs ------------------------------------------------------------------
 
@@ -195,14 +207,15 @@ let await job =
   Mutex.unlock job.jlock;
   st
 
+(* A parse error was never evaluated, so it counts as untimed, as the
+   server counts it. *)
 let record sh (e : Protocol.envelope) ~ok ~latency =
-  let op =
-    match e.Protocol.request with
-    | Ok req -> Protocol.op_name req
-    | Error _ -> "invalid"
-  in
   (* bytes belong to the connection that serializes, not here *)
-  Stats.add sh.stats { Stats.op = op; ok; latency; bytes = 0 }
+  match e.Protocol.request with
+  | Ok req ->
+    Stats.add sh.stats { Stats.op = Protocol.op_name req; ok; latency; bytes = 0 }
+  | Error _ ->
+    Stats.add_untimed sh.stats { Stats.op = "invalid"; ok; latency; bytes = 0 }
 
 let record_outcomes sh outcomes =
   Array.iter
@@ -480,17 +493,10 @@ let run_parsed t envelopes =
   else begin
     let shards = Array.length t.shards in
     let routed = Array.make shards [] in
-    let placement_free = ref [] in
     Array.iteri
       (fun i (e : Protocol.envelope) ->
-         match e.Protocol.request with
-         | Ok req -> (
-           match Protocol.shard_key req with
-           | Some key ->
-             let k = place ~shards key in
-             routed.(k) <- (i, e) :: routed.(k)
-           | None -> placement_free := (i, e) :: !placement_free)
-         | Error _ -> placement_free := (i, e) :: !placement_free)
+         let k = shard_of ~shards e.Protocol.request in
+         routed.(k) <- (i, e) :: routed.(k))
       envelopes;
     (* Probe every sub-batch and submit the ones with fill work first,
        so the shard workers start on them before anything is answered
@@ -525,7 +531,7 @@ let run_parsed t envelopes =
       Array.iteri (fun j o -> out.(idxs.(j)) <- Some o) outcomes
     in
     (* While the shards work: the resident sub-batches, accounted to
-       their owner shard as if its worker had answered them ... *)
+       their owner shard as if its worker had answered them. *)
     List.iter
       (fun (sh, idxs, answer) ->
          Stats.add_batch sh.stats ~size:(Array.length idxs);
@@ -533,25 +539,21 @@ let run_parsed t envelopes =
          record_outcomes sh outcomes;
          scatter idxs outcomes)
       (List.rev !inline_rev);
-    (* ... and the placement-free ops (strategies, stats, parse
-       errors), through the same Batch pipeline so semantics cannot
-       drift. *)
-    (match List.rev !placement_free with
-     | [] -> ()
-     | items ->
-       let items = Array.of_list items in
-       scatter (Array.map fst items)
-         (Batch.run_parsed ~domains:1 ~cache:t.shards.(0).cache
-            (Array.map snd items)));
     List.iter
       (fun (idxs, job) ->
          match await job with
          | Pending -> assert false
          | Done outcomes -> scatter idxs outcomes
          | Failed (err, latency) ->
+           (* A parse error still answers with its own error: the
+              line was never going to be evaluated. *)
            scatter idxs
              (Array.map
-                (fun env -> { Batch.envelope = env; result = Error err; latency })
+                (fun (env : Protocol.envelope) ->
+                   let result =
+                     Result.bind env.Protocol.request (fun _ -> Error err)
+                   in
+                   { Batch.envelope = env; result; latency })
                 job.envelopes))
       (List.rev !jobs_rev);
     Array.map (function Some o -> o | None -> assert false) out

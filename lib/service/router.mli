@@ -1,16 +1,18 @@
 (** The request-routing seam: one placement function, K shard workers.
 
-    A router classifies every parsed request to a shard key — the
-    canonical identity its cached state lives under
-    ({!Protocol.shard_key}) — and consistent-hashes that key onto one
-    of K shards.  Each shard is an independent serving runtime pinned
-    to its own dedicated domain: its own {!Cache.t} (DP tables and
-    resident game solvers), its own solve pool, its own {!Stats.t}
-    family and its own slice of the persistent bank.  Resident state
-    therefore {e shards} instead of duplicating — a (c, u, policy)
-    lives on exactly one shard, however many clients ask for it — and
-    K shards solve unrelated keys with zero lock contention between
-    them.
+    A router places every parsed request by its cache identity
+    ({!Protocol.cache_group}, the key {!Batch} groups by) —
+    consistent-hashing that key onto one of K shards — and sends every
+    request without one (pure compute, custom-periods evaluations,
+    unknown policies, [strategies], parse errors) to shard 0.  Each
+    shard is an independent serving runtime pinned to its own
+    dedicated domain: its own {!Cache.t} (DP tables and resident game
+    solvers), its own solve pool, its own {!Stats.t} family and its
+    own slice of the persistent bank.  Resident state therefore
+    {e shards} instead of duplicating — a dp table or a resident
+    solver lives on exactly one shard, however many clients ask for
+    it — and K shards solve unrelated keys with zero lock contention
+    between them.  Every request is counted by exactly one shard.
 
     {b Inline rule.}  A sub-batch whose every group is resident
     (covering dp table, resident solver, pure compute, an error) is
@@ -35,15 +37,14 @@
     only the keys whose new shard wins — an expected 1/(K+1) fraction,
     each moving {e to} the new shard — so resizing a fleet reshuffles
     almost nothing (contrast mod-K hashing, which moves nearly
-    everything).  Requests with no placement ([strategies], [stats])
-    are answered by the router itself; [stats] aggregates the merged
-    cache view plus per-shard sections.
+    everything).
 
     {b Failure is a first-class event, never a daemon crash.}  A shard
     worker that dies (an escaped exception) fails its in-flight
-    sub-batch with a structured [Error.Unavailable] — clients get an
-    error {e response}, not a dropped connection — and the shard
-    restarts with a fresh, bank-warm cache under a bumped generation;
+    sub-batch with a structured [Error.Unavailable] (a parse error in
+    it keeps its own error) — clients get an error {e response}, not a
+    dropped connection — and the shard restarts with a fresh,
+    bank-warm cache under a bumped generation;
     queued sub-batches migrate to the replacement worker untouched.  A
     worker that {e wedges} (stuck past [hang_timeout] on one batch) is
     detected by a watchdog domain and restarted the same way; the
@@ -94,9 +95,8 @@ val run : t -> string array -> Batch.outcome array
     shard.  An all-resident sub-batch is answered on the calling domain
     against its shard's cache; one with fill work is submitted to the
     shard's worker, which fans it over its solve pool (see {!Batch}),
-    and such jobs run concurrently across shards.  Parse errors and
-    placement-free ops also answer on the calling domain, and the
-    outcomes come back index-aligned with the input — so per-connection
+    and such jobs run concurrently across shards.  The outcomes come
+    back index-aligned with the input — so per-connection
     response order, and therefore the bytes a client reads, are
     identical to a serial server's.  A [stats] op answers with
     {!Protocol.handle}'s no-daemon error; the server answers its own. *)
@@ -149,6 +149,6 @@ val shutdown : t -> unit
 (** Stop and join every shard worker (queued sub-batches are still
     evaluated and delivered first) and the watchdog, and release the
     shard pools.  Idempotent.  Sub-batches submitted afterwards fail
-    with [Error.Unavailable]; all-resident sub-batches and
-    placement-free ops never reach a worker, so they still answer on
-    the calling domain. *)
+    with [Error.Unavailable] (a parse error keeps its own error);
+    all-resident sub-batches never reach a worker, so they still
+    answer on the calling domain. *)

@@ -7,11 +7,11 @@
    batch).  in_channel buffering cannot answer the second question, so
    the reader owns its buffer and uses [Unix.select] to probe.
 
-   The socket front end accepts concurrently: an acceptor slot feeds a
-   bounded worker pool through an fd queue, every worker submitting its
-   batches to the one router and folding into the one server-level
-   stats accumulator.  Each connection still sees its responses in its
-   own request order — batching never crosses connections, and the
+   The socket front end serves concurrently: each of [max_conns] pool
+   slots accepts a connection and serves it to its end, every slot
+   submitting its batches to the one router and folding into the one
+   server-level stats accumulator.  Each connection still sees its
+   responses in its own request order — batching never crosses connections, and the
    router gathers sub-batches back index-aligned — so the bytes a
    client reads are identical to what a serial server would have sent
    it.  This file owns accept, framing, ordering and the answer cache
@@ -184,7 +184,7 @@ type t = {
   answers : Answers.t;  (* shared by every connection *)
   stats : Stats.t;  (* the connection-facing family: bytes, I/O errors *)
   stop : bool Atomic.t;
-  wake : Unix.file_descr option Atomic.t;  (* the acceptor's self-pipe *)
+  wake : Unix.file_descr option Atomic.t;  (* the socket slots' self-pipe *)
 }
 
 let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
@@ -205,7 +205,7 @@ let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
 let stats t = t.stats
 let router t = t.router
 let answers t = t.answers
-(* Raise the flag, then wake a socket acceptor blocked in [select]. *)
+(* Raise the flag, then wake the socket slots blocked in [select]. *)
 let request_stop t =
   Atomic.set t.stop true;
   Option.iter
@@ -416,9 +416,9 @@ let ignore_sigpipe =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ | Sys_error _ -> ())
 
-(* One connection, from a worker's point of view.  A client that
+(* One connection, from a slot's point of view.  A client that
    disconnects mid-batch surfaces as EPIPE/ECONNRESET from a read or a
-   write; that ends this connection only — count it and keep the worker
+   write; that ends this connection only — count it and keep the slot
    alive for the next accept. *)
 let handle_connection t conn =
   Fun.protect
@@ -442,72 +442,42 @@ let serve_socket t ~path =
        (try Unix.unlink path with Unix.Unix_error _ -> ());
        Unix.bind sock (Unix.ADDR_UNIX path);
        Unix.listen sock (Stdlib.max 8 (2 * t.max_conns));
-       (* The next connection, [None] once stopped.  The wait is a
-          [select] beside the self-pipe {!request_stop} writes to: the
-          signal handler may run on another domain, and must still wake
-          the acceptor before the next client.  Transient accept
-          failures (the client gave up before the handshake, fd
-          exhaustion) are counted and retried — the listener must
-          outlive any single client. *)
-       let rec accept_next () =
-         if stopped t then None
-         else
+       Unix.set_nonblock sock;
+       (* One slot's life: wait in [select] beside the self-pipe
+          {!request_stop} writes to (the signal handler may run on
+          another domain, and must still wake every slot), accept, serve
+          the connection to its end, repeat.  Every idle slot wakes for
+          a new client and only one accepts it, so the listener is
+          non-blocking and the others go back to waiting on [EAGAIN].
+          Transient accept failures (the client gave up before the
+          handshake, fd exhaustion) are counted and retried — the
+          listener must outlive any single client. *)
+       let rec slot () =
+         if not (stopped t) then
            match Unix.select [ sock; wake_r ] [] [] (-1.) with
            | ready, _, _ when List.mem sock ready && not (stopped t) -> (
              match Unix.accept sock with
-             | conn, _ -> Some conn
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
+             | conn, _ ->
+               Unix.clear_nonblock conn;
+               handle_connection t conn;
+               slot ()
+             | exception
+                 Unix.Unix_error
+                   ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+               slot ()
              | exception
                  Unix.Unix_error
                    ((Unix.ECONNABORTED | Unix.EMFILE | Unix.ENFILE), _, _) ->
                Stats.add_io_error t.stats;
-               accept_next ())
-           | _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> accept_next ()
+               slot ())
+           | _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> slot ()
        in
-       if t.max_conns = 1 then begin
-         (* Serial serving: accept, serve to EOF, accept again. *)
-         let rec accept_loop () =
-           match accept_next () with
-           | None -> ()
-           | Some conn ->
-             handle_connection t conn;
-             accept_loop ()
-         in
-         accept_loop ()
-       end
-       else begin
-         (* Concurrent serving: slot 0 of a dedicated pool accepts and
-            feeds the fd queue; each other slot serves one connection
-            at a time.  This pool only ever carries connections: a
-            slot answers its resident sub-batches itself (microseconds,
-            no fan-out), and fill work happens on the router's shard
-            workers and their solve pools, so serving slots never
-            compete with compute slots and the two layers cannot
-            deadlock each other. *)
-         let queue = Csutil.Par.Chan.create () in
-         Csutil.Par.Pool.with_pool ~domains:(t.max_conns + 1)
-           (fun conn_pool ->
-              Csutil.Par.Pool.run conn_pool (fun slot ->
-                  if slot = 0 then begin
-                    let rec pump () =
-                      match accept_next () with
-                      | None -> Csutil.Par.Chan.close queue
-                      | Some conn ->
-                        (* Only this loop pushes, and it closes the
-                           channel after its last push: never refused. *)
-                        ignore (Csutil.Par.Chan.push queue conn);
-                        pump ()
-                    in
-                    pump ()
-                  end
-                  else begin
-                    let rec work () =
-                      match Csutil.Par.Chan.pop queue with
-                      | None -> ()
-                      | Some conn ->
-                        handle_connection t conn;
-                        work ()
-                    in
-                    work ()
-                  end))
-       end)
+       (* [max_conns] slots of a dedicated pool, slot 0 on this domain;
+          a client past them waits in the listen backlog.  This pool
+          only ever carries connections: a slot answers its resident
+          sub-batches itself (microseconds, no fan-out), and fill work
+          happens on the router's shard workers and their solve pools,
+          so serving slots never compete with compute slots and the two
+          layers cannot deadlock each other. *)
+       Csutil.Par.Pool.with_pool ~domains:t.max_conns (fun pool ->
+           Csutil.Par.Pool.run pool (fun _ -> slot ())))

@@ -22,8 +22,10 @@
     for batches carrying one.
 
     The socket front end serves up to [max_conns] clients concurrently:
-    an acceptor feeds a bounded worker pool, every worker submitting
-    its batches to the one {!Router.t}.  Batches never cross
+    each of [max_conns] pool slots accepts a client and serves it to
+    its end, then accepts the next, every slot submitting its batches
+    to the one {!Router.t}; further clients wait in the listen
+    backlog.  Batches never cross
     connections and the router returns outcomes index-aligned, so each
     client reads exactly the bytes a serial server would have sent it.
     A client that disconnects mid-batch costs one {!Stats.io_errors}
@@ -48,9 +50,9 @@ val create :
   t
 (** [batch_size] (default 64) caps how many requests one batch drains.
     [max_conns] (default 1) is the number of clients {!serve_socket}
-    serves concurrently; connection workers live on a dedicated pool
-    separate from the router's shard pools, so serving slots never
-    compete with compute slots.  [router] is the evaluation engine
+    serves concurrently, one per slot of a dedicated pool (slot 0 on
+    the calling domain) separate from the router's shard pools, so
+    serving slots never compete with compute slots.  [router] is the evaluation engine
     every connection submits to; the caller owns it (and its
     {!Router.shutdown}) — one router can outlive many serve calls.
     The server owns its answer cache, at the default 8 MiB budget;
@@ -67,8 +69,9 @@ val answers : t -> Answers.t
     [answers]). *)
 
 val request_stop : t -> unit
-(** Ask the serving loops to stop after the current batch, waking a
-    blocked socket acceptor.  Safe to call from a signal handler. *)
+(** Ask the serving loops to stop after the current batch, waking the
+    socket slots waiting for a client.  Safe to call from a signal
+    handler. *)
 
 val stopped : t -> bool
 
@@ -82,8 +85,10 @@ val serve_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix-domain socket at [path] (replacing any stale
-    socket file) and serve clients — [max_conns] at a time — until
-    {!request_stop}; the socket file is removed on exit.  SIGPIPE is
+    socket file) and serve clients — [max_conns] at a time, the rest
+    waiting in the listen backlog — until {!request_stop}, after which
+    each slot stops at the end of its batch in flight; the socket file
+    is removed on exit.  SIGPIPE is
     ignored process-wide on first use so client disconnects surface as
     countable errors instead of killing the daemon. *)
 

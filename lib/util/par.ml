@@ -6,11 +6,11 @@
      worker claims tasks of the oldest job that has any left, and a
      [run] nested inside a task publishes like any other, so idle
      workers help it too.  A dedicated pool can also host long-lived
-     tasks: the server's connection workers are one [run] of [size]
-     blocking calls, one per domain.
+     tasks: the server's connection slots are one [run] of [size]
+     blocking accept-and-serve loops, one per domain.
 
    - [Chan]: an unbounded blocking FIFO handing work between domains
-     (the server's accepted connections, the router's shard jobs).
+     (the router's shard jobs).
 
    - [map] / [init] / [map_reduce]: chunked data-parallel maps over the
      pool.  Each chunk is one task writing a disjoint slice of the
@@ -115,7 +115,7 @@ module Pool = struct
      alongside any workers, then unpublishes the job and waits under the
      lock for the tasks still running elsewhere.  Task 0 on the
      submitting domain is load-bearing for the serving layer: a
-     long-lived slot-0 task (the socket acceptor) must stay on the
+     long-lived slot-0 task (a socket connection slot) stays on the
      calling domain, where a signal interrupts its blocking syscall and
      the OCaml handler actually runs; a worker domain parked in a
      condition wait never polls.
@@ -157,7 +157,7 @@ module Pool = struct
 
   (* One call per slot: with idle workers, the submitter runs slot 0
      and each parked worker claims one other, so [size t] mutually
-     blocking calls (the server's connection workers) run concurrently. *)
+     blocking calls (the server's connection slots) run concurrently. *)
   let run t f = run_tasks t t.slots f
 
   let shutdown t =

@@ -31,8 +31,8 @@ module Pool : sig
   val run : t -> (int -> unit) -> unit
   (** [run t f] calls [f slot] exactly once for every
       [slot = 0 .. size t - 1].  The submitting domain runs slot 0
-      itself (so a long-lived slot-0 task — a socket acceptor — stays
-      on the calling domain, where signals interrupt its blocking
+      itself (so a long-lived slot-0 task — a socket connection slot —
+      stays on the calling domain, where signals interrupt its blocking
       syscalls); with idle workers every other call lands on its own
       domain, so [size t] mutually blocking calls all run concurrently.
       Under load, calls 1 .. size-1 run wherever a domain goes idle —
@@ -55,7 +55,8 @@ module Pool : sig
 end
 
 module Chan : sig
-  (** An unbounded blocking FIFO between domains. *)
+  (** An unbounded blocking FIFO between domains: the router's shard
+      job queues. *)
 
   type 'a t
 

@@ -1,7 +1,8 @@
 (* The tree-based request decoder the one-pass scanner
    [Protocol.parse_line] replaced: [Json.of_string]'s tree, read field
-   by field.  It restates the range checks and the unknown-op error,
-   with the scanner's messages, instead of calling the scanner's own. *)
+   by field.  It restates the range checks, the dp table budget and
+   the unknown-op error, with the scanner's messages, instead of
+   calling the scanner's own. *)
 
 open Service
 
@@ -22,6 +23,23 @@ let validate_cup ~c ~u ~p =
   else if u <= 0. then invalid "U must be positive"
   else if p < 0 then invalid "p must be non-negative"
   else Ok ()
+
+(* The dp table budget, restated: the cache's table for (p, l) has
+   rows 0 .. p rounded up to even (at least 2) and columns 0 .. l
+   rounded up to a power of two (at least 256), and may hold at most
+   2^25 cells.  Bounds past the budget on their own are refused before
+   any rounding. *)
+let max_cells = 1 lsl 25
+
+let dp_table_fits ~p ~l =
+  p <= max_cells && l <= max_cells
+  &&
+  let rows = max 2 (p + (p mod 2)) + 1 in
+  let cols = ref 256 in
+  while !cols < l do
+    cols := 2 * !cols
+  done;
+  rows * (!cols + 1) <= max_cells
 
 let field read what obj name default =
   match Json.member name obj with
@@ -91,6 +109,10 @@ let decode_request obj =
     if c_ticks < 1 then invalid "c_ticks must be >= 1"
     else if p < 0 then invalid "p must be non-negative"
     else if l < 0 then invalid "l must be non-negative"
+    else if not (dp_table_fits ~p ~l) then
+      invalid
+        (Printf.sprintf "p = %d and l = %d need a dp table of more than %d cells"
+           p l max_cells)
     else Ok (Protocol.Dp_query { c_ticks; l; p })
   | "strategies" -> Ok Protocol.Strategies
   | "stats" ->

@@ -1156,6 +1156,48 @@ let test_server_stats_conservation () =
          cacheable (a.Answers.hits + a.Answers.misses);
        Alcotest.(check bool) "repeats hit" true (a.Answers.hits > 0))
 
+(* A dp line whose table would be over the cell budget is refused when
+   it is parsed: unbounded, l near 2^62 loops in the canonical rounding
+   and l = 10^11 at p = 3 exhausts memory on the shard, whose restart
+   fails its batch-mates too.  Sent as one batch beside an advise, both
+   answer invalid_params and the advise its answer, byte-identical to
+   direct [Protocol.handle], within a second; the library entry points
+   refuse such bounds as well. *)
+let test_server_oversized_dp () =
+  let lines =
+    [
+      {|{"id":1,"op":"dp","c_ticks":1,"l":4611686018427387903,"p":2}|};
+      {|{"id":2,"op":"dp","c_ticks":1,"l":100000000000,"p":3}|};
+      {|{"id":3,"op":"advise","c":1,"u":100,"p":1}|};
+    ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let got, _, _ = serve_lines ~batch_size:64 lines in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list string)) "bytes = direct handle"
+    (List.map direct_response lines) got;
+  List.iteri
+    (fun i reply ->
+       Alcotest.(check bool)
+         (Printf.sprintf "line %d: %s" i reply)
+         true
+         (if i < 2 then contains ~sub:{|"invalid_params"|} reply
+          else contains ~sub:{|"ok":true|} reply))
+    got;
+  Alcotest.(check bool) (Printf.sprintf "answered in %.3f s" elapsed) true
+    (elapsed < 1.);
+  let refuses what f =
+    match f () with
+    | exception Cyclesteal.Error.Error _ -> ()
+    | _ -> Alcotest.failf "%s accepted an oversized table" what
+  in
+  refuses "Cache.canonical" (fun () ->
+      ignore (Cache.canonical ~c:1 ~p:2 ~l:4611686018427387903));
+  refuses "Dp.solve" (fun () ->
+      ignore (Cyclesteal.Dp.solve ~c:1 ~max_p:3 ~max_l:100_000_000_000));
+  let dp = Cyclesteal.Dp.solve ~c:1 ~max_p:1 ~max_l:10 in
+  refuses "Dp.grow" (fun () -> Cyclesteal.Dp.grow dp ~max_p:2 ~max_l:max_int)
+
 (* The gc object carries the process-wide allocation counters; they
    count from start-up, so a later snapshot never reads less. *)
 let test_server_stats_gc () =
@@ -1276,8 +1318,9 @@ let test_server_socket () =
 
 (* The daemon binary exits within 3 s of a SIGINT, and of the SIGTERM
    perfbench sends, that lands right after its only client closed —
-   when the acceptor is blocked waiting for the next client.  One
-   daemon at a time. *)
+   when every connection slot is waiting for the next client — with
+   the default slot count, one slot and three.  One daemon at a
+   time. *)
 let test_daemon_signal_exit () =
   let exe =
     List.fold_left Filename.concat
@@ -1285,14 +1328,15 @@ let test_daemon_signal_exit () =
       [ Filename.parent_dir_name; "bin"; "cschedd.exe" ]
   in
   List.iter
-    (fun (name, signal) ->
+    (fun ((name, signal), conns) ->
+      let name = String.concat " " (name :: conns) in
       let dir = Filename.temp_file "cschedd_sig" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o700;
       let path = Filename.concat dir "s.sock" in
       let pid =
         Unix.create_process exe
-          [| exe; "--quiet"; "--socket"; path |]
+          (Array.of_list ([ exe; "--quiet"; "--socket"; path ] @ conns))
           Unix.stdin Unix.stdout Unix.stderr
       in
       let rec appear tries =
@@ -1338,7 +1382,10 @@ let test_daemon_signal_exit () =
       Alcotest.(check bool) (name ^ ": socket file removed") false
         (Sys.file_exists path);
       Unix.rmdir dir)
-    [ ("SIGINT", Sys.sigint); ("SIGTERM", Sys.sigterm) ]
+    (List.concat_map
+       (fun conns ->
+          [ (("SIGINT", Sys.sigint), conns); (("SIGTERM", Sys.sigterm), conns) ])
+       [ []; [ "--max-conns"; "1" ]; [ "--max-conns"; "3" ] ])
 
 (* A request line longer than the 64 KiB read buffer must yield exactly
    one error response — never a response per 64 KiB fragment, and never
@@ -1488,15 +1535,16 @@ let test_answers_dp_across_grow () =
   Alcotest.(check int) "the table grew" 1
     (Router.cache_stats (Server.router server)).Cache.growths
 
-(* The shard a request line is placed on by a [shards]-shard router;
-   -1 for lines with no placement. *)
+(* The shard a request line is placed on by a [shards]-shard router:
+   the one its cache identity hashes to, shard 0 for lines without
+   one. *)
 let shard_of_line ~shards line =
   match (Protocol.parse_line line).Protocol.request with
   | Ok req -> (
-      match Protocol.shard_key req with
+      match Protocol.cache_group req with
       | Some key -> Router.place ~shards key
-      | None -> -1)
-  | Error _ -> -1
+      | None -> 0)
+  | Error _ -> 0
 
 (* A ping-pong socket client: write one request line, read until its
    response line arrives, repeat; returns everything it read. *)
@@ -1627,12 +1675,13 @@ let test_server_concurrent_clients () =
       check_cold_then_warm ~client:run_client server path
         (List.init nclients client_script));
   let shards = 4 in
-  let candidates = List.concat (List.init 4 client_script) in
-  let hot =
-    shard_of_line ~shards (List.find (contains ~sub:{|"dp"|}) candidates)
+  let candidates =
+    List.concat (List.init 4 client_script)
+    @ List.init 12 (fun k -> dp_line (7 + k) (150 + (11 * k)) (k mod 3))
   in
+  (* Shard 0, which also holds every advise. *)
   let hot_lines =
-    List.filter (fun l -> shard_of_line ~shards l = hot) candidates
+    List.filter (fun l -> shard_of_line ~shards l = 0) candidates
   in
   Alcotest.(check bool) "hot-shard traffic has every op" true
     (List.for_all
@@ -1644,6 +1693,17 @@ let test_server_concurrent_clients () =
           List.filteri (fun i _ -> i mod 2 = 0) hot_lines;
           List.filteri (fun i _ -> i mod 2 = 1) hot_lines;
         ])
+
+(* Three clients at once against one connection slot, then two: the
+   clients past the slots wait in the listen backlog until a slot
+   frees, and each reads exactly direct [Protocol.handle]'s bytes. *)
+let test_server_more_clients_than_slots () =
+  List.iter
+    (fun max_conns ->
+       with_socket_server ~max_conns (fun server path ->
+           check_cold_then_warm ~client:run_client server path
+             (List.init 3 client_script)))
+    [ 1; 2 ]
 
 (* Like [run_client], but send the whole script before reading anything:
    the server drains it in large batches, so the batch engine actually
@@ -1989,6 +2049,13 @@ let protocol_corpus =
       {|{"op":"stats","reset":tru}|}; {|{"op":"stats","reset":1}|};
       {|{"op":"dp","p":2.0,"l":1e3,"c_ticks":7.5}|};
       {|{"op":"dp","p":1e15,"l":-0}|};
+      (* The dp table budget: 2^25 cells of the canonical table. *)
+      {|{"op":"dp","c_ticks":1,"l":8388608,"p":2}|};
+      {|{"op":"dp","c_ticks":1,"l":8388609,"p":2}|};
+      {|{"op":"dp","l":256,"p":130560}|}; {|{"op":"dp","l":256,"p":130561}|};
+      {|{"op":"dp","c_ticks":1,"l":4611686018427387903,"p":2}|};
+      {|{"op":"dp","c_ticks":1,"l":100000000000,"p":3}|};
+      {|{"op":"dp","l":0,"p":4611686018427387903}|};
       {|{"op":"advise","c":1,"c":"x","op":5}|};
       {|{"op":5,"op":"advise"}|};
       {|{"op":"advise","c":2}|};
@@ -2278,35 +2345,31 @@ let test_placement_remap () =
          (frac > 0.3 *. expected && frac < 2.5 *. expected))
     [ 1; 2; 3; 4; 7 ]
 
-(* Requests that share cached state share a canonical placement key —
-   e.g. evaluate over the same (c, u, policy) at different p reuses one
-   resident solver, and so do two spellings of one planner — so they
-   must land on the same shard. *)
+(* Requests that share cached state share a cache identity — e.g.
+   evaluate of a state-only policy over the same (c, u) at different p
+   reuses one resident solver, and so do two spellings of one planner
+   — so they must land on the same shard. *)
 let test_placement_equal_canonical_keys () =
-  let key p =
-    let line =
-      Printf.sprintf
-        {|{"op":"evaluate","c":1,"u":120,"p":%d,"policy":"adaptive"}|} p
-    in
+  let key line =
     match (Protocol.parse_line line).Protocol.request with
-    | Ok req -> Protocol.shard_key req
+    | Ok req -> Protocol.cache_group req
     | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
   in
-  Alcotest.(check bool) "p is not part of the placement key" true
-    (key 1 = key 3 && key 1 <> None);
-  (* And the dp placement key is the one bank slicing uses. *)
-  let dp_key =
-    match
-      (Protocol.parse_line {|{"op":"dp","c_ticks":7,"l":200,"p":1}|})
-        .Protocol.request
-    with
-    | Ok req -> Protocol.shard_key req
-    | Error e -> Alcotest.fail (Cyclesteal.Error.to_string e)
+  let adaptive p =
+    key
+      (Printf.sprintf
+         {|{"op":"evaluate","c":1,"u":120,"p":%d,"policy":"adaptive"}|} p)
   in
-  Alcotest.(check bool) "dp key matches the bank-slicing key" true
-    (dp_key = Some (Protocol.dp_shard_key ~c_ticks:7));
+  Alcotest.(check bool) "p is not part of a state-only policy's key" true
+    (adaptive 1 = adaptive 3 && adaptive 1 <> None);
+  (* And a dp key names the table alone, as bank slicing assumes. *)
+  Alcotest.(check bool) "dp key ignores the bounds" true
+    (key {|{"op":"dp","c_ticks":7,"l":200,"p":1}|}
+     = key {|{"op":"dp","c_ticks":7,"l":0,"p":0}|}
+     && key {|{"op":"dp","c_ticks":7,"l":0,"p":0}|}
+        <> key {|{"op":"dp","c_ticks":8,"l":0,"p":0}|});
   let evaluate_key ~u policy =
-    Protocol.shard_key
+    Protocol.cache_group
       (Protocol.Evaluate { c = 1.; u; p = 2; policy; periods = None })
   in
   List.iter
@@ -2404,6 +2467,54 @@ let shard_requests router =
       | _ -> Alcotest.fail "shard section is not an object")
     (Router.shards_json router)
 
+(* Every line a router receives is counted by exactly one shard: on a
+   3-shard router, a served stream of distinct lines — strategies,
+   malformed lines, an unknown op, advise and schedule, dp, named,
+   alias and custom-periods evaluates — adds up, over the shards'
+   [requests], to the lines served, and each shard counts the lines
+   its cache identity (shard 0 without one) places on it. *)
+let test_router_shard_conservation () =
+  let shards = 3 in
+  let lines =
+    [
+      {|{"id":1,"op":"strategies"}|};
+      "junk";
+      {|{"id":2,"op":"nope"}|};
+      {|{"id":3,"op":"advise","c":1,"u":100,"p":1}|};
+      {|{"id":4,"op":"schedule","c":1,"u":100,"p":2,"regime":"adaptive"}|};
+      {|{"id":5,"op":"evaluate","c":1,"u":20,"p":1,"periods":[8,7,5]}|};
+      {|{"id":6,"op":"evaluate","c":1,"u":20,"p":1,"policy":"no-such"}|};
+      {|{"op":"dp","c_ticks":1,"l":100000000000,"p":3}|};
+      "{";
+    ]
+    @ List.init 6 (fun c -> dp_line (c + 3) 200 2)
+    @ List.concat_map
+        (fun u ->
+           [
+             evaluate_line ~u ~p:1 "adaptive"; evaluate_line ~u ~p:2 "nonadaptive";
+             evaluate_line ~u ~p:1 "fixed-chunk";
+           ])
+        [ 40; 55; 70 ]
+  in
+  let router = Router.create ~shards ~domains:2 ~capacity:16 () in
+  Fun.protect
+    ~finally:(fun () -> Router.shutdown router)
+    (fun () ->
+       let got, stats, _ = serve_lines ~batch_size:4 ~router lines in
+       Alcotest.(check (list string)) "bytes = direct handle"
+         (List.map direct_response lines) got;
+       let placed = Array.make shards 0 in
+       List.iter
+         (fun l ->
+            let k = shard_of_line ~shards l in
+            placed.(k) <- placed.(k) + 1)
+         lines;
+       Alcotest.(check (list int)) "each shard counts its placed lines"
+         (Array.to_list placed) (shard_requests router);
+       Alcotest.(check int) "the shards add up to the lines served"
+         (Stats.requests stats)
+         (List.fold_left ( + ) 0 (shard_requests router)))
+
 (* One batch holding the same cold schedule request three times under
    different ids, plus one other request: the router answers each
    distinct request once, the answer cache stores each once, and every
@@ -2436,8 +2547,19 @@ let test_answers_batch_duplicates () =
    instead of queueing them behind the solve. *)
 let test_inline_hot_shard_responsive () =
   let shards = 2 in
-  let blocker = {|{"id":0,"op":"dp","c_ticks":5,"l":200000,"p":12}|} in
-  let hot = shard_of_line ~shards blocker in
+  (* The hot shard is shard 0, where every advise lives. *)
+  let hot = 0 in
+  let blocker =
+    match
+      List.find_opt
+        (fun l -> shard_of_line ~shards l = hot)
+        (List.init 40 (fun c ->
+             Printf.sprintf {|{"id":0,"op":"dp","c_ticks":%d,"l":200000,"p":12}|}
+               (c + 5)))
+    with
+    | Some l -> l
+    | None -> Alcotest.fail "no dp cost placed on the hot shard"
+  in
   let on_hot ls = List.filter (fun l -> shard_of_line ~shards l = hot) ls in
   let advise =
     List.init 400 (fun i ->
@@ -2450,7 +2572,7 @@ let test_inline_hot_shard_responsive () =
   (* A table of another cost on the hot shard, warmed before the
      blocker arrives. *)
   let warm_dp =
-    match on_hot (List.init 40 (fun c -> dp_line (c + 6) 300 2)) with
+    match on_hot (List.init 40 (fun c -> dp_line (c + 45) 300 2)) with
     | l :: _ -> l
     | [] -> Alcotest.fail "no dp cost placed on the hot shard"
   in
@@ -2494,8 +2616,9 @@ let test_inline_hot_shard_responsive () =
    the router shut down — so any sub-batch handed to a shard channel
    fails as unavailable — the same batch runs again: by now every
    sub-batch is resident except one holding an explicit-periods
-   evaluate (which always builds a fresh solver), so only the latter
-   may fail.  An all-resident sub-batch never enters a channel. *)
+   evaluate (which always builds a fresh solver, on shard 0), so only
+   the latter may fail, and a parse error in it keeps its own error.
+   An all-resident sub-batch never enters a channel. *)
 let prop_inline_matches_direct =
   QCheck.Test.make ~name:"inline sub-batches = direct handle" ~count:20
     (QCheck.make
@@ -2522,7 +2645,7 @@ let prop_inline_matches_direct =
               Array.iter
                 (fun l ->
                    let k = shard_of_line ~shards l in
-                   if k >= 0 then placed.(k) <- placed.(k) + 2)
+                   placed.(k) <- placed.(k) + 2)
                 lines;
               ( List.for_all (fun g -> g = direct) got,
                 shard_requests router = Array.to_list placed ))
@@ -2530,15 +2653,15 @@ let prop_inline_matches_direct =
        let has_periods = Array.make shards false in
        Array.iter
          (fun l ->
-            let k = shard_of_line ~shards l in
-            if k >= 0 && contains ~sub:{|"periods"|} l then has_periods.(k) <- true)
+            if contains ~sub:{|"periods"|} l then
+              has_periods.(shard_of_line ~shards l) <- true)
          lines;
        let after = outcome_strings (Router.run router lines) in
        let after_ok =
          List.for_all2
            (fun (line, want) got ->
-              let k = shard_of_line ~shards line in
-              if k >= 0 && has_periods.(k) then
+              let parsed = Result.is_ok (Protocol.parse_line line).Protocol.request in
+              if parsed && has_periods.(shard_of_line ~shards line) then
                 contains ~sub:{|"unavailable"|} got
                 && contains ~sub:"shutting down" got
               else got = want)
@@ -2820,6 +2943,8 @@ let () =
               test_sharded_byte_identity;
             Alcotest.test_case "per-shard stats sections" `Quick
               test_sharded_stats_sections;
+            Alcotest.test_case "per-shard conservation" `Quick
+              test_router_shard_conservation;
             Alcotest.test_case "inline: hot shard stays responsive" `Quick
               test_inline_hot_shard_responsive;
             Alcotest.test_case "inline: stale probe byte-identical" `Quick
@@ -2847,6 +2972,8 @@ let () =
           Alcotest.test_case "stats reset" `Quick test_server_stats_reset;
           Alcotest.test_case "stats conservation" `Quick
             test_server_stats_conservation;
+          Alcotest.test_case "oversized dp answers invalid_params" `Quick
+            test_server_oversized_dp;
           Alcotest.test_case "stats gc counters" `Quick test_server_stats_gc;
           Alcotest.test_case "malformed flood" `Quick
             test_server_survives_malformed_flood;
@@ -2859,6 +2986,8 @@ let () =
           Alcotest.test_case "untimed replies" `Quick test_server_untimed;
           Alcotest.test_case "concurrent clients" `Slow
             test_server_concurrent_clients;
+          Alcotest.test_case "more clients than slots" `Slow
+            test_server_more_clients_than_slots;
           Alcotest.test_case "answers: two generations" `Quick
             test_answers_generations;
           Alcotest.test_case "answers: dp hit across a table grow" `Quick

@@ -93,8 +93,9 @@ done
 # easy to get wrong (missed wakeups, waits outside the predicate
 # loop), so they live only in the audited sites: the pool's worker
 # parking and joins and the one blocking channel (lib/util/par.ml,
-# which the router's shard jobs and the server's accepted connections
-# both queue on), the router's job completion (lib/service/router.ml),
+# which the router's shard jobs queue on; the server's connection
+# slots each accept for themselves), the router's job completion
+# (lib/service/router.ml),
 # and the DP kernel's wavefront barrier (lib/core/dp.ml).  The cache
 # parks nobody: its mutexes only guard metadata, and one solve per
 # identity comes from Batch grouping and shard ownership.  Everywhere else, coordinate through those layers —
