@@ -108,8 +108,11 @@ let solver_hold ~c ~u ~policy envelopes idxs =
 
 (* Can the group be answered without fill, grow or solver-build work?
    Requests that fail validation answer with an error, which is cheap,
-   so a probe that raises counts as resident. *)
-let resident ~cache envelopes idxs =
+   so a probe that raises counts as resident.  A dp group whose
+   group-max bounds are refused is probed member by member: its
+   members may each fit the cell budget but not together, and then
+   some member needs a fill of its own. *)
+let rec resident ~cache envelopes idxs =
   match envelopes.(idxs.(0)).Protocol.request with
   | Error _
   | Ok
@@ -120,6 +123,8 @@ let resident ~cache envelopes idxs =
     let c, p, l = dp_bounds envelopes idxs in
     match Cache.canonical ~c ~p ~l with
     | key -> Cache.mem cache key
+    | exception _ when Array.length idxs > 1 ->
+      Array.for_all (fun i -> resident ~cache envelopes [| i |]) idxs
     | exception _ -> true)
   | Ok (Protocol.Evaluate { periods = Some _; _ }) -> false
   | Ok (Protocol.Evaluate { c; u; policy; _ }) -> (

@@ -7,6 +7,9 @@
    reused verbatim and only the new cells are paid for.  Bounds are
    still canonicalized (l to a power of two, p to an even bound) so a
    ramp of slightly-growing queries does not trigger a grow per query.
+   Two queries on one c that each fit Dp.max_cells need not fit
+   together; then the later one's table replaces the held one, so
+   whether a query answers never depends on what came before it.
 
    Both families are instances of one LRU core ([Lru] below): a
    Hashtbl guarded by one mutex with a logical clock — every hit stamps
@@ -137,6 +140,12 @@ module Lru = struct
     Hashtbl.add t.table k { value = v; used = t.clock };
     evicting
 
+  (* Under the lock: put [v] in place of [k]'s held value, with a fresh
+     tick. *)
+  let replace t k v =
+    t.clock <- t.clock + 1;
+    Hashtbl.replace t.table k { value = v; used = t.clock }
+
   (* [f] on [k]'s value, false when absent; stamps nothing and counts
      nothing, so polling cannot save an entry from eviction. *)
   let probe t k f =
@@ -235,29 +244,50 @@ let create ?pool ?bank ~capacity () =
 
 let covers dp key = Dp.max_p dp >= key.max_p && Dp.max_l dp >= key.max_l
 
-(* Under the lock: publish [dp] for [c].  After an eviction the spare
-   fill scratch is trimmed to the largest table now held, [dp]
-   included, so a victim's scratch does not stay resident after it. *)
-let insert tb c dp =
-  if Lru.add tb c dp then
-    Dp.trim_scratch
-      ~max_bytes:(Lru.fold tb (fun dp m -> max m (Dp.dense_footprint_bytes dp)) 0)
+(* Under the lock, after [tb] dropped a table: the spare fill scratch
+   is trimmed to the largest table now held, so a dropped table's
+   scratch does not stay resident after it. *)
+let trim tb =
+  Dp.trim_scratch
+    ~max_bytes:(Lru.fold tb (fun dp m -> max m (Dp.dense_footprint_bytes dp)) 0)
 
-(* Under the lock: serve a resident table, growing it in place when it
-   falls short of [key].  A grow counts as both a miss (solve work was
-   paid) and a growth (the prefix was reused).  The second component
-   says whether solve work changed the table. *)
+(* Under the lock: publish [dp] for [c]. *)
+let insert tb c dp = if Lru.add tb c dp then trim tb
+
+(* A held or bank-loaded table brought up to [key]: [`Covered] as it
+   is, [`Grown] in place, or — when the grown table would be over
+   Dp.max_cells, as two queries on one c that each fit can be together
+   — [`Fresh] table at [key]'s bounds to take its place.  Every key
+   [canonical] returns is answered, whatever the cache held before. *)
+let cover ~pool dp key =
+  if covers dp key then `Covered
+  else if
+    Dp.fits ~max_p:(max (Dp.max_p dp) key.max_p) ~max_l:(max (Dp.max_l dp) key.max_l)
+  then begin
+    Dp.grow ?pool dp ~max_p:key.max_p ~max_l:key.max_l;
+    `Grown
+  end
+  else `Fresh (Dp.solve_with ~pool ~c:key.c ~max_p:key.max_p ~max_l:key.max_l)
+
+(* Under the lock: serve a resident table, growing or replacing it when
+   it falls short of [key].  A grow counts as both a miss (solve work
+   was paid) and a growth (the prefix was reused), a replacement as a
+   miss.  The second component says whether solve work changed the
+   table. *)
 let serve_table ~pool tb key dp =
-  if covers dp key then begin
+  match cover ~pool dp key with
+  | `Covered ->
     Lru.hit tb;
     (dp, false)
-  end
-  else begin
+  | `Grown ->
     Lru.miss tb;
     Lru.grew tb;
-    Dp.grow ?pool dp ~max_p:key.max_p ~max_l:key.max_l;
     (dp, true)
-  end
+  | `Fresh fresh ->
+    Lru.miss tb;
+    Lru.replace tb key.c fresh;
+    trim tb;
+    (fresh, true)
 
 (* Write-behind: persist a freshly solved or grown table, outside the
    lock but on the caller — in the daemon the shard worker, before the
@@ -286,10 +316,11 @@ let find_or_solve t ~c ~p ~l =
     Lru.obtain tb key.c ~serve:(serve_table ~pool tb key)
       ~build:(fun () ->
         match Option.bind t.bank (fun b -> Store.Bank.load_dp b ~c:key.c) with
-        | Some dp when covers dp key -> (dp, false, false)
-        | Some dp ->
-          Dp.grow ?pool dp ~max_p:key.max_p ~max_l:key.max_l;
-          (dp, true, true)
+        | Some dp -> (
+          match cover ~pool dp key with
+          | `Covered -> (dp, false, false)
+          | `Grown -> (dp, true, true)
+          | `Fresh fresh -> (fresh, true, false))
         | None ->
           (Dp.solve_with ~pool ~c:key.c ~max_p:key.max_p ~max_l:key.max_l, true, false))
       ~publish:(fun (dp, changed, grown) ->

@@ -6,7 +6,9 @@
     per [c]: a query whose bounds exceed the resident table's {e grows}
     the table ({!Cyclesteal.Dp.grow}) — the solved prefix is reused
     verbatim, only the new cells are computed, and a fresh breakpoint
-    pack replaces the old one.  Query bounds
+    pack replaces the old one — unless the grown table would be over
+    {!Cyclesteal.Dp.max_cells}, when a table solved at the query's
+    bounds replaces the resident one instead.  Query bounds
     are canonicalized first ([max_l] rounds up to the next power of two,
     at least {!min_l}; [max_p] to the next even bound, at least
     {!min_p}) so a ramp of slightly-growing queries does not pay a grow
@@ -105,8 +107,15 @@ val find_or_solve : t -> c:int -> p:int -> l:int -> Cyclesteal.Dp.t
     bounds of [(c, p, l)]: served as-is on a hit, grown (a fresh pack
     published on the same [Dp.t]) when the bounds exceed it, solved
     fresh (evicting the least-recently-used table if full) when
-    absent.  An eviction also drops the spare fill scratch when no
-    table still held needs one as large ({!Cyclesteal.Dp.trim_scratch}).
+    absent.  When the table grown to cover both the held bounds and
+    the query's would be over {!Cyclesteal.Dp.max_cells}, a table
+    solved at the query's canonical bounds replaces the held one (a
+    miss, not a growth), so every query {!canonical} accepts is
+    answered, whatever the cache held before it.  A table loaded
+    from the bank is brought up to the query the same way.  An
+    eviction or a replacement also drops the spare fill scratch when
+    no table still held needs one as large
+    ({!Cyclesteal.Dp.trim_scratch}).
     Thread- and domain-safe.  Two
     concurrent calls for the same cold [c] may both solve; the first
     to publish wins and the other is served the published table (a

@@ -816,7 +816,8 @@ let handle ?cache req =
    pure compute, custom-periods evaluations (fresh solver per
    request), unknown policies (they error per-request), strategies and
    stats — which the batch engine evaluates as singletons and the
-   router places on shard 0. *)
+   router places on shard 0 (custom periods by a hash of their
+   parameters). *)
 let cache_group = function
   | Dp_query { c_ticks; _ } -> Some (Printf.sprintf "dp:%d" c_ticks)
   | Evaluate { periods = None; c; u; p; policy } ->

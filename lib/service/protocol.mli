@@ -65,8 +65,9 @@ val cache_group : request -> string option
     {!Router} places each request on the shard its key hashes to and
     slices the bank by the dp key.  [None] for requests that take no
     cache lock (pure compute, custom-periods evaluations, unknown
-    policies, [strategies], [stats]): those evaluate as singletons, on
-    shard 0. *)
+    policies, [strategies], [stats]): those evaluate as singletons,
+    and the router sends them to shard 0, a custom-periods evaluation
+    excepted (it is spread by a hash of its parameters). *)
 
 val parse_line : string -> envelope
 (** Parse one request line.  Total: malformed JSON, a non-object, an

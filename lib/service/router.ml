@@ -36,9 +36,11 @@
    Placement.  Rendezvous (highest-random-weight) hashing over the
    request's cache identity (Protocol.cache_group, the key Batch groups
    by): score every (key, shard) pair with a mixed 64-bit hash, pick
-   the argmax.  A request with no cache identity (pure compute, custom
-   periods, strategies, a parse error) goes to shard 0 and rides its
-   sub-batch.  Stable by construction — growing K to K+1 remaps
+   the argmax.  A custom-periods evaluation, which has no identity but
+   carries a game's work, is placed by a hash of its parameters; any
+   other request with no cache identity (pure compute, strategies, a
+   parse error) goes to shard 0 and rides its sub-batch.  Stable by
+   construction — growing K to K+1 remaps
    exactly the keys whose new
    shard's score wins, an expected 1/(K+1) of them, every one moving
    to the new shard — and purely deterministic (FNV-1a + splitmix64
@@ -114,12 +116,20 @@ let place ~shards key =
   end
 
 (* The shard a request lives on: the one its cache identity hashes
-   to, shard 0 when it has none (pure compute, custom periods, unknown
-   policies, strategies, stats, parse errors). *)
+   to.  A custom-periods evaluation has no identity but is real work (a
+   game over its periods, never resident), so it is spread by a hash of
+   its parameters instead of queueing every one on shard 0.  The rest
+   without an identity (pure compute, unknown policies, strategies,
+   stats, parse errors) go to shard 0 and ride its sub-batch. *)
 let shard_of ~shards request =
-  match Result.map Protocol.cache_group request with
-  | Ok (Some key) -> place ~shards key
-  | Ok None | Error _ -> 0
+  match request with
+  | Ok (Protocol.Evaluate { periods = Some _; _ } as req) ->
+    place ~shards (Printf.sprintf "periods:%d" (Hashtbl.hash req))
+  | Ok req -> (
+    match Protocol.cache_group req with
+    | Some key -> place ~shards key
+    | None -> 0)
+  | Error _ -> 0
 
 (* Which tick costs a shard's cache owns — used to slice the shared
    bank at warm-up so warming agrees with serving placement. *)

@@ -2,9 +2,11 @@
 
     A router places every parsed request by its cache identity
     ({!Protocol.cache_group}, the key {!Batch} groups by) —
-    consistent-hashing that key onto one of K shards — and sends every
-    request without one (pure compute, custom-periods evaluations,
-    unknown policies, [strategies], parse errors) to shard 0.  Each
+    consistent-hashing that key onto one of K shards.  A custom-periods
+    evaluation has no identity but carries a game's work, so it is
+    placed by a hash of its parameters; every other request without an
+    identity (pure compute, unknown policies, [strategies], parse
+    errors) goes to shard 0.  Each
     shard is an independent serving runtime pinned to its own
     dedicated domain: its own {!Cache.t} (DP tables and resident game
     solvers), its own solve pool, its own {!Stats.t} family and its

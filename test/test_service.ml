@@ -1198,6 +1198,45 @@ let test_server_oversized_dp () =
   let dp = Cyclesteal.Dp.solve ~c:1 ~max_p:1 ~max_l:10 in
   refuses "Dp.grow" (fun () -> Cyclesteal.Dp.grow dp ~max_p:2 ~max_l:max_int)
 
+(* Two dp queries on one c that each fit the cell budget but not
+   together: p = 1000 at l = 256 and p = 2 at l = 100000 canonicalize
+   to 1001 x 257 and 3 x 131073 cells, and one table covering both
+   would hold 1001 x 131073, about 131M.  In separate batches, in one
+   batch, and in a batch that meets the other's table already held,
+   every reply is ok and byte-identical to direct [Protocol.handle]:
+   the later query's table replaces the held one instead of failing
+   its grow, and the replacement counts as a miss, not a growth. *)
+let test_server_dp_pair_over_budget () =
+  let wide = dp_line 1 256 1000 and long = dp_line 1 100000 2 in
+  List.iter
+    (fun (what, batch_size, lines) ->
+       let got, _, _ = serve_lines ~batch_size lines in
+       Alcotest.(check (list string)) what (List.map direct_response lines) got;
+       List.iter
+         (fun reply ->
+            Alcotest.(check bool) (what ^ ": " ^ reply) true
+              (contains ~sub:{|"ok":true|} reply))
+         got)
+    [
+      ("separate batches", 1, [ wide; long; wide ]);
+      ("one batch", 64, [ wide; long; wide ]);
+      ("held table, then both", 2, [ wide; wide; long; wide ]);
+    ];
+  let cache = Cache.create ~capacity:2 () in
+  ignore (Cache.find_or_solve cache ~c:1 ~p:1000 ~l:256);
+  let dp = Cache.find_or_solve cache ~c:1 ~p:2 ~l:100000 in
+  Alcotest.(check (pair int int)) "replaced at the query's bounds" (2, 131072)
+    (Cyclesteal.Dp.max_p dp, Cyclesteal.Dp.max_l dp);
+  let s = Cache.stats cache in
+  Alcotest.(check (list int)) "misses, growths, resident" [ 2; 0; 1 ]
+    [ s.Cache.misses; s.Cache.growths; s.Cache.resident ];
+  (* The pair needs a fill, so it is not mistaken for a cheap error and
+     answered on the calling domain. *)
+  Alcotest.(check bool) "pair not resident" true
+    (Option.is_none
+       (Batch.resident_answer ~cache
+          (Array.map Protocol.parse_line [| wide; long |])))
+
 (* The gc object carries the process-wide allocation counters; they
    count from start-up, so a later snapshot never reads less. *)
 let test_server_stats_gc () =
@@ -1536,10 +1575,13 @@ let test_answers_dp_across_grow () =
     (Router.cache_stats (Server.router server)).Cache.growths
 
 (* The shard a request line is placed on by a [shards]-shard router:
-   the one its cache identity hashes to, shard 0 for lines without
-   one. *)
+   the one its cache identity hashes to, a hash of its parameters for a
+   custom-periods evaluate, shard 0 for other lines without an
+   identity. *)
 let shard_of_line ~shards line =
   match (Protocol.parse_line line).Protocol.request with
+  | Ok (Protocol.Evaluate { periods = Some _; _ } as req) ->
+    Router.place ~shards (Printf.sprintf "periods:%d" (Hashtbl.hash req))
   | Ok req -> (
       match Protocol.cache_group req with
       | Some key -> Router.place ~shards key
@@ -2472,7 +2514,9 @@ let shard_requests router =
    malformed lines, an unknown op, advise and schedule, dp, named,
    alias and custom-periods evaluates — adds up, over the shards'
    [requests], to the lines served, and each shard counts the lines
-   its cache identity (shard 0 without one) places on it. *)
+   its cache identity (shard 0 without one) places on it.  Custom-periods
+   evaluates are spread by a hash of their parameters, so seven of them
+   do not all land on one shard. *)
 let test_router_shard_conservation () =
   let shards = 3 in
   let lines =
@@ -2495,7 +2539,20 @@ let test_router_shard_conservation () =
              evaluate_line ~u ~p:1 "fixed-chunk";
            ])
         [ 40; 55; 70 ]
+    @ List.init 6 (fun k ->
+        Printf.sprintf {|{"op":"evaluate","c":1,"u":%d,"p":1,"periods":[%d,8]}|}
+          (k + 9) (k + 1))
   in
+  let custom_shards =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun l ->
+            if contains ~sub:{|"periods"|} l then Some (shard_of_line ~shards l)
+            else None)
+         lines)
+  in
+  Alcotest.(check bool) "custom periods on more than one shard" true
+    (List.length custom_shards > 1);
   let router = Router.create ~shards ~domains:2 ~capacity:16 () in
   Fun.protect
     ~finally:(fun () -> Router.shutdown router)
@@ -2974,6 +3031,8 @@ let () =
             test_server_stats_conservation;
           Alcotest.test_case "oversized dp answers invalid_params" `Quick
             test_server_oversized_dp;
+          Alcotest.test_case "dp pair over the budget together" `Quick
+            test_server_dp_pair_over_budget;
           Alcotest.test_case "stats gc counters" `Quick test_server_stats_gc;
           Alcotest.test_case "malformed flood" `Quick
             test_server_survives_malformed_flood;

@@ -586,6 +586,38 @@ let test_bank_warm_start () =
       Alcotest.(check int) "served as a hit" 1 s.Service.Cache.hits;
       Alcotest.(check int) "no miss" 0 s.Service.Cache.misses)
 
+(* A banked table that the query cannot be grown onto within the cell
+   budget (p = 1000 at l = 256 banked, p = 2 at l = 100000 asked) is
+   replaced by a table solved at the query's bounds, which answers as
+   a fresh solve does and is written behind in its place. *)
+let test_bank_load_over_budget () =
+  with_dir (fun dir ->
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      ignore
+        (Service.Cache.find_or_solve
+           (Service.Cache.create ~bank ~capacity:4 ())
+           ~c:1 ~p:1000 ~l:256);
+      let bank2 = Result.get_ok (Store.Bank.open_dir ~create:false dir) in
+      let cache = Service.Cache.create ~bank:bank2 ~capacity:4 () in
+      let t = Service.Cache.find_or_solve cache ~c:1 ~p:2 ~l:100000 in
+      Alcotest.(check (pair int int)) "solved at the query's bounds"
+        (2, 131072) (Dp.max_p t, Dp.max_l t);
+      let fresh = Dp.solve ~c:1 ~max_p:2 ~max_l:100000 in
+      List.iter
+        (fun (p, l) ->
+           Alcotest.(check (pair int (list int)))
+             (Printf.sprintf "W^(%d)[%d] as a fresh solve" p l)
+             (Dp.value fresh ~p ~l, Dp.optimal_episode fresh ~p ~l)
+             (Dp.value t ~p ~l, Dp.optimal_episode t ~p ~l))
+        [ (2, 100000); (1, 5000); (0, 77) ];
+      let s = Service.Cache.stats cache in
+      Alcotest.(check (pair int int)) "a miss, not a growth" (1, 0)
+        (s.Service.Cache.misses, s.Service.Cache.growths);
+      match Store.Bank.load_dp bank2 ~c:1 with
+      | Some banked ->
+        Alcotest.(check bool) "written behind" true (dp_tables_equal t banked)
+      | None -> Alcotest.fail "replacement not banked")
+
 (* Prop 4.1 on the tables a bank-backed cache serves: W nondecreasing
    in L and nonincreasing in p, and W^(p)[L] = 0 for L <= (p+1)c, on
    every row — of a table mapped from the bank, and of the same table
@@ -922,6 +954,8 @@ let () =
             test_bank_heals_old_version;
           Alcotest.test_case "Prop 4.1 on loaded and grown tables" `Quick
             test_bank_served_prop41;
+          Alcotest.test_case "banked table over the budget is replaced" `Quick
+            test_bank_load_over_budget;
           Alcotest.test_case "restarted shard serves dp = Dp_ref, Prop 4.1"
             `Quick test_restarted_shard_serves_dp;
         ] );
