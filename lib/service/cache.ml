@@ -17,13 +17,10 @@
    Capacities are small (a handful of entries), so the O(size) eviction
    scan is cheaper than maintaining an intrusive list, and far simpler.
 
-   A cache used to carry its own lock-shard array; that moved out when
-   the Router took ownership of placement.  Each Router shard now owns
-   one whole cache, so the cross-key concurrency that lock shards
-   bought is supplied by running K caches side by side — and a single
-   lock per family keeps the metadata discipline trivial.  Placement
-   (which requests share a cache) is a serving-topology question the
-   cache cannot answer; see Router.
+   Each Router shard owns one whole cache, so cross-key concurrency
+   comes from K caches side by side and one lock per family is
+   enough.  Which requests share a cache is decided by Router, not
+   here.
 
    Growth happens under the lock — Dp.grow requires a single writer —
    and readers that obtained the table earlier stay safe: a grow

@@ -21,42 +21,21 @@ type t =
    text reads back as the same float.  That is not the shortest
    round-tripping form: 9.2445652173913047 needs 17 digits under this
    rule although a 16-digit form reads back too.  The test oracle
-   [Json_ref] states the rule as a [Printf] chain; the printer below
-   must match it byte for byte.
-
-   Numbers are written straight into the caller's buffer without
-   allocating.  In the exact range 1e-6 <= |x| < 2^53 the rule is
-   decided from the float's bits (DESIGN.md §S31).  Write the normal
-   |x| = f * 2^e, take s = 16 - floor(log10 |x|) and t = -(e + s), so
-   |x| * 10^s = f * 5^s / 2^t lies in [10^16, 10^17).  Its floor N and
-   remainder R fix the correctly rounded 12-, 15- and 17-digit
-   candidates, and a candidate C, counted in units of 10^-s like N,
-   reads back as x exactly when |(C - N) * 2^t - R| < 5^s / 2: it lies
-   within half the gap to x's neighbours (5^s / 4 below x when f = 2^52,
-   where the gap below halves).  A half-gap point is never a candidate,
-   so the strict test is exact.  The C formatter chain stays as the
-   fallback for zeros, subnormals, |x| < 1e-6, |x| >= 2^53 and for a
-   tie at the 18th significant digit, which it rounds half to even. *)
+   [Json_ref] states the same rule as a [Printf] chain.  A reply is
+   rendered once and then served from the answer cache, so the chain
+   runs on answer misses only. *)
 
 external format_float : string -> float -> string = "caml_format_float"
 
-let float_repr_c x =
+let float_repr x =
   let s = format_float "%.12g" x in
   if float_of_string s = x then s
   else
     let s = format_float "%.15g" x in
     if float_of_string s = x then s else format_float "%.17g" x
 
-let powers b n =
-  let a = Array.make n 1 in
-  for i = 1 to n - 1 do
-    a.(i) <- a.(i - 1) * b
-  done;
-  a
-
-(* 10^0 .. 10^17 and 5^0 .. 5^23 (5^23 < 2^54). *)
-let pow10 = powers 10 18
-let pow5 = powers 5 24
+let add_float buf x =
+  Buffer.add_string buf (if Float.is_finite x then float_repr x else "null")
 
 (* "00" .. "99" as little-endian byte pairs: two digits per division
    by 100 and per buffer write. *)
@@ -64,125 +43,6 @@ let digit_pairs =
   Array.init 100 (fun v -> (48 + (v / 10)) lor ((48 + (v mod 10)) lsl 8))
 
 let add_pair buf v = Buffer.add_uint16_le buf (Array.unsafe_get digit_pairs v)
-
-(* [v] as exactly [w] digits, leading zeros included (0 <= v < 10^w). *)
-let rec add_fixed buf v w =
-  if w >= 2 then begin
-    add_fixed buf (v / 100) (w - 2);
-    add_pair buf (v mod 100)
-  end
-  else if w = 1 then Buffer.add_char buf (Char.unsafe_chr (48 + v))
-
-(* The [m]-digit [d] with a '.' after its first [dot] digits
-   (0 < dot < m). *)
-let add_split buf d m dot =
-  let q = pow10.(m - dot) in
-  add_fixed buf (d / q) dot;
-  Buffer.add_char buf '.';
-  add_fixed buf (d mod q) (m - dot)
-
-(* [%.<p>g] layout of the [m]-digit integer [d] (no trailing zeros)
-   whose leading digit has decimal exponent [x10]. *)
-let add_g buf p d m x10 =
-  if x10 < -4 || x10 >= p then begin
-    if m > 1 then add_split buf d m 1 else add_fixed buf d 1;
-    Buffer.add_string buf (if x10 < 0 then "e-" else "e+");
-    add_fixed buf (abs x10) 2
-  end
-  else if x10 < 0 then begin
-    Buffer.add_string buf "0.";
-    for _ = 2 to -x10 do
-      Buffer.add_char buf '0'
-    done;
-    add_fixed buf d m
-  end
-  else if m > x10 + 1 then add_split buf d m (x10 + 1)
-  else begin
-    add_fixed buf d m;
-    for _ = m to x10 do
-      Buffer.add_char buf '0'
-    done
-  end
-
-let rec trailing_zeros d =
-  if d mod 10 = 0 then 1 + trailing_zeros (d / 10) else 0
-
-(* Write the [p]-digit rounding [d] of a float whose leading digit has
-   decimal exponent [k]; [d = 10^p] when the rounding carried. *)
-let add_rounded buf ~neg p d k =
-  if neg then Buffer.add_char buf '-';
-  if d = pow10.(p) then add_g buf p 1 1 (k + 1)
-  else begin
-    let z = trailing_zeros d in
-    add_g buf p (d / pow10.(z)) (p - z) k
-  end
-
-(* Whether the candidate [c] reads back as the float N + R / 2^t (in
-   units of 10^-s).  D = 2 * ((C - N) * 2^t - R) has the sign of C - x.
-   The gap between neighbours is at most 10^17 / 2^52 < 23 units, so a
-   passing candidate has |C - N| < 13 and the shift cannot overflow. *)
-let reads_back ~below_pow2 c n r t s =
-  let dc = c - n in
-  dc > -64 && dc < 64
-  &&
-  let d = (dc lsl (t + 1)) - (2 * r) in
-  if d >= 0 then d < pow5.(s)
-  else if below_pow2 then -2 * d < pow5.(s)
-  else -d < pow5.(s)
-
-(* Write the float f * 2^e, 1e-6 <= |x| < 2^53 (so -1 <= t <= 51),
-   with sign [neg], or return [false] on a tie at the 18th digit.  [s]
-   starts at most one too large; N >= 10^17 then steps it down. *)
-let rec add_exact buf ~neg f e s =
-  let m = pow5.(s) and t = -(e + s) in
-  (* f * 5^s = hi * 2^52 + lo, multiplied in 26-bit halves. *)
-  let f1 = f lsr 26 and f0 = f land 0x3ffffff in
-  let m1 = m lsr 26 and m0 = m land 0x3ffffff in
-  let mid = (f1 * m0) + (f0 * m1) in
-  let lo = (f0 * m0) + ((mid land 0x3ffffff) lsl 26) in
-  let hi = (f1 * m1) + (mid lsr 26) + (lo lsr 52) in
-  let lo = lo land 0xfffffffffffff in
-  let n =
-    if t <= 0 then ((hi lsl 52) lor lo) lsl -t
-    else (hi lsl (52 - t)) lor (lo lsr t)
-  in
-  if n >= pow10.(17) then add_exact buf ~neg f e (s - 1)
-  else begin
-    let r = if t <= 0 then 0 else lo land ((1 lsl t) - 1) in
-    (* When t <= 0, N is exact: r = 0 < half. *)
-    let half = if t <= 0 then 1 else 1 lsl (t - 1) in
-    (* A tie at the 18th digit is left to the C formatter, which rounds
-       it half to even. *)
-    let tie = r = half in
-    if not tie then begin
-      let below_pow2 = f = 1 lsl 52 and k = 16 - s in
-      (* The 12- and 15-digit roundings round half up: at a tie the
-         candidate lies half a unit of its last digit (at least 50
-         units of 10^-s) from x, so it cannot read back either way. *)
-      let d12 = (n + 50_000) / 100_000 and d15 = (n + 50) / 100 in
-      if reads_back ~below_pow2 (d12 * 100_000) n r t s then
-        add_rounded buf ~neg 12 d12 k
-      else if reads_back ~below_pow2 (d15 * 100) n r t s then
-        add_rounded buf ~neg 15 d15 k
-      else add_rounded buf ~neg 17 (if r > half then n + 1 else n) k
-    end;
-    not tie
-  end
-
-let add_float buf x =
-  let a = Float.abs x in
-  if a >= 1e-6 && a < 0x1p53 then begin
-    let bits = Int64.bits_of_float a in
-    let be = Int64.to_int (Int64.shift_right_logical bits 52) in
-    let f = Int64.to_int (Int64.logand bits 0xfffffffffffffL) lor (1 lsl 52) in
-    (* floor(log10 a) is floor((be - 1023) * log10 2) or one more;
-       78913 / 2^18 is log10 2 closely enough for every exponent here. *)
-    let k = ((be - 1023) * 78913) asr 18 in
-    if not (add_exact buf ~neg:(x < 0.) f (be - 1075) (16 - k)) then
-      Buffer.add_string buf (float_repr_c x)
-  end
-  else if Float.is_finite x then Buffer.add_string buf (float_repr_c x)
-  else Buffer.add_string buf "null"
 
 (* The digits of [n >= 0]. *)
 let rec add_digits buf n =

@@ -25,10 +25,10 @@ val to_string : t -> string
 val add_to_buffer : Buffer.t -> t -> unit
 (** Emit {!to_string}'s bytes straight into [buf] — the daemon's
     wire loop serializes a whole batch into one reused per-connection
-    buffer instead of allocating a string per response.  Numbers are
-    written from their bits without allocating; only floats outside
-    [1e-6 <= |x| < 2^53] and ties at the 18th significant digit go
-    through the C formatter. *)
+    buffer instead of allocating a string per response.  Integers are
+    written digit pairs at a time without allocating; every finite
+    float goes through the one read-back chain of [%.12g], [%.15g] and
+    [%.17g], which the daemon pays only on an answer-cache miss. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage is an error.  Numbers

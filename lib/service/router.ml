@@ -63,10 +63,10 @@
    on the worker.  Stats families survive restarts — only the failed
    runtime is replaced — and each restart is counted.
 
-   The shard channel below is the only inter-shard communication
-   primitive in the tree.  It is not in router.mli, so nothing outside
-   this file can reach it; tools/check-format.sh gates Domain.spawn
-   against use outside this file (and Par). *)
+   Shards talk only through their job queues, Csutil.Par.Chan, which
+   nothing else in lib/ or bin/ uses.  Besides Par, this is the only
+   file that may call Domain.spawn (for the shard workers and the
+   watchdog); tools/check-format.sh enforces that. *)
 
 exception Injected_failure
 

@@ -185,6 +185,8 @@ type t = {
   stats : Stats.t;  (* the connection-facing family: bytes, I/O errors *)
   stop : bool Atomic.t;
   wake : Unix.file_descr option Atomic.t;  (* the socket slots' self-pipe *)
+  conns : Unix.file_descr option Atomic.t array;
+      (* the connection each socket slot is serving *)
 }
 
 let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
@@ -200,17 +202,30 @@ let create ?(batch_size = 64) ?(max_conns = 1) ~router () =
     stats = Stats.create ();
     stop = Atomic.make false;
     wake = Atomic.make None;
+    conns = Array.init max_conns (fun _ -> Atomic.make None);
   }
 
 let stats t = t.stats
 let router t = t.router
 let answers t = t.answers
-(* Raise the flag, then wake the socket slots blocked in [select]. *)
+(* Raise the flag, wake the socket slots blocked in [select], and shut
+   the read side of every connection a slot is serving: a signal does
+   not interrupt a [read] on a pool domain, but a shut read side makes
+   it return end-of-file.  A batch in flight still gets its replies.
+   A slot records its connection before it checks the flag, so either
+   the shutdown reaches the connection or the slot sees the flag. *)
 let request_stop t =
+  let quietly f fd = try f fd with Unix.Unix_error _ -> () in
   Atomic.set t.stop true;
   Option.iter
-    (fun fd -> try ignore (Unix.write_substring fd "x" 0 1) with Unix.Unix_error _ -> ())
-    (Atomic.get t.wake)
+    (quietly (fun fd -> ignore (Unix.write_substring fd "x" 0 1)))
+    (Atomic.get t.wake);
+  Array.iter
+    (fun conn ->
+       Option.iter
+         (quietly (fun fd -> Unix.shutdown fd Unix.SHUTDOWN_RECEIVE))
+         (Atomic.get conn))
+    t.conns
 let stopped t = Atomic.get t.stop
 
 (* The [stats] payload merges both layers: the server's connection-side
@@ -416,13 +431,16 @@ let ignore_sigpipe =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ | Sys_error _ -> ())
 
-(* One connection, from a slot's point of view.  A client that
+(* One connection, from slot [slot]'s point of view.  A client that
    disconnects mid-batch surfaces as EPIPE/ECONNRESET from a read or a
    write; that ends this connection only — count it and keep the slot
    alive for the next accept. *)
-let handle_connection t conn =
+let handle_connection t slot conn =
+  Atomic.set t.conns.(slot) (Some conn);
   Fun.protect
-    ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      Atomic.set t.conns.(slot) None;
+      try Unix.close conn with Unix.Unix_error _ -> ())
     (fun () ->
        try serve_fd t conn conn
        with Unix.Unix_error _ -> Stats.add_io_error t.stats)
@@ -452,25 +470,25 @@ let serve_socket t ~path =
           Transient accept failures (the client gave up before the
           handshake, fd exhaustion) are counted and retried — the
           listener must outlive any single client. *)
-       let rec slot () =
+       let rec slot i =
          if not (stopped t) then
            match Unix.select [ sock; wake_r ] [] [] (-1.) with
            | ready, _, _ when List.mem sock ready && not (stopped t) -> (
              match Unix.accept sock with
              | conn, _ ->
                Unix.clear_nonblock conn;
-               handle_connection t conn;
-               slot ()
+               handle_connection t i conn;
+               slot i
              | exception
                  Unix.Unix_error
                    ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-               slot ()
+               slot i
              | exception
                  Unix.Unix_error
                    ((Unix.ECONNABORTED | Unix.EMFILE | Unix.ENFILE), _, _) ->
                Stats.add_io_error t.stats;
-               slot ())
-           | _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> slot ()
+               slot i)
+           | _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> slot i
        in
        (* [max_conns] slots of a dedicated pool, slot 0 on this domain;
           a client past them waits in the listen backlog.  This pool
@@ -480,4 +498,4 @@ let serve_socket t ~path =
           so serving slots never compete with compute slots and the two
           layers cannot deadlock each other. *)
        Csutil.Par.Pool.with_pool ~domains:t.max_conns (fun pool ->
-           Csutil.Par.Pool.run pool (fun _ -> slot ())))
+           Csutil.Par.Pool.run pool slot))

@@ -70,7 +70,8 @@ val answers : t -> Answers.t
 
 val request_stop : t -> unit
 (** Ask the serving loops to stop after the current batch, waking the
-    socket slots waiting for a client.  Safe to call from a signal
+    socket slots waiting for a client and ending the read of every
+    client a slot is serving, idle or not.  Safe to call from a signal
     handler. *)
 
 val stopped : t -> bool

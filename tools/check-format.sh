@@ -186,12 +186,11 @@ for f in $(find lib bin bench -type f \( -name '*.ml' -o -name '*.mli' \) \
   fi
 done
 
-# Float-printing gate: the C float formatter (caml_format_float) is
-# bound in exactly one place, lib/service/json.ml, where it is the
-# printer's fallback outside the exact range.  Numbers on the serving
-# path are written from their bits by Json.add_to_buffer; a second
-# binding elsewhere would bring the per-number string and the
-# read-back chain back onto some reply path.
+# Float-printing gate: one float printer.  The C float formatter
+# (caml_format_float) is bound in exactly one place,
+# lib/service/json.ml, whose read-back chain is the wire format's
+# float rule; a second binding elsewhere would be a second printer
+# that replies could drift from.
 for f in $(find lib bin test bench examples -type f \
              \( -name '*.ml' -o -name '*.mli' \) \
              -not -path 'lib/service/json.ml' | sort); do
