@@ -910,9 +910,10 @@ let service_bench () =
 
 (* --- DP store: growth vs fresh solve -------------------------------------- *)
 
-(* A table extends its (p, L) bounds by decoding its pack into the fill
-   scratch and computing only the new cells; the DP reads only smaller
-   indices, so the solved prefix is reused verbatim.  This measures
+(* A table extends its (p, L) bounds by decoding its W into the fill
+   scratch and computing only the new cells, whose runs it appends to
+   the old rows' runs; the DP reads only smaller indices, so the solved
+   prefix is reused verbatim.  This measures
    what growth saves over re-solving from scratch at the larger bounds,
    and checks that the grown table agrees with a fresh solve cell for
    cell. *)
@@ -1183,10 +1184,71 @@ let dp_skew_suite ~quick =
             ] );
       ])
 
+(* --- DP grows on the bank_restart shape ----------------------------------- *)
+
+(* A restart of perfbench's [bank_restart] workload grows each of its
+   eight banked tables (p = 4) twice, L 8192 -> 16384 -> 32768, one
+   after another on the cache's shard worker.  Each step is a series
+   over all eight tables, sequential, reported per table too, with the
+   last run's time split by the kernel's clocks into decode (old runs
+   copied, old W decoded), fill (new cells, their runs appended) and
+   pack (argmax mode rule, pack written).  Every grown pack must equal
+   a fresh solve's word for word, which is what keeps bank files
+   byte-identical. *)
+let dp_grow_suite ~quick =
+  heading "DP grows -- the bank_restart shape";
+  let plan = Series.plan ~quick reps in
+  let cs, p, l0 =
+    if quick then ([ 4; 20 ], 4, 1024) else ([ 4; 6; 8; 10; 12; 14; 16; 20 ], 4, 8192)
+  in
+  let n = float_of_int (List.length cs) in
+  let step (from, upto) =
+    let fresh = List.map (fun c -> Dp.solve ~c ~max_p:p ~max_l:upto) cs in
+    let t, (grown, k0, k1) =
+      Series.time_with plan
+        ~setup:(fun () -> List.map (fun c -> Dp.solve ~c ~max_p:p ~max_l:from) cs)
+        (fun tabs ->
+           let k0 = Dp.counters () in
+           List.iter (fun t -> Dp.grow t ~max_p:p ~max_l:upto) tabs;
+           (tabs, k0, Dp.counters ()))
+    in
+    List.iter2
+      (fun g f ->
+         if Dp.to_packed g <> Dp.to_packed f then
+           die "bench dp grow (c=%d, L %d -> %d): pack differs from a fresh solve"
+             (Dp.c g) from upto)
+      grown fresh;
+    let secs f = J.Float (float_of_int (f k1 - f k0) *. 1e-9) in
+    Series.row ~timing:t
+      ~fields:
+        [
+          ("per_table_s", J.Float (t.Series.median /. n));
+          ("decode_s", secs (fun k -> k.Dp.decode_ns));
+          ("fill_s", secs (fun k -> k.Dp.fill_ns));
+          ("pack_s", secs (fun k -> k.Dp.pack_ns));
+        ]
+      (Printf.sprintf "grow L %d -> %d" from upto)
+  in
+  [
+    ( "grow",
+      J.Obj
+        [
+          ("c", J.List (List.map (fun c -> J.Int c) cs));
+          ("max_p", J.Int p);
+          ( "series",
+            report
+              ~title:
+                (Printf.sprintf "%d tables, p = %d, sequential; split of the last run"
+                   (List.length cs) p)
+              [ step (l0, 2 * l0); step (2 * l0, 4 * l0) ] );
+        ] );
+  ]
+
 let dp_suite ~quick =
   let kernel = dp_kernel_suite ~quick in
   let adversarial = dp_adversarial_suite ~quick in
-  kernel @ adversarial @ dp_skew_suite ~quick
+  let skew = dp_skew_suite ~quick in
+  kernel @ adversarial @ skew @ dp_grow_suite ~quick
 
 (* --- Game solver: seed vs flat vs parallel -------------------------------- *)
 
@@ -1550,7 +1612,10 @@ let () =
     | [ "ablations" ] -> ablations ()
     | [ "service" ] -> service_bench ()
     | [ "growth" ] -> growth_bench ()
-    | [ "dp"; "--quick" ] -> Series.run ~bench:"dp" ~quick:true dp_kernel_suite
+    | [ "dp"; "--quick" ] ->
+      Series.run ~bench:"dp" ~quick:true (fun ~quick ->
+          let kernel = dp_kernel_suite ~quick in
+          kernel @ dp_grow_suite ~quick)
     | "dp" :: "--skew" :: rest -> suite ~bench:"dp --skew" dp_skew_suite rest
     | "dp" :: "--adversarial" :: rest ->
       suite ~bench:"dp --adversarial" dp_adversarial_suite rest

@@ -19,12 +19,12 @@
    recovered by following the argmax chain at fixed p.
 
    A table is resident only as breakpoint runs (the [packed] layout
-   below, which is also the snapshot payload).  Solve and grow fill one
-   dense scratch body: the cell at (p, l) only reads cells at strictly
-   smaller l (same or previous row), so a grow decodes the solved prefix
-   into the scratch, fills only the new cells, and the old cells are
-   reused verbatim.  The filled body is packed and published as a fresh
-   [packed] record: concurrent readers holding the previous pack keep
+   below, which is also the snapshot payload).  A fill keeps a dense
+   scratch of W alone: the cell at (p, l) only reads cells at strictly
+   smaller l, so a grow decodes the old W and fills only the new cells,
+   and the worker filling a row appends its runs to the old row's as it
+   goes.  A solve is a grow from the empty table.  The fresh [packed]
+   record is published whole: readers holding the previous pack keep
    reading it untouched, so a single grower — e.g. the service cache on
    its shard worker — never races them.
 
@@ -55,20 +55,18 @@
 
    Complexity: O(max_p * max_l^2) time for the exhaustive [Dp_ref]; the
    crossing bisection cuts the inner factor to O(log drift) probes per
-   cell, O(log max_l) worst case; a grow pays only for the new cells
-   plus a linear decode and re-pack.  Space: the pack, plus one scratch
-   of 2 (max_p + 1) (max_l + 1) ints per fill in flight. *)
+   cell, O(log max_l) worst case; a grow pays for the new cells plus a
+   linear decode of the old W and copy of the old runs.  Space: the
+   pack, plus per fill in flight (max_p + 1) (max_l + 1) scratch ints. *)
 
 type mat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* A dense fill buffer: [value]/[first] rows are laid out with stride
-   [max_l + 1].  Only solve and grow hold one, while they fill; what a
-   table keeps is the [packed] form below. *)
+(* A dense fill buffer of W, stride [max_l + 1]; what a table keeps is
+   the [packed] form below. *)
 type body = {
   max_p : int;
   max_l : int;
   value : mat; (* value.{p * (max_l+1) + l} = W(p)[l] *)
-  first : mat; (* an optimal first period length at (p, l) *)
 }
 
 (* A breakpoint-compressed table (DESIGN.md S24, S35): every solved row
@@ -107,42 +105,6 @@ let footprint_bytes t = Bigarray.Array1.dim t.packed.pack * (Sys.word_size / 8)
 let dense_footprint_bytes t =
   2 * (max_p t + 1) * (max_l t + 1) * (Sys.word_size / 8)
 
-(* The process-wide spare fill buffer.  A fill takes it whole with
-   [Atomic.exchange] (allocating when it is absent or too small), so
-   concurrent fills never share one; [give] returns it keeping the
-   larger of it and any buffer another fill returned meanwhile, so at
-   most one idle buffer is held, and [trim_scratch] drops it once it
-   outgrows what the caller still holds.  Nothing is zeroed: every fill writes each cell
-   it reads (see [unpack_into]). *)
-let spare : mat option Atomic.t = Atomic.make None
-let bytes (b : mat) = Bigarray.Array1.dim b * (Sys.word_size / 8)
-
-let rec give b =
-  match Atomic.exchange spare (Some b) with
-  | Some other when bytes other > bytes b -> give other
-  | _ -> ()
-
-let with_scratch ~max_p ~max_l f =
-  let open Bigarray in
-  let cells = (max_p + 1) * (max_l + 1) in
-  let buf =
-    match Atomic.exchange spare None with
-    | Some b when Array1.dim b >= 2 * cells -> b
-    | _ -> Array1.create int c_layout (2 * cells)
-  in
-  let r =
-    f { max_p; max_l; value = Array1.sub buf 0 cells; first = Array1.sub buf cells cells }
-  in
-  give buf;
-  r
-
-let trim_scratch ~max_bytes =
-  match Atomic.exchange spare None with
-  | Some b when bytes b <= max_bytes -> give b
-  | _ -> ()
-
-let scratch_bytes () = match Atomic.get spare with Some b -> bytes b | None -> 0
-
 (* --- kernel counters ----------------------------------------------------- *)
 
 (* Process-wide accounting of kernel work, kept in atomics and flushed
@@ -157,6 +119,9 @@ type counters = {
   dc_splits : int;
   bp_lookups : int;
   bp_rows : int;
+  decode_ns : int;
+  fill_ns : int;
+  pack_ns : int;
 }
 
 let cells_ctr = Atomic.make 0
@@ -166,6 +131,9 @@ let parfill_ctr = Atomic.make 0
 let dc_ctr = Atomic.make 0
 let bp_lookups_ctr = Atomic.make 0
 let bp_rows_ctr = Atomic.make 0
+let decode_ctr = Atomic.make 0
+let fill_ctr = Atomic.make 0
+let pack_ctr = Atomic.make 0
 
 let counters () =
   {
@@ -176,40 +144,294 @@ let counters () =
     dc_splits = Atomic.get dc_ctr;
     bp_lookups = Atomic.get bp_lookups_ctr;
     bp_rows = Atomic.get bp_rows_ctr;
+    decode_ns = Atomic.get decode_ctr;
+    fill_ns = Atomic.get fill_ctr;
+    pack_ns = Atomic.get pack_ctr;
   }
 
 let reset_counters () =
-  Atomic.set cells_ctr 0;
-  Atomic.set visited_ctr 0;
-  Atomic.set pruned_ctr 0;
-  Atomic.set parfill_ctr 0;
-  Atomic.set dc_ctr 0;
-  Atomic.set bp_lookups_ctr 0;
-  Atomic.set bp_rows_ctr 0
+  List.iter
+    (fun a -> Atomic.set a 0)
+    [ cells_ctr; visited_ctr; pruned_ctr; parfill_ctr; dc_ctr; bp_lookups_ctr;
+      bp_rows_ctr; decode_ctr; fill_ctr; pack_ctr ]
 
 let charge ~cells ~visited ~pruned =
   ignore (Atomic.fetch_and_add cells_ctr cells);
   ignore (Atomic.fetch_and_add visited_ctr visited);
   ignore (Atomic.fetch_and_add pruned_ctr pruned)
 
-(* --- row primitives ------------------------------------------------------ *)
+(* --- row runs ------------------------------------------------------------- *)
+
+(* One row of a pack under construction, in the [packed] layout's
+   terms: cells arrive left to right, from the kernel as it fills them,
+   and extend the zero prefix or the runs in place.  The argmax runs
+   are kept in a provisional [mode] until the row is complete. *)
+type seq = { mutable n : int; mutable pos : mat; mutable vals : mat }
+
+type runs = {
+  mutable zu : int; (* W = 0 and first = l through here *)
+  mutable mode : int; (* of [first]: 0 first, 1 l - first *)
+  loss : seq; (* l - W *)
+  first : seq;
+}
+
+let seq n = Bigarray.{ n = 0; pos = Array1.create int c_layout n; vals = Array1.create int c_layout n }
+
+(* Mode 1 is provisional: all but the shortest rows the kernel fills
+   end in it (see the [packed] notes). *)
+let fresh_runs () = { zu = -1; mode = 1; loss = seq 16; first = seq 16 }
+
+let add s l x =
+  let open Bigarray in
+  if s.n = Array1.dim s.pos then begin
+    let more a =
+      let b = Array1.create int c_layout ((2 * s.n) + 16) in
+      Array1.blit a (Array1.sub b 0 s.n);
+      b
+    in
+    s.pos <- more s.pos;
+    s.vals <- more s.vals
+  end;
+  Array1.unsafe_set s.pos s.n l;
+  Array1.unsafe_set s.vals s.n x;
+  s.n <- s.n + 1
+
+(* Append [x] at column [l] unless it continues the last run. *)
+let extend_run s l x =
+  if s.n = 0 || x <> Bigarray.Array1.unsafe_get s.vals (s.n - 1) then add s l x
+
+(* Cell (l, W = w, first = f), the one after the last. *)
+let push r l w f =
+  if r.loss.n = 0 && w = 0 && f = l then r.zu <- l
+  else begin
+    extend_run r.loss l (l - w);
+    extend_run r.first l (if r.mode = 1 then l - f else f)
+  end
+
+(* Row [p] of a (validated) pack, its runs copied verbatim into the
+   reset [r] to extend. *)
+let load_runs r pk p =
+  let get = Bigarray.Array1.get pk.pack in
+  let base = get p in
+  let n_loss = get (base + 2) and n_first = get (base + 3) in
+  let copy s off n =
+    for i = 0 to n - 1 do
+      add s (get (off + i)) (get (off + n + i))
+    done
+  in
+  copy r.loss (base + 4) n_loss;
+  copy r.first (base + 4 + (2 * n_loss)) n_first;
+  r.zu <- get base;
+  if n_first > 0 then r.mode <- get (base + 1)
+
+(* The process-wide spare fill buffers: the W scratch and the rows' run
+   buffers, reused so that a fill allocates little beyond its pack.  A
+   fill takes them whole with [Atomic.exchange] (allocating what is
+   absent or too small), so concurrent fills never share them; [give]
+   returns them keeping the larger W of theirs and any another fill
+   returned meanwhile, so at most one idle set is held, and
+   [trim_scratch] drops it once its W outgrows what the caller still
+   holds.  Nothing is zeroed: every fill writes each cell it reads (see
+   [unpack_values]) and resets the runs it uses. *)
+type scratch = { w : mat; mutable rows : runs array }
+
+let spare : scratch option Atomic.t = Atomic.make None
+let bytes s = Bigarray.Array1.dim s.w * (Sys.word_size / 8)
+
+let rec give s =
+  match Atomic.exchange spare (Some s) with
+  | Some other when bytes other > bytes s -> give other
+  | _ -> ()
+
+let with_scratch ~max_p ~max_l f =
+  let open Bigarray in
+  let cells = (max_p + 1) * (max_l + 1) in
+  let s =
+    match Atomic.exchange spare None with
+    | Some s when Array1.dim s.w >= cells -> s
+    | Some s -> { s with w = Array1.create int c_layout cells }
+    | None -> { w = Array1.create int c_layout cells; rows = [||] }
+  in
+  let have = Array.length s.rows in
+  if have <= max_p then
+    s.rows <- Array.init (max_p + 1) (fun p -> if p < have then s.rows.(p) else fresh_runs ());
+  let rows = Array.sub s.rows 0 (max_p + 1) in
+  Array.iter (fun r -> r.zu <- -1; r.mode <- 1; r.loss.n <- 0; r.first.n <- 0) rows;
+  let r = f { max_p; max_l; value = Array1.sub s.w 0 cells } rows in
+  give s;
+  r
+
+let trim_scratch ~max_bytes =
+  match Atomic.exchange spare None with
+  | Some s when bytes s <= max_bytes -> give s
+  | _ -> ()
+
+(* W and the run buffers' capacity. *)
+let scratch_bytes () =
+  let cap q = 2 * Bigarray.Array1.dim q.pos * (Sys.word_size / 8) in
+  match Atomic.get spare with
+  | Some s -> Array.fold_left (fun b r -> b + cap r.loss + cap r.first) (bytes s) s.rows
+  | None -> 0
+
+(* The packing rule, once a row is complete: offset mode when it has
+   strictly fewer runs.  The other mode's run count follows from the
+   runs in O(runs): inside a run holding x the other encoding is l - x
+   (either way round), so it changes at every cell and only the run
+   boundaries need a check.  A row whose provisional mode loses is
+   re-encoded cell by cell. *)
+let finish ~max_l r =
+  let f = r.first and other = ref 0 and y = ref 0 in
+  let stop i = if i + 1 < f.n then f.pos.{i + 1} - 1 else max_l in
+  for i = 0 to f.n - 1 do
+    let x = f.vals.{i} in
+    if i = 0 || f.pos.{i} - x <> !y then incr other;
+    other := !other + stop i - f.pos.{i};
+    y := stop i - x
+  done;
+  if (if r.mode = 1 then f.n < !other else !other < f.n) <> (r.mode = 1) then begin
+    let g = seq !other in
+    for i = 0 to f.n - 1 do
+      for l = f.pos.{i} to stop i do
+        extend_run g l (l - f.vals.{i})
+      done
+    done;
+    r.mode <- 1 - r.mode;
+    f.n <- g.n;
+    f.pos <- g.pos;
+    f.vals <- g.vals
+  end
+
+(* The [packed] record of complete rows. *)
+let pack_rows ~max_l rows =
+  let open Bigarray in
+  Array.iter (finish ~max_l) rows;
+  let size r = 4 + (2 * (r.loss.n + r.first.n)) in
+  let rows_n = Array.length rows in
+  let pack =
+    Array1.create int c_layout (Array.fold_left (fun a r -> a + size r) rows_n rows)
+  in
+  let put off s =
+    Array1.blit (Array1.sub s.pos 0 s.n) (Array1.sub pack off s.n);
+    Array1.blit (Array1.sub s.vals 0 s.n) (Array1.sub pack (off + s.n) s.n)
+  in
+  let base = ref rows_n in
+  Array.iteri
+    (fun p r ->
+       let b = !base in
+       Array1.set pack p b;
+       List.iteri (fun i x -> Array1.set pack (b + i) x) [ r.zu; r.mode; r.loss.n; r.first.n ];
+       put (b + 4) r.loss;
+       put (b + 4 + (2 * r.loss.n)) r.first;
+       base := b + size r)
+    rows;
+  { p_max_p = rows_n - 1; p_max_l = max_l; pack }
+
+(* Decode W of rows [p_lo .. p_max_p] of a (validated) pack into the
+   top-left corner of [body], whose bounds cover it: every cell of
+   those rows is written, zero prefix included, so a reused scratch
+   never leaks a stale cell into the fill that follows. *)
+let unpack_values pk body ~p_lo =
+  let open Bigarray in
+  let pack = pk.pack and ml = pk.p_max_l and value = body.value in
+  for p = p_lo to pk.p_max_p do
+    let base = Array1.unsafe_get pack p and row = p * (body.max_l + 1) in
+    let n_loss = Array1.unsafe_get pack (base + 2) in
+    Array1.fill (Array1.sub value row (Array1.unsafe_get pack base + 1)) 0;
+    for i = 0 to n_loss - 1 do
+      let x = Array1.unsafe_get pack (base + 4 + n_loss + i) in
+      let stop =
+        if i + 1 < n_loss then Array1.unsafe_get pack (base + 5 + i) - 1 else ml
+      in
+      for l = Array1.unsafe_get pack (base + 4 + i) to stop do
+        Array1.unsafe_set value (row + l) (l - x)
+      done
+    done
+  done
+
+(* --- the kernel ----------------------------------------------------------- *)
+
+(* Int max: [Stdlib.max] is polymorphic. *)
+let imax (a : int) b = if a >= b then a else b
 
 (* Row 0 is the closed form W(0)[l] = l (-) c. *)
-let fill_row0 body ~c ~l_from =
-  let open Bigarray in
-  let v = body.value and f = body.first in
+let fill_row0 body r ~c ~l_from =
   for l = l_from to body.max_l do
-    Array1.unsafe_set v l (max 0 (l - c));
-    Array1.unsafe_set f l l
+    let w = imax 0 (l - c) in
+    Bigarray.Array1.unsafe_set body.value l w;
+    push r l w l
   done;
   if body.max_l >= l_from then
     charge ~cells:(body.max_l - l_from + 1) ~visited:0 ~pruned:0
 
-(* Fill cells (p, l) for l in [l_lo, l_hi].  Requires row p - 1 solved
-   through column l_hi - 1 and row p solved through column l_lo - 1.  A
-   leading l_lo = 0 cell is the base case W(p)[0] = 0.  Returns the
-   number of candidates visited; the exhaustive scan would visit l per
-   cell.
+(* A block's probe work, flushed to the counters once per block. *)
+type tally = { mutable visited : int; mutable splits : int }
+
+(* The probe at t of cell l, counted: the crossing test K(t) <= S(t)
+   when [target < 0], else the survive plateau test S(t) >= target. *)
+let[@inline] holds tl (v : mat) ~c ~row ~prev ~l ~target t =
+  tl.visited <- tl.visited + 1;
+  let s = t - c + Bigarray.Array1.unsafe_get v (row + l - t) in
+  if target < 0 then Bigarray.Array1.unsafe_get v (prev + l - t) <= s else s >= target
+
+let bisect tl v ~c ~row ~prev ~l ~target lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    tl.splits <- tl.splits + 1;
+    let mid = (!lo + !hi) / 2 in
+    if holds tl v ~c ~row ~prev ~l ~target mid then hi := mid else lo := mid + 1
+  done;
+  !hi
+
+(* Least t in [lo0, hi0] where the monotone (false.. then true..) probe
+   holds, given it holds at hi0 (hi0 itself is never probed).  [g]
+   seeds a bidirectional gallop: both answers drift by ~1 per cell, so
+   starting at the previous cell's answer pays O(log drift) probes,
+   O(log range) worst case. *)
+let least_from tl v ~c ~row ~prev ~l ~target lo0 hi0 g =
+  if lo0 >= hi0 then hi0
+  else begin
+    let g = if g < lo0 then lo0 else if g >= hi0 then hi0 - 1 else g in
+    let lo = ref lo0 and hi = ref hi0 and d = ref 1 and galloping = ref true in
+    if holds tl v ~c ~row ~prev ~l ~target g then begin
+      (* Answer at or below g: gallop down for a false probe. *)
+      hi := g;
+      while !galloping do
+        let t = g - !d in
+        if t < lo0 then galloping := false
+        else if holds tl v ~c ~row ~prev ~l ~target t then begin
+          hi := t;
+          d := 2 * !d
+        end
+        else begin
+          lo := t + 1;
+          galloping := false
+        end
+      done
+    end
+    else begin
+      (* Answer above g: gallop up for a true probe. *)
+      lo := g + 1;
+      while !galloping do
+        let t = g + !d in
+        if t >= hi0 then galloping := false
+        else if holds tl v ~c ~row ~prev ~l ~target t then begin
+          hi := t;
+          galloping := false
+        end
+        else begin
+          lo := t + 1;
+          d := 2 * !d
+        end
+      done
+    end;
+    bisect tl v ~c ~row ~prev ~l ~target !lo !hi
+  end
+
+(* Fill cells (p, l) for l in [l_lo, l_hi], appending them to row p's
+   runs [r].  Requires row p - 1 solved through column l_hi - 1 and row
+   p solved through column l_lo - 1.  A leading l_lo = 0 cell is the
+   base case W(p)[0] = 0.  Returns the number of candidates visited;
+   the exhaustive scan would visit l per cell.
 
    The monotone-decision fill (DESIGN.md S24).  The recorded argmax
    itself is NOT monotone in l — at c = 1, p = 1 the lowest maximizer
@@ -238,160 +460,92 @@ let fill_row0 body ~c ~l_from =
    each cell gallops down from the previous crossing and pays
    O(log drift) probes, O(log l) worst case.  Values and argmax stay
    bit-identical to [Dp_ref]. *)
-let fill_block body ~c ~p ~l_lo ~l_hi =
+let fill_block body r ~c ~p ~l_lo ~l_hi =
   let open Bigarray in
   let stride = body.max_l + 1 in
-  let v = body.value and f = body.first in
+  let v = body.value in
   let row = p * stride in
   let prev = row - stride in
+  let tl = { visited = 0; splits = 0 } in
   if l_lo = 0 then begin
     Array1.unsafe_set v row 0;
-    Array1.unsafe_set f row 0
+    push r 0 0 0
   end;
-  let visited = ref 0 and splits = ref 0 in
-  let bisect cond lo0 hi0 =
-    let lo = ref lo0 and hi = ref hi0 in
-    while !lo < !hi do
-      incr splits;
-      let mid = (!lo + !hi) / 2 in
-      if cond mid then hi := mid else lo := mid + 1
-    done;
-    !hi
-  in
-  (* Least t in [lo0, hi0] satisfying the monotone (false.. then
-     true..) predicate, given cond hi0 holds (hi0 itself is never
-     probed).  [g] seeds a bidirectional gallop: both answers drift by
-     ~1 per cell, so starting at the previous cell's answer pays
-     O(log drift) probes, O(log range) worst case. *)
-  let bisect_min_from cond lo0 hi0 g =
-    if lo0 >= hi0 then hi0
-    else begin
-      let g = if g < lo0 then lo0 else if g >= hi0 then hi0 - 1 else g in
-      if cond g then begin
-        (* Answer at or below g: gallop down for a false probe. *)
-        let lo = ref lo0 and hi = ref g in
-        let d = ref 1 and galloping = ref true in
-        while !galloping do
-          let t = g - !d in
-          if t < lo0 then galloping := false
-          else if cond t then begin
-            hi := t;
-            d := 2 * !d
-          end
-          else begin
-            lo := t + 1;
-            galloping := false
-          end
-        done;
-        bisect cond !lo !hi
-      end
-      else begin
-        (* Answer above g: gallop up for a true probe. *)
-        let lo = ref (g + 1) and hi = ref hi0 in
-        let d = ref 1 and galloping = ref true in
-        while !galloping do
-          let t = g + !d in
-          if t >= hi0 then galloping := false
-          else if cond t then begin
-            hi := t;
-            galloping := false
-          end
-          else begin
-            lo := t + 1;
-            d := 2 * !d
-          end
-        done;
-        bisect cond !lo !hi
-      end
-    end
-  in
   (* The previous cell's crossing and survive-side argmax; -1 while
-     unknown (block entry or the all-zero prefix l <= c).  The probe
-     predicates close over mutable cell state ([cur_l], [cur_s]) so
-     they allocate once per block, not once per cell — the bisection
-     probes are the hot path and closure churn here is measurable. *)
+     unknown (block entry or the all-zero prefix l <= c). *)
   let hint = ref (-1) and fhint = ref (-1) in
-  let cur_l = ref 0 and cur_s = ref 0 in
-  let cond t =
-    incr visited;
-    Array1.unsafe_get v (prev + !cur_l - t)
-    <= t - c + Array1.unsafe_get v (row + !cur_l - t)
-  in
-  (* Least t whose survive branch already reaches cur_s: the left edge
-     of the survive plateau below the crossing. *)
-  let fcond t =
-    incr visited;
-    t - c + Array1.unsafe_get v (row + !cur_l - t) >= !cur_s
-  in
-  for l = max 1 l_lo to l_hi do
+  for l = imax 1 l_lo to l_hi do
     if l < c then begin
       (* Sub-setup lifespan: nothing can be banked. *)
-      incr visited;
+      tl.visited <- tl.visited + 1;
       Array1.unsafe_set v (row + l) 0;
-      Array1.unsafe_set f (row + l) l
+      push r l 0 l
     end
     else begin
-      cur_l := l;
-      (* cond holds at hi0 without probing: at l always (K = 0), and at
-         hint + 1 by the drift bound t_c(l) <= t_c(l - 1) + 1. *)
+      (* The crossing probe holds at hi0 without probing: at l always
+         (K = 0), and at hint + 1 by the drift bound
+         t_c(l) <= t_c(l - 1) + 1. *)
       let hi0 = if !hint >= c && !hint + 1 <= l then !hint + 1 else l in
-      let tc = bisect_min_from cond c hi0 (if !hint >= c then !hint else hi0 - 1) in
+      let tc =
+        least_from tl v ~c ~row ~prev ~l ~target:(-1) c hi0
+          (if !hint >= c then !hint else hi0 - 1)
+      in
       hint := tc;
-      incr visited;
+      tl.visited <- tl.visited + 1;
       let a = Array1.unsafe_get v (row + l - 1) in
       let k = Array1.unsafe_get v (prev + l - tc) in
       let s =
         if tc > c then begin
-          incr visited;
+          tl.visited <- tl.visited + 1;
           tc - 1 - c + Array1.unsafe_get v (row + l - tc + 1)
         end
         else -1
       in
-      let best = max a (max k s) in
+      let best = imax a (imax k s) in
       if best <= 0 then begin
         Array1.unsafe_set v (row + l) 0;
-        Array1.unsafe_set f (row + l) l
+        push r l 0 l
       end
       else begin
         Array1.unsafe_set v (row + l) best;
         let ft =
           if a >= best then 1
           else if s >= k then begin
-            cur_s := s;
-            let ft =
-              bisect_min_from fcond c (tc - 1)
-                (if !fhint >= c then !fhint + 1 else tc - 1)
-            in
-            fhint := ft;
-            ft
+            (* The left edge of the survive plateau below the crossing
+               (s = best > 0 here, so the target selects the plateau
+               test). *)
+            fhint :=
+              least_from tl v ~c ~row ~prev ~l ~target:s c (tc - 1)
+                (if !fhint >= c then !fhint + 1 else tc - 1);
+            !fhint
           end
           else tc
         in
-        Array1.unsafe_set f (row + l) ft
+        push r l best ft
       end
     end
   done;
-  if !splits > 0 then ignore (Atomic.fetch_and_add dc_ctr !splits);
-  !visited
+  if tl.splits > 0 then ignore (Atomic.fetch_and_add dc_ctr tl.splits);
+  tl.visited
 
 (* Exhaustive candidate count of a block: sum of l over its cells. *)
 let exhaustive_count ~l_lo ~l_hi =
-  let lo = max 1 l_lo in
+  let lo = imax 1 l_lo in
   if l_hi < lo then 0 else (lo + l_hi) * (l_hi - lo + 1) / 2
 
 (* --- fill drivers --------------------------------------------------------- *)
 
 (* The fresh/grow region: for rows p <= old_p only columns > old_l are
-   new, for rows p > old_p the whole row is (pass old_p = -1, old_l = -1
-   for a fresh table). *)
+   new, for rows p > old_p the whole row is (old_p = -1, old_l = -1 for
+   a fresh table). *)
 let row_start ~old_p ~old_l p = if p > old_p then 0 else old_l + 1
 
-let seq_fill body ~c ~old_p ~old_l =
+let seq_fill body rows ~c ~old_p ~old_l =
   for p = 1 to body.max_p do
     let l_lo = row_start ~old_p ~old_l p in
     if l_lo <= body.max_l then begin
-      let visited = fill_block body ~c ~p ~l_lo ~l_hi:body.max_l in
-      let cells = body.max_l - max 1 l_lo + 1 + (if l_lo = 0 then 1 else 0) in
+      let visited = fill_block body rows.(p) ~c ~p ~l_lo ~l_hi:body.max_l in
+      let cells = body.max_l - imax 1 l_lo + 1 + (if l_lo = 0 then 1 else 0) in
       charge ~cells
         ~visited
         ~pruned:(exhaustive_count ~l_lo ~l_hi:body.max_l - visited)
@@ -399,16 +553,17 @@ let seq_fill body ~c ~old_p ~old_l =
   done
 
 (* Wavefront fill: workers claim rows in ascending order and walk their
-   blocks left to right; the block [lo, hi] of row p waits until row
-   p - 1 has published progress >= hi - 1.  progress.(p) is the highest
-   solved column of row p, maintained under one mutex whose broadcast
-   doubles as the publication fence for the cells themselves. *)
-let par_fill pool body ~c ~old_p ~old_l =
+   blocks left to right, so one worker appends all of a row's runs; the
+   block [lo, hi] of row p waits until row p - 1 has published progress
+   >= hi - 1.  progress.(p) is the highest solved column of row p,
+   maintained under one mutex whose broadcast doubles as the
+   publication fence for the cells themselves. *)
+let par_fill pool body rows ~c ~old_p ~old_l =
   let slots = Csutil.Par.Pool.size pool in
   let block =
     (* ~8 blocks per slot per row: enough pipeline ramp, negligible
        handshake cost. *)
-    max 256 ((body.max_l + (8 * slots) - 1) / (8 * slots))
+    imax 256 ((body.max_l + (8 * slots) - 1) / (8 * slots))
   in
   let lock = Mutex.create () and moved = Condition.create () in
   let progress = Array.make (body.max_p + 1) body.max_l in
@@ -430,13 +585,13 @@ let par_fill pool body ~c ~old_p ~old_l =
               Condition.wait moved lock
             done;
             Mutex.unlock lock;
-            let vis = fill_block body ~c ~p ~l_lo:!lo ~l_hi:hi in
+            let vis = fill_block body rows.(p) ~c ~p ~l_lo:!lo ~l_hi:hi in
             Mutex.lock lock;
             progress.(p) <- hi;
             Condition.broadcast moved;
             Mutex.unlock lock;
             cells :=
-              !cells + (hi - max 1 !lo + 1) + (if !lo = 0 then 1 else 0);
+              !cells + (hi - imax 1 !lo + 1) + (if !lo = 0 then 1 else 0);
             visited := !visited + vis;
             pruned := !pruned + exhaustive_count ~l_lo:!lo ~l_hi:hi - vis;
             lo := hi + 1
@@ -450,166 +605,25 @@ let par_fill pool body ~c ~old_p ~old_l =
 (* Below this many new cells a wavefront is pure overhead. *)
 let par_threshold = 1 lsl 16
 
-let fill ?pool ~c body ~old_p ~old_l =
-  fill_row0 body ~c ~l_from:(row_start ~old_p ~old_l 0);
+let fill ?pool ~c body rows ~old_p ~old_l =
+  fill_row0 body rows.(0) ~c ~l_from:(row_start ~old_p ~old_l 0);
   let new_cells =
-    let full_rows = body.max_p - max 0 old_p in
+    let full_rows = body.max_p - imax 0 old_p in
     let grown_cols = body.max_l - (if old_p < 0 then body.max_l else old_l) in
-    (full_rows * (body.max_l + 1)) + (max 0 (old_p + 1) * grown_cols)
+    (full_rows * (body.max_l + 1)) + (imax 0 (old_p + 1) * grown_cols)
   in
   match pool with
   | Some pool
     when Csutil.Par.Pool.size pool > 1
          && body.max_p >= 2
          && new_cells >= par_threshold ->
-    par_fill pool body ~c ~old_p ~old_l
-  | _ -> seq_fill body ~c ~old_p ~old_l
-
-(* --- breakpoint packing --------------------------------------------------- *)
-
-(* Compress a filled body into the [pack] layout.  The zero prefix is
-   the longest span where W = 0 and first = l (the seed convention);
-   beyond it both the loss l - W and the argmax are run-length encoded,
-   so the packing is exact for any cell contents — structure only makes
-   it small.  One counting pass per row sizes the pack and picks the
-   argmax mode (offset when it has strictly fewer runs), one writing
-   pass per row fills it; both are plain loops over the row. *)
-let pack_of_body b =
-  let open Bigarray in
-  let stride = b.max_l + 1 and ml = b.max_l in
-  let v = b.value and f = b.first in
-  let rows = b.max_p + 1 in
-  let zus = Array.make rows 0 and modes = Array.make rows 0 in
-  let n_losses = Array.make rows 0 and n_firsts = Array.make rows 0 in
-  let total = ref rows in
-  for p = 0 to b.max_p do
-    let row = p * stride in
-    let zu = ref (-1) in
-    while
-      !zu < ml
-      && Array1.unsafe_get v (row + !zu + 1) = 0
-      && Array1.unsafe_get f (row + !zu + 1) = !zu + 1
-    do
-      incr zu
-    done;
-    (* Zero counts open run 0 at the first cell. *)
-    let n_loss = ref 0 and n_direct = ref 0 and n_offset = ref 0 in
-    let last_loss = ref 0 and last_direct = ref 0 and last_offset = ref 0 in
-    for l = !zu + 1 to ml do
-      let loss = l - Array1.unsafe_get v (row + l) in
-      let direct = Array1.unsafe_get f (row + l) in
-      let offset = l - direct in
-      if !n_loss = 0 || loss <> !last_loss then begin
-        incr n_loss;
-        last_loss := loss
-      end;
-      if !n_direct = 0 || direct <> !last_direct then begin
-        incr n_direct;
-        last_direct := direct
-      end;
-      if !n_offset = 0 || offset <> !last_offset then begin
-        incr n_offset;
-        last_offset := offset
-      end
-    done;
-    zus.(p) <- !zu;
-    n_losses.(p) <- !n_loss;
-    if !n_offset < !n_direct then begin
-      modes.(p) <- 1;
-      n_firsts.(p) <- !n_offset
-    end
-    else n_firsts.(p) <- !n_direct;
-    total := !total + 4 + (2 * !n_loss) + (2 * n_firsts.(p))
-  done;
-  let pack = Array1.create Bigarray.int Bigarray.c_layout !total in
-  let base = ref rows in
-  for p = 0 to b.max_p do
-    let row = p * stride and base_p = !base in
-    let zu = zus.(p) and mode = modes.(p) in
-    let n_loss = n_losses.(p) and n_first = n_firsts.(p) in
-    Array1.unsafe_set pack p base_p;
-    Array1.unsafe_set pack base_p zu;
-    Array1.unsafe_set pack (base_p + 1) mode;
-    Array1.unsafe_set pack (base_p + 2) n_loss;
-    Array1.unsafe_set pack (base_p + 3) n_first;
-    let lp = base_p + 4 in
-    let fp = lp + (2 * n_loss) in
-    let i = ref (-1) and j = ref (-1) in
-    let last_loss = ref 0 and last_first = ref 0 in
-    for l = zu + 1 to ml do
-      let loss = l - Array1.unsafe_get v (row + l) in
-      if !i < 0 || loss <> !last_loss then begin
-        incr i;
-        Array1.unsafe_set pack (lp + !i) l;
-        Array1.unsafe_set pack (lp + n_loss + !i) loss;
-        last_loss := loss
-      end;
-      let fv = Array1.unsafe_get f (row + l) in
-      let x = if mode = 1 then l - fv else fv in
-      if !j < 0 || x <> !last_first then begin
-        incr j;
-        Array1.unsafe_set pack (fp + !j) l;
-        Array1.unsafe_set pack (fp + n_first + !j) x;
-        last_first := x
-      end
-    done;
-    base := fp + (2 * n_first)
-  done;
-  { p_max_p = b.max_p; p_max_l = b.max_l; pack }
-
-(* Decode a (validated) packing into the top-left corner of [body],
-   whose bounds cover it: every cell (p, l) with p <= p_max_p and
-   l <= p_max_l is written, zero prefix included, so a reused scratch
-   never leaks a stale cell into the fill that follows. *)
-let unpack_into pk body =
-  let open Bigarray in
-  let pack = pk.pack and ml = pk.p_max_l in
-  let value = body.value and first = body.first in
-  let stride = body.max_l + 1 in
-  for p = 0 to pk.p_max_p do
-    let base = Array1.unsafe_get pack p in
-    let row = p * stride in
-    let zu = Array1.unsafe_get pack base in
-    let mode = Array1.unsafe_get pack (base + 1) in
-    let n_loss = Array1.unsafe_get pack (base + 2) in
-    let n_first = Array1.unsafe_get pack (base + 3) in
-    for l = 0 to zu do
-      Array1.unsafe_set value (row + l) 0;
-      Array1.unsafe_set first (row + l) l
-    done;
-    let lp = base + 4 in
-    for i = 0 to n_loss - 1 do
-      let start = Array1.unsafe_get pack (lp + i) in
-      let stop =
-        if i + 1 < n_loss then Array1.unsafe_get pack (lp + i + 1) - 1 else ml
-      in
-      let x = Array1.unsafe_get pack (lp + n_loss + i) in
-      for l = start to stop do
-        Array1.unsafe_set value (row + l) (l - x)
-      done
-    done;
-    let fp = lp + (2 * n_loss) in
-    for i = 0 to n_first - 1 do
-      let start = Array1.unsafe_get pack (fp + i) in
-      let stop =
-        if i + 1 < n_first then Array1.unsafe_get pack (fp + i + 1) - 1 else ml
-      in
-      let x = Array1.unsafe_get pack (fp + n_first + i) in
-      if mode = 1 then
-        for l = start to stop do
-          Array1.unsafe_set first (row + l) (l - x)
-        done
-      else
-        for l = start to stop do
-          Array1.unsafe_set first (row + l) x
-        done
-    done
-  done
+    par_fill pool body rows ~c ~old_p ~old_l
+  | _ -> seq_fill body rows ~c ~old_p ~old_l
 
 (* --- solve and grow ------------------------------------------------------- *)
 
-(* The largest table a fill may make: its dense scratch is 16 bytes a
-   cell on 64-bit platforms, 512 MiB at the limit. *)
+(* The largest table a fill may make: its W scratch is 8 bytes a cell
+   on 64-bit platforms, 256 MiB at the limit. *)
 let max_cells = 1 lsl 25
 
 (* Compared one bound at a time first, so the product cannot wrap. *)
@@ -621,23 +635,39 @@ let check_fits what ~max_p ~max_l =
     Error.invalidf "%s: p <= %d, L <= %d is over the %d-cell table limit" what
       max_p max_l max_cells
 
+(* [old] extended to bounds that cover it: each old row's runs carry
+   over and the new cells' runs are appended behind them, rows past
+   [old]'s are filled whole.  Only W of the old rows the new cells read
+   is decoded. *)
+let extend ?pool ~c old ~max_p ~max_l =
+  let old_p = old.p_max_p and old_l = old.p_max_l in
+  let timed ctr f =
+    let t0 = Csutil.Clock.now () in
+    let r = f () in
+    ignore (Atomic.fetch_and_add ctr (int_of_float ((Csutil.Clock.now () -. t0) *. 1e9)));
+    r
+  in
+  with_scratch ~max_p ~max_l (fun body rows ->
+      timed decode_ctr (fun () ->
+          unpack_values old body ~p_lo:(if max_l > old_l then 0 else old_p);
+          for p = 0 to old_p do
+            load_runs rows.(p) old p
+          done);
+      timed fill_ctr (fun () -> fill ?pool ~c body rows ~old_p ~old_l);
+      timed pack_ctr (fun () -> pack_rows ~max_l rows))
+
+let empty = { p_max_p = -1; p_max_l = -1; pack = Bigarray.(Array1.create int c_layout 0) }
+
 let solve_with ~pool ~c ~max_p ~max_l =
   if c < 1 then Error.invalid "Dp.solve: c must be >= 1 tick";
   if max_p < 0 then Error.invalid "Dp.solve: max_p must be non-negative";
   if max_l < 0 then Error.invalid "Dp.solve: max_l must be non-negative";
   check_fits "Dp.solve" ~max_p ~max_l;
-  let packed =
-    with_scratch ~max_p ~max_l (fun body ->
-        fill ?pool ~c body ~old_p:(-1) ~old_l:(-1);
-        pack_of_body body)
-  in
-  { c; packed }
+  { c; packed = extend ?pool ~c empty ~max_p ~max_l }
 
 let solve ~c ~max_p ~max_l = solve_with ~pool:None ~c ~max_p ~max_l
 
-(* Decode the solved prefix into a scratch at the new bounds, fill the
-   new cells against it, and publish the re-packed table; readers of
-   the previous pack keep it untouched. *)
+(* Readers of the previous pack keep it untouched. *)
 let grow ?pool t ~max_p ~max_l =
   if max_p < 0 then Error.invalid "Dp.grow: max_p must be non-negative";
   if max_l < 0 then Error.invalid "Dp.grow: max_l must be non-negative";
@@ -645,11 +675,7 @@ let grow ?pool t ~max_p ~max_l =
   let new_p = max old.p_max_p max_p and new_l = max old.p_max_l max_l in
   check_fits "Dp.grow" ~max_p:new_p ~max_l:new_l;
   if new_p > old.p_max_p || new_l > old.p_max_l then
-    t.packed <-
-      with_scratch ~max_p:new_p ~max_l:new_l (fun body ->
-          unpack_into old body;
-          fill ?pool ~c:t.c body ~old_p:old.p_max_p ~old_l:old.p_max_l;
-          pack_of_body body)
+    t.packed <- extend ?pool ~c:t.c old ~max_p:new_p ~max_l:new_l
 
 let to_packed t = t.packed.pack
 
@@ -773,8 +799,6 @@ let lookup () = ignore (Atomic.fetch_and_add bp_lookups_ctr 1)
 let check_in pk ~p ~l =
   if p < 0 || p > pk.p_max_p then Error.rangef "Dp: p = %d outside 0..%d" p pk.p_max_p;
   if l < 0 || l > pk.p_max_l then Error.rangef "Dp: l = %d outside 0..%d" l pk.p_max_l
-
-let check t ~p ~l = check_in t.packed ~p ~l
 
 (* A bounds-checked read of the current pack, charged to [bp_lookups]. *)
 let read t ~p ~l =

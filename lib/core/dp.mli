@@ -8,13 +8,14 @@
 
     A table is held only in breakpoint form ({!to_packed}): each row is
     a monotone staircase (Prop 4.1), stored as runs, and every cell read
-    searches them.  {!solve} and {!grow} fill one dense scratch buffer,
-    shared process-wide and reused across fills (see {!trim_scratch}),
-    then publish a fresh pack.  The recurrence at [(p, l)] only reads cells
-    at strictly smaller indices, so {!grow} decodes the solved prefix
-    into the scratch, fills only the new cells and reuses the old ones
-    verbatim.  Growth must be driven by a single writer at a time (e.g.
-    the service cache on its shard worker); concurrent readers of the
+    searches them.  {!solve} and {!grow} fill [W] into one dense scratch
+    buffer, shared process-wide and reused across fills (see
+    {!trim_scratch}), append each row's runs as it is filled, and
+    publish a fresh pack.  The recurrence at [(p, l)] only reads cells
+    at strictly smaller indices, so {!grow} decodes the old [W], fills
+    only the new cells and appends their runs to the old rows' runs.
+    Growth must be driven by a single writer at a time (e.g. the
+    service cache on its shard worker); concurrent readers of the
     previously published pack are safe throughout. *)
 
 type t
@@ -39,16 +40,15 @@ val solve : c:int -> max_p:int -> max_l:int -> t
     {e not} monotone in [L] — [c = 1] gives [first(1,4) = 2] but
     [first(1,5) = 1].  Values and recorded argmax periods are
     bit-identical to the exhaustive fill of the test oracle [Dp_ref].
-    The cells are filled in the shared scratch and the table keeps
-    only their pack.
+    The table keeps only the runs appended as its cells are filled.
 
     @raise Error.Error when [c < 1], bounds are negative or the table
     would not {!fits}. *)
 
 val max_cells : int
 (** The largest table {!solve} and {!grow} make, in cells
-    [(max_p + 1) * (max_l + 1)]: 2{^25}, whose dense fill scratch is
-    512 MiB on 64-bit platforms. *)
+    [(max_p + 1) * (max_l + 1)]: 2{^25}, whose fill scratch (one [W]
+    int a cell) is 256 MiB on 64-bit platforms. *)
 
 val fits : max_p:int -> max_l:int -> bool
 (** Whether a table with these non-negative bounds has at most
@@ -66,25 +66,30 @@ val solve_with :
 val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
 (** [grow t ~max_p ~max_l] extends the table to bounds
     [max t.max_p max_p] and [max t.max_l max_l], solving only the new
-    cells: the existing pack is decoded into the scratch at the new
-    bounds (reused, never recomputed), the new cells are filled against
-    it, and the re-packed table is published in place of the old pack,
-    which is never written.  A no-op when the table already covers the
+    cells: the old [W] is decoded into the scratch at the new bounds
+    (reused, never recomputed), the new cells are filled against it and
+    their runs appended to the old rows' runs (re-encoded only where a
+    row's argmax mode flips), word for word the pack {!solve} writes at
+    the same bounds.  It is published in place of the old pack, which
+    is never written.  A no-op when the table already covers the
     requested bounds.  [pool] parallelises the new-cell fill as in
     {!solve}.
     @raise Error.Error on negative bounds, or when the grown table
     would not {!fits}. *)
 
 val scratch_bytes : unit -> int
-(** The size of the idle spare fill scratch, 0 when none is held (a
-    fill in flight holds its buffer outside the spare). *)
+(** The size of the idle spare fill scratch, its [W] buffer and its
+    run buffers, 0 when none is held (a fill in flight holds its buffers
+    outside the spare).  A fill needs one [W] int a cell: half its
+    {!dense_footprint_bytes}. *)
 
 val trim_scratch : max_bytes:int -> unit
 (** Drop the idle spare scratch when it is larger than [max_bytes]
-    (a fill needs {!dense_footprint_bytes} at its bounds); the next
-    fill that needs more allocates its own.  The service cache calls
-    this on every eviction with the largest dense footprint it still
-    holds, so an evicted table's scratch does not stay resident. *)
+    (a fill needs half the {!dense_footprint_bytes} at its bounds); the
+    next fill that needs more allocates its own.  The service cache
+    calls this on every eviction with the largest such need of the
+    tables it still holds, so an evicted table's scratch does not stay
+    resident. *)
 
 type counters = {
   cells_filled : int;  (** cells written by the fill kernel *)
@@ -104,6 +109,9 @@ type counters = {
   bp_rows : int;
       (** [max_p + 1] for each {!of_packed} load, cumulative until
           {!reset_counters}; solves and grows count nothing *)
+  decode_ns : int;  (** solve/grow time copying old runs, decoding old [W] *)
+  fill_ns : int;  (** ... filling the new cells, appending their runs *)
+  pack_ns : int;  (** ... applying the argmax mode rule, writing the pack *)
 }
 (** Process-wide kernel work accounting (all {!solve}/{!grow} calls in
     any domain since the last {!reset_counters}). *)
@@ -160,10 +168,6 @@ val optimal_episode : t -> p:int -> l:int -> int list
     step bisects the row's argmax runs; after it one cursor walks them
     downward in strides of eight, two and one runs, galloping only past
     a fall of 64 runs. *)
-
-val check : t -> p:int -> l:int -> unit
-(** Validate that [(p, l)] lies inside the solved bounds.
-    @raise Error.Error otherwise. *)
 
 val tick_of_params : t -> Model.params -> float
 (** The duration of one tick when the table's integer [c] represents the

@@ -242,11 +242,12 @@ let create ?pool ?bank ~capacity () =
 let covers dp key = Dp.max_p dp >= key.max_p && Dp.max_l dp >= key.max_l
 
 (* Under the lock, after [tb] dropped a table: the spare fill scratch
-   is trimmed to the largest table now held, so a dropped table's
-   scratch does not stay resident after it. *)
+   (one W int a cell, half the dense footprint) is trimmed to the
+   largest table now held, so a dropped table's scratch does not stay
+   resident after it. *)
 let trim tb =
   Dp.trim_scratch
-    ~max_bytes:(Lru.fold tb (fun dp m -> max m (Dp.dense_footprint_bytes dp)) 0)
+    ~max_bytes:(Lru.fold tb (fun dp m -> max m (Dp.dense_footprint_bytes dp / 2)) 0)
 
 (* Under the lock: publish [dp] for [c]. *)
 let insert tb c dp = if Lru.add tb c dp then trim tb

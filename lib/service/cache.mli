@@ -113,9 +113,9 @@ val find_or_solve : t -> c:int -> p:int -> l:int -> Cyclesteal.Dp.t
     miss, not a growth), so every query {!canonical} accepts is
     answered, whatever the cache held before it.  A table loaded
     from the bank is brought up to the query the same way.  An
-    eviction or a replacement also drops the spare fill scratch when
-    no table still held needs one as large
-    ({!Cyclesteal.Dp.trim_scratch}).
+    eviction or a replacement also drops the spare fill scratch (one
+    [W] int a cell, half a table's dense footprint) when no table still
+    held needs one as large ({!Cyclesteal.Dp.trim_scratch}).
     Thread- and domain-safe.  Two
     concurrent calls for the same cold [c] may both solve; the first
     to publish wins and the other is served the published table (a

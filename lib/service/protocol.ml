@@ -49,6 +49,39 @@ let validate_cup ~c ~u ~p =
   else if p < 0 then invalid "p must be non-negative"
   else Ok ()
 
+(* The schedule budget: a reply lists every period, and a list of
+   billions exhausts the heap, which no handler survives.  A request is
+   refused at parse time, [budget_exhausted], when its regime's
+   closed-form period count passes 2^20: nonadaptive sqrt(pU/c) (Sec.
+   3.1), opt-p1 sqrt(2U/c) (Sec. 5.2), adaptive its tail, pivot and ramp
+   (Sec. 3.2) or else U/(3c/2) periods, calibrated every candidate it
+   scores (a_(p-1) <= sqrt(2p)).  An unknown regime passes, to fail by
+   name. *)
+let max_periods = 1 lsl 20
+
+let check_schedule ~c ~u ~p regime =
+  let r = u /. c and pf = float_of_int p in
+  let a = 1. +. Float.sqrt (2. *. pf) in
+  let n =
+    match regime with
+    | "opt-p1" -> Float.sqrt (2. *. r) +. 2.
+    | _ when p = 0 -> 1.
+    | "nonadaptive" -> Float.sqrt (pf *. r) +. 1.
+    | "calibrated" ->
+      (2. *. a *. (Float.sqrt (2. *. r) +. a)) +. (3. *. Float.sqrt (pf *. r)) +. pf +. 6.
+    | "adaptive" ->
+      let d = Adaptive.delta (Model.params ~c) ~p and pv = Adaptive.pivot (Model.params ~c) ~p in
+      let ell = Float.floor ((2. *. pf +. 2.) /. 3.) in
+      let ramp = u -. (1.5 *. c *. ell) -. pv in
+      if ramp < d then (r /. 1.5) +. 1.
+      else ell +. 1. +. Float.min (Float.sqrt (2. *. ramp /. d)) (ramp /. (pv +. d))
+    | _ -> 0.
+  in
+  if n <= float_of_int max_periods then Ok ()
+  else
+    let states = if n < 1e18 then int_of_float n else max_int in
+    Result.Error (Error.Budget_exhausted { states; budget = max_periods })
+
 (* The request scanner (DESIGN.md §S36).  A warm request is parsed on
    every answer-cache hit, so the line is read in one pass over its
    top-level object, with one cursor record and no closures, into the
@@ -507,7 +540,10 @@ let decode sc =
        | Error e -> Error e)
     | "schedule" ->
       (match check_cup sc [ C; U; P; Regime ] with
-       | Ok () -> Ok (Schedule { c; u; p; regime = sc.regime })
+       | Ok () ->
+         Result.map
+           (fun () -> Schedule { c; u; p; regime = sc.regime })
+           (check_schedule ~c ~u ~p sc.regime)
        | Error e -> Error e)
     | "evaluate" ->
       (match check_cup sc [ C; U; P; Policy; Periods ] with

@@ -41,6 +41,38 @@ let dp_table_fits ~p ~l =
   done;
   rows * (!cols + 1) <= max_cells
 
+(* The schedule budget, restated: at most 2^20 periods by the regime's
+   closed form.  opt-p1 has about sqrt(2U/c) + 2 whatever p; with p = 0
+   the others have one period; nonadaptive sqrt(pU/c) + 1; calibrated
+   2 a (sqrt(2U/c) + a) + 3 sqrt(pU/c) + p + 6 with a = 1 + sqrt(2p);
+   adaptive U/(3c/2) + 1 when its ramp has less than delta = 4^(1-p) c of
+   room past the ceil(2p/3) tail periods of 3c/2 and the pivot, and
+   otherwise that tail, the pivot and at most
+   min(sqrt(2 room / delta), room / (pivot + delta)) ramp periods.  An
+   unknown regime passes. *)
+let max_periods = 1 lsl 20
+
+let schedule_periods ~c ~u ~p regime =
+  let ratio = u /. c and pf = float_of_int p in
+  if regime = "opt-p1" then Float.sqrt (2. *. ratio) +. 2.
+  else if p = 0 then 1.
+  else if regime = "nonadaptive" then Float.sqrt (pf *. ratio) +. 1.
+  else if regime = "calibrated" then begin
+    let a = 1. +. Float.sqrt (2. *. pf) in
+    (2. *. a *. (Float.sqrt (2. *. ratio) +. a)) +. (3. *. Float.sqrt (pf *. ratio)) +. pf +. 6.
+  end
+  else if regime = "adaptive" then begin
+    let params = Cyclesteal.Model.params ~c in
+    let delta = Cyclesteal.Adaptive.delta params ~p in
+    let pivot = Cyclesteal.Adaptive.pivot params ~p in
+    let tail = Float.floor ((2. *. pf +. 2.) /. 3.) in
+    let room = u -. (1.5 *. c *. tail) -. pivot in
+    if room < delta then (ratio /. 1.5) +. 1.
+    else
+      tail +. 1. +. Float.min (Float.sqrt (2. *. room /. delta)) (room /. (pivot +. delta))
+  end
+  else 0.
+
 let field read what obj name default =
   match Json.member name obj with
   | None -> Ok default
@@ -93,7 +125,12 @@ let decode_request obj =
     let* p = field_int obj "p" 1 in
     let* regime = field_string obj "regime" "adaptive" in
     let* () = validate_cup ~c ~u ~p in
-    Ok (Protocol.Schedule { c; u; p; regime })
+    let n = schedule_periods ~c ~u ~p regime in
+    if n > float_of_int max_periods then
+      Result.Error
+        (Cyclesteal.Error.Budget_exhausted
+           { states = (if n < 1e18 then int_of_float n else max_int); budget = max_periods })
+    else Ok (Protocol.Schedule { c; u; p; regime })
   | "evaluate" ->
     let* c = field_float obj "c" 1.0 in
     let* u = field_float obj "u" 1000. in

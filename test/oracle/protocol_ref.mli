@@ -4,3 +4,11 @@
     the op's fields in turn, then the range checks). *)
 
 val parse_line : string -> Service.Protocol.envelope
+
+val max_periods : int
+(** The most periods a [schedule] request may need by its regime's
+    closed form: 2{^20}. *)
+
+val schedule_periods : c:float -> u:float -> p:int -> string -> float
+(** The closed-form period count of a [schedule] request, restated;
+    past {!max_periods} a request answers [budget_exhausted]. *)

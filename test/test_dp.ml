@@ -520,6 +520,88 @@ let prop_episode_walk_any_fall =
        done;
        !ok)
 
+(* --- grown packs = fresh packs ------------------------------------------- *)
+
+(* Whether a loss run of the row whose block starts at [b] begins at
+   column [l] (the pack layout of [Dp.to_packed]). *)
+let loss_run_starts (pk : Dp.mat) b l =
+  let n = pk.{b + 2} in
+  let rec go i = i < n && (pk.{b + 4 + i} = l || go (i + 1)) in
+  go 0
+
+(* Solve at [start], grow through the absolute bounds [steps], and
+   check every grown pack word for word against a fresh solve at its
+   bounds.  Also counts the old rows (those with runs) whose argmax mode
+   flipped and those whose last loss run the new cells continued, so a
+   caller can tell that the property met both cases. *)
+let grow_chain ?pool ~c (p0, l0) steps =
+  let t = Dp.solve_with ~pool ~c ~max_p:p0 ~max_l:l0 in
+  List.fold_left
+    (fun (ok, flips, merges) (p, l) ->
+       let old = Dp.to_packed t and op = Dp.max_p t and ol = Dp.max_l t in
+       Dp.grow ?pool t ~max_p:p ~max_l:l;
+       let grown = Dp.to_packed t in
+       let fresh = Dp.solve ~c ~max_p:(Dp.max_p t) ~max_l:(Dp.max_l t) in
+       let flips = ref flips and merges = ref merges in
+       for r = 0 to op do
+         let ob = old.{r} and gb = grown.{r} in
+         if old.{ob + 3} > 0 then begin
+           if old.{ob + 1} <> grown.{gb + 1} then incr flips;
+           if Dp.max_l t > ol && not (loss_run_starts grown gb (ol + 1)) then
+             incr merges
+         end
+       done;
+       (ok && grown = Dp.to_packed fresh, !flips, !merges))
+    (true, 0, 0) steps
+
+(* Chains of 1-3 grows in p and in l, as increments; [scale] stretches
+   the columns, so a pooled chain is large enough for the wavefront. *)
+let chain_gen =
+  QCheck.Gen.(
+    triple (int_range 1 6)
+      (pair (int_range 0 4) (int_range 0 60))
+      (list_size (int_range 1 3) (pair (int_range 0 3) (int_range 0 60))))
+
+let chain_print (c, (p0, l0), steps) =
+  Printf.sprintf "c=%d start=(%d,%d) steps=[%s]" c p0 l0
+    (String.concat ";" (List.map (fun (dp, dl) -> Printf.sprintf "+%d,+%d" dp dl) steps))
+
+let prop_grown_pack_is_fresh ~name ~count ~scale pool =
+  QCheck.Test.make ~name ~count (QCheck.make chain_gen ~print:chain_print)
+    (fun (c, (p0, l0), steps) ->
+       let _, steps =
+         List.fold_left_map
+           (fun (p, l) (dp, dl) -> ((p + dp, l + (dl * scale)), (p + dp, l + (dl * scale))))
+           (p0, l0 * scale) steps
+       in
+       let ok, _, _ = grow_chain ?pool:(Option.map Lazy.force pool) ~c (p0, l0 * scale) steps in
+       ok)
+
+(* The pinned chains meet a flip (row 0 holds one argmax run at
+   l = c + 1, in mode 0 by the tie rule, and two cells later mode 1
+   wins), boundary merges (row 0's loss run continues past every old
+   bound), and the wavefront, grown on a two-slot pool. *)
+let test_grown_pack_pinned () =
+  let pool = Lazy.force pool in
+  Dp.reset_counters ();
+  let ok, flips, merges =
+    List.fold_left
+      (fun (ok, f, m) (pool, c, start, steps) ->
+         let ok', f', m' = grow_chain ?pool ~c start steps in
+         (ok && ok', f + f', m + m'))
+      (true, 0, 0)
+      [
+        (None, 3, (0, 4), [ (0, 5); (2, 9) ]);
+        (None, 4, (4, 800), [ (4, 1600); (4, 3200) ]);
+        (Some pool, 2, (3, 20_000), [ (5, 40_000) ]);
+      ]
+  in
+  Alcotest.(check bool) "grown packs = fresh packs" true ok;
+  Alcotest.(check bool) "an argmax mode flipped" true (flips > 0);
+  Alcotest.(check bool) "a boundary run merged" true (merges > 0);
+  Alcotest.(check bool) "a grow ran the wavefront" true
+    ((Dp.counters ()).Dp.parallel_fills > 0)
+
 (* Dropping the spare scratch (as a cache eviction does) changes
    nothing but where the next fill's buffer comes from. *)
 let test_trim_scratch () =
@@ -675,6 +757,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_packed_grow;
           QCheck_alcotest.to_alcotest prop_fill_paths_match_ref;
           QCheck_alcotest.to_alcotest prop_episode_walk_any_fall;
+          QCheck_alcotest.to_alcotest
+            (prop_grown_pack_is_fresh ~name:"grown pack = fresh pack, sequential"
+               ~count:100 ~scale:1 None);
+          QCheck_alcotest.to_alcotest
+            (prop_grown_pack_is_fresh ~name:"grown pack = fresh pack, 2-slot pool"
+               ~count:8 ~scale:150 (Some pool));
+          Alcotest.test_case "grown pack = fresh pack, pinned" `Quick
+            test_grown_pack_pinned;
           Alcotest.test_case "fills after trim_scratch = Ref" `Quick
             test_trim_scratch;
           Alcotest.test_case "two domains fill at once = Ref" `Quick

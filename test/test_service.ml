@@ -474,16 +474,18 @@ let test_cache_lru_eviction () =
 (* A fill leaves its scratch as the process-wide spare; evicting the
    table that needed it must not leave it resident.  A small solve
    reuses the big spare and hands it back, and only the eviction its
-   insert causes can drop it. *)
+   insert causes can drop it.  A fill's scratch holds W alone, one int
+   a cell: half the dense footprint. *)
 let test_cache_eviction_trims_scratch () =
   let cache = Cache.create ~capacity:1 () in
+  let scratch dp = Cyclesteal.Dp.dense_footprint_bytes dp / 2 in
   let big = Cache.find_or_solve cache ~c:3 ~p:8 ~l:20_000 in
   Alcotest.(check bool) "spare covers the big fill" true
-    (Cyclesteal.Dp.scratch_bytes () >= Cyclesteal.Dp.dense_footprint_bytes big);
+    (Cyclesteal.Dp.scratch_bytes () >= scratch big);
   let small = Cache.find_or_solve cache ~c:5 ~p:1 ~l:200 in
   Alcotest.(check int) "big table evicted" 1 (Cache.stats cache).Cache.evictions;
   Alcotest.(check bool) "spare no larger than the table held" true
-    (Cyclesteal.Dp.scratch_bytes () <= Cyclesteal.Dp.dense_footprint_bytes small)
+    (Cyclesteal.Dp.scratch_bytes () <= scratch small)
 
 (* --- Cold races ------------------------------------------------------------ *)
 
@@ -1196,6 +1198,66 @@ let test_server_oversized_dp () =
       ignore (Cyclesteal.Dp.solve ~c:1 ~max_p:3 ~max_l:100_000_000_000));
   let dp = Cyclesteal.Dp.solve ~c:1 ~max_p:1 ~max_l:10 in
   refuses "Dp.grow" (fun () -> Cyclesteal.Dp.grow dp ~max_p:2 ~max_l:max_int)
+
+(* A schedule whose period list would exhaust the heap (c = 1e-300,
+   U = 1e300 overflows U/c to infinity; calibrated's p + 1 candidate;
+   adaptive's ramp at p = 20 over 10^9 setups) answers budget_exhausted
+   at parse time, at once, and the daemon serves on. *)
+let test_server_oversized_schedule () =
+  let lines =
+    [
+      {|{"id":1,"op":"schedule","c":1e-300,"u":1e300,"p":2}|};
+      {|{"id":2,"op":"schedule","c":1e-300,"u":1e300,"p":1,"regime":"opt-p1"}|};
+      {|{"id":3,"op":"schedule","c":1,"u":2000,"p":1000000000000,"regime":"calibrated"}|};
+      {|{"id":4,"op":"schedule","c":1,"u":1e9,"p":20,"regime":"adaptive"}|};
+      {|{"id":5,"op":"schedule","c":1,"u":1e12,"p":3,"regime":"nonadaptive"}|};
+      {|{"id":6,"op":"schedule","c":1,"u":1000,"p":2,"regime":"calibrated"}|};
+    ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let got, _, _ = serve_lines ~batch_size:64 lines in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list string)) "bytes = direct handle"
+    (List.map direct_response lines) got;
+  List.iteri
+    (fun i reply ->
+       Alcotest.(check bool)
+         (Printf.sprintf "line %d: %s" i reply)
+         true
+         (if i < 5 then contains ~sub:{|"budget_exhausted"|} reply
+          else contains ~sub:{|"ok":true|} reply))
+    got;
+  Alcotest.(check bool) (Printf.sprintf "answered in %.3f s" elapsed) true
+    (elapsed < 1.)
+
+(* The closed forms bound what each regime builds: on a grid of p and
+   U/c (and two setup costs) every schedule the budget admits has at
+   most the periods its form counts, and the largest accepted count is
+   2^20. *)
+let test_schedule_budget_bounds_lengths () =
+  Alcotest.(check int) "largest accepted count" 1_048_576 Oracle.Protocol_ref.max_periods;
+  List.iter
+    (fun regime ->
+       List.iter
+         (fun p ->
+            List.iter
+              (fun (c, ratio) ->
+                 let u = c *. ratio in
+                 let bound = Oracle.Protocol_ref.schedule_periods ~c ~u ~p regime in
+                 if bound <= 3e4 then begin
+                   let s =
+                     Engine.Registry.episode_schedule (Cyclesteal.Model.params ~c) ~u ~p regime
+                   in
+                   let n = Cyclesteal.Schedule.length s in
+                   if float_of_int n > bound then
+                     Alcotest.failf "%s p=%d c=%g U=%g: %d periods, form %.0f" regime p c u n
+                       bound
+                 end)
+              (List.concat_map
+                 (fun c -> List.map (fun r -> (c, r)) [ 0.5; 2.; 7.; 40.; 333.; 5e3; 1e5 ])
+                 [ 1.; 7.5 ]))
+         [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 13; 20; 50; 200 ])
+    [ "nonadaptive"; "adaptive"; "calibrated"; "opt-p1" ]
 
 (* Two dp queries on one c that each fit the cell budget but not
    together: p = 1000 at l = 256 and p = 2 at l = 100000 canonicalize
@@ -2118,6 +2180,15 @@ let protocol_corpus =
       {|{"op":"dp","c_ticks":1,"l":4611686018427387903,"p":2}|};
       {|{"op":"dp","c_ticks":1,"l":100000000000,"p":3}|};
       {|{"op":"dp","l":0,"p":4611686018427387903}|};
+      (* The schedule budget: 2^20 periods by the regime's closed form. *)
+      {|{"op":"schedule","c":1e-300,"u":1e300,"p":2}|};
+      {|{"op":"schedule","c":1,"u":549755813888,"p":1,"regime":"nonadaptive"}|};
+      {|{"op":"schedule","c":1,"u":1099511627776,"p":1,"regime":"nonadaptive"}|};
+      {|{"op":"schedule","c":1,"u":1e9,"p":20}|};
+      {|{"op":"schedule","c":1,"u":1e5,"p":20}|};
+      {|{"op":"schedule","c":1,"u":2000,"p":1000000000000,"regime":"calibrated"}|};
+      {|{"op":"schedule","c":1,"u":1e300,"p":0,"regime":"opt-p1"}|};
+      {|{"op":"schedule","c":1,"u":1e300,"p":0,"regime":"other"}|};
       {|{"op":"advise","c":1,"c":"x","op":5}|};
       {|{"op":5,"op":"advise"}|};
       {|{"op":"advise","c":2}|};
@@ -3051,6 +3122,10 @@ let () =
             test_server_stats_conservation;
           Alcotest.test_case "oversized dp answers invalid_params" `Quick
             test_server_oversized_dp;
+          Alcotest.test_case "oversized schedule answers budget_exhausted" `Quick
+            test_server_oversized_schedule;
+          Alcotest.test_case "schedule budget bounds every length" `Quick
+            test_schedule_budget_bounds_lengths;
           Alcotest.test_case "dp pair over the budget together" `Quick
             test_server_dp_pair_over_budget;
           Alcotest.test_case "stats gc counters" `Quick test_server_stats_gc;

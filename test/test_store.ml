@@ -64,6 +64,37 @@ let dp_tables_equal a b =
   && Dp.max_l a = Dp.max_l b
   && mat_equal (Dp.to_packed a) (Dp.to_packed b)
 
+(* --- CRC-32 ----------------------------------------------------------------- *)
+
+let view_of_string s : Store.Crc32.view =
+  let a = Bigarray.(Array1.create char c_layout (String.length s)) in
+  String.iteri (fun i ch -> a.{i} <- ch) s;
+  a
+
+(* The standard check value: CRC-32 of the ASCII digits 1 to 9. *)
+let test_crc_check_value () =
+  let s = "123456789" in
+  Alcotest.(check int) "reference" 0xCBF43926 (Oracle.Crc32_ref.of_string s);
+  Alcotest.(check int) "of_view" 0xCBF43926
+    (Store.Crc32.of_view (view_of_string s) ~pos:0 ~len:9);
+  Alcotest.(check int) "of_bytes" 0xCBF43926
+    (Store.Crc32.of_bytes (Bytes.of_string s) ~pos:0 ~len:9)
+
+(* The word-at-a-time fold against the bit-at-a-time reference, over
+   random lengths (short tails, many whole words) and offsets that
+   leave the words unaligned. *)
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"Crc32 = bitwise reference, any length and offset"
+    ~count:300
+    QCheck.(triple (string_of_size (Gen.int_range 0 300)) (int_range 0 15) (int_range 0 15))
+    (fun (s, pre, post) ->
+       let buf = String.make pre 'x' ^ s ^ String.make post 'y' in
+       let len = String.length s in
+       Store.Crc32.of_view (view_of_string buf) ~pos:pre ~len
+       = Oracle.Crc32_ref.of_string s
+       && Store.Crc32.of_bytes (Bytes.of_string buf) ~pos:pre ~len
+          = Oracle.Crc32_ref.of_string s)
+
 (* --- round-trip properties ------------------------------------------------ *)
 
 let prop_dp_round_trip =
@@ -913,6 +944,11 @@ let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "store"
     [
+      ( "crc32",
+        [
+          Alcotest.test_case "check value 0xCBF43926" `Quick test_crc_check_value;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+        ] );
       ("round-trip", qc [ prop_dp_round_trip; prop_game_round_trip ]);
       ( "corruption",
         [
