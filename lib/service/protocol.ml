@@ -55,8 +55,8 @@ let validate_cup ~c ~u ~p =
    closed-form period count passes 2^20: nonadaptive sqrt(pU/c) (Sec.
    3.1), opt-p1 sqrt(2U/c) (Sec. 5.2), adaptive its tail, pivot and ramp
    (Sec. 3.2) or else U/(3c/2) periods, calibrated every candidate it
-   scores (a_(p-1) <= sqrt(2p)).  An unknown regime passes, to fail by
-   name. *)
+   scores (a_(p-1) <= sqrt(2p)).  An unknown regime and a non-finite c
+   pass, to fail by name. *)
 let max_periods = 1 lsl 20
 
 let check_schedule ~c ~u ~p regime =
@@ -64,6 +64,7 @@ let check_schedule ~c ~u ~p regime =
   let a = 1. +. Float.sqrt (2. *. pf) in
   let n =
     match regime with
+    | _ when not (Float.is_finite c) -> 0.
     | "opt-p1" -> Float.sqrt (2. *. r) +. 2.
     | _ when p = 0 -> 1.
     | "nonadaptive" -> Float.sqrt (pf *. r) +. 1.

@@ -49,12 +49,14 @@ let dp_table_fits ~p ~l =
    room past the ceil(2p/3) tail periods of 3c/2 and the pivot, and
    otherwise that tail, the pivot and at most
    min(sqrt(2 room / delta), room / (pivot + delta)) ramp periods.  An
-   unknown regime passes. *)
+   unknown regime and a non-finite c pass: the engine refuses them by
+   name. *)
 let max_periods = 1 lsl 20
 
 let schedule_periods ~c ~u ~p regime =
   let ratio = u /. c and pf = float_of_int p in
-  if regime = "opt-p1" then Float.sqrt (2. *. ratio) +. 2.
+  if not (Float.is_finite c) then 0.
+  else if regime = "opt-p1" then Float.sqrt (2. *. ratio) +. 2.
   else if p = 0 then 1.
   else if regime = "nonadaptive" then Float.sqrt (pf *. ratio) +. 1.
   else if regime = "calibrated" then begin

@@ -1230,6 +1230,36 @@ let test_server_oversized_schedule () =
   Alcotest.(check bool) (Printf.sprintf "answered in %.3f s" elapsed) true
     (elapsed < 1.)
 
+(* A non-finite number (1e999 reads as infinity) in a schedule never
+   aborts the daemon: an infinite c passes the budget and is refused by
+   name, in every regime, and an infinite U with a finite c has
+   infinitely many periods by the closed form. *)
+let test_server_nonfinite_schedule () =
+  let lines =
+    [
+      {|{"id":1,"op":"schedule","c":1e999,"u":1000,"p":2}|};
+      {|{"id":2,"op":"schedule","c":1e999,"u":1e999,"p":2,"regime":"opt-p1"}|};
+      {|{"id":3,"op":"schedule","c":1e999,"u":1000,"p":3,"regime":"calibrated"}|};
+      {|{"id":4,"op":"schedule","c":1,"u":1e999,"p":2,"regime":"adaptive"}|};
+      {|{"id":5,"op":"schedule","c":1,"u":1000,"p":2}|};
+    ]
+  in
+  let got, _, _ = serve_lines ~batch_size:1 lines in
+  Alcotest.(check (list string)) "bytes = direct handle"
+    (List.map direct_response lines) got;
+  List.iteri
+    (fun i reply ->
+       Alcotest.(check bool)
+         (Printf.sprintf "line %d: %s" i reply)
+         true
+         (contains
+            ~sub:
+              (if i < 3 then {|"invalid_params"|}
+               else if i = 3 then {|"budget_exhausted"|}
+               else {|"ok":true|})
+            reply))
+    got
+
 (* The closed forms bound what each regime builds: on a grid of p and
    U/c (and two setup costs) every schedule the budget admits has at
    most the periods its form counts, and the largest accepted count is
@@ -2189,6 +2219,9 @@ let protocol_corpus =
       {|{"op":"schedule","c":1,"u":2000,"p":1000000000000,"regime":"calibrated"}|};
       {|{"op":"schedule","c":1,"u":1e300,"p":0,"regime":"opt-p1"}|};
       {|{"op":"schedule","c":1,"u":1e300,"p":0,"regime":"other"}|};
+      {|{"op":"schedule","c":1e999,"u":1,"p":2}|};
+      {|{"op":"schedule","c":1e999,"u":1e999,"p":2,"regime":"opt-p1"}|};
+      {|{"op":"schedule","c":1,"u":1e999,"p":2,"regime":"nonadaptive"}|};
       {|{"op":"advise","c":1,"c":"x","op":5}|};
       {|{"op":5,"op":"advise"}|};
       {|{"op":"advise","c":2}|};
@@ -3124,6 +3157,8 @@ let () =
             test_server_oversized_dp;
           Alcotest.test_case "oversized schedule answers budget_exhausted" `Quick
             test_server_oversized_schedule;
+          Alcotest.test_case "non-finite schedule answers by name" `Quick
+            test_server_nonfinite_schedule;
           Alcotest.test_case "schedule budget bounds every length" `Quick
             test_schedule_budget_bounds_lengths;
           Alcotest.test_case "dp pair over the budget together" `Quick
