@@ -532,6 +532,9 @@ let simulate_cmd =
 let advise_cmd =
   let run c u p json =
     validate ~json ~c ~u ~p (fun params opp ->
+        match Service.Protocol.check_advise ~p with
+        | Error e -> fail ~json e
+        | Ok () ->
         if json then print_protocol_result (Service.Protocol.Advise { c; u; p })
         else
         let advice = Guidelines.advise params opp in

@@ -301,15 +301,17 @@ let finish ~max_l r =
     f.vals <- g.vals
   end
 
-(* The [packed] record of complete rows. *)
-let pack_rows ~max_l rows =
+let heap_pack words = Bigarray.(Array1.create int c_layout words)
+
+(* The [packed] record of complete rows, in the [words]-long array
+   [alloc words] returns. *)
+let pack_rows ~alloc ~max_l rows =
   let open Bigarray in
   Array.iter (finish ~max_l) rows;
   let size r = 4 + (2 * (r.loss.n + r.first.n)) in
   let rows_n = Array.length rows in
-  let pack =
-    Array1.create int c_layout (Array.fold_left (fun a r -> a + size r) rows_n rows)
-  in
+  let words = Array.fold_left (fun a r -> a + size r) rows_n rows in
+  let pack = alloc words in
   let put off s =
     Array1.blit (Array1.sub s.pos 0 s.n) (Array1.sub pack off s.n);
     Array1.blit (Array1.sub s.vals 0 s.n) (Array1.sub pack (off + s.n) s.n)
@@ -639,7 +641,7 @@ let check_fits what ~max_p ~max_l =
    over and the new cells' runs are appended behind them, rows past
    [old]'s are filled whole.  Only W of the old rows the new cells read
    is decoded. *)
-let extend ?pool ~c old ~max_p ~max_l =
+let extend ?pool ~alloc ~c old ~max_p ~max_l =
   let old_p = old.p_max_p and old_l = old.p_max_l in
   let timed ctr f =
     let t0 = Csutil.Clock.now () in
@@ -654,28 +656,29 @@ let extend ?pool ~c old ~max_p ~max_l =
             load_runs rows.(p) old p
           done);
       timed fill_ctr (fun () -> fill ?pool ~c body rows ~old_p ~old_l);
-      timed pack_ctr (fun () -> pack_rows ~max_l rows))
+      timed pack_ctr (fun () -> pack_rows ~alloc ~max_l rows))
 
 let empty = { p_max_p = -1; p_max_l = -1; pack = Bigarray.(Array1.create int c_layout 0) }
 
-let solve_with ~pool ~c ~max_p ~max_l =
+let solve_into ~pack ~pool ~c ~max_p ~max_l =
   if c < 1 then Error.invalid "Dp.solve: c must be >= 1 tick";
   if max_p < 0 then Error.invalid "Dp.solve: max_p must be non-negative";
   if max_l < 0 then Error.invalid "Dp.solve: max_l must be non-negative";
   check_fits "Dp.solve" ~max_p ~max_l;
-  { c; packed = extend ?pool ~c empty ~max_p ~max_l }
+  { c; packed = extend ?pool ~alloc:pack ~c empty ~max_p ~max_l }
 
+let solve_with ~pool ~c ~max_p ~max_l = solve_into ~pack:heap_pack ~pool ~c ~max_p ~max_l
 let solve ~c ~max_p ~max_l = solve_with ~pool:None ~c ~max_p ~max_l
 
 (* Readers of the previous pack keep it untouched. *)
-let grow ?pool t ~max_p ~max_l =
+let grow ?pool ?(pack = heap_pack) t ~max_p ~max_l =
   if max_p < 0 then Error.invalid "Dp.grow: max_p must be non-negative";
   if max_l < 0 then Error.invalid "Dp.grow: max_l must be non-negative";
   let old = t.packed in
   let new_p = max old.p_max_p max_p and new_l = max old.p_max_l max_l in
   check_fits "Dp.grow" ~max_p:new_p ~max_l:new_l;
   if new_p > old.p_max_p || new_l > old.p_max_l then
-    t.packed <- extend ?pool ~c:t.c old ~max_p:new_p ~max_l:new_l
+    t.packed <- extend ?pool ~alloc:pack ~c:t.c old ~max_p:new_p ~max_l:new_l
 
 let to_packed t = t.packed.pack
 

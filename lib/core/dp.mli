@@ -63,7 +63,26 @@ val solve_with :
     pipelined as a wavefront across the pool's domains; the result is
     bit-identical to the sequential fill. *)
 
-val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
+val heap_pack : int -> mat
+(** The default pack allocator: a fresh [words]-int heap array. *)
+
+val solve_into :
+  pack:(int -> mat) ->
+  pool:Csutil.Par.Pool.t option ->
+  c:int ->
+  max_p:int ->
+  max_l:int ->
+  t
+(** {!solve_with}, its pack written into [pack words], which must
+    return an array of exactly [words] ints (its contents are
+    overwritten).  [pack] is called once, after the fill, when the
+    rows are complete; the table then reads from that array, so it may
+    be a writable file mapping that becomes the table's snapshot
+    ({!solve_with} passes {!heap_pack}).  The fill, the counters
+    and the pack's words are the same whatever [pack] returns. *)
+
+val grow :
+  ?pool:Csutil.Par.Pool.t -> ?pack:(int -> mat) -> t -> max_p:int -> max_l:int -> unit
 (** [grow t ~max_p ~max_l] extends the table to bounds
     [max t.max_p max_p] and [max t.max_l max_l], solving only the new
     cells: the old [W] is decoded into the scratch at the new bounds
@@ -73,7 +92,8 @@ val grow : ?pool:Csutil.Par.Pool.t -> t -> max_p:int -> max_l:int -> unit
     the same bounds.  It is published in place of the old pack, which
     is never written.  A no-op when the table already covers the
     requested bounds.  [pool] parallelises the new-cell fill as in
-    {!solve}.
+    {!solve}.  [pack] allocates the new pack as in {!solve_into}
+    (default {!heap_pack}); it is not called for a no-op.
     @raise Error.Error on negative bounds, or when the grown table
     would not {!fits}. *)
 

@@ -24,7 +24,11 @@
 
    Growth happens under the lock — Dp.grow requires a single writer —
    and readers that obtained the table earlier stay safe: a grow
-   publishes a fresh pack and never mutates a published one.  A cold
+   publishes a fresh pack and never mutates a published one.  With a
+   bank open, that fresh pack (and a cold solve's) is written straight
+   into the snapshot file it will be saved as and served from that
+   mapping; the save after the lock only stamps and renames the file
+   (write-through, DESIGN.md S43).  A cold
    solve, bank load or solver build runs OUTSIDE the lock and publishes
    under it; the first published entry for an identity wins.  The
    cache does not stop two concurrent callers from building the same
@@ -155,14 +159,22 @@ module Lru = struct
      otherwise [build] runs OUTSIDE it, so other keys keep answering,
      and its result goes to [publish] under the lock again — unless a
      racing caller published first, in which case that entry wins and
-     is served, and the build is dropped. *)
-  let obtain t k ~serve ~build ~publish =
+     is served, and the build goes to [drop] once the lock is
+     released (also when serving raises). *)
+  let obtain t k ~serve ~build ~publish ~drop =
     match locked t (fun () -> Option.map serve (find t k)) with
     | Some r -> r
     | None ->
-      let built = build () in
-      locked t (fun () ->
-          match find t k with Some v -> serve v | None -> publish built)
+      let built = build () and published = ref false in
+      Fun.protect
+        ~finally:(fun () -> if not !published then drop built)
+        (fun () ->
+          locked t (fun () ->
+              match find t k with
+              | Some v -> serve v
+              | None ->
+                published := true;
+                publish built))
 
   type 'a reading = {
     hits : int;
@@ -231,8 +243,9 @@ type t = {
   bank : Store.Bank.t option;
       (* The persistent memo tier.  Cold misses fall through to the
          bank's mapped snapshots before paying a solve; tables that were
-         solved or grown here are written behind (outside the table
-         lock, before the reply) so the next process starts warm. *)
+         solved or grown here are written through (the fill writes the
+         snapshot's payload, the commit runs outside the table lock,
+         before the reply) so the next process starts warm. *)
 }
 
 let create ?pool ?bank ~capacity () =
@@ -252,82 +265,109 @@ let trim tb =
 (* Under the lock: publish [dp] for [c]. *)
 let insert tb c dp = if Lru.add tb c dp then trim tb
 
+(* With a bank open, a solve or grow writes its pack straight into
+   the snapshot file it will be saved as, and the table reads that
+   mapping: [w] is the writer, [None] without a bank.  A fill that
+   fails removes the file. *)
+let writer t ~c ~max_p ~max_l =
+  Option.map (fun b -> Store.Bank.dp_writer b ~c ~max_p ~max_l) t.bank
+
+let filling w fill =
+  let pack = match w with Some w -> Store.Bank.dp_pack w | None -> Dp.heap_pack in
+  match fill pack with
+  | r -> r
+  | exception e ->
+    Option.iter Store.Bank.abort_dp w;
+    raise e
+
+(* A table at [key]'s bounds, and its writer. *)
+let solve t key =
+  let w = writer t ~c:key.c ~max_p:key.max_p ~max_l:key.max_l in
+  ( filling w (fun pack ->
+        Dp.solve_into ~pack ~pool:t.pool ~c:key.c ~max_p:key.max_p ~max_l:key.max_l),
+    w )
+
 (* A held or bank-loaded table brought up to [key]: [`Covered] as it
    is, [`Grown] in place, or — when the grown table would be over
    Dp.max_cells, as two queries on one c that each fit can be together
    — [`Fresh] table at [key]'s bounds to take its place.  Every key
-   [canonical] returns is answered, whatever the cache held before. *)
-let cover ~pool dp key =
+   [canonical] returns is answered, whatever the cache held before.
+   Grown and fresh tables come with their writers. *)
+let cover t dp key =
   if covers dp key then `Covered
-  else if
-    Dp.fits ~max_p:(max (Dp.max_p dp) key.max_p) ~max_l:(max (Dp.max_l dp) key.max_l)
-  then begin
-    Dp.grow ?pool dp ~max_p:key.max_p ~max_l:key.max_l;
-    `Grown
+  else begin
+    let max_p = max (Dp.max_p dp) key.max_p and max_l = max (Dp.max_l dp) key.max_l in
+    if Dp.fits ~max_p ~max_l then begin
+      let w = writer t ~c:key.c ~max_p ~max_l in
+      filling w (fun pack -> Dp.grow ?pool:t.pool ~pack dp ~max_p ~max_l);
+      `Grown w
+    end
+    else `Fresh (solve t key)
   end
-  else `Fresh (Dp.solve_with ~pool ~c:key.c ~max_p:key.max_p ~max_l:key.max_l)
 
 (* Under the lock: serve a resident table, growing or replacing it when
    it falls short of [key].  A grow counts as both a miss (solve work
    was paid) and a growth (the prefix was reused), a replacement as a
-   miss.  The second component says whether solve work changed the
-   table. *)
-let serve_table ~pool tb key dp =
-  match cover ~pool dp key with
+   miss.  The second component is the writer of a table solve work
+   changed. *)
+let serve_table t key dp =
+  let tb = t.tables in
+  match cover t dp key with
   | `Covered ->
     Lru.hit tb;
-    (dp, false)
-  | `Grown ->
+    (dp, None)
+  | `Grown w ->
     Lru.miss tb;
     Lru.grew tb;
-    (dp, true)
-  | `Fresh fresh ->
+    (dp, w)
+  | `Fresh (fresh, w) ->
     Lru.miss tb;
     Lru.replace tb key.c fresh;
     trim tb;
-    (fresh, true)
+    (fresh, w)
 
-(* Write-behind: persist a freshly solved or grown table, outside the
-   lock but on the caller — in the daemon the shard worker, before the
-   reply is written.  The save writes the pack the fill published (no
-   re-pack); published packs are immutable, so reading one here races
-   nothing.  The bank dedups by solved size and swallows I/O failures
-   (they surface in its counters). *)
-let persist_dp t dp =
-  match t.bank with None -> () | Some b -> Store.Bank.save_dp b dp
+(* Write-through: commit the snapshot of a freshly solved or grown
+   table, outside the lock but on the caller — in the daemon the shard
+   worker, before the reply is written.  The pack is already in the
+   file, so the commit checksums it in place, writes the header and
+   renames; it maps and copies nothing.  The bank dedups by solved size
+   and swallows I/O failures (they surface in its counters). *)
+let persist_dp w = Option.iter Store.Bank.commit_dp w
 
 (* The resident table for [c], grown or solved so it covers the
    canonical bounds.  A cold miss pays the bank load (open + CRC scan
    of the whole payload, tens of ms for a large table) or the solve
    outside the lock.  A racing loser is served the winner's table (a
-   hit when it covers) and its own is dropped, never written behind;
-   answers cannot differ either way, since published tables are
-   immutable and dp payloads do not depend on table bounds.
+   hit when it covers) and its own is dropped and its file removed,
+   never committed; answers cannot differ either way, since published
+   tables are immutable and dp payloads do not depend on table bounds.
 
    Solve and grow take the cache's pool: fills large enough for the
    wavefront use it, nested under a batch fan-out on the same pool or
    not. *)
 let find_or_solve t ~c ~p ~l =
   let key = canonical ~c ~p ~l in
-  let pool = t.pool and tb = t.tables in
-  let dp, changed =
-    Lru.obtain tb key.c ~serve:(serve_table ~pool tb key)
+  let tb = t.tables in
+  let dp, w =
+    Lru.obtain tb key.c ~serve:(serve_table t key)
       ~build:(fun () ->
         match Option.bind t.bank (fun b -> Store.Bank.load_dp b ~c:key.c) with
         | Some dp -> (
-          match cover ~pool dp key with
-          | `Covered -> (dp, false, false)
-          | `Grown -> (dp, true, true)
-          | `Fresh fresh -> (fresh, true, false))
+          match cover t dp key with
+          | `Covered -> (dp, false, false, None)
+          | `Grown w -> (dp, true, true, w)
+          | `Fresh (fresh, w) -> (fresh, true, false, w))
         | None ->
-          (Dp.solve_with ~pool ~c:key.c ~max_p:key.max_p ~max_l:key.max_l, true, false))
-      ~publish:(fun (dp, changed, grown) ->
+          let dp, w = solve t key in
+          (dp, true, false, w))
+      ~publish:(fun (dp, changed, grown, w) ->
         if changed then Lru.miss tb else Lru.hit tb;
         if grown then Lru.grew tb;
         insert tb key.c dp;
-        (dp, changed))
+        (dp, w))
+      ~drop:(fun (_, _, _, w) -> Option.iter Store.Bank.abort_dp w)
   in
-  if changed then persist_dp t dp;
+  persist_dp w;
   dp
 
 let mem t key = Lru.probe t.tables key.c (fun dp -> covers dp key)
@@ -404,6 +444,7 @@ let obtain_solver t params opp (planner : Engine.Planner.t) =
         in
         ignore (Lru.add s key e);
         e)
+      ~drop:ignore
   in
   (e, key)
 

@@ -25,7 +25,16 @@
     one {!Router} shard worker owns each cache.  If two callers do race
     one cold identity, the first published entry wins, the second
     caller is served that entry, and its own result is dropped
-    unpersisted; answers are the same either way.  Concurrent lookups
+    unpersisted (its snapshot file removed); answers are the same
+    either way.
+
+    With a bank, every solve and grow writes its pack straight into
+    the temporary snapshot file it will be saved as, and the cache
+    serves the table from that mapping (write-through,
+    {!Store.Bank.dp_writer}): the save after the lock checksums the
+    words in place, writes the header and renames, copying nothing.
+    A pack whose file cannot be made lives on the heap and counts a
+    save failure; answers never depend on the bank.  Concurrent lookups
     are safe from any domain; cross-key concurrency at scale comes
     from running several caches side by side, one per {!Router} shard
     — placement (which requests share a cache) belongs to the router,
@@ -81,9 +90,10 @@ val create :
     payload CRC; for game memos, the sparse table's structure) run
     outside the table and solver locks so concurrent lookups for other
     keys never stall behind it — and tables solved or grown here are
-    written behind, outside the locks but on the calling domain before
-    {!find_or_solve} returns, so the next process starts warm (game memos re-persist only after enough growth since the
-    last save; see {!with_solver}).  Bank load failures (corrupt,
+    written through, committed outside the locks but on the calling
+    domain before {!find_or_solve} returns, so the next process starts
+    warm (game memos are written behind, and re-persist only after
+    enough growth since the last save; see {!with_solver}).  Bank load failures (corrupt,
     truncated, mismatched files) silently fall through to a fresh
     solve and are reported in {!stats}[.bank].
     @raise Error.Error when [capacity < 1]. *)

@@ -83,6 +83,14 @@ let check_schedule ~c ~u ~p regime =
     let states = if n < 1e18 then int_of_float n else max_int in
     Result.Error (Error.Budget_exhausted { states; budget = max_periods })
 
+(* The advise budget: the calibrated target's coefficient a_p is a
+   recursion of p steps (Adaptive.optimal_coefficient), so an advise
+   whose p is past the schedule budget's 2^20 is refused at parse time,
+   [budget_exhausted]; 2^20 steps take a few milliseconds. *)
+let check_advise ~p =
+  if p <= max_periods then Ok ()
+  else Result.Error (Error.Budget_exhausted { states = p; budget = max_periods })
+
 (* The request scanner (DESIGN.md §S36).  A warm request is parsed on
    every answer-cache hit, so the line is read in one pass over its
    top-level object, with one cursor record and no closures, into the
@@ -537,7 +545,7 @@ let decode sc =
     match sc.op with
     | "advise" ->
       (match check_cup sc [ C; U; P ] with
-       | Ok () -> Ok (Advise { c; u; p })
+       | Ok () -> Result.map (fun () -> Advise { c; u; p }) (check_advise ~p)
        | Error e -> Error e)
     | "schedule" ->
       (match check_cup sc [ C; U; P; Regime ] with

@@ -69,13 +69,20 @@ val cache_group : request -> string option
     and the router sends them to shard 0, a custom-periods evaluation
     excepted (it is spread by a hash of its parameters). *)
 
+val check_advise : p:int -> (unit, Cyclesteal.Error.t) result
+(** The advise budget: [p] at most 2{^20} (1,048,576), else
+    [budget_exhausted].  The calibrated target's coefficient is a
+    recursion of [p] steps. *)
+
 val parse_line : string -> envelope
 (** Parse one request line.  Total: malformed JSON, a non-object, an
     unknown [op] or bad argument types yield an [Error] envelope, never
     an exception.  A [dp] query whose canonical table
     ({!Cache.canonical}) would be over {!Cyclesteal.Dp.max_cells}
-    cells is refused here with [invalid_params], so no line can start
-    an unbounded fill.
+    cells is refused here with [invalid_params], and an [advise] past
+    {!check_advise} or a [schedule] whose closed-form period count is
+    over 2{^20} with [budget_exhausted], so no line can start an
+    unbounded computation.
 
     One pass over the line, building no JSON tree except the [id]
     (and the values of unknown, repeated or wrong-kind fields):

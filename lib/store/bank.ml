@@ -141,8 +141,15 @@ let load_game t ~c ~u ~grid ~policy ~p_key =
 
 (* --- saves ---------------------------------------------------------------- *)
 
-let save t name ~size write =
-  if claim_save t name size then
+let io_failure t path err arg =
+  note_failure t t.save_failures
+    (Printf.sprintf "%s: %s: %s" path arg (Unix.error_message err))
+
+(* [write ~path] runs when the claim succeeds, [skip ()] when it does
+   not. *)
+let save ?(skip = ignore) t name ~size write =
+  if not (claim_save t name size) then skip ()
+  else
     Fun.protect
       ~finally:(fun () -> finish_save t name)
       (fun () ->
@@ -151,15 +158,49 @@ let save t name ~size write =
         | () ->
           Atomic.incr t.saves;
           mark_banked t name size
-        | exception Unix.Unix_error (err, _, arg) ->
-          note_failure t t.save_failures
-            (Printf.sprintf "%s: %s: %s" path arg (Unix.error_message err)))
+        | exception Unix.Unix_error (err, _, arg) -> io_failure t path err arg)
+
+let dp_cells ~max_p ~max_l = (max_p + 1) * (max_l + 1)
 
 let save_dp t dp =
   save t
     (dp_name ~c:(Dp.c dp))
-    ~size:((Dp.max_p dp + 1) * (Dp.max_l dp + 1))
+    ~size:(dp_cells ~max_p:(Dp.max_p dp) ~max_l:(Dp.max_l dp))
     (fun ~path -> Snapshot.save_dp ~path dp)
+
+(* --- write-through -------------------------------------------------------- *)
+
+type dp_writer = {
+  bank : t;
+  name : string;
+  cells : int;
+  snap : Snapshot.dp_writer;
+}
+
+let dp_writer t ~c ~max_p ~max_l =
+  let name = dp_name ~c in
+  {
+    bank = t;
+    name;
+    cells = dp_cells ~max_p ~max_l;
+    snap = Snapshot.dp_writer ~path:(Filename.concat t.dir name) ~c ~max_p ~max_l;
+  }
+
+(* A pack the bank cannot hold is still a pack: the table is served
+   from the heap and this save is counted as failed. *)
+let dp_pack w words =
+  try Snapshot.alloc_dp w.snap words
+  with Unix.Unix_error (err, _, arg) ->
+    io_failure w.bank (Filename.concat w.bank.dir w.name) err arg;
+    Dp.heap_pack words
+
+let commit_dp w =
+  if Snapshot.pending w.snap then
+    save w.bank w.name ~size:w.cells
+      ~skip:(fun () -> Snapshot.abort_dp w.snap)
+      (fun ~path:_ -> Snapshot.commit_dp w.snap)
+
+let abort_dp w = Snapshot.abort_dp w.snap
 
 let save_game t ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
   save t

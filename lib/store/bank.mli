@@ -11,9 +11,12 @@
     invalid file is a load failure (counted, last error kept) and the
     caller falls through to a fresh solve.  A failed load leaves the
     identity unbanked, so the next save of it rewrites the file: a
-    file at an old format version heals this way.  Saves are write-behind and
-    also never raise — a failed save is counted and the daemon keeps
-    answering from memory. *)
+    file at an old format version heals this way.  Saves never raise —
+    a failed save is counted and the daemon keeps answering from
+    memory.  Dp tables the daemon solves or grows are written through
+    ({!dp_writer}): the pack is filled in the file it is saved as;
+    game memos and tables made elsewhere are copied out by {!save_game}
+    and {!save_dp}. *)
 
 type t
 
@@ -38,6 +41,35 @@ val save_dp : t -> Cyclesteal.Dp.t -> unit
     identity is still in flight — concurrent writers never share a
     temporary file, and the entry re-persists on its next growth;
     failures are counted, never raised. *)
+
+type dp_writer
+(** A table's save written through: the fill writes its pack straight
+    into the temporary file the save publishes ({!Snapshot.dp_writer}),
+    the table is served from that mapping, and the commit only stamps
+    and renames. *)
+
+val dp_writer : t -> c:int -> max_p:int -> max_l:int -> dp_writer
+(** A writer for the table for [c] at these bounds (the bounds it has
+    once solved or grown).  Creates nothing yet. *)
+
+val dp_pack : dp_writer -> int -> Cyclesteal.Dp.mat
+(** The pack allocator to hand {!Cyclesteal.Dp.solve_into} or
+    {!Cyclesteal.Dp.grow}: the mapped payload of a fresh temporary
+    file, or, when it cannot be made or mapped, a heap array and a
+    counted save failure (that writer then saves nothing).  Never
+    raises [Unix.Unix_error]. *)
+
+val commit_dp : dp_writer -> unit
+(** Publish the written pack under the same dedup as {!save_dp}: when
+    the bank already holds this identity at this size, or another save
+    of it is in flight, the file is removed instead.  A no-op when no
+    pack was written to a file.  Failures are counted, never raised;
+    no temporary file is left either way. *)
+
+val abort_dp : dp_writer -> unit
+(** Drop the written pack's file (a table that is not published, or a
+    fill that failed); never raises.  Tables already reading the pack
+    keep reading it. *)
 
 val load_game :
   t ->

@@ -38,12 +38,23 @@
    float64 values (0 in empty slots).  All section offsets are
    multiples of 8, so the typed mappings are element-aligned.
 
-   save: write a temporary sibling, blit the arrays through a shared
-   writable mapping, stamp the CRCs, close, rename over the target —
-   readers only ever observe complete files.  load: map privately
-   (shared = false): clean pages are shared across every process
-   mapping the file; later in-place solver expansion dirties private
-   copy-on-write pages, never the file itself. *)
+   save: create a temporary sibling at its full size, put the payload
+   in place through a shared writable mapping of it, checksum the
+   payload from the typed arrays, write the header block with one
+   write, close, rename over the target — readers only ever observe
+   complete files.  A dp table solved or grown for a bank is filled
+   straight into that mapping (a [dp_writer]: Dp writes its pack into
+   the array [alloc_dp] maps, and the table keeps reading it), so its
+   commit copies nothing and maps nothing.  The temporary file is
+   sparse until its pages are written: on a full filesystem a write
+   through the mapping raises SIGBUS instead of an I/O error, in the
+   fill for a dp writer, in the blit for the other saves.
+
+   load: map the payload privately (shared = false), one typed mapping
+   per section, and checksum those same arrays: clean pages are shared
+   across every process mapping the file; later in-place solver
+   expansion dirties private copy-on-write pages, never the file
+   itself. *)
 
 open Cyclesteal
 
@@ -186,10 +197,6 @@ let with_fd path flags perm f =
   let fd = Unix.openfile path flags perm in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
 
-let map_bytes fd ~shared ~len : Crc32.view =
-  Bigarray.array1_of_genarray
-    (Unix.map_file fd Bigarray.char Bigarray.c_layout shared [| len |])
-
 let map_ints fd ~shared ~pos ~cells : Dp.mat =
   Bigarray.array1_of_genarray
     (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int Bigarray.c_layout
@@ -200,41 +207,47 @@ let map_floats fd ~shared ~pos ~cells : Game.Solver.floats =
     (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.float64
        Bigarray.c_layout shared [| cells |])
 
-(* Write one snapshot: blit the payload sections through a shared
-   writable mapping of a temporary sibling, checksum, stamp the header,
-   rename into place.  The sibling's name carries the pid AND a
-   process-local counter: two threads persisting the same snapshot
-   concurrently must not share a tmp path, or the second open's O_TRUNC
-   shrinks the file under the first writer's live mapping (SIGBUS on
-   the next blit) — each writer gets its own file and the renames
-   settle last-wins. *)
+(* A temporary sibling of [path], the unique name it is written under
+   before the rename.  The name carries the pid AND a process-local
+   counter: two threads persisting the same snapshot concurrently must
+   not share a tmp path, or the second open's O_TRUNC shrinks the file
+   under the first writer's live mapping (SIGBUS on the next write
+   through it) — each writer gets its own file and the renames settle
+   last-wins. *)
 let tmp_seq = Atomic.make 0
 
-let write ~path header blit_payload =
-  let name_len = String.length header.h_name in
-  let off = payload_off ~name_len in
-  let total = off + header.h_payload_bytes in
+let unlink_quietly tmp = try Unix.unlink tmp with Unix.Unix_error _ -> ()
+
+(* Create the temporary sibling, [total] bytes long, and run [f] on its
+   fd (to map or fill the payload); the file is removed if [f] fails. *)
+let create_tmp ~path ~total f =
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_seq 1)
   in
-  (try
-     with_fd tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-       0o644 (fun fd ->
-         Unix.ftruncate fd total;
-         blit_payload fd ~off;
-         let view = map_bytes fd ~shared:true ~len:total in
-         let crc =
-           Crc32.of_view view ~pos:off ~len:header.h_payload_bytes
-         in
-         let block = encode { header with h_payload_crc = crc } in
-         for i = 0 to Bytes.length block - 1 do
-           Bigarray.Array1.unsafe_set view i (Bytes.unsafe_get block i)
-         done)
-   with e ->
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.rename tmp path
+  match
+    with_fd tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+      0o644 (fun fd ->
+        Unix.ftruncate fd total;
+        f fd)
+  with
+  | r -> (tmp, r)
+  | exception e ->
+    unlink_quietly tmp;
+    raise e
+
+(* Stamp the header block (one write at offset 0) on a temporary file
+   whose payload is in place, and rename it over [path]; the file is
+   removed if either fails. *)
+let publish ~tmp ~path header =
+  try
+    let block = encode header in
+    with_fd tmp [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 (fun fd ->
+        ignore (Unix.write fd block 0 (Bytes.length block)));
+    Unix.rename tmp path
+  with e ->
+    unlink_quietly tmp;
+    raise e
 
 (* Open [path] read-only, read and validate the header + name block and
    hand it to [f] with the fd and the file size; an I/O failure is a
@@ -264,47 +277,91 @@ let with_header ~path f =
 let peek ~path =
   with_header ~path (fun _ ~file_bytes:_ h -> Ok (descr_of_header h))
 
-(* Validate the header and the payload checksum, then hand [f] the fd
-   for the payload mappings. *)
+(* Validate the header, then hand [f] the fd and the payload offset
+   for the payload mappings, whose checksum [f] compares with
+   [crc_ok]. *)
 let read ~path f =
-  with_header ~path (fun fd ~file_bytes h ->
-      let off = payload_off ~name_len:(String.length h.h_name) in
-      let view = map_bytes fd ~shared:false ~len:file_bytes in
-      let crc = Crc32.of_view view ~pos:off ~len:h.h_payload_bytes in
-      if crc <> h.h_payload_crc then
-        corrupt path "payload checksum mismatch (%08x, expected %08x)" crc
-          h.h_payload_crc
-      else f fd h ~off)
+  with_header ~path (fun fd ~file_bytes:_ h ->
+      f fd h ~off:(payload_off ~name_len:(String.length h.h_name)))
+
+let crc_ok ~path h crc =
+  if crc = h.h_payload_crc then Ok ()
+  else
+    corrupt path "payload checksum mismatch (%08x, expected %08x)" crc
+      h.h_payload_crc
 
 (* --- dp tables ------------------------------------------------------------ *)
 
 let word = Sys.word_size / 8
 
+let dp_header ~c ~max_p ~max_l ~words ~crc =
+  {
+    h_kind = kind_dp;
+    h_payload_bytes = words * word;
+    h_i0 = c;
+    h_i1 = max_p;
+    h_i2 = max_l;
+    h_i3 = 0;
+    h_f0 = 0.;
+    h_f1 = 0.;
+    h_f2 = 0.;
+    h_name = "";
+    h_payload_crc = crc;
+  }
+
+(* A dp snapshot in the making: the bounds it will carry, and once
+   [alloc_dp] ran, its temporary file and the shared mapping of the
+   payload the pack is written into. *)
+type dp_writer = {
+  w_path : string;
+  w_c : int;
+  w_max_p : int;
+  w_max_l : int;
+  mutable w_tmp : (string * Dp.mat) option;
+}
+
+let dp_writer ~path ~c ~max_p ~max_l =
+  { w_path = path; w_c = c; w_max_p = max_p; w_max_l = max_l; w_tmp = None }
+
+let alloc_dp w words =
+  if w.w_tmp <> None then invalid_arg "Snapshot.alloc_dp: pack already allocated";
+  let tmp, pack =
+    create_tmp ~path:w.w_path ~total:(header_bytes + (words * word)) (fun fd ->
+        map_ints fd ~shared:true ~pos:header_bytes ~cells:words)
+  in
+  w.w_tmp <- Some (tmp, pack);
+  pack
+
+let pending w = w.w_tmp <> None
+
+(* The pack's words are already in the file: checksum them where they
+   lie, write the header, rename. *)
+let commit_dp w =
+  match w.w_tmp with
+  | None -> ()
+  | Some (tmp, pack) ->
+    w.w_tmp <- None;
+    let words = Bigarray.Array1.dim pack in
+    publish ~tmp ~path:w.w_path
+      (dp_header ~c:w.w_c ~max_p:w.w_max_p ~max_l:w.w_max_l ~words
+         ~crc:(Crc32.of_ints pack ~pos:0 ~len:words))
+
+let abort_dp w =
+  match w.w_tmp with
+  | None -> ()
+  | Some (tmp, _) ->
+    w.w_tmp <- None;
+    unlink_quietly tmp
+
 (* The table's resident breakpoint pack verbatim (the pack its last
    solve or grow published; nothing is re-packed here) — usually
-   10-100x smaller than the dense cells, so write-behind and warm start
-   move proportionally fewer bytes. *)
+   10-100x smaller than the dense cells, so warm start moves
+   proportionally fewer bytes. *)
 let save_dp ~path dp =
   let pack = Dp.to_packed dp in
-  let words = Bigarray.Array1.dim pack in
-  let header =
-    {
-      h_kind = kind_dp;
-      h_payload_bytes = words * word;
-      h_i0 = Dp.c dp;
-      h_i1 = Dp.max_p dp;
-      h_i2 = Dp.max_l dp;
-      h_i3 = 0;
-      h_f0 = 0.;
-      h_f1 = 0.;
-      h_f2 = 0.;
-      h_name = "";
-      h_payload_crc = 0;
-    }
-  in
-  write ~path header (fun fd ~off ->
-      Bigarray.Array1.blit pack
-        (map_ints fd ~shared:true ~pos:off ~cells:words))
+  let w = dp_writer ~path ~c:(Dp.c dp) ~max_p:(Dp.max_p dp) ~max_l:(Dp.max_l dp) in
+  Bigarray.Array1.blit pack (alloc_dp w (Bigarray.Array1.dim pack));
+  commit_dp w
 
 let load_dp ~path ~c =
   read ~path (fun fd h ~off ->
@@ -316,14 +373,15 @@ let load_dp ~path ~c =
         corrupt path "payload is %d bytes, not a whole pack" h.h_payload_bytes
       else begin
         let words = h.h_payload_bytes / word in
-        match
-          Error.guard (fun () ->
-              Dp.of_packed ~c:h.h_i0 ~max_p:h.h_i1 ~max_l:h.h_i2
-                (map_ints fd ~shared:false ~pos:off ~cells:words))
-        with
-        | Ok _ as ok -> ok
-        | Error e ->
-          corrupt path "rejected by Dp.of_packed: %s" (Error.to_string e)
+        let pack = map_ints fd ~shared:false ~pos:off ~cells:words in
+        Result.bind (crc_ok ~path h (Crc32.of_ints pack ~pos:0 ~len:words)) (fun () ->
+            match
+              Error.guard (fun () ->
+                  Dp.of_packed ~c:h.h_i0 ~max_p:h.h_i1 ~max_l:h.h_i2 pack)
+            with
+            | Ok _ as ok -> ok
+            | Error e ->
+              corrupt path "rejected by Dp.of_packed: %s" (Error.to_string e))
       end)
 
 (* --- game memos ----------------------------------------------------------- *)
@@ -331,7 +389,8 @@ let load_dp ~path ~c =
 let slot_bytes = (2 * word) + 8  (* two key words, one float64 value *)
 
 let save_game ~path ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
-  let slots = Bigarray.Array1.dim s.Game.Solver.s_vals in
+  let keys = s.Game.Solver.s_keys and vals = s.Game.Solver.s_vals in
+  let slots = Bigarray.Array1.dim vals in
   let header =
     {
       h_kind = kind_game;
@@ -344,14 +403,19 @@ let save_game ~path ~c ~u ~policy ~p_key (s : Game.Solver.snapshot) =
       h_f1 = u;
       h_f2 = s.Game.Solver.s_grid;
       h_name = policy;
-      h_payload_crc = 0;
+      h_payload_crc =
+        Crc32.of_floats vals ~pos:0 ~len:slots
+          ~crc:(Crc32.of_ints keys ~pos:0 ~len:(2 * slots));
     }
   in
-  write ~path header (fun fd ~off ->
-      Bigarray.Array1.blit s.Game.Solver.s_keys
-        (map_ints fd ~shared:true ~pos:off ~cells:(2 * slots));
-      Bigarray.Array1.blit s.Game.Solver.s_vals
-        (map_floats fd ~shared:true ~pos:(off + (2 * word * slots)) ~cells:slots))
+  let off = payload_off ~name_len:(String.length policy) in
+  let tmp, () =
+    create_tmp ~path ~total:(off + header.h_payload_bytes) (fun fd ->
+        Bigarray.Array1.blit keys (map_ints fd ~shared:true ~pos:off ~cells:(2 * slots));
+        Bigarray.Array1.blit vals
+          (map_floats fd ~shared:true ~pos:(off + (2 * word * slots)) ~cells:slots))
+  in
+  publish ~tmp ~path header
 
 let load_game ~path ~c ~u ~grid ~policy ~p_key =
   read ~path (fun fd h ~off ->
@@ -375,9 +439,14 @@ let load_game ~path ~c ~u ~grid ~policy ~p_key =
         else
           let keys = map_ints fd ~shared:false ~pos:off ~cells:(2 * slots)
           and vals = map_floats fd ~shared:false ~pos:(off + (2 * word * slots)) ~cells:slots in
-          match
-            Error.guard (fun () ->
-                Game.Solver.snapshot ~grid ~answered_p:h.h_i0 ~states:h.h_i2 ~keys ~vals)
-          with
-          | Ok _ as ok -> ok
-          | Error e -> corrupt path "rejected: %s" (Error.to_string e))
+          let crc =
+            Crc32.of_floats vals ~pos:0 ~len:slots
+              ~crc:(Crc32.of_ints keys ~pos:0 ~len:(2 * slots))
+          in
+          Result.bind (crc_ok ~path h crc) (fun () ->
+              match
+                Error.guard (fun () ->
+                    Game.Solver.snapshot ~grid ~answered_p:h.h_i0 ~states:h.h_i2 ~keys ~vals)
+              with
+              | Ok _ as ok -> ok
+              | Error e -> corrupt path "rejected: %s" (Error.to_string e)))

@@ -75,6 +75,11 @@ let schedule_periods ~c ~u ~p regime =
   end
   else 0.
 
+(* The advise budget, restated: the calibrated target's coefficient
+   a_p takes p steps of its recursion, so p past 2^20 (the schedule
+   budget's bound) is refused. *)
+let max_advise_p = max_periods
+
 let field read what obj name default =
   match Json.member name obj with
   | None -> Ok default
@@ -120,7 +125,9 @@ let decode_request obj =
     let* u = field_float obj "u" 1000. in
     let* p = field_int obj "p" 1 in
     let* () = validate_cup ~c ~u ~p in
-    Ok (Protocol.Advise { c; u; p })
+    if p > max_advise_p then
+      Result.Error (Cyclesteal.Error.Budget_exhausted { states = p; budget = max_advise_p })
+    else Ok (Protocol.Advise { c; u; p })
   | "schedule" ->
     let* c = field_float obj "c" 1.0 in
     let* u = field_float obj "u" 1000. in

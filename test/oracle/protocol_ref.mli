@@ -12,3 +12,7 @@ val max_periods : int
 val schedule_periods : c:float -> u:float -> p:int -> string -> float
 (** The closed-form period count of a [schedule] request, restated;
     past {!max_periods} a request answers [budget_exhausted]. *)
+
+val max_advise_p : int
+(** The largest [p] an [advise] request may carry: 2{^20}; past it a
+    request answers [budget_exhausted]. *)

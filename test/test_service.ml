@@ -1230,6 +1230,134 @@ let test_server_oversized_schedule () =
   Alcotest.(check bool) (Printf.sprintf "answered in %.3f s" elapsed) true
     (elapsed < 1.)
 
+(* A binary built beside this test's, run with [input] on stdin and
+   SIGKILLed after 10 s: its stdout, its exit status ([None] when
+   killed) and the seconds it ran. *)
+let run_binary ?(input = "") name args =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; name ]
+  in
+  with_temp_file input (fun in_path ->
+      let out_path = Filename.temp_file "csched_test" ".out" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove out_path with Sys_error _ -> ())
+        (fun () ->
+           let fd_in = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+           let fd_out = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+           let fd_err = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+           let t0 = Unix.gettimeofday () in
+           let pid =
+             Unix.create_process exe (Array.of_list (exe :: args)) fd_in fd_out fd_err
+           in
+           List.iter Unix.close [ fd_in; fd_out; fd_err ];
+           let rec reap () =
+             match Unix.waitpid [ Unix.WNOHANG ] pid with
+             | 0, _ when Unix.gettimeofday () -. t0 < 10. ->
+               Unix.sleepf 0.005;
+               reap ()
+             | 0, _ ->
+               Unix.kill pid Sys.sigkill;
+               ignore (Unix.waitpid [] pid);
+               None
+             | _, status -> Some status
+           in
+           let status = reap () in
+           let elapsed = Unix.gettimeofday () -. t0 in
+           (read_lines out_path, status, elapsed)))
+
+(* An advise's calibrated target takes p steps, so a p past 2^20
+   answers budget_exhausted at parse time, at once, through the daemon
+   (byte for byte what direct Protocol.handle answers) and through the
+   CLI; 2^20 itself is answered. *)
+let test_huge_p_advise () =
+  let lines =
+    [
+      {|{"id":1,"op":"advise","c":1,"u":100,"p":1000000000000}|};
+      {|{"id":2,"op":"advise","c":1,"u":100,"p":1048576}|};
+      {|{"id":3,"op":"advise","c":1,"u":100,"p":1048577}|};
+      {|{"id":4,"op":"advise","c":1,"u":100,"p":4611686018427387903}|};
+    ]
+  in
+  let got, status, elapsed =
+    run_binary ~input:(String.concat "\n" lines ^ "\n") "cschedd.exe" [ "--quiet" ]
+  in
+  Alcotest.(check bool) "daemon exited" true (status = Some (Unix.WEXITED 0));
+  Alcotest.(check (list string)) "bytes = direct handle"
+    (List.map direct_response lines) got;
+  List.iteri
+    (fun i reply ->
+       Alcotest.(check bool) (Printf.sprintf "line %d: %s" i reply) true
+         (contains
+            ~sub:(if i = 1 then {|"ok":true|} else {|"budget_exhausted"|})
+            reply))
+    got;
+  Alcotest.(check bool) (Printf.sprintf "daemon answered in %.3f s" elapsed) true
+    (elapsed < 1.);
+  List.iter
+    (fun json ->
+       let args = [ "advise"; "-u"; "100"; "-p"; "1000000000000"; "-c"; "1" ] in
+       let out, status, elapsed =
+         run_binary "csched.exe" (if json then args @ [ "--json" ] else args)
+       in
+       let name = if json then "csched --json" else "csched" in
+       Alcotest.(check bool) (name ^ " refuses") true
+         (match status with Some (Unix.WEXITED n) -> n <> 0 | _ -> false);
+       if json then
+         Alcotest.(check bool) (name ^ " says budget_exhausted") true
+           (List.exists (contains ~sub:{|"budget_exhausted"|}) out);
+       Alcotest.(check bool) (Printf.sprintf "%s answered in %.3f s" name elapsed)
+         true (elapsed < 1.))
+    [ false; true ]
+
+(* A daemon whose bank directory goes away after start (moved aside,
+   a plain file put at its path: a permission bit would not stop a
+   root test run) answers every dp line, cold solves, grows past the
+   banked bounds and warm reads alike, byte for byte as direct
+   Protocol.handle does: each solve or grow that cannot make its
+   snapshot file fills a heap pack and counts a save failure, and no
+   temporary file is left in the moved directory. *)
+let test_server_bank_unwritable () =
+  let dir = Filename.temp_file "cschedd_bank" "" in
+  Sys.remove dir;
+  let moved = dir ^ ".moved" in
+  let files d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat moved f)) (files moved);
+      (try Unix.rmdir moved with Unix.Unix_error _ -> ());
+      try Sys.remove dir with Sys_error _ -> ())
+    (fun () ->
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      let warm = Cache.create ~bank ~capacity:4 () in
+      ignore (Cache.find_or_solve warm ~c:5 ~p:2 ~l:300);
+      let banked = List.sort compare (files dir) in
+      let router = Router.create ~shards:2 ~domains:2 ~bank ~capacity:16 () in
+      Fun.protect
+        ~finally:(fun () -> Router.shutdown router)
+        (fun () ->
+          Alcotest.(check int) "one table warmed" 1 (Router.warm_from_bank router);
+          Unix.rename dir moved;
+          Out_channel.with_open_bin dir (fun oc -> output_string oc "not a directory");
+          let before = (Store.Bank.counters bank).Store.Bank.save_failures in
+          let lines =
+            List.mapi
+              (fun i (c, l, p) ->
+                Printf.sprintf {|{"id":%d,"op":"dp","c_ticks":%d,"l":%d,"p":%d}|} i c l p)
+              [ (5, 200, 2); (5, 3000, 2); (5, 3000, 4); (7, 900, 1); (7, 100, 3);
+                (9, 5000, 2); (5, 250, 1) ]
+          in
+          let got, _, _ = serve_lines ~batch_size:1 ~router lines in
+          Alcotest.(check (list string)) "bytes = direct handle"
+            (List.map direct_response lines) got;
+          let failures = (Store.Bank.counters bank).Store.Bank.save_failures - before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d save failures counted" failures)
+            true (failures >= 4);
+          Alcotest.(check (list string)) "moved directory as it was" banked
+            (List.sort compare (files moved))))
+
 (* A non-finite number (1e999 reads as infinity) in a schedule never
    aborts the daemon: an infinite c passes the budget and is refused by
    name, in every regime, and an infinite U with a finite c has
@@ -3159,6 +3287,10 @@ let () =
             test_server_oversized_schedule;
           Alcotest.test_case "non-finite schedule answers by name" `Quick
             test_server_nonfinite_schedule;
+          Alcotest.test_case "huge-p advise answers budget_exhausted" `Quick
+            test_huge_p_advise;
+          Alcotest.test_case "unwritable bank answers dp = direct" `Quick
+            test_server_bank_unwritable;
           Alcotest.test_case "schedule budget bounds every length" `Quick
             test_schedule_budget_bounds_lengths;
           Alcotest.test_case "dp pair over the budget together" `Quick

@@ -66,23 +66,15 @@ let dp_tables_equal a b =
 
 (* --- CRC-32 ----------------------------------------------------------------- *)
 
-let view_of_string s : Store.Crc32.view =
-  let a = Bigarray.(Array1.create char c_layout (String.length s)) in
-  String.iteri (fun i ch -> a.{i} <- ch) s;
-  a
-
 (* The standard check value: CRC-32 of the ASCII digits 1 to 9. *)
 let test_crc_check_value () =
   let s = "123456789" in
   Alcotest.(check int) "reference" 0xCBF43926 (Oracle.Crc32_ref.of_string s);
-  Alcotest.(check int) "of_view" 0xCBF43926
-    (Store.Crc32.of_view (view_of_string s) ~pos:0 ~len:9);
   Alcotest.(check int) "of_bytes" 0xCBF43926
     (Store.Crc32.of_bytes (Bytes.of_string s) ~pos:0 ~len:9)
 
-(* The word-at-a-time fold against the bit-at-a-time reference, over
-   random lengths (short tails, many whole words) and offsets that
-   leave the words unaligned. *)
+(* The table-driven fold against the bit-at-a-time reference, over
+   random lengths and offsets. *)
 let prop_crc_matches_reference =
   QCheck.Test.make ~name:"Crc32 = bitwise reference, any length and offset"
     ~count:300
@@ -90,10 +82,65 @@ let prop_crc_matches_reference =
     (fun (s, pre, post) ->
        let buf = String.make pre 'x' ^ s ^ String.make post 'y' in
        let len = String.length s in
-       Store.Crc32.of_view (view_of_string buf) ~pos:pre ~len
-       = Oracle.Crc32_ref.of_string s
-       && Store.Crc32.of_bytes (Bytes.of_string buf) ~pos:pre ~len
-          = Oracle.Crc32_ref.of_string s)
+       Store.Crc32.of_bytes (Bytes.of_string buf) ~pos:pre ~len
+       = Oracle.Crc32_ref.of_string s)
+
+(* The byte image of words in a file written in native order. *)
+let image words =
+  let b = Bytes.create (8 * List.length words) in
+  List.iteri
+    (fun i w ->
+       (if Sys.big_endian then Bytes.set_int64_be else Bytes.set_int64_le) b (8 * i) w)
+    words;
+  Bytes.to_string b
+
+let ints_of xs = Bigarray.(Array1.of_array int c_layout (Array.of_list xs))
+let floats_of xs = Bigarray.(Array1.of_array float64 c_layout (Array.of_list xs))
+
+(* Any int, negative ones (a row's zero_until = -1) and the extremes
+   included. *)
+let int_word =
+  QCheck.Gen.(
+    frequency
+      [ (4, int); (2, int_range (-3) 3); (1, oneofl [ min_int; max_int; -1; 0 ]) ])
+
+(* Any float64 bit pattern but a NaN's payload (a NaN may come back
+   quieted through a float register). *)
+let float_word =
+  QCheck.Gen.(
+    map
+      (fun bits ->
+         let f = Int64.float_of_bits bits in
+         if Float.is_nan f then Float.nan else f)
+      (map2 (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+         (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF)))
+
+(* The array forms checksum the file's byte image of the words, and a
+   continued CRC equals one over the concatenated images. *)
+let prop_crc_of_words =
+  QCheck.Test.make ~name:"Crc32.of_ints/of_floats = reference over the byte image"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (int_range 0 40) int_word)
+            (list_size (int_range 0 40) float_word)
+            (int_range 0 3)))
+    (fun (xs, fs, skip) ->
+       let n = List.length xs in
+       let skip = min skip n in
+       let ints = ints_of xs and floats = floats_of fs in
+       let int_image = image (List.map Int64.of_int xs) in
+       let float_image = image (List.map Int64.bits_of_float fs) in
+       Store.Crc32.of_ints ints ~pos:0 ~len:n = Oracle.Crc32_ref.of_string int_image
+       && Store.Crc32.of_ints ints ~pos:skip ~len:(n - skip)
+          = Oracle.Crc32_ref.of_string (String.sub int_image (8 * skip) (8 * (n - skip)))
+       && Store.Crc32.of_floats floats ~pos:0 ~len:(List.length fs)
+          = Oracle.Crc32_ref.of_string float_image
+       && Store.Crc32.of_floats floats ~pos:0 ~len:(List.length fs)
+            ~crc:(Store.Crc32.of_ints ints ~pos:0 ~len:n)
+          = Oracle.Crc32_ref.of_string (int_image ^ float_image))
 
 (* --- round-trip properties ------------------------------------------------ *)
 
@@ -617,6 +664,69 @@ let test_bank_warm_start () =
       Alcotest.(check int) "served as a hit" 1 s.Service.Cache.hits;
       Alcotest.(check int) "no miss" 0 s.Service.Cache.misses)
 
+(* --- write-through ---------------------------------------------------------- *)
+
+let tmp_files dir =
+  List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir))
+
+(* A table the cache solves and then grows is served from the pack it
+   wrote into its snapshot file: the file reloads to the served pack
+   word for word, and is byte for byte the file the copying save
+   writes for a fresh solve at the same bounds (as csched precompute
+   would). *)
+let test_write_through_reloads_served () =
+  with_dir (fun dir ->
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      let cache = Service.Cache.create ~bank ~capacity:4 () in
+      let check_banked what =
+        let served = Service.Cache.find_or_solve cache ~c:6 ~p:0 ~l:0 in
+        (match Store.Bank.load_dp ~count:false bank ~c:6 with
+         | Some loaded ->
+           Alcotest.(check bool) (what ^ ": reload = served pack") true
+             (dp_tables_equal served loaded)
+         | None -> Alcotest.fail (what ^ ": not banked"));
+        let copy = Filename.concat dir "copy.snap" in
+        Store.Snapshot.save_dp ~path:copy
+          (Dp.solve ~c:6 ~max_p:(Dp.max_p served) ~max_l:(Dp.max_l served));
+        Alcotest.(check bool) (what ^ ": file = copying save of a fresh solve") true
+          (read_file (Filename.concat dir "dp_c6.snap") = read_file copy);
+        Sys.remove copy;
+        Alcotest.(check (list string)) (what ^ ": no tmp") [] (tmp_files dir)
+      in
+      ignore (Service.Cache.find_or_solve cache ~c:6 ~p:2 ~l:700);
+      check_banked "solved";
+      ignore (Service.Cache.find_or_solve cache ~c:6 ~p:3 ~l:3000);
+      check_banked "grown";
+      Alcotest.(check int) "two saves" 2 (Store.Bank.counters bank).Store.Bank.saves)
+
+(* Cold fetches of one c racing on four domains of one bank-backed
+   cache: every caller gets the same table, the bank holds exactly one
+   file for it and no temporary file (the losers' files are removed). *)
+let test_write_through_cold_race () =
+  with_dir (fun dir ->
+      let bank = Result.get_ok (Store.Bank.open_dir ~create:true dir) in
+      let cache = Service.Cache.create ~bank ~capacity:4 () in
+      let go = Atomic.make false in
+      let tables =
+        Array.init 4 (fun _ ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                Service.Cache.find_or_solve cache ~c:3 ~p:2 ~l:20000))
+      in
+      Atomic.set go true;
+      let tables = Array.map Domain.join tables in
+      Array.iter
+        (fun t -> Alcotest.(check bool) "one table served" true (t == tables.(0)))
+        tables;
+      Alcotest.(check (list string)) "one file, no tmp" [ "dp_c3.snap" ]
+        (Array.to_list (Sys.readdir dir));
+      match Store.Bank.load_dp ~count:false bank ~c:3 with
+      | Some loaded ->
+        Alcotest.(check bool) "banked = served" true (dp_tables_equal tables.(0) loaded)
+      | None -> Alcotest.fail "not banked")
+
 (* A banked table that the query cannot be grown onto within the cell
    budget (p = 1000 at l = 256 banked, p = 2 at l = 100000 asked) is
    replaced by a table solved at the query's bounds, which answers as
@@ -948,6 +1058,7 @@ let () =
         [
           Alcotest.test_case "check value 0xCBF43926" `Quick test_crc_check_value;
           QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+          QCheck_alcotest.to_alcotest prop_crc_of_words;
         ] );
       ("round-trip", qc [ prop_dp_round_trip; prop_game_round_trip ]);
       ( "corruption",
@@ -980,6 +1091,10 @@ let () =
           Alcotest.test_case "corrupt entry falls through" `Quick
             test_bank_corrupt_falls_through;
           Alcotest.test_case "warm start" `Quick test_bank_warm_start;
+          Alcotest.test_case "write-through reloads the served pack" `Quick
+            test_write_through_reloads_served;
+          Alcotest.test_case "write-through cold race leaves one file" `Quick
+            test_write_through_cold_race;
           Alcotest.test_case "concurrent snapshot saves" `Quick
             test_concurrent_saves;
           Alcotest.test_case "concurrent bank saves" `Quick
