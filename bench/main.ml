@@ -863,6 +863,102 @@ let bechamel () =
 
 (* --- Service: cold vs warm table-cache throughput ------------------------- *)
 
+(* 512 distinct request lines shaped like perfbench's warm_mix: advise,
+   schedule, dp over four tables and evaluate over 64 game identities
+   (adaptive and nonadaptive, p 1 and 2), interleaved op by op, each
+   under its own id. *)
+let warm_mix_lines () =
+  let open Service.Protocol in
+  let req op i =
+    match op with
+    | 0 ->
+      Advise
+        { c = float_of_int (1 + (i mod 60)); u = float_of_int (1000 * (1 + i)); p = 1 + (i mod 6) }
+    | 1 ->
+      let c = 2 + (i mod 18) in
+      Schedule
+        {
+          c = float_of_int c;
+          u = float_of_int (c * (200 + i));
+          p = 1 + (i mod 4);
+          regime = [| "adaptive"; "nonadaptive"; "calibrated" |].(i mod 3);
+        }
+    | 2 -> Dp_query { c_ticks = 4 + (i mod 4); l = 1024 + (23 * i); p = 2 + (i mod 3) }
+    | _ ->
+      let k = i / 2 in
+      let c = 1 + (k mod 8) in
+      Evaluate
+        {
+          c = float_of_int c;
+          u = float_of_int (c * (300 + (5 * k)));
+          p = 1 + (i mod 2);
+          policy = (if k mod 2 = 0 then "adaptive" else "nonadaptive");
+          periods = None;
+        }
+  in
+  List.init 512 (fun k -> J.to_string (request_to_json ~id:(J.Int k) (req (k mod 4) (k / 4))))
+
+(* One wire loop, [Server.serve_fd] reading the stream from a pipe
+   (filled and closed untimed, so the stream must fit the pipe's
+   buffer): the whole stream answered from the answer cache, against
+   the same lines as answer-cache misses (a fresh server per run on
+   one router whose table and solver caches are warm).  It gives the
+   no-parse hit path an in-process number beside perfbench's.  Both
+   must write the same bytes. *)
+let serve_hit_bench () =
+  let lines = warm_mix_lines () in
+  let n = List.length lines in
+  let input = String.concat "\n" lines ^ "\n" in
+  if String.length input >= 65536 then die "serve bench: stream outgrows a pipe";
+  let router = Service.Router.create ~domains:1 ~capacity:256 () in
+  let out_path = Filename.temp_file "bench_serve" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.Router.shutdown router;
+      try Sys.remove out_path with Sys_error _ -> ())
+    (fun () ->
+       let piped server =
+         let r, w = Unix.pipe ~cloexec:true () in
+         if Unix.write_substring w input 0 (String.length input) <> String.length input
+         then die "serve bench: short pipe write";
+         Unix.close w;
+         (server, r, Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0)
+       in
+       let serve (server, r, out) =
+         Service.Server.serve_fd server r out;
+         Unix.close r;
+         Unix.close out;
+         server
+       in
+       let plan = Series.plan ~quick:false 9 in
+       let series setup =
+         let timing, server = Series.time_with plan ~setup:(fun () -> piped (setup ())) serve in
+         ( timing,
+           In_channel.with_open_bin out_path In_channel.input_all,
+           Service.Answers.stats (Service.Server.answers server) )
+       in
+       let primed = serve (piped (Service.Server.create ~router ())) in
+       let hits, hit_out, hit_stats = series (fun () -> primed) in
+       let misses, miss_out, miss_stats = series (fun () -> Service.Server.create ~router ()) in
+       if not (String.equal hit_out miss_out) then die "serve bench: hit and miss replies differ";
+       if hit_stats.Service.Answers.misses <> n then
+         die "serve bench: the primed pass missed %d of %d" hit_stats.Service.Answers.misses n;
+       if miss_stats.Service.Answers.hits <> 0 then
+         die "serve bench: a fresh server hit %d lines" miss_stats.Service.Answers.hits;
+       let us_per_line t = ("us_per_line", J.Float (1e6 *. t.Series.median /. float_of_int n)) in
+       ignore
+         (report
+            ~title:
+              (Printf.sprintf
+                 "Server.serve_fd over a pipe: %d distinct warm_mix-shaped lines, batches of 64" n)
+            [
+              Series.row ~timing:misses ~fields:[ us_per_line misses ]
+                "answer-cache misses (parsed, routed, warm caches)";
+              Series.row ~timing:hits
+                ~fields:(us_per_line hits :: Series.speedup "speedup_vs_misses" ~base:misses hits)
+                "answer-cache hits (no parse)";
+            ]))
+
 (* The cschedd cache exists to amortize DP solves across queries; this
    measures what that buys.  The cold pass answers every dp query with a
    direct [Dp.solve] at the query's own bounds (what the library does
@@ -906,7 +1002,8 @@ let service_bench () =
                 ("cache_hits", J.Int s.Service.Cache.hits);
               ])
            "warm (canonical table cache)";
-       ])
+       ]);
+  serve_hit_bench ()
 
 (* --- DP store: growth vs fresh solve -------------------------------------- *)
 

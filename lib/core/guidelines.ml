@@ -38,10 +38,20 @@ type advice = {
 (* Compare the regimes' closed-form guarantees.  Adaptivity always wins
    on the bound for p >= 1 (loss coefficient (2 - 2^(1-p)) sqrt 2 vs
    2 sqrt p); non-adaptivity is recommended only when they tie, since it
-   needs no mid-opportunity re-planning machinery. *)
-let advise params opp =
-  let adaptive_bound = predicted_work params opp Adaptive in
-  let nonadaptive_bound = predicted_work params opp Non_adaptive in
+   needs no mid-opportunity re-planning machinery.  No schedule does
+   more than U work, and none guarantees any when U <= (p+1)c
+   (Proposition 4.1(c)), so the reported bounds are the closed forms
+   held to [0, U], and both are 0 in the degenerate regime, where the
+   tie recommends the non-adaptive regime.  The closed forms themselves
+   ([predicted_work]) are left as the paper states them. *)
+let advise params (opp : Model.opportunity) =
+  let bound regime =
+    if Model.is_degenerate params opp then 0.
+    else
+      Float.max 0. (Float.min opp.Model.lifespan (predicted_work params opp regime))
+  in
+  let adaptive_bound = bound Adaptive in
+  let nonadaptive_bound = bound Non_adaptive in
   let advantage = adaptive_bound -. nonadaptive_bound in
   let recommended = if advantage > 0. then Adaptive else Non_adaptive in
   { recommended; adaptive_bound; nonadaptive_bound; advantage }

@@ -33,5 +33,9 @@ type advice = {
 
 val advise : Model.params -> Model.opportunity -> advice
 (** Compare the regimes' closed-form guarantees; adaptivity wins whenever
-    its bound is strictly larger (always for [p >= 1]), otherwise the
-    simpler non-adaptive regime is recommended. *)
+    its bound is strictly larger (always for [p >= 1] outside the
+    degenerate regime), otherwise the simpler non-adaptive regime is
+    recommended.  Each bound is its regime's {!predicted_work} held to
+    [[0, U]], and both are 0 when the opportunity is degenerate
+    ({!Model.is_degenerate}: U <= (p+1)c guarantees no work), so the
+    non-adaptive regime is recommended there. *)

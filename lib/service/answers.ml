@@ -1,50 +1,30 @@
-(* The answer cache: serialized [result] payloads keyed on the decoded
-   request, so a repeat under any id, any field order and any number
-   spelling skips plan -> answer -> serialize.
+(* The answer cache: reply bytes keyed on the request line's own bytes,
+   so a repeat under any id skips parse -> plan -> answer -> serialize.
 
-   The key is the [Protocol.request] value itself.  Equality compares
-   floats by their bits, so 0.0 and -0.0 stay distinct keys and adjacent
-   doubles never collide; a request carrying a NaN is not cacheable at
-   all.  The polymorphic hash is consistent with that equality (it
-   hashes -0.0 like 0.0 and every NaN alike, which only costs a bucket
-   probe).  Only requests whose payload is a pure function of the
-   decoded request are cacheable: advise, schedule, dp (payloads do not
-   depend on table bounds) and named-policy evaluate (solver values are
-   functions of canonical states).  Custom-periods evaluations, stats
-   and strategies never enter, and the server stores successful
-   results only.
+   Keys are strings the server builds from a line (the bytes after its
+   [{"id":<value>,] prefix, or the whole line), tagged by shape; this
+   module only compares them.  Only requests whose payload is a pure
+   function of the decoded request are cacheable: advise, schedule, dp
+   (payloads do not depend on table bounds) and named-policy evaluate
+   (solver values are functions of canonical states).  Custom-periods
+   evaluations, stats and strategies never enter, and the server
+   stores successful results only.
 
    The bound is in bytes, split over two generations of half the budget
    each.  Inserts go to the young generation; when it is full the old
    one is dropped whole and the young one takes its place, so eviction
    is O(1) (a table reset) instead of an LRU scan.  A hit in the old
    generation moves the entry to the young one, so a request that keeps
-   coming back survives every rotation.  Bytes are counted per entry on
-   insert, from the key's and payload's heap words plus the table
-   bucket, and kept as running totals per generation. *)
+   coming back survives every rotation.  An entry's bytes follow from
+   its key's and payload's lengths, and are kept as running totals per
+   generation. *)
 
-module Key = struct
-  type t = Protocol.request
+module Table = Hashtbl.Make (struct
+    type t = string
 
-  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-  let equal (a : t) (b : t) =
-    match (a, b) with
-    | Advise a, Advise b -> same a.c b.c && same a.u b.u && a.p = b.p
-    | Schedule a, Schedule b ->
-      same a.c b.c && same a.u b.u && a.p = b.p
-      && String.equal a.regime b.regime
-    | Evaluate a, Evaluate b ->
-      same a.c b.c && same a.u b.u && a.p = b.p
-      && String.equal a.policy b.policy
-      && a.periods = None && b.periods = None
-    | Dp_query a, Dp_query b -> a.c_ticks = b.c_ticks && a.l = b.l && a.p = b.p
-    | _ -> false
-
-  let hash (r : t) = Hashtbl.hash r
-end
-
-module Table = Hashtbl.Make (Key)
+    let equal = String.equal
+    let hash (s : string) = Hashtbl.hash s
+  end)
 
 let cacheable : Protocol.request -> bool = function
   | Advise { c; u; _ }
@@ -59,7 +39,7 @@ let cacheable : Protocol.request -> bool = function
    resident solvers holds. *)
 let default_budget_bytes = 8 lsl 20
 
-type entry = { payload : string; bytes : int }
+type entry = { op : string; payload : string }
 
 type generation = { table : entry Table.t; mutable held : int }
 
@@ -92,13 +72,12 @@ let create ?(budget_bytes = default_budget_bytes) () =
 
 let locked t f = Mutex.protect t.lock f
 
-(* Heap bytes one entry pins: key, payload, the entry record and its
-   table bucket (two- and three-field blocks). *)
-let entry_bytes req payload =
-  8
-  * (Obj.reachable_words (Obj.repr req)
-     + Obj.reachable_words (Obj.repr payload)
-     + 7)
+(* Heap bytes one entry pins: its key and payload strings (a header
+   word and the bytes padded up to the next word), the entry record
+   (three words) and its table bucket (four).  The op name is a shared
+   constant. *)
+let string_bytes s = 8 * (2 + (String.length s / 8))
+let entry_bytes key e = string_bytes key + string_bytes e.payload + 56
 
 (* Drop the old generation, age the young one. *)
 let rotate t =
@@ -110,44 +89,43 @@ let rotate t =
   t.young <- dropped
 
 (* Into the young generation; [e] fits in half the budget. *)
-let insert t req e =
-  if t.young.held + e.bytes > t.budget / 2 then rotate t;
-  Table.replace t.young.table req e;
-  t.young.held <- t.young.held + e.bytes
+let insert t key e bytes =
+  if t.young.held + bytes > t.budget / 2 then rotate t;
+  Table.replace t.young.table key e;
+  t.young.held <- t.young.held + bytes
 
-let find t req =
-  if not (cacheable req) then None
-  else
-    locked t (fun () ->
-        match Table.find_opt t.young.table req with
-        | Some e ->
-          t.hits <- t.hits + 1;
-          Some e.payload
-        | None -> (
-          match Table.find_opt t.old.table req with
-          | Some e ->
-            t.hits <- t.hits + 1;
-            Table.remove t.old.table req;
-            t.old.held <- t.old.held - e.bytes;
-            insert t req e;
-            Some e.payload
-          | None ->
-            t.misses <- t.misses + 1;
-            None))
+(* Under the lock. *)
+let find_locked t key =
+  match Table.find_opt t.young.table key with
+  | Some _ as hit ->
+    t.hits <- t.hits + 1;
+    hit
+  | None -> (
+    match Table.find_opt t.old.table key with
+    | Some e as hit ->
+      t.hits <- t.hits + 1;
+      let bytes = entry_bytes key e in
+      Table.remove t.old.table key;
+      t.old.held <- t.old.held - bytes;
+      insert t key e bytes;
+      hit
+    | None -> None)
+
+let probe t f = locked t (fun () -> f (find_locked t))
+let add_misses t n = locked t (fun () -> t.misses <- t.misses + n)
 
 (* First writer wins; an entry larger than half the budget is not
    kept. *)
-let store t req payload =
-  if cacheable req then begin
-    let e = { payload; bytes = entry_bytes req payload } in
-    if e.bytes <= t.budget / 2 then
-      locked t (fun () ->
-          if not (Table.mem t.young.table req || Table.mem t.old.table req)
-          then begin
-            t.insertions <- t.insertions + 1;
-            insert t req e
-          end)
-  end
+let store t key ~op payload =
+  let e = { op; payload } in
+  let bytes = entry_bytes key e in
+  if bytes <= t.budget / 2 then
+    locked t (fun () ->
+        if not (Table.mem t.young.table key || Table.mem t.old.table key)
+        then begin
+          t.insertions <- t.insertions + 1;
+          insert t key e bytes
+        end)
 
 type stats = {
   hits : int;

@@ -91,8 +91,8 @@ let check_advise ~p =
   if p <= max_periods then Ok ()
   else Result.Error (Error.Budget_exhausted { states = p; budget = max_periods })
 
-(* The request scanner (DESIGN.md §S36).  A warm request is parsed on
-   every answer-cache hit, so the line is read in one pass over its
+(* The request scanner (DESIGN.md §S36).  Every line that misses the
+   answer cache is parsed, so the line is read in one pass over its
    top-level object, with one cursor record and no closures, into the
    fields a request can carry; a well-formed request builds no JSON
    tree except for the id, which is echoed back as it came.  Keys are
@@ -580,34 +580,73 @@ let decode sc =
        | Error e -> Error e)
     | other -> unknown_op other
 
+let scanner line pos =
+  {
+    s = line;
+    n = String.length line;
+    pos;
+    seen = 0;
+    bad = 0;
+    items_bad = false;
+    id = Json.Null;
+    op = "";
+    regime = "adaptive";
+    policy = "adaptive";
+    p = 1;
+    c_ticks = 10;
+    l = 2000;
+    reset = false;
+    periods = None;
+    is_int = true;
+    int_v = 0;
+    num = [| 1.0; 1000.; 0. |];
+  }
+
 let parse_line line =
-  let sc =
-    {
-      s = line;
-      n = String.length line;
-      pos = 0;
-      seen = 0;
-      bad = 0;
-      items_bad = false;
-      id = Json.Null;
-      op = "";
-      regime = "adaptive";
-      policy = "adaptive";
-      p = 1;
-      c_ticks = 10;
-      l = 2000;
-      reset = false;
-      periods = None;
-      is_int = true;
-      int_v = 0;
-      num = [| 1.0; 1000.; 0. |];
-    }
-  in
+  let sc = scanner line 0 in
   match scan sc with
   | true -> { id = sc.id; request = decode sc }
   | false -> { id = Json.Null; request = invalid "request must be a JSON object" }
   | exception Json.Syntax (at, msg) ->
     { id = Json.Null; request = invalid (Json.syntax_message at msg) }
+
+(* The id of a line that opens with [{"id":] and the offset of the bytes
+   after the comma that ends the id's member.  The id is read by [read],
+   as [parse_line] reads a first member, so a line that parses [Ok]
+   carries this id and the request the bytes after the comma decode
+   to: nothing in a request depends on its id, and later [id] members
+   are skipped.  [None] when the prefix, the id or the comma is
+   missing. *)
+let split_id line =
+  if not (String.starts_with ~prefix:{|{"id":|} line) then None
+  else begin
+    (* The common id first: at most 18 digits, a sign allowed, then the
+       comma, read without a scanner.  [number] reads those digits as
+       this integer, leading zeros and "-0" included. *)
+    let n = String.length line in
+    let neg = n > 6 && String.unsafe_get line 6 = '-' in
+    let start = if neg then 7 else 6 in
+    let i = ref start and v = ref 0 in
+    while !i < n && !i - start <= 18 && is_digit line n !i do
+      v := (!v * 10) + digit line !i;
+      incr i
+    done;
+    let digits = !i - start in
+    if digits >= 1 && digits <= 18 && !i < n && String.unsafe_get line !i = ','
+    then Some (Json.Int (if neg then - !v else !v), !i + 1)
+    else begin
+      let sc = scanner line 6 in
+      match
+        skip_ws sc;
+        read sc Id;
+        skip_ws sc;
+        at sc ','
+      with
+      | true -> Some (sc.id, sc.pos + 1)
+      | false -> None
+      | exception Json.Syntax _ -> None
+    end
+  end
 
 (* --- encoding ----------------------------------------------------------- *)
 

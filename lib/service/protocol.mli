@@ -99,6 +99,18 @@ val parse_line : string -> envelope
     keys wins.
     A warm request line allocates a few dozen words. *)
 
+val split_id : string -> (Json.t * int) option
+(** [split_id line] is [Some (id, off)] when [line] starts with exactly
+    [{"id":], an id value follows (blanks around it allowed) that reads
+    as {!parse_line} reads a first member, and a [,] ends that member;
+    [off] is the offset just after the comma.  Otherwise [None].
+
+    For every JSON value [V] and bytes [T], {!parse_line} of
+    [{"id":V,] ^ [T] yields the id [V] and the request [T]'s members
+    decode to, whatever [V] is: the daemon's answer cache ({!Answers})
+    keys a line by the bytes from [off], so a repeat under any id is
+    answered without parsing it. *)
+
 val request_to_json : ?id:Json.t -> request -> Json.t
 (** Re-serialize a request (round-trips through {!parse_line}). *)
 

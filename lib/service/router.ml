@@ -52,7 +52,9 @@
    fresh bank-warm cache and pool, spawn a replacement domain.  A
    worker that wedges is caught by the watchdog domain (no timed
    condition wait in the stdlib, so the watchdog polls in-flight start
-   times, taken on the monotonic clock) and the shard is restarted out
+   times, taken on the monotonic clock, waiting between polls in
+   [select] on a self-pipe that [shutdown] writes to, so a teardown
+   never waits out a poll) and the shard is restarted out
    from under it; when the zombie eventually wakes it finds its job
    already failed (delivery is first-writer-wins under the job lock)
    and its channel closed, and retires without a trace.  The watchdog
@@ -184,6 +186,8 @@ type t = {
   hang_timeout : float;
   stopped : bool Atomic.t;
   mutable watchdog : unit Domain.t option;
+  wake_r : Unix.file_descr;  (* the watchdog waits on this between polls *)
+  wake_w : Unix.file_descr;  (* [shutdown] writes here to wake it *)
 }
 
 let shard_count t = Array.length t.shards
@@ -357,7 +361,9 @@ and spawn_worker t sh ~gen ~chan ~cache ~pool =
     Some (Domain.spawn (fun () -> worker_loop t sh ~gen ~chan ~cache ~pool))
 
 (* The watchdog polls in-flight start times (the stdlib has no timed
-   condition wait): a job past [hang_timeout] means its worker wedged —
+   condition wait), waiting out each interval in [select] on the wake
+   pipe, so [shutdown] ends the wait at once: a job past
+   [hang_timeout] means its worker wedged —
    restart the shard out from under it and fail the stuck job.  The
    generation captured with the overdue job arbitrates against the
    worker dying on its own at the same moment. *)
@@ -365,7 +371,8 @@ let watchdog_loop t =
   let interval = Float.max 0.01 (Float.min 0.25 (t.hang_timeout /. 4.)) in
   let rec loop () =
     if not (Atomic.get t.stopped) then begin
-      Unix.sleepf interval;
+      (try ignore (Unix.select [ t.wake_r ] [] [] interval)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       let now = Csutil.Clock.now () in
       Array.iter
         (fun sh ->
@@ -408,6 +415,7 @@ let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.) ~capacity () =
   in
   let per_shard_domains = max 1 (domains / shards) in
   let shard_capacity = max 1 ((capacity + shards - 1) / shards) in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       shards =
@@ -435,6 +443,8 @@ let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.) ~capacity () =
       hang_timeout;
       stopped = Atomic.make false;
       watchdog = None;
+      wake_r;
+      wake_w;
     }
   in
   Array.iter
@@ -446,6 +456,8 @@ let create ?(shards = 1) ?domains ?bank ?(hang_timeout = 30.) ~capacity () =
 
 let shutdown t =
   if not (Atomic.exchange t.stopped true) then begin
+    (try ignore (Unix.write_substring t.wake_w "x" 0 1)
+     with Unix.Unix_error _ -> ());
     Array.iter
       (fun sh ->
          Mutex.lock sh.slock;
@@ -457,7 +469,10 @@ let shutdown t =
          Csutil.Par.Pool.shutdown sh.pool)
       t.shards;
     Option.iter Domain.join t.watchdog;
-    t.watchdog <- None
+    t.watchdog <- None;
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.wake_r; t.wake_w ]
   end
 
 (* --- submission ---------------------------------------------------------- *)

@@ -150,7 +150,9 @@ val inject_failure : t -> shard:int -> failure -> unit
 val shutdown : t -> unit
 (** Stop and join every shard worker (queued sub-batches are still
     evaluated and delivered first) and the watchdog, and release the
-    shard pools.  Idempotent.  Sub-batches submitted afterwards fail
+    shard pools.  It wakes the watchdog instead of waiting out its
+    poll, so it returns in milliseconds.  Idempotent.  Sub-batches
+    submitted afterwards fail
     with [Error.Unavailable] (a parse error keeps its own error);
     all-resident sub-batches never reach a worker, so they still
     answer on the calling domain. *)

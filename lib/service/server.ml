@@ -16,7 +16,10 @@
    client reads are identical to what a serial server would have sent
    it.  This file owns accept, framing, ordering and the answer cache
    in front of the router; placement, evaluation and failure recovery
-   live in [Router]. *)
+   live in [Router].  A batch reaches [answer_batch] as raw lines: each
+   is keyed by its bytes after the id (or its whole bytes) and probed
+   before anything parses it, so a repeated line costs a split, a
+   probe and a copy of stored bytes. *)
 
 type reader = {
   fd : Unix.file_descr;
@@ -273,74 +276,106 @@ let read_batch t r =
 (* A stats reset applies once the batch that carried it is fully
    accounted and written, so the response still reflects the pre-reset
    counters. *)
-let finish_batch t envelopes =
-  let wants_reset =
-    Array.exists
-      (fun (e : Protocol.envelope) ->
-         match e.Protocol.request with
-         | Ok (Protocol.Stats { reset }) -> reset
-         | _ -> false)
-      envelopes
-  in
-  if wants_reset then begin
-    Stats.reset_counters t.stats;
-    Router.reset_counters t.router;
-    Answers.reset_counters t.answers
-  end
+let reset_counters t =
+  Stats.reset_counters t.stats;
+  Router.reset_counters t.router;
+  Answers.reset_counters t.answers
 
 let op_of (e : Protocol.envelope) =
   match e.Protocol.request with
   | Ok req -> Protocol.op_name req
   | Error _ -> "invalid"
 
-(* Misses of one batch by request, under the answer cache's own key
-   equality (floats by their bits). *)
-module Pending = Hashtbl.Make (Answers.Key)
+(* A line's answer-cache key: ['T'] and the bytes after the comma that
+   ends its id, when {!Protocol.split_id} splits it, else ['L'] and the
+   whole line.  A split line's entry is its [result] payload, which a
+   hit wraps in the line's own id; a whole line's entry is its whole
+   reply, since it hits only when the line repeats byte for byte.  The
+   tag keeps the two shapes apart: untagged, a tail could spell a
+   stored whole line, or a whole line a stored tail, and be answered
+   for a request it does not make. *)
+let tagged tag line off =
+  let n = String.length line - off in
+  let b = Bytes.create (n + 1) in
+  Bytes.unsafe_set b 0 tag;
+  Bytes.blit_string line off b 1 n;
+  Bytes.unsafe_to_string b
 
-(* Answer one batch into [out], in request order.  Every cacheable
-   request probes the answer cache first, timed on the monotonic clock;
-   only the misses go to the router, which hands them back
-   index-aligned, and a miss that repeats an earlier miss of the same
-   batch goes only once: [slot.(i)] is the router outcome line [i]
-   reads, shared by every copy.  A hit writes its stored payload inside
-   a fresh envelope, a successful cacheable miss is serialized once and
-   stored on the way out (its copies reuse those bytes and its
-   latency), and everything else (errors, strategies, custom-periods
-   evaluations) is serialized as before and never stored.  A [stats]
-   op is answered here, from one snapshot per batch taken before any
-   of the batch's outcomes is recorded; it and parse errors are
-   counted as untimed. *)
-let answer_batch t out envelopes =
-  let n = Array.length envelopes in
-  Stats.add_batch t.stats ~size:n;
-  let payloads = Array.make n None and latency = Array.make n 0. in
-  let slot = Array.make n (-1) in
-  let routed = ref [] and nrouted = ref 0 in
+(* Misses of one batch by answer-cache key. *)
+module Pending = Hashtbl.Make (String)
+
+(* Answer one batch of raw lines into [out], in request order, then the
+   overlong-line error when [overlong]; whether the batch asked for a
+   stats reset.  Every line is keyed, then probed, all probes under one
+   answer-cache lock, and a hit is written from its stored bytes
+   without parsing its line; a hit's latency is its own probe, timed
+   from the end of the probe before it.  Only the misses are parsed,
+   and only the routed ones go to the router, which hands them back
+   index-aligned; a cacheable miss that repeats an earlier one of the
+   same batch (same key) goes only once: [slot.(i)] is the router
+   outcome line [i] reads, shared by every copy.  A successful
+   cacheable miss is serialized once and stored on the way out (its
+   copies reuse those bytes and its latency), and everything else
+   (errors, strategies, custom-periods evaluations) is serialized as
+   before and never stored.  A [stats] op is answered here, from one
+   snapshot per batch taken before any of the batch's outcomes is
+   recorded; it and parse errors are counted as untimed.  The batch's
+   records go to the stats in one call. *)
+let answer_batch t out lines ~overlong =
+  let n = Array.length lines in
+  let ids = Array.make n None in
+  let keys =
+    Array.mapi
+      (fun i line ->
+         match Protocol.split_id line with
+         | Some (id, off) ->
+           ids.(i) <- Some id;
+           tagged 'T' line off
+         | None -> tagged 'L' line 0)
+      lines
+  in
+  let hits = Array.make n None and latency = Array.make n 0. in
+  if n > 0 then
+    Answers.probe t.answers (fun find ->
+        let last = ref (Csutil.Clock.now ()) in
+        Array.iteri
+          (fun i key ->
+             let hit = find key in
+             let now = Csutil.Clock.now () in
+             if Option.is_some hit then begin
+               hits.(i) <- hit;
+               latency.(i) <- now -. !last
+             end;
+             last := now)
+          keys);
+  let envelopes = Array.make n None and slot = Array.make n (-1) in
+  let routed = ref [] and nrouted = ref 0 and misses = ref 0 in
   let pending = Pending.create 8 in
-  let stats_ops = ref false in
+  let stats_ops = ref false and wants_reset = ref false in
   let route i e =
     slot.(i) <- !nrouted;
     incr nrouted;
     routed := e :: !routed
   in
-  Array.iteri
-    (fun i (e : Protocol.envelope) ->
-       match e.Protocol.request with
-       | Ok req when Answers.cacheable req -> (
-         let t0 = Csutil.Clock.now () in
-         match Answers.find t.answers req with
-         | Some _ as hit ->
-           payloads.(i) <- hit;
-           latency.(i) <- Csutil.Clock.now () -. t0
-         | None -> (
-           match Pending.find_opt pending req with
-           | Some k -> slot.(i) <- k
-           | None ->
-             Pending.add pending req !nrouted;
-             route i e))
-       | Ok (Protocol.Stats _) -> stats_ops := true
-       | _ -> route i e)
-    envelopes;
+  for i = 0 to n - 1 do
+    if Option.is_none hits.(i) then begin
+      let e = Protocol.parse_line lines.(i) in
+      envelopes.(i) <- Some e;
+      match e.Protocol.request with
+      | Ok req when Answers.cacheable req -> (
+        incr misses;
+        match Pending.find_opt pending keys.(i) with
+        | Some k -> slot.(i) <- k
+        | None ->
+          Pending.add pending keys.(i) !nrouted;
+          route i e)
+      | Ok (Protocol.Stats { reset }) ->
+        stats_ops := true;
+        if reset then wants_reset := true
+      | _ -> route i e
+    end
+  done;
+  if !misses > 0 then Answers.add_misses t.answers !misses;
   let snapshot = if !stats_ops then Some (stats_json t) else None in
   let routed = Array.of_list (List.rev !routed) in
   let outcomes =
@@ -348,48 +383,62 @@ let answer_batch t out envelopes =
     else Router.run_parsed t.router routed
   in
   let serialized = Array.make (Array.length routed) None in
-  Array.iteri
-    (fun i (e : Protocol.envelope) ->
-       let before = Buffer.length out in
-       let ok, latency, timed =
-         match (payloads.(i), snapshot, e.Protocol.request) with
-         | Some payload, _, _ ->
-           Protocol.add_payload_response out ~id:e.Protocol.id payload;
-           (true, latency.(i), true)
-         | None, Some stats, Ok (Protocol.Stats _) ->
-           Protocol.add_response out ~id:e.Protocol.id (Ok stats);
-           (true, 0., false)
-         | None, _, _ ->
-           let k = slot.(i) in
-           let o = outcomes.(k) in
-           (match (o.Batch.result, e.Protocol.request) with
-            | Ok v, Ok req when Answers.cacheable req ->
-              let payload =
-                match serialized.(k) with
-                | Some payload -> payload
-                | None ->
-                  let payload = Json.to_string v in
-                  Answers.store t.answers req payload;
-                  serialized.(k) <- Some payload;
-                  payload
-              in
-              Protocol.add_payload_response out ~id:e.Protocol.id payload
-            | result, _ -> Protocol.add_response out ~id:e.Protocol.id result);
-           ( Result.is_ok o.Batch.result,
-             o.Batch.latency,
-             Result.is_ok e.Protocol.request )
-       in
-       Buffer.add_char out '\n';
-       let r =
-         { Stats.op = op_of e; ok; latency; bytes = Buffer.length out - before }
-       in
-       if timed then Stats.add t.stats r else Stats.add_untimed t.stats r)
-    envelopes
+  let size = if overlong then n + 1 else n in
+  let records = Array.make size { Stats.op = ""; ok = false; latency = 0.; bytes = 0 } in
+  let timed = Array.make size false in
+  for i = 0 to n - 1 do
+    let before = Buffer.length out in
+    let op, ok, latency, is_timed =
+      match (hits.(i), envelopes.(i)) with
+      | Some hit, _ ->
+        (match ids.(i) with
+         | Some id -> Protocol.add_payload_response out ~id hit.Answers.payload
+         | None -> Buffer.add_string out hit.Answers.payload);
+        (hit.Answers.op, true, latency.(i), true)
+      | None, None -> assert false (* a line that missed was parsed *)
+      | None, Some e -> (
+        match (snapshot, e.Protocol.request) with
+        | Some stats, Ok (Protocol.Stats _) ->
+          Protocol.add_response out ~id:e.Protocol.id (Ok stats);
+          (op_of e, true, 0., false)
+        | _ ->
+          let k = slot.(i) in
+          let o = outcomes.(k) in
+          (match (o.Batch.result, e.Protocol.request) with
+           | Ok v, Ok req when Answers.cacheable req -> (
+             match serialized.(k) with
+             | Some payload ->
+               Protocol.add_payload_response out ~id:e.Protocol.id payload
+             | None ->
+               let payload = Json.to_string v in
+               Protocol.add_payload_response out ~id:e.Protocol.id payload;
+               serialized.(k) <- Some payload;
+               Answers.store t.answers keys.(i) ~op:(Protocol.op_name req)
+                 (if Option.is_some ids.(i) then payload
+                  else Buffer.sub out before (Buffer.length out - before)))
+           | result, _ -> Protocol.add_response out ~id:e.Protocol.id result);
+          ( op_of e,
+            Result.is_ok o.Batch.result,
+            o.Batch.latency,
+            Result.is_ok e.Protocol.request ))
+    in
+    Buffer.add_char out '\n';
+    records.(i) <- { Stats.op; ok; latency; bytes = Buffer.length out - before };
+    timed.(i) <- is_timed
+  done;
+  if overlong then begin
+    let before = Buffer.length out in
+    Protocol.add_response out ~id:Json.Null (Error overlong_error);
+    Buffer.add_char out '\n';
+    records.(n) <-
+      { Stats.op = "invalid"; ok = false; latency = 0.; bytes = Buffer.length out - before }
+  end;
+  Stats.add_served t.stats ~size:n records ~timed;
+  !wants_reset
 
-(* The wire loop: parse the batch on this domain, answer it into one
-   per-connection buffer reused across batches ([answer_batch]), and
-   write the buffer through a per-connection [Bytes].  The stats
-   snapshot is computed only for batches that carry a [stats] op. *)
+(* The wire loop: answer each batch into one per-connection buffer
+   reused across batches ([answer_batch]), and write the buffer through
+   a per-connection [Bytes]. *)
 let serve_fd t in_fd out_fd =
   let r = reader in_fd in
   let out = Buffer.create 8192 in
@@ -401,22 +450,9 @@ let serve_fd t in_fd out_fd =
       if lines = [] && not overlong then ()
       else begin
         Buffer.clear out;
-        let envelopes = Array.of_list (List.map Protocol.parse_line lines) in
-        if Array.length envelopes > 0 then answer_batch t out envelopes;
-        if overlong then begin
-          let before = Buffer.length out in
-          Protocol.add_response out ~id:Json.Null (Error overlong_error);
-          Buffer.add_char out '\n';
-          Stats.add_untimed t.stats
-            {
-              Stats.op = "invalid";
-              ok = false;
-              latency = 0.;
-              bytes = Buffer.length out - before;
-            }
-        end;
+        let wants_reset = answer_batch t out (Array.of_list lines) ~overlong in
         flush out_fd wire out;
-        finish_batch t envelopes;
+        if wants_reset then reset_counters t;
         loop ()
       end
     end

@@ -8,13 +8,17 @@
     answer per line without waiting for a full batch.  Responses are
     written in request order and flushed once per batch.
 
-    Each batch's lines parse on the connection's own domain, with no
-    per-line fan-out.  Every cacheable request then probes the
-    server's answer cache ({!Answers}), keyed on the decoded request and
-    shared by every connection: a hit is answered from its stored
-    payload bytes, and only the misses go to the router.  Successful
-    cacheable answers are stored on the way out; errors, [stats] and
-    [strategies] replies never are.  Responses serialize into one
+    Every line of a batch first probes the server's answer cache
+    ({!Answers}), shared by every connection, under one lock per
+    batch.  A line that opens with [{"id":<value>,] is keyed by the
+    bytes after that comma ({!Protocol.split_id}), any other line by
+    its whole bytes; a hit is answered from stored bytes without
+    parsing its line.  Only the misses are parsed, on the connection's
+    own domain with no per-line fan-out, and only they go to the
+    router.  Successful cacheable answers are stored on the way out;
+    errors, [stats] and [strategies] replies never are.  A batch's
+    stats records are added under one lock, each line keeping its own
+    latency.  Responses serialize into one
     reused per-connection buffer, which is copied into a
     per-connection [Bytes] (doubled when a batch outgrows it) for the
     write.  The server answers [stats] ops itself, from one snapshot

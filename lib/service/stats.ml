@@ -19,8 +19,14 @@ let hist_buckets = 40
 let bucket_of_latency s =
   if not (s > 1e-6) then 0
   else begin
-    let _, e = Float.frexp (s *. 1e6) in
-    if e < 1 then 1 else if e >= hist_buckets then hist_buckets - 1 else e
+    let us = s *. 1e6 in
+    if us >= Float.ldexp 1. (hist_buckets - 1) then hist_buckets - 1
+    else begin
+      (* [Float.frexp us]'s exponent, the bit length of [floor us],
+         without the tuple it allocates. *)
+      let rec bits v e = if v = 0 then e else bits (v lsr 1) (e + 1) in
+      max 1 (bits (int_of_float us) 0)
+    end
   end
 
 let bucket_value = function
@@ -80,10 +86,27 @@ let add_untimed t r =
       t.untimed <- t.untimed + 1;
       count t r)
 
-let add_batch t ~size =
+let count_batch t size =
+  t.batches <- t.batches + 1;
+  t.largest_batch <- max t.largest_batch size
+
+let add_batch t ~size = locked t (fun () -> count_batch t size)
+
+(* [add] and [add_untimed] for a whole batch, under one lock. *)
+let add_served t ~size records ~timed =
+  Array.iteri
+    (fun i (r : record) ->
+       if timed.(i) then
+         ignore (Atomic.fetch_and_add t.hist.(bucket_of_latency r.latency) 1))
+    records;
   locked t (fun () ->
-      t.batches <- t.batches + 1;
-      t.largest_batch <- max t.largest_batch size)
+      if size > 0 then count_batch t size;
+      Array.iteri
+        (fun i (r : record) ->
+           if timed.(i) then Csutil.Stats.Accumulator.add t.latency r.latency
+           else t.untimed <- t.untimed + 1;
+           count t r)
+        records)
 
 let add_io_error t = locked t (fun () -> t.io_errors <- t.io_errors + 1)
 

@@ -32,6 +32,12 @@ val add_untimed : t -> record -> unit
 val add_batch : t -> size:int -> unit
 (** Record that one batch of [size] requests was dispatched. *)
 
+val add_served : t -> size:int -> record array -> timed:bool array -> unit
+(** One served batch under one lock: {!add_batch} of [size] when
+    [size > 0], then each record as {!add} when [timed.(i)], else as
+    {!add_untimed}.  Each record keeps its own latency, so the
+    histogram resolves single lines. *)
+
 val add_io_error : t -> unit
 (** Record a per-connection I/O failure (client disconnected
     mid-batch, reset the connection, ...); the server counts these and

@@ -182,6 +182,29 @@ let prop_geometric_covers =
       Csutil.Float_ext.approx_eq ~rtol:1e-6 ~atol:1e-6 u
         (Schedule.total (Baselines.Geometric.schedule ~u ~ratio ~m)))
 
+(* The advice never claims more work than the lifespan holds, nor less
+   than none, and claims none when the opportunity is degenerate
+   (Proposition 4.1(c)), where the tie recommends the non-adaptive
+   regime.  Lifespans run from far below (p+1)c to far above it, and p
+   up to the advise budget of 2^20. *)
+let prop_advice_bounds_within_lifespan =
+  QCheck.Test.make ~name:"advise: 0 <= bounds <= U, 0 when degenerate" ~count:500
+    QCheck.(
+      triple (float_range 0.01 100.) (float_range (-3.) 7.)
+        (oneof [ int_range 0 8; int_range 0 1_048_576 ]))
+    (fun (c, log_u, p) ->
+      let params = Model.params ~c in
+      let u = 10. ** log_u in
+      let opp = Model.opportunity ~lifespan:u ~interrupts:p in
+      let a = Guidelines.advise params opp in
+      let within b = 0. <= b && b <= u in
+      within a.Guidelines.adaptive_bound
+      && within a.Guidelines.nonadaptive_bound
+      && ((not (Model.is_degenerate params opp))
+          || a.Guidelines.adaptive_bound = 0.
+             && a.Guidelines.nonadaptive_bound = 0.
+             && a.Guidelines.recommended = Guidelines.Non_adaptive))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "baselines"
@@ -215,5 +238,10 @@ let () =
           Alcotest.test_case "advice p=0" `Quick test_guidelines_p0_prefers_nonadaptive;
           Alcotest.test_case "measured work" `Quick test_guidelines_measured_work;
         ] );
-      ("props", qc [ prop_fixed_chunk_covers; prop_geometric_covers ]);
+      ( "props",
+        qc
+          [
+            prop_fixed_chunk_covers; prop_geometric_covers;
+            prop_advice_bounds_within_lifespan;
+          ] );
     ]

@@ -1267,6 +1267,36 @@ let run_binary ?(input = "") name args =
            let elapsed = Unix.gettimeofday () -. t0 in
            (read_lines out_path, status, elapsed)))
 
+(* A router's teardown wakes its watchdog instead of waiting out the
+   watchdog's poll (a quarter second by default), so create-then-
+   shutdown takes milliseconds, and a stdio daemon exits soon after
+   the end of its input.  Medians of five and the best of three, so a
+   busy host's one slow start does not decide. *)
+let test_router_shutdown_prompt () =
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let cycle () =
+    let router = Router.create ~domains:1 ~capacity:4 () in
+    let t0 = Unix.gettimeofday () in
+    Router.shutdown router;
+    Unix.gettimeofday () -. t0
+  in
+  let shutdown_s = median (List.init 5 (fun _ -> cycle ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Router.shutdown took %.1f ms" (1e3 *. shutdown_s))
+    true (shutdown_s < 0.05);
+  let daemon () =
+    let _, status, elapsed =
+      run_binary ~input:({|{"id":1,"op":"advise","c":1,"u":100,"p":1}|} ^ "\n")
+        "cschedd.exe" [ "--quiet" ]
+    in
+    Alcotest.(check bool) "daemon exited" true (status = Some (Unix.WEXITED 0));
+    elapsed
+  in
+  let daemon_s = List.fold_left min infinity (List.init 3 (fun _ -> daemon ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "stdio cschedd ran and exited in %.1f ms" (1e3 *. daemon_s))
+    true (daemon_s < 0.2)
+
 (* An advise's calibrated target takes p steps, so a p past 2^20
    answers budget_exhausted at parse time, at once, through the daemon
    (byte for byte what direct Protocol.handle answers) and through the
@@ -1716,77 +1746,82 @@ let test_server_untimed () =
 
 (* --- Answer cache ------------------------------------------------------------ *)
 
-let dp_req c_ticks l p = Protocol.Dp_query { c_ticks; l; p }
-
 (* Two generations of half the budget each: a full young generation
    replaces the old one, a hit in the old generation moves the entry
    back to the young one, the first writer wins, and a stats reset
    keeps the entries.  Every entry here has the same size, so a budget
-   of four entries holds two per generation. *)
+   of four entries holds two per generation.  A probe that misses
+   counts nothing; the server counts misses once a parse shows the
+   line cacheable, as [miss] does here. *)
+(* One key probed alone. *)
+let answers_find a key = Answers.probe a (fun find -> find key)
+
 let test_answers_generations () =
   let payload i = Printf.sprintf "payload-%08d" i in
   let entry_bytes =
     let probe = Answers.create () in
-    Answers.store probe (dp_req 1 1 1) (payload 0);
+    Answers.store probe "key-0" ~op:"dp" (payload 0);
     (Answers.stats probe).Answers.bytes
   in
   let a = Answers.create ~budget_bytes:(4 * entry_bytes) () in
-  let req_a = dp_req 3 100 1
-  and req_b = dp_req 3 200 1
-  and req_c = dp_req 3 300 1
-  and req_d = dp_req 3 400 1 in
-  Alcotest.(check (option string)) "miss on empty" None (Answers.find a req_a);
-  Answers.store a req_a (payload 1);
-  Answers.store a req_b (payload 2);
+  let payload_of key = Option.map (fun e -> e.Answers.payload) (answers_find a key) in
+  let miss key =
+    let got = payload_of key in
+    if got = None then Answers.add_misses a 1;
+    got
+  in
+  Alcotest.(check (option string)) "miss on empty" None (miss "key-a");
+  Answers.store a "key-a" ~op:"dp" (payload 1);
+  Answers.store a "key-b" ~op:"dp" (payload 2);
   Alcotest.(check (option string)) "stored bytes come back verbatim"
-    (Some (payload 1)) (Answers.find a req_a);
+    (Some (payload 1)) (payload_of "key-a");
+  Alcotest.(check (option string)) "the op comes back" (Some "dp")
+    (Option.map (fun e -> e.Answers.op) (answers_find a "key-b"));
   (* The young generation is full: c starts a new one, a and b age. *)
-  Answers.store a req_c (payload 3);
+  Answers.store a "key-c" ~op:"dp" (payload 3);
   Alcotest.(check (option string)) "aged entry still hits"
-    (Some (payload 1)) (Answers.find a req_a);
+    (Some (payload 1)) (payload_of "key-a");
   (* That hit moved a back to the young generation, so the next
      rotation drops b alone. *)
-  Answers.store a req_d (payload 4);
+  Answers.store a "key-d" ~op:"dp" (payload 4);
   Alcotest.(check (option string)) "untouched old entry evicted" None
-    (Answers.find a req_b);
+    (miss "key-b");
   Alcotest.(check (option string)) "touched entry survived"
-    (Some (payload 1)) (Answers.find a req_a);
-  Answers.store a req_a "other";
+    (Some (payload 1)) (payload_of "key-a");
+  Answers.store a "key-a" ~op:"dp" "other";
   Alcotest.(check (option string)) "first writer wins" (Some (payload 1))
-    (Answers.find a req_a);
+    (payload_of "key-a");
   let s = Answers.stats a in
-  Alcotest.(check int) "hits" 4 s.Answers.hits;
+  Alcotest.(check int) "hits" 5 s.Answers.hits;
   Alcotest.(check int) "misses" 2 s.Answers.misses;
   Alcotest.(check int) "insertions" 4 s.Answers.insertions;
   Alcotest.(check int) "evictions" 1 s.Answers.evictions;
   Alcotest.(check int) "entries" 3 s.Answers.entries;
   Alcotest.(check int) "bytes" (3 * entry_bytes) s.Answers.bytes;
   Alcotest.(check int) "budget" (4 * entry_bytes) s.Answers.budget_bytes;
+  (* One probe runs many finds under one lock; a miss there counts
+     nothing. *)
+  let found =
+    Answers.probe a (fun find ->
+        List.map (fun k -> Option.is_some (find k)) [ "key-a"; "key-x"; "key-d" ])
+  in
+  Alcotest.(check (list bool)) "a batch probe" [ true; false; true ] found;
+  Alcotest.(check int) "batch probe counts its hits" 7 (Answers.stats a).Answers.hits;
+  Alcotest.(check int) "and no misses" 2 (Answers.stats a).Answers.misses;
   Answers.reset_counters a;
   let z = Answers.stats a in
   Alcotest.(check int) "reset zeroes hits" 0 z.Answers.hits;
   Alcotest.(check int) "reset keeps entries" 3 z.Answers.entries;
-  (* Keys compare floats by their bits; stats and custom periods are
-     never cacheable. *)
+  (* Stats, custom periods and NaN parameters are never cacheable. *)
   let adv c = Protocol.Advise { c; u = 100.; p = 1 } in
-  let b = Answers.create () in
-  Answers.store b (adv 0.) "zero";
-  Alcotest.(check (option string)) "-0.0 is not 0.0" None
-    (Answers.find b (adv (-0.)));
-  Alcotest.(check (option string)) "next double up is distinct" None
-    (Answers.find b (adv (Float.succ 0.)));
-  Alcotest.(check (option string)) "0.0 hits" (Some "zero")
-    (Answers.find b (adv 0.));
-  Answers.store b (Protocol.Stats { reset = false }) "s";
-  Answers.store b
-    (Protocol.Evaluate
-       { c = 1.; u = 20.; p = 1; policy = "adaptive"; periods = Some [ 20. ] })
-    "e";
-  Answers.store b (adv Float.nan) "nan";
-  Alcotest.(check (option string)) "NaN never hits" None
-    (Answers.find b (adv Float.nan));
-  Alcotest.(check int) "uncacheable requests not stored" 1
-    (Answers.stats b).Answers.entries
+  Alcotest.(check bool) "advise is cacheable" true (Answers.cacheable (adv 0.));
+  Alcotest.(check bool) "NaN is not" false (Answers.cacheable (adv Float.nan));
+  Alcotest.(check bool) "stats is not" false
+    (Answers.cacheable (Protocol.Stats { reset = false }));
+  Alcotest.(check bool) "custom periods are not" false
+    (Answers.cacheable
+       (Protocol.Evaluate
+          { c = 1.; u = 20.; p = 1; policy = "adaptive"; periods = Some [ 20. ] }))
 
 (* End to end through the server: a dp answer is served from the
    answer cache before and after its table grows (dp payloads do not
@@ -2506,16 +2541,103 @@ let prop_answers_match_direct =
        in
        piped && socket)
 
+(* Id values for the no-parse hit path: integers (one past the int
+   range), signed zeros, floats (one past the double range), strings
+   with escapes, literals, nested arrays and objects, values with blanks
+   around them, and spellings the id reader refuses. *)
+let split_ids =
+  [|
+    "0"; "-0"; "17"; "-42"; "12345678901234567890"; "1.5"; "-0.0";
+    "2.50e3"; "1e999"; "-1e999"; {|""|}; {|"r\"1\\"|}; {|"é\n\t"|};
+    "true"; "null"; "[]"; {|[1,[2.5,{"a":null}],"x"]|};
+    {|{"id":3,"k":[{}]}|}; " 7"; "8 "; "\t\"s\" "; "-"; "1."; "'q'";
+    "{";
+  |]
+
+(* A line around body [b]: [kind] 0 puts id [v] first, 1 adds a blank
+   before the line (so it does not split), 2 puts the id last, 3 leaves
+   it out, 4 puts a malformed line after the id's comma, 5 puts kind
+   1's whole line there (a tail that spells another line's whole-line
+   key; the stream sends kind 1 first), 6 sends the body's members
+   alone (a line that spells kind 0's tail), and 7 ends the line after
+   the id. *)
+let split_line kind v b m =
+  let body = answer_bodies.(b) in
+  match kind with
+  | 0 -> Printf.sprintf {|{"id":%s,%s}|} v body
+  | 1 -> Printf.sprintf {| {"id":%s,%s}|} v body
+  | 2 -> Printf.sprintf {|{%s,"id":%s}|} body v
+  | 3 -> Printf.sprintf "{%s}" body
+  | 4 -> Printf.sprintf {|{"id":%s,%s|} v answer_malformed.(m)
+  | 5 -> Printf.sprintf {|{"id":%s, {"id":%s,%s}|} v v body
+  | 6 -> body ^ "}"
+  | _ -> Printf.sprintf {|{"id":%s}|} v
+
+let split_stream_gen =
+  let open QCheck.Gen in
+  let line =
+    map
+      (fun (kind, v, (b, m)) ->
+         let line kind = split_line kind split_ids.(v) b m in
+         if kind = 5 then [ line 1; line 5 ] else [ line kind ])
+      (triple
+         (frequency [ (1, return 0); (1, int_bound 7) ])
+         (int_bound (Array.length split_ids - 1))
+         (pair
+            (int_bound (Array.length answer_bodies - 1))
+            (int_bound (Array.length answer_malformed - 1))))
+  in
+  let* lines = map List.concat (list_size (int_range 1 30) line) in
+  (* Repeat the stream once more, so most second copies can hit. *)
+  let* batch_size = oneofl [ 1; 5; 64 ] in
+  return (batch_size, lines @ lines)
+
+(* [split_id] against [parse_line]: a split line that parses [Ok]
+   carries the split id and the request its tail decodes to alone, a
+   split line that fails fails on its tail too, and a line with the
+   prefix that does not split never parses [Ok]. *)
+let split_agrees line =
+  let e = Protocol.parse_line line in
+  match Protocol.split_id line with
+  | Some (id, off) -> (
+    let tail = Protocol.parse_line ("{" ^ String.sub line off (String.length line - off)) in
+    match (e.Protocol.request, tail.Protocol.request) with
+    | Ok r, Ok r' ->
+      String.equal (Json.to_string id) (Json.to_string e.Protocol.id) && r = r'
+    | Error _, Error _ -> true
+    | _ -> false)
+  | None ->
+    (not (String.starts_with ~prefix:{|{"id":|} line))
+    || Result.is_error e.Protocol.request
+
+(* Streams of lines whose ids take every shape, each line repeated:
+   served through [serve_fd] and through the socket server, every reply
+   is direct [Protocol.handle]'s, the answer cache is probed once per
+   cacheable line, and [split_id] agrees with [parse_line]. *)
+let prop_split_hits_match_direct =
+  QCheck.Test.make ~name:"answers: no-parse hits = direct handle" ~count:25
+    (QCheck.make split_stream_gen ~print:(fun (b, lines) ->
+         Printf.sprintf "batch %d\n%s" b (String.concat "\n" lines)))
+    (fun (batch_size, lines) ->
+       let got, _, server = serve_lines ~batch_size lines in
+       let piped = replies_match_direct lines got && answers_accounted lines server in
+       let socket =
+         with_socket_server (fun server path ->
+             let out = run_client_burst path lines in
+             let got = String.split_on_char '\n' out in
+             replies_match_direct lines
+               (List.filteri (fun i _ -> i < List.length got - 1) got)
+             && answers_accounted lines server)
+       in
+       piped && socket && List.for_all split_agrees lines)
+
 (* Random stores and probes against small budgets: resident bytes never
    exceed the budget, a probe returns only what was stored for an equal
-   key, and every probe of a cacheable request is a hit or a miss. *)
+   key, and every probe is a hit or, counted as the server counts it, a
+   miss. *)
 let prop_answers_budget =
   let keys =
-    Array.append
-      (Array.init 12 (fun k -> dp_req (1 + (k mod 4)) (100 * k) (k mod 3)))
-      (Array.map
-         (fun c -> Protocol.Advise { c; u = 100.; p = 1 })
-         [| 1.; Float.succ 1.; 0.; -0.; Float.nan |])
+    Array.init 17 (fun k -> Printf.sprintf "T%s,\"k\":%d}" (String.make (k mod 5) ' ') k)
   in
   let payload k len = String.make (len + 1) (Char.chr (65 + k)) in
   QCheck.Test.make ~name:"answers: bytes within budget" ~count:300
@@ -2528,17 +2650,19 @@ let prop_answers_budget =
        let probes = ref 0 in
        List.for_all
          (fun (is_store, k, len) ->
-            let req = keys.(k) in
+            let key = keys.(k) in
             let found_ok =
               if is_store then begin
-                Answers.store a req (payload k len);
+                Answers.store a key ~op:"dp" (payload k len);
                 true
               end
               else begin
-                if Answers.cacheable req then incr probes;
-                match Answers.find a req with
-                | None -> true
-                | Some p -> p.[0] = Char.chr (65 + k)
+                incr probes;
+                match answers_find a key with
+                | None ->
+                  Answers.add_misses a 1;
+                  true
+                | Some e -> e.Answers.payload.[0] = Char.chr (65 + k)
               end
             in
             let s = Answers.stats a in
@@ -3260,6 +3384,8 @@ let () =
               test_inline_stale_probe;
             Alcotest.test_case "duplicate cold herd: owner serializes" `Quick
               test_router_duplicate_cold_herd;
+            Alcotest.test_case "shutdown wakes the watchdog" `Quick
+              test_router_shutdown_prompt;
             Alcotest.test_case "killed shard worker" `Quick
               test_shard_worker_killed;
             Alcotest.test_case "failed answers carry latency" `Quick
@@ -3316,7 +3442,7 @@ let () =
           Alcotest.test_case "answers: in-batch duplicates routed once" `Quick
             test_answers_batch_duplicates;
         ]
-        @ qc [ prop_answers_match_direct; prop_answers_budget ]
+        @ qc [ prop_answers_match_direct; prop_split_hits_match_direct; prop_answers_budget ]
         @ [
           Alcotest.test_case "grouping preserves order" `Slow
             test_grouping_preserves_order;
